@@ -20,12 +20,16 @@ import numpy as np
 from . import amplify, protocol, simulator
 from .amplify import PhasePair
 from .protocol import Instance, NotIsomorphicError
-from .registers import OpChain
+from .registers import _EMBED_DIM_LIMIT, OpChain
 from .symm import format_graph_literal, parse_graph_literal
 
 OP_TOL = 1e-10
 ROTATION_TOL = 1e-12
 ORDER_GAP = 1e-6
+# One exact step reaches certainty iff lambda >= 1/4; the solver's bisection
+# may also accept lambda up to this far below it.
+SINGLE_STEP_BOUNDARY = 0.25
+BOUNDARY_SLACK = 1e-9
 
 _version = "0.1.0"
 
@@ -322,7 +326,8 @@ def run_watrous(cfg: RunConfig) -> list[dict]:
                 "reflected-state-fidelity",
                 fidelity,
                 OP_TOL,
-                1.0 - fidelity <= OP_TOL,
+                # The reflection lands on minus the success state.
+                1.0 - fidelity <= OP_TOL and abs(overlap + 1.0) <= OP_TOL,
                 target=1.0,
                 relative_phase=overlap,
                 sampled_first_measurement_succeeded=succeeded,
@@ -331,11 +336,21 @@ def run_watrous(cfg: RunConfig) -> list[dict]:
     return records
 
 
+def _check_embed_dim(dim: int) -> None:
+    """Refuse a circuit whose dense operators would exceed the embedding limit."""
+    if dim > _EMBED_DIM_LIMIT:
+        raise ConfigError(
+            f"block decomposition needs dense {dim}x{dim} operators, "
+            f"above the limit of {_EMBED_DIM_LIMIT}"
+        )
+
+
 def _blocks_circuits(cfg: RunConfig):
     if cfg.m is not None:
         expected = 1.0 / cfg.m
         if cfg.m < 2:
             raise ConfigError(f"--m must be >= 2, got {cfg.m}")
+        _check_embed_dim(cfg.dims[0] * cfg.dims[1] * cfg.m**2)
         for t in range(cfg.trials):
             seed = trial_seeds(cfg.seed, t)[0]
             yield f"toy[m={cfg.m},trial={t}]", amplify.toy_circuit(cfg.m, cfg.dims, seed), expected
@@ -343,6 +358,7 @@ def _blocks_circuits(cfg: RunConfig):
     inst = build_instance(cfg)
     if inst.n > 3:
         raise ConfigError("dense block decomposition is guarded at n <= 3")
+    _check_embed_dim(simulator.sim_layout(cfg.dims, inst.n).total_dim)
     for t in range(cfg.trials):
         seed = trial_seeds(cfg.seed, t)[0]
         ver = protocol.adversarial_verifier(cfg.dims, inst.n, seed)
@@ -408,12 +424,19 @@ def run_phases(cfg: RunConfig) -> list[dict]:
     k_max = cfg.extras["k_max"]
     records = []
     single_step_ok: list[float] = []
+    mismatched: list[float] = []
     for lam in lambdas:
         if not 0 < lam < 1:
             raise ConfigError(f"lambda values must be in (0, 1), got {lam}")
         single = amplify.solve_phases(lam, 1) is not None
         if single:
             single_step_ok.append(lam)
+        if lam >= SINGLE_STEP_BOUNDARY:
+            agrees = single
+        else:
+            agrees = not single or lam >= SINGLE_STEP_BOUNDARY - BOUNDARY_SLACK
+        if not agrees:
+            mismatched.append(lam)
         found = amplify.smallest_feasible_k(lam, k_max)
         if found is None:
             records.append(
@@ -449,9 +472,12 @@ def run_phases(cfg: RunConfig) -> list[dict]:
             "single-step-feasibility-boundary",
             "single-step-feasibility-boundary",
             min(single_step_ok) if single_step_ok else None,
-            None,
-            True,
-            note="smallest grid value where one step already amplifies exactly",
+            BOUNDARY_SLACK,
+            not mismatched,
+            target=SINGLE_STEP_BOUNDARY,
+            mismatched_lambdas=mismatched,
+            note="smallest grid value where one step already amplifies exactly; "
+            "every grid verdict must agree with the analytic boundary",
         )
     )
     return records

@@ -11,8 +11,12 @@ register Zp (and optionally the response permutation, kept in Z).
 Views are handled in two equivalent forms: a dense density operator over the
 full space, and a :class:`RecordedView` keyed by the classical record values.
 The record registers are never coherent, so the trace distance between two
-views is the sum of per-record block distances; the blocked form is what
-makes the largest problem sizes fit in memory.
+views is the sum of per-record block distances.  Each block is stored as a
+low-rank factor ``X`` with ``block = X X†``: its columns are the challenge
+slices of the branch vectors behind that record value, at most 2 per
+branch.  Two blocks are compared through the QR core of their stacked
+factors, so no block is ever formed densely except by the small-size oracle
+:meth:`RecordedView.to_density_operator`.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from .registers import (
     LinearOp,
     RegisterLayout,
     StateVector,
-    dephase_matrix,
     haar_random_unitary,
     random_state,
     trace_distance_matrices,
@@ -159,29 +162,50 @@ def accept(sent: Graph, a: int, response: Permutation, inst: Instance) -> bool:
 
 @dataclass(frozen=True)
 class RecordedView:
-    """Mixture of coherent blocks keyed by classical record values.
+    """Mixture of coherent blocks keyed by classical record values, in factored form.
 
-    ``blocks[key]`` is the unnormalized density block on ``base_layout`` for
-    record value ``key`` (a tuple, one index per record register).  The full
-    operator is the direct sum of the blocks over the record basis, i.e.
-    ``sum_key blocks[key] (x) |key><key|``.
+    ``blocks[key]`` is a ``(base_layout.total_dim, r)`` factor ``X`` of the
+    unnormalized density block ``X X†`` on ``base_layout`` for record value
+    ``key`` (a tuple, one index per record register).  Each column is one
+    challenge slice of a branch vector, so ``r`` is at most 2 per branch
+    that maps to ``key``.  The full operator is the direct sum of the blocks
+    over the record basis, i.e. ``sum_key X X† (x) |key><key|``.
     """
 
     base_layout: RegisterLayout
     record_registers: tuple[tuple[str, int], ...]
     blocks: Mapping[tuple[int, ...], np.ndarray]
 
+    @classmethod
+    def from_columns(
+        cls,
+        base_layout: RegisterLayout,
+        record_registers: tuple[tuple[str, int], ...],
+        pieces,
+    ) -> "RecordedView":
+        """Stack ``(key, columns)`` pieces into one factor per record value."""
+        grouped: dict[tuple[int, ...], list[np.ndarray]] = {}
+        for key, cols in pieces:
+            grouped.setdefault(key, []).append(cols)
+        blocks = {key: np.hstack(parts) for key, parts in grouped.items()}
+        return cls(base_layout, record_registers, blocks)
+
     def trace(self) -> float:
-        return float(sum(np.trace(b).real for b in self.blocks.values()))
+        return float(sum(self.record_weights().values()))
 
     def record_weights(self) -> dict[tuple[int, ...], float]:
-        return {key: float(np.trace(b).real) for key, b in self.blocks.items()}
+        """Trace of each block: the squared Frobenius norm of its factor."""
+        return {key: float(np.vdot(x, x).real) for key, x in self.blocks.items()}
 
     def trace_distance(self, other: "RecordedView") -> float:
         """Half trace norm of the difference, block by block.
 
         Exact because both operators are block diagonal over the same
-        classical record basis, where the trace norm is additive.
+        classical record basis, where the trace norm is additive.  Within a
+        block, the QR of the stacked factors ``[X Y] = Q R`` gives
+        ``X X† - Y Y† = Q (R J R†) Q†`` with ``J = diag(I_p, -I_q)``, and Q has
+        orthonormal columns, so the small core ``R J R†`` carries the whole
+        nonzero spectrum.
         """
         if (
             self.base_layout.registers != other.base_layout.registers
@@ -189,11 +213,13 @@ class RecordedView:
         ):
             raise ValueError("recorded views live over different layouts")
         total = 0.0
-        zero = np.zeros((self.base_layout.total_dim,) * 2, dtype=complex)
-        for key in set(self.blocks) | set(other.blocks):
-            a = self.blocks.get(key, zero)
-            b = other.blocks.get(key, zero)
-            total += trace_distance_matrices(a, b)
+        empty = np.zeros((self.base_layout.total_dim, 0), dtype=complex)
+        for key in sorted(set(self.blocks) | set(other.blocks)):
+            x = self.blocks.get(key, empty)
+            y = other.blocks.get(key, empty)
+            r = np.linalg.qr(np.hstack([x, y]), mode="r")
+            rx, ry = r[:, : x.shape[1]], r[:, x.shape[1] :]
+            total += trace_distance_matrices(rx @ rx.conj().T, ry @ ry.conj().T)
         return total
 
     def full_layout(self) -> RegisterLayout:
@@ -210,10 +236,30 @@ class RecordedView:
         record_layout = RegisterLayout(self.record_registers)
         rec_dim = record_layout.total_dim
         full = np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
-        for key, block in self.blocks.items():
+        for key, x in self.blocks.items():
             offset = record_layout.flatten(key)
-            full[offset::rec_dim, offset::rec_dim] = block
+            full[offset::rec_dim, offset::rec_dim] = x @ x.conj().T
         return DensityOperator(layout, full)
+
+
+def view_records(n: int, keep_z: bool) -> tuple[tuple[str, int], ...]:
+    """Record registers of a view: the sent graph Zp, after the response Z if kept."""
+    sent = ("Zp", num_graph_codes(n))
+    return (("Z", len(enumerate_sn(n))), sent) if keep_z else (sent,)
+
+
+def challenge_columns(layout: RegisterLayout, vec: np.ndarray) -> np.ndarray:
+    """The challenge slices of ``vec`` as the columns of a ``(dim, dim_A)`` factor.
+
+    Column ``a`` keeps the A=a amplitudes of ``vec`` and zeroes the rest, so
+    the factor times its adjoint is ``vec vec†`` with register A dephased.
+    """
+    axis = layout.axis("A")
+    dims = layout.dims
+    left = int(np.prod(dims[:axis], dtype=int))
+    t = vec.reshape(left, dims[axis], -1)
+    cols = np.eye(dims[axis])[:, None, :, None] * t[None]
+    return cols.reshape(dims[axis], -1).T
 
 
 def _check_aux(ver: VerifierModel, aux: StateVector) -> None:
@@ -230,9 +276,10 @@ def real_view_recorded(
     """Verifier view of one real round, averaged over the prover's choices.
 
     Per relabeling tau: run the verifier unitary on the initial product
-    state, dephase the challenge register, and record the sent graph in Zp.
-    With ``keep_z`` the prover's step-(c) response is recorded too, which
-    splits each tau branch by challenge value.
+    state, split the output by challenge value (the dephasing of A), and
+    record the sent graph in Zp.  With ``keep_z`` the prover's step-(c)
+    response is recorded too, so each challenge slice goes to the record
+    value of its own response.
     """
     _check_aux(ver, aux)
     n = inst.n
@@ -240,53 +287,21 @@ def real_view_recorded(
     base = aux.amps
     dim_vay = layout.total_dim // ver.dim_w
     perms = enumerate_sn(n)
-    weight = 1.0 / len(perms)
-    dim_y = num_graph_codes(n)
+    scale = np.sqrt(1.0 / len(perms))
 
-    blocks: dict[tuple[int, ...], np.ndarray] = {}
+    pieces = []
     for tau in perms:
-        sent = act(tau, inst.g0)
-        code = encode(sent)
+        code = encode(act(tau, inst.g0))
         start = np.zeros(dim_vay, dtype=complex)
-        start[layout.keep(["V", "A", "Y"]).flatten((0, 0, code))] = 1.0
-        vec = ver.u_v.apply_to(layout, np.kron(base, start))
-        block = weight * dephase_matrix(layout, np.outer(vec, vec.conj()), "A")
+        start[layout.keep(["V", "A", "Y"]).flatten((0, 0, code))] = scale
+        cols = challenge_columns(layout, ver.u_v.apply_to(layout, np.kron(base, start)))
         if keep_z:
             for a in (0, 1):
-                picked = _challenge_block(layout, block, a)
                 response = honest_response(inst, tau, a)
-                key = (perms.index(response), code)
-                _accumulate(blocks, key, picked)
+                pieces.append(((perms.index(response), code), cols[:, a : a + 1]))
         else:
-            _accumulate(blocks, (code,), block)
-
-    records: tuple[tuple[str, int], ...]
-    if keep_z:
-        records = (("Z", len(perms)), ("Zp", dim_y))
-    else:
-        records = (("Zp", dim_y),)
-    return RecordedView(layout, records, blocks)
-
-
-def _challenge_block(layout: RegisterLayout, block: np.ndarray, a: int) -> np.ndarray:
-    """Restrict an A-dephased block to one challenge outcome."""
-    axis = layout.axis("A")
-    dims = layout.dims
-    left = int(np.prod(dims[:axis], dtype=int))
-    right = layout.total_dim // (left * dims[axis])
-    t = block.reshape(left, dims[axis], right, left, dims[axis], right).copy()
-    mask = np.zeros(dims[axis])
-    mask[a] = 1.0
-    t *= mask[None, :, None, None, None, None]
-    t *= mask[None, None, None, None, :, None]
-    return t.reshape(layout.total_dim, layout.total_dim)
-
-
-def _accumulate(blocks: dict, key: tuple[int, ...], block: np.ndarray) -> None:
-    if key in blocks:
-        blocks[key] = blocks[key] + block
-    else:
-        blocks[key] = block
+            pieces.append(((code,), cols))
+    return RecordedView.from_columns(layout, view_records(n, keep_z), pieces)
 
 
 def real_view(

@@ -23,7 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import Instance, RecordedView, VerifierModel, accept, view_layout
+from .protocol import (
+    Instance,
+    RecordedView,
+    VerifierModel,
+    accept,
+    challenge_columns,
+    view_layout,
+    view_records,
+)
 from .registers import (
     DensityOperator,
     DiagonalOp,
@@ -32,7 +40,6 @@ from .registers import (
     PermutationOp,
     RegisterLayout,
     StateVector,
-    dephase_matrix,
     measure,
 )
 from .symm import (
@@ -291,12 +298,13 @@ def _amplified_state(circ: SimulatorCircuit, aux: StateVector) -> np.ndarray:
 def simulate_round_recorded(
     circ: SimulatorCircuit, aux: StateVector, keep_z: bool = False
 ) -> RecordedView:
-    """Simulated verifier view: amplify, dephase A, expand B,Z branches exactly.
+    """Simulated verifier view: amplify, then split each B,Z branch by challenge.
 
     The B,Z measurement is replaced by the exact Born-weighted mixture, so
     the output is deterministic; :func:`sample_round` keeps the sampling
-    behavior for demonstrations.  Per branch the implied sent graph goes to
-    the record register Zp (and the relabeling itself to Z when ``keep_z``).
+    behavior for demonstrations.  Per branch the challenge slices (the
+    dephasing of A) become factor columns of the record value of the implied
+    sent graph in Zp (and of the relabeling itself in Z when ``keep_z``).
     """
     if circ.inst is None or circ.ver is None:
         raise ValueError("simulate_round needs a protocol circuit")
@@ -304,32 +312,20 @@ def simulate_round_recorded(
     n = inst.n
     perms = enumerate_sn(n)
     base_layout = view_layout(ver.dims, n)
-    dim_y = num_graph_codes(n)
 
     s2 = _amplified_state(circ, aux)
     tensor = s2.reshape(circ.layout.dims)
 
-    blocks: dict[tuple[int, ...], np.ndarray] = {}
+    pieces = []
     for b, graph in enumerate((inst.g0, inst.g1)):
         for z, pi in enumerate(perms):
             branch = tensor[..., b, z].reshape(-1)
-            weight = float(np.vdot(branch, branch).real)
-            if weight < 1e-24:
+            if float(np.vdot(branch, branch).real) < 1e-24:
                 continue
-            block = dephase_matrix(base_layout, np.outer(branch, branch.conj()), "A")
             code = encode(act(pi, graph))
             key = (z, code) if keep_z else (code,)
-            if key in blocks:
-                blocks[key] = blocks[key] + block
-            else:
-                blocks[key] = block
-
-    records: tuple[tuple[str, int], ...]
-    if keep_z:
-        records = (("Z", len(perms)), ("Zp", dim_y))
-    else:
-        records = (("Zp", dim_y),)
-    return RecordedView(base_layout, records, blocks)
+            pieces.append((key, challenge_columns(base_layout, branch)))
+    return RecordedView.from_columns(base_layout, view_records(n, keep_z), pieces)
 
 
 def simulate_round(

@@ -5,7 +5,9 @@ import re
 
 import pytest
 
+from zkamp import amplify, simulator
 from zkamp.cli import dump_json, run
+from zkamp.registers import DiagonalOp
 
 ZK_ARGS = ["zk-check", "--n", "3", "--g0", "01,12", "--g1", "01,02", "--trials", "5", "--seed", "7"]
 
@@ -68,6 +70,23 @@ class TestExitCodes:
         assert report["pass"] is False
         assert report["records"][0]["single_step_feasible"] is False
 
+    def test_oversize_blocks_refused_before_building(self, capsys, monkeypatch):
+        # 2*2*70^2 = 19600 exceeds the dense embedding limit; the refusal must
+        # come from the dimension alone, before the circuit exists.
+        def never(*args, **kwargs):
+            raise AssertionError("toy_circuit must not be built")
+
+        monkeypatch.setattr(amplify, "toy_circuit", never)
+        assert run(["blocks", "--m", "70"]) == 2
+        err = capsys.readouterr().err
+        assert "19600" in err
+
+    def test_oversize_gmw_blocks_refused(self, capsys):
+        # The n=3 simulator layout at dims 8x8 is 8*8*2*8*2*6 = 12288.
+        argv = ["blocks", "--n", "3", "--g0", "01,12", "--g1", "01,02"]
+        assert run(argv + ["--dim-w", "8", "--dim-v", "8"]) == 2
+        assert "12288" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_reports_byte_identical_modulo_timings(self, capsys):
@@ -125,6 +144,55 @@ class TestCommandContents:
         assert fid["value"] >= 1 - 1e-10
         # The reflection carries a global minus sign.
         assert fid["relative_phase"]["re"] == pytest.approx(-1.0, abs=1e-9)
+
+    def test_reflected_sign_is_gated(self, capsys, monkeypatch):
+        # Negating the start phase flips the reflected state's global sign:
+        # the fidelity is still 1, but the record must fail.
+        original = simulator.phase_on_start
+
+        def flipped(layout, phi):
+            op = original(layout, phi)
+            return DiagonalOp(op.layout, op.targets, -op.phases)
+
+        monkeypatch.setattr(simulator, "phase_on_start", flipped)
+        code, out = run_capture(
+            capsys,
+            ["watrous", "--n", "3", "--g0", "01,12", "--g1", "02,12", "--trials", "1", "--seed", "4"],
+        )
+        assert code == 1
+        fid = {r["claim"]: r for r in json.loads(out)["records"]}["reflected-state-fidelity"]
+        assert fid["value"] >= 1 - 1e-10
+        assert fid["relative_phase"]["re"] == pytest.approx(1.0, abs=1e-9)
+        assert fid["pass"] is False
+
+    def test_feasibility_boundary_rejects_wrong_verdict(self, capsys, monkeypatch):
+        # A solver that calls lambda = 0.2 single-step feasible contradicts
+        # the analytic boundary 1/4.
+        original = amplify.solve_phases
+
+        def too_lenient(lam, k):
+            if k == 1 and lam == 0.2:
+                return original(0.5, 1)
+            return original(lam, k)
+
+        monkeypatch.setattr(amplify, "solve_phases", too_lenient)
+        code, out = run_capture(capsys, ["phases", "--lambdas", "0.2,0.5", "--seed", "0"])
+        assert code == 1
+        boundary = json.loads(out)["records"][-1]
+        assert boundary["claim"] == "single-step-feasibility-boundary"
+        assert boundary["pass"] is False
+        assert boundary["target"] == 0.25
+        assert boundary["mismatched_lambdas"] == [0.2]
+
+    def test_feasibility_boundary_passes_on_both_sides(self, capsys):
+        code, out = run_capture(
+            capsys, ["phases", "--lambdas", "0.1,0.2,0.25,0.3", "--seed", "0"]
+        )
+        assert code == 0
+        boundary = json.loads(out)["records"][-1]
+        assert boundary["pass"] is True
+        assert boundary["value"] == pytest.approx(0.25)
+        assert boundary["target"] == 0.25
 
     def test_blocks_toy_expected_lambda(self, capsys):
         code, out = run_capture(capsys, ["blocks", "--m", "5", "--trials", "1", "--seed", "2"])

@@ -181,11 +181,11 @@ class TestRecordedView:
         dense = view.to_density_operator()
         assert dense.layout.names == ("W", "V", "A", "Y", "Zp")
         assert abs(view.trace() - 1) < 1e-12
-        # Rebuild by hand from the blocks.
+        # Rebuild by hand from the block factors.
         rec_dim = 2
         manual = np.zeros_like(dense.matrix)
-        for (code,), block in view.blocks.items():
-            manual[code::rec_dim, code::rec_dim] = block
+        for (code,), factor in view.blocks.items():
+            manual[code::rec_dim, code::rec_dim] = factor @ factor.conj().T
         np.testing.assert_allclose(dense.matrix, manual)
 
     def test_blocked_distance_matches_dense(self):

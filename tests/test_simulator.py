@@ -330,7 +330,6 @@ class TestSimulatedView:
         # whose guess disagrees with the challenge, and the distance to the
         # real view is exactly 1/2; the amplified round still matches.
         from zkamp.protocol import RecordedView
-        from zkamp.registers import dephase_matrix
         from zkamp.symm import encode, num_graph_codes
 
         circ = gmw_circuit(3, verifier_seed=3)
@@ -340,15 +339,24 @@ class TestSimulatedView:
         base = view_layout(ver.dims, 3)
         tensor = attempt_output(circ, aux).reshape(circ.layout.dims)
 
+        a_axis = base.axis("A")
+
         def branch_average(keep_z):
-            blocks = {}
+            # Factor columns: each branch split by challenge value, i.e. the
+            # A-dephased branch mixture X X^dagger.
+            factors = {}
             for b, g in enumerate((inst.g0, inst.g1)):
                 for z, pi in enumerate(perms):
-                    v = tensor[..., b, z].reshape(-1)
-                    block = dephase_matrix(base, np.outer(v, v.conj()), "A")
+                    v = tensor[..., b, z]
+                    cols = []
+                    for a in range(2):
+                        part = np.zeros_like(v)
+                        np.moveaxis(part, a_axis, 0)[a] = np.moveaxis(v, a_axis, 0)[a]
+                        cols.append(part.reshape(-1))
                     code = encode(act(pi, g))
                     key = (z, code) if keep_z else (code,)
-                    blocks[key] = blocks.get(key, 0) + block
+                    factors.setdefault(key, []).extend(cols)
+            blocks = {key: np.stack(cols, axis=1) for key, cols in factors.items()}
             records = (("Z", len(perms)), ("Zp", num_graph_codes(3)))
             if not keep_z:
                 records = records[1:]
