@@ -8,6 +8,8 @@ arbitrary input-independent success probabilities, and ``cli`` the report
 runner.
 """
 
+__version__ = "0.1.0"
+
 from .amplify import (
     BlockDecomposition,
     NotLambdaUniformError,
@@ -87,5 +89,3 @@ from .symm import (
     invert,
     parse_graph_literal,
 )
-
-__version__ = "0.1.0"

@@ -23,7 +23,7 @@ from .simulator import (
     SimulatorCircuit,
     attempt_output,
     grover_step,
-    phase_on_start,
+    reflection,
     success_projector,
     uniform_superposition_unitary,
 )
@@ -339,9 +339,7 @@ def iterative_schedule(lam: float, steps: int) -> list[float]:
 def iterative_schedule_full(circ: SimulatorCircuit, aux: StateVector, steps: int) -> list[float]:
     """Full-space version of :func:`iterative_schedule`, the cross-check oracle."""
     layout = circ.layout
-    reflect = OpChain(
-        (circ.attempt.adjoint(), phase_on_start(layout, -1.0), circ.attempt)
-    )
+    reflect = reflection(circ)
     state = attempt_output(circ, aux)
     probs: list[float] = []
     for _ in range(steps):

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import amplify, protocol, simulator
+from . import __version__, amplify, protocol, simulator
 from .amplify import PhasePair
 from .protocol import Instance, NotIsomorphicError
-from .registers import _EMBED_DIM_LIMIT, OpChain
-from .symm import format_graph_literal, parse_graph_literal
+from .registers import _EMBED_DIM_LIMIT
+from .symm import format_graph_literal, num_graph_codes, parse_graph_literal
 
 OP_TOL = 1e-10
 ROTATION_TOL = 1e-12
@@ -30,8 +30,6 @@ ORDER_GAP = 1e-6
 # may also accept lambda up to this far below it.
 SINGLE_STEP_BOUNDARY = 0.25
 BOUNDARY_SLACK = 1e-9
-
-_version = "0.1.0"
 
 
 class ConfigError(Exception):
@@ -168,11 +166,30 @@ def build_instance(cfg: RunConfig) -> Instance:
     g0 = _parse_graph(cfg.g0, cfg.n)
     g1 = _parse_graph(cfg.g1, cfg.n)
     try:
-        return Instance.from_graphs(g0, g1)
+        inst = Instance.from_graphs(g0, g1)
     except NotIsomorphicError as exc:
         raise ConfigError(f"graphs are not isomorphic: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    # Every command on a graph pair builds a dense verifier unitary on W,V,A,Y.
+    _check_embed_dim("the verifier unitary", cfg.dims[0] * cfg.dims[1] * 2 * num_graph_codes(inst.n))
+    return inst
+
+
+def _check_embed_dim(what: str, dim: int) -> None:
+    """Refuse, before anything is allocated, a dense operator above the embedding limit."""
+    if dim > _EMBED_DIM_LIMIT:
+        raise ConfigError(
+            f"{what} needs a dense {dim}x{dim} matrix, above the limit of {_EMBED_DIM_LIMIT}"
+        )
+
+
+def _check_toy_circuit(cfg: RunConfig) -> None:
+    """Refuse an abstract 1/m circuit whose scramble or success projector is oversize."""
+    if cfg.m < 2:
+        raise ConfigError(f"--m must be >= 2, got {cfg.m}")
+    _check_embed_dim("the toy scramble on W,V,A", cfg.dims[0] * cfg.dims[1] * cfg.m)
+    _check_embed_dim("the success projector on A,B", cfg.m**2)
 
 
 def _verifier(cfg: RunConfig, kind: str, seed: int, n: int):
@@ -295,7 +312,7 @@ def run_watrous(cfg: RunConfig) -> list[dict]:
             inst, protocol.adversarial_verifier(cfg.dims, inst.n, ver_seed), cfg.completion
         )
         aux = protocol.random_aux(cfg.dims[0], aux_seed)
-        prob = simulator.success_probability(circ, aux)
+        prob, succ, fail = simulator.first_measurement(circ, aux)
         records.append(
             record(
                 f"first-measurement-probability[trial={t}]",
@@ -307,16 +324,7 @@ def run_watrous(cfg: RunConfig) -> list[dict]:
             )
         )
         # Fidelity of the reflected failure branch with the success state.
-        layout = circ.layout
-        s1 = simulator.attempt_output(circ, aux)
-        succ = circ.success_proj.apply_to(layout, s1)
-        succ = succ / np.linalg.norm(succ)
-        fail = s1 - circ.success_proj.apply_to(layout, s1)
-        fail = fail / np.linalg.norm(fail)
-        reflect = OpChain(
-            (circ.attempt.adjoint(), simulator.phase_on_start(layout, -1.0), circ.attempt)
-        )
-        reflected = reflect.apply_to(layout, fail)
+        reflected = simulator.reflection(circ).apply_to(circ.layout, fail)
         overlap = complex(np.vdot(succ, reflected))
         fidelity = abs(overlap) ** 2
         succeeded, _ = simulator.watrous_round(circ, aux, np.random.default_rng(branch_seed))
@@ -336,21 +344,11 @@ def run_watrous(cfg: RunConfig) -> list[dict]:
     return records
 
 
-def _check_embed_dim(dim: int) -> None:
-    """Refuse a circuit whose dense operators would exceed the embedding limit."""
-    if dim > _EMBED_DIM_LIMIT:
-        raise ConfigError(
-            f"block decomposition needs dense {dim}x{dim} operators, "
-            f"above the limit of {_EMBED_DIM_LIMIT}"
-        )
-
-
 def _blocks_circuits(cfg: RunConfig):
     if cfg.m is not None:
         expected = 1.0 / cfg.m
-        if cfg.m < 2:
-            raise ConfigError(f"--m must be >= 2, got {cfg.m}")
-        _check_embed_dim(cfg.dims[0] * cfg.dims[1] * cfg.m**2)
+        _check_toy_circuit(cfg)
+        _check_embed_dim("block decomposition", cfg.dims[0] * cfg.dims[1] * cfg.m**2)
         for t in range(cfg.trials):
             seed = trial_seeds(cfg.seed, t)[0]
             yield f"toy[m={cfg.m},trial={t}]", amplify.toy_circuit(cfg.m, cfg.dims, seed), expected
@@ -358,7 +356,7 @@ def _blocks_circuits(cfg: RunConfig):
     inst = build_instance(cfg)
     if inst.n > 3:
         raise ConfigError("dense block decomposition is guarded at n <= 3")
-    _check_embed_dim(simulator.sim_layout(cfg.dims, inst.n).total_dim)
+    _check_embed_dim("block decomposition", simulator.sim_layout(cfg.dims, inst.n).total_dim)
     for t in range(cfg.trials):
         seed = trial_seeds(cfg.seed, t)[0]
         ver = protocol.adversarial_verifier(cfg.dims, inst.n, seed)
@@ -486,8 +484,7 @@ def run_phases(cfg: RunConfig) -> list[dict]:
 def run_schedule(cfg: RunConfig) -> list[dict]:
     if cfg.m is None:
         raise ConfigError("schedule needs --m")
-    if cfg.m < 2:
-        raise ConfigError(f"--m must be >= 2, got {cfg.m}")
+    _check_toy_circuit(cfg)
     steps = cfg.extras["steps"]
     lam = 1.0 / cfg.m
     two_dim = amplify.iterative_schedule(lam, steps)
@@ -666,7 +663,7 @@ def run(argv: list[str] | None = None) -> int:
         "environment": {
             "seed": cfg.seed,
             "dims": list(cfg.dims),
-            "package_version": _version,
+            "package_version": __version__,
             "timings": {"total_seconds": time.monotonic() - started},
         },
         "pass": overall,

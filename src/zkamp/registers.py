@@ -12,6 +12,8 @@ All values are immutable after construction and every operation is pure
 
 from __future__ import annotations
 
+import copy
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -53,10 +55,7 @@ class RegisterLayout:
 
     @property
     def total_dim(self) -> int:
-        out = 1
-        for _, dim in self.registers:
-            out *= dim
-        return out
+        return math.prod(self.dims)
 
     def axis(self, name: str) -> int:
         """Position of a register in the layout order."""
@@ -183,6 +182,31 @@ def _canonical_targets(layout: RegisterLayout, targets: Sequence[str]) -> tuple[
     return tuple(targets[i] for i in order)
 
 
+def _init_validated(op, layout: RegisterLayout, targets: Sequence[str], **data) -> None:
+    """Store a new operator's fields, run its ``_validate(side)``, then freeze its arrays.
+
+    The one place an operator is checked: adjoints skip it (``_trusted_variant``),
+    since for square U, ``||U U† - I||_2 = ||U† U - I||_2 = max |s_i^2 - 1|``.
+    """
+    targets = _canonical_targets(layout, targets)
+    for name, value in (("layout", layout), ("targets", targets), *data.items()):
+        object.__setattr__(op, name, value)
+    op._validate(math.prod(layout.dim_of(name) for name in targets))
+    for value in data.values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+
+
+def _trusted_variant(op, **data):
+    """Copy of a validated operator with ``data`` replaced, not validated again."""
+    out = copy.copy(op)
+    for name, value in data.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(out, name, value)
+    return out
+
+
 @dataclass(frozen=True)
 class LinearOp:
     """Dense unitary or projector on a subset of registers.
@@ -199,18 +223,17 @@ class LinearOp:
     kind: str
 
     def __init__(self, layout: RegisterLayout, targets: Sequence[str], matrix, kind: str):
-        targets = _canonical_targets(layout, targets)
-        mat = np.asarray(matrix, dtype=complex)
-        side = 1
-        for name in targets:
-            side *= layout.dim_of(name)
+        _init_validated(self, layout, targets, matrix=np.asarray(matrix, dtype=complex), kind=kind)
+
+    def _validate(self, side: int) -> None:
+        mat = self.matrix
         if mat.shape != (side, side):
             raise ValueError(f"matrix has shape {mat.shape}, expected ({side}, {side})")
-        if kind == "unitary":
+        if self.kind == "unitary":
             err = np.max(np.abs(mat.conj().T @ mat - np.eye(side)))
             if err > ATOL_OP:
                 raise ValueError(f"matrix is not unitary (deviation {err:.3e})")
-        elif kind == "projector":
+        elif self.kind == "projector":
             err = max(
                 np.max(np.abs(mat @ mat - mat)),
                 np.max(np.abs(mat - mat.conj().T)),
@@ -218,23 +241,17 @@ class LinearOp:
             if err > ATOL_OP:
                 raise ValueError(f"matrix is not a projector (deviation {err:.3e})")
         else:
-            raise ValueError(f"kind must be 'unitary' or 'projector', got {kind!r}")
-        mat.setflags(write=False)
-        object.__setattr__(self, "layout", layout)
-        object.__setattr__(self, "targets", targets)
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "kind", kind)
+            raise ValueError(f"kind must be 'unitary' or 'projector', got {self.kind!r}")
 
     def adjoint(self) -> "LinearOp":
-        return LinearOp(self.layout, self.targets, self.matrix.conj().T, self.kind)
+        return _trusted_variant(self, matrix=self.matrix.conj().T)
 
     def apply_to(self, layout: RegisterLayout, amps: np.ndarray) -> np.ndarray:
         _check_targets_compatible(self, layout)
         return apply_on_subset(layout, self.targets, self.matrix, amps)
 
     def to_matrix(self, layout: RegisterLayout | None = None) -> np.ndarray:
-        layout = self.layout if layout is None else layout
-        _check_targets_compatible(self, layout)
+        layout = _check_targets_compatible(self, self.layout if layout is None else layout)
         return embed_matrix(layout, self.targets, self.matrix)
 
 
@@ -247,38 +264,25 @@ class DiagonalOp:
     phases: np.ndarray
 
     def __init__(self, layout: RegisterLayout, targets: Sequence[str], phases):
-        targets = _canonical_targets(layout, targets)
-        vec = np.asarray(phases, dtype=complex)
-        side = 1
-        for name in targets:
-            side *= layout.dim_of(name)
-        if vec.shape != (side,):
-            raise ValueError(f"diagonal has shape {vec.shape}, expected ({side},)")
-        if np.max(np.abs(np.abs(vec) - 1.0)) > ATOL_NORM:
-            raise ValueError("diagonal entries must have unit modulus")
-        vec.setflags(write=False)
-        object.__setattr__(self, "layout", layout)
-        object.__setattr__(self, "targets", targets)
-        object.__setattr__(self, "phases", vec)
+        _init_validated(self, layout, targets, phases=np.asarray(phases, dtype=complex))
 
     kind: str = field(default="unitary", init=False)
 
+    def _validate(self, side: int) -> None:
+        if self.phases.shape != (side,):
+            raise ValueError(f"diagonal has shape {self.phases.shape}, expected ({side},)")
+        if np.max(np.abs(np.abs(self.phases) - 1.0)) > ATOL_NORM:
+            raise ValueError("diagonal entries must have unit modulus")
+
     def adjoint(self) -> "DiagonalOp":
-        return DiagonalOp(self.layout, self.targets, self.phases.conj())
+        return _trusted_variant(self, phases=self.phases.conj())
 
     def apply_to(self, layout: RegisterLayout, amps: np.ndarray) -> np.ndarray:
         _check_targets_compatible(self, layout)
-        axes = layout.axes(self.targets)
-        tdims = [layout.dims[a] for a in axes]
-        moved = np.moveaxis(amps.reshape(layout.dims), axes, range(len(axes)))
-        shape = moved.shape
-        out = self.phases[:, None] * moved.reshape(len(self.phases), -1)
-        out = np.moveaxis(out.reshape(tdims + list(shape[len(axes):])), range(len(axes)), axes)
-        return out.reshape(-1)
+        return _on_targets(layout, self.targets, amps, lambda flat: self.phases[:, None] * flat)
 
     def to_matrix(self, layout: RegisterLayout | None = None) -> np.ndarray:
-        layout = self.layout if layout is None else layout
-        _check_targets_compatible(self, layout)
+        layout = _check_targets_compatible(self, self.layout if layout is None else layout)
         return embed_matrix(layout, self.targets, np.diag(self.phases))
 
 
@@ -295,42 +299,33 @@ class PermutationOp:
     image: np.ndarray
 
     def __init__(self, layout: RegisterLayout, targets: Sequence[str], image):
-        targets = _canonical_targets(layout, targets)
-        img = np.asarray(image, dtype=np.int64)
-        side = 1
-        for name in targets:
-            side *= layout.dim_of(name)
-        if img.shape != (side,):
-            raise ValueError(f"image has shape {img.shape}, expected ({side},)")
-        if sorted(img.tolist()) != list(range(side)):
-            raise ValueError("image is not a permutation of the target basis")
-        img.setflags(write=False)
-        object.__setattr__(self, "layout", layout)
-        object.__setattr__(self, "targets", targets)
-        object.__setattr__(self, "image", img)
+        _init_validated(self, layout, targets, image=np.asarray(image, dtype=np.int64))
 
     kind: str = field(default="unitary", init=False)
+
+    def _validate(self, side: int) -> None:
+        if self.image.shape != (side,):
+            raise ValueError(f"image has shape {self.image.shape}, expected ({side},)")
+        if sorted(self.image.tolist()) != list(range(side)):
+            raise ValueError("image is not a permutation of the target basis")
 
     def adjoint(self) -> "PermutationOp":
         inverse = np.empty_like(self.image)
         inverse[self.image] = np.arange(len(self.image))
-        return PermutationOp(self.layout, self.targets, inverse)
+        return _trusted_variant(self, image=inverse)
 
     def apply_to(self, layout: RegisterLayout, amps: np.ndarray) -> np.ndarray:
         _check_targets_compatible(self, layout)
-        axes = layout.axes(self.targets)
-        tdims = [layout.dims[a] for a in axes]
-        moved = np.moveaxis(amps.reshape(layout.dims), axes, range(len(axes)))
-        shape = moved.shape
-        flat = moved.reshape(len(self.image), -1)
-        out = np.empty_like(flat)
-        out[self.image] = flat
-        out = np.moveaxis(out.reshape(tdims + list(shape[len(axes):])), range(len(axes)), axes)
-        return out.reshape(-1)
+
+        def permute(flat: np.ndarray) -> np.ndarray:
+            out = np.empty_like(flat)
+            out[self.image] = flat
+            return out
+
+        return _on_targets(layout, self.targets, amps, permute)
 
     def to_matrix(self, layout: RegisterLayout | None = None) -> np.ndarray:
-        layout = self.layout if layout is None else layout
-        _check_targets_compatible(self, layout)
+        layout = _check_targets_compatible(self, self.layout if layout is None else layout)
         side = len(self.image)
         mat = np.zeros((side, side), dtype=complex)
         mat[self.image, np.arange(side)] = 1.0
@@ -347,6 +342,9 @@ class OpChain:
     factors: tuple
 
     def __post_init__(self):
+        self._validate()
+
+    def _validate(self) -> None:
         if not self.factors:
             raise ValueError("empty operator chain")
         for op in self.factors:
@@ -365,7 +363,7 @@ class OpChain:
         return tuple(seen)
 
     def adjoint(self) -> "OpChain":
-        return OpChain(tuple(op.adjoint() for op in reversed(self.factors)))
+        return _trusted_variant(self, factors=tuple(op.adjoint() for op in reversed(self.factors)))
 
     def apply_to(self, layout: RegisterLayout, amps: np.ndarray) -> np.ndarray:
         for op in self.factors:
@@ -379,7 +377,8 @@ class OpChain:
         return out
 
 
-def _check_targets_compatible(op, layout: RegisterLayout) -> None:
+def _check_targets_compatible(op, layout: RegisterLayout) -> RegisterLayout:
+    """``layout``, once checked to give every target of ``op`` its dimension."""
     for name in op.targets:
         try:
             dim = layout.dim_of(name)
@@ -392,20 +391,26 @@ def _check_targets_compatible(op, layout: RegisterLayout) -> None:
                 f"register {name!r} has dim {dim} in the state layout "
                 f"but {op.layout.dim_of(name)} in the operator layout"
             )
+    return layout
+
+
+def _on_targets(layout: RegisterLayout, targets: Sequence[str], amps: np.ndarray, act) -> np.ndarray:
+    """``act`` applied to raw amplitudes viewed as a (target basis, rest) matrix.
+
+    The targets are moved to the front in layout order and flattened into
+    the rows; ``act`` returns a matrix of the same shape, which is moved back.
+    """
+    axes = layout.axes(targets)
+    moved = np.moveaxis(amps.reshape(layout.dims), axes, range(len(axes)))
+    out = act(moved.reshape(math.prod(moved.shape[: len(axes)]), -1))
+    return np.moveaxis(out.reshape(moved.shape), range(len(axes)), axes).reshape(-1)
 
 
 def apply_on_subset(
     layout: RegisterLayout, targets: Sequence[str], matrix: np.ndarray, amps: np.ndarray
 ) -> np.ndarray:
     """Apply ``matrix`` (indexed over ``targets`` in layout order) to raw amplitudes."""
-    axes = layout.axes(targets)
-    tdims = [layout.dims[a] for a in axes]
-    moved = np.moveaxis(amps.reshape(layout.dims), axes, range(len(axes)))
-    shape = moved.shape
-    flat = moved.reshape(matrix.shape[1], -1)
-    out = matrix @ flat
-    out = np.moveaxis(out.reshape(tdims + list(shape[len(axes):])), range(len(axes)), axes)
-    return out.reshape(-1)
+    return _on_targets(layout, targets, amps, lambda flat: matrix @ flat)
 
 
 _EMBED_DIM_LIMIT = 8192
@@ -423,10 +428,7 @@ def embed_matrix(layout: RegisterLayout, targets: Sequence[str], matrix: np.ndar
     rest_axes = [i for i in range(len(layout.dims)) if i not in axes]
     tdims = [layout.dims[a] for a in axes]
     rdims = [layout.dims[a] for a in rest_axes]
-    rest = 1
-    for d in rdims:
-        rest *= d
-    big = np.kron(matrix, np.eye(rest, dtype=complex))
+    big = np.kron(matrix, np.eye(math.prod(rdims), dtype=complex))
     # big acts on targets (x) rest; permute row and column tensor axes back to
     # layout order.
     perm = axes + rest_axes
@@ -527,13 +529,13 @@ def measure(
     """
     probs = measurement_probabilities(state, register)
     outcome = int(rng.choice(len(probs), p=probs / probs.sum()))
-    axis = state.layout.axis(register)
-    dims = state.layout.dims
-    tensor = np.moveaxis(state.amps.reshape(dims), axis, 0).copy()
-    keep = tensor[outcome].copy()
-    tensor[:] = 0
-    tensor[outcome] = keep
-    collapsed = np.moveaxis(tensor, 0, axis).reshape(-1)
+
+    def keep_outcome(rows: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(rows)
+        out[outcome] = rows[outcome]
+        return out
+
+    collapsed = _on_targets(state.layout, (register,), state.amps, keep_outcome)
     collapsed = collapsed / np.linalg.norm(collapsed)
     return outcome, float(probs[outcome]), StateVector(state.layout, collapsed)
 

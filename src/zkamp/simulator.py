@@ -19,6 +19,7 @@ variant that trades the phase trick for one extra measurement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,10 +145,7 @@ def phase_on_start(layout: RegisterLayout, phi: complex) -> DiagonalOp:
     """Multiply by phi the slice where every non-W register is zero."""
     phi = _unit_phase(phi)
     targets = tuple(name for name in layout.names if name != "W")
-    side = 1
-    for name in targets:
-        side *= layout.dim_of(name)
-    diag = np.ones(side, dtype=complex)
+    diag = np.ones(math.prod(layout.dim_of(name) for name in targets), dtype=complex)
     diag[0] = phi
     return DiagonalOp(layout, targets, diag)
 
@@ -268,20 +266,14 @@ def amplification_check(circ: SimulatorCircuit, aux: StateVector) -> Amplificati
     s0 = phase_on_start(layout, 1j)
     sp = phase_on_success(circ.success_proj, 1j)
     adj = circ.attempt.adjoint()
-
-    def chain(first, second, vec):
-        return circ.attempt.apply_to(
-            layout, second.apply_to(layout, adj.apply_to(layout, first.apply_to(layout, vec)))
-        )
-
-    stepped = chain(sp, s0, s1)
+    stepped = OpChain((sp, adj, s0, circ.attempt)).apply_to(layout, s1)
     residual = float(np.linalg.norm(stepped - target))
 
     norm = float(np.linalg.norm(stepped))
     projected = circ.success_proj.apply_to(layout, stepped / norm)
     success_prob = float(np.linalg.norm(projected) ** 2)
 
-    swapped = chain(s0, sp, s1)
+    swapped = OpChain((s0, adj, sp, circ.attempt)).apply_to(layout, s1)
     swapped_residual = float(np.linalg.norm(swapped - target))
     return AmplificationCheck(residual, success_prob, swapped_residual)
 
@@ -363,27 +355,33 @@ def sample_round(
     return SampledRound(b, a, pi, sent, accepted, state)
 
 
+def reflection(circ: SimulatorCircuit) -> OpChain:
+    """attempt · S_0(-1) · attempt^-1: reflect about the attempt image of the start slice."""
+    return OpChain((circ.attempt.adjoint(), phase_on_start(circ.layout, -1.0), circ.attempt))
+
+
+def first_measurement(circ: SimulatorCircuit, aux: StateVector) -> tuple[float, np.ndarray, np.ndarray]:
+    """Success probability of the attempt output and its normalized success and failure parts."""
+    s1 = attempt_output(circ, aux)
+    succ_raw = circ.success_proj.apply_to(circ.layout, s1)
+    fail = s1 - succ_raw
+    prob = float(np.linalg.norm(succ_raw) ** 2)
+    return prob, succ_raw / np.linalg.norm(succ_raw), fail / np.linalg.norm(fail)
+
+
 def watrous_round(
     circ: SimulatorCircuit, aux: StateVector, rng: np.random.Generator
 ) -> tuple[bool, StateVector]:
     """Measure-then-reflect alternative to the phase-i step.
 
-    Measure the success projector on the attempt output; on failure, reflect
-    about the attempt image of the start slice.  The reflected state equals
-    the success branch up to a global minus sign.
+    Measure the success projector on the attempt output; on failure, apply
+    the :func:`reflection`.  The reflected state equals the success branch
+    up to a global minus sign.
     """
-    layout = circ.layout
-    s1 = attempt_output(circ, aux)
-    succ_raw = circ.success_proj.apply_to(layout, s1)
-    prob = float(np.linalg.norm(succ_raw) ** 2)
+    prob, succ, fail = first_measurement(circ, aux)
     if rng.random() < prob:
-        return True, StateVector(layout, succ_raw / np.linalg.norm(succ_raw))
-    fail = s1 - succ_raw
-    fail = fail / np.linalg.norm(fail)
-    reflect = OpChain(
-        (circ.attempt.adjoint(), phase_on_start(layout, -1.0), circ.attempt)
-    )
-    return False, StateVector(layout, reflect.apply_to(layout, fail))
+        return True, StateVector(circ.layout, succ)
+    return False, StateVector(circ.layout, reflection(circ).apply_to(circ.layout, fail))
 
 
 # ---------------------------------------------------------------------------

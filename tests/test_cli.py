@@ -2,13 +2,17 @@
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 
-from zkamp import amplify, simulator
+import zkamp
+from zkamp import amplify, protocol, simulator
 from zkamp.cli import dump_json, run
 from zkamp.registers import DiagonalOp
 
+N3 = ["--n", "3", "--g0", "01,12", "--g1", "01,02"]
+N4 = ["--n", "4", "--g0", "01,12,23", "--g1", "03,12,20"]
 ZK_ARGS = ["zk-check", "--n", "3", "--g0", "01,12", "--g1", "01,02", "--trials", "5", "--seed", "7"]
 
 
@@ -86,6 +90,57 @@ class TestExitCodes:
         argv = ["blocks", "--n", "3", "--g0", "01,12", "--g1", "01,02"]
         assert run(argv + ["--dim-w", "8", "--dim-v", "8"]) == 2
         assert "12288" in capsys.readouterr().err
+
+
+class TestOversizeRefusals:
+    """Every command refuses an oversize dense operator from its dimension alone."""
+
+    @pytest.fixture(autouse=True)
+    def no_dense_builds(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("an oversize operator must not be built")
+
+        for module, name in (
+            (protocol, "haar_random_unitary"),
+            (amplify, "haar_random_unitary"),
+            (protocol, "honest_verifier"),
+            (simulator, "success_projector"),
+            (amplify, "success_projector"),
+        ):
+            monkeypatch.setattr(module, name, never)
+
+    @pytest.mark.parametrize(
+        "argv, dim",
+        [
+            # Verifier unitary on W,V,A,Y: dim_w * dim_v * 2 * 2^(n(n-1)/2).
+            (["zk-check", *N4, "--dim-w", "64", "--dim-v", "64"], 524288),
+            (["zk-check", *N4, "--dim-w", "64", "--dim-v", "64", "--verifier", "honest"], 524288),
+            (["verify-eq1", *N3, "--dim-w", "32", "--dim-v", "32"], 16384),
+            (["verify-eq2", *N3, "--dim-w", "32", "--dim-v", "32"], 16384),
+            (["watrous", *N4, "--dim-w", "8", "--dim-v", "16"], 16384),
+            (["verify-eq1", "--g0", "n=6;edges=01", "--g1", "n=6;edges=23"], 262144),
+            # Success projector on A,B: m^2.
+            (["schedule", "--m", "91"], 8281),
+            # Toy scramble on W,V,A: dim_w * dim_v * m.
+            (["schedule", "--m", "2", "--dim-w", "64", "--dim-v", "65"], 8320),
+            (["blocks", "--m", "2", "--dim-w", "64", "--dim-v", "65"], 8320),
+        ],
+    )
+    def test_refused_with_dimension_in_message(self, capsys, argv, dim):
+        assert run(argv) == 2
+        assert f"{dim}x{dim}" in capsys.readouterr().err
+
+
+class TestVersion:
+    def test_report_and_pyproject_read_the_package_version(self, capsys):
+        tomllib = pytest.importorskip("tomllib")
+        _, out = run_capture(capsys, ["phases", "--lambdas", "0.5", "--seed", "0"])
+        assert json.loads(out)["environment"]["package_version"] == zkamp.__version__
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        config = tomllib.loads(pyproject.read_text())
+        assert "version" not in config["project"]
+        assert "version" in config["project"]["dynamic"]
+        assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "zkamp.__version__"}
 
 
 class TestDeterminism:

@@ -1,5 +1,7 @@
 """Register algebra: indexing, operators, channels, metrics."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -405,3 +407,111 @@ class TestValidation:
         s = basis_state(layout, {"A": 0})
         with pytest.raises(ValueError):
             s.amps[0] = 0.0
+
+
+def _count_validations(monkeypatch) -> Counter:
+    """Count calls of each operator class's construction-time ``_validate``."""
+    calls: Counter = Counter()
+    for cls in (LinearOp, DiagonalOp, PermutationOp, OpChain):
+
+        def counted(self, *args, _check=cls._validate, _name=cls.__name__):
+            calls[_name] += 1
+            return _check(self, *args)
+
+        monkeypatch.setattr(cls, "_validate", counted)
+    return calls
+
+
+def _random_ops(seed):
+    """A random layout with one operator of each kind on random target subsets."""
+    rng = np.random.default_rng(seed)
+    names = ["A", "B", "C", "D"][: rng.integers(2, 5)]
+    layout = RegisterLayout([(name, int(rng.integers(1, 5))) for name in names])
+
+    def pick():
+        chosen = rng.choice(names, size=rng.integers(1, len(names) + 1), replace=False)
+        targets = tuple(str(name) for name in chosen)
+        return targets, int(np.prod([layout.dim_of(name) for name in targets]))
+
+    targets, side = pick()
+    unitary = LinearOp(layout, targets, haar_random_unitary(side, seed), "unitary")
+    targets, side = pick()
+    basis = haar_random_unitary(side, seed + 1)[:, : int(rng.integers(0, side + 1))]
+    projector = LinearOp(layout, targets, basis @ basis.conj().T, "projector")
+    targets, side = pick()
+    diagonal = DiagonalOp(layout, targets, np.exp(1j * rng.uniform(0, 2 * np.pi, side)))
+    targets, side = pick()
+    permutation = PermutationOp(layout, targets, rng.permutation(side))
+    chain = OpChain((unitary, diagonal, permutation))
+    return layout, {
+        "unitary": unitary,
+        "projector": projector,
+        "diagonal": diagonal,
+        "permutation": permutation,
+        "chain": chain,
+    }
+
+
+class TestValidateOnce:
+    """Operators are validated at construction; adjoints of validated ones are trusted."""
+
+    def test_construction_validates_once(self, monkeypatch):
+        calls = _count_validations(monkeypatch)
+        layout = RegisterLayout([("A", 2), ("B", 3)])
+        u = LinearOp(layout, ("A",), H, "unitary")
+        assert calls == {"LinearOp": 1}
+        calls.clear()
+        d = DiagonalOp(layout, ("B",), np.exp(1j * np.arange(3)))
+        assert calls == {"DiagonalOp": 1}
+        calls.clear()
+        p = PermutationOp(layout, ("B", "A"), np.arange(6)[::-1])
+        assert calls == {"PermutationOp": 1}
+        calls.clear()
+        OpChain((u, d, p))
+        assert calls == {"OpChain": 1}
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_adjoint_skips_validation(self, monkeypatch, seed):
+        _, ops = _random_ops(seed)
+        calls = _count_validations(monkeypatch)
+        for op in ops.values():
+            op.adjoint().adjoint()
+        assert calls == {}
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_adjoint_is_conjugate_transpose_of_dense_oracle(self, seed):
+        layout, ops = _random_ops(seed)
+        for op in ops.values():
+            adj = op.adjoint()
+            assert set(adj.targets) == set(op.targets)
+            np.testing.assert_allclose(
+                adj.to_matrix(layout), op.to_matrix(layout).conj().T, atol=1e-12
+            )
+            state = random_state(layout.total_dim, seed + 100)
+            np.testing.assert_allclose(
+                adj.apply_to(layout, state), op.to_matrix(layout).conj().T @ state, atol=1e-12
+            )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_projector_adjoint_stays_projector(self, seed):
+        _, ops = _random_ops(seed)
+        adj = ops["projector"].adjoint()
+        assert adj.kind == "projector"
+        mat = adj.matrix
+        assert np.max(np.abs(mat @ mat - mat)) <= 1e-10
+        assert np.max(np.abs(mat - mat.conj().T)) <= 1e-10
+
+    def test_adjoint_data_is_read_only(self):
+        _, ops = _random_ops(0)
+        arrays = [
+            ops["unitary"].adjoint().matrix,
+            ops["projector"].adjoint().matrix,
+            ops["diagonal"].adjoint().phases,
+            ops["permutation"].adjoint().image,
+        ]
+        unitary, diagonal, permutation = reversed(ops["chain"].adjoint().factors)
+        arrays += [unitary.matrix, diagonal.phases, permutation.image]
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
