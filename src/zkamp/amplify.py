@@ -7,8 +7,8 @@ the auxiliary input.  That condition shows up as the top block of
 algebraic identities between the decomposition blocks, a two-dimensional
 invariant subspace spanned by the normalized success and failure
 projections of the attempt output, exact closed forms for the step matrix
-in that basis, and a numeric phase solver that drives the failure amplitude
-to zero in a chosen number of steps.  The measure-then-reflect schedule is
+in that basis, and closed-form phases that drive the failure amplitude to
+zero in a chosen number of steps.  The measure-then-reflect schedule is
 simulated both in the 2D basis and in the full space.
 """
 
@@ -18,18 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .registers import LinearOp, OpChain, RegisterLayout, StateVector, haar_random_unitary
+from .registers import ATOL_OP, LinearOp, OpChain, RegisterLayout, StateVector, haar_random_unitary
 from .simulator import (
     SimulatorCircuit,
     attempt_output,
+    first_measurement,
     grover_step,
     reflection,
     success_projector,
     uniform_superposition_unitary,
 )
-
-_GRID_STEP = 1e-3  # radians; scan resolution before bisection
-_SOLVE_TOL = 1e-10
 
 
 class NotLambdaUniformError(ValueError):
@@ -82,7 +80,7 @@ class PhasePair:
 
 
 def block_decompose(
-    attempt, success_proj: LinearOp, layout: RegisterLayout, atol: float = 1e-10
+    attempt, success_proj: LinearOp, layout: RegisterLayout, atol: float = ATOL_OP
 ) -> BlockDecomposition:
     """Split ``attempt^-1 P attempt`` by the start slice and extract the blocks.
 
@@ -131,19 +129,8 @@ def succ_fail_states(
     circ: SimulatorCircuit, aux: StateVector
 ) -> tuple[StateVector, StateVector, float]:
     """Normalized success and failure projections of the attempt output."""
-    layout = circ.layout
-    s1 = attempt_output(circ, aux)
-    succ_raw = circ.success_proj.apply_to(layout, s1)
-    lam = float(np.linalg.norm(succ_raw) ** 2)
-    if lam < 1e-12 or lam > 1 - 1e-12:
-        raise ValueError(
-            f"success probability {lam} is at the boundary; "
-            "no two-dimensional subspace exists"
-        )
-    fail_raw = s1 - succ_raw
-    succ = StateVector(layout, succ_raw / np.sqrt(lam))
-    fail = StateVector(layout, fail_raw / np.linalg.norm(fail_raw))
-    return succ, fail, lam
+    lam, succ, fail = first_measurement(circ, aux)
+    return StateVector(circ.layout, succ), StateVector(circ.layout, fail), lam
 
 
 def subspace_matrix(lam: float, phases: PhasePair) -> np.ndarray:
@@ -203,14 +190,17 @@ def final_fail_amplitude(lam: float, k: int, phases: PhasePair) -> float:
 
 
 def solve_phases(lam: float, k: int) -> PhasePair | None:
-    """Phases making the k-th step land exactly on the success axis.
+    """Phases making the k-th step land exactly on the success axis, in closed form.
 
-    The evolved state before the last step is real, so the failure amplitude
-    of the phased step splits into one term carrying the second phase and
-    one without it; equal magnitudes are found by a grid scan plus bisection
-    over the first phase angle, and the second phase then cancels them
-    exactly.  Returns None when no first phase balances the magnitudes,
-    which is the k-too-small regime.
+    The state (s, c) before the last step is real, so the failure amplitude
+    of the phased step is ``varphi x + y`` with ``x = -root (1 - phi) s`` and
+    ``y = (lam + (1 - lam) phi) c``.  Equal magnitudes ``|x| = |y|`` are linear
+    in cos(alpha) for ``phi = exp(i alpha)``; in half-angle form
+    ``sin(alpha / 2) = |c| / (2 root)``, which stays well conditioned where
+    alpha is small.  The second phase then points ``varphi x`` against ``y``.
+    Past the boundary (the k-too-small regime) the sine is clipped to 1, and
+    the certificate on the final failure amplitude decides: the pair is
+    returned only when it is at most ``ATOL_OP``, otherwise None.
     """
     if not 0 < lam < 1:
         raise ValueError(f"success probability must be in (0, 1), got {lam}")
@@ -219,66 +209,14 @@ def solve_phases(lam: float, k: int) -> PhasePair | None:
     state = evolve_two_dim(lam, [PhasePair(-1.0, -1.0)] * (k - 1))
     s, c = float(state[0].real), float(state[1].real)
     root = np.sqrt(lam * (1 - lam))
-
-    if abs(c) < 1e-13:
-        return PhasePair(1.0, 1.0)  # already on the success axis
-    if abs(s) < 1e-13:
-        # Pure failure state: only the half-probability reflection fixes it.
-        if abs(lam - 0.5) < 1e-12:
-            return PhasePair(-1.0, 1.0)
-        return None
-
-    def gap(alpha: float) -> float:
-        phi = np.exp(1j * alpha)
-        return root * abs(1 - phi) * abs(s) - abs(lam + (1 - lam) * phi) * abs(c)
-
-    def make_pair(alpha: float) -> PhasePair | None:
-        phi = np.exp(1j * alpha)
-        x = -root * (1 - phi) * s
-        y = (lam + (1 - lam) * phi) * c
-        if abs(x) < 1e-15:
-            if abs(y) < 1e-12:
-                return PhasePair(phi, 1.0)
-            return None
-        varphi = -y / x
-        varphi = varphi / abs(varphi)
-        pair = PhasePair(phi, varphi)
-        if final_fail_amplitude(lam, k, pair) <= _SOLVE_TOL:
-            return pair
-        return None
-
-    alphas = np.arange(0.0, 2 * np.pi, _GRID_STEP)
-    values = np.array([gap(a) for a in alphas])
-    for i in range(len(alphas) - 1):
-        if values[i] == 0.0:
-            pair = make_pair(alphas[i])
-            if pair is not None:
-                return pair
-        if values[i] * values[i + 1] < 0:
-            lo, hi = alphas[i], alphas[i + 1]
-            flo = values[i]
-            for _ in range(100):
-                mid = 0.5 * (lo + hi)
-                fmid = gap(mid)
-                if flo * fmid <= 0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fmid
-            pair = make_pair(0.5 * (lo + hi))
-            if pair is not None:
-                return pair
-    # Tangential roots (the gap touches zero without a sign change, as at
-    # the exact single-step feasibility boundary): polish around the grid
-    # minimum.  The second phase cancels directions exactly, so the final
-    # failure amplitude equals |gap| and make_pair verifies it; a spurious
-    # trigger here costs time, never correctness.
-    i = int(np.argmin(np.abs(values)))
-    if abs(values[i]) < 1e-5:
-        fine = np.linspace(alphas[i] - _GRID_STEP, alphas[i] + _GRID_STEP, 20001)
-        j = int(np.argmin([abs(gap(a)) for a in fine]))
-        pair = make_pair(fine[j])
-        if pair is not None:
-            return pair
+    phi = np.exp(2j * np.arcsin(min(1.0, abs(c) / (2 * root))))
+    x = -root * (1 - phi) * s
+    y = (lam + (1 - lam) * phi) * c
+    # The unit phase of -y/x, taken without dividing: x vanishes when s or c
+    # is exactly zero, and either sign then serves.
+    pair = PhasePair(phi, np.exp(1j * np.angle(-y * np.conj(x))))
+    if final_fail_amplitude(lam, k, pair) <= ATOL_OP:
+        return pair
     return None
 
 

@@ -20,14 +20,16 @@ import numpy as np
 from . import __version__, amplify, protocol, simulator
 from .amplify import PhasePair
 from .protocol import Instance, NotIsomorphicError
-from .registers import _EMBED_DIM_LIMIT
+from .registers import _EMBED_DIM_LIMIT, ATOL_NORM, ATOL_OP
 from .symm import format_graph_literal, num_graph_codes, parse_graph_literal
 
-OP_TOL = 1e-10
-ROTATION_TOL = 1e-12
+OP_TOL = ATOL_OP
+ROTATION_TOL = ATOL_NORM
 ORDER_GAP = 1e-6
-# One exact step reaches certainty iff lambda >= 1/4; the solver's bisection
-# may also accept lambda up to this far below it.
+# One exact step reaches certainty iff lambda >= 1/4.  Just below it the
+# solver clips its phase to -1, leaving a failure amplitude of about
+# 3.5 (1/4 - lambda); the 1e-10 certificate therefore still accepts lambda up
+# to about 3e-11 below, well inside this slack.
 SINGLE_STEP_BOUNDARY = 0.25
 BOUNDARY_SLACK = 1e-9
 
@@ -424,8 +426,6 @@ def run_phases(cfg: RunConfig) -> list[dict]:
     single_step_ok: list[float] = []
     mismatched: list[float] = []
     for lam in lambdas:
-        if not 0 < lam < 1:
-            raise ConfigError(f"lambda values must be in (0, 1), got {lam}")
         single = amplify.solve_phases(lam, 1) is not None
         if single:
             single_step_ok.append(lam)
@@ -624,6 +624,13 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             lambdas = [float(tok) for tok in args.lambdas.split(",") if tok.strip()]
         except ValueError:
             raise ConfigError(f"bad --lambdas value {args.lambdas!r}") from None
+        if not lambdas:
+            raise ConfigError("--lambdas needs at least one value")
+        for lam in lambdas:
+            if not 0 < lam < 1:
+                raise ConfigError(f"lambda values must be in (0, 1), got {lam}")
+        if args.k_max < 1:
+            raise ConfigError(f"--k-max must be >= 1, got {args.k_max}")
         extras = {"lambdas": lambdas, "k_max": args.k_max}
     elif args.command == "schedule":
         if args.steps < 1:

@@ -361,11 +361,20 @@ def reflection(circ: SimulatorCircuit) -> OpChain:
 
 
 def first_measurement(circ: SimulatorCircuit, aux: StateVector) -> tuple[float, np.ndarray, np.ndarray]:
-    """Success probability of the attempt output and its normalized success and failure parts."""
+    """Success probability of the attempt output and its normalized success and failure parts.
+
+    Raises ValueError when the probability is within 1e-12 of 0 or 1, where
+    one of the two parts has no direction.
+    """
     s1 = attempt_output(circ, aux)
     succ_raw = circ.success_proj.apply_to(circ.layout, s1)
     fail = s1 - succ_raw
     prob = float(np.linalg.norm(succ_raw) ** 2)
+    if prob < 1e-12 or prob > 1 - 1e-12:
+        raise ValueError(
+            f"success probability {prob} is at the boundary; "
+            "no two-dimensional subspace exists"
+        )
     return prob, succ_raw / np.linalg.norm(succ_raw), fail / np.linalg.norm(fail)
 
 

@@ -29,6 +29,7 @@ from zkamp.simulator import (
     attempt_output,
     build_circuit,
     grover_step,
+    watrous_round,
 )
 from zkamp.symm import Graph
 
@@ -125,12 +126,23 @@ class TestSuccFailStates:
         assert np.linalg.norm(p.apply_to(circ.layout, succ.amps) - succ.amps) < TOL
         assert np.linalg.norm(p.apply_to(circ.layout, fail.amps)) < TOL
 
-    def test_boundary_rejected(self):
+    @staticmethod
+    def always_succeeding_circuit():
         circ = toy_circuit(2, seed=5)
         full = LinearOp(circ.layout, ("A", "B"), np.eye(4), "projector")
-        degenerate = SimulatorCircuit(circ.layout, circ.attempt, full)
+        return SimulatorCircuit(circ.layout, circ.attempt, full)
+
+    def test_boundary_rejected(self):
+        degenerate = self.always_succeeding_circuit()
         with pytest.raises(ValueError):
             succ_fail_states(degenerate, random_aux(2, 9))
+
+    def test_watrous_round_rejects_certain_success(self):
+        # The shared split refuses the boundary instead of normalizing an
+        # empty failure branch.
+        degenerate = self.always_succeeding_circuit()
+        with pytest.raises(ValueError, match="at the boundary"):
+            watrous_round(degenerate, random_aux(2, 9), np.random.default_rng(0))
 
 
 class TestSubspaceMatrix:
@@ -212,7 +224,56 @@ class TestSubspaceClosure:
             assert np.linalg.norm(state - reconstructed) < TOL
 
 
+def analytic_k_min(lam):
+    """Fewest steps of exact amplification: ceil(pi / (4 arcsin sqrt(lam)) - 1/2)."""
+    return int(np.ceil(np.pi / (4 * np.arcsin(np.sqrt(lam))) - 0.5))
+
+
+def feasibility_boundary(k):
+    """Smallest lambda that k steps amplify exactly: sin^2(pi / (2 (2k + 1)))."""
+    return float(np.sin(np.pi / (2 * (2 * k + 1))) ** 2)
+
+
+# Seeded lambdas plus every k-boundary for k = 1..9, shifted to either side.
+SOLVER_LAMBDAS = sorted(
+    np.random.default_rng(2024).uniform(0.001, 0.999, 60).tolist()
+    + [
+        feasibility_boundary(j) + sign * shift
+        for j in range(1, 10)
+        for shift in (1e-12, 1e-10, 1e-9)
+        for sign in (-1, 1)
+    ]
+)
+# Within this far below a boundary the certificate may accept either verdict.
+BOUNDARY_SLACK = 1e-9
+
+
 class TestSolvePhases:
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_verdict_matches_analytic_k_min(self, k):
+        boundary = feasibility_boundary(k)
+        for lam in SOLVER_LAMBDAS:
+            pair = solve_phases(lam, k)
+            if pair is not None:
+                assert final_fail_amplitude(lam, k, pair) <= TOL, lam
+            k_min = analytic_k_min(lam)
+            if k == k_min:
+                assert pair is not None, lam
+            elif k < k_min and pair is not None:
+                # 1e-15 absorbs the rounding of boundary - 1e-9 itself.
+                assert 0 < boundary - lam <= BOUNDARY_SLACK + 1e-15, lam
+
+    @pytest.mark.parametrize("lam, feasible", [(0.25, True), (0.75, False)])
+    def test_exact_axis_states(self, lam, feasible):
+        # One plain step puts 1/4 exactly on the success axis (c = 0) and 3/4
+        # exactly on the failure axis (s = 0); neither needs a special case.
+        state = evolve_two_dim(lam, [PhasePair(-1.0, -1.0)])
+        assert 0.0 in (state[0].real, state[1].real)
+        pair = solve_phases(lam, 2)
+        assert (pair is not None) == feasible
+        if feasible:
+            assert final_fail_amplitude(lam, 2, pair) == 0.0
+
     def test_half_probability_single_step(self):
         pair = solve_phases(0.5, 1)
         assert pair is not None

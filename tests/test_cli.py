@@ -64,6 +64,22 @@ class TestExitCodes:
         code = run(["verify-eq1", "--n", "2", "--g0", "01", "--g1", "01", "--trials", "0"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--k-max", "0"], "--k-max must be >= 1"),
+            (["--lambdas", ","], "at least one value"),
+            (["--lambdas", "0.5,1.5"], "must be in (0, 1), got 1.5"),
+        ],
+    )
+    def test_bad_phases_input_refused_before_solving(self, capsys, monkeypatch, options, message):
+        def never(*args, **kwargs):
+            raise AssertionError("no phase may be solved for a refused configuration")
+
+        monkeypatch.setattr(amplify, "solve_phases", never)
+        assert run(["phases", *options]) == 2
+        assert message in capsys.readouterr().err
+
     def test_failed_check_exits_one(self, capsys):
         # A step budget of k=1 cannot amplify lambda = 0.05 exactly.
         code, out = run_capture(
