@@ -18,7 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .registers import ATOL_OP, LinearOp, OpChain, RegisterLayout, StateVector, haar_random_unitary
+from .registers import (
+    ATOL_NORM,
+    ATOL_OP,
+    LinearOp,
+    OpChain,
+    RegisterLayout,
+    StateVector,
+    haar_random_unitary,
+)
 from .simulator import (
     SimulatorCircuit,
     attempt_output,
@@ -58,7 +66,7 @@ class TwoDimState:
 
     def __post_init__(self):
         total = abs(self.c_succ) ** 2 + abs(self.c_fail) ** 2
-        if abs(total - 1.0) > 1e-12:
+        if abs(total - 1.0) > ATOL_NORM:
             raise ValueError(f"coefficients have squared norm {total}, expected 1")
 
     @property
@@ -75,7 +83,7 @@ class PhasePair:
 
     def __post_init__(self):
         for value in (self.phi, self.varphi):
-            if abs(abs(complex(value)) - 1.0) > 1e-12:
+            if abs(abs(complex(value)) - 1.0) > ATOL_NORM:
                 raise ValueError(f"phase {value} is not unit modulus")
 
 
@@ -229,6 +237,12 @@ def smallest_feasible_k(lam: float, k_max: int = 64) -> tuple[int, PhasePair] | 
     return None
 
 
+def toy_layout(m: int, dims: tuple[int, int]) -> RegisterLayout:
+    """Registers of :func:`toy_circuit`: W, V, then challenge A and guess B of dimension m."""
+    dim_w, dim_v = dims
+    return RegisterLayout([("W", dim_w), ("V", dim_v), ("A", m), ("B", m)])
+
+
 def toy_circuit(m: int, dims: tuple[int, int] = (2, 2), seed: int = 0) -> SimulatorCircuit:
     """Abstract attempt circuit that succeeds with probability exactly 1/m.
 
@@ -239,11 +253,11 @@ def toy_circuit(m: int, dims: tuple[int, int] = (2, 2), seed: int = 0) -> Simula
     """
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
-    dim_w, dim_v = dims
-    layout = RegisterLayout([("W", dim_w), ("V", dim_v), ("A", m), ("B", m)])
+    layout = toy_layout(m, dims)
     split_b = LinearOp(layout, ("B",), uniform_superposition_unitary(m), "unitary")
+    scrambled = ("W", "V", "A")
     scramble = LinearOp(
-        layout, ("W", "V", "A"), haar_random_unitary(dim_w * dim_v * m, seed), "unitary"
+        layout, scrambled, haar_random_unitary(layout.keep(scrambled).total_dim, seed), "unitary"
     )
     attempt = OpChain((split_b, scramble))
     return SimulatorCircuit(layout, attempt, success_projector(layout))
@@ -268,7 +282,7 @@ def iterative_schedule(lam: float, steps: int) -> list[float]:
         p = float(abs(state[0]) ** 2)
         probs.append(p)
         fail_norm = abs(state[1])
-        if fail_norm < 1e-12:
+        if fail_norm < ATOL_NORM:
             break
         state = reflect @ np.array([0.0, state[1] / fail_norm], dtype=complex)
     return probs
@@ -286,7 +300,7 @@ def iterative_schedule_full(circ: SimulatorCircuit, aux: StateVector, steps: int
         probs.append(p)
         fail = state - succ_raw
         fail_norm = float(np.linalg.norm(fail))
-        if fail_norm < 1e-12:
+        if fail_norm < ATOL_NORM:
             break
         state = reflect.apply_to(layout, fail / fail_norm)
     return probs

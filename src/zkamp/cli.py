@@ -21,10 +21,8 @@ from . import __version__, amplify, protocol, simulator
 from .amplify import PhasePair
 from .protocol import Instance, NotIsomorphicError
 from .registers import _EMBED_DIM_LIMIT, ATOL_NORM, ATOL_OP
-from .symm import format_graph_literal, num_graph_codes, parse_graph_literal
+from .symm import format_graph_literal, parse_graph_literal
 
-OP_TOL = ATOL_OP
-ROTATION_TOL = ATOL_NORM
 ORDER_GAP = 1e-6
 # One exact step reaches certainty iff lambda >= 1/4.  Just below it the
 # solver clips its phase to -1, leaving a failure amplitude of about
@@ -57,8 +55,8 @@ class RunConfig:
     def validate(self) -> None:
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if self.n is not None and not 2 <= self.n <= 4:
-            raise ConfigError(f"n must be in 2..4 for full verification runs, got {self.n}")
+        if self.n is not None:
+            _check_vertex_count(self.n)
         if min(self.dims) < 1:
             raise ConfigError(f"dims must be >= 1, got {self.dims}")
 
@@ -97,7 +95,7 @@ def record(name: str, claim: str, value, tolerance, passed: bool, **extras) -> d
     return rec
 
 
-def residual_record(name: str, claim: str, value: float, tolerance: float = OP_TOL, **extras) -> dict:
+def residual_record(name: str, claim: str, value: float, tolerance: float = ATOL_OP, **extras) -> dict:
     return record(name, claim, float(value), tolerance, float(value) <= tolerance, **extras)
 
 
@@ -174,8 +172,14 @@ def build_instance(cfg: RunConfig) -> Instance:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     # Every command on a graph pair builds a dense verifier unitary on W,V,A,Y.
-    _check_embed_dim("the verifier unitary", cfg.dims[0] * cfg.dims[1] * 2 * num_graph_codes(inst.n))
+    _check_embed_dim("the verifier unitary", protocol.view_layout(cfg.dims, inst.n).total_dim)
+    _check_vertex_count(inst.n)
     return inst
+
+
+def _check_vertex_count(n: int) -> None:
+    if not 2 <= n <= 4:
+        raise ConfigError(f"n must be in 2..4 for full verification runs, got {n}")
 
 
 def _check_embed_dim(what: str, dim: int) -> None:
@@ -186,18 +190,25 @@ def _check_embed_dim(what: str, dim: int) -> None:
         )
 
 
-def _check_toy_circuit(cfg: RunConfig) -> None:
-    """Refuse an abstract 1/m circuit whose scramble or success projector is oversize."""
+def _check_toy_circuit(cfg: RunConfig):
+    """The abstract 1/m circuit's layout, refused if its scramble or success projector is oversize."""
     if cfg.m < 2:
         raise ConfigError(f"--m must be >= 2, got {cfg.m}")
-    _check_embed_dim("the toy scramble on W,V,A", cfg.dims[0] * cfg.dims[1] * cfg.m)
-    _check_embed_dim("the success projector on A,B", cfg.m**2)
+    layout = amplify.toy_layout(cfg.m, cfg.dims)
+    _check_embed_dim("the toy scramble on W,V,A", layout.keep(["W", "V", "A"]).total_dim)
+    _check_embed_dim("the success projector on A,B", layout.keep(["A", "B"]).total_dim)
+    return layout
 
 
-def _verifier(cfg: RunConfig, kind: str, seed: int, n: int):
-    if kind == "honest":
-        return protocol.honest_verifier(cfg.dims, n)
-    return protocol.adversarial_verifier(cfg.dims, n, seed)
+def _trials(cfg: RunConfig, inst: Instance, kind: str = "adversarial"):
+    """Each trial's index, ``trial_seeds`` and circuit; the first seed draws an adversarial verifier."""
+    for t in range(cfg.trials):
+        seeds = trial_seeds(cfg.seed, t)
+        if kind == "honest":
+            ver = protocol.honest_verifier(cfg.dims, inst.n)
+        else:
+            ver = protocol.adversarial_verifier(cfg.dims, inst.n, seeds[0])
+        yield t, seeds, simulator.build_circuit(inst, ver, cfg.completion)
 
 
 # ---------------------------------------------------------------------------
@@ -206,28 +217,23 @@ def _verifier(cfg: RunConfig, kind: str, seed: int, n: int):
 
 def run_verify_eq1(cfg: RunConfig) -> list[dict]:
     inst = build_instance(cfg)
-    records = []
-    honest = simulator.build_circuit(inst, protocol.honest_verifier(cfg.dims, inst.n), cfg.completion)
-    records.append(
+    _, _, honest = next(_trials(cfg, inst, "honest"))
+    records = [
         residual_record(
             "half-success-block[honest]",
             "half-success-block",
             simulator.success_block_residual(honest),
             verifier="honest",
         )
-    )
-    for t in range(cfg.trials):
-        ver_seed = trial_seeds(cfg.seed, t)[0]
-        circ = simulator.build_circuit(
-            inst, protocol.adversarial_verifier(cfg.dims, inst.n, ver_seed), cfg.completion
-        )
+    ]
+    for t, seeds, circ in _trials(cfg, inst):
         records.append(
             residual_record(
                 f"half-success-block[trial={t}]",
                 "half-success-block",
                 simulator.success_block_residual(circ),
                 verifier="adversarial",
-                verifier_seed=ver_seed,
+                verifier_seed=seeds[0],
             )
         )
     return records
@@ -236,11 +242,7 @@ def run_verify_eq1(cfg: RunConfig) -> list[dict]:
 def run_verify_eq2(cfg: RunConfig) -> list[dict]:
     inst = build_instance(cfg)
     records = []
-    for t in range(cfg.trials):
-        ver_seed, aux_seed, _ = trial_seeds(cfg.seed, t)
-        circ = simulator.build_circuit(
-            inst, protocol.adversarial_verifier(cfg.dims, inst.n, ver_seed), cfg.completion
-        )
+    for t, (_, aux_seed, _), circ in _trials(cfg, inst):
         aux = protocol.random_aux(cfg.dims[0], aux_seed)
         check = simulator.amplification_check(circ, aux)
         records.append(
@@ -255,8 +257,8 @@ def run_verify_eq2(cfg: RunConfig) -> list[dict]:
                 f"post-step-success-probability[trial={t}]",
                 "post-step-success-probability",
                 check.success_prob,
-                OP_TOL,
-                abs(check.success_prob - 1.0) <= OP_TOL,
+                ATOL_OP,
+                abs(check.success_prob - 1.0) <= ATOL_OP,
                 target=1.0,
             )
         )
@@ -278,13 +280,10 @@ def run_zk_check(cfg: RunConfig) -> list[dict]:
     verifier_kind = cfg.extras.get("verifier", "adversarial")
     keep_z = bool(cfg.extras.get("keep_z", False))
     records = []
-    for t in range(cfg.trials):
-        ver_seed, aux_seed, sample_seed = trial_seeds(cfg.seed, t)
-        ver = _verifier(cfg, verifier_kind, ver_seed, inst.n)
-        circ = simulator.build_circuit(inst, ver, cfg.completion)
+    for t, (_, aux_seed, sample_seed), circ in _trials(cfg, inst, verifier_kind):
         aux = protocol.random_aux(cfg.dims[0], aux_seed)
         sim_view = simulator.simulate_round_recorded(circ, aux, keep_z=keep_z)
-        real = protocol.real_view_recorded(inst, ver, aux, keep_z=keep_z)
+        real = protocol.real_view_recorded(inst, circ.ver, aux, keep_z=keep_z)
         distance = sim_view.trace_distance(real)
         sampled = simulator.sample_round(circ, aux, np.random.default_rng(sample_seed))
         records.append(
@@ -308,36 +307,32 @@ def run_zk_check(cfg: RunConfig) -> list[dict]:
 def run_watrous(cfg: RunConfig) -> list[dict]:
     inst = build_instance(cfg)
     records = []
-    for t in range(cfg.trials):
-        ver_seed, aux_seed, branch_seed = trial_seeds(cfg.seed, t)
-        circ = simulator.build_circuit(
-            inst, protocol.adversarial_verifier(cfg.dims, inst.n, ver_seed), cfg.completion
-        )
+    for t, (_, aux_seed, branch_seed), circ in _trials(cfg, inst):
         aux = protocol.random_aux(cfg.dims[0], aux_seed)
-        prob, succ, fail = simulator.first_measurement(circ, aux)
+        prob, succ, reflected = simulator.measure_then_reflect(circ, aux)
         records.append(
             record(
                 f"first-measurement-probability[trial={t}]",
                 "first-measurement-probability",
                 prob,
-                OP_TOL,
-                abs(prob - 0.5) <= OP_TOL,
+                ATOL_OP,
+                abs(prob - 0.5) <= ATOL_OP,
                 target=0.5,
             )
         )
         # Fidelity of the reflected failure branch with the success state.
-        reflected = simulator.reflection(circ).apply_to(circ.layout, fail)
         overlap = complex(np.vdot(succ, reflected))
         fidelity = abs(overlap) ** 2
-        succeeded, _ = simulator.watrous_round(circ, aux, np.random.default_rng(branch_seed))
+        # The first measurement, sampled as watrous_round samples it.
+        succeeded = np.random.default_rng(branch_seed).random() < prob
         records.append(
             record(
                 f"reflected-state-fidelity[trial={t}]",
                 "reflected-state-fidelity",
                 fidelity,
-                OP_TOL,
+                ATOL_OP,
                 # The reflection lands on minus the success state.
-                1.0 - fidelity <= OP_TOL and abs(overlap + 1.0) <= OP_TOL,
+                1.0 - fidelity <= ATOL_OP and abs(overlap + 1.0) <= ATOL_OP,
                 target=1.0,
                 relative_phase=overlap,
                 sampled_first_measurement_succeeded=succeeded,
@@ -349,8 +344,7 @@ def run_watrous(cfg: RunConfig) -> list[dict]:
 def _blocks_circuits(cfg: RunConfig):
     if cfg.m is not None:
         expected = 1.0 / cfg.m
-        _check_toy_circuit(cfg)
-        _check_embed_dim("block decomposition", cfg.dims[0] * cfg.dims[1] * cfg.m**2)
+        _check_embed_dim("block decomposition", _check_toy_circuit(cfg).total_dim)
         for t in range(cfg.trials):
             seed = trial_seeds(cfg.seed, t)[0]
             yield f"toy[m={cfg.m},trial={t}]", amplify.toy_circuit(cfg.m, cfg.dims, seed), expected
@@ -359,10 +353,8 @@ def _blocks_circuits(cfg: RunConfig):
     if inst.n > 3:
         raise ConfigError("dense block decomposition is guarded at n <= 3")
     _check_embed_dim("block decomposition", simulator.sim_layout(cfg.dims, inst.n).total_dim)
-    for t in range(cfg.trials):
-        seed = trial_seeds(cfg.seed, t)[0]
-        ver = protocol.adversarial_verifier(cfg.dims, inst.n, seed)
-        yield f"gmw[trial={t}]", simulator.build_circuit(inst, ver, cfg.completion), 0.5
+    for t, _, circ in _trials(cfg, inst):
+        yield f"gmw[trial={t}]", circ, 0.5
 
 
 def run_blocks(cfg: RunConfig) -> list[dict]:
@@ -374,8 +366,8 @@ def run_blocks(cfg: RunConfig) -> list[dict]:
                 f"scalar-top-block[{label}]",
                 "scalar-top-block",
                 decomp.success_prob,
-                OP_TOL,
-                abs(decomp.success_prob - expected) <= OP_TOL,
+                ATOL_OP,
+                abs(decomp.success_prob - expected) <= ATOL_OP,
                 expected=expected,
             )
         )
@@ -413,7 +405,7 @@ def run_blocks(cfg: RunConfig) -> list[dict]:
                 f"grover-rotation-form[{label}]",
                 "grover-rotation-form",
                 deviation,
-                ROTATION_TOL,
+                ATOL_NORM,
             )
         )
     return records
@@ -442,7 +434,7 @@ def run_phases(cfg: RunConfig) -> list[dict]:
                     f"exact-amplification-phases[lambda={lam:g}]",
                     "exact-amplification-phases",
                     None,
-                    OP_TOL,
+                    ATOL_OP,
                     False,
                     k=None,
                     single_step_feasible=single,
@@ -457,8 +449,8 @@ def run_phases(cfg: RunConfig) -> list[dict]:
                 f"exact-amplification-phases[lambda={lam:g}]",
                 "exact-amplification-phases",
                 residual,
-                OP_TOL,
-                residual <= OP_TOL,
+                ATOL_OP,
+                residual <= ATOL_OP,
                 k=k,
                 phi=complex(pair.phi),
                 varphi=complex(pair.varphi),
@@ -497,8 +489,8 @@ def run_schedule(cfg: RunConfig) -> list[dict]:
             "first-measurement-probability",
             "first-measurement-probability",
             two_dim[0],
-            OP_TOL,
-            abs(two_dim[0] - lam) <= OP_TOL,
+            ATOL_OP,
+            abs(two_dim[0] - lam) <= ATOL_OP,
             target=lam,
         )
     ]
@@ -510,11 +502,11 @@ def run_schedule(cfg: RunConfig) -> list[dict]:
                 "second-measurement-probability",
                 "second-measurement-probability",
                 two_dim[1],
-                OP_TOL,
-                abs(two_dim[1] - computed) <= OP_TOL,
+                ATOL_OP,
+                abs(two_dim[1] - computed) <= ATOL_OP,
                 computed_form=computed,
                 stated_form=stated,
-                discrepancy_flagged=abs(computed - stated) > 1e-12,
+                discrepancy_flagged=abs(computed - stated) > ATOL_NORM,
             )
         )
     agreement = max(
@@ -532,7 +524,7 @@ def run_schedule(cfg: RunConfig) -> list[dict]:
             "every-entry-at-least-lambda",
             float(min(two_dim)),
             None,
-            floor_gap >= -OP_TOL,
+            floor_gap >= -ATOL_OP,
             floor=lam,
             schedule=list(map(float, two_dim)),
         )

@@ -27,6 +27,7 @@ from typing import Mapping
 import numpy as np
 
 from .registers import (
+    HADAMARD,
     DensityOperator,
     LinearOp,
     RegisterLayout,
@@ -119,10 +120,9 @@ class VerifierModel:
 def honest_verifier(dims: tuple[int, int], n: int) -> VerifierModel:
     """The protocol verifier: flip the challenge qubit into uniform, touch nothing else."""
     layout = view_layout(dims, n)
-    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
     dim_w, dim_v = dims
     dim_y = num_graph_codes(n)
-    full = np.kron(np.eye(dim_w * dim_v), np.kron(h, np.eye(dim_y)))
+    full = np.kron(np.eye(dim_w * dim_v), np.kron(HADAMARD, np.eye(dim_y)))
     return VerifierModel(dims, LinearOp(layout, ("W", "V", "A", "Y"), full, "unitary"))
 
 

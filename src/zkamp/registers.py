@@ -23,6 +23,13 @@ import numpy as np
 # 1e-12 (double precision accumulated over <= 1e4-dim contractions).
 ATOL_OP = 1e-10
 ATOL_NORM = 1e-12
+# A state handed between operations may drift from unit norm by this much
+# before it is refused as unnormalized.
+NORM_SLACK = 1e-9
+# A branch whose squared norm is below this carries no amplitude.
+ZERO_NORM_SQ = 1e-24
+
+HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
 class LayoutMismatchError(ValueError):
@@ -125,7 +132,7 @@ class StateVector:
                 f"amplitude vector has shape {amps.shape}, expected ({self.layout.total_dim},)"
             )
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > 1e-9:
+        if abs(norm - 1.0) > NORM_SLACK:
             raise ValueError(f"state vector norm {norm} is not 1")
         # Scrub the residual O(eps) norm drift so chained operations cannot
         # accumulate past the 1e-12 contract.
@@ -161,14 +168,14 @@ class DensityOperator:
         d = self.layout.total_dim
         if mat.shape != (d, d):
             raise ValueError(f"matrix has shape {mat.shape}, expected ({d}, {d})")
-        if np.max(np.abs(mat - mat.conj().T)) > 1e-10:
-            raise ValueError("density operator is not Hermitian within 1e-10")
+        if np.max(np.abs(mat - mat.conj().T)) > ATOL_OP:
+            raise ValueError(f"density operator is not Hermitian within {ATOL_OP}")
         tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > 1e-10:
+        if abs(tr - 1.0) > ATOL_OP:
             raise ValueError(f"density operator trace {tr} is not 1")
         lo = float(np.linalg.eigvalsh(mat)[0])
-        if lo < -1e-10:
-            raise ValueError(f"density operator has eigenvalue {lo} < -1e-10")
+        if lo < -ATOL_OP:
+            raise ValueError(f"density operator has eigenvalue {lo} < -{ATOL_OP}")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
@@ -248,7 +255,7 @@ class LinearOp:
 
     def apply_to(self, layout: RegisterLayout, amps: np.ndarray) -> np.ndarray:
         _check_targets_compatible(self, layout)
-        return apply_on_subset(layout, self.targets, self.matrix, amps)
+        return _on_targets(layout, self.targets, amps, lambda flat: self.matrix @ flat)
 
     def to_matrix(self, layout: RegisterLayout | None = None) -> np.ndarray:
         layout = _check_targets_compatible(self, self.layout if layout is None else layout)
@@ -406,13 +413,6 @@ def _on_targets(layout: RegisterLayout, targets: Sequence[str], amps: np.ndarray
     return np.moveaxis(out.reshape(moved.shape), range(len(axes)), axes).reshape(-1)
 
 
-def apply_on_subset(
-    layout: RegisterLayout, targets: Sequence[str], matrix: np.ndarray, amps: np.ndarray
-) -> np.ndarray:
-    """Apply ``matrix`` (indexed over ``targets`` in layout order) to raw amplitudes."""
-    return _on_targets(layout, targets, amps, lambda flat: matrix @ flat)
-
-
 _EMBED_DIM_LIMIT = 8192
 
 
@@ -466,7 +466,7 @@ def apply(op, state: StateVector) -> StateVector:
     """
     out = op.apply_to(state.layout, state.amps)
     norm = float(np.linalg.norm(out))
-    if abs(norm - 1.0) > 1e-9:
+    if abs(norm - 1.0) > NORM_SLACK:
         raise ValueError(
             f"operator application changed the norm to {norm}; "
             "use project() for measurements"

@@ -34,6 +34,10 @@ from .protocol import (
     view_records,
 )
 from .registers import (
+    ATOL_NORM,
+    HADAMARD,
+    NORM_SLACK,
+    ZERO_NORM_SQ,
     DensityOperator,
     DiagonalOp,
     LinearOp,
@@ -53,23 +57,10 @@ from .symm import (
     num_graph_codes,
 )
 
-HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-
 
 def sim_layout(dims: tuple[int, int], n: int) -> RegisterLayout:
     """Simulator registers: the verifier's four plus guess B and relabeling Z."""
-    dim_w, dim_v = dims
-    n_fact = len(enumerate_sn(n))
-    return RegisterLayout(
-        [
-            ("W", dim_w),
-            ("V", dim_v),
-            ("A", 2),
-            ("Y", num_graph_codes(n)),
-            ("B", 2),
-            ("Z", n_fact),
-        ]
-    )
+    return view_layout(dims, n).extend([("B", 2), ("Z", len(enumerate_sn(n)))])
 
 
 def uniform_superposition_unitary(dim: int, completion: str = "householder") -> np.ndarray:
@@ -83,7 +74,7 @@ def uniform_superposition_unitary(dim: int, completion: str = "householder") -> 
         v = -u.copy()
         v[0] += 1.0
         vv = float(v @ v)
-        if vv < 1e-24:
+        if vv < ZERO_NORM_SQ:
             return np.eye(dim, dtype=complex)
         return np.eye(dim, dtype=complex) - (2.0 / vv) * np.outer(v, v)
     if completion == "dft":
@@ -105,7 +96,6 @@ class SimulatorCircuit:
     success_proj: LinearOp
     inst: Instance | None = None
     ver: VerifierModel | None = None
-    completion: str = "householder"
 
     @property
     def dim_w(self) -> int:
@@ -136,7 +126,7 @@ def success_projector(layout: RegisterLayout) -> LinearOp:
 
 def _unit_phase(value: complex) -> complex:
     value = complex(value)
-    if abs(abs(value) - 1.0) > 1e-12:
+    if abs(abs(value) - 1.0) > ATOL_NORM:
         raise ValueError(f"phase must have unit modulus, got |{value}| = {abs(value)}")
     return value
 
@@ -195,7 +185,6 @@ def build_circuit(
         success_proj=success_projector(layout),
         inst=inst,
         ver=ver,
-        completion=completion,
     )
 
 
@@ -282,7 +271,7 @@ def _amplified_state(circ: SimulatorCircuit, aux: StateVector) -> np.ndarray:
     s1 = attempt_output(circ, aux)
     s2 = grover_step(circ, 1j, 1j).apply_to(circ.layout, s1)
     norm = float(np.linalg.norm(s2))
-    if abs(norm - 1.0) > 1e-9:
+    if abs(norm - 1.0) > NORM_SLACK:
         raise AssertionError(f"amplified state has norm {norm}")
     return s2 / norm
 
@@ -312,7 +301,7 @@ def simulate_round_recorded(
     for b, graph in enumerate((inst.g0, inst.g1)):
         for z, pi in enumerate(perms):
             branch = tensor[..., b, z].reshape(-1)
-            if float(np.vdot(branch, branch).real) < 1e-24:
+            if float(np.vdot(branch, branch).real) < ZERO_NORM_SQ:
                 continue
             code = encode(act(pi, graph))
             key = (z, code) if keep_z else (code,)
@@ -370,7 +359,7 @@ def first_measurement(circ: SimulatorCircuit, aux: StateVector) -> tuple[float, 
     succ_raw = circ.success_proj.apply_to(circ.layout, s1)
     fail = s1 - succ_raw
     prob = float(np.linalg.norm(succ_raw) ** 2)
-    if prob < 1e-12 or prob > 1 - 1e-12:
+    if prob < ATOL_NORM or prob > 1 - ATOL_NORM:
         raise ValueError(
             f"success probability {prob} is at the boundary; "
             "no two-dimensional subspace exists"
@@ -378,19 +367,30 @@ def first_measurement(circ: SimulatorCircuit, aux: StateVector) -> tuple[float, 
     return prob, succ_raw / np.linalg.norm(succ_raw), fail / np.linalg.norm(fail)
 
 
+def measure_then_reflect(
+    circ: SimulatorCircuit, aux: StateVector
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """The :func:`first_measurement` with its failure part passed through the :func:`reflection`.
+
+    Returns the success probability, the normalized success part and the
+    reflected failure part, which equals the success part up to a global
+    minus sign.
+    """
+    prob, succ, fail = first_measurement(circ, aux)
+    return prob, succ, reflection(circ).apply_to(circ.layout, fail)
+
+
 def watrous_round(
     circ: SimulatorCircuit, aux: StateVector, rng: np.random.Generator
 ) -> tuple[bool, StateVector]:
     """Measure-then-reflect alternative to the phase-i step.
 
-    Measure the success projector on the attempt output; on failure, apply
-    the :func:`reflection`.  The reflected state equals the success branch
-    up to a global minus sign.
+    Measure the success projector on the attempt output; on failure, keep
+    the reflected failure part of :func:`measure_then_reflect`.
     """
-    prob, succ, fail = first_measurement(circ, aux)
-    if rng.random() < prob:
-        return True, StateVector(circ.layout, succ)
-    return False, StateVector(circ.layout, reflection(circ).apply_to(circ.layout, fail))
+    prob, succ, reflected = measure_then_reflect(circ, aux)
+    succeeded = rng.random() < prob
+    return succeeded, StateVector(circ.layout, succ if succeeded else reflected)
 
 
 # ---------------------------------------------------------------------------
@@ -431,18 +431,6 @@ def success_norm_chain(circ: SimulatorCircuit, aux: StateVector) -> list[float]:
     scale = 1.0 / (2 * n_fact)
     layout = circ.layout
     view = view_layout(circ.ver.dims, n)
-    a_axis = view.axis("A")
-
-    def challenge_slice(vec: np.ndarray, a: int) -> np.ndarray:
-        t = vec.reshape(view.dims)
-        return np.moveaxis(t, a_axis, 0)[a].reshape(-1)
-
-    def challenge_project(vec: np.ndarray, a: int) -> np.ndarray:
-        t = np.moveaxis(vec.reshape(view.dims), a_axis, 0).copy()
-        keep = t[a].copy()
-        t[:] = 0
-        t[a] = keep
-        return np.moveaxis(t, 0, a_axis).reshape(-1)
 
     # Value 0: the direct norm of the projected attempt output.
     s1 = attempt_output(circ, aux)
@@ -462,12 +450,12 @@ def success_norm_chain(circ: SimulatorCircuit, aux: StateVector) -> list[float]:
 
     v1 = assemble(
         lambda b, z: sum(
-            challenge_project(branch[b][z], a) for a in (0, 1) if a == b
+            challenge_columns(view, branch[b][z])[:, a] for a in (0, 1) if a == b
         )
     )
-    v2 = assemble(lambda b, z: challenge_project(branch[b][z], b))
+    v2 = assemble(lambda b, z: challenge_columns(view, branch[b][z])[:, b])
     v3 = scale * sum(
-        float(np.linalg.norm(challenge_slice(branch[b][z], b)) ** 2)
+        float(np.linalg.norm(challenge_columns(view, branch[b][z])[:, b]) ** 2)
         for b in (0, 1)
         for z in range(n_fact)
     )
@@ -479,7 +467,7 @@ def success_norm_chain(circ: SimulatorCircuit, aux: StateVector) -> list[float]:
     ]
     sub_branch = _branch_inputs(circ, aux, substituted)
     v4 = scale * sum(
-        float(np.linalg.norm(challenge_slice(sub_branch[b][z], b)) ** 2)
+        float(np.linalg.norm(challenge_columns(view, sub_branch[b][z])[:, b]) ** 2)
         for b in (0, 1)
         for z in range(n_fact)
     )
@@ -487,7 +475,7 @@ def success_norm_chain(circ: SimulatorCircuit, aux: StateVector) -> list[float]:
     plain = [[encode(act(pi, inst.g0)) for pi in perms]] * 2
     plain_branch = _branch_inputs(circ, aux, plain)
     v5 = scale * sum(
-        float(np.linalg.norm(challenge_slice(plain_branch[b][z], b)) ** 2)
+        float(np.linalg.norm(challenge_columns(view, plain_branch[b][z])[:, b]) ** 2)
         for b in (0, 1)
         for z in range(n_fact)
     )

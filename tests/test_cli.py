@@ -2,6 +2,7 @@
 
 import json
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -145,6 +146,48 @@ class TestOversizeRefusals:
     def test_refused_with_dimension_in_message(self, capsys, argv, dim):
         assert run(argv) == 2
         assert f"{dim}x{dim}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["zk-check", "verify-eq1"])
+    @pytest.mark.parametrize(
+        "g0, g1", [("n=5;edges=01", "n=5;edges=02"), ("n=1;edges=", "n=1;edges=")]
+    )
+    def test_literal_vertex_count_checked(self, capsys, command, g0, g1):
+        # Without --n the vertex count comes from the literals alone; n=5
+        # would start an 8192x8192 Haar draw.
+        assert run([command, "--g0", g0, "--g1", g1]) == 2
+        assert "n must be in 2..4" in capsys.readouterr().err
+
+
+class TestTrialLoop:
+    @pytest.mark.parametrize(
+        "command, measurements", [("watrous", 3), ("verify-eq2", 0), ("zk-check", 0)]
+    )
+    def test_one_verifier_circuit_and_measurement_per_trial(
+        self, capsys, monkeypatch, command, measurements
+    ):
+        calls = Counter()
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for module, name in (
+            (protocol, "adversarial_verifier"),
+            (protocol, "honest_verifier"),
+            (simulator, "build_circuit"),
+            (simulator, "first_measurement"),
+        ):
+            count(module, name)
+        code, _ = run_capture(capsys, [command, *N3, "--trials", "3", "--seed", "5"])
+        assert code == 0
+        assert calls["adversarial_verifier"] + calls["honest_verifier"] == 3
+        assert calls["build_circuit"] == 3
+        assert calls["first_measurement"] == measurements
 
 
 class TestVersion:
