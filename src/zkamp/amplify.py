@@ -21,11 +21,13 @@ import numpy as np
 from .registers import (
     ATOL_NORM,
     ATOL_OP,
+    DiagonalOp,
     LinearOp,
     OpChain,
     RegisterLayout,
     StateVector,
     haar_random_unitary,
+    to_matrix,
 )
 from .simulator import (
     SimulatorCircuit,
@@ -88,19 +90,20 @@ class PhasePair:
 
 
 def block_decompose(
-    attempt, success_proj: LinearOp, layout: RegisterLayout, atol: float = ATOL_OP
+    attempt, success_proj: DiagonalOp, layout: RegisterLayout, atol: float = ATOL_OP
 ) -> BlockDecomposition:
     """Split ``attempt^-1 P attempt`` by the start slice and extract the blocks.
 
+    P is a 0/1 diagonal, so ``attempt^-1 P attempt = (P attempt)^† (P attempt)``:
+    one dense product of the masked attempt matrix with itself.
     Raises :class:`NotLambdaUniformError` when the top block is not a scalar
     matrix, i.e. when the circuit's success probability varies with the
     auxiliary input and the two-dimensional theory does not apply.
     """
     dim_w = layout.dim_of("W")
     dim_rest = layout.total_dim // dim_w
-    a = attempt.to_matrix(layout)
-    p = success_proj.to_matrix(layout)
-    conj = a.conj().T @ p @ a
+    projected = success_proj.apply_to(layout, to_matrix(attempt, layout))
+    conj = projected.conj().T @ projected
 
     slice_idx = np.arange(dim_w) * dim_rest
     comp_idx = np.setdiff1d(np.arange(layout.total_dim), slice_idx)
@@ -123,14 +126,27 @@ def block_decompose(
     )
 
 
+def _hermitian_norm_bound(r: np.ndarray) -> float:
+    """``max|eig(H)| + ||K||_F >= ||r||_2``, with H, K the Hermitian and anti-Hermitian parts of r.
+
+    An eigvalsh in place of an SVD; the anti-Hermitian part is counted, never dropped.
+    H is built in place: with r, H and one temporary alive, the peak stays at that of forming r.
+    """
+    herm = r.conj().T
+    herm += r
+    herm *= 0.5
+    skew = np.linalg.norm(r - herm)
+    return float(np.max(np.abs(np.linalg.eigvalsh(herm))) + skew)
+
+
 def verify_block_identities(b: BlockDecomposition) -> tuple[float, float, float]:
-    """Operator norms of the three identities forced by idempotence."""
+    """Operator norms of the three identities forced by idempotence; 1 and 3 are upper bounds."""
     lam = b.success_prob
     eye_w = np.eye(b.cross.shape[1])
-    r1 = np.linalg.norm((lam**2 - lam) * eye_w + b.cross.conj().T @ b.cross, ord=2)
-    r2 = np.linalg.norm((lam - 1) * b.cross + b.rest @ b.cross, ord=2)
-    r3 = np.linalg.norm(b.cross @ b.cross.conj().T + b.rest @ b.rest - b.rest, ord=2)
-    return float(r1), float(r2), float(r3)
+    r1 = _hermitian_norm_bound((lam**2 - lam) * eye_w + b.cross.conj().T @ b.cross)
+    r2 = float(np.linalg.norm((lam - 1) * b.cross + b.rest @ b.cross, ord=2))
+    r3 = _hermitian_norm_bound(b.cross @ b.cross.conj().T + b.rest @ b.rest - b.rest)
+    return r1, r2, r3
 
 
 def succ_fail_states(
@@ -254,11 +270,10 @@ def toy_circuit(m: int, dims: tuple[int, int] = (2, 2), seed: int = 0) -> Simula
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
     layout = toy_layout(m, dims)
-    split_b = LinearOp(layout, ("B",), uniform_superposition_unitary(m), "unitary")
+    split_b = LinearOp(layout, ("B",), uniform_superposition_unitary(m))
     scrambled = ("W", "V", "A")
-    scramble = LinearOp(
-        layout, scrambled, haar_random_unitary(layout.keep(scrambled).total_dim, seed), "unitary"
-    )
+    scramble_dim = layout.keep(scrambled).total_dim
+    scramble = LinearOp(layout, scrambled, haar_random_unitary(scramble_dim, seed))
     attempt = OpChain((split_b, scramble))
     return SimulatorCircuit(layout, attempt, success_projector(layout))
 

@@ -191,12 +191,18 @@ def _check_embed_dim(what: str, dim: int) -> None:
 
 
 def _check_toy_circuit(cfg: RunConfig):
-    """The abstract 1/m circuit's layout, refused if its scramble or success projector is oversize."""
+    """The abstract 1/m circuit's layout, refused if its scramble or guess space is oversize."""
     if cfg.m < 2:
         raise ConfigError(f"--m must be >= 2, got {cfg.m}")
     layout = amplify.toy_layout(cfg.m, cfg.dims)
     _check_embed_dim("the toy scramble on W,V,A", layout.keep(["W", "V", "A"]).total_dim)
-    _check_embed_dim("the success projector on A,B", layout.keep(["A", "B"]).total_dim)
+    # Nothing dense is built on A,B, but states grow with m^2: with only the
+    # scramble bound, dims 1x1 and m = 8192 would need 1 GiB states.
+    guesses = layout.keep(["A", "B"]).total_dim
+    if guesses > _EMBED_DIM_LIMIT:
+        raise ConfigError(
+            f"the guess space A,B has {guesses} basis states, above the limit of {_EMBED_DIM_LIMIT}"
+        )
     return layout
 
 

@@ -123,7 +123,7 @@ def honest_verifier(dims: tuple[int, int], n: int) -> VerifierModel:
     dim_w, dim_v = dims
     dim_y = num_graph_codes(n)
     full = np.kron(np.eye(dim_w * dim_v), np.kron(HADAMARD, np.eye(dim_y)))
-    return VerifierModel(dims, LinearOp(layout, ("W", "V", "A", "Y"), full, "unitary"))
+    return VerifierModel(dims, LinearOp(layout, ("W", "V", "A", "Y"), full))
 
 
 def adversarial_verifier(dims: tuple[int, int], n: int, seed: int) -> VerifierModel:
@@ -131,7 +131,7 @@ def adversarial_verifier(dims: tuple[int, int], n: int, seed: int) -> VerifierMo
     layout = view_layout(dims, n)
     dim = layout.total_dim
     u = haar_random_unitary(dim, seed)
-    return VerifierModel(dims, LinearOp(layout, ("W", "V", "A", "Y"), u, "unitary"))
+    return VerifierModel(dims, LinearOp(layout, ("W", "V", "A", "Y"), u))
 
 
 def random_aux(dim_w: int, seed: int) -> StateVector:

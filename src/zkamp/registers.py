@@ -1,10 +1,12 @@
 """Exact finite-dimensional quantum register algebra.
 
 Dense, double-precision linear algebra over named tensor-product registers:
-state vectors, density operators, unitaries/projectors acting on register
-subsets, measurement channels, partial trace and trace distance.  Flattening
-is row major with the first register most significant, and that convention is
-the single source of truth for every index computation in the package.
+state vectors, density operators, unitaries and 0/1 diagonal projectors
+acting on register subsets, measurement channels, partial trace and trace
+distance.  Flattening is row major with the first register most significant,
+and that convention is the single source of truth for every index computation
+in the package: every operator acts through ``_on_targets``, and a dense
+matrix is only ever an operator applied to the identity (:func:`to_matrix`).
 
 All values are immutable after construction and every operation is pure
 (given its rng), so everything here is safe to share across threads.
@@ -216,7 +218,7 @@ def _trusted_variant(op, **data):
 
 @dataclass(frozen=True)
 class LinearOp:
-    """Dense unitary or projector on a subset of registers.
+    """Dense unitary on a subset of registers.
 
     The matrix is indexed row major over the targets in layout order.  An op
     may be applied to any state whose layout carries the same (name, dim)
@@ -227,28 +229,19 @@ class LinearOp:
     layout: RegisterLayout
     targets: tuple[str, ...]
     matrix: np.ndarray
-    kind: str
 
-    def __init__(self, layout: RegisterLayout, targets: Sequence[str], matrix, kind: str):
-        _init_validated(self, layout, targets, matrix=np.asarray(matrix, dtype=complex), kind=kind)
+    def __init__(self, layout: RegisterLayout, targets: Sequence[str], matrix):
+        _init_validated(self, layout, targets, matrix=np.asarray(matrix, dtype=complex))
+
+    kind: str = field(default="unitary", init=False)
 
     def _validate(self, side: int) -> None:
         mat = self.matrix
         if mat.shape != (side, side):
             raise ValueError(f"matrix has shape {mat.shape}, expected ({side}, {side})")
-        if self.kind == "unitary":
-            err = np.max(np.abs(mat.conj().T @ mat - np.eye(side)))
-            if err > ATOL_OP:
-                raise ValueError(f"matrix is not unitary (deviation {err:.3e})")
-        elif self.kind == "projector":
-            err = max(
-                np.max(np.abs(mat @ mat - mat)),
-                np.max(np.abs(mat - mat.conj().T)),
-            )
-            if err > ATOL_OP:
-                raise ValueError(f"matrix is not a projector (deviation {err:.3e})")
-        else:
-            raise ValueError(f"kind must be 'unitary' or 'projector', got {self.kind!r}")
+        err = np.max(np.abs(mat.conj().T @ mat - np.eye(side)))
+        if err > ATOL_OP:
+            raise ValueError(f"matrix is not unitary (deviation {err:.3e})")
 
     def adjoint(self) -> "LinearOp":
         return _trusted_variant(self, matrix=self.matrix.conj().T)
@@ -257,29 +250,34 @@ class LinearOp:
         _check_targets_compatible(self, layout)
         return _on_targets(layout, self.targets, amps, lambda flat: self.matrix @ flat)
 
-    def to_matrix(self, layout: RegisterLayout | None = None) -> np.ndarray:
-        layout = _check_targets_compatible(self, self.layout if layout is None else layout)
-        return embed_matrix(layout, self.targets, self.matrix)
-
 
 @dataclass(frozen=True)
 class DiagonalOp:
-    """Unitary diagonal in the computational basis of its targets."""
+    """Diagonal in the computational basis of its targets.
+
+    ``kind="unitary"`` holds unit-modulus phases; ``kind="projector"`` holds
+    a mask whose entries are exactly 0 or 1.
+    """
 
     layout: RegisterLayout
     targets: tuple[str, ...]
     phases: np.ndarray
+    kind: str
 
-    def __init__(self, layout: RegisterLayout, targets: Sequence[str], phases):
-        _init_validated(self, layout, targets, phases=np.asarray(phases, dtype=complex))
-
-    kind: str = field(default="unitary", init=False)
+    def __init__(self, layout: RegisterLayout, targets: Sequence[str], phases, kind: str = "unitary"):
+        _init_validated(self, layout, targets, phases=np.asarray(phases, dtype=complex), kind=kind)
 
     def _validate(self, side: int) -> None:
         if self.phases.shape != (side,):
             raise ValueError(f"diagonal has shape {self.phases.shape}, expected ({side},)")
-        if np.max(np.abs(np.abs(self.phases) - 1.0)) > ATOL_NORM:
-            raise ValueError("diagonal entries must have unit modulus")
+        if self.kind == "unitary":
+            if np.max(np.abs(np.abs(self.phases) - 1.0)) > ATOL_NORM:
+                raise ValueError("diagonal entries must have unit modulus")
+        elif self.kind == "projector":
+            if not np.all((self.phases == 0) | (self.phases == 1)):
+                raise ValueError("projector diagonal entries must be exactly 0 or 1")
+        else:
+            raise ValueError(f"kind must be 'unitary' or 'projector', got {self.kind!r}")
 
     def adjoint(self) -> "DiagonalOp":
         return _trusted_variant(self, phases=self.phases.conj())
@@ -287,10 +285,6 @@ class DiagonalOp:
     def apply_to(self, layout: RegisterLayout, amps: np.ndarray) -> np.ndarray:
         _check_targets_compatible(self, layout)
         return _on_targets(layout, self.targets, amps, lambda flat: self.phases[:, None] * flat)
-
-    def to_matrix(self, layout: RegisterLayout | None = None) -> np.ndarray:
-        layout = _check_targets_compatible(self, self.layout if layout is None else layout)
-        return embed_matrix(layout, self.targets, np.diag(self.phases))
 
 
 @dataclass(frozen=True)
@@ -331,13 +325,6 @@ class PermutationOp:
 
         return _on_targets(layout, self.targets, amps, permute)
 
-    def to_matrix(self, layout: RegisterLayout | None = None) -> np.ndarray:
-        layout = _check_targets_compatible(self, self.layout if layout is None else layout)
-        side = len(self.image)
-        mat = np.zeros((side, side), dtype=complex)
-        mat[self.image, np.arange(side)] = 1.0
-        return embed_matrix(layout, self.targets, mat)
-
 
 @dataclass(frozen=True)
 class OpChain:
@@ -377,15 +364,9 @@ class OpChain:
             amps = op.apply_to(layout, amps)
         return amps
 
-    def to_matrix(self, layout: RegisterLayout) -> np.ndarray:
-        out = self.factors[0].to_matrix(layout)
-        for op in self.factors[1:]:
-            out = op.to_matrix(layout) @ out
-        return out
 
-
-def _check_targets_compatible(op, layout: RegisterLayout) -> RegisterLayout:
-    """``layout``, once checked to give every target of ``op`` its dimension."""
+def _check_targets_compatible(op, layout: RegisterLayout) -> None:
+    """Raise unless ``layout`` gives every target of ``op`` its dimension."""
     for name in op.targets:
         try:
             dim = layout.dim_of(name)
@@ -398,45 +379,34 @@ def _check_targets_compatible(op, layout: RegisterLayout) -> RegisterLayout:
                 f"register {name!r} has dim {dim} in the state layout "
                 f"but {op.layout.dim_of(name)} in the operator layout"
             )
-    return layout
 
 
 def _on_targets(layout: RegisterLayout, targets: Sequence[str], amps: np.ndarray, act) -> np.ndarray:
     """``act`` applied to raw amplitudes viewed as a (target basis, rest) matrix.
 
-    The targets are moved to the front in layout order and flattened into
-    the rows; ``act`` returns a matrix of the same shape, which is moved back.
+    ``amps`` is one amplitude vector, or a block of them with the layout index
+    first and any trailing batch axes.  The targets are moved to the front in
+    layout order and flattened into the rows; ``act`` returns a matrix of the
+    same shape, which is moved back.
     """
     axes = layout.axes(targets)
-    moved = np.moveaxis(amps.reshape(layout.dims), axes, range(len(axes)))
+    moved = np.moveaxis(amps.reshape(layout.dims + amps.shape[1:]), axes, range(len(axes)))
     out = act(moved.reshape(math.prod(moved.shape[: len(axes)]), -1))
-    return np.moveaxis(out.reshape(moved.shape), range(len(axes)), axes).reshape(-1)
+    return np.moveaxis(out.reshape(moved.shape), range(len(axes)), axes).reshape(amps.shape)
 
 
 _EMBED_DIM_LIMIT = 8192
 
 
-def embed_matrix(layout: RegisterLayout, targets: Sequence[str], matrix: np.ndarray) -> np.ndarray:
-    """Dense layout-sized matrix for an operator on a register subset."""
+def to_matrix(op, layout: RegisterLayout) -> np.ndarray:
+    """Dense layout-sized matrix of an operator: its action on every basis vector."""
     total = layout.total_dim
     if total > _EMBED_DIM_LIMIT:
         raise MemoryError(
             f"refusing to materialize a {total}x{total} dense operator; "
             "apply the factored form instead"
         )
-    axes = list(layout.axes(targets))
-    rest_axes = [i for i in range(len(layout.dims)) if i not in axes]
-    tdims = [layout.dims[a] for a in axes]
-    rdims = [layout.dims[a] for a in rest_axes]
-    big = np.kron(matrix, np.eye(math.prod(rdims), dtype=complex))
-    # big acts on targets (x) rest; permute row and column tensor axes back to
-    # layout order.
-    perm = axes + rest_axes
-    inv = np.argsort(perm)
-    n = len(layout.dims)
-    tensor = big.reshape(tdims + rdims + tdims + rdims)
-    tensor = tensor.transpose(list(inv) + [n + i for i in inv])
-    return np.ascontiguousarray(tensor.reshape(total, total))
+    return op.apply_to(layout, np.eye(total, dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -458,11 +428,10 @@ def basis_state(layout: RegisterLayout, assignment: Mapping[str, int]) -> StateV
 
 
 def apply(op, state: StateVector) -> StateVector:
-    """Apply an operator (tensored with identity elsewhere) to a state.
+    """Apply a unitary (tensored with identity elsewhere) to a state.
 
-    Intended for unitaries; a projector that actually shrinks the state is
-    rejected so callers go through :func:`project` and see the branch
-    probability.
+    A projector that actually shrinks the state is rejected so callers go
+    through :func:`project` and see the branch probability.
     """
     out = op.apply_to(state.layout, state.amps)
     norm = float(np.linalg.norm(out))
@@ -477,8 +446,10 @@ def apply(op, state: StateVector) -> StateVector:
 def project(proj, state: StateVector) -> tuple[float, StateVector | None]:
     """Born probability and collapsed state for a projective outcome.
 
-    Returns ``(0.0, None)`` when the branch has no support, so callers can
-    never renormalize numerical noise into a fake state.
+    ``proj`` is a projector :class:`DiagonalOp`, so the branch is the state
+    with its 0/1 mask applied.  Returns ``(0.0, None)`` when the branch has
+    no support, so callers can never renormalize numerical noise into a fake
+    state.
     """
     if getattr(proj, "kind", None) != "projector":
         raise ValueError("project() requires a projector operator")
@@ -529,13 +500,11 @@ def measure(
     """
     probs = measurement_probabilities(state, register)
     outcome = int(rng.choice(len(probs), p=probs / probs.sum()))
-
-    def keep_outcome(rows: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(rows)
-        out[outcome] = rows[outcome]
-        return out
-
-    collapsed = _on_targets(state.layout, (register,), state.amps, keep_outcome)
+    mask = np.zeros(len(probs))
+    mask[outcome] = 1.0
+    collapsed = DiagonalOp(state.layout, (register,), mask, kind="projector").apply_to(
+        state.layout, state.amps
+    )
     collapsed = collapsed / np.linalg.norm(collapsed)
     return outcome, float(probs[outcome]), StateVector(state.layout, collapsed)
 

@@ -7,6 +7,7 @@ from zkamp.amplify import (
     NotLambdaUniformError,
     PhasePair,
     TwoDimState,
+    _hermitian_norm_bound,
     block_decompose,
     computed_second_probability,
     evolve_two_dim,
@@ -23,7 +24,7 @@ from zkamp.amplify import (
     verify_subspace_closure,
 )
 from zkamp.protocol import Instance, adversarial_verifier, honest_verifier, random_aux
-from zkamp.registers import LinearOp
+from zkamp.registers import DiagonalOp
 from zkamp.simulator import (
     SimulatorCircuit,
     attempt_output,
@@ -33,8 +34,11 @@ from zkamp.simulator import (
 )
 from zkamp.symm import Graph
 
+from oracles import kron_oracle
+
 PATH3 = Graph(3, [(0, 1), (1, 2)])
 PATH3B = Graph(3, [(0, 1), (0, 2)])
+EDGE2 = Graph(2, [(0, 1)])
 TOL = 1e-10
 
 
@@ -81,7 +85,7 @@ class TestBlockDecompose:
                 for b in range(2)
             ]
         )
-        skewed = LinearOp(layout, ("W", "A", "B"), np.diag(mask), "projector")
+        skewed = DiagonalOp(layout, ("W", "A", "B"), mask, kind="projector")
         with pytest.raises(NotLambdaUniformError):
             block_decompose(circ.attempt, skewed, layout)
 
@@ -96,7 +100,7 @@ class TestBlockIdentities:
         # P = I gives success probability 1 and a vanishing cross block.
         circ = toy_circuit(2, seed=1)
         layout = circ.layout
-        full = LinearOp(layout, ("A", "B"), np.eye(4), "projector")
+        full = DiagonalOp(layout, ("A", "B"), np.ones(4), kind="projector")
         b = block_decompose(circ.attempt, full, layout)
         assert abs(b.success_prob - 1.0) < TOL
         assert np.max(np.abs(b.cross)) < TOL
@@ -108,6 +112,52 @@ class TestBlockIdentities:
         b = block_decompose(circ.attempt, circ.success_proj, circ.layout)
         assert abs(b.success_prob - 0.25) < TOL
         assert max(verify_block_identities(b)) < TOL
+
+
+class TestBlocksAgainstDenseOracle:
+    """The masked-attempt product equals a† P a built from kron-embedded factors."""
+
+    CIRCUITS = {
+        "gmw-n2": lambda: build_circuit(
+            Instance.from_graphs(EDGE2, EDGE2), adversarial_verifier((2, 2), 2, 13)
+        ),
+        "toy-m3": lambda: toy_circuit(3, seed=14),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CIRCUITS))
+    def test_blocks_match_dense_conjugated_projector(self, name):
+        circ = self.CIRCUITS[name]()
+        layout = circ.layout
+        a = kron_oracle(circ.attempt, layout)
+        conj = a.conj().T @ kron_oracle(circ.success_proj, layout) @ a
+        dim_w = layout.dim_of("W")
+        slice_idx = np.arange(dim_w) * (layout.total_dim // dim_w)
+        comp_idx = np.setdiff1d(np.arange(layout.total_dim), slice_idx)
+
+        b = block_decompose(circ.attempt, circ.success_proj, layout)
+        np.testing.assert_allclose(
+            b.success_prob * np.eye(dim_w), conj[np.ix_(slice_idx, slice_idx)], atol=1e-12
+        )
+        np.testing.assert_allclose(b.cross, conj[np.ix_(comp_idx, slice_idx)], atol=1e-12)
+        np.testing.assert_allclose(b.rest, conj[np.ix_(comp_idx, comp_idx)], atol=1e-12)
+
+
+class TestHermitianNormBound:
+    """The r1/r3 norm is max|eig(H)| + ||K||_F, never below the spectral norm."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bounds_spectral_norm(self, seed):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 40))
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        herm = g + g.conj().T
+        for scale in (1.0, 1e-15):
+            # Exactly Hermitian: the bound is the spectral norm, up to rounding.
+            exact = np.linalg.norm(scale * herm, ord=2)
+            assert abs(_hermitian_norm_bound(scale * herm) - exact) <= 1e-13 * exact
+            # Nearly and far from Hermitian: the anti-Hermitian part still counts.
+            for r in (herm + 1e-6 * g, g, 1j * herm, g - g.T):
+                assert _hermitian_norm_bound(scale * r) >= np.linalg.norm(scale * r, ord=2)
 
 
 class TestSuccFailStates:
@@ -129,7 +179,7 @@ class TestSuccFailStates:
     @staticmethod
     def always_succeeding_circuit():
         circ = toy_circuit(2, seed=5)
-        full = LinearOp(circ.layout, ("A", "B"), np.eye(4), "projector")
+        full = DiagonalOp(circ.layout, ("A", "B"), np.ones(4), kind="projector")
         return SimulatorCircuit(circ.layout, circ.attempt, full)
 
     def test_boundary_rejected(self):

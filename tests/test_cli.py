@@ -136,8 +136,8 @@ class TestOversizeRefusals:
             (["verify-eq2", *N3, "--dim-w", "32", "--dim-v", "32"], 16384),
             (["watrous", *N4, "--dim-w", "8", "--dim-v", "16"], 16384),
             (["verify-eq1", "--g0", "n=6;edges=01", "--g1", "n=6;edges=23"], 262144),
-            # Success projector on A,B: m^2.
-            (["schedule", "--m", "91"], 8281),
+            # Guess space A,B: m^2 basis states; nothing dense is built on it.
+            pytest.param(["schedule", "--m", "91"], "8281 basis states", id="argv6-8281"),
             # Toy scramble on W,V,A: dim_w * dim_v * m.
             (["schedule", "--m", "2", "--dim-w", "64", "--dim-v", "65"], 8320),
             (["blocks", "--m", "2", "--dim-w", "64", "--dim-v", "65"], 8320),
@@ -145,7 +145,8 @@ class TestOversizeRefusals:
     )
     def test_refused_with_dimension_in_message(self, capsys, argv, dim):
         assert run(argv) == 2
-        assert f"{dim}x{dim}" in capsys.readouterr().err
+        expected = dim if isinstance(dim, str) else f"{dim}x{dim}"
+        assert expected in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["zk-check", "verify-eq1"])
     @pytest.mark.parametrize(
@@ -337,6 +338,14 @@ class TestCommandContents:
         second = [r for r in report["records"] if r["claim"] == "second-measurement-probability"][0]
         assert second["discrepancy_flagged"] is False
         assert second["value"] == pytest.approx(1.0, abs=1e-10)
+
+    def test_schedule_largest_accepted_m(self, capsys):
+        # 90^2 = 8100 is the largest guess space under the limit of 8192.
+        code, out = run_capture(capsys, ["schedule", "--m", "90", "--seed", "2"])
+        assert code == 0
+        records = json.loads(out)["records"]
+        assert len(records) == 4
+        assert all(r["pass"] for r in records)
 
     def test_phases_grid(self, capsys):
         code, out = run_capture(

@@ -17,15 +17,17 @@ from zkamp.registers import (
     apply,
     basis_state,
     dephase,
-    embed_matrix,
     haar_random_unitary,
     measure,
     measurement_probabilities,
     partial_trace,
     project,
     random_state,
+    to_matrix,
     trace_distance,
 )
+
+from oracles import embed_matrix, kron_oracle
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -106,20 +108,20 @@ class TestBasisState:
 class TestApply:
     def test_identity(self):
         layout = RegisterLayout([("A", 2), ("B", 3)])
-        op = LinearOp(layout, ("B",), np.eye(3), "unitary")
+        op = LinearOp(layout, ("B",), np.eye(3))
         s = basis_state(layout, {"A": 1, "B": 2})
         np.testing.assert_allclose(apply(op, s).amps, s.amps)
 
     def test_hadamard(self):
         layout = RegisterLayout([("A", 2)])
-        op = LinearOp(layout, ("A",), H, "unitary")
+        op = LinearOp(layout, ("A",), H)
         out = apply(op, basis_state(layout, {"A": 0}))
         np.testing.assert_allclose(out.amps, [1 / np.sqrt(2), 1 / np.sqrt(2)])
 
     def test_haar_roundtrip(self):
         layout = RegisterLayout([("Q", 8)])
         u = haar_random_unitary(8, seed=5)
-        op = LinearOp(layout, ("Q",), u, "unitary")
+        op = LinearOp(layout, ("Q",), u)
         s = StateVector(layout, random_state(8, seed=6))
         back = apply(op, apply(op.adjoint(), s))
         assert np.linalg.norm(back.amps - s.amps) < 1e-12
@@ -127,14 +129,14 @@ class TestApply:
     def test_unitary_preserves_norm(self):
         layout = RegisterLayout([("A", 2), ("B", 3), ("C", 2)])
         for seed in range(5):
-            op = LinearOp(layout, ("A", "C"), haar_random_unitary(4, seed), "unitary")
+            op = LinearOp(layout, ("A", "C"), haar_random_unitary(4, seed))
             s = StateVector(layout, random_state(12, seed + 50))
             assert abs(apply(op, s).norm - 1) < 1e-12
 
     def test_layout_mismatch(self):
         layout = RegisterLayout([("A", 2)])
         other = RegisterLayout([("B", 2)])
-        op = LinearOp(other, ("B",), H, "unitary")
+        op = LinearOp(other, ("B",), H)
         with pytest.raises(LayoutMismatchError):
             apply(op, basis_state(layout, {"A": 0}))
 
@@ -143,7 +145,7 @@ class TestApply:
         # (control, target) = (A, B) acts identically however it is named.
         layout = RegisterLayout([("A", 2), ("B", 2)])
         cnot = np.eye(4)[[0, 1, 3, 2]]
-        op = LinearOp(layout, ("A", "B"), cnot, "unitary")
+        op = LinearOp(layout, ("A", "B"), cnot)
         s = apply(op, basis_state(layout, {"A": 1, "B": 0}))
         np.testing.assert_allclose(s.amps, basis_state(layout, {"A": 1, "B": 1}).amps)
 
@@ -151,7 +153,7 @@ class TestApply:
 class TestProject:
     def test_half_probability(self):
         layout = RegisterLayout([("A", 2)])
-        p0 = LinearOp(layout, ("A",), np.diag([1.0, 0.0]), "projector")
+        p0 = DiagonalOp(layout, ("A",), [1.0, 0.0], kind="projector")
         plus = StateVector(layout, np.array([1, 1]) / np.sqrt(2))
         prob, collapsed = project(p0, plus)
         assert abs(prob - 0.5) < 1e-12
@@ -159,7 +161,7 @@ class TestProject:
 
     def test_identity_projector(self):
         layout = RegisterLayout([("A", 2)])
-        full = LinearOp(layout, ("A",), np.eye(2), "projector")
+        full = DiagonalOp(layout, ("A",), np.ones(2), kind="projector")
         s = StateVector(layout, random_state(2, 3))
         prob, collapsed = project(full, s)
         assert abs(prob - 1) < 1e-12
@@ -167,14 +169,14 @@ class TestProject:
 
     def test_empty_branch_marker(self):
         layout = RegisterLayout([("A", 2)])
-        p1 = LinearOp(layout, ("A",), np.diag([0.0, 1.0]), "projector")
+        p1 = DiagonalOp(layout, ("A",), [0.0, 1.0], kind="projector")
         prob, collapsed = project(p1, basis_state(layout, {"A": 0}))
         assert prob == 0.0 and collapsed is None
 
     def test_branch_probabilities_sum_to_one(self):
         layout = RegisterLayout([("A", 2), ("B", 3)])
-        proj = LinearOp(layout, ("A",), np.diag([1.0, 0.0]), "projector")
-        comp = LinearOp(layout, ("A",), np.diag([0.0, 1.0]), "projector")
+        proj = DiagonalOp(layout, ("A",), [1.0, 0.0], kind="projector")
+        comp = DiagonalOp(layout, ("A",), [0.0, 1.0], kind="projector")
         for seed in range(5):
             s = StateVector(layout, random_state(6, seed))
             p, _ = project(proj, s)
@@ -183,7 +185,7 @@ class TestProject:
 
     def test_requires_projector(self):
         layout = RegisterLayout([("A", 2)])
-        op = LinearOp(layout, ("A",), H, "unitary")
+        op = LinearOp(layout, ("A",), H)
         with pytest.raises(ValueError):
             project(op, basis_state(layout, {"A": 0}))
 
@@ -336,10 +338,10 @@ class TestStructuredOps:
         layout = RegisterLayout([("A", 2), ("B", 3)])
         phases = np.exp(1j * np.linspace(0, 2, 3))
         op = DiagonalOp(layout, ("B",), phases)
-        dense = LinearOp(layout, ("B",), np.diag(phases), "unitary")
+        dense = LinearOp(layout, ("B",), np.diag(phases))
         s = StateVector(layout, random_state(6, 17))
         np.testing.assert_allclose(apply(op, s).amps, apply(dense, s).amps, atol=1e-14)
-        np.testing.assert_allclose(op.to_matrix(layout), dense.to_matrix(layout), atol=1e-14)
+        np.testing.assert_allclose(to_matrix(op, layout), to_matrix(dense, layout), atol=1e-14)
 
     def test_permutation_matches_dense(self):
         layout = RegisterLayout([("A", 2), ("B", 3)])
@@ -347,7 +349,7 @@ class TestStructuredOps:
         op = PermutationOp(layout, ("B",), image)
         dense_mat = np.zeros((3, 3))
         dense_mat[image, np.arange(3)] = 1
-        dense = LinearOp(layout, ("B",), dense_mat, "unitary")
+        dense = LinearOp(layout, ("B",), dense_mat)
         s = StateVector(layout, random_state(6, 18))
         np.testing.assert_allclose(apply(op, s).amps, apply(dense, s).amps, atol=1e-14)
         roundtrip = apply(op.adjoint(), apply(op, s))
@@ -355,13 +357,13 @@ class TestStructuredOps:
 
     def test_chain_matches_matrix_product(self):
         layout = RegisterLayout([("A", 2), ("B", 2)])
-        u1 = LinearOp(layout, ("A",), haar_random_unitary(2, 3), "unitary")
-        u2 = LinearOp(layout, ("A", "B"), haar_random_unitary(4, 4), "unitary")
+        u1 = LinearOp(layout, ("A",), haar_random_unitary(2, 3))
+        u2 = LinearOp(layout, ("A", "B"), haar_random_unitary(4, 4))
         chain = OpChain((u1, u2))
         s = StateVector(layout, random_state(4, 19))
-        expected = u2.to_matrix(layout) @ u1.to_matrix(layout) @ s.amps
-        np.testing.assert_allclose(chain.apply_to(layout, s.amps), expected, atol=1e-12)
-        np.testing.assert_allclose(chain.to_matrix(layout), u2.to_matrix(layout) @ u1.to_matrix(layout))
+        product = kron_oracle(u2, layout) @ kron_oracle(u1, layout)
+        np.testing.assert_allclose(chain.apply_to(layout, s.amps), product @ s.amps, atol=1e-12)
+        np.testing.assert_allclose(to_matrix(chain, layout), product)
         back = chain.adjoint().apply_to(layout, chain.apply_to(layout, s.amps))
         np.testing.assert_allclose(back, s.amps, atol=1e-12)
 
@@ -374,10 +376,11 @@ class TestStructuredOps:
     def test_embed_matrix_non_adjacent_targets(self):
         layout = RegisterLayout([("A", 2), ("B", 3), ("C", 2)])
         u = haar_random_unitary(4, 6)
-        op = LinearOp(layout, ("A", "C"), u, "unitary")
-        dense = op.to_matrix(layout)
+        op = LinearOp(layout, ("A", "C"), u)
+        dense = embed_matrix(layout, ("A", "C"), u)
         s = StateVector(layout, random_state(12, 20))
         np.testing.assert_allclose(dense @ s.amps, apply(op, s).amps, atol=1e-12)
+        np.testing.assert_allclose(to_matrix(op, layout), dense, atol=1e-12)
 
 
 class TestValidation:
@@ -395,12 +398,13 @@ class TestValidation:
 
     def test_linear_op_kind_checks(self):
         layout = RegisterLayout([("A", 2)])
-        with pytest.raises(ValueError):
-            LinearOp(layout, ("A",), np.array([[1, 1], [0, 1]]), "unitary")
-        with pytest.raises(ValueError):
-            LinearOp(layout, ("A",), H, "projector")
-        with pytest.raises(ValueError):
-            LinearOp(layout, ("A",), np.eye(2), "hermitian")
+        with pytest.raises(ValueError, match="not unitary"):
+            LinearOp(layout, ("A",), np.array([[1, 1], [0, 1]]))
+        for mask in ([1.0, 0.5], [1.0, -1.0], [1.0 + 1e-15, 0.0], [1j, 0.0]):
+            with pytest.raises(ValueError, match="exactly 0 or 1"):
+                DiagonalOp(layout, ("A",), mask, kind="projector")
+        with pytest.raises(ValueError, match="kind must be"):
+            DiagonalOp(layout, ("A",), [1.0, 0.0], kind="hermitian")
 
     def test_immutability(self):
         layout = RegisterLayout([("A", 2)])
@@ -434,10 +438,9 @@ def _random_ops(seed):
         return targets, int(np.prod([layout.dim_of(name) for name in targets]))
 
     targets, side = pick()
-    unitary = LinearOp(layout, targets, haar_random_unitary(side, seed), "unitary")
+    unitary = LinearOp(layout, targets, haar_random_unitary(side, seed))
     targets, side = pick()
-    basis = haar_random_unitary(side, seed + 1)[:, : int(rng.integers(0, side + 1))]
-    projector = LinearOp(layout, targets, basis @ basis.conj().T, "projector")
+    projector = DiagonalOp(layout, targets, rng.integers(0, 2, side), kind="projector")
     targets, side = pick()
     diagonal = DiagonalOp(layout, targets, np.exp(1j * rng.uniform(0, 2 * np.pi, side)))
     targets, side = pick()
@@ -458,7 +461,7 @@ class TestValidateOnce:
     def test_construction_validates_once(self, monkeypatch):
         calls = _count_validations(monkeypatch)
         layout = RegisterLayout([("A", 2), ("B", 3)])
-        u = LinearOp(layout, ("A",), H, "unitary")
+        u = LinearOp(layout, ("A",), H)
         assert calls == {"LinearOp": 1}
         calls.clear()
         d = DiagonalOp(layout, ("B",), np.exp(1j * np.arange(3)))
@@ -485,19 +488,20 @@ class TestValidateOnce:
             adj = op.adjoint()
             assert set(adj.targets) == set(op.targets)
             np.testing.assert_allclose(
-                adj.to_matrix(layout), op.to_matrix(layout).conj().T, atol=1e-12
+                kron_oracle(adj, layout), kron_oracle(op, layout).conj().T, atol=1e-12
             )
             state = random_state(layout.total_dim, seed + 100)
             np.testing.assert_allclose(
-                adj.apply_to(layout, state), op.to_matrix(layout).conj().T @ state, atol=1e-12
+                adj.apply_to(layout, state), kron_oracle(op, layout).conj().T @ state, atol=1e-12
             )
 
     @pytest.mark.parametrize("seed", range(6))
     def test_projector_adjoint_stays_projector(self, seed):
-        _, ops = _random_ops(seed)
+        layout, ops = _random_ops(seed)
         adj = ops["projector"].adjoint()
         assert adj.kind == "projector"
-        mat = adj.matrix
+        assert set(adj.phases.tolist()) <= {0, 1}
+        mat = to_matrix(adj, layout)
         assert np.max(np.abs(mat @ mat - mat)) <= 1e-10
         assert np.max(np.abs(mat - mat.conj().T)) <= 1e-10
 
@@ -505,7 +509,7 @@ class TestValidateOnce:
         _, ops = _random_ops(0)
         arrays = [
             ops["unitary"].adjoint().matrix,
-            ops["projector"].adjoint().matrix,
+            ops["projector"].adjoint().phases,
             ops["diagonal"].adjoint().phases,
             ops["permutation"].adjoint().image,
         ]
@@ -515,3 +519,35 @@ class TestValidateOnce:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = arr[0]
+
+
+class TestToMatrix:
+    """Every dense matrix is an operator applied to the identity; the kron oracle checks it."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_kron_oracle(self, seed):
+        layout, ops = _random_ops(seed)
+        for kind, op in ops.items():
+            np.testing.assert_allclose(
+                to_matrix(op, layout), kron_oracle(op, layout), atol=1e-12, err_msg=kind
+            )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_batched_apply_matches_single_columns(self, seed):
+        layout, ops = _random_ops(seed)
+        rng = np.random.default_rng(seed + 200)
+        k = int(rng.integers(2, 6))
+        block = rng.standard_normal((layout.total_dim, k)) + 1j * rng.standard_normal(
+            (layout.total_dim, k)
+        )
+        for kind, op in ops.items():
+            batched = op.apply_to(layout, block)
+            assert batched.shape == block.shape
+            columns = np.stack([op.apply_to(layout, block[:, j]) for j in range(k)], axis=1)
+            np.testing.assert_allclose(batched, columns, atol=1e-12, err_msg=kind)
+
+    def test_refuses_oversize_layout_before_allocating(self):
+        layout = RegisterLayout([("A", 2), ("B", 4097)])
+        op = DiagonalOp(layout, ("A",), [1.0, -1.0])
+        with pytest.raises(MemoryError, match="8194x8194"):
+            to_matrix(op, layout)
