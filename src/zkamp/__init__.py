@@ -42,6 +42,7 @@ from .protocol import (
 from .registers import (
     DensityOperator,
     DiagonalOp,
+    HouseholderOp,
     LayoutMismatchError,
     LinearOp,
     OpChain,
@@ -51,6 +52,7 @@ from .registers import (
     apply,
     basis_state,
     dephase,
+    haar_random_op,
     haar_random_unitary,
     measure,
     measurement_probabilities,

@@ -26,7 +26,7 @@ from .registers import (
     OpChain,
     RegisterLayout,
     StateVector,
-    haar_random_unitary,
+    haar_random_op,
     to_matrix,
 )
 from .simulator import (
@@ -95,14 +95,15 @@ def block_decompose(
     """Split ``attempt^-1 P attempt`` by the start slice and extract the blocks.
 
     P is a 0/1 diagonal, so ``attempt^-1 P attempt = (P attempt)^† (P attempt)``:
-    one dense product of the masked attempt matrix with itself.
+    one dense product over the rows of the attempt matrix that P keeps.
     Raises :class:`NotLambdaUniformError` when the top block is not a scalar
     matrix, i.e. when the circuit's success probability varies with the
     auxiliary input and the two-dimensional theory does not apply.
     """
     dim_w = layout.dim_of("W")
     dim_rest = layout.total_dim // dim_w
-    projected = success_proj.apply_to(layout, to_matrix(attempt, layout))
+    mask = success_proj.apply_to(layout, np.ones(layout.total_dim, dtype=complex))
+    projected = to_matrix(attempt, layout)[mask.real == 1]
     conj = projected.conj().T @ projected
 
     slice_idx = np.arange(dim_w) * dim_rest
@@ -272,8 +273,7 @@ def toy_circuit(m: int, dims: tuple[int, int] = (2, 2), seed: int = 0) -> Simula
     layout = toy_layout(m, dims)
     split_b = LinearOp(layout, ("B",), uniform_superposition_unitary(m))
     scrambled = ("W", "V", "A")
-    scramble_dim = layout.keep(scrambled).total_dim
-    scramble = LinearOp(layout, scrambled, haar_random_unitary(scramble_dim, seed))
+    scramble = haar_random_op(layout, scrambled, seed)
     attempt = OpChain((split_b, scramble))
     return SimulatorCircuit(layout, attempt, success_projector(layout))
 

@@ -171,7 +171,8 @@ def build_instance(cfg: RunConfig) -> Instance:
         raise ConfigError(f"graphs are not isomorphic: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    # Every command on a graph pair builds a dense verifier unitary on W,V,A,Y.
+    # Every command on a graph pair draws a verifier on W,V,A,Y, whose Householder
+    # reflectors fill a dense matrix of that side.
     _check_embed_dim("the verifier unitary", protocol.view_layout(cfg.dims, inst.n).total_dim)
     _check_vertex_count(inst.n)
     return inst

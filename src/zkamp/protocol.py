@@ -32,7 +32,7 @@ from .registers import (
     LinearOp,
     RegisterLayout,
     StateVector,
-    haar_random_unitary,
+    haar_random_op,
     random_state,
     trace_distance_matrices,
 )
@@ -101,16 +101,18 @@ class Instance:
 
 @dataclass(frozen=True)
 class VerifierModel:
-    """Verifier strategy: workspace dimensions plus a unitary on W,V,A,Y."""
+    """Verifier strategy: workspace dimensions plus a validated unitary on some of W,V,A,Y."""
 
     dims: tuple[int, int]
-    u_v: LinearOp
+    u_v: object
 
     def __post_init__(self):
         if min(self.dims) < 1:
             raise ValueError(f"dims must be >= 1, got {self.dims}")
-        if set(self.u_v.targets) != {"W", "V", "A", "Y"}:
-            raise ValueError(f"verifier unitary must target W,V,A,Y, got {self.u_v.targets}")
+        if getattr(self.u_v, "kind", None) != "unitary":
+            raise ValueError("verifier operator must be a unitary")
+        if not set(self.u_v.targets) <= {"W", "V", "A", "Y"}:
+            raise ValueError(f"verifier unitary must target W,V,A,Y only, got {self.u_v.targets}")
 
     @property
     def dim_w(self) -> int:
@@ -119,19 +121,12 @@ class VerifierModel:
 
 def honest_verifier(dims: tuple[int, int], n: int) -> VerifierModel:
     """The protocol verifier: flip the challenge qubit into uniform, touch nothing else."""
-    layout = view_layout(dims, n)
-    dim_w, dim_v = dims
-    dim_y = num_graph_codes(n)
-    full = np.kron(np.eye(dim_w * dim_v), np.kron(HADAMARD, np.eye(dim_y)))
-    return VerifierModel(dims, LinearOp(layout, ("W", "V", "A", "Y"), full))
+    return VerifierModel(dims, LinearOp(view_layout(dims, n), ("A",), HADAMARD))
 
 
 def adversarial_verifier(dims: tuple[int, int], n: int, seed: int) -> VerifierModel:
-    """Haar-random verifier unitary over the whole of W,V,A,Y."""
-    layout = view_layout(dims, n)
-    dim = layout.total_dim
-    u = haar_random_unitary(dim, seed)
-    return VerifierModel(dims, LinearOp(layout, ("W", "V", "A", "Y"), u))
+    """Haar-random verifier unitary over the whole of W,V,A,Y, in Householder form."""
+    return VerifierModel(dims, haar_random_op(view_layout(dims, n), ("W", "V", "A", "Y"), seed))
 
 
 def random_aux(dim_w: int, seed: int) -> StateVector:
@@ -279,7 +274,8 @@ def real_view_recorded(
     state, split the output by challenge value (the dephasing of A), and
     record the sent graph in Zp.  With ``keep_z`` the prover's step-(c)
     response is recorded too, so each challenge slice goes to the record
-    value of its own response.
+    value of its own response.  The verifier runs once, on the block of all
+    n! initial states.
     """
     _check_aux(ver, aux)
     n = inst.n
@@ -289,12 +285,15 @@ def real_view_recorded(
     perms = enumerate_sn(n)
     scale = np.sqrt(1.0 / len(perms))
 
+    codes = [encode(act(tau, inst.g0)) for tau in perms]
+    starts = np.zeros((dim_vay, len(perms)), dtype=complex)
+    # V and A start at 0, so each relabeling's start is its Y code.
+    starts[codes, np.arange(len(perms))] = scale
+    outs = ver.u_v.apply_to(layout, np.kron(base[:, None], starts))
+
     pieces = []
-    for tau in perms:
-        code = encode(act(tau, inst.g0))
-        start = np.zeros(dim_vay, dtype=complex)
-        start[layout.keep(["V", "A", "Y"]).flatten((0, 0, code))] = scale
-        cols = challenge_columns(layout, ver.u_v.apply_to(layout, np.kron(base, start)))
+    for i, (tau, code) in enumerate(zip(perms, codes)):
+        cols = challenge_columns(layout, outs[:, i])
         if keep_z:
             for a in (0, 1):
                 response = honest_response(inst, tau, a)

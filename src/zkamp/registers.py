@@ -8,6 +8,11 @@ and that convention is the single source of truth for every index computation
 in the package: every operator acts through ``_on_targets``, and a dense
 matrix is only ever an operator applied to the identity (:func:`to_matrix`).
 
+A Haar-random unitary is drawn densely by :func:`haar_random_unitary`, the
+oracle, and kept at runtime as Householder panels by :func:`haar_random_op`
+(:class:`HouseholderOp`): the same draw, with neither Q nor ``U† U`` formed,
+and validated by a spectral-norm bound built from small panel matrices.
+
 All values are immutable after construction and every operation is pure
 (given its rng), so everything here is safe to share across threads.
 """
@@ -327,6 +332,112 @@ class PermutationOp:
 
 
 @dataclass(frozen=True)
+class HouseholderOp:
+    """Unitary ``Q D`` on a subset of registers, with Q kept as Householder panels.
+
+    Q is the product of the reflectors ``I - tau_j v_j v_j†`` held in the
+    columns of ``reflectors`` (unit lower triangular), grouped into
+    compact-WY panels ``I - V T V†`` (Schreiber and Van Loan): panel columns
+    ``s:e`` use ``V = reflectors[s:, s:e]`` and the upper triangular
+    ``T = tfactors[s:e, :e - s]``, so the width of ``tfactors`` is the panel
+    width.  D is the diagonal ``phases``.  Applying the panels costs about
+    one dense product, and neither Q nor ``U† U`` is ever formed.
+    """
+
+    layout: RegisterLayout
+    targets: tuple[str, ...]
+    reflectors: np.ndarray
+    tfactors: np.ndarray
+    phases: np.ndarray
+
+    def __init__(
+        self, layout: RegisterLayout, targets: Sequence[str], reflectors, tfactors, phases
+    ):
+        _init_validated(
+            self,
+            layout,
+            targets,
+            reflectors=np.asarray(reflectors, dtype=complex),
+            tfactors=np.asarray(tfactors, dtype=complex),
+            phases=np.asarray(phases, dtype=complex),
+        )
+
+    kind: str = field(default="unitary", init=False)
+    # The adjoint holds the same data and applies ``D̄ Q†`` instead.
+    inverse: bool = field(default=False, init=False)
+
+    def _panels(self):
+        """``(start, V, T)`` of each panel, first panel first."""
+        side, width = self.tfactors.shape
+        for s in range(0, side, width):
+            e = min(s + width, side)
+            yield s, self.reflectors[s:, s:e], self.tfactors[s:e, : e - s]
+
+    def _validate(self, side: int) -> None:
+        t_shape = self.tfactors.shape
+        if (
+            self.reflectors.shape != (side, side)
+            or len(t_shape) != 2
+            or t_shape[0] != side
+            or not 1 <= t_shape[1] <= side
+            or self.phases.shape != (side,)
+        ):
+            raise ValueError(
+                f"Householder data has shapes {self.reflectors.shape}, {self.tfactors.shape}, "
+                f"{self.phases.shape}; expected ({side}, {side}), ({side}, w <= {side}), ({side},)"
+            )
+        bound = self._deviation_bound()
+        if bound > ATOL_OP:
+            raise ValueError(f"Householder panels are not unitary (deviation bound {bound:.3e})")
+
+    def _deviation_bound(self) -> float:
+        """An upper bound on ``||U† U - I||_2`` for the panels and phases as applied.
+
+        Each panel has ``Q† Q - I = V (T† G T - T - T†) V†`` with ``G = V† V``,
+        so its deviation is at most ``||G||_2 ||T† G T - T - T†||_2``, both
+        norms from the spectra of small Hermitian matrices.  Deviations
+        compose as ``||(AB)† AB - I|| <= (1 + ||A† A - I||)(1 + ||B† B - I||) - 1``,
+        and D deviates by ``max ||d|^2 - 1|``.
+        """
+        bound = 1 + float(np.max(np.abs(np.abs(self.phases) ** 2 - 1)))
+        for _, v, t in self._panels():
+            gram = v.conj().T @ v
+            core = t.conj().T @ gram @ t - t - t.conj().T
+            bound *= 1 + _hermitian_norm(gram) * _hermitian_norm(core)
+        return bound - 1
+
+    def adjoint(self) -> "HouseholderOp":
+        return _trusted_variant(self, inverse=not self.inverse)
+
+    def apply_to(self, layout: RegisterLayout, amps: np.ndarray) -> np.ndarray:
+        _check_targets_compatible(self, layout)
+        return _on_targets(layout, self.targets, amps, self._act)
+
+    def _act(self, flat: np.ndarray) -> np.ndarray:
+        if self.inverse:
+            out = flat.copy()
+            for s, v, t in self._panels():
+                out[s:] -= v @ (t.conj().T @ _adjoint_times(v, out[s:]))
+            return self.phases.conj()[:, None] * out
+        out = self.phases[:, None] * flat
+        for s, v, t in reversed(list(self._panels())):
+            out[s:] -= v @ (t @ _adjoint_times(v, out[s:]))
+        return out
+
+
+def _adjoint_times(v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``v† x``, conjugating the narrower of the two: ``conj(v^T conj(x))`` is the same sum."""
+    if x.shape[1] < v.shape[1]:
+        return (v.T @ x.conj()).conj()
+    return v.conj().T @ x
+
+
+def _hermitian_norm(h: np.ndarray) -> float:
+    """Spectral norm of a Hermitian matrix."""
+    return float(np.max(np.abs(np.linalg.eigvalsh(h))))
+
+
+@dataclass(frozen=True)
 class OpChain:
     """Product of unitaries, applied first factor first.
 
@@ -552,19 +663,64 @@ def trace_distance_matrices(m1: np.ndarray, m2: np.ndarray) -> float:
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(m1 - m2))))
 
 
+def _ginibre(dim: int, seed: int) -> np.ndarray:
+    """Complex Ginibre matrix (unit-variance Gaussian entries), deterministic per seed."""
+    if dim < 1:
+        raise ValueError(f"dimension must be >= 1, got {dim}")
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
+
+
 def haar_random_unitary(dim: int, seed: int) -> np.ndarray:
     """Haar-distributed unitary matrix, deterministic per seed.
 
     QR of a complex Ginibre matrix with the R diagonal phase-fixed, which
-    makes the distribution exactly Haar invariant.
+    makes the distribution exactly Haar invariant (Mezzadri 2007).  The dense
+    oracle of :func:`haar_random_op`.
     """
-    if dim < 1:
-        raise ValueError(f"dimension must be >= 1, got {dim}")
-    rng = np.random.default_rng(seed)
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
+    q, r = np.linalg.qr(_ginibre(dim, seed))
     d = np.diagonal(r)
     return q * (d / np.abs(d))
+
+
+# Columns per compact-WY panel of a Householder operator.
+_PANEL_WIDTH = 64
+
+
+def haar_random_op(layout: RegisterLayout, targets: Sequence[str], seed: int) -> HouseholderOp:
+    """The unitary of :func:`haar_random_unitary` on ``targets``, without forming Q.
+
+    The same Ginibre QR, taken in LAPACK's raw form: the transpose of the
+    returned array holds R on and above the diagonal and the reflectors
+    below it.  D fixes the phases of R's diagonal, as in the dense draw.
+    """
+    side = math.prod(layout.dim_of(name) for name in targets)
+    raw, tau = np.linalg.qr(_ginibre(side, seed), mode="raw")
+    diag = np.diagonal(raw)
+    reflectors = np.tril(raw.T, -1)
+    np.fill_diagonal(reflectors, 1.0)
+    return HouseholderOp(
+        layout, targets, reflectors, _compact_wy_factors(reflectors, tau), diag / np.abs(diag)
+    )
+
+
+def _compact_wy_factors(reflectors: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """The T factors of :class:`HouseholderOp` panels for the given reflectors and ``tau``.
+
+    Each panel's T follows the forward recurrence of LAPACK's ``zlarft``:
+    ``T[j, j] = tau_j`` and ``T[:j, j] = -tau_j T[:j, :j] (V† V)[:j, j]``.
+    """
+    side = len(tau)
+    width = min(_PANEL_WIDTH, side)
+    tfactors = np.zeros((side, width), dtype=complex)
+    for s in range(0, side, width):
+        v = reflectors[s:, s : s + width]
+        gram = v.conj().T @ v
+        t = tfactors[s : s + width, : v.shape[1]]
+        for j in range(v.shape[1]):
+            t[j, j] = tau[s + j]
+            t[:j, j] = -tau[s + j] * (t[:j, :j] @ gram[:j, j])
+    return tfactors
 
 
 def random_state(dim: int, seed: int) -> np.ndarray:

@@ -392,18 +392,17 @@ def watrous_round(
 # ---------------------------------------------------------------------------
 
 def _branch_inputs(circ: SimulatorCircuit, aux: StateVector, codes) -> list[list[np.ndarray]]:
-    """Verifier outputs U_V |aux, 0, 0, code> for a (guess, relabeling) code table."""
+    """Verifier outputs U_V |aux, 0, 0, code> for a (guess, relabeling) code table.
+
+    The verifier runs once, on the block of all the table's initial states.
+    """
     layout = view_layout(circ.ver.dims, circ.inst.n)
     dim_vay = layout.total_dim // circ.dim_w
-    out = []
-    for row in codes:
-        vecs = []
-        for code in row:
-            start = np.zeros(dim_vay, dtype=complex)
-            start[code] = 1.0
-            vecs.append(circ.ver.u_v.apply_to(layout, np.kron(aux.amps, start)))
-        out.append(vecs)
-    return out
+    flat = [code for row in codes for code in row]
+    starts = np.zeros((dim_vay, len(flat)), dtype=complex)
+    starts[flat, np.arange(len(flat))] = 1.0
+    outs = iter(circ.ver.u_v.apply_to(layout, np.kron(aux.amps[:, None], starts)).T.copy())
+    return [[next(outs) for _ in row] for row in codes]
 
 
 def success_norm_chain(circ: SimulatorCircuit, aux: StateVector) -> list[float]:

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from zkamp.registers import DiagonalOp, LinearOp, OpChain, PermutationOp
+from zkamp.registers import DiagonalOp, HouseholderOp, LinearOp, OpChain, PermutationOp
 
 
 def embed_matrix(layout, targets, matrix):
@@ -42,6 +42,17 @@ def local_matrix(op):
         mat = np.zeros((side, side), dtype=complex)
         mat[op.image, np.arange(side)] = 1.0
         return mat
+    if isinstance(op, HouseholderOp):
+        # Q D as a dense product of the panel matrices I - V T V†.
+        side, width = op.tfactors.shape
+        q = np.eye(side, dtype=complex)
+        for s in range(0, side, width):
+            e = min(s + width, side)
+            v = np.zeros((side, e - s), dtype=complex)
+            v[s:] = op.reflectors[s:, s:e]
+            q = q @ (np.eye(side) - v @ op.tfactors[s:e, : e - s] @ v.conj().T)
+        mat = q * op.phases
+        return mat.conj().T if op.inverse else mat
     raise TypeError(f"no local matrix for {type(op).__name__}")
 
 

@@ -118,8 +118,8 @@ class TestOversizeRefusals:
             raise AssertionError("an oversize operator must not be built")
 
         for module, name in (
-            (protocol, "haar_random_unitary"),
-            (amplify, "haar_random_unitary"),
+            (protocol, "haar_random_op"),
+            (amplify, "haar_random_op"),
             (protocol, "honest_verifier"),
             (simulator, "success_projector"),
             (amplify, "success_projector"),

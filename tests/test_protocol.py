@@ -6,6 +6,7 @@ import pytest
 from zkamp.protocol import (
     Instance,
     NotIsomorphicError,
+    VerifierModel,
     accept,
     adversarial_verifier,
     aux_layout,
@@ -16,7 +17,15 @@ from zkamp.protocol import (
     real_view_recorded,
     view_layout,
 )
-from zkamp.registers import basis_state, partial_trace
+from zkamp.registers import (
+    HADAMARD,
+    DiagonalOp,
+    HouseholderOp,
+    LinearOp,
+    basis_state,
+    partial_trace,
+    to_matrix,
+)
 from zkamp.symm import (
     Graph,
     Permutation,
@@ -71,7 +80,7 @@ class TestHonestVerifier:
 
     def test_involution(self):
         ver = honest_verifier(DIMS, 2)
-        m = ver.u_v.matrix
+        m = to_matrix(ver.u_v, view_layout(DIMS, 2))
         np.testing.assert_allclose(m @ m, np.eye(m.shape[0]), atol=1e-12)
 
     def test_view_matches_expected_mixture(self):
@@ -93,20 +102,46 @@ class TestHonestVerifier:
         np.testing.assert_allclose(got.matrix, expected, atol=1e-10)
 
 
+class TestVerifierModel:
+    def test_honest_verifier_acts_on_the_challenge_alone(self):
+        layout = view_layout(DIMS, 3)
+        ver = honest_verifier(DIMS, 3)
+        assert ver.u_v.targets == ("A",)
+        expected = np.kron(np.eye(4), np.kron(HADAMARD, np.eye(num_graph_codes(3))))
+        np.testing.assert_allclose(to_matrix(ver.u_v, layout), expected, atol=1e-15)
+
+    def test_accepts_unitary_on_a_subset(self):
+        layout = view_layout(DIMS, 2)
+        VerifierModel(DIMS, DiagonalOp(layout, ("W", "Y"), np.exp(1j * np.arange(4))))
+
+    def test_rejects_projector(self):
+        layout = view_layout(DIMS, 2)
+        with pytest.raises(ValueError, match="unitary"):
+            VerifierModel(DIMS, DiagonalOp(layout, ("A",), [1, 0], kind="projector"))
+
+    def test_rejects_foreign_register(self):
+        layout = view_layout(DIMS, 2).extend([("B", 2)])
+        with pytest.raises(ValueError, match="W,V,A,Y"):
+            VerifierModel(DIMS, LinearOp(layout, ("A", "B"), np.eye(4)))
+
+
 class TestAdversarialVerifier:
+    def test_kept_as_householder_panels(self):
+        assert isinstance(adversarial_verifier(DIMS, 3, seed=0).u_v, HouseholderOp)
+
     def test_unitary(self):
         ver = adversarial_verifier(DIMS, 3, seed=0)
-        m = ver.u_v.matrix
+        m = to_matrix(ver.u_v, view_layout(DIMS, 3))
         assert np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) < 1e-10
 
     def test_seeds_distinct(self):
-        m1 = adversarial_verifier(DIMS, 2, seed=1).u_v.matrix
-        m2 = adversarial_verifier(DIMS, 2, seed=2).u_v.matrix
+        m1 = to_matrix(adversarial_verifier(DIMS, 2, seed=1).u_v, view_layout(DIMS, 2))
+        m2 = to_matrix(adversarial_verifier(DIMS, 2, seed=2).u_v, view_layout(DIMS, 2))
         assert np.linalg.norm(m1 - m2, ord=2) > 1e-3
 
     def test_minimal_dims(self):
         ver = adversarial_verifier((1, 1), 2, seed=0)
-        assert ver.u_v.matrix.shape == (4, 4)
+        assert to_matrix(ver.u_v, view_layout((1, 1), 2)).shape == (4, 4)
 
 
 class TestRealView:

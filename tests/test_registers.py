@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from zkamp.registers import (
+    ATOL_OP,
     DensityOperator,
     DiagonalOp,
+    HouseholderOp,
     LayoutMismatchError,
     LinearOp,
     OpChain,
@@ -16,7 +18,10 @@ from zkamp.registers import (
     StateVector,
     apply,
     basis_state,
+    _compact_wy_factors,
+    _trusted_variant,
     dephase,
+    haar_random_op,
     haar_random_unitary,
     measure,
     measurement_probabilities,
@@ -416,7 +421,7 @@ class TestValidation:
 def _count_validations(monkeypatch) -> Counter:
     """Count calls of each operator class's construction-time ``_validate``."""
     calls: Counter = Counter()
-    for cls in (LinearOp, DiagonalOp, PermutationOp, OpChain):
+    for cls in (LinearOp, DiagonalOp, PermutationOp, HouseholderOp, OpChain):
 
         def counted(self, *args, _check=cls._validate, _name=cls.__name__):
             calls[_name] += 1
@@ -446,12 +451,15 @@ def _random_ops(seed):
     targets, side = pick()
     permutation = PermutationOp(layout, targets, rng.permutation(side))
     chain = OpChain((unitary, diagonal, permutation))
+    targets, _ = pick()
+    householder = haar_random_op(layout, targets, seed)
     return layout, {
         "unitary": unitary,
         "projector": projector,
         "diagonal": diagonal,
         "permutation": permutation,
         "chain": chain,
+        "householder": householder,
     }
 
 
@@ -472,6 +480,9 @@ class TestValidateOnce:
         calls.clear()
         OpChain((u, d, p))
         assert calls == {"OpChain": 1}
+        calls.clear()
+        haar_random_op(layout, ("B", "A"), seed=0)
+        assert calls == {"HouseholderOp": 1}
 
     @pytest.mark.parametrize("seed", range(6))
     def test_adjoint_skips_validation(self, monkeypatch, seed):
@@ -512,6 +523,9 @@ class TestValidateOnce:
             ops["projector"].adjoint().phases,
             ops["diagonal"].adjoint().phases,
             ops["permutation"].adjoint().image,
+            ops["householder"].adjoint().reflectors,
+            ops["householder"].adjoint().tfactors,
+            ops["householder"].adjoint().phases,
         ]
         unitary, diagonal, permutation = reversed(ops["chain"].adjoint().factors)
         arrays += [unitary.matrix, diagonal.phases, permutation.image]
@@ -519,6 +533,87 @@ class TestValidateOnce:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = arr[0]
+
+
+def _panel_taus(op):
+    """The ``tau`` of each reflector: the diagonal of its panel's T."""
+    side, width = op.tfactors.shape
+    return np.array([op.tfactors[j, j % width] for j in range(side)])
+
+
+class TestHouseholderOp:
+    """The Haar draw kept as compact-WY panels, checked against the dense draw."""
+
+    @pytest.mark.parametrize("side", [1, 4, 32, 64, 96, 512, 1024])
+    def test_matches_dense_haar_draw(self, side):
+        layout = RegisterLayout([("A", side)])
+        op = haar_random_op(layout, ("A",), seed=side)
+        dense = haar_random_unitary(side, seed=side)
+        np.testing.assert_allclose(to_matrix(op, layout), dense, atol=1e-12)
+        np.testing.assert_allclose(to_matrix(op.adjoint(), layout), dense.conj().T, atol=1e-12)
+
+    def test_targets_index_in_layout_order(self):
+        layout = RegisterLayout([("A", 3), ("B", 2), ("C", 5)])
+        op = haar_random_op(layout, ("C", "A"), seed=4)
+        dense = LinearOp(layout, ("A", "C"), haar_random_unitary(15, seed=4))
+        np.testing.assert_allclose(to_matrix(op, layout), to_matrix(dense, layout), atol=1e-12)
+
+    @pytest.mark.parametrize("side", [4, 96])
+    def test_rejects_perturbed_tau(self, side):
+        layout = RegisterLayout([("A", side)])
+        op = haar_random_op(layout, ("A",), seed=side)
+        tau = _panel_taus(op)
+        tau[side // 2] += 1e-8
+        tfactors = _compact_wy_factors(op.reflectors, tau)
+        with pytest.raises(ValueError, match="not unitary"):
+            HouseholderOp(layout, ("A",), op.reflectors, tfactors, op.phases)
+
+    @pytest.mark.parametrize("side", [4, 96])
+    def test_rejects_perturbed_t(self, side):
+        layout = RegisterLayout([("A", side)])
+        op = haar_random_op(layout, ("A",), seed=side)
+        width = op.tfactors.shape[1]
+        tfactors = op.tfactors.copy()
+        tfactors[(side // 2) // width * width, 1] += 1e-8
+        with pytest.raises(ValueError, match="not unitary"):
+            HouseholderOp(layout, ("A",), op.reflectors, tfactors, op.phases)
+
+    def test_rejects_non_unit_phase(self):
+        layout = RegisterLayout([("A", 8)])
+        op = haar_random_op(layout, ("A",), seed=8)
+        phases = op.phases.copy()
+        phases[3] *= 1 + 1e-8
+        with pytest.raises(ValueError, match="not unitary"):
+            HouseholderOp(layout, ("A",), op.reflectors, op.tfactors, phases)
+
+    @pytest.mark.parametrize("side", [4, 96, 200])
+    def test_bound_is_at_least_dense_deviation(self, side):
+        layout = RegisterLayout([("A", side)])
+        op = haar_random_op(layout, ("A",), seed=side)
+        width = op.tfactors.shape[1]
+        tau = _panel_taus(op)
+        tau[side // 2] += 1e-8
+        tfactors = op.tfactors.copy()
+        tfactors[(side // 2) // width * width, 1] += 1e-8
+        variants = [
+            op,
+            _trusted_variant(op, tfactors=_compact_wy_factors(op.reflectors, tau)),
+            _trusted_variant(op, tfactors=tfactors),
+        ]
+        for variant in variants:
+            u = to_matrix(variant, layout)
+            dense = np.linalg.norm(u.conj().T @ u - np.eye(side), ord=2)
+            assert variant._deviation_bound() >= dense
+        assert op._deviation_bound() <= ATOL_OP
+        assert min(v._deviation_bound() for v in variants[1:]) > ATOL_OP
+
+    def test_rejects_wrong_shapes(self):
+        layout = RegisterLayout([("A", 4), ("B", 2)])
+        op = haar_random_op(layout, ("A",), seed=0)
+        with pytest.raises(ValueError, match="shapes"):
+            HouseholderOp(layout, ("B",), op.reflectors, op.tfactors, op.phases)
+        with pytest.raises(ValueError, match="shapes"):
+            HouseholderOp(layout, ("A",), op.reflectors, op.tfactors[:, :0], op.phases)
 
 
 class TestToMatrix:
