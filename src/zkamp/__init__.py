@@ -1,11 +1,12 @@
 """Exact certification of a Grover-amplified simulator for the GMW protocol.
 
-The package is organized bottom up: ``registers`` holds the dense
-tensor-product state algebra, ``symm`` the permutation and graph machinery,
-``protocol`` the real verifier view, ``simulator`` the coherent attempt
-circuit with its amplification identities, ``amplify`` the theory for
-arbitrary input-independent success probabilities, and ``cli`` the report
-runner.
+The package is organized bottom up: ``registers`` holds the tensor-product
+state and operator algebra, ``symm`` the permutation and graph machinery,
+``protocol`` the real verifier view in factored form, ``simulator`` the
+coherent attempt circuit with its amplification identities, ``amplify`` the
+theory for arbitrary input-independent success probabilities, and ``cli``
+the report runner.  The dense oracles the factored forms are checked against
+live with the tests, not here.
 """
 
 __version__ = "0.1.0"
@@ -14,7 +15,6 @@ from .amplify import (
     BlockDecomposition,
     NotLambdaUniformError,
     PhasePair,
-    TwoDimState,
     block_decompose,
     final_fail_amplitude,
     iterative_schedule,
@@ -22,7 +22,6 @@ from .amplify import (
     smallest_feasible_k,
     solve_phases,
     subspace_matrix,
-    succ_fail_states,
     toy_circuit,
     verify_block_identities,
     verify_subspace_closure,
@@ -36,11 +35,9 @@ from .protocol import (
     adversarial_verifier,
     honest_verifier,
     random_aux,
-    real_view,
     real_view_recorded,
 )
 from .registers import (
-    DensityOperator,
     DiagonalOp,
     HouseholderOp,
     LayoutMismatchError,
@@ -49,16 +46,9 @@ from .registers import (
     PermutationOp,
     RegisterLayout,
     StateVector,
-    apply,
-    basis_state,
-    dephase,
     haar_random_op,
-    haar_random_unitary,
     measure,
     measurement_probabilities,
-    partial_trace,
-    project,
-    trace_distance,
 )
 from .simulator import (
     AmplificationCheck,
@@ -71,13 +61,10 @@ from .simulator import (
     phase_on_start,
     phase_on_success,
     sample_round,
-    simulate_round,
     simulate_round_recorded,
     success_block_residual,
     success_norm_chain,
-    success_probability,
     success_projector,
-    watrous_round,
 )
 from .symm import (
     Graph,

@@ -60,23 +60,6 @@ class BlockDecomposition:
 
 
 @dataclass(frozen=True)
-class TwoDimState:
-    """Coefficients of a state in the (succ, fail) basis."""
-
-    c_succ: complex
-    c_fail: complex
-
-    def __post_init__(self):
-        total = abs(self.c_succ) ** 2 + abs(self.c_fail) ** 2
-        if abs(total - 1.0) > ATOL_NORM:
-            raise ValueError(f"coefficients have squared norm {total}, expected 1")
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.array([self.c_succ, self.c_fail], dtype=complex)
-
-
-@dataclass(frozen=True)
 class PhasePair:
     """The two unit-modulus phases of one amplification step."""
 
@@ -150,14 +133,6 @@ def verify_block_identities(b: BlockDecomposition) -> tuple[float, float, float]
     return r1, r2, r3
 
 
-def succ_fail_states(
-    circ: SimulatorCircuit, aux: StateVector
-) -> tuple[StateVector, StateVector, float]:
-    """Normalized success and failure projections of the attempt output."""
-    lam, succ, fail = first_measurement(circ, aux)
-    return StateVector(circ.layout, succ), StateVector(circ.layout, fail), lam
-
-
 def subspace_matrix(lam: float, phases: PhasePair) -> np.ndarray:
     """Exact step matrix in the (succ, fail) basis; columns are the images."""
     if not 0 < lam < 1:
@@ -178,16 +153,18 @@ def verify_subspace_closure(
 ) -> float:
     """Leakage out of span(succ, fail) plus deviation from the closed form."""
     layout = circ.layout
-    succ, fail, lam = succ_fail_states(circ, aux)
+    lam, succ, fail = first_measurement(circ, aux)
+    # Normalized a second time, which keeps the reported value bit for bit.
+    succ, fail = succ / float(np.linalg.norm(succ)), fail / float(np.linalg.norm(fail))
     step = grover_step(circ, phases.phi, phases.varphi)
     predicted = subspace_matrix(lam, phases)
     max_leak = 0.0
     max_dev = 0.0
     for col, x in enumerate((succ, fail)):
-        y = step.apply_to(layout, x.amps)
-        cs = np.vdot(succ.amps, y)
-        cf = np.vdot(fail.amps, y)
-        leak = np.linalg.norm(y - cs * succ.amps - cf * fail.amps)
+        y = step.apply_to(layout, x)
+        cs = np.vdot(succ, y)
+        cf = np.vdot(fail, y)
+        leak = np.linalg.norm(y - cs * succ - cf * fail)
         dev = np.linalg.norm(np.array([cs, cf]) - predicted[:, col])
         max_leak = max(max_leak, float(leak))
         max_dev = max(max_dev, float(dev))

@@ -21,7 +21,7 @@ from . import __version__, amplify, protocol, simulator
 from .amplify import PhasePair
 from .protocol import Instance, NotIsomorphicError
 from .registers import _EMBED_DIM_LIMIT, ATOL_NORM, ATOL_OP
-from .symm import format_graph_literal, parse_graph_literal
+from .symm import MAX_VERTICES, format_graph_literal, parse_graph_literal
 
 ORDER_GAP = 1e-6
 # One exact step reaches certainty iff lambda >= 1/4.  Just below it the
@@ -165,22 +165,39 @@ def build_instance(cfg: RunConfig) -> Instance:
         raise ConfigError("this command needs --g0 and --g1")
     g0 = _parse_graph(cfg.g0, cfg.n)
     g1 = _parse_graph(cfg.g1, cfg.n)
+    # A literal carries its own vertex count, so each graph is checked.
+    for graph in (g0, g1):
+        _check_graph_size(cfg.dims, graph.n)
     try:
         inst = Instance.from_graphs(g0, g1)
     except NotIsomorphicError as exc:
         raise ConfigError(f"graphs are not isomorphic: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    # Every command on a graph pair draws a verifier on W,V,A,Y, whose Householder
-    # reflectors fill a dense matrix of that side.
-    _check_embed_dim("the verifier unitary", protocol.view_layout(cfg.dims, inst.n).total_dim)
-    _check_vertex_count(inst.n)
     return inst
 
 
 def _check_vertex_count(n: int) -> None:
     if not 2 <= n <= 4:
         raise ConfigError(f"n must be in 2..4 for full verification runs, got {n}")
+
+
+def _check_graph_size(dims: tuple[int, int], n: int) -> None:
+    """Refuse a graph's vertex count and its verifier's size, before S_n is enumerated.
+
+    Every command on a graph pair draws a verifier on W,V,A,Y, whose
+    Householder reflectors fill a dense matrix of that side.  A refused n
+    also names an oversize verifier while n is in S_n's range
+    1..MAX_VERTICES; past it that size is never computed, as the graph
+    register alone has 2^(n(n-1)/2) states.
+    """
+    try:
+        _check_vertex_count(n)
+    except ConfigError as exc:
+        if 1 <= n <= MAX_VERTICES:
+            _check_embed_dim(f"{exc}; the verifier unitary", protocol.view_layout(dims, n).total_dim)
+        raise
+    _check_embed_dim("the verifier unitary", protocol.view_layout(dims, n).total_dim)
 
 
 def _check_embed_dim(what: str, dim: int) -> None:
@@ -330,7 +347,7 @@ def run_watrous(cfg: RunConfig) -> list[dict]:
         # Fidelity of the reflected failure branch with the success state.
         overlap = complex(np.vdot(succ, reflected))
         fidelity = abs(overlap) ** 2
-        # The first measurement, sampled as watrous_round samples it.
+        # The first measurement, sampled: it succeeds iff one uniform draw is below prob.
         succeeded = np.random.default_rng(branch_seed).random() < prob
         records.append(
             record(

@@ -8,15 +8,13 @@ verifier checks.  The verifier's end-of-round view is the dephased W,V,A,Y
 state together with the classical record of the sent graph, kept in an extra
 register Zp (and optionally the response permutation, kept in Z).
 
-Views are handled in two equivalent forms: a dense density operator over the
-full space, and a :class:`RecordedView` keyed by the classical record values.
-The record registers are never coherent, so the trace distance between two
+A view is a :class:`RecordedView` keyed by the classical record values.  The
+record registers are never coherent, so the trace distance between two
 views is the sum of per-record block distances.  Each block is stored as a
 low-rank factor ``X`` with ``block = X X†``: its columns are the challenge
 slices of the branch vectors behind that record value, at most 2 per
 branch.  Two blocks are compared through the QR core of their stacked
-factors, so no block is ever formed densely except by the small-size oracle
-:meth:`RecordedView.to_density_operator`.
+factors, so no block is ever formed densely.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ import numpy as np
 
 from .registers import (
     HADAMARD,
-    DensityOperator,
     LinearOp,
     RegisterLayout,
     StateVector,
@@ -47,8 +44,6 @@ from .symm import (
     invert,
     num_graph_codes,
 )
-
-_DENSE_VIEW_LIMIT = 4096
 
 
 class NotIsomorphicError(ValueError):
@@ -220,22 +215,6 @@ class RecordedView:
     def full_layout(self) -> RegisterLayout:
         return self.base_layout.extend(self.record_registers)
 
-    def to_density_operator(self) -> DensityOperator:
-        """Dense operator with the record registers appended to the layout."""
-        layout = self.full_layout()
-        if layout.total_dim > _DENSE_VIEW_LIMIT:
-            raise MemoryError(
-                f"dense view would be {layout.total_dim}x{layout.total_dim}; "
-                "compare RecordedView blocks instead"
-            )
-        record_layout = RegisterLayout(self.record_registers)
-        rec_dim = record_layout.total_dim
-        full = np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
-        for key, x in self.blocks.items():
-            offset = record_layout.flatten(key)
-            full[offset::rec_dim, offset::rec_dim] = x @ x.conj().T
-        return DensityOperator(layout, full)
-
 
 def view_records(n: int, keep_z: bool) -> tuple[tuple[str, int], ...]:
     """Record registers of a view: the sent graph Zp, after the response Z if kept."""
@@ -302,9 +281,3 @@ def real_view_recorded(
             pieces.append(((code,), cols))
     return RecordedView.from_columns(layout, view_records(n, keep_z), pieces)
 
-
-def real_view(
-    inst: Instance, ver: VerifierModel, aux: StateVector, keep_z: bool = False
-) -> DensityOperator:
-    """Dense form of :func:`real_view_recorded` (guarded by layout size)."""
-    return real_view_recorded(inst, ver, aux, keep_z=keep_z).to_density_operator()

@@ -1,17 +1,17 @@
 """Exact finite-dimensional quantum register algebra.
 
 Dense, double-precision linear algebra over named tensor-product registers:
-state vectors, density operators, unitaries and 0/1 diagonal projectors
-acting on register subsets, measurement channels, partial trace and trace
-distance.  Flattening is row major with the first register most significant,
-and that convention is the single source of truth for every index computation
-in the package: every operator acts through ``_on_targets``, and a dense
-matrix is only ever an operator applied to the identity (:func:`to_matrix`).
+state vectors, unitaries and 0/1 diagonal projectors acting on register
+subsets, computational-basis measurement and trace distance.  Flattening is
+row major with the first register most significant, and that convention is
+the single source of truth for every index computation in the package: every
+operator acts through ``_on_targets``, and a dense matrix is only ever an
+operator applied to the identity (:func:`to_matrix`).
 
-A Haar-random unitary is drawn densely by :func:`haar_random_unitary`, the
-oracle, and kept at runtime as Householder panels by :func:`haar_random_op`
-(:class:`HouseholderOp`): the same draw, with neither Q nor ``U† U`` formed,
-and validated by a spectral-norm bound built from small panel matrices.
+A Haar-random unitary is kept as Householder panels by :func:`haar_random_op`
+(:class:`HouseholderOp`): the QR of a Ginibre draw with neither Q nor
+``U† U`` formed, validated by a spectral-norm bound built from small panel
+matrices.
 
 All values are immutable after construction and every operation is pure
 (given its rng), so everything here is safe to share across threads.
@@ -22,7 +22,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -151,9 +151,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
-    def to_density_operator(self) -> "DensityOperator":
-        return DensityOperator(self.layout, np.outer(self.amps, self.amps.conj()))
-
     def overlap(self, other: "StateVector") -> complex:
         _require_same_layout(self.layout, other.layout)
         return complex(np.vdot(self.amps, other.amps))
@@ -161,30 +158,6 @@ class StateVector:
     def fidelity(self, other: "StateVector") -> float:
         """Squared overlap magnitude; insensitive to global phase."""
         return float(abs(self.overlap(other)) ** 2)
-
-
-@dataclass(frozen=True)
-class DensityOperator:
-    """PSD unit-trace operator over a layout."""
-
-    layout: RegisterLayout
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        d = self.layout.total_dim
-        if mat.shape != (d, d):
-            raise ValueError(f"matrix has shape {mat.shape}, expected ({d}, {d})")
-        if np.max(np.abs(mat - mat.conj().T)) > ATOL_OP:
-            raise ValueError(f"density operator is not Hermitian within {ATOL_OP}")
-        tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > ATOL_OP:
-            raise ValueError(f"density operator trace {tr} is not 1")
-        lo = float(np.linalg.eigvalsh(mat)[0])
-        if lo < -ATOL_OP:
-            raise ValueError(f"density operator has eigenvalue {lo} < -{ATOL_OP}")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
 
 
 def _canonical_targets(layout: RegisterLayout, targets: Sequence[str]) -> tuple[str, ...]:
@@ -520,79 +493,6 @@ def to_matrix(op, layout: RegisterLayout) -> np.ndarray:
     return op.apply_to(layout, np.eye(total, dtype=complex))
 
 
-# ---------------------------------------------------------------------------
-# Operations on states and density operators
-# ---------------------------------------------------------------------------
-
-def basis_state(layout: RegisterLayout, assignment: Mapping[str, int]) -> StateVector:
-    """Computational basis state with every register assigned an index."""
-    unknown = set(assignment) - set(layout.names)
-    if unknown:
-        raise KeyError(f"unknown registers {sorted(unknown)}; layout has {layout.names}")
-    missing = set(layout.names) - set(assignment)
-    if missing:
-        raise KeyError(f"registers {sorted(missing)} not assigned")
-    flat = layout.flatten([assignment[name] for name in layout.names])
-    amps = np.zeros(layout.total_dim, dtype=complex)
-    amps[flat] = 1.0
-    return StateVector(layout, amps)
-
-
-def apply(op, state: StateVector) -> StateVector:
-    """Apply a unitary (tensored with identity elsewhere) to a state.
-
-    A projector that actually shrinks the state is rejected so callers go
-    through :func:`project` and see the branch probability.
-    """
-    out = op.apply_to(state.layout, state.amps)
-    norm = float(np.linalg.norm(out))
-    if abs(norm - 1.0) > NORM_SLACK:
-        raise ValueError(
-            f"operator application changed the norm to {norm}; "
-            "use project() for measurements"
-        )
-    return StateVector(state.layout, out)
-
-
-def project(proj, state: StateVector) -> tuple[float, StateVector | None]:
-    """Born probability and collapsed state for a projective outcome.
-
-    ``proj`` is a projector :class:`DiagonalOp`, so the branch is the state
-    with its 0/1 mask applied.  Returns ``(0.0, None)`` when the branch has
-    no support, so callers can never renormalize numerical noise into a fake
-    state.
-    """
-    if getattr(proj, "kind", None) != "projector":
-        raise ValueError("project() requires a projector operator")
-    out = proj.apply_to(state.layout, state.amps)
-    norm = float(np.linalg.norm(out))
-    prob = norm**2
-    if norm < ATOL_NORM:
-        return 0.0, None
-    return prob, StateVector(state.layout, out / norm)
-
-
-def dephase(rho: DensityOperator, register: str) -> DensityOperator:
-    """Measure-and-forget channel: kill coherences of one register."""
-    return DensityOperator(
-        rho.layout, dephase_matrix(rho.layout, rho.matrix, register)
-    )
-
-
-def dephase_matrix(layout: RegisterLayout, matrix: np.ndarray, register: str) -> np.ndarray:
-    """Raw-matrix dephasing used on unnormalized blocks."""
-    axis = layout.axis(register)
-    dims = layout.dims
-    d = dims[axis]
-    left = 1
-    for k in range(axis):
-        left *= dims[k]
-    right = layout.total_dim // (left * d)
-    t = matrix.reshape(left, d, right, left, d, right)
-    mask = np.eye(d)[None, :, None, None, :, None]
-    return (t * mask).reshape(layout.total_dim, layout.total_dim)
-
-
 def measurement_probabilities(state: StateVector, register: str) -> np.ndarray:
     """Born probability of each computational outcome of one register."""
     axis = state.layout.axis(register)
@@ -620,45 +520,6 @@ def measure(
     return outcome, float(probs[outcome]), StateVector(state.layout, collapsed)
 
 
-def partial_trace(rho: DensityOperator, keep: Sequence[str]) -> DensityOperator:
-    """Trace out every register not named in ``keep`` (original order kept)."""
-    return DensityOperator(
-        rho.layout.keep(keep),
-        partial_trace_matrix(rho.layout, rho.matrix, keep),
-    )
-
-
-def partial_trace_matrix(
-    layout: RegisterLayout, matrix: np.ndarray, keep: Sequence[str]
-) -> np.ndarray:
-    keep_set = set(keep)
-    if not keep_set:
-        raise ValueError("keep set must be nonempty")
-    missing = keep_set - set(layout.names)
-    if missing:
-        raise KeyError(f"unknown registers {sorted(missing)}")
-    n = len(layout.dims)
-    tensor = matrix.reshape(layout.dims + layout.dims)
-    row = list(range(n))
-    col = list(range(n, 2 * n))
-    for i, name in enumerate(layout.names):
-        if name not in keep_set:
-            col[i] = row[i]
-    kept_axes = [i for i, name in enumerate(layout.names) if name in keep_set]
-    out_axes = kept_axes + [col[i] for i in kept_axes]
-    reduced = np.einsum(tensor, row + col, out_axes)
-    side = 1
-    for i in kept_axes:
-        side *= layout.dims[i]
-    return reduced.reshape(side, side)
-
-
-def trace_distance(r1: DensityOperator, r2: DensityOperator) -> float:
-    """Half the trace norm of the difference, via the Hermitian spectrum."""
-    _require_same_layout(r1.layout, r2.layout)
-    return trace_distance_matrices(r1.matrix, r2.matrix)
-
-
 def trace_distance_matrices(m1: np.ndarray, m2: np.ndarray) -> float:
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(m1 - m2))))
 
@@ -671,28 +532,17 @@ def _ginibre(dim: int, seed: int) -> np.ndarray:
     return (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
 
 
-def haar_random_unitary(dim: int, seed: int) -> np.ndarray:
-    """Haar-distributed unitary matrix, deterministic per seed.
-
-    QR of a complex Ginibre matrix with the R diagonal phase-fixed, which
-    makes the distribution exactly Haar invariant (Mezzadri 2007).  The dense
-    oracle of :func:`haar_random_op`.
-    """
-    q, r = np.linalg.qr(_ginibre(dim, seed))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
-
-
 # Columns per compact-WY panel of a Householder operator.
 _PANEL_WIDTH = 64
 
 
 def haar_random_op(layout: RegisterLayout, targets: Sequence[str], seed: int) -> HouseholderOp:
-    """The unitary of :func:`haar_random_unitary` on ``targets``, without forming Q.
+    """Haar-distributed unitary ``Q D`` on ``targets``, deterministic per seed, without forming Q.
 
-    The same Ginibre QR, taken in LAPACK's raw form: the transpose of the
-    returned array holds R on and above the diagonal and the reflectors
-    below it.  D fixes the phases of R's diagonal, as in the dense draw.
+    QR of a complex Ginibre matrix with D fixing the phases of R's diagonal,
+    which makes the distribution exactly Haar invariant (Mezzadri 2007).  The
+    QR is taken in LAPACK's raw form: the transpose of the returned array
+    holds R on and above the diagonal and the reflectors below it.
     """
     side = math.prod(layout.dim_of(name) for name in targets)
     raw, tau = np.linalg.qr(_ginibre(side, seed), mode="raw")

@@ -38,7 +38,6 @@ from .registers import (
     HADAMARD,
     NORM_SLACK,
     ZERO_NORM_SQ,
-    DensityOperator,
     DiagonalOp,
     LinearOp,
     OpChain,
@@ -121,16 +120,8 @@ def success_projector(layout: RegisterLayout) -> DiagonalOp:
     return DiagonalOp(layout, ("A", "B"), np.eye(dim_a).reshape(-1), kind="projector")
 
 
-def _unit_phase(value: complex) -> complex:
-    value = complex(value)
-    if abs(abs(value) - 1.0) > ATOL_NORM:
-        raise ValueError(f"phase must have unit modulus, got |{value}| = {abs(value)}")
-    return value
-
-
 def phase_on_start(layout: RegisterLayout, phi: complex) -> DiagonalOp:
     """Multiply by phi the slice where every non-W register is zero."""
-    phi = _unit_phase(phi)
     targets = tuple(name for name in layout.names if name != "W")
     diag = np.ones(math.prod(layout.dim_of(name) for name in targets), dtype=complex)
     diag[0] = phi
@@ -139,7 +130,6 @@ def phase_on_start(layout: RegisterLayout, phi: complex) -> DiagonalOp:
 
 def phase_on_success(success_proj: DiagonalOp, varphi: complex) -> DiagonalOp:
     """(varphi - 1) P + I on the success projector's registers."""
-    varphi = _unit_phase(varphi)
     return DiagonalOp(
         success_proj.layout, success_proj.targets, (varphi - 1) * success_proj.phases + 1
     )
@@ -200,11 +190,6 @@ def attempt_output(circ: SimulatorCircuit, aux: StateVector) -> np.ndarray:
     return circ.attempt.apply_to(circ.layout, circ.initial_amps(aux))
 
 
-def success_probability(circ: SimulatorCircuit, aux: StateVector) -> float:
-    out = attempt_output(circ, aux)
-    return float(np.linalg.norm(circ.success_proj.apply_to(circ.layout, out)) ** 2)
-
-
 def success_block_residual(circ: SimulatorCircuit) -> float:
     """Distance of the start-slice block of attempt^-1 P attempt from I/2.
 
@@ -235,28 +220,27 @@ class AmplificationCheck:
 
 
 def amplification_check(circ: SimulatorCircuit, aux: StateVector) -> AmplificationCheck:
-    """Compare the phase-i step output against (i-1) times the projected attempt.
+    """Compare the phase-i :func:`grover_step` output against (i-1) times the projected attempt.
 
     The identity holds with the start phase applied between the two attempt
-    halves and the success phase applied first; the swapped order is
-    evaluated as well and its residual reported, because the two orders give
-    visibly different states.
+    halves and the success phase applied first, the order the step runs; the
+    swapped order is evaluated as well and its residual reported, because the
+    two orders give visibly different states.
     """
     layout = circ.layout
     s1 = attempt_output(circ, aux)
     target = (1j - 1) * circ.success_proj.apply_to(layout, s1)
 
-    s0 = phase_on_start(layout, 1j)
-    sp = phase_on_success(circ.success_proj, 1j)
-    adj = circ.attempt.adjoint()
-    stepped = OpChain((sp, adj, s0, circ.attempt)).apply_to(layout, s1)
+    step = grover_step(circ, 1j, 1j)
+    stepped = step.apply_to(layout, s1)
     residual = float(np.linalg.norm(stepped - target))
 
     norm = float(np.linalg.norm(stepped))
     projected = circ.success_proj.apply_to(layout, stepped / norm)
     success_prob = float(np.linalg.norm(projected) ** 2)
 
-    swapped = OpChain((s0, adj, sp, circ.attempt)).apply_to(layout, s1)
+    sp, adj, s0, attempt = step.factors
+    swapped = OpChain((s0, adj, sp, attempt)).apply_to(layout, s1)
     swapped_residual = float(np.linalg.norm(swapped - target))
     return AmplificationCheck(residual, success_prob, swapped_residual)
 
@@ -282,7 +266,7 @@ def simulate_round_recorded(
     sent graph in Zp (and of the relabeling itself in Z when ``keep_z``).
     """
     if circ.inst is None or circ.ver is None:
-        raise ValueError("simulate_round needs a protocol circuit")
+        raise ValueError("simulate_round_recorded needs a protocol circuit")
     inst, ver = circ.inst, circ.ver
     n = inst.n
     perms = enumerate_sn(n)
@@ -301,13 +285,6 @@ def simulate_round_recorded(
             key = (z, code) if keep_z else (code,)
             pieces.append((key, challenge_columns(base_layout, branch)))
     return RecordedView.from_columns(base_layout, view_records(n, keep_z), pieces)
-
-
-def simulate_round(
-    circ: SimulatorCircuit, aux: StateVector, keep_z: bool = False
-) -> DensityOperator:
-    """Dense form of :func:`simulate_round_recorded` (guarded by layout size)."""
-    return simulate_round_recorded(circ, aux, keep_z=keep_z).to_density_operator()
 
 
 @dataclass(frozen=True)
@@ -372,19 +349,6 @@ def measure_then_reflect(
     """
     prob, succ, fail = first_measurement(circ, aux)
     return prob, succ, reflection(circ).apply_to(circ.layout, fail)
-
-
-def watrous_round(
-    circ: SimulatorCircuit, aux: StateVector, rng: np.random.Generator
-) -> tuple[bool, StateVector]:
-    """Measure-then-reflect alternative to the phase-i step.
-
-    Measure the success projector on the attempt output; on failure, keep
-    the reflected failure part of :func:`measure_then_reflect`.
-    """
-    prob, succ, reflected = measure_then_reflect(circ, aux)
-    succeeded = rng.random() < prob
-    return succeeded, StateVector(circ.layout, succ if succeeded else reflected)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,38 @@
-"""Dense kron oracles for the operator algebra.
+"""Dense oracles for the factored runtime path.
 
-The package builds every dense matrix by applying an operator to the
-identity (``zkamp.registers.to_matrix``).  The oracles here build the same
-matrices independently: each factor's local matrix is embedded with ``kron``
-and a tensor transpose, and a chain multiplies its embedded factors.
+The package keeps states as raw amplitude blocks, operators in factored
+form and verifier views as record-keyed factors, and builds every dense
+matrix by applying an operator to the identity (``zkamp.registers.to_matrix``).
+The oracles here are the independent dense forms the tests compare against:
+kron embeddings of operators, density operators with their channels and
+trace distance, checked state operations, the dense Haar draw, the dense
+verifier view, and the sampled measure-then-reflect round.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from zkamp.registers import DiagonalOp, HouseholderOp, LinearOp, OpChain, PermutationOp
+from zkamp.registers import (
+    ATOL_NORM,
+    ATOL_OP,
+    NORM_SLACK,
+    DiagonalOp,
+    HouseholderOp,
+    LinearOp,
+    OpChain,
+    PermutationOp,
+    RegisterLayout,
+    StateVector,
+    _ginibre,
+    _require_same_layout,
+    trace_distance_matrices,
+)
+from zkamp.simulator import attempt_output, measure_then_reflect
+
+# Largest full view layout, records included, that dense_view assembles.
+DENSE_VIEW_LIMIT = 4096
 
 
 def embed_matrix(layout, targets, matrix):
@@ -64,3 +86,157 @@ def kron_oracle(op, layout):
             out = kron_oracle(factor, layout) @ out
         return out
     return embed_matrix(layout, op.targets, local_matrix(op))
+
+
+@dataclass(frozen=True)
+class DensityOperator:
+    """PSD unit-trace operator over a layout."""
+
+    layout: RegisterLayout
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        mat = np.asarray(self.matrix, dtype=complex)
+        d = self.layout.total_dim
+        if mat.shape != (d, d):
+            raise ValueError(f"matrix has shape {mat.shape}, expected ({d}, {d})")
+        if np.max(np.abs(mat - mat.conj().T)) > ATOL_OP:
+            raise ValueError(f"density operator is not Hermitian within {ATOL_OP}")
+        tr = complex(np.trace(mat))
+        if abs(tr - 1.0) > ATOL_OP:
+            raise ValueError(f"density operator trace {tr} is not 1")
+        lo = float(np.linalg.eigvalsh(mat)[0])
+        if lo < -ATOL_OP:
+            raise ValueError(f"density operator has eigenvalue {lo} < -{ATOL_OP}")
+        mat.setflags(write=False)
+        object.__setattr__(self, "matrix", mat)
+
+
+def pure_density(state):
+    """The density operator of a state vector."""
+    return DensityOperator(state.layout, np.outer(state.amps, state.amps.conj()))
+
+
+def dephase(rho, register):
+    """Measure-and-forget channel: kill coherences of one register."""
+    return DensityOperator(rho.layout, dephase_matrix(rho.layout, rho.matrix, register))
+
+
+def dephase_matrix(layout, matrix, register):
+    """Raw-matrix dephasing used on unnormalized blocks."""
+    axis = layout.axis(register)
+    d = layout.dims[axis]
+    left = math.prod(layout.dims[:axis])
+    right = layout.total_dim // (left * d)
+    t = matrix.reshape(left, d, right, left, d, right)
+    mask = np.eye(d)[None, :, None, None, :, None]
+    return (t * mask).reshape(layout.total_dim, layout.total_dim)
+
+
+def partial_trace(rho, keep):
+    """Trace out every register not named in ``keep`` (original order kept)."""
+    layout = rho.layout
+    kept = layout.keep(keep)
+    if not kept.registers:
+        raise ValueError("keep set must be nonempty")
+    n = len(layout.dims)
+    row = list(range(n))
+    col = [i if name not in kept.names else n + i for i, name in enumerate(layout.names)]
+    kept_axes = layout.axes(kept.names)
+    out_axes = list(kept_axes) + [col[i] for i in kept_axes]
+    reduced = np.einsum(rho.matrix.reshape(layout.dims + layout.dims), row + col, out_axes)
+    return DensityOperator(kept, reduced.reshape(kept.total_dim, kept.total_dim))
+
+
+def trace_distance(r1, r2):
+    """Half the trace norm of the difference, via the Hermitian spectrum."""
+    _require_same_layout(r1.layout, r2.layout)
+    return trace_distance_matrices(r1.matrix, r2.matrix)
+
+
+def basis_state(layout, assignment):
+    """Computational basis state with every register assigned an index."""
+    unknown = set(assignment) - set(layout.names)
+    if unknown:
+        raise KeyError(f"unknown registers {sorted(unknown)}; layout has {layout.names}")
+    missing = set(layout.names) - set(assignment)
+    if missing:
+        raise KeyError(f"registers {sorted(missing)} not assigned")
+    amps = np.zeros(layout.total_dim, dtype=complex)
+    amps[layout.flatten([assignment[name] for name in layout.names])] = 1.0
+    return StateVector(layout, amps)
+
+
+def apply(op, state):
+    """Apply a unitary (tensored with identity elsewhere) to a state.
+
+    A projector that actually shrinks the state is rejected, so measurements
+    go through :func:`project` and its branch probability.
+    """
+    out = op.apply_to(state.layout, state.amps)
+    norm = float(np.linalg.norm(out))
+    if abs(norm - 1.0) > NORM_SLACK:
+        raise ValueError(
+            f"operator application changed the norm to {norm}; use project() for measurements"
+        )
+    return StateVector(state.layout, out)
+
+
+def project(proj, state):
+    """Born probability and collapsed state for a projective outcome.
+
+    Returns ``(0.0, None)`` when the branch has no support, so numerical
+    noise is never renormalized into a fake state.
+    """
+    if getattr(proj, "kind", None) != "projector":
+        raise ValueError("project() requires a projector operator")
+    out = proj.apply_to(state.layout, state.amps)
+    norm = float(np.linalg.norm(out))
+    if norm < ATOL_NORM:
+        return 0.0, None
+    return norm**2, StateVector(state.layout, out / norm)
+
+
+def haar_random_unitary(dim, seed):
+    """Dense oracle of ``zkamp.registers.haar_random_op``: Q D from the same Ginibre draw.
+
+    QR of a complex Ginibre matrix with the R diagonal phase-fixed, which
+    makes the distribution exactly Haar invariant (Mezzadri 2007).
+    """
+    q, r = np.linalg.qr(_ginibre(dim, seed))
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def dense_view(view):
+    """Dense operator of a ``RecordedView``, the record registers appended to its layout."""
+    layout = view.full_layout()
+    if layout.total_dim > DENSE_VIEW_LIMIT:
+        raise MemoryError(
+            f"dense view would be {layout.total_dim}x{layout.total_dim}; "
+            "compare RecordedView blocks instead"
+        )
+    record_layout = RegisterLayout(view.record_registers)
+    rec_dim = record_layout.total_dim
+    full = np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
+    for key, x in view.blocks.items():
+        offset = record_layout.flatten(key)
+        full[offset::rec_dim, offset::rec_dim] = x @ x.conj().T
+    return DensityOperator(layout, full)
+
+
+def success_probability(circ, aux):
+    """Squared norm of the projected attempt output."""
+    out = attempt_output(circ, aux)
+    return float(np.linalg.norm(circ.success_proj.apply_to(circ.layout, out)) ** 2)
+
+
+def watrous_round(circ, aux, rng):
+    """Measure-then-reflect alternative to the phase-i step.
+
+    Measure the success projector on the attempt output; on failure, keep
+    the reflected failure part of ``measure_then_reflect``.
+    """
+    prob, succ, reflected = measure_then_reflect(circ, aux)
+    succeeded = rng.random() < prob
+    return succeeded, StateVector(circ.layout, succ if succeeded else reflected)

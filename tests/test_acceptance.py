@@ -19,7 +19,6 @@ from zkamp.amplify import (
     smallest_feasible_k,
     solve_phases,
     subspace_matrix,
-    succ_fail_states,
     toy_circuit,
     verify_block_identities,
 )
@@ -37,13 +36,15 @@ from zkamp.simulator import (
     amplification_check,
     attempt_output,
     build_circuit,
+    first_measurement,
     grover_step,
     phase_on_start,
     simulate_round_recorded,
     success_block_residual,
-    success_probability,
 )
 from zkamp.symm import Graph, Permutation, act
+
+from oracles import success_probability
 
 OP_TOL = 1e-10
 ROT_TOL = 1e-12
@@ -233,7 +234,7 @@ class TestCriterion6BlockTheorySuite:
             worst_identity = max(worst_identity, *verify_block_identities(decomp))
 
             aux = random_aux(DIMS[0], 601)
-            succ, fail, lam = succ_fail_states(circ, aux)
+            lam, succ, fail = first_measurement(circ, aux)
             state = attempt_output(circ, aux)
             coeffs = np.array([np.sqrt(lam), np.sqrt(1 - lam)], dtype=complex)
             for _ in range(10):
@@ -245,7 +246,7 @@ class TestCriterion6BlockTheorySuite:
                     circ.layout, state
                 )
                 coeffs = subspace_matrix(lam, phases) @ coeffs
-                rebuilt = coeffs[0] * succ.amps + coeffs[1] * fail.amps
+                rebuilt = coeffs[0] * succ + coeffs[1] * fail
                 worst_leak = max(worst_leak, float(np.linalg.norm(state - rebuilt)))
 
             theta = np.arcsin(np.sqrt(lam))

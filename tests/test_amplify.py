@@ -6,7 +6,6 @@ import pytest
 from zkamp.amplify import (
     NotLambdaUniformError,
     PhasePair,
-    TwoDimState,
     _hermitian_norm_bound,
     block_decompose,
     computed_second_probability,
@@ -18,7 +17,6 @@ from zkamp.amplify import (
     solve_phases,
     stated_second_probability,
     subspace_matrix,
-    succ_fail_states,
     toy_circuit,
     verify_block_identities,
     verify_subspace_closure,
@@ -29,12 +27,12 @@ from zkamp.simulator import (
     SimulatorCircuit,
     attempt_output,
     build_circuit,
+    first_measurement,
     grover_step,
-    watrous_round,
 )
 from zkamp.symm import Graph
 
-from oracles import kron_oracle
+from oracles import kron_oracle, success_probability, watrous_round
 
 PATH3 = Graph(3, [(0, 1), (1, 2)])
 PATH3B = Graph(3, [(0, 1), (0, 2)])
@@ -164,17 +162,17 @@ class TestSuccFailStates:
     def test_orthonormal_and_resolve_attempt_output(self):
         circ = gmw_circuit(3)
         aux = random_aux(2, 7)
-        succ, fail, lam = succ_fail_states(circ, aux)
-        assert abs(np.vdot(succ.amps, fail.amps)) < TOL
-        recombined = np.sqrt(lam) * succ.amps + np.sqrt(1 - lam) * fail.amps
+        lam, succ, fail = first_measurement(circ, aux)
+        assert abs(np.vdot(succ, fail)) < TOL
+        recombined = np.sqrt(lam) * succ + np.sqrt(1 - lam) * fail
         assert np.linalg.norm(recombined - attempt_output(circ, aux)) < TOL
 
     def test_projector_eigenvectors(self):
         circ = toy_circuit(3, seed=4)
-        succ, fail, _ = succ_fail_states(circ, random_aux(2, 8))
+        _, succ, fail = first_measurement(circ, random_aux(2, 8))
         p = circ.success_proj
-        assert np.linalg.norm(p.apply_to(circ.layout, succ.amps) - succ.amps) < TOL
-        assert np.linalg.norm(p.apply_to(circ.layout, fail.amps)) < TOL
+        assert np.linalg.norm(p.apply_to(circ.layout, succ) - succ) < TOL
+        assert np.linalg.norm(p.apply_to(circ.layout, fail)) < TOL
 
     @staticmethod
     def always_succeeding_circuit():
@@ -185,7 +183,7 @@ class TestSuccFailStates:
     def test_boundary_rejected(self):
         degenerate = self.always_succeeding_circuit()
         with pytest.raises(ValueError):
-            succ_fail_states(degenerate, random_aux(2, 9))
+            first_measurement(degenerate, random_aux(2, 9))
 
     def test_watrous_round_rejects_certain_success(self):
         # The shared split refuses the boundary instead of normalizing an
@@ -234,11 +232,6 @@ class TestSubspaceMatrix:
         m = -subspace_matrix(lam, PhasePair(-1.0, -1.0))
         np.testing.assert_allclose(m, rotation, atol=1e-12)
 
-    def test_two_dim_state_type(self):
-        TwoDimState(np.sqrt(0.5), np.sqrt(0.5))
-        with pytest.raises(ValueError):
-            TwoDimState(1.0, 1.0)
-
 
 class TestSubspaceClosure:
     def test_gmw_phase_i(self):
@@ -261,7 +254,7 @@ class TestSubspaceClosure:
     def test_ten_iterations_stay_in_subspace(self):
         circ = toy_circuit(3, seed=7)
         aux = random_aux(2, 14)
-        succ, fail, lam = succ_fail_states(circ, aux)
+        lam, succ, fail = first_measurement(circ, aux)
         state = attempt_output(circ, aux)
         two_dim = evolve_two_dim(lam, [])
         rng = np.random.default_rng(15)
@@ -270,7 +263,7 @@ class TestSubspaceClosure:
                                np.exp(1j * rng.uniform(0, 2 * np.pi)))
             state = grover_step(circ, phases.phi, phases.varphi).apply_to(circ.layout, state)
             two_dim = subspace_matrix(lam, phases) @ two_dim
-            reconstructed = two_dim[0] * succ.amps + two_dim[1] * fail.amps
+            reconstructed = two_dim[0] * succ + two_dim[1] * fail
             assert np.linalg.norm(state - reconstructed) < TOL
 
 
@@ -414,8 +407,6 @@ class TestToyCircuit:
     def test_block_is_identity_over_m(self):
         # The half-probability identity generalizes: the top block is I/m,
         # so the success probability is 1/m for every auxiliary input.
-        from zkamp.simulator import success_probability
-
         circ = toy_circuit(4, seed=11)
         for seed in range(3):
             assert abs(success_probability(circ, random_aux(2, seed)) - 0.25) < TOL

@@ -5,12 +5,16 @@ import re
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import zkamp
 from zkamp import amplify, protocol, simulator
-from zkamp.cli import dump_json, run
+from zkamp.cli import dump_json, run, trial_seeds
 from zkamp.registers import DiagonalOp
+from zkamp.symm import parse_graph_literal
+
+from oracles import watrous_round
 
 N3 = ["--n", "3", "--g0", "01,12", "--g1", "01,02"]
 N4 = ["--n", "4", "--g0", "01,12,23", "--g1", "03,12,20"]
@@ -121,6 +125,7 @@ class TestOversizeRefusals:
             (protocol, "haar_random_op"),
             (amplify, "haar_random_op"),
             (protocol, "honest_verifier"),
+            (protocol, "find_isomorphism"),
             (simulator, "success_projector"),
             (amplify, "success_projector"),
         ):
@@ -150,12 +155,20 @@ class TestOversizeRefusals:
 
     @pytest.mark.parametrize("command", ["zk-check", "verify-eq1"])
     @pytest.mark.parametrize(
-        "g0, g1", [("n=5;edges=01", "n=5;edges=02"), ("n=1;edges=", "n=1;edges=")]
+        "g0, g1, extra",
+        [
+            pytest.param("n=5;edges=01", "n=5;edges=02", [], id="n=5;edges=01-n=5;edges=02"),
+            pytest.param("n=1;edges=", "n=1;edges=", [], id="n=1;edges=-n=1;edges="),
+            pytest.param("n=7;edges=01", "n=7;edges=02", [], id="n=7;edges=01-n=7;edges=02"),
+            pytest.param("n=5;edges=01", "n=5;edges=02", ["--dim-w", "4"], id="n=5-dim-w-4"),
+            pytest.param("n=200;edges=01", "n=200;edges=02", [], id="n=200"),
+        ],
     )
-    def test_literal_vertex_count_checked(self, capsys, command, g0, g1):
+    def test_literal_vertex_count_checked(self, capsys, command, g0, g1, extra):
         # Without --n the vertex count comes from the literals alone; n=5
-        # would start an 8192x8192 Haar draw.
-        assert run([command, "--g0", g0, "--g1", g1]) == 2
+        # would start an 8192x8192 Haar draw, n=7 is past S_n's range, and
+        # n=200's verifier size has thousands of digits.
+        assert run([command, "--g0", g0, "--g1", g1, *extra]) == 2
         assert "n must be in 2..4" in capsys.readouterr().err
 
 
@@ -259,6 +272,21 @@ class TestCommandContents:
         assert fid["value"] >= 1 - 1e-10
         # The reflection carries a global minus sign.
         assert fid["relative_phase"]["re"] == pytest.approx(-1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_sampled_flag_follows_watrous_round(self, capsys, seed):
+        argv = ["watrous", *N3, "--trials", "3", "--seed", str(seed)]
+        _, out = run_capture(capsys, argv)
+        fids = [r for r in json.loads(out)["records"] if r["claim"] == "reflected-state-fidelity"]
+        inst = protocol.Instance.from_graphs(
+            parse_graph_literal("n=3;edges=01,12"), parse_graph_literal("n=3;edges=01,02")
+        )
+        for t, rec in enumerate(fids):
+            ver_seed, aux_seed, branch_seed = trial_seeds(seed, t)
+            circ = simulator.build_circuit(inst, protocol.adversarial_verifier((2, 2), 3, ver_seed))
+            aux = protocol.random_aux(2, aux_seed)
+            succeeded, _ = watrous_round(circ, aux, np.random.default_rng(branch_seed))
+            assert rec["sampled_first_measurement_succeeded"] is succeeded
 
     def test_reflected_sign_is_gated(self, capsys, monkeypatch):
         # Negating the start phase flips the reflected state's global sign:

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from zkamp.protocol import (
-    _DENSE_VIEW_LIMIT,
     Instance,
     adversarial_verifier,
     honest_response,
@@ -24,14 +23,11 @@ from zkamp.protocol import (
     real_view_recorded,
     view_layout,
 )
-from zkamp.registers import (
-    RegisterLayout,
-    dephase_matrix,
-    trace_distance,
-    trace_distance_matrices,
-)
+from zkamp.registers import RegisterLayout, trace_distance_matrices
 from zkamp.simulator import build_circuit, simulate_round_recorded
 from zkamp.symm import Graph, act, encode, enumerate_sn
+
+from oracles import DENSE_VIEW_LIMIT, dense_view, dephase_matrix, trace_distance
 
 GRAPHS = {
     2: (Graph(2, [(0, 1)]), Graph(2, [(0, 1)])),
@@ -65,16 +61,16 @@ def build(case):
 
 
 def fits_dense(view):
-    return view.full_layout().total_dim <= _DENSE_VIEW_LIMIT
+    return view.full_layout().total_dim <= DENSE_VIEW_LIMIT
 
 
 _dense_cache = {}
 
 
 def dense(view):
-    """``view.to_density_operator()``, assembled once per (cached) view."""
+    """``dense_view(view)``, assembled once per (cached) view."""
     if id(view) not in _dense_cache:
-        _dense_cache[id(view)] = view.to_density_operator()
+        _dense_cache[id(view)] = dense_view(view)
     return _dense_cache[id(view)]
 
 

@@ -13,7 +13,6 @@ from zkamp.protocol import (
     honest_response,
     honest_verifier,
     random_aux,
-    real_view,
     real_view_recorded,
     view_layout,
 )
@@ -22,8 +21,6 @@ from zkamp.registers import (
     DiagonalOp,
     HouseholderOp,
     LinearOp,
-    basis_state,
-    partial_trace,
     to_matrix,
 )
 from zkamp.symm import (
@@ -35,6 +32,8 @@ from zkamp.symm import (
     enumerate_sn,
     num_graph_codes,
 )
+
+from oracles import basis_state, dense_view, partial_trace, trace_distance
 
 PATH3 = Graph(3, [(0, 1), (1, 2)])
 PATH3B = Graph(3, [(0, 1), (0, 2)])
@@ -88,7 +87,8 @@ class TestHonestVerifier:
         inst = path_instance()
         ver = honest_verifier(DIMS, 3)
         aux = random_aux(2, seed=3)
-        got = partial_trace(real_view(inst, ver, aux), ["W", "V", "A", "Y"])
+        rho = dense_view(real_view_recorded(inst, ver, aux))
+        got = partial_trace(rho, ["W", "V", "A", "Y"])
 
         dim_y = num_graph_codes(3)
         orbit = np.zeros((dim_y, dim_y), dtype=complex)
@@ -148,7 +148,7 @@ class TestRealView:
     def test_rigid_instance_pure_record(self):
         inst = Instance.from_graphs(EDGE2, EDGE2)
         ver = honest_verifier(DIMS, 2)
-        rho = real_view(inst, ver, basis_aux())
+        rho = dense_view(real_view_recorded(inst, ver, basis_aux()))
         y = partial_trace(rho, ["Y"])
         zp = partial_trace(rho, ["Zp"])
         code = encode(EDGE2)
@@ -160,7 +160,7 @@ class TestRealView:
     def test_orbit_uniform_weights(self):
         inst = path_instance()
         ver = honest_verifier(DIMS, 3)
-        rho = real_view(inst, ver, random_aux(2, seed=9))
+        rho = dense_view(real_view_recorded(inst, ver, random_aux(2, seed=9)))
         y = partial_trace(rho, ["Y"]).matrix
         np.testing.assert_allclose(y, np.diag(np.diag(y)), atol=1e-12)
         orbit_codes = {encode(act(tau, inst.g0)) for tau in enumerate_sn(3)}
@@ -172,14 +172,15 @@ class TestRealView:
     def test_challenge_marginal_is_dephased(self):
         inst = path_instance()
         ver = adversarial_verifier(DIMS, 3, seed=5)
-        rho = real_view(inst, ver, random_aux(2, seed=6))
+        rho = dense_view(real_view_recorded(inst, ver, random_aux(2, seed=6)))
         a = partial_trace(rho, ["A"]).matrix
         assert abs(a[0, 1]) < 1e-12 and abs(a[1, 0]) < 1e-12
 
     def test_honest_challenge_marginal_is_uniform(self):
         inst = path_instance()
         ver = honest_verifier(DIMS, 3)
-        a = partial_trace(real_view(inst, ver, random_aux(2, seed=7)), ["A"]).matrix
+        rho = dense_view(real_view_recorded(inst, ver, random_aux(2, seed=7)))
+        a = partial_trace(rho, ["A"]).matrix
         np.testing.assert_allclose(a, np.eye(2) / 2, atol=1e-10)
 
     def test_witness_independent(self):
@@ -197,14 +198,14 @@ class TestRealView:
         # DensityOperator construction enforces Hermitian, PSD, unit trace.
         inst = path_instance()
         ver = adversarial_verifier(DIMS, 3, seed=13)
-        rho = real_view(inst, ver, random_aux(2, seed=14))
+        rho = dense_view(real_view_recorded(inst, ver, random_aux(2, seed=14)))
         assert abs(np.trace(rho.matrix) - 1) < 1e-10
 
     def test_aux_layout_checked(self):
         inst = path_instance()
         ver = honest_verifier(DIMS, 3)
         with pytest.raises(ValueError):
-            real_view(inst, ver, random_aux(3, seed=0))
+            real_view_recorded(inst, ver, random_aux(3, seed=0))
 
 
 class TestRecordedView:
@@ -213,7 +214,7 @@ class TestRecordedView:
         ver = adversarial_verifier(DIMS, 2, seed=3)
         aux = random_aux(2, seed=4)
         view = real_view_recorded(inst, ver, aux)
-        dense = view.to_density_operator()
+        dense = dense_view(view)
         assert dense.layout.names == ("W", "V", "A", "Y", "Zp")
         assert abs(view.trace() - 1) < 1e-12
         # Rebuild by hand from the block factors.
@@ -229,9 +230,7 @@ class TestRecordedView:
         v1 = real_view_recorded(inst, adversarial_verifier(DIMS, 3, seed=1), aux)
         v2 = real_view_recorded(inst, adversarial_verifier(DIMS, 3, seed=2), aux)
         blocked = v1.trace_distance(v2)
-        from zkamp.registers import trace_distance
-
-        dense = trace_distance(v1.to_density_operator(), v2.to_density_operator())
+        dense = trace_distance(dense_view(v1), dense_view(v2))
         assert abs(blocked - dense) < 1e-10
         assert blocked > 1e-3  # different verifiers give different views
 

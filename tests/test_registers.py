@@ -7,7 +7,6 @@ import pytest
 
 from zkamp.registers import (
     ATOL_OP,
-    DensityOperator,
     DiagonalOp,
     HouseholderOp,
     LayoutMismatchError,
@@ -16,23 +15,28 @@ from zkamp.registers import (
     PermutationOp,
     RegisterLayout,
     StateVector,
-    apply,
-    basis_state,
     _compact_wy_factors,
     _trusted_variant,
-    dephase,
     haar_random_op,
-    haar_random_unitary,
     measure,
     measurement_probabilities,
-    partial_trace,
-    project,
     random_state,
     to_matrix,
-    trace_distance,
 )
 
-from oracles import embed_matrix, kron_oracle
+from oracles import (
+    DensityOperator,
+    apply,
+    basis_state,
+    dephase,
+    embed_matrix,
+    haar_random_unitary,
+    kron_oracle,
+    partial_trace,
+    project,
+    pure_density,
+    trace_distance,
+)
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -204,7 +208,7 @@ class TestDephase:
     def test_plus_state_to_maximally_mixed(self):
         layout = RegisterLayout([("A", 2)])
         plus = StateVector(layout, np.array([1, 1]) / np.sqrt(2))
-        out = dephase(plus.to_density_operator(), "A")
+        out = dephase(pure_density(plus), "A")
         np.testing.assert_allclose(out.matrix, np.eye(2) / 2, atol=1e-14)
 
     def test_idempotent_and_trace_preserving(self):
@@ -259,7 +263,7 @@ class TestPartialTrace:
     def test_bell_pair_marginal(self):
         layout = RegisterLayout([("A", 2), ("B", 2)])
         bell = StateVector(layout, np.array([1, 0, 0, 1]) / np.sqrt(2))
-        out = partial_trace(bell.to_density_operator(), ["A"])
+        out = partial_trace(pure_density(bell), ["A"])
         np.testing.assert_allclose(out.matrix, np.eye(2) / 2, atol=1e-14)
 
     def test_product_state_factor(self):
@@ -295,16 +299,16 @@ class TestTraceDistance:
 
     def test_orthogonal_pure_states(self):
         layout = RegisterLayout([("A", 2)])
-        r0 = basis_state(layout, {"A": 0}).to_density_operator()
-        r1 = basis_state(layout, {"A": 1}).to_density_operator()
+        r0 = pure_density(basis_state(layout, {"A": 0}))
+        r1 = pure_density(basis_state(layout, {"A": 1}))
         assert abs(trace_distance(r0, r1) - 1) < 1e-10
 
     def test_half_mixture(self):
         # Difference (rho - (rho+sigma)/2) = (rho - sigma)/2 has eigenvalues
         # +-1/2 for orthogonal pure rho, sigma, so the distance is 1/2.
         layout = RegisterLayout([("A", 2)])
-        rho = basis_state(layout, {"A": 0}).to_density_operator()
-        sigma = basis_state(layout, {"A": 1}).to_density_operator()
+        rho = pure_density(basis_state(layout, {"A": 0}))
+        sigma = pure_density(basis_state(layout, {"A": 1}))
         mix = DensityOperator(layout, (rho.matrix + sigma.matrix) / 2)
         assert abs(trace_distance(mix, rho) - 0.5) < 1e-10
 

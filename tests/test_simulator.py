@@ -9,11 +9,10 @@ from zkamp.protocol import (
     aux_layout,
     honest_verifier,
     random_aux,
-    real_view,
     real_view_recorded,
     view_layout,
 )
-from zkamp.registers import OpChain, StateVector, basis_state, to_matrix, trace_distance
+from zkamp.registers import OpChain, StateVector, to_matrix
 from zkamp.simulator import (
     amplification_chain_residuals,
     amplification_check,
@@ -24,16 +23,22 @@ from zkamp.simulator import (
     phase_on_success,
     sample_round,
     sim_layout,
-    simulate_round,
     simulate_round_recorded,
     success_block_residual,
     success_norm_chain,
-    success_probability,
     success_projector,
     uniform_superposition_unitary,
-    watrous_round,
 )
 from zkamp.symm import Graph, act, encode, enumerate_sn
+
+from oracles import (
+    basis_state,
+    dense_view,
+    project,
+    success_probability,
+    trace_distance,
+    watrous_round,
+)
 
 PATH3 = Graph(3, [(0, 1), (1, 2)])
 PATH3B = Graph(3, [(0, 1), (0, 2)])
@@ -218,8 +223,6 @@ class TestHalfProbabilityBlock:
             assert abs(success_probability(circ, random_aux(2, seed)) - 0.5) < TOL
 
     def test_projective_measurement_on_attempt_output(self):
-        from zkamp.registers import project
-
         circ = gmw_circuit(3, verifier_seed=1)
         s1 = StateVector(circ.layout, attempt_output(circ, random_aux(2, 50)))
         prob, collapsed = project(circ.success_proj, s1)
@@ -292,7 +295,8 @@ class TestSimulatedView:
     def test_matches_real_view_dense(self):
         circ = gmw_circuit(3, verifier_seed=2)
         aux = random_aux(2, seed=34)
-        d = trace_distance(simulate_round(circ, aux), real_view(circ.inst, circ.ver, aux))
+        sim = dense_view(simulate_round_recorded(circ, aux))
+        d = trace_distance(sim, dense_view(real_view_recorded(circ.inst, circ.ver, aux)))
         assert d < TOL
 
     def test_matches_real_view_n2(self):
