@@ -56,10 +56,12 @@ from .simulator import (
     SimulatorCircuit,
     amplification_chain_residuals,
     amplification_check,
+    amplified_state,
     build_circuit,
     grover_step,
     phase_on_start,
     phase_on_success,
+    recorded_view,
     sample_round,
     simulate_round_recorded,
     success_block_residual,

@@ -59,6 +59,10 @@ class RunConfig:
             _check_vertex_count(self.n)
         if min(self.dims) < 1:
             raise ConfigError(f"dims must be >= 1, got {self.dims}")
+        if self.seed < 0:
+            raise ConfigError(f"the seed (--seed or ZKAMP_SEED) must be >= 0, got {self.seed}")
+        if self.out is not None:
+            _check_writable(self.out)
 
     def as_dict(self) -> dict:
         out = {
@@ -75,6 +79,14 @@ class RunConfig:
         }
         out.update(self.extras)
         return out
+
+
+def _check_writable(path: str) -> None:
+    """Refuse a report path that cannot be written, before any work is done."""
+    parent = os.path.dirname(os.path.abspath(path))
+    target = path if os.path.exists(path) else parent
+    if os.path.isdir(path) or not os.path.isdir(parent) or not os.access(target, os.W_OK):
+        raise ConfigError(f"--out {path!r} is not a writable file path")
 
 
 def trial_seeds(seed: int, trial: int, count: int = 3) -> list[int]:
@@ -306,10 +318,12 @@ def run_zk_check(cfg: RunConfig) -> list[dict]:
     records = []
     for t, (_, aux_seed, sample_seed), circ in _trials(cfg, inst, verifier_kind):
         aux = protocol.random_aux(cfg.dims[0], aux_seed)
-        sim_view = simulator.simulate_round_recorded(circ, aux, keep_z=keep_z)
+        # One amplified state serves both the exact view and the sampled transcript.
+        amplified = simulator.amplified_state(circ, aux)
+        sim_view = simulator.recorded_view(circ, amplified, keep_z=keep_z)
         real = protocol.real_view_recorded(inst, circ.ver, aux, keep_z=keep_z)
         distance = sim_view.trace_distance(real)
-        sampled = simulator.sample_round(circ, aux, np.random.default_rng(sample_seed))
+        sampled = simulator.sample_round(circ, amplified, np.random.default_rng(sample_seed))
         records.append(
             residual_record(
                 f"view-equality[trial={t}]",

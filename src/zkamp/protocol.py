@@ -180,13 +180,6 @@ class RecordedView:
         blocks = {key: np.hstack(parts) for key, parts in grouped.items()}
         return cls(base_layout, record_registers, blocks)
 
-    def trace(self) -> float:
-        return float(sum(self.record_weights().values()))
-
-    def record_weights(self) -> dict[tuple[int, ...], float]:
-        """Trace of each block: the squared Frobenius norm of its factor."""
-        return {key: float(np.vdot(x, x).real) for key, x in self.blocks.items()}
-
     def trace_distance(self, other: "RecordedView") -> float:
         """Half trace norm of the difference, block by block.
 
@@ -211,9 +204,6 @@ class RecordedView:
             rx, ry = r[:, : x.shape[1]], r[:, x.shape[1] :]
             total += trace_distance_matrices(rx @ rx.conj().T, ry @ ry.conj().T)
         return total
-
-    def full_layout(self) -> RegisterLayout:
-        return self.base_layout.extend(self.record_registers)
 
 
 def view_records(n: int, keep_z: bool) -> tuple[tuple[str, int], ...]:

@@ -9,9 +9,10 @@ operator acts through ``_on_targets``, and a dense matrix is only ever an
 operator applied to the identity (:func:`to_matrix`).
 
 A Haar-random unitary is kept as Householder panels by :func:`haar_random_op`
-(:class:`HouseholderOp`): the QR of a Ginibre draw with neither Q nor
-``U† U`` formed, validated by a spectral-norm bound built from small panel
-matrices.
+(:class:`HouseholderOp`).  Its reflectors are drawn directly, each from its
+own Gaussian column, as the Householder QR of a Ginibre matrix would make
+them, so neither that matrix, its QR, Q nor ``U† U`` is ever formed.  It is
+validated by a spectral-norm bound built from small panel matrices.
 
 All values are immutable after construction and every operation is pure
 (given its rng), so everything here is safe to share across threads.
@@ -116,11 +117,6 @@ class RegisterLayout:
         return RegisterLayout(self.registers + tuple(extra))
 
 
-def _require_same_layout(a: RegisterLayout, b: RegisterLayout) -> None:
-    if a.registers != b.registers:
-        raise LayoutMismatchError(f"layouts differ: {a.registers} vs {b.registers}")
-
-
 @dataclass(frozen=True)
 class StateVector:
     """Normalized complex amplitude vector over a layout.
@@ -146,18 +142,6 @@ class StateVector:
         amps = amps / norm
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
-    def overlap(self, other: "StateVector") -> complex:
-        _require_same_layout(self.layout, other.layout)
-        return complex(np.vdot(self.amps, other.amps))
-
-    def fidelity(self, other: "StateVector") -> float:
-        """Squared overlap magnitude; insensitive to global phase."""
-        return float(abs(self.overlap(other)) ** 2)
 
 
 def _canonical_targets(layout: RegisterLayout, targets: Sequence[str]) -> tuple[str, ...]:
@@ -524,12 +508,21 @@ def trace_distance_matrices(m1: np.ndarray, m2: np.ndarray) -> float:
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(m1 - m2))))
 
 
-def _ginibre(dim: int, seed: int) -> np.ndarray:
-    """Complex Ginibre matrix (unit-variance Gaussian entries), deterministic per seed."""
+def _gaussian_columns(dim: int, seed: int) -> np.ndarray:
+    """Lower triangle of unit-variance complex Gaussians, deterministic per seed.
+
+    One draw of ``dim (dim + 1) / 2`` values fills the columns in order:
+    column j holds ``dim - j`` of them, from row j down.
+    """
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
     rng = np.random.default_rng(seed)
-    return (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
+    values = rng.standard_normal(dim * (dim + 1)).view(complex) / np.sqrt(2)
+    # The upper triangle of the transpose, filled row by row, is the lower
+    # triangle filled column by column.
+    lower_t = np.zeros((dim, dim), dtype=complex)
+    lower_t[np.tri(dim, dtype=bool).T] = values
+    return lower_t.T
 
 
 # Columns per compact-WY panel of a Householder operator.
@@ -539,18 +532,24 @@ _PANEL_WIDTH = 64
 def haar_random_op(layout: RegisterLayout, targets: Sequence[str], seed: int) -> HouseholderOp:
     """Haar-distributed unitary ``Q D`` on ``targets``, deterministic per seed, without forming Q.
 
-    QR of a complex Ginibre matrix with D fixing the phases of R's diagonal,
-    which makes the distribution exactly Haar invariant (Mezzadri 2007).  The
-    QR is taken in LAPACK's raw form: the transpose of the returned array
-    holds R on and above the diagonal and the reflectors below it.
+    Householder QR of a complex Ginibre matrix reduces column j to an i.i.d.
+    Gaussian vector of length ``side - j``, independent of the earlier
+    reflectors (Gaussian rotation invariance), so the reflectors are drawn
+    directly, one per column of :func:`_gaussian_columns` (Stewart 1980).
+    Each follows LAPACK's ``zlarfg``: for a column ``x`` with head ``alpha``,
+    ``beta = -sign(Re alpha) ||x||``, ``tau = (beta - alpha) / beta`` and
+    ``v = x / (alpha - beta)`` with a unit head.  ``beta`` is R's diagonal,
+    so ``D = sign(beta)`` makes the distribution exactly Haar (Mezzadri 2007).
     """
     side = math.prod(layout.dim_of(name) for name in targets)
-    raw, tau = np.linalg.qr(_ginibre(side, seed), mode="raw")
-    diag = np.diagonal(raw)
-    reflectors = np.tril(raw.T, -1)
+    reflectors = _gaussian_columns(side, seed)
+    alpha = reflectors.diagonal().copy()
+    beta = np.where(alpha.real >= 0, -1.0, 1.0) * np.linalg.norm(reflectors, axis=0)
+    tau = (beta - alpha) / beta
+    reflectors /= alpha - beta
     np.fill_diagonal(reflectors, 1.0)
     return HouseholderOp(
-        layout, targets, reflectors, _compact_wy_factors(reflectors, tau), diag / np.abs(diag)
+        layout, targets, reflectors, _compact_wy_factors(reflectors, tau), np.sign(beta)
     )
 
 

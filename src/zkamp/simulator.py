@@ -245,7 +245,8 @@ def amplification_check(circ: SimulatorCircuit, aux: StateVector) -> Amplificati
     return AmplificationCheck(residual, success_prob, swapped_residual)
 
 
-def _amplified_state(circ: SimulatorCircuit, aux: StateVector) -> np.ndarray:
+def amplified_state(circ: SimulatorCircuit, aux: StateVector) -> np.ndarray:
+    """Raw unit amplitudes of the attempt output after one phase-i :func:`grover_step`."""
     s1 = attempt_output(circ, aux)
     s2 = grover_step(circ, 1j, 1j).apply_to(circ.layout, s1)
     norm = float(np.linalg.norm(s2))
@@ -254,10 +255,10 @@ def _amplified_state(circ: SimulatorCircuit, aux: StateVector) -> np.ndarray:
     return s2 / norm
 
 
-def simulate_round_recorded(
-    circ: SimulatorCircuit, aux: StateVector, keep_z: bool = False
+def recorded_view(
+    circ: SimulatorCircuit, amplified: np.ndarray, keep_z: bool = False
 ) -> RecordedView:
-    """Simulated verifier view: amplify, then split each B,Z branch by challenge.
+    """Simulated verifier view of an :func:`amplified_state`: split each B,Z branch by challenge.
 
     The B,Z measurement is replaced by the exact Born-weighted mixture, so
     the output is deterministic; :func:`sample_round` keeps the sampling
@@ -266,14 +267,12 @@ def simulate_round_recorded(
     sent graph in Zp (and of the relabeling itself in Z when ``keep_z``).
     """
     if circ.inst is None or circ.ver is None:
-        raise ValueError("simulate_round_recorded needs a protocol circuit")
+        raise ValueError("a recorded view needs a protocol circuit")
     inst, ver = circ.inst, circ.ver
     n = inst.n
     perms = enumerate_sn(n)
     base_layout = view_layout(ver.dims, n)
-
-    s2 = _amplified_state(circ, aux)
-    tensor = s2.reshape(circ.layout.dims)
+    tensor = amplified.reshape(circ.layout.dims)
 
     pieces = []
     for b, graph in enumerate((inst.g0, inst.g1)):
@@ -285,6 +284,13 @@ def simulate_round_recorded(
             key = (z, code) if keep_z else (code,)
             pieces.append((key, challenge_columns(base_layout, branch)))
     return RecordedView.from_columns(base_layout, view_records(n, keep_z), pieces)
+
+
+def simulate_round_recorded(
+    circ: SimulatorCircuit, aux: StateVector, keep_z: bool = False
+) -> RecordedView:
+    """The :func:`recorded_view` of the amplified simulator on ``aux``."""
+    return recorded_view(circ, amplified_state(circ, aux), keep_z)
 
 
 @dataclass(frozen=True)
@@ -300,12 +306,12 @@ class SampledRound:
 
 
 def sample_round(
-    circ: SimulatorCircuit, aux: StateVector, rng: np.random.Generator
+    circ: SimulatorCircuit, amplified: np.ndarray, rng: np.random.Generator
 ) -> SampledRound:
-    """Measure B, Z, A of the amplified state and run the acceptance check."""
+    """Measure B, Z, A of an :func:`amplified_state` and run the acceptance check."""
     if circ.inst is None:
         raise ValueError("sample_round needs a protocol circuit")
-    state = StateVector(circ.layout, _amplified_state(circ, aux))
+    state = StateVector(circ.layout, amplified)
     b, _, state = measure(state, "B", rng)
     z, _, state = measure(state, "Z", rng)
     a, _, state = measure(state, "A", rng)

@@ -20,13 +20,13 @@ from zkamp.registers import (
     NORM_SLACK,
     DiagonalOp,
     HouseholderOp,
+    LayoutMismatchError,
     LinearOp,
     OpChain,
     PermutationOp,
     RegisterLayout,
     StateVector,
-    _ginibre,
-    _require_same_layout,
+    _gaussian_columns,
     trace_distance_matrices,
 )
 from zkamp.simulator import attempt_output, measure_then_reflect
@@ -148,9 +148,14 @@ def partial_trace(rho, keep):
     return DensityOperator(kept, reduced.reshape(kept.total_dim, kept.total_dim))
 
 
+def require_same_layout(a, b):
+    if a.registers != b.registers:
+        raise LayoutMismatchError(f"layouts differ: {a.registers} vs {b.registers}")
+
+
 def trace_distance(r1, r2):
     """Half the trace norm of the difference, via the Hermitian spectrum."""
-    _require_same_layout(r1.layout, r2.layout)
+    require_same_layout(r1.layout, r2.layout)
     return trace_distance_matrices(r1.matrix, r2.matrix)
 
 
@@ -165,6 +170,17 @@ def basis_state(layout, assignment):
     amps = np.zeros(layout.total_dim, dtype=complex)
     amps[layout.flatten([assignment[name] for name in layout.names])] = 1.0
     return StateVector(layout, amps)
+
+
+def overlap(a, b):
+    """Inner product of two state vectors over the same layout."""
+    require_same_layout(a.layout, b.layout)
+    return complex(np.vdot(a.amps, b.amps))
+
+
+def fidelity(a, b):
+    """Squared overlap magnitude; insensitive to global phase."""
+    return float(abs(overlap(a, b)) ** 2)
 
 
 def apply(op, state):
@@ -198,19 +214,56 @@ def project(proj, state):
 
 
 def haar_random_unitary(dim, seed):
-    """Dense oracle of ``zkamp.registers.haar_random_op``: Q D from the same Ginibre draw.
+    """Dense oracle of ``zkamp.registers.haar_random_op``: Mezzadri's Q D of a Ginibre matrix.
 
-    QR of a complex Ginibre matrix with the R diagonal phase-fixed, which
-    makes the distribution exactly Haar invariant (Mezzadri 2007).
+    The matrix is built from the same draw.  Each column of
+    ``_gaussian_columns`` gives one reflector by LAPACK's ``zlarfg``, and U is
+    their product, one reflector at a time, times D = sign(beta).  By the
+    Bartlett decomposition, ``G = U R`` is a complex Ginibre matrix when R
+    has the diagonal ``|beta|`` and i.i.d. complex Gaussians above it.  The
+    oracle returns Q D from ``np.linalg.qr(G)``, which equals U.
     """
-    q, r = np.linalg.qr(_ginibre(dim, seed))
+    cols = _gaussian_columns(dim, seed)
+    beta = np.empty(dim)
+    u = np.eye(dim, dtype=complex)
+    # Q = H_0 H_1 ... H_{d-1}, accumulated from the right: H_j only touches
+    # the trailing block once the later reflectors have been applied.
+    for j in reversed(range(dim)):
+        x = cols[j:, j]
+        alpha = x[0]
+        norm = float(np.linalg.norm(x))
+        beta[j] = -norm if alpha.real >= 0 else norm
+        tau = (beta[j] - alpha) / beta[j]
+        v = x / (alpha - beta[j])
+        v[0] = 1.0
+        block = u[j:, j:]
+        block -= (tau * v)[:, None] * (v.conj() @ block)
+    u *= np.sign(beta)
+    rng = np.random.default_rng((seed, 1))
+    upper = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
+    r = np.triu(upper, 1) + np.diag(np.abs(beta))
+    q, r = np.linalg.qr(u @ r)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
 
 
+def record_weights(view):
+    """Trace of each block of a ``RecordedView``: the squared Frobenius norm of its factor."""
+    return {key: float(np.vdot(x, x).real) for key, x in view.blocks.items()}
+
+
+def view_trace(view):
+    return float(sum(record_weights(view).values()))
+
+
+def full_layout(view):
+    """The layout of a ``RecordedView``'s base registers with its record registers appended."""
+    return view.base_layout.extend(view.record_registers)
+
+
 def dense_view(view):
     """Dense operator of a ``RecordedView``, the record registers appended to its layout."""
-    layout = view.full_layout()
+    layout = full_layout(view)
     if layout.total_dim > DENSE_VIEW_LIMIT:
         raise MemoryError(
             f"dense view would be {layout.total_dim}x{layout.total_dim}; "

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import zkamp
-from zkamp import amplify, protocol, simulator
+from zkamp import amplify, cli, protocol, simulator
 from zkamp.cli import dump_json, run, trial_seeds
 from zkamp.registers import DiagonalOp
 from zkamp.symm import parse_graph_literal
@@ -239,6 +239,26 @@ class TestDeterminism:
         path = tmp_path / "report.json"
         _, out = run_capture(capsys, ZK_ARGS + ["--out", str(path)])
         assert path.read_text() == out
+
+    @pytest.mark.parametrize("where", ["missing-dir/report.json", "."])
+    def test_unwritable_out_refused_before_work(self, capsys, monkeypatch, tmp_path, where):
+        def never(*args, **kwargs):
+            raise AssertionError("no instance may be built for a refused configuration")
+
+        monkeypatch.setattr(cli, "build_instance", never)
+        assert run(ZK_ARGS + ["--out", str(tmp_path / where)]) == 2
+        assert "not a writable file path" in capsys.readouterr().err
+        assert not (tmp_path / "missing-dir").exists()
+
+    def test_negative_seed_flag_refused(self, capsys):
+        argv = ["verify-eq1", *N3, "--seed", "-1"]
+        assert run(argv) == 2
+        assert "must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_negative_env_seed_refused(self, capsys, monkeypatch):
+        monkeypatch.setenv("ZKAMP_SEED", "-3")
+        assert run(ZK_ARGS) == 2
+        assert "must be >= 0, got -3" in capsys.readouterr().err
 
 
 class TestCommandContents:

@@ -27,7 +27,15 @@ from zkamp.registers import RegisterLayout, trace_distance_matrices
 from zkamp.simulator import build_circuit, simulate_round_recorded
 from zkamp.symm import Graph, act, encode, enumerate_sn
 
-from oracles import DENSE_VIEW_LIMIT, dense_view, dephase_matrix, trace_distance
+from oracles import (
+    DENSE_VIEW_LIMIT,
+    dense_view,
+    dephase_matrix,
+    full_layout,
+    record_weights,
+    trace_distance,
+    view_trace,
+)
 
 GRAPHS = {
     2: (Graph(2, [(0, 1)]), Graph(2, [(0, 1)])),
@@ -61,7 +69,7 @@ def build(case):
 
 
 def fits_dense(view):
-    return view.full_layout().total_dim <= DENSE_VIEW_LIMIT
+    return full_layout(view).total_dim <= DENSE_VIEW_LIMIT
 
 
 _dense_cache = {}
@@ -132,10 +140,10 @@ def test_factored_trace_and_weights_match_dense(case):
     for view in build(case)[3:]:
         record_layout = RegisterLayout(view.record_registers)
         rec_dim = record_layout.total_dim
-        weights = view.record_weights()
+        weights = record_weights(view)
         if fits_dense(view):
             full = dense(view).matrix
-            assert abs(view.trace() - np.trace(full).real) <= AGREE
+            assert abs(view_trace(view) - np.trace(full).real) <= AGREE
             for flat in range(rec_dim):
                 key = record_layout.unflatten(flat)
                 expected = np.trace(full[flat::rec_dim, flat::rec_dim]).real
@@ -143,7 +151,7 @@ def test_factored_trace_and_weights_match_dense(case):
         else:
             for key, x in view.blocks.items():
                 assert abs(weights[key] - np.trace(x @ x.conj().T).real) <= AGREE
-        assert abs(view.trace() - 1.0) <= AGREE
+        assert abs(view_trace(view) - 1.0) <= AGREE
 
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)

@@ -33,7 +33,14 @@ from zkamp.symm import (
     num_graph_codes,
 )
 
-from oracles import basis_state, dense_view, partial_trace, trace_distance
+from oracles import (
+    basis_state,
+    dense_view,
+    partial_trace,
+    record_weights,
+    trace_distance,
+    view_trace,
+)
 
 PATH3 = Graph(3, [(0, 1), (1, 2)])
 PATH3B = Graph(3, [(0, 1), (0, 2)])
@@ -216,7 +223,7 @@ class TestRecordedView:
         view = real_view_recorded(inst, ver, aux)
         dense = dense_view(view)
         assert dense.layout.names == ("W", "V", "A", "Y", "Zp")
-        assert abs(view.trace() - 1) < 1e-12
+        assert abs(view_trace(view) - 1) < 1e-12
         # Rebuild by hand from the block factors.
         rec_dim = 2
         manual = np.zeros_like(dense.matrix)
@@ -240,7 +247,7 @@ class TestRecordedView:
         view = real_view_recorded(inst, ver, basis_aux(), keep_z=True)
         assert view.record_registers == (("Z", 6), ("Zp", 8))
         perms = enumerate_sn(3)
-        assert abs(view.trace() - 1) < 1e-10
+        assert abs(view_trace(view) - 1) < 1e-10
         for (z, code), _block in view.blocks.items():
             response = perms[z]
             sent = decode(code, 3)
@@ -250,7 +257,7 @@ class TestRecordedView:
         inst = Instance.from_graphs(EDGE2, EDGE2)
         ver = adversarial_verifier(DIMS, 2, seed=6)
         view = real_view_recorded(inst, ver, basis_aux())
-        weights = view.record_weights()
+        weights = record_weights(view)
         assert set(weights) == {(encode(EDGE2),)}
         assert weights[(encode(EDGE2),)] == pytest.approx(1.0, abs=1e-12)
 

@@ -16,6 +16,7 @@ from zkamp.registers import (
     RegisterLayout,
     StateVector,
     _compact_wy_factors,
+    _gaussian_columns,
     _trusted_variant,
     haar_random_op,
     measure,
@@ -140,7 +141,7 @@ class TestApply:
         for seed in range(5):
             op = LinearOp(layout, ("A", "C"), haar_random_unitary(4, seed))
             s = StateVector(layout, random_state(12, seed + 50))
-            assert abs(apply(op, s).norm - 1) < 1e-12
+            assert abs(np.linalg.norm(apply(op, s).amps) - 1) < 1e-12
 
     def test_layout_mismatch(self):
         layout = RegisterLayout([("A", 2)])
@@ -555,6 +556,59 @@ class TestHouseholderOp:
         dense = haar_random_unitary(side, seed=side)
         np.testing.assert_allclose(to_matrix(op, layout), dense, atol=1e-12)
         np.testing.assert_allclose(to_matrix(op.adjoint(), layout), dense.conj().T, atol=1e-12)
+
+    @pytest.mark.parametrize("side", [1, 4, 32, 64, 96])
+    def test_raw_qr_of_bartlett_product_reproduces_the_draw(self, side):
+        # G = U R with R's diagonal |beta| and a Gaussian strict upper
+        # triangle is the Ginibre matrix the reflectors stand for: LAPACK's
+        # raw QR of it must give back the drawn reflectors, tau and beta.
+        layout = RegisterLayout([("A", side)])
+        op = haar_random_op(layout, ("A",), seed=side)
+        beta = op.phases.real * np.linalg.norm(_gaussian_columns(side, side), axis=0)
+        rng = np.random.default_rng(side + 1)
+        upper = np.triu(rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side)), 1)
+        raw, tau = np.linalg.qr(to_matrix(op, layout) @ (np.diag(np.abs(beta)) + upper), mode="raw")
+        np.testing.assert_allclose(np.tril(raw.T, -1), np.tril(op.reflectors, -1), atol=1e-12)
+        np.testing.assert_allclose(tau, _panel_taus(op), atol=1e-12)
+        np.testing.assert_allclose(np.diagonal(raw), beta, atol=1e-12)
+
+    def test_draw_fills_columns_from_one_stream(self):
+        side, seed = 5, 3
+        values = np.random.default_rng(seed).standard_normal(side * (side + 1)).view(complex)
+        cols = _gaussian_columns(side, seed)
+        start = 0
+        for j in range(side):
+            np.testing.assert_array_equal(cols[j:, j], values[start : start + side - j] / np.sqrt(2))
+            assert not cols[:j, j].any()
+            start += side - j
+
+    def test_makes_no_qr_call(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the Haar draw must not run a QR")
+
+        monkeypatch.setattr(np.linalg, "qr", never)
+        layout = RegisterLayout([("A", 4), ("B", 32)])
+        op = haar_random_op(layout, ("A", "B"), seed=0)
+        assert op.reflectors.shape == (128, 128)
+
+    @pytest.mark.parametrize("side", [1, 2, 3])
+    def test_haar_moments(self, side):
+        # Over Haar measure E[U_ij] = 0, E|U_ij|^2 = 1/d and E|tr U|^2 = 1.
+        # Without the phases D, U_00 has a negative real part on every draw.
+        layout = RegisterLayout([("A", side)])
+        samples = np.array(
+            [to_matrix(haar_random_op(layout, ("A",), seed), layout) for seed in range(2000)]
+        )
+        traces = np.abs(np.trace(samples, axis1=1, axis2=2)) ** 2
+        for values, expected in (
+            (samples.real, 0.0),
+            (samples.imag, 0.0),
+            (np.abs(samples) ** 2, 1.0 / side),
+            (traces, 1.0),
+        ):
+            error = np.abs(values.mean(axis=0) - expected)
+            sigma = values.std(axis=0) / np.sqrt(len(values))
+            assert np.all(error <= 5 * sigma + 1e-12), (error, sigma)
 
     def test_targets_index_in_layout_order(self):
         layout = RegisterLayout([("A", 3), ("B", 2), ("C", 5)])
