@@ -56,7 +56,6 @@ class BlockDecomposition:
     success_prob: float
     cross: np.ndarray
     rest: np.ndarray
-    split_note: str
 
 
 @dataclass(frozen=True)
@@ -103,10 +102,6 @@ def block_decompose(
         success_prob=lam,
         cross=conj[np.ix_(comp_idx, slice_idx)],
         rest=conj[np.ix_(comp_idx, comp_idx)],
-        split_note=(
-            f"rows and columns split into the W-times-zero-work slice "
-            f"(stride {dim_rest}) and its complement"
-        ),
     )
 
 

@@ -30,6 +30,12 @@ ORDER_GAP = 1e-6
 # to about 3e-11 below, well inside this slack.
 SINGLE_STEP_BOUNDARY = 0.25
 BOUNDARY_SLACK = 1e-9
+# The full-space schedule renormalises its failure branch before each
+# reflection, a power iteration: rounding outside the (succ, fail) plane grows
+# by 1/|1 - 2/m| per step (3x at m = 3).  At m = 3 the 1e-10 agreement with
+# the 2D schedule first breaks at 23 to 25 steps, depending on the dims.
+MAX_SCHEDULE_STEPS = 16
+COMPLETIONS = ("householder", "dft")
 
 
 class ConfigError(Exception):
@@ -95,9 +101,10 @@ def trial_seeds(seed: int, trial: int, count: int = 3) -> list[int]:
     return [int(x) for x in ss.generate_state(count)]
 
 
-def record(name: str, claim: str, value, tolerance, passed: bool, **extras) -> dict:
+def record(claim: str, label: str | None, value, tolerance, passed: bool, **extras) -> dict:
+    """One certificate record, named ``claim[label]``, or ``claim`` alone when ``label`` is None."""
     rec = {
-        "name": name,
+        "name": claim if label is None else f"{claim}[{label}]",
         "claim": claim,
         "value": value,
         "tolerance": tolerance,
@@ -107,8 +114,15 @@ def record(name: str, claim: str, value, tolerance, passed: bool, **extras) -> d
     return rec
 
 
-def residual_record(name: str, claim: str, value: float, tolerance: float = ATOL_OP, **extras) -> dict:
-    return record(name, claim, float(value), tolerance, float(value) <= tolerance, **extras)
+def residual_record(claim: str, label: str | None, value, tolerance=ATOL_OP, **extras) -> dict:
+    """Passes when ``value <= tolerance``."""
+    return record(claim, label, float(value), tolerance, float(value) <= tolerance, **extras)
+
+
+def near_record(claim: str, label: str | None, value, target, echo="target", **extras) -> dict:
+    """Passes when ``|value - target| <= ATOL_OP``; ``target`` is echoed under the key ``echo``."""
+    passed = abs(value - target) <= ATOL_OP
+    return record(claim, label, value, ATOL_OP, passed, **{echo: target}, **extras)
 
 
 # ---------------------------------------------------------------------------
@@ -252,21 +266,16 @@ def _trials(cfg: RunConfig, inst: Instance, kind: str = "adversarial"):
 # ---------------------------------------------------------------------------
 
 def run_verify_eq1(cfg: RunConfig) -> list[dict]:
+    """Check the input-independent half-probability block identity."""
     inst = build_instance(cfg)
     _, _, honest = next(_trials(cfg, inst, "honest"))
-    records = [
-        residual_record(
-            "half-success-block[honest]",
-            "half-success-block",
-            simulator.success_block_residual(honest),
-            verifier="honest",
-        )
-    ]
+    residual = simulator.success_block_residual(honest)
+    records = [residual_record("half-success-block", "honest", residual, verifier="honest")]
     for t, seeds, circ in _trials(cfg, inst):
         records.append(
             residual_record(
-                f"half-success-block[trial={t}]",
                 "half-success-block",
+                f"trial={t}",
                 simulator.success_block_residual(circ),
                 verifier="adversarial",
                 verifier_seed=seeds[0],
@@ -276,42 +285,30 @@ def run_verify_eq1(cfg: RunConfig) -> list[dict]:
 
 
 def run_verify_eq2(cfg: RunConfig) -> list[dict]:
+    """Check the single phase-i amplification step identity."""
     inst = build_instance(cfg)
     records = []
     for t, (_, aux_seed, _), circ in _trials(cfg, inst):
         aux = protocol.random_aux(cfg.dims[0], aux_seed)
         check = simulator.amplification_check(circ, aux)
-        records.append(
-            residual_record(
-                f"one-step-amplification[trial={t}]",
-                "one-step-amplification",
-                check.residual,
-            )
-        )
-        records.append(
+        label = f"trial={t}"
+        records += [
+            residual_record("one-step-amplification", label, check.residual),
+            near_record("post-step-success-probability", label, check.success_prob, 1.0),
             record(
-                f"post-step-success-probability[trial={t}]",
-                "post-step-success-probability",
-                check.success_prob,
-                ATOL_OP,
-                abs(check.success_prob - 1.0) <= ATOL_OP,
-                target=1.0,
-            )
-        )
-        records.append(
-            record(
-                f"operator-order-disambiguation[trial={t}]",
                 "operator-order-disambiguation",
+                label,
                 check.swapped_order_residual,
                 None,
                 check.swapped_order_residual > ORDER_GAP,
                 note="the swapped operator order must visibly differ",
-            )
-        )
+            ),
+        ]
     return records
 
 
 def run_zk_check(cfg: RunConfig) -> list[dict]:
+    """Compare the simulated verifier view against the real one."""
     inst = build_instance(cfg)
     verifier_kind = cfg.extras.get("verifier", "adversarial")
     keep_z = bool(cfg.extras.get("keep_z", False))
@@ -326,8 +323,8 @@ def run_zk_check(cfg: RunConfig) -> list[dict]:
         sampled = simulator.sample_round(circ, amplified, np.random.default_rng(sample_seed))
         records.append(
             residual_record(
-                f"view-equality[trial={t}]",
                 "view-equality",
+                f"trial={t}",
                 distance,
                 verifier=verifier_kind,
                 transcript={
@@ -343,30 +340,22 @@ def run_zk_check(cfg: RunConfig) -> list[dict]:
 
 
 def run_watrous(cfg: RunConfig) -> list[dict]:
+    """Check the measure-then-reflect variant."""
     inst = build_instance(cfg)
     records = []
     for t, (_, aux_seed, branch_seed), circ in _trials(cfg, inst):
         aux = protocol.random_aux(cfg.dims[0], aux_seed)
         prob, succ, reflected = simulator.measure_then_reflect(circ, aux)
-        records.append(
-            record(
-                f"first-measurement-probability[trial={t}]",
-                "first-measurement-probability",
-                prob,
-                ATOL_OP,
-                abs(prob - 0.5) <= ATOL_OP,
-                target=0.5,
-            )
-        )
         # Fidelity of the reflected failure branch with the success state.
         overlap = complex(np.vdot(succ, reflected))
         fidelity = abs(overlap) ** 2
         # The first measurement, sampled: it succeeds iff one uniform draw is below prob.
         succeeded = np.random.default_rng(branch_seed).random() < prob
-        records.append(
+        records += [
+            near_record("first-measurement-probability", f"trial={t}", prob, 0.5),
             record(
-                f"reflected-state-fidelity[trial={t}]",
                 "reflected-state-fidelity",
+                f"trial={t}",
                 fidelity,
                 ATOL_OP,
                 # The reflection lands on minus the success state.
@@ -374,8 +363,8 @@ def run_watrous(cfg: RunConfig) -> list[dict]:
                 target=1.0,
                 relative_phase=overlap,
                 sampled_first_measurement_succeeded=succeeded,
-            )
-        )
+            ),
+        ]
     return records
 
 
@@ -396,37 +385,19 @@ def _blocks_circuits(cfg: RunConfig):
 
 
 def run_blocks(cfg: RunConfig) -> list[dict]:
+    """Check the block decomposition identities and subspace closure."""
     records = []
     for label, circ, expected in _blocks_circuits(cfg):
         decomp = amplify.block_decompose(circ.attempt, circ.success_proj, circ.layout)
         records.append(
-            record(
-                f"scalar-top-block[{label}]",
-                "scalar-top-block",
-                decomp.success_prob,
-                ATOL_OP,
-                abs(decomp.success_prob - expected) <= ATOL_OP,
-                expected=expected,
-            )
+            near_record("scalar-top-block", label, decomp.success_prob, expected, echo="expected")
         )
-        r1, r2, r3 = amplify.verify_block_identities(decomp)
-        for i, value in enumerate((r1, r2, r3), start=1):
-            records.append(
-                residual_record(
-                    f"idempotence-identity-{i}[{label}]",
-                    f"idempotence-identity-{i}",
-                    value,
-                )
-            )
+        for i, value in enumerate(amplify.verify_block_identities(decomp), start=1):
+            records.append(residual_record(f"idempotence-identity-{i}", label, value))
         aux = protocol.random_aux(cfg.dims[0], cfg.seed + 1)
         for phases, tag in ((PhasePair(1j, 1j), "i,i"), (PhasePair(-1.0, -1.0), "-1,-1")):
-            records.append(
-                residual_record(
-                    f"subspace-closure[{label},phases={tag}]",
-                    "subspace-closure",
-                    amplify.verify_subspace_closure(circ, aux, phases),
-                )
-            )
+            closure = amplify.verify_subspace_closure(circ, aux, phases)
+            records.append(residual_record("subspace-closure", f"{label},phases={tag}", closure))
         lam = decomp.success_prob
         theta = np.arcsin(np.sqrt(lam))
         rotation = np.array(
@@ -438,18 +409,12 @@ def run_blocks(cfg: RunConfig) -> list[dict]:
         deviation = float(
             np.max(np.abs(-amplify.subspace_matrix(lam, PhasePair(-1.0, -1.0)) - rotation))
         )
-        records.append(
-            residual_record(
-                f"grover-rotation-form[{label}]",
-                "grover-rotation-form",
-                deviation,
-                ATOL_NORM,
-            )
-        )
+        records.append(residual_record("grover-rotation-form", label, deviation, ATOL_NORM))
     return records
 
 
 def run_phases(cfg: RunConfig) -> list[dict]:
+    """Solve for exact amplification phases over a success-probability grid."""
     lambdas = cfg.extras["lambdas"]
     k_max = cfg.extras["k_max"]
     records = []
@@ -466,11 +431,12 @@ def run_phases(cfg: RunConfig) -> list[dict]:
         if not agrees:
             mismatched.append(lam)
         found = amplify.smallest_feasible_k(lam, k_max)
+        claim, label = "exact-amplification-phases", f"lambda={lam:g}"
         if found is None:
             records.append(
                 record(
-                    f"exact-amplification-phases[lambda={lam:g}]",
-                    "exact-amplification-phases",
+                    claim,
+                    label,
                     None,
                     ATOL_OP,
                     False,
@@ -484,8 +450,8 @@ def run_phases(cfg: RunConfig) -> list[dict]:
         residual = amplify.final_fail_amplitude(lam, k, pair)
         records.append(
             record(
-                f"exact-amplification-phases[lambda={lam:g}]",
-                "exact-amplification-phases",
+                claim,
+                label,
                 residual,
                 ATOL_OP,
                 residual <= ATOL_OP,
@@ -498,7 +464,7 @@ def run_phases(cfg: RunConfig) -> list[dict]:
     records.append(
         record(
             "single-step-feasibility-boundary",
-            "single-step-feasibility-boundary",
+            None,
             min(single_step_ok) if single_step_ok else None,
             BOUNDARY_SLACK,
             not mismatched,
@@ -512,6 +478,7 @@ def run_phases(cfg: RunConfig) -> list[dict]:
 
 
 def run_schedule(cfg: RunConfig) -> list[dict]:
+    """Run the measure-then-reflect schedule and report its probabilities."""
     if cfg.m is None:
         raise ConfigError("schedule needs --m")
     _check_toy_circuit(cfg)
@@ -522,27 +489,17 @@ def run_schedule(cfg: RunConfig) -> list[dict]:
     aux = protocol.random_aux(cfg.dims[0], cfg.seed + 1)
     full = amplify.iterative_schedule_full(circ, aux, steps)
 
-    records = [
-        record(
-            "first-measurement-probability",
-            "first-measurement-probability",
-            two_dim[0],
-            ATOL_OP,
-            abs(two_dim[0] - lam) <= ATOL_OP,
-            target=lam,
-        )
-    ]
-    computed = amplify.computed_second_probability(lam)
-    stated = amplify.stated_second_probability(cfg.m)
+    records = [near_record("first-measurement-probability", None, two_dim[0], lam)]
     if len(two_dim) > 1:
+        computed = amplify.computed_second_probability(lam)
+        stated = amplify.stated_second_probability(cfg.m)
         records.append(
-            record(
+            near_record(
                 "second-measurement-probability",
-                "second-measurement-probability",
+                None,
                 two_dim[1],
-                ATOL_OP,
-                abs(two_dim[1] - computed) <= ATOL_OP,
-                computed_form=computed,
+                computed,
+                echo="computed_form",
                 stated_form=stated,
                 discrepancy_flagged=abs(computed - stated) > ATOL_NORM,
             )
@@ -550,19 +507,14 @@ def run_schedule(cfg: RunConfig) -> list[dict]:
     agreement = max(
         (abs(a - b) for a, b in zip(full, two_dim)), default=0.0
     ) + abs(len(full) - len(two_dim))
-    records.append(
-        residual_record(
-            "full-vs-two-dim-agreement", "full-vs-two-dim-agreement", agreement
-        )
-    )
-    floor_gap = min(two_dim) - lam
+    records.append(residual_record("full-vs-two-dim-agreement", None, agreement))
     records.append(
         record(
             "every-entry-at-least-lambda",
-            "every-entry-at-least-lambda",
+            None,
             float(min(two_dim)),
             None,
-            floor_gap >= -ATOL_OP,
+            min(two_dim) - lam >= -ATOL_OP,
             floor=lam,
             schedule=list(map(float, two_dim)),
         )
@@ -570,37 +522,58 @@ def run_schedule(cfg: RunConfig) -> list[dict]:
     return records
 
 
-HANDLERS = {
-    "verify-eq1": run_verify_eq1,
-    "verify-eq2": run_verify_eq2,
-    "zk-check": run_zk_check,
-    "watrous": run_watrous,
-    "blocks": run_blocks,
-    "phases": run_phases,
-    "schedule": run_schedule,
+# ---------------------------------------------------------------------------
+# Commands, their flags, and the entry point
+# ---------------------------------------------------------------------------
+
+FLAGS = {
+    "--n": dict(type=int, help="vertex count of the graph pair"),
+    "--g0": dict(help="first graph, e.g. 01,12"),
+    "--g1": dict(help="second graph, e.g. 01,02"),
+    "--m": dict(type=int, help="guess-space dimension of the abstract circuit"),
+    "--trials": dict(type=int, default=1),
+    "--seed": dict(type=int, default=0, help="base seed (env ZKAMP_SEED overrides)"),
+    "--dim-w": dict(type=int, default=2),
+    "--dim-v": dict(type=int, default=2),
+    # Defaulted in config_from_args, so that blocks --m can refuse an explicit value.
+    "--completion": dict(
+        choices=COMPLETIONS,
+        help="which unitary completion fills the relabeling superposition "
+        f"(default {COMPLETIONS[0]})",
+    ),
+    "--out": dict(help="also write the report here"),
+    "--verifier": dict(choices=("honest", "adversarial"), default="adversarial"),
+    "--keep-z": dict(action="store_true", help="also record the response permutation"),
+    "--lambdas": dict(
+        default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9", help="comma-separated success probabilities"
+    ),
+    "--k-max": dict(type=int, default=64),
+    "--steps": dict(type=int, default=4, help=f"measurements, at most {MAX_SCHEDULE_STEPS}"),
 }
+GRAPH_FLAGS = ("--n", "--g0", "--g1", "--trials", "--completion", "--dim-w", "--dim-v")
+
+# Each command's handler (whose docstring is its help) and the flags it reads;
+# every command also takes --seed and --out.
+COMMANDS = {
+    "verify-eq1": (run_verify_eq1, GRAPH_FLAGS),
+    "verify-eq2": (run_verify_eq2, GRAPH_FLAGS),
+    "zk-check": (run_zk_check, GRAPH_FLAGS + ("--verifier", "--keep-z")),
+    "watrous": (run_watrous, GRAPH_FLAGS),
+    "blocks": (run_blocks, GRAPH_FLAGS + ("--m",)),
+    "phases": (run_phases, ("--lambdas", "--k-max")),
+    "schedule": (run_schedule, ("--m", "--dim-w", "--dim-v", "--steps")),
+}
+HANDLERS = {name: handler for name, (handler, _) in COMMANDS.items()}
 
 
-# ---------------------------------------------------------------------------
-# Argument parsing and entry point
-# ---------------------------------------------------------------------------
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=int, default=None, help="vertex count of the graph pair")
-    parser.add_argument("--g0", type=str, default=None, help="first graph, e.g. 01,12")
-    parser.add_argument("--g1", type=str, default=None, help="second graph, e.g. 01,02")
-    parser.add_argument("--m", type=int, default=None, help="guess-space dimension of the abstract circuit")
-    parser.add_argument("--trials", type=int, default=1)
-    parser.add_argument("--seed", type=int, default=0, help="base seed (env ZKAMP_SEED overrides)")
-    parser.add_argument("--dim-w", type=int, default=2)
-    parser.add_argument("--dim-v", type=int, default=2)
-    parser.add_argument(
-        "--completion",
-        choices=("householder", "dft"),
-        default="householder",
-        help="which unitary completion fills the relabeling superposition",
-    )
-    parser.add_argument("--out", type=str, default=None, help="also write the report here")
+
+# The value echoed in the report's config for a flag the command does not take.
+_UNSET = {_dest(flag): spec.get("default") for flag, spec in FLAGS.items()}
+# Options that are RunConfig fields; a command's other flags are its extras.
+_FIELDS = {"n", "m", "trials", "seed", "dim_w", "dim_v", "g0", "g1", "out", "completion"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -609,74 +582,68 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numeric certification suite for the amplified round simulator.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    helps = {
-        "verify-eq1": "check the input-independent half-probability block identity",
-        "verify-eq2": "check the single phase-i amplification step identity",
-        "zk-check": "compare the simulated verifier view against the real one",
-        "watrous": "check the measure-then-reflect variant",
-        "blocks": "check the block decomposition identities and subspace closure",
-        "phases": "solve for exact amplification phases over a success-probability grid",
-        "schedule": "run the measure-then-reflect schedule and report its probabilities",
-    }
-    for name, help_text in helps.items():
-        p = sub.add_parser(name, help=help_text)
-        _add_common(p)
-        if name == "zk-check":
-            p.add_argument("--verifier", choices=("honest", "adversarial"), default="adversarial")
-            p.add_argument("--keep-z", action="store_true", help="also record the response permutation")
-        if name == "phases":
-            p.add_argument(
-                "--lambdas",
-                type=str,
-                default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9",
-                help="comma-separated success probabilities",
-            )
-            p.add_argument("--k-max", type=int, default=64)
-        if name == "schedule":
-            p.add_argument("--steps", type=int, default=4)
+    for name, (handler, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=handler.__doc__)
+        for flag in flags + ("--seed", "--out"):
+            p.add_argument(flag, **FLAGS[flag])
     return parser
 
 
+def _parse_lambdas(text: str) -> list[float]:
+    try:
+        lambdas = [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise ConfigError(f"bad --lambdas value {text!r}") from None
+    if not lambdas:
+        raise ConfigError("--lambdas needs at least one value")
+    for lam in lambdas:
+        if not 0 < lam < 1:
+            raise ConfigError(f"lambda values must be in (0, 1), got {lam}")
+    return lambdas
+
+
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    seed = args.seed
+    opts = {**_UNSET, **vars(args)}
+    seed = opts["seed"]
     env_seed = os.environ.get("ZKAMP_SEED")
     if env_seed is not None:
         try:
             seed = int(env_seed)
         except ValueError:
             raise ConfigError(f"ZKAMP_SEED must be an integer, got {env_seed!r}") from None
-    extras = {}
-    if args.command == "zk-check":
-        extras = {"verifier": args.verifier, "keep_z": args.keep_z}
-    elif args.command == "phases":
-        try:
-            lambdas = [float(tok) for tok in args.lambdas.split(",") if tok.strip()]
-        except ValueError:
-            raise ConfigError(f"bad --lambdas value {args.lambdas!r}") from None
-        if not lambdas:
-            raise ConfigError("--lambdas needs at least one value")
-        for lam in lambdas:
-            if not 0 < lam < 1:
-                raise ConfigError(f"lambda values must be in (0, 1), got {lam}")
-        if args.k_max < 1:
-            raise ConfigError(f"--k-max must be >= 1, got {args.k_max}")
-        extras = {"lambdas": lambdas, "k_max": args.k_max}
-    elif args.command == "schedule":
-        if args.steps < 1:
-            raise ConfigError(f"--steps must be >= 1, got {args.steps}")
-        extras = {"steps": args.steps}
+    if args.command == "blocks" and opts["m"] is not None:
+        given = [f"--{key}" for key in ("n", "g0", "g1", "completion") if opts[key] is not None]
+        if given:
+            raise ConfigError(
+                f"blocks --m builds the abstract 1/m circuit, which ignores {', '.join(given)}"
+            )
+    _, flags = COMMANDS[args.command]
+    extras = {_dest(f): opts[_dest(f)] for f in flags if _dest(f) not in _FIELDS}
+    if "lambdas" in extras:
+        extras["lambdas"] = _parse_lambdas(extras["lambdas"])
+        if extras["k_max"] < 1:
+            raise ConfigError(f"--k-max must be >= 1, got {extras['k_max']}")
+    if "steps" in extras:
+        if extras["steps"] < 1:
+            raise ConfigError(f"--steps must be >= 1, got {extras['steps']}")
+        if extras["steps"] > MAX_SCHEDULE_STEPS:
+            raise ConfigError(
+                f"--steps must be at most {MAX_SCHEDULE_STEPS}, got {extras['steps']}: the "
+                "full-space schedule grows rounding outside the (succ, fail) plane by "
+                "1/|1 - 2/m| per step, and at m = 3 it loses its 1e-10 agreement with "
+                "the 2D schedule by 23 to 25 steps"
+            )
     cfg = RunConfig(
         command=args.command,
-        n=args.n,
-        m=args.m,
-        trials=args.trials,
+        n=opts["n"],
+        m=opts["m"],
+        trials=opts["trials"],
         seed=seed,
-        dims=(args.dim_w, args.dim_v),
-        g0=args.g0,
-        g1=args.g1,
-        out=args.out,
-        completion=args.completion,
+        dims=(opts["dim_w"], opts["dim_v"]),
+        g0=opts["g0"],
+        g1=opts["g1"],
+        out=opts["out"],
+        completion=opts["completion"] or COMPLETIONS[0],
         extras=extras,
     )
     cfg.validate()

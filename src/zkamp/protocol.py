@@ -226,12 +226,27 @@ def challenge_columns(layout: RegisterLayout, vec: np.ndarray) -> np.ndarray:
     return cols.reshape(dims[axis], -1).T
 
 
-def _check_aux(ver: VerifierModel, aux: StateVector) -> None:
-    if aux.layout.registers != (("W", ver.dim_w),):
+def check_aux(dim_w: int, aux: StateVector) -> None:
+    """Refuse an auxiliary input that does not live on a W-only layout of dimension ``dim_w``."""
+    if aux.layout.registers != (("W", dim_w),):
         raise ValueError(
-            f"auxiliary input must live on a W-only layout of dim {ver.dim_w}, "
+            f"auxiliary input must live on a W-only layout of dim {dim_w}, "
             f"got {aux.layout.registers}"
         )
+
+
+def verifier_outputs(
+    ver: VerifierModel, n: int, aux: StateVector, codes, scale: float = 1.0
+) -> np.ndarray:
+    """``U_V`` on ``scale |aux, V=0, A=0, Y=code>`` for each Y code, one column per code.
+
+    The verifier runs once, on the block of all the initial states.
+    """
+    check_aux(ver.dim_w, aux)
+    layout = view_layout(ver.dims, n)
+    starts = np.zeros((layout.total_dim // ver.dim_w, len(codes)), dtype=complex)
+    starts[codes, np.arange(len(codes))] = scale
+    return ver.u_v.apply_to(layout, np.kron(aux.amps[:, None], starts))
 
 
 def real_view_recorded(
@@ -243,22 +258,13 @@ def real_view_recorded(
     state, split the output by challenge value (the dephasing of A), and
     record the sent graph in Zp.  With ``keep_z`` the prover's step-(c)
     response is recorded too, so each challenge slice goes to the record
-    value of its own response.  The verifier runs once, on the block of all
-    n! initial states.
+    value of its own response.  Each start carries its 1/sqrt(n!) weight.
     """
-    _check_aux(ver, aux)
     n = inst.n
     layout = view_layout(ver.dims, n)
-    base = aux.amps
-    dim_vay = layout.total_dim // ver.dim_w
     perms = enumerate_sn(n)
-    scale = np.sqrt(1.0 / len(perms))
-
     codes = [encode(act(tau, inst.g0)) for tau in perms]
-    starts = np.zeros((dim_vay, len(perms)), dtype=complex)
-    # V and A start at 0, so each relabeling's start is its Y code.
-    starts[codes, np.arange(len(perms))] = scale
-    outs = ver.u_v.apply_to(layout, np.kron(base[:, None], starts))
+    outs = verifier_outputs(ver, n, aux, codes, np.sqrt(1.0 / len(perms)))
 
     pieces = []
     for i, (tau, code) in enumerate(zip(perms, codes)):

@@ -30,6 +30,8 @@ from .protocol import (
     VerifierModel,
     accept,
     challenge_columns,
+    check_aux,
+    verifier_outputs,
     view_layout,
     view_records,
 )
@@ -102,10 +104,7 @@ class SimulatorCircuit:
 
     def initial_amps(self, aux: StateVector) -> np.ndarray:
         """Raw amplitudes of the auxiliary input next to all-zero work registers."""
-        if aux.layout.registers != (("W", self.dim_w),):
-            raise ValueError(
-                f"auxiliary input must live on a W-only layout of dim {self.dim_w}"
-            )
+        check_aux(self.dim_w, aux)
         rest = np.zeros(self.layout.total_dim // self.dim_w, dtype=complex)
         rest[0] = 1.0
         return np.kron(aux.amps, rest)
@@ -362,16 +361,9 @@ def measure_then_reflect(
 # ---------------------------------------------------------------------------
 
 def _branch_inputs(circ: SimulatorCircuit, aux: StateVector, codes) -> list[list[np.ndarray]]:
-    """Verifier outputs U_V |aux, 0, 0, code> for a (guess, relabeling) code table.
-
-    The verifier runs once, on the block of all the table's initial states.
-    """
-    layout = view_layout(circ.ver.dims, circ.inst.n)
-    dim_vay = layout.total_dim // circ.dim_w
+    """Verifier outputs U_V |aux, 0, 0, code> for a (guess, relabeling) code table."""
     flat = [code for row in codes for code in row]
-    starts = np.zeros((dim_vay, len(flat)), dtype=complex)
-    starts[flat, np.arange(len(flat))] = 1.0
-    outs = iter(circ.ver.u_v.apply_to(layout, np.kron(aux.amps[:, None], starts)).T.copy())
+    outs = iter(verifier_outputs(circ.ver, circ.inst.n, aux, flat).T.copy())
     return [[next(outs) for _ in row] for row in codes]
 
 

@@ -10,7 +10,15 @@ import pytest
 
 import zkamp
 from zkamp import amplify, cli, protocol, simulator
-from zkamp.cli import dump_json, run, trial_seeds
+from zkamp.cli import (
+    MAX_SCHEDULE_STEPS,
+    build_parser,
+    dump_json,
+    near_record,
+    record,
+    run,
+    trial_seeds,
+)
 from zkamp.registers import DiagonalOp
 from zkamp.symm import parse_graph_literal
 
@@ -19,6 +27,33 @@ from oracles import watrous_round
 N3 = ["--n", "3", "--g0", "01,12", "--g1", "01,02"]
 N4 = ["--n", "4", "--g0", "01,12,23", "--g1", "03,12,20"]
 ZK_ARGS = ["zk-check", "--n", "3", "--g0", "01,12", "--g1", "01,02", "--trials", "5", "--seed", "7"]
+
+# The flags each command's handler reads; every command also takes --seed and --out.
+GRAPH_FLAGS = ("--n", "--g0", "--g1", "--trials", "--completion", "--dim-w", "--dim-v")
+READS = {
+    "verify-eq1": GRAPH_FLAGS,
+    "verify-eq2": GRAPH_FLAGS,
+    "zk-check": GRAPH_FLAGS + ("--verifier", "--keep-z"),
+    "watrous": GRAPH_FLAGS,
+    "blocks": GRAPH_FLAGS + ("--m",),
+    "schedule": ("--m", "--dim-w", "--dim-v", "--steps"),
+    "phases": ("--lambdas", "--k-max"),
+}
+FLAG_VALUES = {
+    "--n": ["3"],
+    "--g0": ["01,12"],
+    "--g1": ["01,02"],
+    "--m": ["4"],
+    "--trials": ["1"],
+    "--completion": ["dft"],
+    "--dim-w": ["2"],
+    "--dim-v": ["2"],
+    "--verifier": ["honest"],
+    "--keep-z": [],
+    "--lambdas": ["0.5"],
+    "--k-max": ["4"],
+    "--steps": ["2"],
+}
 
 
 def run_capture(capsys, argv):
@@ -111,6 +146,102 @@ class TestExitCodes:
         argv = ["blocks", "--n", "3", "--g0", "01,12", "--g1", "01,02"]
         assert run(argv + ["--dim-w", "8", "--dim-v", "8"]) == 2
         assert "12288" in capsys.readouterr().err
+
+
+class TestFlags:
+    """Each command takes exactly the flags its handler reads."""
+
+    def test_parser_matches_the_table(self):
+        subparsers = build_parser()._subparsers._group_actions[0].choices
+        taken = {
+            name: {flag for flag in p._option_string_actions if flag.startswith("--")} - {"--help"}
+            for name, p in subparsers.items()
+        }
+        assert taken == {name: {*reads, "--seed", "--out"} for name, reads in READS.items()}
+        assert sum(map(len, taken.values())) == 58
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(cmd, flag) for cmd, reads in READS.items() for flag in FLAG_VALUES if flag not in reads],
+    )
+    def test_flag_not_read_exits_two(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            run([command, flag, *FLAG_VALUES[flag]])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--n", "3"], ["--g0", "01,12"], ["--g1", "01,02"], ["--completion", "householder"]],
+        ids=lambda extra: extra[0],
+    )
+    def test_blocks_m_refuses_graph_flags(self, capsys, monkeypatch, extra):
+        def never(*args, **kwargs):
+            raise AssertionError("toy_circuit must not be built")
+
+        monkeypatch.setattr(amplify, "toy_circuit", never)
+        assert run(["blocks", "--m", "4", *extra]) == 2
+        err = capsys.readouterr().err
+        assert "blocks --m" in err and extra[0] in err
+
+    def test_config_keeps_every_key_for_flags_not_taken(self, capsys):
+        _, out = run_capture(capsys, ["phases", "--lambdas", "0.5"])
+        assert json.loads(out)["config"] == {
+            "command": "phases",
+            "n": None,
+            "m": None,
+            "trials": 1,
+            "seed": 0,
+            "dims": [2, 2],
+            "g0": None,
+            "g1": None,
+            "completion": "householder",
+            "out": None,
+            "lambdas": [0.5],
+            "k_max": 64,
+        }
+        assert '"config": {"command": "phases", "n": null, "m": null, "trials": 1' in out
+
+    @pytest.mark.parametrize("seed", ["7", "11", "12345"])
+    def test_schedule_steps_at_the_bound_pass(self, capsys, seed):
+        argv = ["schedule", "--m", "3", "--steps", str(MAX_SCHEDULE_STEPS), "--seed", seed]
+        code, out = run_capture(capsys, argv)
+        assert code == 0
+        records = json.loads(out)["records"]
+        assert all(r["pass"] for r in records)
+        assert len(records[-1]["schedule"]) == MAX_SCHEDULE_STEPS
+
+    def test_schedule_steps_above_the_bound_refused_before_building(self, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("toy_circuit must not be built")
+
+        monkeypatch.setattr(amplify, "toy_circuit", never)
+        assert run(["schedule", "--m", "3", "--steps", str(MAX_SCHEDULE_STEPS + 1)]) == 2
+        err = capsys.readouterr().err
+        assert f"at most {MAX_SCHEDULE_STEPS}, got {MAX_SCHEDULE_STEPS + 1}" in err
+        assert "(succ, fail) plane" in err
+
+    def test_full_schedule_drifts_past_the_bound(self):
+        # The reason for the bound: the full-space schedule loses the 2D
+        # schedule at m = 3 within a few steps past it.
+        lam, steps = 1.0 / 3, 2 * MAX_SCHEDULE_STEPS
+        circ = amplify.toy_circuit(3, (2, 2), trial_seeds(7, 0)[0])
+        full = amplify.iterative_schedule_full(circ, protocol.random_aux(2, 8), steps)
+        two_dim = amplify.iterative_schedule(lam, steps)
+        gaps = [abs(a - b) for a, b in zip(full, two_dim)]
+        assert max(gaps[:MAX_SCHEDULE_STEPS]) <= 1e-10 < max(gaps)
+
+
+class TestRecords:
+    def test_name_is_claim_with_label(self):
+        assert record("c", "trial=0", 0.0, 1e-10, True)["name"] == "c[trial=0]"
+        assert record("c", None, 0.0, 1e-10, True)["name"] == "c"
+
+    def test_near_record_echoes_its_target(self):
+        rec = near_record("c", None, 0.5 + 2e-10, 0.5, echo="expected", note="x")
+        assert list(rec) == ["name", "claim", "value", "tolerance", "pass", "expected", "note"]
+        assert rec["pass"] is False
+        assert near_record("c", None, 0.5 + 5e-11, 0.5)["pass"] is True
 
 
 class TestOversizeRefusals:

@@ -14,6 +14,7 @@ from zkamp.protocol import (
     honest_verifier,
     random_aux,
     real_view_recorded,
+    verifier_outputs,
     view_layout,
 )
 from zkamp.registers import (
@@ -23,6 +24,7 @@ from zkamp.registers import (
     LinearOp,
     to_matrix,
 )
+from zkamp.simulator import build_circuit
 from zkamp.symm import (
     Graph,
     Permutation,
@@ -213,6 +215,32 @@ class TestRealView:
         ver = honest_verifier(DIMS, 3)
         with pytest.raises(ValueError):
             real_view_recorded(inst, ver, random_aux(3, seed=0))
+
+    def test_one_aux_check_for_real_and_simulated_starts(self):
+        inst = path_instance()
+        ver = honest_verifier(DIMS, 3)
+        bad = random_aux(3, seed=0)
+        messages = set()
+        for start in (
+            lambda: real_view_recorded(inst, ver, bad),
+            lambda: build_circuit(inst, ver).initial_amps(bad),
+        ):
+            with pytest.raises(ValueError, match="W-only layout of dim 2") as exc:
+                start()
+            messages.add(str(exc.value))
+        assert len(messages) == 1
+
+    def test_verifier_outputs_match_dense_verifier(self):
+        ver = adversarial_verifier(DIMS, 3, seed=5)
+        aux = random_aux(2, seed=6)
+        layout = view_layout(DIMS, 3)
+        codes = [0, 3, 5, 3]
+        outs = verifier_outputs(ver, 3, aux, codes, scale=0.5)
+        dense = to_matrix(ver.u_v, layout)
+        # V and A start at 0, so a start's index below W is its Y code.
+        for col, code in zip(outs.T, codes):
+            start = np.kron(aux.amps, np.eye(layout.total_dim // 2)[code])
+            np.testing.assert_allclose(col, 0.5 * dense @ start, atol=1e-12)
 
 
 class TestRecordedView:
