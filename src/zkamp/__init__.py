@@ -73,7 +73,6 @@ from .symm import (
     Permutation,
     act,
     compose,
-    decode,
     encode,
     enumerate_sn,
     find_isomorphism,

@@ -34,7 +34,6 @@ from .simulator import (
     attempt_output,
     first_measurement,
     grover_step,
-    reflection,
     success_projector,
     uniform_superposition_unitary,
 )
@@ -105,27 +104,20 @@ def block_decompose(
     )
 
 
-def _hermitian_norm_bound(r: np.ndarray) -> float:
-    """``max|eig(H)| + ||K||_F >= ||r||_2``, with H, K the Hermitian and anti-Hermitian parts of r.
-
-    An eigvalsh in place of an SVD; the anti-Hermitian part is counted, never dropped.
-    H is built in place: with r, H and one temporary alive, the peak stays at that of forming r.
-    """
-    herm = r.conj().T
-    herm += r
-    herm *= 0.5
-    skew = np.linalg.norm(r - herm)
-    return float(np.max(np.abs(np.linalg.eigvalsh(herm))) + skew)
-
-
 def verify_block_identities(b: BlockDecomposition) -> tuple[float, float, float]:
-    """Operator norms of the three identities forced by idempotence; 1 and 3 are upper bounds."""
+    """Frobenius norms of the three residuals that idempotence of ``attempt^-1 P attempt`` forces.
+
+    The identities are ``lam^2 - lam + cross^† cross = 0``,
+    ``(lam - 1) cross + rest cross = 0`` and ``cross cross^† + rest^2 - rest = 0``.
+    A Frobenius norm bounds the spectral norm from above, so each value
+    certifies its identity at least as strictly as the operator norm would.
+    """
     lam = b.success_prob
     eye_w = np.eye(b.cross.shape[1])
-    r1 = _hermitian_norm_bound((lam**2 - lam) * eye_w + b.cross.conj().T @ b.cross)
-    r2 = float(np.linalg.norm((lam - 1) * b.cross + b.rest @ b.cross, ord=2))
-    r3 = _hermitian_norm_bound(b.cross @ b.cross.conj().T + b.rest @ b.rest - b.rest)
-    return r1, r2, r3
+    r1 = (lam**2 - lam) * eye_w + b.cross.conj().T @ b.cross
+    r2 = (lam - 1) * b.cross + b.rest @ b.cross
+    r3 = b.cross @ b.cross.conj().T + b.rest @ b.rest - b.rest
+    return float(np.linalg.norm(r1)), float(np.linalg.norm(r2)), float(np.linalg.norm(r3))
 
 
 def subspace_matrix(lam: float, phases: PhasePair) -> np.ndarray:
@@ -149,8 +141,6 @@ def verify_subspace_closure(
     """Leakage out of span(succ, fail) plus deviation from the closed form."""
     layout = circ.layout
     lam, succ, fail = first_measurement(circ, aux)
-    # Normalized a second time, which keeps the reported value bit for bit.
-    succ, fail = succ / float(np.linalg.norm(succ)), fail / float(np.linalg.norm(fail))
     step = grover_step(circ, phases.phi, phases.varphi)
     predicted = subspace_matrix(lam, phases)
     max_leak = 0.0
@@ -278,7 +268,7 @@ def iterative_schedule(lam: float, steps: int) -> list[float]:
 def iterative_schedule_full(circ: SimulatorCircuit, aux: StateVector, steps: int) -> list[float]:
     """Full-space version of :func:`iterative_schedule`, the cross-check oracle."""
     layout = circ.layout
-    reflect = reflection(circ)
+    reflect = grover_step(circ, -1.0, 1.0)
     state = attempt_output(circ, aux)
     probs: list[float] = []
     for _ in range(steps):

@@ -651,7 +651,10 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def run(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's refusal (2) or --help (0)
+        return exc.code
     started = time.monotonic()
     try:
         cfg = config_from_args(args)

@@ -85,26 +85,6 @@ class RegisterLayout:
     def axes(self, names: Sequence[str]) -> tuple[int, ...]:
         return tuple(self.axis(name) for name in names)
 
-    def flatten(self, indices: Sequence[int]) -> int:
-        """Row-major flat index of a multi-index (first register most significant)."""
-        if len(indices) != len(self.registers):
-            raise ValueError("multi-index length does not match register count")
-        flat = 0
-        for idx, (name, dim) in zip(indices, self.registers):
-            if not 0 <= idx < dim:
-                raise ValueError(f"index {idx} out of range for register {name!r} (dim {dim})")
-            flat = flat * dim + idx
-        return flat
-
-    def unflatten(self, flat: int) -> tuple[int, ...]:
-        if not 0 <= flat < self.total_dim:
-            raise ValueError(f"flat index {flat} out of range [0, {self.total_dim})")
-        out = []
-        for dim in reversed(self.dims):
-            out.append(flat % dim)
-            flat //= dim
-        return tuple(reversed(out))
-
     def keep(self, names: Sequence[str]) -> "RegisterLayout":
         """Sub-layout containing only the given registers, original order."""
         wanted = set(names)

@@ -190,22 +190,19 @@ def attempt_output(circ: SimulatorCircuit, aux: StateVector) -> np.ndarray:
 
 
 def success_block_residual(circ: SimulatorCircuit) -> float:
-    """Distance of the start-slice block of attempt^-1 P attempt from I/2.
+    """Spectral-norm distance of the start-slice block of attempt^-1 P attempt from I/2.
 
-    The block is the operator the auxiliary input sees, so a residual at
-    floating-point scale certifies that the success probability is 1/2 for
-    every auxiliary state, entangled or not.
+    The block is ``cols^† P cols`` for the attempt images ``cols`` of the
+    start slice, one matrix product.  It is the operator the auxiliary input
+    sees, so a residual at floating-point scale certifies that the success
+    probability is 1/2 for every auxiliary state, entangled or not.
     """
     layout = circ.layout
     dim_w = circ.dim_w
     starts = np.zeros((layout.total_dim, dim_w), dtype=complex)
     starts[np.arange(dim_w) * (layout.total_dim // dim_w), np.arange(dim_w)] = 1.0
     cols = circ.attempt.apply_to(layout, starts)
-    projected = circ.success_proj.apply_to(layout, cols)
-    # vdot over contiguous copies of the columns sums in the order a single
-    # vector would, so the reported residual stays bit for bit the same.
-    cols, projected = cols.T.copy(), projected.T.copy()
-    block = np.array([[np.vdot(c, p) for p in projected] for c in cols])
+    block = cols.conj().T @ circ.success_proj.apply_to(layout, cols)
     return float(np.linalg.norm(block - np.eye(dim_w) / 2, ord=2))
 
 
@@ -320,11 +317,6 @@ def sample_round(
     return SampledRound(b, a, pi, sent, accepted, state)
 
 
-def reflection(circ: SimulatorCircuit) -> OpChain:
-    """attempt · S_0(-1) · attempt^-1: reflect about the attempt image of the start slice."""
-    return OpChain((circ.attempt.adjoint(), phase_on_start(circ.layout, -1.0), circ.attempt))
-
-
 def first_measurement(circ: SimulatorCircuit, aux: StateVector) -> tuple[float, np.ndarray, np.ndarray]:
     """Success probability of the attempt output and its normalized success and failure parts.
 
@@ -346,14 +338,16 @@ def first_measurement(circ: SimulatorCircuit, aux: StateVector) -> tuple[float, 
 def measure_then_reflect(
     circ: SimulatorCircuit, aux: StateVector
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """The :func:`first_measurement` with its failure part passed through the :func:`reflection`.
+    """The :func:`first_measurement` with its failure part reflected.
 
-    Returns the success probability, the normalized success part and the
-    reflected failure part, which equals the success part up to a global
-    minus sign.
+    The reflection ``attempt · S_0(-1) · attempt^-1``, about the attempt image
+    of the start slice, is the :func:`grover_step` with phases (-1, 1), since
+    a success phase of 1 is the identity.  Returns the success probability,
+    the normalized success part and the reflected failure part, which equals
+    the success part up to a global minus sign.
     """
     prob, succ, fail = first_measurement(circ, aux)
-    return prob, succ, reflection(circ).apply_to(circ.layout, fail)
+    return prob, succ, grover_step(circ, -1.0, 1.0).apply_to(circ.layout, fail)
 
 
 # ---------------------------------------------------------------------------

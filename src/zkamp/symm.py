@@ -104,13 +104,6 @@ def encode(g: Graph) -> int:
     return code
 
 
-def decode(code: int, n: int) -> Graph:
-    if not 0 <= code < num_graph_codes(n):
-        raise ValueError(f"code {code} out of range for n={n}")
-    pairs = vertex_pairs(n)
-    return Graph(n, (pairs[k] for k in range(len(pairs)) if code >> k & 1))
-
-
 def find_isomorphism(g0: Graph, g1: Graph) -> Optional[Permutation]:
     """First permutation in enumeration order mapping g0 onto g1, if any."""
     if g0.n != g1.n:

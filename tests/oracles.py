@@ -4,7 +4,8 @@ The package keeps states as raw amplitude blocks, operators in factored
 form and verifier views as record-keyed factors, and builds every dense
 matrix by applying an operator to the identity (``zkamp.registers.to_matrix``).
 The oracles here are the independent dense forms the tests compare against:
-kron embeddings of operators, density operators with their channels and
+row-major index arithmetic and the graph-code decoder, kron embeddings of
+operators, density operators with their channels and
 trace distance, checked state operations, the dense Haar draw, the dense
 verifier view, and the sampled measure-then-reflect round.
 """
@@ -30,9 +31,41 @@ from zkamp.registers import (
     trace_distance_matrices,
 )
 from zkamp.simulator import attempt_output, measure_then_reflect
+from zkamp.symm import Graph, num_graph_codes, vertex_pairs
 
 # Largest full view layout, records included, that dense_view assembles.
 DENSE_VIEW_LIMIT = 4096
+
+
+def flatten(layout, indices):
+    """Row-major flat index of a multi-index (first register most significant)."""
+    if len(indices) != len(layout.registers):
+        raise ValueError("multi-index length does not match register count")
+    flat = 0
+    for idx, (name, dim) in zip(indices, layout.registers):
+        if not 0 <= idx < dim:
+            raise ValueError(f"index {idx} out of range for register {name!r} (dim {dim})")
+        flat = flat * dim + idx
+    return flat
+
+
+def unflatten(layout, flat):
+    """The multi-index of a row-major flat index; inverse of :func:`flatten`."""
+    if not 0 <= flat < layout.total_dim:
+        raise ValueError(f"flat index {flat} out of range [0, {layout.total_dim})")
+    out = []
+    for dim in reversed(layout.dims):
+        out.append(flat % dim)
+        flat //= dim
+    return tuple(reversed(out))
+
+
+def decode(code, n):
+    """The graph on n vertices whose basis index is ``code``; inverse of ``symm.encode``."""
+    if not 0 <= code < num_graph_codes(n):
+        raise ValueError(f"code {code} out of range for n={n}")
+    pairs = vertex_pairs(n)
+    return Graph(n, (pairs[k] for k in range(len(pairs)) if code >> k & 1))
 
 
 def embed_matrix(layout, targets, matrix):
@@ -168,7 +201,7 @@ def basis_state(layout, assignment):
     if missing:
         raise KeyError(f"registers {sorted(missing)} not assigned")
     amps = np.zeros(layout.total_dim, dtype=complex)
-    amps[layout.flatten([assignment[name] for name in layout.names])] = 1.0
+    amps[flatten(layout, [assignment[name] for name in layout.names])] = 1.0
     return StateVector(layout, amps)
 
 
@@ -273,7 +306,7 @@ def dense_view(view):
     rec_dim = record_layout.total_dim
     full = np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
     for key, x in view.blocks.items():
-        offset = record_layout.flatten(key)
+        offset = flatten(record_layout, key)
         full[offset::rec_dim, offset::rec_dim] = x @ x.conj().T
     return DensityOperator(layout, full)
 

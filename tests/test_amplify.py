@@ -1,12 +1,13 @@
 """Block identities, invariant subspace, phase solving, and the schedule."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from zkamp.amplify import (
     NotLambdaUniformError,
     PhasePair,
-    _hermitian_norm_bound,
     block_decompose,
     computed_second_probability,
     evolve_two_dim,
@@ -140,22 +141,46 @@ class TestBlocksAgainstDenseOracle:
         np.testing.assert_allclose(b.rest, conj[np.ix_(comp_idx, comp_idx)], atol=1e-12)
 
 
-class TestHermitianNormBound:
-    """The r1/r3 norm is max|eig(H)| + ||K||_F, never below the spectral norm."""
+class TestBlockIdentityNorms:
+    """Each identity is reported as a Frobenius norm, an upper bound on its spectral norm."""
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_bounds_spectral_norm(self, seed):
-        rng = np.random.default_rng(seed)
-        d = int(rng.integers(2, 40))
-        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        herm = g + g.conj().T
-        for scale in (1.0, 1e-15):
-            # Exactly Hermitian: the bound is the spectral norm, up to rounding.
-            exact = np.linalg.norm(scale * herm, ord=2)
-            assert abs(_hermitian_norm_bound(scale * herm) - exact) <= 1e-13 * exact
-            # Nearly and far from Hermitian: the anti-Hermitian part still counts.
-            for r in (herm + 1e-6 * g, g, 1j * herm, g - g.T):
-                assert _hermitian_norm_bound(scale * r) >= np.linalg.norm(scale * r, ord=2)
+    CIRCUITS = {
+        "gmw-n2": lambda: build_circuit(
+            Instance.from_graphs(EDGE2, EDGE2), adversarial_verifier((2, 2), 2, 21)
+        ),
+        "gmw-n3": lambda: gmw_circuit(22),
+        "toy-m2": lambda: toy_circuit(2, seed=23),
+        "toy-m3": lambda: toy_circuit(3, seed=24),
+        "toy-m8": lambda: toy_circuit(8, seed=25),
+    }
+
+    @staticmethod
+    def residuals(b):
+        lam, cross, rest = b.success_prob, b.cross, b.rest
+        return (
+            (lam**2 - lam) * np.eye(cross.shape[1]) + cross.conj().T @ cross,
+            (lam - 1) * cross + rest @ cross,
+            cross @ cross.conj().T + rest @ rest - rest,
+        )
+
+    @pytest.mark.parametrize("name", sorted(CIRCUITS))
+    def test_bounds_spectral_norm(self, name):
+        circ = self.CIRCUITS[name]()
+        b = block_decompose(circ.attempt, circ.success_proj, circ.layout)
+        values = verify_block_identities(b)
+        assert max(values) < TOL
+        for value, r in zip(values, self.residuals(b)):
+            assert value >= np.linalg.norm(r, ord=2)
+
+    def test_perturbed_rest_fails_identity_three(self):
+        circ = gmw_circuit(7)
+        b = block_decompose(circ.attempt, circ.success_proj, circ.layout)
+        rest = b.rest.copy()
+        rest[0, 0] += 1e-8
+        b = dataclasses.replace(b, rest=rest)
+        r3 = verify_block_identities(b)[2]
+        assert r3 > TOL
+        assert r3 >= np.linalg.norm(self.residuals(b)[2], ord=2)
 
 
 class TestSuccFailStates:

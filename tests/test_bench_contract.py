@@ -51,10 +51,24 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@pytest.mark.parametrize("op", OPERATIONS, ids=lambda op: " ".join(op.argv))
-def test_operation_passes_the_checker(op, monkeypatch):
+# The seeds on which a change that moves report values is compared.
+SEEDS = (7, 11, 12345)
+
+
+def _case_id(case) -> str:
+    """The operation's argv, with ``--seed`` spelled out for every seed but the first."""
+    op, seed = case
+    name = " ".join(op.argv)
+    return name if seed == SEEDS[0] else f"{name} --seed {seed}"
+
+
+@pytest.mark.parametrize(
+    "case", [(op, seed) for op in OPERATIONS for seed in SEEDS], ids=_case_id
+)
+def test_operation_passes_the_checker(case, monkeypatch):
+    op, seed = case
     monkeypatch.delenv("ZKAMP_SEED", raising=False)  # as the benchmark does
-    argv = list(op.argv) + ["--seed", "7"]
+    argv = list(op.argv) + ["--seed", str(seed)]
     code, out, err = _run(argv)
     if op.oversize:
         assert check.check_refusal(code, err, None) == []
@@ -63,6 +77,14 @@ def test_operation_passes_the_checker(op, monkeypatch):
     passed, problems = check.ReportChecker(argv).check(code, report)
     assert problems == []
     assert passed == len(report["records"]) > 0
+
+
+def test_flag_refusal_is_one_failed_operation(capsys):
+    # argparse's refusal comes back from cli.run as exit code 2, so the
+    # benchmark counts the operation as failed and carries on.
+    result = bench.run_op(bench.Op(("phases", "--m", "3")), 1)
+    assert (result.wall_s, result.cpu_s, result.records_checked) == (None, None, 0)
+    assert "exit=2" in capsys.readouterr().err
 
 
 def test_refusal_is_checked():

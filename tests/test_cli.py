@@ -1,5 +1,6 @@
 """Report runner: exit codes, determinism, and record contents."""
 
+import dataclasses
 import json
 import re
 from collections import Counter
@@ -165,10 +166,25 @@ class TestFlags:
         [(cmd, flag) for cmd, reads in READS.items() for flag in FLAG_VALUES if flag not in reads],
     )
     def test_flag_not_read_exits_two(self, capsys, command, flag):
-        with pytest.raises(SystemExit) as exc:
-            run([command, flag, *FLAG_VALUES[flag]])
-        assert exc.value.code == 2
+        assert run([command, flag, *FLAG_VALUES[flag]]) == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["blocks", "--n", "3", "--completion", "qr"], "invalid choice: 'qr'"),
+            (["schedule", "--m", "three"], "invalid int value: 'three'"),
+        ],
+        ids=["choice", "integer"],
+    )
+    def test_argparse_refusal_returns_two(self, capsys, argv, message):
+        assert run(argv) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["phases", "--help"]], ids=" ".join)
+    def test_help_returns_zero(self, capsys, argv):
+        assert run(argv) == 0
+        assert "usage:" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "extra",
@@ -546,6 +562,53 @@ class TestCommandContents:
             ["verify-eq1", "--g0", "n=2;edges=01", "--g1", "n=2;edges=01", "--n", "2"],
         )
         assert code == 0
+
+
+class TestInjectedFaults:
+    """A defect injected into one computation fails its record, and the command exits 1."""
+
+    @staticmethod
+    def failed_claims(out):
+        return {r["claim"] for r in json.loads(out)["records"] if not r["pass"]}
+
+    def test_perturbed_rest_block_fails_identity_three(self, capsys, monkeypatch):
+        original = amplify.block_decompose
+
+        def perturbed(*args, **kwargs):
+            b = original(*args, **kwargs)
+            rest = b.rest.copy()
+            rest[0, 0] += 1e-8
+            return dataclasses.replace(b, rest=rest)
+
+        monkeypatch.setattr(amplify, "block_decompose", perturbed)
+        code, out = run_capture(capsys, ["blocks", *N3, "--trials", "1", "--seed", "7"])
+        assert code == 1
+        assert "idempotence-identity-3" in self.failed_claims(out)
+
+    def test_narrowed_success_projector_fails_half_block(self, capsys, monkeypatch):
+        # A projector that keeps only A = B = 0 no longer has the block I/2.
+        def zero_guess_only(layout):
+            mask = np.zeros(layout.dim_of("A") * layout.dim_of("B"))
+            mask[0] = 1.0
+            return DiagonalOp(layout, ("A", "B"), mask, kind="projector")
+
+        monkeypatch.setattr(simulator, "success_projector", zero_guess_only)
+        code, out = run_capture(capsys, ["verify-eq1", *N3, "--trials", "1", "--seed", "7"])
+        assert code == 1
+        assert all(not r["pass"] for r in json.loads(out)["records"])
+        assert self.failed_claims(out) == {"half-success-block"}
+
+    def test_conjugated_step_matrix_fails_subspace_closure(self, capsys, monkeypatch):
+        original = amplify.subspace_matrix
+
+        def conjugated(lam, phases):
+            return original(lam, amplify.PhasePair(np.conj(phases.phi), np.conj(phases.varphi)))
+
+        monkeypatch.setattr(amplify, "subspace_matrix", conjugated)
+        code, out = run_capture(capsys, ["blocks", "--m", "3", "--trials", "1", "--seed", "7"])
+        assert code == 1
+        failed = [r["name"] for r in json.loads(out)["records"] if not r["pass"]]
+        assert failed == ["subspace-closure[toy[m=3,trial=0],phases=i,i]"]
 
 
 class TestJsonWriter:

@@ -31,9 +31,11 @@ from oracles import (
     DENSE_VIEW_LIMIT,
     dense_view,
     dephase_matrix,
+    flatten,
     full_layout,
     record_weights,
     trace_distance,
+    unflatten,
     view_trace,
 )
 
@@ -105,7 +107,7 @@ def dephased_real_blocks(inst, ver, aux, keep_z):
     for tau in perms:
         code = encode(act(tau, inst.g0))
         start = np.zeros(layout.total_dim // ver.dim_w, dtype=complex)
-        start[layout.keep(["V", "A", "Y"]).flatten((0, 0, code))] = 1.0
+        start[flatten(layout.keep(["V", "A", "Y"]), (0, 0, code))] = 1.0
         vec = ver.u_v.apply_to(layout, np.kron(aux.amps, start))
         if not keep_z:
             block = dephase_matrix(layout, np.outer(vec, vec.conj()), "A") / len(perms)
@@ -145,7 +147,7 @@ def test_factored_trace_and_weights_match_dense(case):
             full = dense(view).matrix
             assert abs(view_trace(view) - np.trace(full).real) <= AGREE
             for flat in range(rec_dim):
-                key = record_layout.unflatten(flat)
+                key = unflatten(record_layout, flat)
                 expected = np.trace(full[flat::rec_dim, flat::rec_dim]).real
                 assert abs(weights.get(key, 0.0) - expected) <= AGREE
         else:

@@ -29,7 +29,6 @@ from zkamp.symm import (
     Graph,
     Permutation,
     act,
-    decode,
     encode,
     enumerate_sn,
     num_graph_codes,
@@ -37,6 +36,7 @@ from zkamp.symm import (
 
 from oracles import (
     basis_state,
+    decode,
     dense_view,
     partial_trace,
     record_weights,

@@ -1,5 +1,7 @@
 """Attempt unitary, amplification identities, and view equality."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from zkamp.protocol import (
     real_view_recorded,
     view_layout,
 )
-from zkamp.registers import OpChain, StateVector, to_matrix
+from zkamp.registers import DiagonalOp, OpChain, StateVector, to_matrix
 from zkamp.simulator import (
     amplification_chain_residuals,
     amplification_check,
@@ -36,6 +38,7 @@ from oracles import (
     basis_state,
     dense_view,
     fidelity,
+    kron_oracle,
     overlap,
     project,
     success_probability,
@@ -220,6 +223,23 @@ class TestHalfProbabilityBlock:
 
     def test_rigid_instance(self):
         assert success_block_residual(gmw_circuit(2)) < TOL
+
+    def test_matches_dense_block_away_from_half(self):
+        # Keeping only A = B = 0 moves the block far from I/2, so the value
+        # compared is the block itself, not rounding.
+        circ = gmw_circuit(2, verifier_seed=5)
+        layout = circ.layout
+        mask = np.zeros(layout.dim_of("A") * layout.dim_of("B"))
+        mask[0] = 1.0
+        narrowed = DiagonalOp(layout, ("A", "B"), mask, kind="projector")
+        circ = dataclasses.replace(circ, success_proj=narrowed)
+        a = kron_oracle(circ.attempt, layout)
+        conj = a.conj().T @ kron_oracle(narrowed, layout) @ a
+        starts = np.arange(circ.dim_w) * (layout.total_dim // circ.dim_w)
+        top = conj[np.ix_(starts, starts)]
+        expected = np.linalg.norm(top - np.eye(circ.dim_w) / 2, ord=2)
+        assert expected > 0.1
+        assert abs(success_block_residual(circ) - expected) <= 1e-12
 
     def test_success_probability_matches(self):
         circ = gmw_circuit(3, verifier_seed=6)
