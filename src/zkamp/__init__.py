@@ -54,7 +54,6 @@ from .simulator import (
     AmplificationCheck,
     SampledRound,
     SimulatorCircuit,
-    amplification_chain_residuals,
     amplification_check,
     amplified_state,
     build_circuit,
@@ -65,7 +64,6 @@ from .simulator import (
     sample_round,
     simulate_round_recorded,
     success_block_residual,
-    success_norm_chain,
     success_projector,
 )
 from .symm import (

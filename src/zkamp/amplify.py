@@ -70,9 +70,7 @@ class PhasePair:
                 raise ValueError(f"phase {value} is not unit modulus")
 
 
-def block_decompose(
-    attempt, success_proj: DiagonalOp, layout: RegisterLayout, atol: float = ATOL_OP
-) -> BlockDecomposition:
+def block_decompose(attempt, success_proj: DiagonalOp, layout: RegisterLayout) -> BlockDecomposition:
     """Split ``attempt^-1 P attempt`` by the start slice and extract the blocks.
 
     P is a 0/1 diagonal, so ``attempt^-1 P attempt = (P attempt)^† (P attempt)``:
@@ -92,7 +90,7 @@ def block_decompose(
     top = conj[np.ix_(slice_idx, slice_idx)]
     lam = float(np.trace(top).real) / dim_w
     deviation = float(np.linalg.norm(top - lam * np.eye(dim_w), ord=2))
-    if deviation > atol:
+    if deviation > ATOL_OP:
         raise NotLambdaUniformError(
             f"top block deviates from a scalar by {deviation:.3e}; "
             "the success probability depends on the auxiliary input"
@@ -160,8 +158,8 @@ def _initial_two_dim(lam: float) -> np.ndarray:
     return np.array([np.sqrt(lam), np.sqrt(1 - lam)], dtype=complex)
 
 
-def evolve_two_dim(lam: float, steps: list[PhasePair], start: np.ndarray | None = None) -> np.ndarray:
-    state = _initial_two_dim(lam) if start is None else np.asarray(start, dtype=complex)
+def evolve_two_dim(lam: float, steps: list[PhasePair]) -> np.ndarray:
+    state = _initial_two_dim(lam)
     for phases in steps:
         state = subspace_matrix(lam, phases) @ state
     return state

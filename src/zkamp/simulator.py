@@ -12,9 +12,10 @@ verifier view exactly.
 
 Everything the derivation claims is exposed as a numeric check: the
 half-probability block identity, the one-step amplification identity (in
-both operator orders, since only one of them is correct), the six-step norm
-computation, the block-form substitution chain, and the measure-then-reflect
-variant that trades the phase trick for one extra measurement.
+both operator orders, since only one of them is correct) together with its
+block-form substitution chain and six-step norm computation, and the
+measure-then-reflect variant that trades the phase trick for one extra
+measurement.
 """
 
 from __future__ import annotations
@@ -208,37 +209,117 @@ def success_block_residual(circ: SimulatorCircuit) -> float:
 
 @dataclass(frozen=True)
 class AmplificationCheck:
-    """Residuals of the one-step amplification identity at phase i."""
+    """Residuals of the one-step amplification identity at phase i, with its two derivations.
+
+    ``derivation`` holds the residual of each intermediate vector of the
+    block-form derivation against its prediction; its last entry is
+    ``residual`` itself.  ``norm_chain`` holds the seven values of the
+    six-equality computation of the success probability 1/2, which must agree
+    consecutively.
+    """
 
     residual: float
     success_prob: float
     swapped_order_residual: float
+    derivation: dict[str, float]
+    norm_chain: tuple[float, ...]
 
 
 def amplification_check(circ: SimulatorCircuit, aux: StateVector) -> AmplificationCheck:
     """Compare the phase-i :func:`grover_step` output against (i-1) times the projected attempt.
+
+    The step's four factors are applied one at a time, and each vector they
+    pass through is checked against the block-form derivation, in the split
+    "W times start slice" versus its complement, where ``attempt^-1 P
+    attempt`` has top block I/2.  With ``c = attempt^-1 P attempt |start>``:
+    after the success phase and the undone attempt, the start slice is
+    ``(1+i)/2 aux`` and the rest is ``(i-1) c``; after the start phase the
+    whole vector is ``(i-1) c``; after the redone attempt it is ``(i-1) P s1``,
+    the identity itself.
 
     The identity holds with the start phase applied between the two attempt
     halves and the success phase applied first, the order the step runs; the
     swapped order is evaluated as well and its residual reported, because the
     two orders give visibly different states.
     """
+    if circ.inst is None or circ.ver is None:
+        raise ValueError("the amplification check needs a protocol circuit")
     layout = circ.layout
     s1 = attempt_output(circ, aux)
-    target = (1j - 1) * circ.success_proj.apply_to(layout, s1)
+    projected = circ.success_proj.apply_to(layout, s1)
+    target = (1j - 1) * projected
 
     step = grover_step(circ, 1j, 1j)
-    stepped = step.apply_to(layout, s1)
+    sp, adj, s0, attempt = step.factors
+    undone = adj.apply_to(layout, sp.apply_to(layout, s1))
+    phased = s0.apply_to(layout, undone)
+    stepped = attempt.apply_to(layout, phased)
     residual = float(np.linalg.norm(stepped - target))
 
-    norm = float(np.linalg.norm(stepped))
-    projected = circ.success_proj.apply_to(layout, stepped / norm)
-    success_prob = float(np.linalg.norm(projected) ** 2)
+    predicted = (1j - 1) * adj.apply_to(layout, projected)  # (i-1) c
+    start_slice = undone.reshape(circ.dim_w, -1)[:, 0]
+    off_start = (undone - predicted).reshape(circ.dim_w, -1)[:, 1:]
+    derivation = {
+        "start_slice_coefficient": float(np.linalg.norm(start_slice - ((1j + 1) / 2) * aux.amps)),
+        "complement_coefficient": float(np.linalg.norm(off_start)),
+        "collapses_to_conjugated_projector": float(np.linalg.norm(phased - predicted)),
+        "equals_projected_attempt": residual,
+    }
 
-    sp, adj, s0, attempt = step.factors
+    norm = float(np.linalg.norm(stepped))
+    success_prob = float(np.linalg.norm(circ.success_proj.apply_to(layout, stepped / norm)) ** 2)
+
     swapped = OpChain((s0, adj, sp, attempt)).apply_to(layout, s1)
     swapped_residual = float(np.linalg.norm(swapped - target))
-    return AmplificationCheck(residual, success_prob, swapped_residual)
+    return AmplificationCheck(
+        residual, success_prob, swapped_residual, derivation, _norm_chain(circ, aux, projected)
+    )
+
+
+def _norm_chain(circ: SimulatorCircuit, aux: StateVector, projected: np.ndarray) -> tuple[float, ...]:
+    """The six-equality computation of the success probability, one value per line.
+
+    Line by line: the norm of the projected attempt output ``projected``;
+    the attempt's branches ``U_V |aux, 0, 0, pi(g_b)>`` with the projector in
+    its (A, B) form; the challenge projector collapsed onto the guess b;
+    branch orthogonality turning the norm of a sum into a sum of norms; the
+    witness substitution of ``pi(g_b)`` by ``(pi tau^b)(g0)``; the change of
+    variables dropping ``tau^b``; and the completeness sum ``n!/(2 n!)``.  The
+    verifier runs once, on the distinct codes of the three code tables, and
+    each line reads its branches through its own table.
+    """
+    inst = circ.inst
+    n = inst.n
+    perms = enumerate_sn(n)
+    n_fact = len(perms)
+    scale = 1.0 / (2 * n_fact)
+    tau_pow = (Permutation.identity(n), inst.tau)
+    tables = np.array(
+        [
+            [[encode(act(pi, g)) for pi in perms] for g in (inst.g0, inst.g1)],
+            [[encode(act(compose(pi, t), inst.g0)) for pi in perms] for t in tau_pow],
+            [[encode(act(pi, inst.g0)) for pi in perms]] * 2,
+        ]
+    )
+    codes, index = np.unique(tables, return_inverse=True)
+    guessed, substituted, plain = index.reshape(tables.shape)
+
+    view = view_layout(circ.ver.dims, n)
+    outs = verifier_outputs(circ.ver, n, aux, codes).reshape(*view.dims, len(codes))
+    by_challenge = np.moveaxis(outs, view.axis("A"), 0).reshape(2, -1, len(codes))
+    branches = by_challenge[:, :, guessed]  # (challenge a, rest, guess b, relabeling z)
+    collapsed = np.einsum("brbz->brz", branches)
+    slice_sq = np.sum(np.abs(by_challenge) ** 2, axis=1)  # (challenge a, code)
+    guess = np.arange(2)[:, None]
+    return (
+        float(np.linalg.norm(projected) ** 2),
+        scale * float(np.linalg.norm(branches * np.eye(2)[:, None, :, None]) ** 2),
+        scale * float(np.linalg.norm(collapsed) ** 2),
+        scale * float(np.sum(np.linalg.norm(collapsed, axis=1) ** 2)),
+        scale * float(np.sum(slice_sq[guess, substituted])),
+        scale * float(np.sum(slice_sq[guess, plain])),
+        n_fact / (2 * n_fact),
+    )
 
 
 def amplified_state(circ: SimulatorCircuit, aux: StateVector) -> np.ndarray:
@@ -298,7 +379,6 @@ class SampledRound:
     permutation: Permutation
     sent: Graph
     accepted: bool
-    state: StateVector
 
 
 def sample_round(
@@ -310,11 +390,11 @@ def sample_round(
     state = StateVector(circ.layout, amplified)
     b, _, state = measure(state, "B", rng)
     z, _, state = measure(state, "Z", rng)
-    a, _, state = measure(state, "A", rng)
+    a, _, _ = measure(state, "A", rng)
     pi = enumerate_sn(circ.inst.n)[z]
     sent = act(pi, circ.inst.graph_for_challenge(b))
     accepted = a == b and accept(sent, a, pi, circ.inst)
-    return SampledRound(b, a, pi, sent, accepted, state)
+    return SampledRound(b, a, pi, sent, accepted)
 
 
 def first_measurement(circ: SimulatorCircuit, aux: StateVector) -> tuple[float, np.ndarray, np.ndarray]:
@@ -348,129 +428,3 @@ def measure_then_reflect(
     """
     prob, succ, fail = first_measurement(circ, aux)
     return prob, succ, grover_step(circ, -1.0, 1.0).apply_to(circ.layout, fail)
-
-
-# ---------------------------------------------------------------------------
-# Step-by-step reproductions of the two derivations behind the identities
-# ---------------------------------------------------------------------------
-
-def _branch_inputs(circ: SimulatorCircuit, aux: StateVector, codes) -> list[list[np.ndarray]]:
-    """Verifier outputs U_V |aux, 0, 0, code> for a (guess, relabeling) code table."""
-    flat = [code for row in codes for code in row]
-    outs = iter(verifier_outputs(circ.ver, circ.inst.n, aux, flat).T.copy())
-    return [[next(outs) for _ in row] for row in codes]
-
-
-def success_norm_chain(circ: SimulatorCircuit, aux: StateVector) -> list[float]:
-    """The six-equality computation of the success probability, one value per line.
-
-    Line by line: the projected attempt output; the same with the challenge
-    projector collapsed onto the guess; branch orthogonality turning the
-    norm of a sum into a sum of norms; the witness substitution replacing
-    the guessed graph by a relabeling of the first graph; the relabeling
-    change of variables; and the completeness sum, which is exactly 1/2.
-    Consecutive values must agree to floating-point accuracy.
-    """
-    if circ.inst is None or circ.ver is None:
-        raise ValueError("the norm chain needs a protocol circuit")
-    inst = circ.inst
-    n = inst.n
-    perms = enumerate_sn(n)
-    n_fact = len(perms)
-    scale = 1.0 / (2 * n_fact)
-    layout = circ.layout
-    view = view_layout(circ.ver.dims, n)
-
-    # Value 0: the direct norm of the projected attempt output.
-    s1 = attempt_output(circ, aux)
-    v0 = float(np.linalg.norm(circ.success_proj.apply_to(layout, s1)) ** 2)
-
-    guessed = [[encode(act(pi, g)) for pi in perms] for g in (inst.g0, inst.g1)]
-    branch = _branch_inputs(circ, aux, guessed)
-    dim_view = view.total_dim
-
-    def assemble(term) -> float:
-        # Norm of sum over (b, z) of WVAY-vectors placed at branch (b, z).
-        full = np.zeros((dim_view, 2, n_fact), dtype=complex)
-        for b in (0, 1):
-            for z in range(n_fact):
-                full[:, b, z] = term(b, z)
-        return scale * float(np.linalg.norm(full) ** 2)
-
-    v1 = assemble(
-        lambda b, z: sum(
-            challenge_columns(view, branch[b][z])[:, a] for a in (0, 1) if a == b
-        )
-    )
-    v2 = assemble(lambda b, z: challenge_columns(view, branch[b][z])[:, b])
-    v3 = scale * sum(
-        float(np.linalg.norm(challenge_columns(view, branch[b][z])[:, b]) ** 2)
-        for b in (0, 1)
-        for z in range(n_fact)
-    )
-
-    # Substitute the guessed graph by (pi tau^b)(g0), then drop tau^b.
-    tau_pow = [Permutation.identity(n), inst.tau]
-    substituted = [
-        [encode(act(compose(pi, tau_pow[b]), inst.g0)) for pi in perms] for b in (0, 1)
-    ]
-    sub_branch = _branch_inputs(circ, aux, substituted)
-    v4 = scale * sum(
-        float(np.linalg.norm(challenge_columns(view, sub_branch[b][z])[:, b]) ** 2)
-        for b in (0, 1)
-        for z in range(n_fact)
-    )
-
-    plain = [[encode(act(pi, inst.g0)) for pi in perms]] * 2
-    plain_branch = _branch_inputs(circ, aux, plain)
-    v5 = scale * sum(
-        float(np.linalg.norm(challenge_columns(view, plain_branch[b][z])[:, b]) ** 2)
-        for b in (0, 1)
-        for z in range(n_fact)
-    )
-
-    v6 = scale * n_fact
-    return [v0, v1, v2, v3, v4, v5, v6]
-
-
-def amplification_chain_residuals(circ: SimulatorCircuit, aux: StateVector) -> dict[str, float]:
-    """Reproduce the block-form derivation of the phase-i identity step by step.
-
-    In the split "W times start slice" versus its complement, the conjugated
-    projector has top block I/2 and some cross block; the derivation is four
-    substitutions whose intermediate vectors are checked here one by one.
-    """
-    layout = circ.layout
-    dim_w = circ.dim_w
-    dim_rest = layout.total_dim // dim_w
-
-    def top(vec: np.ndarray) -> np.ndarray:
-        return vec.reshape(dim_w, dim_rest)[:, 0]
-
-    def bottom(vec: np.ndarray) -> np.ndarray:
-        return vec.reshape(dim_w, dim_rest)[:, 1:]
-
-    raw0 = circ.initial_amps(aux)
-    adj = circ.attempt.adjoint()
-    s1 = circ.attempt.apply_to(layout, raw0)
-    projected = circ.success_proj.apply_to(layout, s1)
-    conjugated = adj.apply_to(layout, projected)  # attempt^-1 P attempt |start>
-
-    sp = phase_on_success(circ.success_proj, 1j)
-    w1 = adj.apply_to(layout, sp.apply_to(layout, s1))
-    res_top = float(np.linalg.norm(top(w1) - ((1j + 1) / 2) * aux.amps))
-    res_bottom = float(np.linalg.norm(bottom(w1) - (1j - 1) * bottom(conjugated)))
-
-    s0 = phase_on_start(layout, 1j)
-    w2 = s0.apply_to(layout, w1)
-    res_mid = float(np.linalg.norm(w2 - (1j - 1) * conjugated))
-
-    w3 = circ.attempt.apply_to(layout, w2)
-    res_final = float(np.linalg.norm(w3 - (1j - 1) * projected))
-
-    return {
-        "start_slice_coefficient": res_top,
-        "complement_coefficient": res_bottom,
-        "collapses_to_conjugated_projector": res_mid,
-        "equals_projected_attempt": res_final,
-    }

@@ -97,28 +97,30 @@ class TestCriterion2OneStepAmplification:
     @pytest.mark.parametrize("completion", COMPLETIONS)
     def test_twenty_pairs_including_entangled(self, completion):
         inst = Instance.from_graphs(*PATH_PAIR)
-        worst_residual = 0.0
-        worst_prob_gap = 0.0
-        for seed in range(18):
-            ver = adversarial_verifier(DIMS, 3, seed)
-            circ = build_circuit(inst, ver, completion)
-            check = amplification_check(circ, random_aux(2, 100 + seed))
-            worst_residual = max(worst_residual, check.residual)
-            worst_prob_gap = max(worst_prob_gap, abs(check.success_prob - 1.0))
+        pairs = [(DIMS, seed, random_aux(2, 100 + seed)) for seed in range(18)]
         # Two pairs with the auxiliary register W holding a state entangled
         # across its 2x2 split.
-        for seed in (0, 1):
-            ver = adversarial_verifier((4, 2), 3, seed)
-            circ = build_circuit(inst, ver, completion)
-            check = amplification_check(circ, bell_aux())
+        pairs += [((4, 2), seed, bell_aux()) for seed in (0, 1)]
+        worst_residual = worst_prob_gap = worst_derivation = worst_chain_gap = 0.0
+        for dims, seed, aux in pairs:
+            ver = adversarial_verifier(dims, 3, seed)
+            check = amplification_check(build_circuit(inst, ver, completion), aux)
+            chain = check.norm_chain
             worst_residual = max(worst_residual, check.residual)
             worst_prob_gap = max(worst_prob_gap, abs(check.success_prob - 1.0))
+            worst_derivation = max(worst_derivation, *check.derivation.values())
+            worst_chain_gap = max(worst_chain_gap, *(abs(a - b) for a, b in zip(chain, chain[1:])))
+            assert chain[-1] == 0.5
+        assert len(pairs) == 20
         assert worst_residual <= OP_TOL
         assert worst_prob_gap <= OP_TOL
+        assert worst_derivation <= OP_TOL
+        assert worst_chain_gap <= OP_TOL
         report(
             f"criterion 2 PASS ({completion}): amplification residual <= "
-            f"{worst_residual:.3e}, success-probability gap <= {worst_prob_gap:.3e} "
-            f"over 20 (verifier, aux) pairs"
+            f"{worst_residual:.3e}, success-probability gap <= {worst_prob_gap:.3e}, "
+            f"derivation residuals <= {worst_derivation:.3e}, norm-chain gaps <= "
+            f"{worst_chain_gap:.3e} over 20 (verifier, aux) pairs"
         )
 
 

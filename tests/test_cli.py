@@ -610,6 +610,47 @@ class TestInjectedFaults:
         failed = [r["name"] for r in json.loads(out)["records"] if not r["pass"]]
         assert failed == ["subspace-closure[toy[m=3,trial=0],phases=i,i]"]
 
+    EQ2 = ["verify-eq2", *N3, "--trials", "1", "--seed", "7"]
+
+    def test_wrong_start_phase_fails_one_step_amplification(self, capsys, monkeypatch):
+        original = simulator.phase_on_start
+        monkeypatch.setattr(simulator, "phase_on_start", lambda layout, phi: original(layout, -1.0))
+        code, out = run_capture(capsys, self.EQ2)
+        assert code == 1
+        (rec,) = [r for r in json.loads(out)["records"] if r["claim"] == "one-step-amplification"]
+        assert not rec["pass"]
+        # The start slice gets -1 in place of i: off by |-1 - i| / |1 + i| = 1.
+        assert rec["derivation"]["collapses_to_conjugated_projector"] == pytest.approx(1.0, abs=1e-12)
+        assert rec["derivation"]["start_slice_coefficient"] <= 1e-10
+
+    def test_wrong_success_phase_fails_post_step_probability(self, capsys, monkeypatch):
+        original = simulator.phase_on_success
+        monkeypatch.setattr(simulator, "phase_on_success", lambda proj, varphi: original(proj, -1.0))
+        code, out = run_capture(capsys, self.EQ2)
+        assert code == 1
+        assert "post-step-success-probability" in self.failed_claims(out)
+
+    def test_skewed_verifier_column_fails_norm_chain(self, capsys, monkeypatch):
+        # Only the norm chain runs the verifier through verifier_outputs, so the
+        # identity's residual stays bit-identical and the chain's gap fails it.
+        _, clean = run_capture(capsys, self.EQ2)
+        original = simulator.verifier_outputs
+
+        def skewed(*args, **kwargs):
+            outs = original(*args, **kwargs)
+            outs[:, 0] *= 1 + 1e-6
+            return outs
+
+        monkeypatch.setattr(simulator, "verifier_outputs", skewed)
+        code, out = run_capture(capsys, self.EQ2)
+        assert code == 1
+        assert self.failed_claims(out) == {"one-step-amplification"}
+        before, after = (json.loads(text)["records"][0] for text in (clean, out))
+        assert after["value"] == before["value"]
+        assert after["derivation"] == before["derivation"]
+        chain = after["norm_chain"]
+        assert max(abs(a - b) for a, b in zip(chain, chain[1:])) > 1e-10
+
 
 class TestJsonWriter:
     def test_float_formatting(self):

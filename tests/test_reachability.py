@@ -1,0 +1,58 @@
+"""Every public function of the package is reached from the package or its benchmark.
+
+A function that only the tests call is a test oracle, and lives in
+``tests/oracles.py``.  References inside ``src/zkamp`` are read from the
+syntax tree (a name or an attribute outside the function's own definition,
+so a docstring mention does not count); the benchmark scripts and
+``pyproject.toml`` name functions in strings, so they are searched as text.
+"""
+
+import ast
+import importlib
+import inspect
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "zkamp"
+MODULES = ("registers", "symm", "protocol", "simulator", "amplify", "cli")
+
+
+def public_functions():
+    for short in MODULES:
+        module = importlib.import_module(f"zkamp.{short}")
+        for name, obj in vars(module).items():
+            if not name.startswith("_") and inspect.isfunction(obj) and obj.__module__ == module.__name__:
+                yield short, name
+
+
+def source_references() -> dict[str, set[tuple[str, str | None]]]:
+    """Each referenced name, with the (module, top-level definition) pairs it appears in."""
+    refs: dict[str, set[tuple[str, str | None]]] = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    refs.setdefault(node.id, set()).add((path.stem, owner))
+                elif isinstance(node, ast.Attribute):
+                    refs.setdefault(node.attr, set()).add((path.stem, owner))
+    return refs
+
+
+REFS = source_references()
+OUTSIDE_TEXT = "\n".join(
+    path.read_text() for path in [*sorted((ROOT / "perfbench").glob("*.py")), ROOT / "pyproject.toml"]
+)
+
+
+@pytest.mark.parametrize("module, name", list(public_functions()))
+def test_reached_outside_tests(module, name):
+    callers = REFS.get(name, set()) - {(module, name)}
+    assert callers or re.search(rf"\b{name}\b", OUTSIDE_TEXT), (
+        f"zkamp.{module}.{name} is reached only from tests; move it to tests/oracles.py"
+    )

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from zkamp import simulator
 from zkamp.protocol import (
     Instance,
     adversarial_verifier,
@@ -16,7 +17,6 @@ from zkamp.protocol import (
 )
 from zkamp.registers import DiagonalOp, OpChain, StateVector, to_matrix
 from zkamp.simulator import (
-    amplification_chain_residuals,
     amplification_check,
     amplified_state,
     attempt_output,
@@ -28,7 +28,6 @@ from zkamp.simulator import (
     sim_layout,
     simulate_round_recorded,
     success_block_residual,
-    success_norm_chain,
     success_projector,
     uniform_superposition_unitary,
 )
@@ -293,18 +292,61 @@ class TestDerivationChains:
     @pytest.mark.parametrize("seed", [None, 3])
     def test_norm_chain(self, seed):
         circ = gmw_circuit(3, verifier_seed=seed)
-        values = success_norm_chain(circ, random_aux(2, 21))
-        assert values[-1] == pytest.approx(0.5, abs=1e-15)
+        values = amplification_check(circ, random_aux(2, 21)).norm_chain
+        assert len(values) == 7
+        assert values[-1] == 0.5
         for a, b in zip(values, values[1:]):
             assert abs(a - b) < TOL
 
     @pytest.mark.parametrize("seed", [None, 5])
     def test_block_chain(self, seed):
         circ = gmw_circuit(3, verifier_seed=seed)
-        residuals = amplification_chain_residuals(circ, random_aux(2, 22))
-        assert len(residuals) == 4
+        residuals = amplification_check(circ, random_aux(2, 22)).derivation
+        assert list(residuals) == [
+            "start_slice_coefficient",
+            "complement_coefficient",
+            "collapses_to_conjugated_projector",
+            "equals_projected_attempt",
+        ]
         for name, value in residuals.items():
             assert value < TOL, name
+
+    @pytest.mark.parametrize("seed", [None, 5])
+    def test_last_step_is_the_identity_residual(self, seed):
+        # The factor-by-factor walk runs the same factors in the same order as
+        # the step's chain, so it reproduces the chain's residual bit for bit.
+        circ = gmw_circuit(3, verifier_seed=seed)
+        aux = random_aux(2, 23)
+        check = amplification_check(circ, aux)
+        assert check.derivation["equals_projected_attempt"] == check.residual
+        s1 = attempt_output(circ, aux)
+        stepped = grover_step(circ, 1j, 1j).apply_to(circ.layout, s1)
+        target = (1j - 1) * circ.success_proj.apply_to(circ.layout, s1)
+        assert float(np.linalg.norm(stepped - target)) == check.residual
+
+    def test_norm_chain_line_zero_is_the_success_probability(self):
+        circ = gmw_circuit(3, verifier_seed=6)
+        aux = random_aux(2, 24)
+        s1 = StateVector(circ.layout, attempt_output(circ, aux))
+        line0 = amplification_check(circ, aux).norm_chain[0]
+        assert line0 == pytest.approx(success_probability(circ, aux), abs=1e-15)
+        assert line0 == pytest.approx(project(circ.success_proj, s1)[0], abs=1e-15)
+
+    def test_wrong_start_phase_breaks_the_chain(self, monkeypatch):
+        # With the start phase -1 the step no longer collapses onto the
+        # conjugated projector, and each intermediate after it drifts.
+        circ = gmw_circuit(3, verifier_seed=5)
+        original = simulator.phase_on_start
+        monkeypatch.setattr(simulator, "phase_on_start", lambda layout, phi: original(layout, -1.0))
+        check = amplification_check(circ, random_aux(2, 25))
+        assert check.derivation["start_slice_coefficient"] < TOL
+        assert check.derivation["collapses_to_conjugated_projector"] > 0.1
+        assert check.residual > 0.1
+
+    def test_needs_protocol_circuit(self):
+        circ = dataclasses.replace(gmw_circuit(3), inst=None)
+        with pytest.raises(ValueError, match="protocol circuit"):
+            amplification_check(circ, random_aux(2, 26))
 
 
 class TestSimulatedView:
