@@ -445,7 +445,7 @@ def run_phases(cfg: RunConfig) -> list[dict]:
         if not agrees:
             mismatched.append(lam)
         found = amplify.smallest_feasible_k(lam, k_max)
-        claim, label = "exact-amplification-phases", f"lambda={lam:g}"
+        claim, label = "exact-amplification-phases", f"lambda={lam!r}"
         if found is None:
             records.append(
                 record(
@@ -613,6 +613,8 @@ def _parse_lambdas(text: str) -> list[float]:
     for lam in lambdas:
         if not 0 < lam < 1:
             raise ConfigError(f"lambda values must be in (0, 1), got {lam}")
+    if len(set(lambdas)) != len(lambdas):
+        raise ConfigError(f"--lambdas repeats a value: {text!r}")
     return lambdas
 
 

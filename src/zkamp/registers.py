@@ -11,8 +11,9 @@ operator applied to the identity (:func:`to_matrix`).
 A Haar-random unitary is kept as Householder panels by :func:`haar_random_op`
 (:class:`HouseholderOp`).  Its reflectors are drawn directly, each from its
 own Gaussian column, as the Householder QR of a Ginibre matrix would make
-them, so neither that matrix, its QR, Q nor ``U† U`` is ever formed.  It is
-validated by a spectral-norm bound built from small panel matrices.
+them, so neither that matrix, its QR, Q nor ``U† U`` is ever formed.  Each
+panel's Gram matrix gives both its T factor, in closed form, and its part
+of a spectral-norm bound that validates the operator.
 
 All values are immutable after construction and every operation is pure
 (given its rng), so everything here is safe to share across threads.
@@ -136,6 +137,7 @@ def _canonical_targets(layout: RegisterLayout, targets: Sequence[str]) -> tuple[
 def _init_validated(op, layout: RegisterLayout, targets: Sequence[str], **data) -> None:
     """Store a new operator's fields, run its ``_validate(side)``, then freeze its arrays.
 
+    ``_validate`` may derive more fields, such as ``HouseholderOp.tfactors``.
     The one place an operator is checked: adjoints skip it (``_trusted_variant``),
     since for square U, ``||U U† - I||_2 = ||U† U - I||_2 = max |s_i^2 - 1|``.
     """
@@ -143,7 +145,7 @@ def _init_validated(op, layout: RegisterLayout, targets: Sequence[str], **data) 
     for name, value in (("layout", layout), ("targets", targets), *data.items()):
         object.__setattr__(op, name, value)
     op._validate(math.prod(layout.dim_of(name) for name in targets))
-    for value in data.values():
+    for value in vars(op).values():
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
 
@@ -268,77 +270,93 @@ class PermutationOp:
         return _on_targets(layout, self.targets, amps, permute)
 
 
+# Columns per compact-WY panel of a Householder operator.
+_PANEL_WIDTH = 64
+
+
 @dataclass(frozen=True)
 class HouseholderOp:
     """Unitary ``Q D`` on a subset of registers, with Q kept as Householder panels.
 
     Q is the product of the reflectors ``I - tau_j v_j v_j†`` held in the
-    columns of ``reflectors`` (unit lower triangular), grouped into
-    compact-WY panels ``I - V T V†`` (Schreiber and Van Loan): panel columns
-    ``s:e`` use ``V = reflectors[s:, s:e]`` and the upper triangular
-    ``T = tfactors[s:e, :e - s]``, so the width of ``tfactors`` is the panel
-    width.  D is the diagonal ``phases``.  Applying the panels costs about
-    one dense product, and neither Q nor ``U† U`` is ever formed.
+    columns of ``reflectors`` (unit lower triangular).  D is the diagonal
+    ``phases``.  The operator groups them into compact-WY panels
+    ``I - V T V†`` (Schreiber and Van Loan) of ``_PANEL_WIDTH`` columns:
+    panel columns ``s:e`` use ``V = reflectors[s:, s:e]`` and the upper
+    triangular ``T = tfactors[s:e, :e - s]``.  Applying the panels costs
+    about one dense product, and neither Q nor ``U† U`` is ever formed.
     """
 
     layout: RegisterLayout
     targets: tuple[str, ...]
     reflectors: np.ndarray
-    tfactors: np.ndarray
+    tau: np.ndarray
     phases: np.ndarray
 
-    def __init__(
-        self, layout: RegisterLayout, targets: Sequence[str], reflectors, tfactors, phases
-    ):
+    def __init__(self, layout: RegisterLayout, targets: Sequence[str], reflectors, tau, phases):
         _init_validated(
             self,
             layout,
             targets,
             reflectors=np.asarray(reflectors, dtype=complex),
-            tfactors=np.asarray(tfactors, dtype=complex),
+            tau=np.asarray(tau, dtype=complex),
             phases=np.asarray(phases, dtype=complex),
         )
 
     kind: str = field(default="unitary", init=False)
+    # Built by ``_validate`` from the reflectors and ``tau``.
+    tfactors: np.ndarray = field(init=False)
     # The adjoint holds the same data and applies ``D̄ Q†`` instead.
     inverse: bool = field(default=False, init=False)
 
     def _panels(self):
         """``(start, V, T)`` of each panel, first panel first."""
-        side, width = self.tfactors.shape
-        for s in range(0, side, width):
-            e = min(s + width, side)
+        side = len(self.tau)
+        for s in range(0, side, _PANEL_WIDTH):
+            e = min(s + _PANEL_WIDTH, side)
             yield s, self.reflectors[s:, s:e], self.tfactors[s:e, : e - s]
 
     def _validate(self, side: int) -> None:
-        t_shape = self.tfactors.shape
+        """Build each panel's T from its Gram ``G = V† V``, then bound the deviation with G.
+
+        ``T⁻¹ = diag(1/tau) + striu(G)`` (Joffrain et al., TOMS 2006), the
+        closed form of LAPACK's ``zlarft`` recurrence; it is inverted as
+        ``(I + diag(tau) striu(G))⁻¹ diag(tau)``, which needs no division by tau.
+        """
         if (
             self.reflectors.shape != (side, side)
-            or len(t_shape) != 2
-            or t_shape[0] != side
-            or not 1 <= t_shape[1] <= side
+            or self.tau.shape != (side,)
             or self.phases.shape != (side,)
         ):
             raise ValueError(
-                f"Householder data has shapes {self.reflectors.shape}, {self.tfactors.shape}, "
-                f"{self.phases.shape}; expected ({side}, {side}), ({side}, w <= {side}), ({side},)"
+                f"Householder data has shapes {self.reflectors.shape}, {self.tau.shape}, "
+                f"{self.phases.shape}; expected ({side}, {side}), ({side},), ({side},)"
             )
-        bound = self._deviation_bound()
+        object.__setattr__(
+            self, "tfactors", np.zeros((side, min(_PANEL_WIDTH, side)), dtype=complex)
+        )
+        grams = []
+        for s, v, t in self._panels():
+            gram = v.conj().T @ v
+            tau = self.tau[s : s + len(gram)]
+            t[...] = np.linalg.inv(np.eye(len(tau)) + tau[:, None] * np.triu(gram, 1)) * tau
+            grams.append(gram)
+        bound = self._deviation_bound(grams)
         if bound > ATOL_OP:
             raise ValueError(f"Householder panels are not unitary (deviation bound {bound:.3e})")
 
-    def _deviation_bound(self) -> float:
+    def _deviation_bound(self, grams) -> float:
         """An upper bound on ``||U† U - I||_2`` for the panels and phases as applied.
 
-        Each panel has ``Q† Q - I = V (T† G T - T - T†) V†`` with ``G = V† V``,
-        so its deviation is at most ``||G||_2 ||T† G T - T - T†||_2``, both
-        norms from the spectra of small Hermitian matrices.  Deviations
-        compose as ``||(AB)† AB - I|| <= (1 + ||A† A - I||)(1 + ||B† B - I||) - 1``,
-        and D deviates by ``max ||d|^2 - 1|``.
+        ``grams`` holds each panel's ``G = V† V``.  Each panel has
+        ``Q† Q - I = V (T† G T - T - T†) V†``, so its deviation is at most
+        ``||G||_2 ||T† G T - T - T†||_2``, both norms from the spectra of
+        small Hermitian matrices.  Deviations compose as
+        ``||(AB)† AB - I|| <= (1 + ||A† A - I||)(1 + ||B† B - I||) - 1``, and D
+        deviates by ``max ||d|^2 - 1|``.
         """
         bound = 1 + float(np.max(np.abs(np.abs(self.phases) ** 2 - 1)))
-        for _, v, t in self._panels():
-            gram = v.conj().T @ v
+        for (_, _, t), gram in zip(self._panels(), grams):
             core = t.conj().T @ gram @ t - t - t.conj().T
             bound *= 1 + _hermitian_norm(gram) * _hermitian_norm(core)
         return bound - 1
@@ -505,10 +523,6 @@ def _gaussian_columns(dim: int, seed: int) -> np.ndarray:
     return lower_t.T
 
 
-# Columns per compact-WY panel of a Householder operator.
-_PANEL_WIDTH = 64
-
-
 def haar_random_op(layout: RegisterLayout, targets: Sequence[str], seed: int) -> HouseholderOp:
     """Haar-distributed unitary ``Q D`` on ``targets``, deterministic per seed, without forming Q.
 
@@ -520,6 +534,8 @@ def haar_random_op(layout: RegisterLayout, targets: Sequence[str], seed: int) ->
     ``beta = -sign(Re alpha) ||x||``, ``tau = (beta - alpha) / beta`` and
     ``v = x / (alpha - beta)`` with a unit head.  ``beta`` is R's diagonal,
     so ``D = sign(beta)`` makes the distribution exactly Haar (Mezzadri 2007).
+    The reflectors, tau and D go to :class:`HouseholderOp` unchanged, which
+    builds its panel T factors from them.
     """
     side = math.prod(layout.dim_of(name) for name in targets)
     reflectors = _gaussian_columns(side, seed)
@@ -528,28 +544,7 @@ def haar_random_op(layout: RegisterLayout, targets: Sequence[str], seed: int) ->
     tau = (beta - alpha) / beta
     reflectors /= alpha - beta
     np.fill_diagonal(reflectors, 1.0)
-    return HouseholderOp(
-        layout, targets, reflectors, _compact_wy_factors(reflectors, tau), np.sign(beta)
-    )
-
-
-def _compact_wy_factors(reflectors: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """The T factors of :class:`HouseholderOp` panels for the given reflectors and ``tau``.
-
-    Each panel's T follows the forward recurrence of LAPACK's ``zlarft``:
-    ``T[j, j] = tau_j`` and ``T[:j, j] = -tau_j T[:j, :j] (V† V)[:j, j]``.
-    """
-    side = len(tau)
-    width = min(_PANEL_WIDTH, side)
-    tfactors = np.zeros((side, width), dtype=complex)
-    for s in range(0, side, width):
-        v = reflectors[s:, s : s + width]
-        gram = v.conj().T @ v
-        t = tfactors[s : s + width, : v.shape[1]]
-        for j in range(v.shape[1]):
-            t[j, j] = tau[s + j]
-            t[:j, j] = -tau[s + j] * (t[:j, :j] @ gram[:j, j])
-    return tfactors
+    return HouseholderOp(layout, targets, reflectors, tau, np.sign(beta))
 
 
 def random_state(dim: int, seed: int) -> np.ndarray:

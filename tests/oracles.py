@@ -6,8 +6,9 @@ matrix by applying an operator to the identity (``zkamp.registers.to_matrix``).
 The oracles here are the independent dense forms the tests compare against:
 row-major index arithmetic and the graph-code decoder, kron embeddings of
 operators, density operators with their channels and
-trace distance, checked state operations, the dense Haar draw, the dense
-verifier view, and the sampled measure-then-reflect round.
+trace distance, checked state operations, the dense Haar draw and the
+Householder T recurrence, the dense verifier view, and the sampled
+measure-then-reflect round.
 """
 
 import math
@@ -278,6 +279,25 @@ def haar_random_unitary(dim, seed):
     q, r = np.linalg.qr(u @ r)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
+
+
+def compact_wy_factors(reflectors, tau):
+    """Oracle for ``HouseholderOp.tfactors``: LAPACK's ``zlarft`` recurrence per 64-column panel.
+
+    Panel columns ``s:s + 64`` have ``T[j, j] = tau_j`` and
+    ``T[:j, j] = -tau_j T[:j, :j] (V† V)[:j, j]``.
+    """
+    side = len(tau)
+    width = min(64, side)
+    tfactors = np.zeros((side, width), dtype=complex)
+    for s in range(0, side, width):
+        v = reflectors[s:, s : s + width]
+        gram = v.conj().T @ v
+        t = tfactors[s : s + width, : v.shape[1]]
+        for j in range(v.shape[1]):
+            t[j, j] = tau[s + j]
+            t[:j, j] = -tau[s + j] * (t[:j, :j] @ gram[:j, j])
+    return tfactors
 
 
 def record_weights(view):

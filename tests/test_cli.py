@@ -1,6 +1,7 @@
 """Report runner: exit codes, determinism, and record contents."""
 
 import dataclasses
+import importlib.util
 import json
 import re
 from collections import Counter
@@ -20,7 +21,7 @@ from zkamp.cli import (
     run,
     trial_seeds,
 )
-from zkamp.registers import DiagonalOp
+from zkamp.registers import DiagonalOp, OpChain
 from zkamp.symm import parse_graph_literal
 
 from oracles import watrous_round
@@ -111,6 +112,7 @@ class TestExitCodes:
             (["--k-max", "0"], "--k-max must be >= 1"),
             (["--lambdas", ","], "at least one value"),
             (["--lambdas", "0.5,1.5"], "must be in (0, 1), got 1.5"),
+            (["--lambdas", "0.25,0.5,2.5e-1"], "repeats a value"),
         ],
     )
     def test_bad_phases_input_refused_before_solving(self, capsys, monkeypatch, options, message):
@@ -556,6 +558,16 @@ class TestCommandContents:
                 assert rec["value"] <= 1e-10
         assert by_name["single-step-feasibility-boundary"]["value"] == pytest.approx(0.5)
 
+    def test_phases_names_keep_every_digit(self, capsys):
+        # Six significant digits would name both records lambda=0.25.
+        code, out = run_capture(capsys, ["phases", "--lambdas", "0.2499999,0.25", "--seed", "0"])
+        assert code == 0
+        k = {r["name"]: r["k"] for r in json.loads(out)["records"] if "k" in r}
+        assert k == {
+            "exact-amplification-phases[lambda=0.2499999]": 2,
+            "exact-amplification-phases[lambda=0.25]": 1,
+        }
+
     def test_full_graph_literals_accepted(self, capsys):
         code, out = run_capture(
             capsys,
@@ -564,12 +576,156 @@ class TestCommandContents:
         assert code == 0
 
 
+def _patch(module, name, make):
+    """A fault that replaces ``module.name`` by ``make(original)`` for one test."""
+    return lambda mp: mp.setattr(module, name, make(getattr(module, name)))
+
+
+def _swapped_step(original):
+    """``grover_step`` with its start and success phases in each other's place."""
+
+    def step(circ, phi, varphi):
+        success, undo, start, redo = original(circ, phi, varphi).factors
+        return OpChain((start, undo, success, redo))
+
+    return step
+
+
+def _projector(mask):
+    """Success projector on A,B that keeps the (challenge, guess) pairs ``mask(m)`` marks."""
+    return lambda layout: DiagonalOp(
+        layout, ("A", "B"), mask(layout.dim_of("A")).reshape(-1), kind="projector"
+    )
+
+
+def _skewed_mask(m):
+    """Guess equal to challenge, and also guess 1 on challenge 0."""
+    mask = np.eye(m)
+    mask[0, 1] = 1.0
+    return mask
+
+
+def _replaced_blocks(**change):
+    """``block_decompose`` with some of its blocks passed through a function."""
+
+    def make(original):
+        def decompose(*args, **kwargs):
+            b = original(*args, **kwargs)
+            return dataclasses.replace(b, **{k: f(getattr(b, k)) for k, f in change.items()})
+
+        return decompose
+
+    return make
+
+
+BLOCKS_N3 = ["blocks", *N3, "--trials", "1", "--seed", "7"]
+BLOCKS_M4 = ["blocks", "--m", "4", "--trials", "1", "--seed", "7"]
+SCHEDULE_M8 = ["schedule", "--m", "8", "--seed", "7"]
+
+# One injected defect for each claim that no named fault test covers.
+FAULTS = {
+    # The simulator skips amplification and shows the verifier one attempt.
+    "view-equality": (
+        ["zk-check", *N3, "--keep-z", "--trials", "1", "--seed", "7"],
+        _patch(simulator, "amplified_state", lambda original: simulator.attempt_output),
+    ),
+    # The step runs its phases in the swapped order, so the control runs the right one.
+    "operator-order-disambiguation": (
+        ["verify-eq2", *N3, "--trials", "1", "--seed", "7"],
+        _patch(simulator, "grover_step", _swapped_step),
+    ),
+    # The stated 2/m reported in place of the computed 4 lam (1 - lam).
+    "second-measurement-probability": (
+        SCHEDULE_M8,
+        _patch(amplify, "computed_second_probability", lambda original: lambda lam: 2 * lam),
+    ),
+    # A projector that also accepts guess 1 on challenge 0 succeeds more often than 1/2.
+    "first-measurement-probability": (
+        ["watrous", *N3, "--trials", "1", "--seed", "7"],
+        _patch(simulator, "success_projector", lambda original: _projector(_skewed_mask)),
+    ),
+    # Two accepted guesses per challenge: still a scalar top block, but 2/m.
+    "scalar-top-block": (
+        BLOCKS_M4,
+        _patch(
+            amplify,
+            "success_projector",
+            lambda original: _projector(lambda m: np.eye(m) + np.roll(np.eye(m), 1, axis=1)),
+        ),
+    ),
+    # A cross block scaled by 1 + 1e-6 breaks lam^2 - lam + cross† cross = 0.
+    "idempotence-identity-1": (
+        BLOCKS_N3,
+        _patch(amplify, "block_decompose", _replaced_blocks(cross=lambda c: c * (1 + 1e-6))),
+    ),
+    # A top block off by 1e-8 breaks (lam - 1) cross + rest cross = 0.
+    "idempotence-identity-2": (
+        BLOCKS_N3,
+        _patch(amplify, "block_decompose", _replaced_blocks(success_prob=lambda lam: lam + 1e-8)),
+    ),
+    # The step matrix transposed, its rows read as the images: a rotation by -2 theta.
+    "grover-rotation-form": (
+        BLOCKS_M4,
+        _patch(amplify, "subspace_matrix", lambda original: lambda lam, p: original(lam, p).T),
+    ),
+    # The full-space reflection drops its minus sign and becomes the identity.
+    "full-vs-two-dim-agreement": (
+        SCHEDULE_M8,
+        _patch(amplify, "grover_step", lambda original: lambda c, phi, vp: original(c, -phi, vp)),
+    ),
+    # The two-dimensional reflection drops its minus sign: no later measurement succeeds.
+    "every-entry-at-least-lambda": (
+        SCHEDULE_M8,
+        _patch(
+            amplify,
+            "subspace_matrix",
+            lambda original: lambda lam, p: original(lam, amplify.PhasePair(-p.phi, p.varphi)),
+        ),
+    ),
+}
+# The claims that named tests in this file fail with a defect of their own.
+NAMED_FAULT_CLAIMS = {
+    "idempotence-identity-3",
+    "half-success-block",
+    "subspace-closure",
+    "one-step-amplification",
+    "post-step-success-probability",
+    "reflected-state-fidelity",
+    "single-step-feasibility-boundary",
+    "exact-amplification-phases",
+}
+
+
+def _checker_claims():
+    """Every claim ``perfbench/check.py`` expects from some command."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "check.py"
+    spec = importlib.util.spec_from_file_location("perfbench_check_claims", path)
+    check = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(check)
+    opts = {"lambdas": "0.5", "steps": "4"}
+    return {claim for command in cli.COMMANDS for claim in check.expected_claims(command, opts)}
+
+
 class TestInjectedFaults:
     """A defect injected into one computation fails its record, and the command exits 1."""
 
     @staticmethod
     def failed_claims(out):
         return {r["claim"] for r in json.loads(out)["records"] if not r["pass"]}
+
+    def test_every_claim_has_a_fault(self):
+        assert not set(FAULTS) & NAMED_FAULT_CLAIMS
+        assert set(FAULTS) | NAMED_FAULT_CLAIMS == _checker_claims()
+
+    @pytest.mark.parametrize("claim", list(FAULTS))
+    def test_fault_fails_its_claim(self, capsys, monkeypatch, claim):
+        argv, inject = FAULTS[claim]
+        _, clean = run_capture(capsys, argv)
+        assert claim not in self.failed_claims(clean)
+        inject(monkeypatch)
+        code, out = run_capture(capsys, argv)
+        assert code == 1
+        assert claim in self.failed_claims(out)
 
     def test_perturbed_rest_block_fails_identity_three(self, capsys, monkeypatch):
         original = amplify.block_decompose

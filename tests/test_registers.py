@@ -15,7 +15,6 @@ from zkamp.registers import (
     PermutationOp,
     RegisterLayout,
     StateVector,
-    _compact_wy_factors,
     _gaussian_columns,
     _trusted_variant,
     haar_random_op,
@@ -26,6 +25,7 @@ from zkamp.registers import (
 )
 
 from oracles import (
+    compact_wy_factors,
     DensityOperator,
     apply,
     basis_state,
@@ -531,6 +531,7 @@ class TestValidateOnce:
             ops["diagonal"].adjoint().phases,
             ops["permutation"].adjoint().image,
             ops["householder"].adjoint().reflectors,
+            ops["householder"].adjoint().tau,
             ops["householder"].adjoint().tfactors,
             ops["householder"].adjoint().phases,
         ]
@@ -542,10 +543,9 @@ class TestValidateOnce:
                 arr[0] = arr[0]
 
 
-def _panel_taus(op):
-    """The ``tau`` of each reflector: the diagonal of its panel's T."""
-    side, width = op.tfactors.shape
-    return np.array([op.tfactors[j, j % width] for j in range(side)])
+def _grams(op):
+    """Each panel's ``V† V``."""
+    return [v.conj().T @ v for _, v, _ in op._panels()]
 
 
 class TestHouseholderOp:
@@ -571,7 +571,7 @@ class TestHouseholderOp:
         upper = np.triu(rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side)), 1)
         raw, tau = np.linalg.qr(to_matrix(op, layout) @ (np.diag(np.abs(beta)) + upper), mode="raw")
         np.testing.assert_allclose(np.tril(raw.T, -1), np.tril(op.reflectors, -1), atol=1e-12)
-        np.testing.assert_allclose(tau, _panel_taus(op), atol=1e-12)
+        np.testing.assert_allclose(tau, op.tau, atol=1e-12)
         np.testing.assert_allclose(np.diagonal(raw), beta, atol=1e-12)
 
     def test_draw_fills_columns_from_one_stream(self):
@@ -618,25 +618,35 @@ class TestHouseholderOp:
         dense = LinearOp(layout, ("A", "C"), haar_random_unitary(15, seed=4))
         np.testing.assert_allclose(to_matrix(op, layout), to_matrix(dense, layout), atol=1e-12)
 
+    @pytest.mark.parametrize("side", [1, 4, 63, 64, 65, 96, 1024])
+    def test_tfactors_match_recurrence(self, side):
+        # 65 and 96 leave a partial last panel; the bound stays near float scale.
+        layout = RegisterLayout([("A", side)])
+        op = haar_random_op(layout, ("A",), seed=side)
+        assert op.tfactors.shape == (side, min(side, 64))
+        np.testing.assert_allclose(
+            op.tfactors, compact_wy_factors(op.reflectors, op.tau), rtol=0, atol=1e-13
+        )
+        assert op._deviation_bound(_grams(op)) <= 1e-12
+
+    def test_zero_tau_is_an_identity_reflector(self):
+        layout = RegisterLayout([("A", 4)])
+        op = haar_random_op(layout, ("A",), seed=4)
+        tau = op.tau.copy()
+        tau[2] = 0
+        kept = HouseholderOp(layout, ("A",), op.reflectors, tau, op.phases)
+        assert not kept.tfactors[:, 2].any()
+        identity = HouseholderOp(layout, ("A",), np.eye(4), np.zeros(4), np.ones(4))
+        np.testing.assert_array_equal(to_matrix(identity, layout), np.eye(4))
+
     @pytest.mark.parametrize("side", [4, 96])
     def test_rejects_perturbed_tau(self, side):
         layout = RegisterLayout([("A", side)])
         op = haar_random_op(layout, ("A",), seed=side)
-        tau = _panel_taus(op)
+        tau = op.tau.copy()
         tau[side // 2] += 1e-8
-        tfactors = _compact_wy_factors(op.reflectors, tau)
         with pytest.raises(ValueError, match="not unitary"):
-            HouseholderOp(layout, ("A",), op.reflectors, tfactors, op.phases)
-
-    @pytest.mark.parametrize("side", [4, 96])
-    def test_rejects_perturbed_t(self, side):
-        layout = RegisterLayout([("A", side)])
-        op = haar_random_op(layout, ("A",), seed=side)
-        width = op.tfactors.shape[1]
-        tfactors = op.tfactors.copy()
-        tfactors[(side // 2) // width * width, 1] += 1e-8
-        with pytest.raises(ValueError, match="not unitary"):
-            HouseholderOp(layout, ("A",), op.reflectors, tfactors, op.phases)
+            HouseholderOp(layout, ("A",), op.reflectors, tau, op.phases)
 
     def test_rejects_non_unit_phase(self):
         layout = RegisterLayout([("A", 8)])
@@ -644,36 +654,36 @@ class TestHouseholderOp:
         phases = op.phases.copy()
         phases[3] *= 1 + 1e-8
         with pytest.raises(ValueError, match="not unitary"):
-            HouseholderOp(layout, ("A",), op.reflectors, op.tfactors, phases)
+            HouseholderOp(layout, ("A",), op.reflectors, op.tau, phases)
 
     @pytest.mark.parametrize("side", [4, 96, 200])
     def test_bound_is_at_least_dense_deviation(self, side):
         layout = RegisterLayout([("A", side)])
         op = haar_random_op(layout, ("A",), seed=side)
         width = op.tfactors.shape[1]
-        tau = _panel_taus(op)
+        tau = op.tau.copy()
         tau[side // 2] += 1e-8
         tfactors = op.tfactors.copy()
         tfactors[(side // 2) // width * width, 1] += 1e-8
         variants = [
             op,
-            _trusted_variant(op, tfactors=_compact_wy_factors(op.reflectors, tau)),
+            _trusted_variant(op, tau=tau, tfactors=compact_wy_factors(op.reflectors, tau)),
             _trusted_variant(op, tfactors=tfactors),
         ]
         for variant in variants:
             u = to_matrix(variant, layout)
             dense = np.linalg.norm(u.conj().T @ u - np.eye(side), ord=2)
-            assert variant._deviation_bound() >= dense
-        assert op._deviation_bound() <= ATOL_OP
-        assert min(v._deviation_bound() for v in variants[1:]) > ATOL_OP
+            assert variant._deviation_bound(_grams(variant)) >= dense
+        assert op._deviation_bound(_grams(op)) <= ATOL_OP
+        assert min(v._deviation_bound(_grams(v)) for v in variants[1:]) > ATOL_OP
 
     def test_rejects_wrong_shapes(self):
         layout = RegisterLayout([("A", 4), ("B", 2)])
         op = haar_random_op(layout, ("A",), seed=0)
         with pytest.raises(ValueError, match="shapes"):
-            HouseholderOp(layout, ("B",), op.reflectors, op.tfactors, op.phases)
+            HouseholderOp(layout, ("B",), op.reflectors, op.tau, op.phases)
         with pytest.raises(ValueError, match="shapes"):
-            HouseholderOp(layout, ("A",), op.reflectors, op.tfactors[:, :0], op.phases)
+            HouseholderOp(layout, ("A",), op.reflectors, op.tau[:-1], op.phases)
 
 
 class TestToMatrix:
