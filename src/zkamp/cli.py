@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -20,7 +21,7 @@ import numpy as np
 from . import __version__, amplify, protocol, simulator
 from .amplify import PhasePair
 from .protocol import Instance, NotIsomorphicError
-from .registers import _EMBED_DIM_LIMIT, ATOL_NORM, ATOL_OP
+from .registers import ATOL_NORM, ATOL_OP, BYTE_BUDGET, WORK_BUDGET, dense_bytes
 from .symm import MAX_VERTICES, format_graph_literal, parse_graph_literal
 
 ORDER_GAP = 1e-6
@@ -36,6 +37,10 @@ BOUNDARY_SLACK = 1e-9
 # the 2D schedule first breaks at 23 to 25 steps, depending on the dims.
 MAX_SCHEDULE_STEPS = 16
 COMPLETIONS = ("householder", "dft")
+MAX_GUESSES = 8192  # basis states m^2 of the abstract circuit's guess space A,B
+# A command holds at most 16 states per column of W and 1 MiB of interpreter objects; a 2x2
+# phase-solver step takes as long as 1e5 dense multiply-adds (2e-5 s; 5e9/s on one BLAS thread).
+STATE_COPIES, BASE_BYTES, STEP_WORK = 16, 2**20, 10**5
 
 
 class ConfigError(Exception):
@@ -61,8 +66,13 @@ class RunConfig:
     def validate(self) -> None:
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if self.n is not None:
-            _check_vertex_count(self.n)
+        if self.m is None and self.command == "schedule":
+            raise ConfigError("schedule needs --m")
+        if self.m is not None and self.m < 2:
+            raise ConfigError(f"--m must be >= 2, got {self.m}")
+        if self.m is not None and self.m**2 > MAX_GUESSES:
+            guesses = f"the guess space A,B has {self.m**2} basis states"
+            raise ConfigError(f"{guesses}, above the limit of {MAX_GUESSES}")
         if min(self.dims) < 1:
             raise ConfigError(f"dims must be >= 1, got {self.dims}")
         if self.seed < 0:
@@ -186,16 +196,15 @@ def _parse_graph(text: str, n: int | None):
         raise ConfigError(str(exc)) from exc
 
 
-def build_instance(cfg: RunConfig) -> Instance:
+def _graph_pair(cfg: RunConfig):
     if cfg.g0 is None or cfg.g1 is None:
         raise ConfigError("this command needs --g0 and --g1")
-    g0 = _parse_graph(cfg.g0, cfg.n)
-    g1 = _parse_graph(cfg.g1, cfg.n)
-    # A literal carries its own vertex count, so each graph is checked.
-    for graph in (g0, g1):
-        _check_graph_size(cfg.dims, graph.n)
+    return _parse_graph(cfg.g0, cfg.n), _parse_graph(cfg.g1, cfg.n)
+
+
+def build_instance(cfg: RunConfig) -> Instance:
     try:
-        inst = Instance.from_graphs(g0, g1)
+        inst = Instance.from_graphs(*_graph_pair(cfg))
     except NotIsomorphicError as exc:
         raise ConfigError(f"graphs are not isomorphic: {exc}") from exc
     except ValueError as exc:
@@ -203,51 +212,52 @@ def build_instance(cfg: RunConfig) -> Instance:
     return inst
 
 
-def _check_vertex_count(n: int) -> None:
-    if not 2 <= n <= 4:
-        raise ConfigError(f"n must be in 2..4 for full verification runs, got {n}")
+def estimate(cfg: RunConfig, n: int | None) -> tuple[int, int, str]:
+    """Peak bytes and dense multiply-adds of a command on n-vertex graphs, and what needs them.
 
-
-def _check_graph_size(dims: tuple[int, int], n: int) -> None:
-    """Refuse a graph's vertex count and its verifier's size, before S_n is enumerated.
-
-    Every command on a graph pair draws a verifier on W,V,A,Y, whose
-    Householder reflectors fill a dense matrix of that side.  A refused n
-    also names an oversize verifier while n is in S_n's range
-    1..MAX_VERTICES; past it that size is never computed, as the graph
-    register alone has 2^(n(n-1)/2) states.
+    Each dense side of the builders' layouts, an honest verifier's too, counts
+    at ``dense_bytes``.  The work is the two d^3 products of ``blocks``, or the
+    2x2 steps of ``phases`` up to Grover's ``ceil(pi / (4 asin(sqrt(lam))) - 1/2)``.
     """
-    try:
-        _check_vertex_count(n)
-    except ConfigError as exc:
-        if 1 <= n <= MAX_VERTICES:
-            _check_embed_dim(f"{exc}; the verifier unitary", protocol.view_layout(dims, n).total_dim)
-        raise
-    _check_embed_dim("the verifier unitary", protocol.view_layout(dims, n).total_dim)
+    if cfg.command == "phases":
+        lambdas, k_max = cfg.extras["lambdas"], cfg.extras["k_max"]
+        ks = [min(k_max, math.ceil(math.pi / (4 * math.asin(lam**0.5)) - 0.5)) for lam in lambdas]
+        steps = sum(k * (k + 1) // 2 for k in ks)
+        return BASE_BYTES, STEP_WORK * steps, f"{steps} 2x2 solver steps, k up to {max(ks)}"
+    if cfg.m is not None:
+        layout = amplify.toy_layout(cfg.m, cfg.dims)
+        sides = {"toy scramble on W,V,A": layout.keep(["W", "V", "A"]).total_dim}
+    else:
+        layout = simulator.sim_layout(cfg.dims, n)
+        sides = {"verifier unitary": protocol.view_layout(cfg.dims, n).total_dim}
+    d, work = layout.total_dim, 0
+    if cfg.command == "blocks":
+        sides["attempt matrix"] = d
+        work = 2 * cfg.trials * d**3
+    peak = BASE_BYTES + sum(map(dense_bytes, sides.values())) + 16 * STATE_COPIES * cfg.dims[0] * d
+    dense = ", ".join(f"a dense {side}x{side} {what}" for what, side in sides.items())
+    return peak, work, f"{dense} and {d}-amplitude states"
 
 
-def _check_embed_dim(what: str, dim: int) -> None:
-    """Refuse, before anything is allocated, a dense operator above the embedding limit."""
-    if dim > _EMBED_DIM_LIMIT:
-        raise ConfigError(
-            f"{what} needs a dense {dim}x{dim} matrix, above the limit of {_EMBED_DIM_LIMIT}"
-        )
+def preflight(cfg: RunConfig) -> None:
+    """Refuse, from the layouts alone and before anything is built, a command above a budget.
 
-
-def _check_toy_circuit(cfg: RunConfig):
-    """The abstract 1/m circuit's layout, refused if its scramble or guess space is oversize."""
-    if cfg.m < 2:
-        raise ConfigError(f"--m must be >= 2, got {cfg.m}")
-    layout = amplify.toy_layout(cfg.m, cfg.dims)
-    _check_embed_dim("the toy scramble on W,V,A", layout.keep(["W", "V", "A"]).total_dim)
-    # Nothing dense is built on A,B, but states grow with m^2: with only the
-    # scramble bound, dims 1x1 and m = 8192 would need 1 GiB states.
-    guesses = layout.keep(["A", "B"]).total_dim
-    if guesses > _EMBED_DIM_LIMIT:
-        raise ConfigError(
-            f"the guess space A,B has {guesses} basis states, above the limit of {_EMBED_DIM_LIMIT}"
-        )
-    return layout
+    A vertex count outside 2..4 is refused too; past S_n's range 1..MAX_VERTICES
+    no estimate is made, as the graph register alone has 2^(n(n-1)/2) states.
+    """
+    graphs = cfg.command != "phases" and cfg.m is None
+    for n in sorted({g.n for g in _graph_pair(cfg)}) if graphs else [None]:
+        reasons = []
+        if n is not None and not 2 <= n <= 4:
+            reasons.append(f"n must be in 2..4 for full verification runs, got {n}")
+        peak, work, what = estimate(cfg, n) if n is None or 1 <= n <= MAX_VERTICES else (0, 0, "")
+        if peak > BYTE_BUDGET or work > WORK_BUDGET:
+            reasons.append(
+                f"{cfg.command} needs {peak / 2**30:.3g} GiB and {work:.2g} multiply-adds for "
+                f"{what}, above the budgets of {BYTE_BUDGET / 2**30:g} GiB and {WORK_BUDGET:.0e}"
+            )
+        if reasons:
+            raise ConfigError("; ".join(reasons))
 
 
 def _trials(cfg: RunConfig, inst: Instance, kind: str = "adversarial"):
@@ -384,17 +394,11 @@ def run_watrous(cfg: RunConfig) -> list[dict]:
 
 def _blocks_circuits(cfg: RunConfig):
     if cfg.m is not None:
-        expected = 1.0 / cfg.m
-        _check_embed_dim("block decomposition", _check_toy_circuit(cfg).total_dim)
         for t in range(cfg.trials):
-            seed = trial_seeds(cfg.seed, t)[0]
-            yield f"toy[m={cfg.m},trial={t}]", amplify.toy_circuit(cfg.m, cfg.dims, seed), expected
+            circ = amplify.toy_circuit(cfg.m, cfg.dims, trial_seeds(cfg.seed, t)[0])
+            yield f"toy[m={cfg.m},trial={t}]", circ, 1.0 / cfg.m
         return
-    inst = build_instance(cfg)
-    if inst.n > 3:
-        raise ConfigError("dense block decomposition is guarded at n <= 3")
-    _check_embed_dim("block decomposition", simulator.sim_layout(cfg.dims, inst.n).total_dim)
-    for t, _, circ in _trials(cfg, inst):
+    for t, _, circ in _trials(cfg, build_instance(cfg)):
         yield f"gmw[trial={t}]", circ, 0.5
 
 
@@ -493,9 +497,6 @@ def run_phases(cfg: RunConfig) -> list[dict]:
 
 def run_schedule(cfg: RunConfig) -> list[dict]:
     """Run the measure-then-reflect schedule and report its probabilities."""
-    if cfg.m is None:
-        raise ConfigError("schedule needs --m")
-    _check_toy_circuit(cfg)
     steps = cfg.extras["steps"]
     lam = 1.0 / cfg.m
     two_dim = amplify.iterative_schedule(lam, steps)
@@ -663,6 +664,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         extras=extras,
     )
     cfg.validate()
+    preflight(cfg)
     return cfg
 
 

@@ -37,6 +37,10 @@ ATOL_NORM = 1e-12
 NORM_SLACK = 1e-9
 # A branch whose squared norm is below this carries no amplitude.
 ZERO_NORM_SQ = 1e-24
+# Peak bytes and dense multiply-adds one command may use; ``cli.preflight``
+# refuses, before anything is built, a command estimated above either.
+BYTE_BUDGET = 2**30
+WORK_BUDGET = 10**11
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -191,8 +195,7 @@ class LinearOp:
         return _trusted_variant(self, matrix=self.matrix.conj().T)
 
     def apply_to(self, layout: RegisterLayout, amps: np.ndarray) -> np.ndarray:
-        _check_targets_compatible(self, layout)
-        return _on_targets(layout, self.targets, amps, lambda flat: self.matrix @ flat)
+        return _on_targets(self, layout, amps, lambda flat: self.matrix @ flat)
 
 
 @dataclass(frozen=True)
@@ -227,8 +230,7 @@ class DiagonalOp:
         return _trusted_variant(self, phases=self.phases.conj())
 
     def apply_to(self, layout: RegisterLayout, amps: np.ndarray) -> np.ndarray:
-        _check_targets_compatible(self, layout)
-        return _on_targets(layout, self.targets, amps, lambda flat: self.phases[:, None] * flat)
+        return _on_targets(self, layout, amps, lambda flat: self.phases[:, None] * flat)
 
 
 @dataclass(frozen=True)
@@ -260,14 +262,12 @@ class PermutationOp:
         return _trusted_variant(self, image=inverse)
 
     def apply_to(self, layout: RegisterLayout, amps: np.ndarray) -> np.ndarray:
-        _check_targets_compatible(self, layout)
-
         def permute(flat: np.ndarray) -> np.ndarray:
             out = np.empty_like(flat)
             out[self.image] = flat
             return out
 
-        return _on_targets(layout, self.targets, amps, permute)
+        return _on_targets(self, layout, amps, permute)
 
 
 # Columns per compact-WY panel of a Householder operator.
@@ -365,8 +365,7 @@ class HouseholderOp:
         return _trusted_variant(self, inverse=not self.inverse)
 
     def apply_to(self, layout: RegisterLayout, amps: np.ndarray) -> np.ndarray:
-        _check_targets_compatible(self, layout)
-        return _on_targets(layout, self.targets, amps, self._act)
+        return _on_targets(self, layout, amps, self._act)
 
     def _act(self, flat: np.ndarray) -> np.ndarray:
         if self.inverse:
@@ -431,8 +430,15 @@ class OpChain:
         return amps
 
 
-def _check_targets_compatible(op, layout: RegisterLayout) -> None:
-    """Raise unless ``layout`` gives every target of ``op`` its dimension."""
+def _on_targets(op, layout: RegisterLayout, amps: np.ndarray, act) -> np.ndarray:
+    """``act`` applied to raw amplitudes viewed as a (target basis, rest) matrix of ``op``.
+
+    ``amps`` is one amplitude vector, or a block of them with the layout index
+    first and any trailing batch axes; ``layout`` must give every target of
+    ``op`` its dimension.  The targets are moved to the front in layout order
+    and flattened into the rows; ``act`` returns a matrix of the same shape,
+    which is moved back.
+    """
     for name in op.targets:
         try:
             dim = layout.dim_of(name)
@@ -445,29 +451,21 @@ def _check_targets_compatible(op, layout: RegisterLayout) -> None:
                 f"register {name!r} has dim {dim} in the state layout "
                 f"but {op.layout.dim_of(name)} in the operator layout"
             )
-
-
-def _on_targets(layout: RegisterLayout, targets: Sequence[str], amps: np.ndarray, act) -> np.ndarray:
-    """``act`` applied to raw amplitudes viewed as a (target basis, rest) matrix.
-
-    ``amps`` is one amplitude vector, or a block of them with the layout index
-    first and any trailing batch axes.  The targets are moved to the front in
-    layout order and flattened into the rows; ``act`` returns a matrix of the
-    same shape, which is moved back.
-    """
-    axes = layout.axes(targets)
+    axes = layout.axes(op.targets)
     moved = np.moveaxis(amps.reshape(layout.dims + amps.shape[1:]), axes, range(len(axes)))
     out = act(moved.reshape(math.prod(moved.shape[: len(axes)]), -1))
     return np.moveaxis(out.reshape(moved.shape), range(len(axes)), axes).reshape(amps.shape)
 
 
-_EMBED_DIM_LIMIT = 8192
+def dense_bytes(side: int) -> int:
+    """Peak bytes of :func:`to_matrix`: identity, moved copy, product and product moved back."""
+    return 4 * 16 * side**2
 
 
 def to_matrix(op, layout: RegisterLayout) -> np.ndarray:
     """Dense layout-sized matrix of an operator: its action on every basis vector."""
     total = layout.total_dim
-    if total > _EMBED_DIM_LIMIT:
+    if dense_bytes(total) > BYTE_BUDGET:
         raise MemoryError(
             f"refusing to materialize a {total}x{total} dense operator; "
             "apply the factored form instead"

@@ -239,8 +239,8 @@ def amplification_check(circ: SimulatorCircuit, aux: StateVector) -> Amplificati
 
     The identity holds with the start phase applied between the two attempt
     halves and the success phase applied first, the order the step runs; the
-    swapped order is evaluated as well and its residual reported, because the
-    two orders give visibly different states.
+    swapped order is evaluated as well and its distance from the stepped state
+    reported, because the two orders give visibly different states.
     """
     if circ.inst is None or circ.ver is None:
         raise ValueError("the amplification check needs a protocol circuit")
@@ -270,7 +270,7 @@ def amplification_check(circ: SimulatorCircuit, aux: StateVector) -> Amplificati
     success_prob = float(np.linalg.norm(circ.success_proj.apply_to(layout, stepped / norm)) ** 2)
 
     swapped = OpChain((s0, adj, sp, attempt)).apply_to(layout, s1)
-    swapped_residual = float(np.linalg.norm(swapped - target))
+    swapped_residual = float(np.linalg.norm(swapped - stepped))
     return AmplificationCheck(
         residual, success_prob, swapped_residual, derivation, _norm_chain(circ, aux, projected)
     )

@@ -10,6 +10,7 @@ import importlib.util
 import io
 import json
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -96,3 +97,22 @@ def test_refusal_is_checked():
 )
 def test_checker_self_test(name):
     getattr(checker_tests, name)()
+
+
+@pytest.mark.parametrize(
+    "op", [op for op in OPERATIONS if not op.oversize], ids=lambda op: " ".join(op.argv)
+)
+def test_byte_estimate_bounds_the_traced_peak(op):
+    # The estimate that preflight holds to the byte budget must cover what
+    # the command really allocates, at the benchmark's own sizes.
+    argv = [*op.argv, "--seed", "7"]
+    cfg = cli.config_from_args(cli.build_parser().parse_args(argv))
+    estimated, _, _ = cli.estimate(cfg, cfg.n)
+    tracemalloc.start()
+    try:
+        code, _, _ = _run(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= estimated

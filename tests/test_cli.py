@@ -263,7 +263,7 @@ class TestRecords:
 
 
 class TestOversizeRefusals:
-    """Every command refuses an oversize dense operator from its dimension alone."""
+    """Every command refuses a run above the byte or work budget from its layouts alone."""
 
     @pytest.fixture(autouse=True)
     def no_dense_builds(self, monkeypatch):
@@ -277,6 +277,9 @@ class TestOversizeRefusals:
             (protocol, "find_isomorphism"),
             (simulator, "success_projector"),
             (amplify, "success_projector"),
+            (amplify, "to_matrix"),
+            (simulator, "build_circuit"),
+            (amplify, "solve_phases"),
         ):
             monkeypatch.setattr(module, name, never)
 
@@ -295,6 +298,18 @@ class TestOversizeRefusals:
             # Toy scramble on W,V,A: dim_w * dim_v * m.
             (["schedule", "--m", "2", "--dim-w", "64", "--dim-v", "65"], 8320),
             (["blocks", "--m", "2", "--dim-w", "64", "--dim-v", "65"], 8320),
+            # Sides at most 8192, but above the byte budget: an 8192x8192 Haar
+            # draw, and attempt matrices of 6144, 8100 and 24576 rows.
+            (["zk-check", *N4, "--dim-w", "8", "--dim-v", "8"], 8192),
+            (["blocks", *N3, "--dim-w", "4", "--dim-v", "8"], 6144),
+            (["blocks", "--m", "45"], 8100),
+            (["blocks", *N4], 24576),
+            # No dense side: each step count up to k = 7854 re-evolves the steps before it.
+            pytest.param(
+                ["phases", "--lambdas", "1e-8", "--k-max", "20000"],
+                "3.1e+12 multiply-adds for 30846585 2x2 solver steps, k up to 7854",
+                id="phases-1e-8",
+            ),
         ],
     )
     def test_refused_with_dimension_in_message(self, capsys, argv, dim):
@@ -629,10 +644,10 @@ FAULTS = {
         ["zk-check", *N3, "--keep-z", "--trials", "1", "--seed", "7"],
         _patch(simulator, "amplified_state", lambda original: simulator.attempt_output),
     ),
-    # The step runs its phases in the swapped order, so the control runs the right one.
+    # A step with both phases 1 is the identity, so its two orders coincide.
     "operator-order-disambiguation": (
         ["verify-eq2", *N3, "--trials", "1", "--seed", "7"],
-        _patch(simulator, "grover_step", _swapped_step),
+        _patch(simulator, "grover_step", lambda original: lambda circ, phi, vp: original(circ, 1, 1)),
     ),
     # The stated 2/m reported in place of the computed 4 lam (1 - lam).
     "second-measurement-probability": (
@@ -778,6 +793,18 @@ class TestInjectedFaults:
         # The start slice gets -1 in place of i: off by |-1 - i| / |1 + i| = 1.
         assert rec["derivation"]["collapses_to_conjugated_projector"] == pytest.approx(1.0, abs=1e-12)
         assert rec["derivation"]["start_slice_coefficient"] <= 1e-10
+
+    def test_swapped_phases_fail_the_identity_not_the_order_control(self, capsys, monkeypatch):
+        # The control compares the two orders with each other, not with the
+        # target, so a step that runs the wrong order still differs from the
+        # control (which then runs the right one); the identity catches it.
+        monkeypatch.setattr(simulator, "grover_step", _swapped_step(simulator.grover_step))
+        code, out = run_capture(capsys, self.EQ2)
+        assert code == 1
+        assert self.failed_claims(out) == {
+            "one-step-amplification",
+            "post-step-success-probability",
+        }
 
     def test_wrong_success_phase_fails_post_step_probability(self, capsys, monkeypatch):
         original = simulator.phase_on_success
