@@ -27,7 +27,6 @@ from .registers import (
     RegisterLayout,
     StateVector,
     haar_random_op,
-    to_matrix,
 )
 from .simulator import (
     SimulatorCircuit,
@@ -37,6 +36,9 @@ from .simulator import (
     success_projector,
     uniform_superposition_unitary,
 )
+
+
+RESIDUAL_PANEL = 128  # rows of ``rest`` per panel of the third idempotence residual
 
 
 class NotLambdaUniformError(ValueError):
@@ -73,21 +75,22 @@ class PhasePair:
 def block_decompose(attempt, success_proj: DiagonalOp, layout: RegisterLayout) -> BlockDecomposition:
     """Split ``attempt^-1 P attempt`` by the start slice and extract the blocks.
 
-    P is a 0/1 diagonal, so ``attempt^-1 P attempt = (P attempt)^† (P attempt)``:
-    one dense product over the rows of the attempt matrix that P keeps.
+    P is a 0/1 diagonal, so ``attempt^-1 P attempt = K K^†`` for the d x r block
+    ``K = attempt^†`` applied to the r basis columns P keeps; each block is one
+    product of K's start-slice or complement rows, never a d x d attempt matrix.
     Raises :class:`NotLambdaUniformError` when the top block is not a scalar
     matrix, i.e. when the circuit's success probability varies with the
     auxiliary input and the two-dimensional theory does not apply.
     """
-    dim_w = layout.dim_of("W")
-    dim_rest = layout.total_dim // dim_w
-    mask = success_proj.apply_to(layout, np.ones(layout.total_dim, dtype=complex))
-    projected = to_matrix(attempt, layout)[mask.real == 1]
-    conj = projected.conj().T @ projected
-
-    slice_idx = np.arange(dim_w) * dim_rest
-    comp_idx = np.setdiff1d(np.arange(layout.total_dim), slice_idx)
-    top = conj[np.ix_(slice_idx, slice_idx)]
+    d, dim_w = layout.total_dim, layout.dim_of("W")
+    kept = np.flatnonzero(success_proj.apply_to(layout, np.ones(d, dtype=complex)).real == 1)
+    k = np.zeros((d, kept.size), dtype=complex)
+    k[kept, np.arange(kept.size)] = 1.0
+    k = attempt.adjoint().apply_to(layout, k)
+    on_slice = np.arange(d) % (d // dim_w) == 0
+    ks, kc = k[on_slice], k[~on_slice]
+    del k  # so the d x d product below holds only kc beside it
+    top = ks @ ks.conj().T
     lam = float(np.trace(top).real) / dim_w
     deviation = float(np.linalg.norm(top - lam * np.eye(dim_w), ord=2))
     if deviation > ATOL_OP:
@@ -95,11 +98,7 @@ def block_decompose(attempt, success_proj: DiagonalOp, layout: RegisterLayout) -
             f"top block deviates from a scalar by {deviation:.3e}; "
             "the success probability depends on the auxiliary input"
         )
-    return BlockDecomposition(
-        success_prob=lam,
-        cross=conj[np.ix_(comp_idx, slice_idx)],
-        rest=conj[np.ix_(comp_idx, comp_idx)],
-    )
+    return BlockDecomposition(success_prob=lam, cross=kc @ ks.conj().T, rest=kc @ kc.conj().T)
 
 
 def verify_block_identities(b: BlockDecomposition) -> tuple[float, float, float]:
@@ -109,13 +108,18 @@ def verify_block_identities(b: BlockDecomposition) -> tuple[float, float, float]
     ``(lam - 1) cross + rest cross = 0`` and ``cross cross^† + rest^2 - rest = 0``.
     A Frobenius norm bounds the spectral norm from above, so each value
     certifies its identity at least as strictly as the operator norm would.
+    The third residual is summed over panels of ``RESIDUAL_PANEL`` rows, never held whole.
     """
     lam = b.success_prob
     eye_w = np.eye(b.cross.shape[1])
     r1 = (lam**2 - lam) * eye_w + b.cross.conj().T @ b.cross
     r2 = (lam - 1) * b.cross + b.rest @ b.cross
-    r3 = b.cross @ b.cross.conj().T + b.rest @ b.rest - b.rest
-    return float(np.linalg.norm(r1)), float(np.linalg.norm(r2)), float(np.linalg.norm(r3))
+    r3_sq = 0.0
+    for start in range(0, len(b.rest), RESIDUAL_PANEL):
+        cross, rest = b.cross[start : start + RESIDUAL_PANEL], b.rest[start : start + RESIDUAL_PANEL]
+        r3 = cross @ b.cross.conj().T + rest @ b.rest - rest
+        r3_sq += np.vdot(r3, r3).real
+    return float(np.linalg.norm(r1)), float(np.linalg.norm(r2)), float(np.sqrt(r3_sq))
 
 
 def subspace_matrix(lam: float, phases: PhasePair) -> np.ndarray:

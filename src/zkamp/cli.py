@@ -40,7 +40,9 @@ COMPLETIONS = ("householder", "dft")
 MAX_GUESSES = 8192  # basis states m^2 of the abstract circuit's guess space A,B
 # A command holds at most 16 states per column of W and 1 MiB of interpreter objects; a 2x2
 # phase-solver step takes as long as 1e5 dense multiply-adds (2e-5 s; 5e9/s on one BLAS thread).
-STATE_COPIES, BASE_BYTES, STEP_WORK = 16, 2**20, 10**5
+# ``blocks`` holds at most 4 d x r blocks of kept attempt rows (the kept basis columns, one
+# factor's input, and two of its moved copy, product and product moved back).
+STATE_COPIES, BASE_BYTES, STEP_WORK, KEPT_COPIES = 16, 2**20, 10**5, 4
 
 
 class ConfigError(Exception):
@@ -216,8 +218,9 @@ def estimate(cfg: RunConfig, n: int | None) -> tuple[int, int, str]:
     """Peak bytes and dense multiply-adds of a command on n-vertex graphs, and what needs them.
 
     Each dense side of the builders' layouts, an honest verifier's too, counts
-    at ``dense_bytes``.  The work is the two d^3 products of ``blocks``, or the
-    2x2 steps of ``phases`` up to Grover's ``ceil(pi / (4 asin(sqrt(lam))) - 1/2)``.
+    at ``dense_bytes``; ``blocks`` adds its kept attempt rows, their d x d Gram
+    and three residual panels.  The work is the two d^3 products of ``blocks``,
+    or the 2x2 steps of ``phases`` up to Grover's ``ceil(pi / (4 asin(sqrt(lam))) - 1/2)``.
     """
     if cfg.command == "phases":
         lambdas, k_max = cfg.extras["lambdas"], cfg.extras["k_max"]
@@ -231,12 +234,14 @@ def estimate(cfg: RunConfig, n: int | None) -> tuple[int, int, str]:
         layout = simulator.sim_layout(cfg.dims, n)
         sides = {"verifier unitary": protocol.view_layout(cfg.dims, n).total_dim}
     d, work = layout.total_dim, 0
-    if cfg.command == "blocks":
-        sides["attempt matrix"] = d
-        work = 2 * cfg.trials * d**3
     peak = BASE_BYTES + sum(map(dense_bytes, sides.values())) + 16 * STATE_COPIES * cfg.dims[0] * d
-    dense = ", ".join(f"a dense {side}x{side} {what}" for what, side in sides.items())
-    return peak, work, f"{dense} and {d}-amplitude states"
+    held = [f"a dense {side}x{side} {what}" for what, side in sides.items()]
+    if cfg.command == "blocks":
+        r = d // layout.dim_of("A")
+        peak += 16 * (d * d + KEPT_COPIES * d * r + 3 * amplify.RESIDUAL_PANEL * d)
+        held.append(f"{d}x{r} kept attempt rows with their {d}x{d} Gram")
+        work = 2 * cfg.trials * d**3
+    return peak, work, f"{', '.join(held)} and {d}-amplitude states"
 
 
 def preflight(cfg: RunConfig) -> None:

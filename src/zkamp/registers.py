@@ -5,8 +5,8 @@ state vectors, unitaries and 0/1 diagonal projectors acting on register
 subsets, computational-basis measurement and trace distance.  Flattening is
 row major with the first register most significant, and that convention is
 the single source of truth for every index computation in the package: every
-operator acts through ``_on_targets``, and a dense matrix is only ever an
-operator applied to the identity (:func:`to_matrix`).
+operator acts through ``_on_targets``, on one vector or a block of them, and
+an operator's dense matrix is built only by the tests, as their oracle.
 
 A Haar-random unitary is kept as Householder panels by :func:`haar_random_op`
 (:class:`HouseholderOp`).  Its reflectors are drawn directly, each from its
@@ -458,19 +458,8 @@ def _on_targets(op, layout: RegisterLayout, amps: np.ndarray, act) -> np.ndarray
 
 
 def dense_bytes(side: int) -> int:
-    """Peak bytes of :func:`to_matrix`: identity, moved copy, product and product moved back."""
+    """Budget bytes of one dense side of a layout: four complex matrices of that side."""
     return 4 * 16 * side**2
-
-
-def to_matrix(op, layout: RegisterLayout) -> np.ndarray:
-    """Dense layout-sized matrix of an operator: its action on every basis vector."""
-    total = layout.total_dim
-    if dense_bytes(total) > BYTE_BUDGET:
-        raise MemoryError(
-            f"refusing to materialize a {total}x{total} dense operator; "
-            "apply the factored form instead"
-        )
-    return op.apply_to(layout, np.eye(total, dtype=complex))
 
 
 def measurement_probabilities(state: StateVector, register: str) -> np.ndarray:

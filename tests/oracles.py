@@ -1,9 +1,9 @@
 """Dense oracles for the factored runtime path.
 
 The package keeps states as raw amplitude blocks, operators in factored
-form and verifier views as record-keyed factors, and builds every dense
-matrix by applying an operator to the identity (``zkamp.registers.to_matrix``).
-The oracles here are the independent dense forms the tests compare against:
+form and verifier views as record-keyed factors, and never builds an
+operator's dense matrix.  The oracles here are the dense forms the tests
+compare against: an operator applied to the identity (:func:`to_matrix`),
 row-major index arithmetic and the graph-code decoder, kron embeddings of
 operators, density operators with their channels and
 trace distance, checked state operations, the dense Haar draw and the
@@ -19,6 +19,7 @@ import numpy as np
 from zkamp.registers import (
     ATOL_NORM,
     ATOL_OP,
+    BYTE_BUDGET,
     NORM_SLACK,
     DiagonalOp,
     HouseholderOp,
@@ -29,6 +30,7 @@ from zkamp.registers import (
     RegisterLayout,
     StateVector,
     _gaussian_columns,
+    dense_bytes,
     trace_distance_matrices,
 )
 from zkamp.simulator import attempt_output, measure_then_reflect
@@ -110,6 +112,17 @@ def local_matrix(op):
         mat = q * op.phases
         return mat.conj().T if op.inverse else mat
     raise TypeError(f"no local matrix for {type(op).__name__}")
+
+
+def to_matrix(op, layout):
+    """Dense layout-sized matrix of an operator: its action on every basis vector."""
+    total = layout.total_dim
+    if dense_bytes(total) > BYTE_BUDGET:
+        raise MemoryError(
+            f"refusing to materialize a {total}x{total} dense operator; "
+            "apply the factored form instead"
+        )
+    return op.apply_to(layout, np.eye(total, dtype=complex))
 
 
 def kron_oracle(op, layout):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from zkamp.amplify import (
+    RESIDUAL_PANEL,
     NotLambdaUniformError,
     PhasePair,
     block_decompose,
@@ -114,13 +115,16 @@ class TestBlockIdentities:
 
 
 class TestBlocksAgainstDenseOracle:
-    """The masked-attempt product equals a† P a built from kron-embedded factors."""
+    """Blocks from the kept attempt rows equal those of a† P a built from kron-embedded factors."""
 
     CIRCUITS = {
         "gmw-n2": lambda: build_circuit(
             Instance.from_graphs(EDGE2, EDGE2), adversarial_verifier((2, 2), 2, 13)
         ),
+        "gmw-n3": lambda: gmw_circuit(15),
+        "toy-m2": lambda: toy_circuit(2, seed=16),
         "toy-m3": lambda: toy_circuit(3, seed=14),
+        "toy-m8": lambda: toy_circuit(8, seed=17),
     }
 
     @pytest.mark.parametrize("name", sorted(CIRCUITS))
@@ -135,10 +139,10 @@ class TestBlocksAgainstDenseOracle:
 
         b = block_decompose(circ.attempt, circ.success_proj, layout)
         np.testing.assert_allclose(
-            b.success_prob * np.eye(dim_w), conj[np.ix_(slice_idx, slice_idx)], atol=1e-12
+            b.success_prob * np.eye(dim_w), conj[np.ix_(slice_idx, slice_idx)], rtol=0, atol=1e-13
         )
-        np.testing.assert_allclose(b.cross, conj[np.ix_(comp_idx, slice_idx)], atol=1e-12)
-        np.testing.assert_allclose(b.rest, conj[np.ix_(comp_idx, comp_idx)], atol=1e-12)
+        np.testing.assert_allclose(b.cross, conj[np.ix_(comp_idx, slice_idx)], rtol=0, atol=1e-13)
+        np.testing.assert_allclose(b.rest, conj[np.ix_(comp_idx, comp_idx)], rtol=0, atol=1e-13)
 
 
 class TestBlockIdentityNorms:
@@ -172,15 +176,33 @@ class TestBlockIdentityNorms:
         for value, r in zip(values, self.residuals(b)):
             assert value >= np.linalg.norm(r, ord=2)
 
-    def test_perturbed_rest_fails_identity_three(self):
+    @pytest.mark.parametrize("name", ["gmw-n3", "toy-m3"])
+    def test_panels_sum_to_the_whole_residual(self, name):
+        # gmw-n3's rest has 766 rows, ending in a partial panel; toy-m3's 34
+        # rows are fewer than one panel.
+        circ = self.CIRCUITS[name]()
+        b = block_decompose(circ.attempt, circ.success_proj, circ.layout)
+        assert b.rest.shape[0] % RESIDUAL_PANEL != 0
+        whole = np.linalg.norm(self.residuals(b)[2])
+        assert abs(verify_block_identities(b)[2] - whole) <= 1e-15 * whole
+
+    def perturbed_rest_r3(self, index):
         circ = gmw_circuit(7)
         b = block_decompose(circ.attempt, circ.success_proj, circ.layout)
         rest = b.rest.copy()
-        rest[0, 0] += 1e-8
+        rest[index] += 1e-8
         b = dataclasses.replace(b, rest=rest)
-        r3 = verify_block_identities(b)[2]
+        return verify_block_identities(b)[2], np.linalg.norm(self.residuals(b)[2], ord=2)
+
+    def test_perturbed_rest_fails_identity_three(self):
+        r3, spectral = self.perturbed_rest_r3((0, 0))
         assert r3 > TOL
-        assert r3 >= np.linalg.norm(self.residuals(b)[2], ord=2)
+        assert r3 >= spectral
+
+    def test_perturbed_last_panel_row_fails_identity_three(self):
+        r3, spectral = self.perturbed_rest_r3((-1, -1))
+        assert r3 > TOL
+        assert r3 >= spectral
 
 
 class TestSuccFailStates:

@@ -4,6 +4,7 @@ import dataclasses
 import importlib.util
 import json
 import re
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -277,7 +278,7 @@ class TestOversizeRefusals:
             (protocol, "find_isomorphism"),
             (simulator, "success_projector"),
             (amplify, "success_projector"),
-            (amplify, "to_matrix"),
+            (amplify, "block_decompose"),
             (simulator, "build_circuit"),
             (amplify, "solve_phases"),
         ):
@@ -334,6 +335,21 @@ class TestOversizeRefusals:
         # n=200's verifier size has thousands of digits.
         assert run([command, "--g0", g0, "--g1", g1, *extra]) == 2
         assert "n must be in 2..4" in capsys.readouterr().err
+
+
+def test_blocks_never_builds_the_dense_attempt_matrix(capsys):
+    # Building the 768x768 attempt matrix peaks at four d^2 complex matrices;
+    # its kept rows, their rest block and the residual panels stay under 2.5.
+    d = 768
+    tracemalloc.start()
+    try:
+        code = run(["blocks", *N3, "--seed", "7"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert peak <= 2.5 * 16 * d**2
 
 
 class TestTrialLoop:

@@ -22,7 +22,6 @@ from zkamp.registers import (
     DiagonalOp,
     HouseholderOp,
     LinearOp,
-    to_matrix,
 )
 from zkamp.simulator import build_circuit
 from zkamp.symm import (
@@ -40,6 +39,7 @@ from oracles import (
     dense_view,
     partial_trace,
     record_weights,
+    to_matrix,
     trace_distance,
     view_trace,
 )

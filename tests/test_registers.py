@@ -21,7 +21,6 @@ from zkamp.registers import (
     measure,
     measurement_probabilities,
     random_state,
-    to_matrix,
 )
 
 from oracles import (
@@ -37,6 +36,7 @@ from oracles import (
     partial_trace,
     project,
     pure_density,
+    to_matrix,
     trace_distance,
     unflatten,
 )

@@ -15,7 +15,7 @@ from zkamp.protocol import (
     real_view_recorded,
     view_layout,
 )
-from zkamp.registers import DiagonalOp, OpChain, StateVector, to_matrix
+from zkamp.registers import DiagonalOp, OpChain, StateVector
 from zkamp.simulator import (
     amplification_check,
     amplified_state,
@@ -41,6 +41,7 @@ from oracles import (
     overlap,
     project,
     success_probability,
+    to_matrix,
     trace_distance,
     view_trace,
     watrous_round,
