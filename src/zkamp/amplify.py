@@ -14,7 +14,10 @@ simulated both in the 2D basis and in the full space.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -162,40 +165,53 @@ def _initial_two_dim(lam: float) -> np.ndarray:
     return np.array([np.sqrt(lam), np.sqrt(1 - lam)], dtype=complex)
 
 
-def evolve_two_dim(lam: float, steps: list[PhasePair]) -> np.ndarray:
+def analytic_k(lam: float) -> int:
+    """Fewest steps of exact amplification, ``max(1, ceil(pi / (4 asin(sqrt(lam))) - 1/2))``.
+
+    Brassard, Hoyer, Mosca and Tapp (2002): k - 1 plain steps and one phased
+    step reach the success axis exactly iff ``(2k + 1) asin(sqrt(lam)) >= pi / 2``,
+    that is iff lam is at least :func:`feasibility_boundary` of k.
+    """
+    return max(1, math.ceil(math.pi / (4 * math.asin(math.sqrt(lam))) - 0.5))
+
+
+def feasibility_boundary(k: int) -> float:
+    """Smallest lam that k steps amplify exactly, ``sin^2(pi / (2 (2k + 1)))``; 1 at k = 0."""
+    return math.sin(math.pi / (2 * (2 * k + 1))) ** 2
+
+
+def _plain_grover_states(lam: float) -> Iterator[np.ndarray]:
+    """The (succ, fail) state before step k = 1, 2, ...: the start after k - 1 plain steps."""
+    grover = subspace_matrix(lam, PhasePair(-1.0, -1.0))
     state = _initial_two_dim(lam)
-    for phases in steps:
-        state = subspace_matrix(lam, phases) @ state
-    return state
+    while True:
+        yield state
+        state = grover @ state
 
 
-def final_fail_amplitude(lam: float, k: int, phases: PhasePair) -> float:
-    """Failure amplitude after k-1 plain Grover steps and one phased step."""
+def _state_before(lam: float, k: int) -> np.ndarray:
     if k < 1:
         raise ValueError(f"step count must be >= 1, got {k}")
-    grover = PhasePair(-1.0, -1.0)
-    state = evolve_two_dim(lam, [grover] * (k - 1) + [phases])
-    return float(abs(state[1]))
+    return next(itertools.islice(_plain_grover_states(lam), k - 1, None))
 
 
-def solve_phases(lam: float, k: int) -> PhasePair | None:
-    """Phases making the k-th step land exactly on the success axis, in closed form.
+def _fail_after(lam: float, state: np.ndarray, phases: PhasePair) -> float:
+    """Failure amplitude one step at ``phases`` leaves from ``state``."""
+    return float(abs((subspace_matrix(lam, phases) @ state)[1]))
 
-    The state (s, c) before the last step is real, so the failure amplitude
-    of the phased step is ``varphi x + y`` with ``x = -root (1 - phi) s`` and
+
+def closing_phases(lam: float, state: np.ndarray) -> PhasePair:
+    """Phases making one step from the real ``state`` land on the success axis, in closed form.
+
+    With ``(s, c) = state`` the failure amplitude of the phased step is
+    ``varphi x + y`` with ``x = -root (1 - phi) s`` and
     ``y = (lam + (1 - lam) phi) c``.  Equal magnitudes ``|x| = |y|`` are linear
     in cos(alpha) for ``phi = exp(i alpha)``; in half-angle form
     ``sin(alpha / 2) = |c| / (2 root)``, which stays well conditioned where
     alpha is small.  The second phase then points ``varphi x`` against ``y``.
     Past the boundary (the k-too-small regime) the sine is clipped to 1, and
-    the certificate on the final failure amplitude decides: the pair is
-    returned only when it is at most ``ATOL_OP``, otherwise None.
+    the certificate on the final failure amplitude decides.
     """
-    if not 0 < lam < 1:
-        raise ValueError(f"success probability must be in (0, 1), got {lam}")
-    if k < 1:
-        raise ValueError(f"step count must be >= 1, got {k}")
-    state = evolve_two_dim(lam, [PhasePair(-1.0, -1.0)] * (k - 1))
     s, c = float(state[0].real), float(state[1].real)
     root = np.sqrt(lam * (1 - lam))
     phi = np.exp(2j * np.arcsin(min(1.0, abs(c) / (2 * root))))
@@ -203,18 +219,32 @@ def solve_phases(lam: float, k: int) -> PhasePair | None:
     y = (lam + (1 - lam) * phi) * c
     # The unit phase of -y/x, taken without dividing: x vanishes when s or c
     # is exactly zero, and either sign then serves.
-    pair = PhasePair(phi, np.exp(1j * np.angle(-y * np.conj(x))))
-    if final_fail_amplitude(lam, k, pair) <= ATOL_OP:
-        return pair
-    return None
+    return PhasePair(phi, np.exp(1j * np.angle(-y * np.conj(x))))
 
 
-def smallest_feasible_k(lam: float, k_max: int = 64) -> tuple[int, PhasePair] | None:
-    """First step count the solver can certify, with its phases."""
-    for k in range(1, k_max + 1):
-        pair = solve_phases(lam, k)
-        if pair is not None:
-            return k, pair
+def final_fail_amplitude(lam: float, k: int, phases: PhasePair) -> float:
+    """Failure amplitude after k-1 plain Grover steps and one phased step."""
+    return _fail_after(lam, _state_before(lam, k), phases)
+
+
+def solve_phases(lam: float, k: int) -> PhasePair | None:
+    """The :func:`closing_phases` of step k if they leave at most ``ATOL_OP``, else None."""
+    state = _state_before(lam, k)
+    pair = closing_phases(lam, state)
+    return pair if _fail_after(lam, state, pair) <= ATOL_OP else None
+
+
+def smallest_feasible_k(lam: float, k_max: int = 64) -> tuple[int, PhasePair, float] | None:
+    """First step count the certificate accepts, with its phases and final failure amplitude.
+
+    One pass: the plain-Grover state is carried from k to k + 1, so a search
+    that stops at k costs about 2k 2x2 steps.
+    """
+    for k, state in zip(range(1, k_max + 1), _plain_grover_states(lam)):
+        pair = closing_phases(lam, state)
+        residual = _fail_after(lam, state, pair)
+        if residual <= ATOL_OP:
+            return k, pair, residual
     return None
 
 

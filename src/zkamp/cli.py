@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -28,7 +27,8 @@ ORDER_GAP = 1e-6
 # One exact step reaches certainty iff lambda >= 1/4.  Just below it the
 # solver clips its phase to -1, leaving a failure amplitude of about
 # 3.5 (1/4 - lambda); the 1e-10 certificate therefore still accepts lambda up
-# to about 3e-11 below, well inside this slack.
+# to about 3e-11 below, well inside this slack.  ``run_phases`` applies the
+# same slack, relative, at every k's boundary.
 SINGLE_STEP_BOUNDARY = 0.25
 BOUNDARY_SLACK = 1e-9
 # The full-space schedule renormalises its failure branch before each
@@ -38,8 +38,9 @@ BOUNDARY_SLACK = 1e-9
 MAX_SCHEDULE_STEPS = 16
 COMPLETIONS = ("householder", "dft")
 MAX_GUESSES = 8192  # basis states m^2 of the abstract circuit's guess space A,B
-# A command holds at most 16 states per column of W and 1 MiB of interpreter objects; a 2x2
-# phase-solver step takes as long as 1e5 dense multiply-adds (2e-5 s; 5e9/s on one BLAS thread).
+# A command holds at most 16 states per column of W and 1 MiB of interpreter objects; each
+# step count the phase search tries (one plain 2x2 step, the closing phases and their certificate)
+# takes as long as 1e5 dense multiply-adds (2e-5 s; 5e9/s on one BLAS thread).
 # ``blocks`` holds at most 4 d x r blocks of kept attempt rows (the kept basis columns, one
 # factor's input, and two of its moved copy, product and product moved back).
 STATE_COPIES, BASE_BYTES, STEP_WORK, KEPT_COPIES = 16, 2**20, 10**5, 4
@@ -220,13 +221,13 @@ def estimate(cfg: RunConfig, n: int | None) -> tuple[int, int, str]:
     Each dense side of the builders' layouts, an honest verifier's too, counts
     at ``dense_bytes``; ``blocks`` adds its kept attempt rows, their d x d Gram
     and three residual panels.  The work is the two d^3 products of ``blocks``,
-    or the 2x2 steps of ``phases`` up to Grover's ``ceil(pi / (4 asin(sqrt(lam))) - 1/2)``.
+    or for ``phases`` one search step per step count up to ``amplify.analytic_k``.
     """
     if cfg.command == "phases":
         lambdas, k_max = cfg.extras["lambdas"], cfg.extras["k_max"]
-        ks = [min(k_max, math.ceil(math.pi / (4 * math.asin(lam**0.5)) - 0.5)) for lam in lambdas]
-        steps = sum(k * (k + 1) // 2 for k in ks)
-        return BASE_BYTES, STEP_WORK * steps, f"{steps} 2x2 solver steps, k up to {max(ks)}"
+        ks = [min(k_max, amplify.analytic_k(lam)) for lam in lambdas]
+        steps = sum(ks)
+        return BASE_BYTES, STEP_WORK * steps, f"{steps} phase-search steps, k up to {max(ks)}"
     if cfg.m is not None:
         layout = amplify.toy_layout(cfg.m, cfg.dims)
         sides = {"toy scramble on W,V,A": layout.keep(["W", "V", "A"]).total_dim}
@@ -437,14 +438,23 @@ def run_blocks(cfg: RunConfig) -> list[dict]:
 
 
 def run_phases(cfg: RunConfig) -> list[dict]:
-    """Solve for exact amplification phases over a success-probability grid."""
+    """Solve for exact amplification phases over a success-probability grid.
+
+    Each solved k must lie in its analytic band: ``b(k) = feasibility_boundary(k)``
+    is the smallest lambda that k steps amplify exactly, so k is right iff
+    ``b(k) <= lambda < b(k - 1)``.  The certificate accepts k slightly below
+    b(k), by a relative 1e-10 but never 1e-9 in a scan of k up to 8000, so both
+    ends are widened by the relative ``BOUNDARY_SLACK``; an absolute 1e-9 would
+    admit 792 values of k at lambda = 1e-8.
+    """
     lambdas = cfg.extras["lambdas"]
     k_max = cfg.extras["k_max"]
     records = []
     single_step_ok: list[float] = []
     mismatched: list[float] = []
     for lam in lambdas:
-        single = amplify.solve_phases(lam, 1) is not None
+        found = amplify.smallest_feasible_k(lam, k_max)
+        single = found is not None and found[0] == 1
         if single:
             single_step_ok.append(lam)
         if lam >= SINGLE_STEP_BOUNDARY:
@@ -453,8 +463,8 @@ def run_phases(cfg: RunConfig) -> list[dict]:
             agrees = not single or lam >= SINGLE_STEP_BOUNDARY - BOUNDARY_SLACK
         if not agrees:
             mismatched.append(lam)
-        found = amplify.smallest_feasible_k(lam, k_max)
         claim, label = "exact-amplification-phases", f"lambda={lam!r}"
+        analytic_k = amplify.analytic_k(lam)
         if found is None:
             records.append(
                 record(
@@ -464,21 +474,27 @@ def run_phases(cfg: RunConfig) -> list[dict]:
                     ATOL_OP,
                     False,
                     k=None,
+                    analytic_k=analytic_k,
                     single_step_feasible=single,
                     note=f"no certified solution up to k={k_max}",
                 )
             )
             continue
-        k, pair = found
-        residual = amplify.final_fail_amplitude(lam, k, pair)
+        k, pair, residual = found
+        in_band = (
+            (1 - BOUNDARY_SLACK) * amplify.feasibility_boundary(k)
+            <= lam
+            < (1 + BOUNDARY_SLACK) * amplify.feasibility_boundary(k - 1)
+        )
         records.append(
             record(
                 claim,
                 label,
                 residual,
                 ATOL_OP,
-                residual <= ATOL_OP,
+                residual <= ATOL_OP and in_band,
                 k=k,
+                analytic_k=analytic_k,
                 phi=complex(pair.phi),
                 varphi=complex(pair.varphi),
                 single_step_feasible=single,

@@ -253,7 +253,8 @@ class PermutationOp:
     def _validate(self, side: int) -> None:
         if self.image.shape != (side,):
             raise ValueError(f"image has shape {self.image.shape}, expected ({side},)")
-        if sorted(self.image.tolist()) != list(range(side)):
+        in_range = bool(np.all((self.image >= 0) & (self.image < side)))
+        if not in_range or np.any(np.bincount(self.image, minlength=side) != 1):
             raise ValueError("image is not a permutation of the target basis")
 
     def adjoint(self) -> "PermutationOp":

@@ -7,8 +7,9 @@ compare against: an operator applied to the identity (:func:`to_matrix`),
 row-major index arithmetic and the graph-code decoder, kron embeddings of
 operators, density operators with their channels and
 trace distance, checked state operations, the dense Haar draw and the
-Householder T recurrence, the dense verifier view, and the sampled
-measure-then-reflect round.
+Householder T recurrence, the dense verifier view, the sampled
+measure-then-reflect round, and the two-dimensional evolution with the
+phase search that re-evolves every candidate step count from the start.
 """
 
 import math
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from zkamp.amplify import PhasePair, _initial_two_dim, closing_phases, subspace_matrix
 from zkamp.registers import (
     ATOL_NORM,
     ATOL_OP,
@@ -359,3 +361,25 @@ def watrous_round(circ, aux, rng):
     prob, succ, reflected = measure_then_reflect(circ, aux)
     succeeded = rng.random() < prob
     return succeeded, StateVector(circ.layout, succ if succeeded else reflected)
+
+
+def evolve_two_dim(lam, steps):
+    """The (succ, fail) amplitudes of the attempt output after the given phased steps."""
+    state = _initial_two_dim(lam)
+    for phases in steps:
+        state = subspace_matrix(lam, phases) @ state
+    return state
+
+
+def quadratic_feasible_k(lam, k_max=64):
+    """The O(k^2) phase search: each candidate k evolves its k - 1 plain steps from the start.
+
+    Returns ``(k, pair, residual)`` like ``amplify.smallest_feasible_k``, or None.
+    """
+    plain = [PhasePair(-1.0, -1.0)]
+    for k in range(1, k_max + 1):
+        pair = closing_phases(lam, evolve_two_dim(lam, plain * (k - 1)))
+        residual = float(abs(evolve_two_dim(lam, plain * (k - 1) + [pair])[1]))
+        if residual <= ATOL_OP:
+            return k, pair, residual
+    return None

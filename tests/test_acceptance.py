@@ -315,8 +315,8 @@ class TestCriterion7PhaseSolver:
     def test_one_third_full_space(self):
         found = smallest_feasible_k(1 / 3)
         assert found is not None
-        k, pair = found
-        assert final_fail_amplitude(1 / 3, k, pair) <= OP_TOL
+        k, pair, residual = found
+        assert residual == final_fail_amplitude(1 / 3, k, pair) <= OP_TOL
         circ = toy_circuit(3, DIMS, seed=7)
         state = attempt_output(circ, random_aux(2, 701))
         for step_pair in [PhasePair(-1.0, -1.0)] * (k - 1) + [pair]:

@@ -5,13 +5,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+from zkamp import amplify
 from zkamp.amplify import (
     RESIDUAL_PANEL,
     NotLambdaUniformError,
     PhasePair,
+    analytic_k,
     block_decompose,
     computed_second_probability,
-    evolve_two_dim,
     final_fail_amplitude,
     iterative_schedule,
     iterative_schedule_full,
@@ -34,7 +35,13 @@ from zkamp.simulator import (
 )
 from zkamp.symm import Graph
 
-from oracles import kron_oracle, success_probability, watrous_round
+from oracles import (
+    evolve_two_dim,
+    kron_oracle,
+    quadratic_feasible_k,
+    success_probability,
+    watrous_round,
+)
 
 PATH3 = Graph(3, [(0, 1), (1, 2)])
 PATH3B = Graph(3, [(0, 1), (0, 2)])
@@ -403,9 +410,9 @@ class TestSolvePhases:
     def test_one_third_is_single_step(self):
         found = smallest_feasible_k(1 / 3)
         assert found is not None
-        k, pair = found
+        k, pair, residual = found
         assert k == 1
-        assert final_fail_amplitude(1 / 3, k, pair) < TOL
+        assert residual == final_fail_amplitude(1 / 3, k, pair) < TOL
 
     def test_full_space_verification_gmw(self):
         circ = gmw_circuit(4)
@@ -415,7 +422,7 @@ class TestSolvePhases:
 
     def test_full_space_verification_toy(self):
         circ = toy_circuit(3, seed=8)
-        k, pair = smallest_feasible_k(1 / 3)
+        k, pair, _ = smallest_feasible_k(1 / 3)
         pairs = [PhasePair(-1.0, -1.0)] * (k - 1) + [pair]
         p = full_space_success_after(circ, random_aux(2, 17), pairs)
         assert abs(p - 1.0) < TOL
@@ -437,6 +444,55 @@ class TestSolvePhases:
             solve_phases(0.0, 1)
         with pytest.raises(ValueError):
             solve_phases(0.5, 0)
+
+
+# The benchmark's phases grid, and a lambda whose search runs to k = 248.
+BENCH_LAMBDAS = [0.001, 0.01, 0.03, 0.1, 0.2, 0.25, 0.5, 0.9]
+
+
+class TestPhaseSearch:
+    @pytest.mark.parametrize("lam", SOLVER_LAMBDAS + BENCH_LAMBDAS + [1e-5])
+    def test_matches_quadratic_search_bit_for_bit(self, lam):
+        k, pair, residual = smallest_feasible_k(lam, 300)
+        assert (k, pair, residual) == quadratic_feasible_k(lam, 300)
+        assert pair == solve_phases(lam, k)
+        assert residual == final_fail_amplitude(lam, k, pair)
+
+    @pytest.mark.parametrize("lam", [0.5, 1e-3, 1e-5])
+    def test_one_pass_takes_order_k_steps(self, monkeypatch, lam):
+        # Each plain state is one 2x2 step; each phased certificate builds one step matrix.
+        original_states, original_matrix = amplify._plain_grover_states, amplify.subspace_matrix
+        counts = {"plain": 0, "matrix": 0}
+
+        def states(lam):
+            for state in original_states(lam):
+                counts["plain"] += 1
+                yield state
+
+        def matrix(*args):
+            counts["matrix"] += 1
+            return original_matrix(*args)
+
+        monkeypatch.setattr(amplify, "_plain_grover_states", states)
+        monkeypatch.setattr(amplify, "subspace_matrix", matrix)
+        k, _, _ = smallest_feasible_k(lam, 300)
+        assert k == analytic_k(lam)
+        assert counts == {"plain": k, "matrix": k + 1}
+
+    def test_analytic_k_matches_the_boundaries(self):
+        for lam in SOLVER_LAMBDAS + BENCH_LAMBDAS:
+            assert analytic_k(lam) == max(1, analytic_k_min(lam))
+        lams = (0.9, 0.5, 0.25, 0.1, 1e-5, 1e-8)
+        assert [analytic_k(lam) for lam in lams] == [1, 1, 1, 2, 248, 7854]
+        assert amplify.feasibility_boundary(0) == 1.0
+        assert amplify.feasibility_boundary(1) == pytest.approx(0.25, abs=1e-16)
+        for k in range(1, 10):
+            want = feasibility_boundary(k)
+            assert amplify.feasibility_boundary(k) == pytest.approx(want, rel=1e-14)
+
+    def test_search_stops_at_k_max(self):
+        assert smallest_feasible_k(0.05, 1) is None
+        assert quadratic_feasible_k(0.05, 1) is None
 
 
 class TestToyCircuit:

@@ -120,7 +120,7 @@ class TestExitCodes:
         def never(*args, **kwargs):
             raise AssertionError("no phase may be solved for a refused configuration")
 
-        monkeypatch.setattr(amplify, "solve_phases", never)
+        monkeypatch.setattr(amplify, "smallest_feasible_k", never)
         assert run(["phases", *options]) == 2
         assert message in capsys.readouterr().err
 
@@ -280,7 +280,7 @@ class TestOversizeRefusals:
             (amplify, "success_projector"),
             (amplify, "block_decompose"),
             (simulator, "build_circuit"),
-            (amplify, "solve_phases"),
+            (amplify, "smallest_feasible_k"),
         ):
             monkeypatch.setattr(module, name, never)
 
@@ -305,11 +305,11 @@ class TestOversizeRefusals:
             (["blocks", *N3, "--dim-w", "4", "--dim-v", "8"], 6144),
             (["blocks", "--m", "45"], 8100),
             (["blocks", *N4], 24576),
-            # No dense side: each step count up to k = 7854 re-evolves the steps before it.
+            # No dense side: one search step for each step count up to k = 2483647.
             pytest.param(
-                ["phases", "--lambdas", "1e-8", "--k-max", "20000"],
-                "3.1e+12 multiply-adds for 30846585 2x2 solver steps, k up to 7854",
-                id="phases-1e-8",
+                ["phases", "--lambdas", "1e-13", "--k-max", "10000000"],
+                "2.5e+11 multiply-adds for 2483647 phase-search steps, k up to 2483647",
+                id="phases-1e-13",
             ),
         ],
     )
@@ -509,23 +509,72 @@ class TestCommandContents:
         assert fid["pass"] is False
 
     def test_feasibility_boundary_rejects_wrong_verdict(self, capsys, monkeypatch):
-        # A solver that calls lambda = 0.2 single-step feasible contradicts
-        # the analytic boundary 1/4.
-        original = amplify.solve_phases
+        # A certificate that accepts the first step at lambda = 0.2 calls it
+        # single-step feasible, contradicting the analytic boundary 1/4.
+        original = amplify._fail_after
 
-        def too_lenient(lam, k):
-            if k == 1 and lam == 0.2:
-                return original(0.5, 1)
-            return original(lam, k)
+        def too_lenient(lam, state, phases):
+            return 0.0 if lam == 0.2 else original(lam, state, phases)
 
-        monkeypatch.setattr(amplify, "solve_phases", too_lenient)
+        monkeypatch.setattr(amplify, "_fail_after", too_lenient)
         code, out = run_capture(capsys, ["phases", "--lambdas", "0.2,0.5", "--seed", "0"])
         assert code == 1
-        boundary = json.loads(out)["records"][-1]
+        records = json.loads(out)["records"]
+        assert records[0]["k"] == 1 and records[0]["analytic_k"] == 2
+        assert records[0]["pass"] is False
+        boundary = records[-1]
         assert boundary["claim"] == "single-step-feasibility-boundary"
         assert boundary["pass"] is False
         assert boundary["target"] == 0.25
         assert boundary["mismatched_lambdas"] == [0.2]
+
+    @pytest.mark.parametrize(
+        "search, lam",
+        [("starts-at-2", "0.5")] + [("returns-k-plus-1", lam) for lam in ("0.5", "0.1", "1e-8")],
+    )
+    def test_wrong_step_count_fails_analytic_gate(self, capsys, monkeypatch, search, lam):
+        # Both searches return certified phases, so only the analytic band on
+        # k can fail the record.
+        original = amplify.smallest_feasible_k
+
+        def wrong(lam, k_max):
+            if search == "starts-at-2":
+                k = next(k for k in range(2, k_max + 1) if amplify.solve_phases(lam, k))
+            else:
+                k = original(lam, k_max)[0] + 1
+            pair = amplify.solve_phases(lam, k)
+            return k, pair, amplify.final_fail_amplitude(lam, k, pair)
+
+        monkeypatch.setattr(amplify, "smallest_feasible_k", wrong)
+        argv = ["phases", "--lambdas", lam, "--k-max", "10000", "--seed", "0"]
+        code, out = run_capture(capsys, argv)
+        assert code == 1
+        rec = json.loads(out)["records"][0]
+        assert rec["value"] <= 1e-10
+        assert rec["k"] != rec["analytic_k"]
+        assert rec["pass"] is False
+
+    def test_one_solver_call_per_lambda(self, capsys, monkeypatch):
+        calls = []
+        original = amplify.smallest_feasible_k
+
+        def spy(lam, k_max):
+            calls.append(lam)
+            return original(lam, k_max)
+
+        monkeypatch.setattr(amplify, "smallest_feasible_k", spy)
+        code, _ = run_capture(capsys, ["phases", "--lambdas", "0.1,0.25,0.9", "--seed", "0"])
+        assert code == 0
+        assert calls == [0.1, 0.25, 0.9]
+
+    def test_small_lambda_runs_in_one_pass(self, capsys):
+        # k = 7854: about 0.2 s in one pass, refused by the work budget as a k^2/2 search.
+        argv = ["phases", "--lambdas", "1e-8", "--k-max", "10000", "--seed", "0"]
+        code, out = run_capture(capsys, argv)
+        assert code == 0
+        rec = json.loads(out)["records"][0]
+        assert rec["k"] == rec["analytic_k"] == 7854
+        assert rec["value"] <= 1e-10
 
     def test_feasibility_boundary_passes_on_both_sides(self, capsys):
         code, out = run_capture(

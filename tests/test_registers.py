@@ -418,6 +418,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="kind must be"):
             DiagonalOp(layout, ("A",), [1.0, 0.0], kind="hermitian")
 
+    @pytest.mark.parametrize(
+        "image", [[0, 1, 1], [0, 1, 3], [0, -1, 2]], ids=["duplicate", "out-of-range", "negative"]
+    )
+    def test_permutation_image_checks(self, image):
+        layout = RegisterLayout([("A", 2), ("B", 3)])
+        with pytest.raises(ValueError, match="image is not a permutation of the target basis"):
+            PermutationOp(layout, ("B",), image)
+
     def test_immutability(self):
         layout = RegisterLayout([("A", 2)])
         s = basis_state(layout, {"A": 0})
