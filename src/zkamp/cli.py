@@ -9,6 +9,7 @@ nothing except the timings block.  Exit code 0 means every record passed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -21,7 +22,7 @@ from . import __version__, amplify, protocol, simulator
 from .amplify import PhasePair
 from .protocol import Instance, NotIsomorphicError
 from .registers import ATOL_NORM, ATOL_OP, BYTE_BUDGET, WORK_BUDGET, dense_bytes
-from .symm import MAX_VERTICES, format_graph_literal, parse_graph_literal
+from .symm import MAX_VERTICES, format_graph_literal, orbit_codes, parse_graph_literal
 
 ORDER_GAP = 1e-6
 # One exact step reaches certainty iff lambda >= 1/4.  Just below it the
@@ -42,8 +43,9 @@ MAX_GUESSES = 8192  # basis states m^2 of the abstract circuit's guess space A,B
 # step count the phase search tries (one plain 2x2 step, the closing phases and their certificate)
 # takes as long as 1e5 dense multiply-adds (2e-5 s; 5e9/s on one BLAS thread).
 # ``blocks`` holds at most 4 d x r blocks of kept attempt rows (the kept basis columns, one
-# factor's input, and two of its moved copy, product and product moved back).
-STATE_COPIES, BASE_BYTES, STEP_WORK, KEPT_COPIES = 16, 2**20, 10**5, 4
+# factor's input, and two of its moved copy, product and product moved back).  An adversarial
+# verifier holds its d x s reflectors, and its draw two more d x s arrays for a moment.
+STATE_COPIES, BASE_BYTES, STEP_WORK, KEPT_COPIES, DRAW_COPIES = 16, 2**20, 10**5, 4, 3
 
 
 class ConfigError(Exception):
@@ -218,10 +220,13 @@ def build_instance(cfg: RunConfig) -> Instance:
 def estimate(cfg: RunConfig, n: int | None) -> tuple[int, int, str]:
     """Peak bytes and dense multiply-adds of a command on n-vertex graphs, and what needs them.
 
-    Each dense side of the builders' layouts, an honest verifier's too, counts
-    at ``dense_bytes``; ``blocks`` adds its kept attempt rows, their d x d Gram
-    and three residual panels.  The work is the two d^3 products of ``blocks``,
-    or for ``phases`` one search step per step count up to ``amplify.analytic_k``.
+    The toy scramble's dense side counts at ``dense_bytes``.  The verifier on a
+    side of d counts at ``DRAW_COPIES`` d x s arrays, with s = dim_w times the
+    orbit size of the larger orbit among the pair's n-vertex graphs, its start
+    columns; an honest verifier counts the same.  ``blocks`` adds its kept
+    attempt rows, their d x d Gram and three residual panels.  The work is the
+    two d^3 products of ``blocks``, or for ``phases`` one search step per step
+    count up to ``amplify.analytic_k``.
     """
     if cfg.command == "phases":
         lambdas, k_max = cfg.extras["lambdas"], cfg.extras["k_max"]
@@ -230,13 +235,18 @@ def estimate(cfg: RunConfig, n: int | None) -> tuple[int, int, str]:
         return BASE_BYTES, STEP_WORK * steps, f"{steps} phase-search steps, k up to {max(ks)}"
     if cfg.m is not None:
         layout = amplify.toy_layout(cfg.m, cfg.dims)
-        sides = {"toy scramble on W,V,A": layout.keep(["W", "V", "A"]).total_dim}
+        side = layout.keep(["W", "V", "A"]).total_dim
+        held = [f"a dense {side}x{side} toy scramble on W,V,A"]
+        peak = dense_bytes(side)
     else:
         layout = simulator.sim_layout(cfg.dims, n)
-        sides = {"verifier unitary": protocol.view_layout(cfg.dims, n).total_dim}
+        side = protocol.view_layout(cfg.dims, n).total_dim
+        orbit = max(len(set(orbit_codes(g))) for g in _graph_pair(cfg) if g.n == n)
+        s = cfg.dims[0] * orbit
+        held = [f"a {side}x{side} verifier unitary drawn as {side}x{s} reflectors"]
+        peak = 16 * DRAW_COPIES * side * s
     d, work = layout.total_dim, 0
-    peak = BASE_BYTES + sum(map(dense_bytes, sides.values())) + 16 * STATE_COPIES * cfg.dims[0] * d
-    held = [f"a dense {side}x{side} {what}" for what, side in sides.items()]
+    peak += BASE_BYTES + 16 * STATE_COPIES * cfg.dims[0] * d
     if cfg.command == "blocks":
         r = d // layout.dim_of("A")
         peak += 16 * (d * d + KEPT_COPIES * d * r + 3 * amplify.RESIDUAL_PANEL * d)
@@ -248,14 +258,14 @@ def estimate(cfg: RunConfig, n: int | None) -> tuple[int, int, str]:
 def preflight(cfg: RunConfig) -> None:
     """Refuse, from the layouts alone and before anything is built, a command above a budget.
 
-    A vertex count outside 2..4 is refused too; past S_n's range 1..MAX_VERTICES
-    no estimate is made, as the graph register alone has 2^(n(n-1)/2) states.
+    A vertex count outside 2..MAX_VERTICES is refused too; past S_n's range no
+    estimate is made, as the graph register alone has 2^(n(n-1)/2) states.
     """
     graphs = cfg.command != "phases" and cfg.m is None
     for n in sorted({g.n for g in _graph_pair(cfg)}) if graphs else [None]:
         reasons = []
-        if n is not None and not 2 <= n <= 4:
-            reasons.append(f"n must be in 2..4 for full verification runs, got {n}")
+        if n is not None and not 2 <= n <= MAX_VERTICES:
+            reasons.append(f"n must be in 2..{MAX_VERTICES} for full verification runs, got {n}")
         peak, work, what = estimate(cfg, n) if n is None or 1 <= n <= MAX_VERTICES else (0, 0, "")
         if peak > BYTE_BUDGET or work > WORK_BUDGET:
             reasons.append(
@@ -267,14 +277,25 @@ def preflight(cfg: RunConfig) -> None:
 
 
 def _trials(cfg: RunConfig, inst: Instance, kind: str = "adversarial"):
-    """Each trial's index, ``trial_seeds`` and circuit; the first seed draws an adversarial verifier."""
+    """Each trial's index, ``trial_seeds`` and circuit.
+
+    The first seed draws an adversarial verifier on the start columns of the
+    instance's orbit codes, the only columns its views and identities read.
+    """
+    codes = orbit_codes(inst.g0)
     for t in range(cfg.trials):
         seeds = trial_seeds(cfg.seed, t)
         if kind == "honest":
             ver = protocol.honest_verifier(cfg.dims, inst.n)
         else:
-            ver = protocol.adversarial_verifier(cfg.dims, inst.n, seeds[0])
+            ver = protocol.adversarial_verifier(cfg.dims, inst.n, seeds[0], codes)
         yield t, seeds, simulator.build_circuit(inst, ver, cfg.completion)
+
+
+def _columns(circ) -> dict:
+    """``verifier_columns``, the s start columns an adversarial verifier drew, for its records."""
+    columns = getattr(circ.ver.u_v, "columns", None) if circ.ver is not None else None
+    return {} if columns is None else {"verifier_columns": columns}
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +316,7 @@ def run_verify_eq1(cfg: RunConfig) -> list[dict]:
                 simulator.success_block_residual(circ),
                 verifier="adversarial",
                 verifier_seed=seeds[0],
+                **_columns(circ),
             )
         )
     return records
@@ -314,6 +336,7 @@ def run_verify_eq2(cfg: RunConfig) -> list[dict]:
             *check.derivation.values(),
             *(abs(a - b) for a, b in zip(chain, chain[1:])),
         )
+        cols = _columns(circ)
         records += [
             record(
                 "one-step-amplification",
@@ -323,8 +346,9 @@ def run_verify_eq2(cfg: RunConfig) -> list[dict]:
                 worst <= ATOL_OP,
                 derivation=check.derivation,
                 norm_chain=chain,
+                **cols,
             ),
-            near_record("post-step-success-probability", label, check.success_prob, 1.0),
+            near_record("post-step-success-probability", label, check.success_prob, 1.0, **cols),
             record(
                 "operator-order-disambiguation",
                 label,
@@ -332,6 +356,7 @@ def run_verify_eq2(cfg: RunConfig) -> list[dict]:
                 None,
                 check.swapped_order_residual > ORDER_GAP,
                 note="the swapped operator order must visibly differ",
+                **cols,
             ),
         ]
     return records
@@ -364,6 +389,7 @@ def run_zk_check(cfg: RunConfig) -> list[dict]:
                     "sent": format_graph_literal(sampled.sent),
                     "accepted": sampled.accepted,
                 },
+                **_columns(circ),
             )
         )
     return records
@@ -381,8 +407,9 @@ def run_watrous(cfg: RunConfig) -> list[dict]:
         fidelity = abs(overlap) ** 2
         # The first measurement, sampled: it succeeds iff one uniform draw is below prob.
         succeeded = np.random.default_rng(branch_seed).random() < prob
+        cols = _columns(circ)
         records += [
-            near_record("first-measurement-probability", f"trial={t}", prob, 0.5),
+            near_record("first-measurement-probability", f"trial={t}", prob, 0.5, **cols),
             record(
                 "reflected-state-fidelity",
                 f"trial={t}",
@@ -393,6 +420,7 @@ def run_watrous(cfg: RunConfig) -> list[dict]:
                 target=1.0,
                 relative_phase=overlap,
                 sampled_first_measurement_succeeded=succeeded,
+                **cols,
             ),
         ]
     return records
@@ -412,16 +440,21 @@ def run_blocks(cfg: RunConfig) -> list[dict]:
     """Check the block decomposition identities and subspace closure."""
     records = []
     for label, circ, expected in _blocks_circuits(cfg):
+        cols = _columns(circ)
         decomp = amplify.block_decompose(circ.attempt, circ.success_proj, circ.layout)
         records.append(
-            near_record("scalar-top-block", label, decomp.success_prob, expected, echo="expected")
+            near_record(
+                "scalar-top-block", label, decomp.success_prob, expected, echo="expected", **cols
+            )
         )
         for i, value in enumerate(amplify.verify_block_identities(decomp), start=1):
-            records.append(residual_record(f"idempotence-identity-{i}", label, value))
+            records.append(residual_record(f"idempotence-identity-{i}", label, value, **cols))
         aux = protocol.random_aux(cfg.dims[0], cfg.seed + 1)
         for phases, tag in ((PhasePair(1j, 1j), "i,i"), (PhasePair(-1.0, -1.0), "-1,-1")):
             closure = amplify.verify_subspace_closure(circ, aux, phases)
-            records.append(residual_record("subspace-closure", f"{label},phases={tag}", closure))
+            records.append(
+                residual_record("subspace-closure", f"{label},phases={tag}", closure, **cols)
+            )
         lam = decomp.success_prob
         theta = np.arcsin(np.sqrt(lam))
         rotation = np.array(
@@ -433,7 +466,9 @@ def run_blocks(cfg: RunConfig) -> list[dict]:
         deviation = float(
             np.max(np.abs(-amplify.subspace_matrix(lam, PhasePair(-1.0, -1.0)) - rotation))
         )
-        records.append(residual_record("grover-rotation-form", label, deviation, ATOL_NORM))
+        records.append(
+            residual_record("grover-rotation-form", label, deviation, ATOL_NORM, **cols)
+        )
     return records
 
 
@@ -689,9 +724,15 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser a process needs, built at its first run and not at import."""
+    return build_parser()
+
+
 def run(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse's refusal (2) or --help (0)
         return exc.code
     started = time.monotonic()

@@ -38,11 +38,11 @@ from .symm import (
     Permutation,
     act,
     compose,
-    encode,
     enumerate_sn,
     find_isomorphism,
     invert,
     num_graph_codes,
+    orbit_codes,
 )
 
 
@@ -119,9 +119,31 @@ def honest_verifier(dims: tuple[int, int], n: int) -> VerifierModel:
     return VerifierModel(dims, LinearOp(view_layout(dims, n), ("A",), HADAMARD))
 
 
-def adversarial_verifier(dims: tuple[int, int], n: int, seed: int) -> VerifierModel:
-    """Haar-random verifier unitary over the whole of W,V,A,Y, in Householder form."""
-    return VerifierModel(dims, haar_random_op(view_layout(dims, n), ("W", "V", "A", "Y"), seed))
+def start_columns(layout: RegisterLayout, codes) -> np.ndarray:
+    """Flat W,V,A,Y indices of the start states ``|w, V=0, A=0, Y=code>``, w-major, codes sorted."""
+    dim_w = layout.dim_of("W")
+    codes = np.unique(np.asarray(codes, dtype=np.int64))
+    if codes.size and not 0 <= codes[0] <= codes[-1] < layout.dim_of("Y"):
+        raise ValueError(f"Y codes must be in 0..{layout.dim_of('Y') - 1}, got {codes.tolist()}")
+    return (np.arange(dim_w)[:, None] * (layout.total_dim // dim_w) + codes).reshape(-1)
+
+
+def adversarial_verifier(dims: tuple[int, int], n: int, seed: int, codes=None) -> VerifierModel:
+    """Verifier unitary on W,V,A,Y whose start columns are those of a Haar unitary.
+
+    Every view and identity reads ``U_V`` only on the start states
+    ``|w, V=0, A=0, Y=code>`` with ``code`` in ``codes``, by default every Y
+    code of n vertices; a protocol run passes the ``symm.orbit_codes`` of g0,
+    the messages the prover sends.  Only those
+    s = dim_w * |codes| columns are drawn (:func:`haar_random_op` with
+    ``inputs``), so U is a product of s reflectors and fixes a subspace of
+    dimension at least d - 2s.
+    """
+    layout = view_layout(dims, n)
+    if codes is None:
+        codes = range(num_graph_codes(n))
+    inputs = start_columns(layout, codes)
+    return VerifierModel(dims, haar_random_op(layout, ("W", "V", "A", "Y"), seed, inputs))
 
 
 def random_aux(dim_w: int, seed: int) -> StateVector:
@@ -263,7 +285,7 @@ def real_view_recorded(
     n = inst.n
     layout = view_layout(ver.dims, n)
     perms = enumerate_sn(n)
-    codes = [encode(act(tau, inst.g0)) for tau in perms]
+    codes = orbit_codes(inst.g0)
     outs = verifier_outputs(ver, n, aux, codes, np.sqrt(1.0 / len(perms)))
 
     pieces = []

@@ -11,9 +11,11 @@ an operator's dense matrix is built only by the tests, as their oracle.
 A Haar-random unitary is kept as Householder panels by :func:`haar_random_op`
 (:class:`HouseholderOp`).  Its reflectors are drawn directly, each from its
 own Gaussian column, as the Householder QR of a Ginibre matrix would make
-them, so neither that matrix, its QR, Q nor ``U† U`` is ever formed.  Each
-panel's Gram matrix gives both its T factor, in closed form, and its part
-of a spectral-norm bound that validates the operator.
+them, so neither that matrix, its QR, Q nor ``U† U`` is ever formed.  When
+only some columns of the unitary are ever read, only that many reflectors
+are drawn, and a row order moves those columns to the front.  Each panel's
+Gram matrix gives both its T factor, in closed form, and its part of a
+spectral-norm bound that validates the operator.
 
 All values are immutable after construction and every operation is pure
 (given its rng), so everything here is safe to share across threads.
@@ -233,6 +235,15 @@ class DiagonalOp:
         return _on_targets(self, layout, amps, lambda flat: self.phases[:, None] * flat)
 
 
+def _check_permutation(image: np.ndarray, side: int, what: str) -> None:
+    """Refuse, in O(side), an ``image`` that is not a permutation of ``range(side)``."""
+    if image.shape != (side,):
+        raise ValueError(f"{what} has shape {image.shape}, expected ({side},)")
+    in_range = bool(np.all((image >= 0) & (image < side)))
+    if not in_range or np.any(np.bincount(image, minlength=side) != 1):
+        raise ValueError(f"{what} is not a permutation of the target basis")
+
+
 @dataclass(frozen=True)
 class PermutationOp:
     """Unitary relabeling of the computational basis of its targets.
@@ -251,11 +262,7 @@ class PermutationOp:
     kind: str = field(default="unitary", init=False)
 
     def _validate(self, side: int) -> None:
-        if self.image.shape != (side,):
-            raise ValueError(f"image has shape {self.image.shape}, expected ({side},)")
-        in_range = bool(np.all((self.image >= 0) & (self.image < side)))
-        if not in_range or np.any(np.bincount(self.image, minlength=side) != 1):
-            raise ValueError("image is not a permutation of the target basis")
+        _check_permutation(self.image, side, "image")
 
     def adjoint(self) -> "PermutationOp":
         inverse = np.empty_like(self.image)
@@ -277,15 +284,20 @@ _PANEL_WIDTH = 64
 
 @dataclass(frozen=True)
 class HouseholderOp:
-    """Unitary ``Q D`` on a subset of registers, with Q kept as Householder panels.
+    """Unitary ``Π† (Q D) Π`` on a subset of registers, with Q kept as Householder panels.
 
-    Q is the product of the reflectors ``I - tau_j v_j v_j†`` held in the
-    columns of ``reflectors`` (unit lower triangular).  D is the diagonal
-    ``phases``.  The operator groups them into compact-WY panels
+    Q is the product of the k reflectors ``I - tau_j v_j v_j†`` held in the
+    columns of the ``(d, k)`` array ``reflectors`` (unit lower trapezoidal),
+    and D the diagonal with the k ``phases`` first and ones after them, so
+    ``Q D`` acts as the identity on every vector orthogonal to the first k
+    basis states and to the reflectors.  Π is the row ``order``: ``Π x`` is
+    ``x[order]``, one gather, and ``Π†`` its scatter; without an order Π is
+    the identity.  The operator groups the reflectors into compact-WY panels
     ``I - V T V†`` (Schreiber and Van Loan) of ``_PANEL_WIDTH`` columns:
     panel columns ``s:e`` use ``V = reflectors[s:, s:e]`` and the upper
     triangular ``T = tfactors[s:e, :e - s]``.  Applying the panels costs
-    about one dense product, and neither Q nor ``U† U`` is ever formed.
+    about ``2 d k`` multiply-adds per vector, and neither Q nor ``U† U`` is
+    ever formed.
     """
 
     layout: RegisterLayout
@@ -293,8 +305,11 @@ class HouseholderOp:
     reflectors: np.ndarray
     tau: np.ndarray
     phases: np.ndarray
+    order: np.ndarray | None
 
-    def __init__(self, layout: RegisterLayout, targets: Sequence[str], reflectors, tau, phases):
+    def __init__(
+        self, layout: RegisterLayout, targets: Sequence[str], reflectors, tau, phases, order=None
+    ):
         _init_validated(
             self,
             layout,
@@ -302,19 +317,25 @@ class HouseholderOp:
             reflectors=np.asarray(reflectors, dtype=complex),
             tau=np.asarray(tau, dtype=complex),
             phases=np.asarray(phases, dtype=complex),
+            order=None if order is None else np.asarray(order, dtype=np.int64),
         )
 
     kind: str = field(default="unitary", init=False)
     # Built by ``_validate`` from the reflectors and ``tau``.
     tfactors: np.ndarray = field(init=False)
-    # The adjoint holds the same data and applies ``D̄ Q†`` instead.
+    # The adjoint holds the same data and applies ``Π† D̄ Q† Π`` instead.
     inverse: bool = field(default=False, init=False)
+
+    @property
+    def columns(self) -> int:
+        """k, the number of reflectors; columns ``order[:k]`` are the Haar ones of a draw."""
+        return len(self.tau)
 
     def _panels(self):
         """``(start, V, T)`` of each panel, first panel first."""
-        side = len(self.tau)
-        for s in range(0, side, _PANEL_WIDTH):
-            e = min(s + _PANEL_WIDTH, side)
+        k = self.columns
+        for s in range(0, k, _PANEL_WIDTH):
+            e = min(s + _PANEL_WIDTH, k)
             yield s, self.reflectors[s:, s:e], self.tfactors[s:e, : e - s]
 
     def _validate(self, side: int) -> None:
@@ -324,18 +345,18 @@ class HouseholderOp:
         closed form of LAPACK's ``zlarft`` recurrence; it is inverted as
         ``(I + diag(tau) striu(G))⁻¹ diag(tau)``, which needs no division by tau.
         """
-        if (
-            self.reflectors.shape != (side, side)
-            or self.tau.shape != (side,)
-            or self.phases.shape != (side,)
-        ):
+        shape = self.reflectors.shape
+        k = len(self.tau) if self.tau.ndim == 1 else -1
+        if shape != (side, k) or self.phases.shape != (k,):
             raise ValueError(
-                f"Householder data has shapes {self.reflectors.shape}, {self.tau.shape}, "
-                f"{self.phases.shape}; expected ({side}, {side}), ({side},), ({side},)"
+                f"Householder data has shapes {shape}, {self.tau.shape}, {self.phases.shape}; "
+                f"expected ({side}, k), (k,), (k,)"
             )
-        object.__setattr__(
-            self, "tfactors", np.zeros((side, min(_PANEL_WIDTH, side)), dtype=complex)
-        )
+        if k > side:
+            raise ValueError(f"{k} reflectors on {side} rows: k must be at most {side}")
+        if self.order is not None:
+            _check_permutation(self.order, side, "row order")
+        object.__setattr__(self, "tfactors", np.zeros((k, min(_PANEL_WIDTH, k)), dtype=complex))
         grams = []
         for s, v, t in self._panels():
             gram = v.conj().T @ v
@@ -353,10 +374,11 @@ class HouseholderOp:
         ``Q† Q - I = V (T† G T - T - T†) V†``, so its deviation is at most
         ``||G||_2 ||T† G T - T - T†||_2``, both norms from the spectra of
         small Hermitian matrices.  Deviations compose as
-        ``||(AB)† AB - I|| <= (1 + ||A† A - I||)(1 + ||B† B - I||) - 1``, and D
-        deviates by ``max ||d|^2 - 1|``.
+        ``||(AB)† AB - I|| <= (1 + ||A† A - I||)(1 + ||B† B - I||) - 1``, D
+        deviates by ``max ||d|^2 - 1|`` over its k phases (the rest are 1),
+        and Π, a permutation, by nothing.
         """
-        bound = 1 + float(np.max(np.abs(np.abs(self.phases) ** 2 - 1)))
+        bound = 1 + float(np.max(np.abs(np.abs(self.phases) ** 2 - 1), initial=0.0))
         for (_, _, t), gram in zip(self._panels(), grams):
             core = t.conj().T @ gram @ t - t - t.conj().T
             bound *= 1 + _hermitian_norm(gram) * _hermitian_norm(core)
@@ -369,15 +391,21 @@ class HouseholderOp:
         return _on_targets(self, layout, amps, self._act)
 
     def _act(self, flat: np.ndarray) -> np.ndarray:
+        out = flat.copy() if self.order is None else flat[self.order]
+        head = out[: self.columns]
         if self.inverse:
-            out = flat.copy()
             for s, v, t in self._panels():
                 out[s:] -= v @ (t.conj().T @ _adjoint_times(v, out[s:]))
-            return self.phases.conj()[:, None] * out
-        out = self.phases[:, None] * flat
-        for s, v, t in reversed(list(self._panels())):
-            out[s:] -= v @ (t @ _adjoint_times(v, out[s:]))
-        return out
+            head *= self.phases.conj()[:, None]
+        else:
+            head *= self.phases[:, None]
+            for s, v, t in reversed(list(self._panels())):
+                out[s:] -= v @ (t @ _adjoint_times(v, out[s:]))
+        if self.order is None:
+            return out
+        scattered = np.empty_like(out)
+        scattered[self.order] = out
+        return scattered
 
 
 def _adjoint_times(v: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -494,25 +522,32 @@ def trace_distance_matrices(m1: np.ndarray, m2: np.ndarray) -> float:
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(m1 - m2))))
 
 
-def _gaussian_columns(dim: int, seed: int) -> np.ndarray:
-    """Lower triangle of unit-variance complex Gaussians, deterministic per seed.
+def _gaussian_columns(dim: int, seed: int, k: int | None = None) -> np.ndarray:
+    """The first k columns (all ``dim`` by default) of a lower triangle of complex Gaussians.
 
-    One draw of ``dim (dim + 1) / 2`` values fills the columns in order:
-    column j holds ``dim - j`` of them, from row j down.
+    The values have unit variance and are deterministic per seed.  One draw
+    fills the columns in order: column j holds ``dim - j`` of them, from row j
+    down.  The generator's stream does not depend on its length, so k columns
+    are the first k of the full triangle, bit for bit.
     """
+    k = dim if k is None else k
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
+    if not 0 <= k <= dim:
+        raise ValueError(f"column count must be in 0..{dim}, got {k}")
     rng = np.random.default_rng(seed)
-    values = rng.standard_normal(dim * (dim + 1)).view(complex) / np.sqrt(2)
-    # The upper triangle of the transpose, filled row by row, is the lower
-    # triangle filled column by column.
-    lower_t = np.zeros((dim, dim), dtype=complex)
-    lower_t[np.tri(dim, dtype=bool).T] = values
+    values = rng.standard_normal(k * (2 * dim - k + 1)).view(complex) / np.sqrt(2)
+    # The upper trapezoid of the transpose, filled row by row, is the lower
+    # one filled column by column.
+    lower_t = np.zeros((k, dim), dtype=complex)
+    lower_t[np.arange(dim) >= np.arange(k)[:, None]] = values
     return lower_t.T
 
 
-def haar_random_op(layout: RegisterLayout, targets: Sequence[str], seed: int) -> HouseholderOp:
-    """Haar-distributed unitary ``Q D`` on ``targets``, deterministic per seed, without forming Q.
+def haar_random_op(
+    layout: RegisterLayout, targets: Sequence[str], seed: int, inputs=None
+) -> HouseholderOp:
+    """Unitary on ``targets`` whose ``inputs`` columns are Haar, deterministic per seed, unformed.
 
     Householder QR of a complex Ginibre matrix reduces column j to an i.i.d.
     Gaussian vector of length ``side - j``, independent of the earlier
@@ -522,17 +557,31 @@ def haar_random_op(layout: RegisterLayout, targets: Sequence[str], seed: int) ->
     ``beta = -sign(Re alpha) ||x||``, ``tau = (beta - alpha) / beta`` and
     ``v = x / (alpha - beta)`` with a unit head.  ``beta`` is R's diagonal,
     so ``D = sign(beta)`` makes the distribution exactly Haar (Mezzadri 2007).
-    The reflectors, tau and D go to :class:`HouseholderOp` unchanged, which
-    builds its panel T factors from them.
+
+    With ``inputs=None`` all ``side`` reflectors are drawn and the operator is
+    Haar.  Otherwise only the first ``k = len(inputs)`` are, and the row order
+    puts the flat target indices ``inputs`` first and the rest after them in
+    increasing order.  Reflectors k and later fix the first k basis states,
+    so column ``inputs[j]`` of the result is column j of the full draw moved
+    by that order: the input columns are jointly Haar-distributed, and the
+    operator fixes every vector orthogonal to them and to the k reflectors.
+    The reflectors, tau, D and the order go to :class:`HouseholderOp`
+    unchanged, which builds its panel T factors from them.
     """
     side = math.prod(layout.dim_of(name) for name in targets)
-    reflectors = _gaussian_columns(side, seed)
+    order = None
+    if inputs is not None:
+        inputs = np.asarray(inputs, dtype=np.int64).reshape(-1)
+        rest = np.ones(side, dtype=bool)
+        rest[inputs] = False
+        order = np.concatenate([inputs, np.flatnonzero(rest)])
+    reflectors = _gaussian_columns(side, seed, None if inputs is None else len(inputs))
     alpha = reflectors.diagonal().copy()
     beta = np.where(alpha.real >= 0, -1.0, 1.0) * np.linalg.norm(reflectors, axis=0)
     tau = (beta - alpha) / beta
     reflectors /= alpha - beta
     np.fill_diagonal(reflectors, 1.0)
-    return HouseholderOp(layout, targets, reflectors, tau, np.sign(beta))
+    return HouseholderOp(layout, targets, reflectors, tau, np.sign(beta), order)
 
 
 def random_state(dim: int, seed: int) -> np.ndarray:

@@ -57,6 +57,7 @@ from .symm import (
     encode,
     enumerate_sn,
     num_graph_codes,
+    orbit_codes,
 )
 
 
@@ -147,17 +148,13 @@ def build_circuit(
     """
     n = inst.n
     layout = sim_layout(ver.dims, n)
-    perms = enumerate_sn(n)
-    n_fact = len(perms)
+    n_fact = layout.dim_of("Z")
     dim_y = num_graph_codes(n)
 
     split_b = LinearOp(layout, ("B",), HADAMARD)
     split_z = LinearOp(layout, ("Z",), uniform_superposition_unitary(n_fact, completion))
 
-    codes = np.empty((2, n_fact), dtype=np.int64)
-    for b, graph in enumerate((inst.g0, inst.g1)):
-        for z, pi in enumerate(perms):
-            codes[b, z] = encode(act(pi, graph))
+    codes = np.array([orbit_codes(inst.g0), orbit_codes(inst.g1)], dtype=np.int64)
     y_idx = np.arange(dim_y)[:, None, None]
     b_idx = np.arange(2)[None, :, None]
     z_idx = np.arange(n_fact)[None, None, :]

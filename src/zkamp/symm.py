@@ -104,6 +104,22 @@ def encode(g: Graph) -> int:
     return code
 
 
+def orbit_codes(g: Graph) -> list[int]:
+    """``encode(act(p, g))`` for each p in :func:`enumerate_sn` order, by bit positions alone.
+
+    Each edge ``(u, v)`` of g sets the code bit of the pair ``(p(u), p(v))``,
+    so no relabeled graph is built.
+    """
+    if not 1 <= g.n <= MAX_VERTICES:
+        raise ValueError(f"n must be in 1..{MAX_VERTICES}, got {g.n}")
+    bit = {pair: 1 << k for k, pair in enumerate(vertex_pairs(g.n))}
+    edges = tuple(g.edges)
+    return [
+        sum(bit[min(p[u], p[v]), max(p[u], p[v])] for u, v in edges)
+        for p in itertools.permutations(range(g.n))
+    ]
+
+
 def find_isomorphism(g0: Graph, g1: Graph) -> Optional[Permutation]:
     """First permutation in enumeration order mapping g0 onto g1, if any."""
     if g0.n != g1.n:

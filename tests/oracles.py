@@ -103,15 +103,20 @@ def local_matrix(op):
         mat[op.image, np.arange(side)] = 1.0
         return mat
     if isinstance(op, HouseholderOp):
-        # Q D as a dense product of the panel matrices I - V T V†.
-        side, width = op.tfactors.shape
+        # Π† Q D Π, with Q a dense product of the panel matrices I - V T V†,
+        # D the k phases padded with ones, and Π the permutation matrix of the order.
+        side, (k, width) = len(op.reflectors), op.tfactors.shape
         q = np.eye(side, dtype=complex)
-        for s in range(0, side, width):
-            e = min(s + width, side)
+        for s in range(0, k, max(width, 1)):
+            e = min(s + width, k)
             v = np.zeros((side, e - s), dtype=complex)
             v[s:] = op.reflectors[s:, s:e]
             q = q @ (np.eye(side) - v @ op.tfactors[s:e, : e - s] @ v.conj().T)
-        mat = q * op.phases
+        mat = q * np.concatenate([op.phases, np.ones(side - k)])
+        if op.order is not None:
+            perm = np.zeros((side, side))
+            perm[np.arange(side), op.order] = 1.0
+            mat = perm.T @ mat @ perm
         return mat.conj().T if op.inverse else mat
     raise TypeError(f"no local matrix for {type(op).__name__}")
 

@@ -116,3 +116,11 @@ def test_byte_estimate_bounds_the_traced_peak(op):
         tracemalloc.stop()
     assert code == 0
     assert peak <= estimated
+
+
+@pytest.mark.parametrize("workload", sorted(w for w in bench.WORKLOADS if w.startswith("zk-")))
+def test_negative_control_stays_above_its_floor(workload):
+    # The untimed control calls adversarial_verifier(dims, n, seed) without
+    # codes, so the verifier is drawn on every Y code, a superset of the orbit.
+    distance = bench.negative_control(bench.WORKLOADS[workload][0].argv, 7)
+    assert distance >= bench.NEGATIVE_CONTROL_FLOOR

@@ -2,10 +2,12 @@
 
 import dataclasses
 import importlib.util
+import io
 import json
 import re
 import tracemalloc
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +24,7 @@ from zkamp.cli import (
     run,
     trial_seeds,
 )
-from zkamp.registers import DiagonalOp, OpChain
+from zkamp.registers import BYTE_BUDGET, WORK_BUDGET, DiagonalOp, OpChain
 from zkamp.symm import parse_graph_literal
 
 from oracles import watrous_round
@@ -100,8 +102,10 @@ class TestExitCodes:
         assert code == 2
 
     def test_n_too_large_is_config_error(self, capsys):
-        code = run(["zk-check", "--n", "5", "--g0", "01", "--g1", "01"])
+        # n=5 fits the budgets at dims 2x2; n=6 needs 22.5 GiB even at dims 1x1.
+        code = run(["zk-check", "--n", "6", "--g0", "01", "--g1", "01", "--dim-w", "1", "--dim-v", "1"])
         assert code == 2
+        assert "above the budgets" in capsys.readouterr().err
 
     def test_trials_must_be_positive(self, capsys):
         code = run(["verify-eq1", "--n", "2", "--g0", "01", "--g1", "01", "--trials", "0"])
@@ -299,9 +303,11 @@ class TestOversizeRefusals:
             # Toy scramble on W,V,A: dim_w * dim_v * m.
             (["schedule", "--m", "2", "--dim-w", "64", "--dim-v", "65"], 8320),
             (["blocks", "--m", "2", "--dim-w", "64", "--dim-v", "65"], 8320),
-            # Sides at most 8192, but above the byte budget: an 8192x8192 Haar
-            # draw, and attempt matrices of 6144, 8100 and 24576 rows.
-            (["zk-check", *N4, "--dim-w", "8", "--dim-v", "8"], 8192),
+            # Sides at most 8192, but above the byte budget: 16 states per
+            # column of W on the 393216-amplitude simulator layout at dim_w 16
+            # (dims 8x8, at 0.79 GiB, fit), and attempt matrices of 6144, 8100
+            # and 24576 rows.
+            (["zk-check", *N4, "--dim-w", "16", "--dim-v", "4"], 8192),
             (["blocks", *N3, "--dim-w", "4", "--dim-v", "8"], 6144),
             (["blocks", "--m", "45"], 8100),
             (["blocks", *N4], 24576),
@@ -320,21 +326,33 @@ class TestOversizeRefusals:
 
     @pytest.mark.parametrize("command", ["zk-check", "verify-eq1"])
     @pytest.mark.parametrize(
-        "g0, g1, extra",
+        "g0, g1, extra, refusal",
         [
-            pytest.param("n=5;edges=01", "n=5;edges=02", [], id="n=5;edges=01-n=5;edges=02"),
-            pytest.param("n=1;edges=", "n=1;edges=", [], id="n=1;edges=-n=1;edges="),
-            pytest.param("n=7;edges=01", "n=7;edges=02", [], id="n=7;edges=01-n=7;edges=02"),
-            pytest.param("n=5;edges=01", "n=5;edges=02", ["--dim-w", "4"], id="n=5-dim-w-4"),
-            pytest.param("n=200;edges=01", "n=200;edges=02", [], id="n=200"),
+            pytest.param("n=5;edges=01", "n=5;edges=02", [], None, id="n=5;edges=01-n=5;edges=02"),
+            pytest.param("n=1;edges=", "n=1;edges=", [], "n must be in 2..6", id="n=1;edges=-n=1;edges="),
+            pytest.param(
+                "n=7;edges=01", "n=7;edges=02", [], "n must be in 2..6", id="n=7;edges=01-n=7;edges=02"
+            ),
+            pytest.param(
+                "n=5;edges=01", "n=5;edges=02", ["--dim-w", "4"], "16384x16384", id="n=5-dim-w-4"
+            ),
+            pytest.param("n=200;edges=01", "n=200;edges=02", [], "n must be in 2..6", id="n=200"),
         ],
     )
-    def test_literal_vertex_count_checked(self, capsys, command, g0, g1, extra):
-        # Without --n the vertex count comes from the literals alone; n=5
-        # would start an 8192x8192 Haar draw, n=7 is past S_n's range, and
-        # n=200's verifier size has thousands of digits.
-        assert run([command, "--g0", g0, "--g1", g1, *extra]) == 2
-        assert "n must be in 2..4" in capsys.readouterr().err
+    def test_literal_vertex_count_checked(self, capsys, command, g0, g1, extra, refusal):
+        # Without --n the vertex count comes from the literals alone.  n=5 fits
+        # both budgets at dims 2x2 (its verifier is drawn on 2 * 10 columns)
+        # and not at dim_w 4; n=1 and n=7 are outside 2..6, past S_n's range
+        # for n=7, and n=200's verifier size has thousands of digits.
+        argv = [command, "--g0", g0, "--g1", g1, *extra]
+        if refusal is None:
+            cfg = cli.config_from_args(build_parser().parse_args(argv))
+            peak, work, what = cli.estimate(cfg, 5)
+            assert peak <= BYTE_BUDGET and work <= WORK_BUDGET
+            assert "8192x8192 verifier unitary drawn as 8192x20 reflectors" in what
+            return
+        assert run(argv) == 2
+        assert refusal in capsys.readouterr().err
 
 
 def test_blocks_never_builds_the_dense_attempt_matrix(capsys):
@@ -350,6 +368,99 @@ def test_blocks_never_builds_the_dense_attempt_matrix(capsys):
     capsys.readouterr()
     assert code == 0
     assert peak <= 2.5 * 16 * d**2
+
+
+def test_wide_zk_check_never_draws_the_full_verifier():
+    # A full 1024x1024 Householder draw is 16 MiB of reflectors and peaks at
+    # twice that; the 24 start columns of the n=3 orbit at dim_w 8 need 1.2 MiB.
+    d = 1024
+    tracemalloc.start()
+    try:
+        code, _, _ = _silent(["zk-check", *N3, "--dim-w", "8", "--dim-v", "8", "--seed", "7"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 0.5 * 16 * d**2
+
+
+def test_five_vertices_fit_the_estimate():
+    # The view layout has 8192 rows; the verifier is drawn on 2 * 60 of them.
+    argv = ["zk-check", "--g0", "n=5;edges=01,12,23,34", "--g1", "n=5;edges=02,21,13,34"]
+    argv += ["--seed", "7"]
+    cfg = cli.config_from_args(build_parser().parse_args(argv))
+    estimated, work, what = cli.estimate(cfg, 5)
+    assert estimated <= BYTE_BUDGET and work <= WORK_BUDGET
+    assert "8192x8192 verifier unitary drawn as 8192x120 reflectors" in what
+    tracemalloc.start()
+    try:
+        code, out, _ = _silent(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= estimated
+    (rec,) = json.loads(out)["records"]
+    assert rec["value"] <= 1e-10 and rec["verifier_columns"] == 120
+
+
+def _silent(argv):
+    """``run(argv)`` with its output captured: the exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestVerifierColumns:
+    """Records built from an adversarial verifier carry the s columns it drew."""
+
+    @pytest.mark.parametrize(
+        "argv, adversarial",
+        [
+            (["verify-eq1", *N3, "--trials", "2"], 2),
+            (["verify-eq2", *N3, "--trials", "2"], 6),
+            (["watrous", *N3, "--trials", "2"], 4),
+            (["zk-check", *N3, "--trials", "2", "--keep-z"], 2),
+            (["blocks", *N3], 7),
+            (["zk-check", *N4, "--dim-w", "3"], 1),
+        ],
+    )
+    def test_adversarial_records_carry_s(self, capsys, argv, adversarial):
+        _, out = run_capture(capsys, argv)
+        report = json.loads(out)
+        dim_w = report["config"]["dims"][0]
+        orbit = 3 if report["config"]["n"] == 3 else 12
+        columns = [rec.get("verifier_columns") for rec in report["records"]]
+        assert columns.count(dim_w * orbit) == adversarial
+        assert set(columns) <= {dim_w * orbit, None}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["zk-check", *N3, "--verifier", "honest"], ["blocks", "--m", "3"], ["schedule", "--m", "3"]],
+    )
+    def test_other_records_do_not(self, capsys, argv):
+        _, out = run_capture(capsys, argv)
+        assert all("verifier_columns" not in rec for rec in json.loads(out)["records"])
+
+
+def test_parser_built_once_per_process(capsys, monkeypatch):
+    calls = Counter()
+    original = cli.build_parser
+
+    def counted():
+        calls["build_parser"] += 1
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        for argv in (["phases", "--lambdas", "0.5"], ["schedule", "--m", "3"], ["phases", "--m", "3"]):
+            run_capture(capsys, argv)
+    finally:
+        cli._parser.cache_clear()
+    assert calls["build_parser"] == 1
+    assert build_parser() is not build_parser()
 
 
 class TestTrialLoop:

@@ -468,6 +468,9 @@ def _random_ops(seed):
     chain = OpChain((unitary, diagonal, permutation))
     targets, _ = pick()
     householder = haar_random_op(layout, targets, seed)
+    targets, side = pick()
+    inputs = rng.choice(side, size=rng.integers(1, side + 1), replace=False)
+    narrow = haar_random_op(layout, targets, seed, inputs)
     return layout, {
         "unitary": unitary,
         "projector": projector,
@@ -475,6 +478,7 @@ def _random_ops(seed):
         "permutation": permutation,
         "chain": chain,
         "householder": householder,
+        "narrow householder": narrow,
     }
 
 
@@ -542,6 +546,7 @@ class TestValidateOnce:
             ops["householder"].adjoint().tau,
             ops["householder"].adjoint().tfactors,
             ops["householder"].adjoint().phases,
+            ops["narrow householder"].adjoint().order,
         ]
         unitary, diagonal, permutation = reversed(ops["chain"].adjoint().factors)
         arrays += [unitary.matrix, diagonal.phases, permutation.image]
@@ -692,6 +697,135 @@ class TestHouseholderOp:
             HouseholderOp(layout, ("B",), op.reflectors, op.tau, op.phases)
         with pytest.raises(ValueError, match="shapes"):
             HouseholderOp(layout, ("A",), op.reflectors, op.tau[:-1], op.phases)
+
+
+def _draw_before_inputs(layout, targets, seed):
+    """The full draw as ``haar_random_op`` made it before it took ``inputs``, bit for bit."""
+    side = int(np.prod([layout.dim_of(name) for name in targets]))
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(side * (side + 1)).view(complex) / np.sqrt(2)
+    lower_t = np.zeros((side, side), dtype=complex)
+    lower_t[np.tri(side, dtype=bool).T] = values
+    reflectors = lower_t.T
+    alpha = reflectors.diagonal().copy()
+    beta = np.where(alpha.real >= 0, -1.0, 1.0) * np.linalg.norm(reflectors, axis=0)
+    tau = (beta - alpha) / beta
+    reflectors /= alpha - beta
+    np.fill_diagonal(reflectors, 1.0)
+    return reflectors, tau, np.sign(beta)
+
+
+class TestNarrowHouseholderOp:
+    """k < d reflectors behind a row order: Haar input columns, the identity elsewhere."""
+
+    @pytest.mark.parametrize("side, seed", [(1, 0), (5, 3), (64, 1), (130, 2)])
+    def test_full_draw_is_unchanged_bit_for_bit(self, side, seed):
+        layout = RegisterLayout([("A", side)])
+        op = haar_random_op(layout, ("A",), seed)
+        reflectors, tau, phases = _draw_before_inputs(layout, ("A",), seed)
+        assert op.order is None and op.columns == side
+        np.testing.assert_array_equal(op.reflectors, reflectors)
+        np.testing.assert_array_equal(op.tau, tau)
+        np.testing.assert_array_equal(op.phases, phases)
+        rebuilt = HouseholderOp(layout, ("A",), reflectors, tau, phases)
+        np.testing.assert_array_equal(op.tfactors, rebuilt.tfactors)
+
+    @pytest.mark.parametrize("k", [0, 1, 7, 64, 65, 130])
+    def test_gaussian_columns_are_a_prefix_of_the_full_draw(self, k):
+        full = _gaussian_columns(130, 9)
+        np.testing.assert_array_equal(_gaussian_columns(130, 9, k), full[:, :k])
+
+    @pytest.mark.parametrize("inputs", [[0], [7, 2, 11], [14, 3, 0, 9, 1], list(range(15))[::-1]])
+    def test_input_columns_match_the_dense_haar_draw(self, inputs):
+        # Reflectors k and later fix the first k basis states, so column
+        # inputs[j] is column j of the full draw, moved back by the order.
+        layout = RegisterLayout([("A", 3), ("B", 5)])
+        op = haar_random_op(layout, ("B", "A"), 6, inputs)
+        u = to_matrix(op, layout)
+        dense = haar_random_unitary(15, 6)
+        assert op.columns == len(inputs)
+        np.testing.assert_allclose(u[:, inputs][op.order], dense[:, : len(inputs)], atol=1e-12)
+        np.testing.assert_allclose(u, kron_oracle(op, layout), atol=1e-12)
+        np.testing.assert_allclose(to_matrix(op.adjoint(), layout), u.conj().T, atol=1e-12)
+        np.testing.assert_allclose(u.conj().T @ u, np.eye(15), atol=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 3, 40, 70])
+    def test_fixes_a_subspace_of_dimension_at_least_d_minus_2k(self, k):
+        side = 160
+        layout = RegisterLayout([("A", side)])
+        inputs = np.random.default_rng(k).permutation(side)[:k]
+        op = haar_random_op(layout, ("A",), k, inputs)
+        u = to_matrix(op, layout)
+        singular = np.linalg.svd(u - np.eye(side), compute_uv=False)
+        assert np.count_nonzero(singular > 1e-10) <= 2 * k
+        # The validation bound covers the dense deviation of the operator as applied.
+        dense = np.linalg.norm(u.conj().T @ u - np.eye(side), ord=2)
+        assert dense <= op._deviation_bound(_grams(op)) <= ATOL_OP
+
+    @pytest.mark.parametrize("side, inputs", [(2, [1]), (3, [2]), (3, [2, 0])])
+    def test_haar_moments_on_input_columns(self, side, inputs):
+        # Over Haar measure E[U_ij] = 0, E|U_ij|^2 = 1/d and E|U_ij|^4 = 2/(d(d+1)),
+        # and two columns have E|U_ia|^2 |U_jb|^2 = 1/(d^2 - 1) for i != j.
+        layout = RegisterLayout([("A", side)])
+        cols = np.array(
+            [
+                to_matrix(haar_random_op(layout, ("A",), seed, inputs), layout)[:, inputs]
+                for seed in range(2000)
+            ]
+        )
+        checks = [
+            (cols.real, 0.0),
+            (cols.imag, 0.0),
+            (np.abs(cols) ** 2, 1.0 / side),
+            (np.abs(cols) ** 4, 2.0 / (side * (side + 1))),
+        ]
+        if len(inputs) == 2:
+            checks.append((np.abs(cols[:, 0, 0] * cols[:, 1, 1]) ** 2, 1.0 / (side**2 - 1)))
+        for values, expected in checks:
+            error = np.abs(values.mean(axis=0) - expected)
+            sigma = values.std(axis=0) / np.sqrt(len(values))
+            assert np.all(error <= 5 * sigma + 1e-12), (error, sigma)
+
+    def test_rejects_an_order_that_is_not_a_permutation(self):
+        layout = RegisterLayout([("A", 6)])
+        op = haar_random_op(layout, ("A",), 2, [4, 1])
+        for order in ([4, 1, 0, 2, 3, 3], [4, 1, 0, 2, 3, 6], [4, 1, 0, 2, -1, 5], [4, 1, 0, 2, 3]):
+            with pytest.raises(ValueError, match="row order"):
+                HouseholderOp(layout, ("A",), op.reflectors, op.tau, op.phases, order)
+        with pytest.raises(ValueError, match="row order"):
+            haar_random_op(layout, ("A",), 2, [4, 4])
+
+    def test_rejects_more_reflectors_than_rows(self):
+        layout = RegisterLayout([("A", 4)])
+        with pytest.raises(ValueError, match="k must be at most 4"):
+            HouseholderOp(layout, ("A",), np.eye(4, 5), np.zeros(5), np.ones(5))
+        with pytest.raises(ValueError, match="column count"):
+            _gaussian_columns(4, 0, 5)
+
+    def test_rejects_mismatched_shapes(self):
+        layout = RegisterLayout([("A", 6)])
+        op = haar_random_op(layout, ("A",), 2, [4, 1, 0])
+        for reflectors, tau, phases in (
+            (op.reflectors, op.tau[:2], op.phases),
+            (op.reflectors, op.tau, op.phases[:2]),
+            (op.reflectors[:, :2], op.tau, op.phases),
+            (op.reflectors[:5], op.tau, op.phases),
+            (op.reflectors, op.tau[:, None], op.phases),
+        ):
+            with pytest.raises(ValueError, match="shapes"):
+                HouseholderOp(layout, ("A",), reflectors, tau, phases, op.order)
+
+    def test_bound_gates_the_phases_it_applies(self):
+        layout = RegisterLayout([("A", 8)])
+        op = haar_random_op(layout, ("A",), 3, [5, 2])
+        phases = op.phases.copy()
+        phases[1] *= 1 + 1e-8
+        with pytest.raises(ValueError, match="not unitary"):
+            HouseholderOp(layout, ("A",), op.reflectors, op.tau, phases, op.order)
+        tau = op.tau.copy()
+        tau[0] += 1e-8
+        with pytest.raises(ValueError, match="not unitary"):
+            HouseholderOp(layout, ("A",), op.reflectors, tau, op.phases, op.order)
 
 
 class TestToMatrix:
