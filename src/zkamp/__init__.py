@@ -47,8 +47,6 @@ from .registers import (
     RegisterLayout,
     StateVector,
     haar_random_op,
-    measure,
-    measurement_probabilities,
 )
 from .simulator import (
     AmplificationCheck,

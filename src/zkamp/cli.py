@@ -39,13 +39,13 @@ BOUNDARY_SLACK = 1e-9
 MAX_SCHEDULE_STEPS = 16
 COMPLETIONS = ("householder", "dft")
 MAX_GUESSES = 8192  # basis states m^2 of the abstract circuit's guess space A,B
-# A command holds at most 16 states per column of W and 1 MiB of interpreter objects; each
-# step count the phase search tries (one plain 2x2 step, the closing phases and their certificate)
-# takes as long as 1e5 dense multiply-adds (2e-5 s; 5e9/s on one BLAS thread).
-# ``blocks`` holds at most 4 d x r blocks of kept attempt rows (the kept basis columns, one
-# factor's input, and two of its moved copy, product and product moved back).  An adversarial
-# verifier holds its d x s reflectors, and its draw two more d x s arrays for a moment.
-STATE_COPIES, BASE_BYTES, STEP_WORK, KEPT_COPIES, DRAW_COPIES = 16, 2**20, 10**5, 4, 3
+# A command holds at most 16 states per column of W and 4 MiB of interpreter objects (2 MiB on a
+# first command, with numpy's lazy imports); each step count the phase search tries (one plain 2x2
+# step, the closing phases and their certificate) takes as long as 1e5 dense multiply-adds (2e-5 s;
+# 5e9/s on one BLAS thread).  ``blocks`` holds at most 4 d x r blocks of kept attempt rows (the kept
+# basis columns, one factor's input, and two of its moved copy, product and product moved back).  An
+# adversarial verifier holds its d x s reflectors, and its draw two more d x s arrays for a moment.
+STATE_COPIES, BASE_BYTES, STEP_WORK, KEPT_COPIES, DRAW_COPIES = 16, 2**22, 10**5, 4, 3
 
 
 class ConfigError(Exception):

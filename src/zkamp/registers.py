@@ -2,11 +2,11 @@
 
 Dense, double-precision linear algebra over named tensor-product registers:
 state vectors, unitaries and 0/1 diagonal projectors acting on register
-subsets, computational-basis measurement and trace distance.  Flattening is
-row major with the first register most significant, and that convention is
-the single source of truth for every index computation in the package: every
-operator acts through ``_on_targets``, on one vector or a block of them, and
-an operator's dense matrix is built only by the tests, as their oracle.
+subsets, and trace distance.  Flattening is row major with the first register
+most significant, and that convention is the single source of truth for every
+index computation in the package: every operator acts through
+``_on_targets``, on one vector or a block of them.  An operator's dense matrix
+and a collapsing measurement are built only by the tests, as their oracles.
 
 A Haar-random unitary is kept as Householder panels by :func:`haar_random_op`
 (:class:`HouseholderOp`).  Its reflectors are drawn directly, each from its
@@ -489,33 +489,6 @@ def _on_targets(op, layout: RegisterLayout, amps: np.ndarray, act) -> np.ndarray
 def dense_bytes(side: int) -> int:
     """Budget bytes of one dense side of a layout: four complex matrices of that side."""
     return 4 * 16 * side**2
-
-
-def measurement_probabilities(state: StateVector, register: str) -> np.ndarray:
-    """Born probability of each computational outcome of one register."""
-    axis = state.layout.axis(register)
-    dims = state.layout.dims
-    moved = np.moveaxis(state.amps.reshape(dims), axis, 0)
-    return np.sum(np.abs(moved.reshape(dims[axis], -1)) ** 2, axis=1)
-
-
-def measure(
-    state: StateVector, register: str, rng: np.random.Generator
-) -> tuple[int, float, StateVector]:
-    """Sample a computational-basis measurement of one register.
-
-    Deterministic given the generator state; the collapsed state is the
-    renormalized conditional vector for the sampled outcome.
-    """
-    probs = measurement_probabilities(state, register)
-    outcome = int(rng.choice(len(probs), p=probs / probs.sum()))
-    mask = np.zeros(len(probs))
-    mask[outcome] = 1.0
-    collapsed = DiagonalOp(state.layout, (register,), mask, kind="projector").apply_to(
-        state.layout, state.amps
-    )
-    collapsed = collapsed / np.linalg.norm(collapsed)
-    return outcome, float(probs[outcome]), StateVector(state.layout, collapsed)
 
 
 def trace_distance_matrices(m1: np.ndarray, m2: np.ndarray) -> float:

@@ -7,8 +7,8 @@ the verifier's unitary.  The guess is correct when A agrees with B, which is
 the image of ``success_proj``; that event has probability 1/2 regardless of
 the auxiliary input, and a single phase-i amplification step rotates the
 attempt output onto the success subspace with certainty.  Measuring B and Z
-afterwards and recording the implied sent graph reproduces the real
-verifier view exactly.
+afterwards, read off the amplified state's (B, Z) branch columns, and
+recording the implied sent graph reproduces the real verifier view exactly.
 
 Everything the derivation claims is exposed as a numeric check: the
 half-probability block identity, the one-step amplification identity (in
@@ -47,7 +47,6 @@ from .registers import (
     PermutationOp,
     RegisterLayout,
     StateVector,
-    measure,
 )
 from .symm import (
     Graph,
@@ -283,7 +282,8 @@ def _norm_chain(circ: SimulatorCircuit, aux: StateVector, projected: np.ndarray)
     witness substitution of ``pi(g_b)`` by ``(pi tau^b)(g0)``; the change of
     variables dropping ``tau^b``; and the completeness sum ``n!/(2 n!)``.  The
     verifier runs once, on the distinct codes of the three code tables, and
-    each line reads its branches through its own table.
+    each line reads its branches through its own table; only the witness
+    substitution relabels g0 itself, by each ``pi tau^b``.
     """
     inst = circ.inst
     n = inst.n
@@ -293,9 +293,9 @@ def _norm_chain(circ: SimulatorCircuit, aux: StateVector, projected: np.ndarray)
     tau_pow = (Permutation.identity(n), inst.tau)
     tables = np.array(
         [
-            [[encode(act(pi, g)) for pi in perms] for g in (inst.g0, inst.g1)],
+            [orbit_codes(inst.g0), orbit_codes(inst.g1)],
             [[encode(act(compose(pi, t), inst.g0)) for pi in perms] for t in tau_pow],
-            [[encode(act(pi, inst.g0)) for pi in perms]] * 2,
+            [orbit_codes(inst.g0)] * 2,
         ]
     )
     codes, index = np.unique(tables, return_inverse=True)
@@ -334,30 +334,29 @@ def recorded_view(
 ) -> RecordedView:
     """Simulated verifier view of an :func:`amplified_state`: split each B,Z branch by challenge.
 
-    The B,Z measurement is replaced by the exact Born-weighted mixture, so
-    the output is deterministic; :func:`sample_round` keeps the sampling
-    behavior for demonstrations.  Per branch the challenge slices (the
-    dephasing of A) become factor columns of the record value of the implied
-    sent graph in Zp (and of the relabeling itself in Z when ``keep_z``).
+    The B,Z measurement is replaced by its exact Born-weighted mixture
+    (:func:`sample_round` samples it).  B and Z are the last registers, so
+    column ``b n! + z`` of the state is branch (b, z), which sends
+    ``orbit_codes(g_b)[z]``.  Its challenge slices (the dephasing of A) become
+    factor columns of that code's record value in Zp (and of the relabeling z
+    in Z when ``keep_z``).
     """
     if circ.inst is None or circ.ver is None:
         raise ValueError("a recorded view needs a protocol circuit")
     inst, ver = circ.inst, circ.ver
-    n = inst.n
-    perms = enumerate_sn(n)
-    base_layout = view_layout(ver.dims, n)
-    tensor = amplified.reshape(circ.layout.dims)
+    base_layout = view_layout(ver.dims, inst.n)
+    codes = orbit_codes(inst.g0) + orbit_codes(inst.g1)
+    n_fact = len(codes) // 2
+    branches = amplified.reshape(-1, 2 * n_fact)
 
     pieces = []
-    for b, graph in enumerate((inst.g0, inst.g1)):
-        for z, pi in enumerate(perms):
-            branch = tensor[..., b, z].reshape(-1)
-            if float(np.vdot(branch, branch).real) < ZERO_NORM_SQ:
-                continue
-            code = encode(act(pi, graph))
-            key = (z, code) if keep_z else (code,)
-            pieces.append((key, challenge_columns(base_layout, branch)))
-    return RecordedView.from_columns(base_layout, view_records(n, keep_z), pieces)
+    for j, code in enumerate(codes):
+        branch = branches[:, j]
+        if float(np.vdot(branch, branch).real) < ZERO_NORM_SQ:
+            continue
+        key = (j % n_fact, code) if keep_z else (code,)
+        pieces.append((key, challenge_columns(base_layout, branch)))
+    return RecordedView.from_columns(base_layout, view_records(inst.n, keep_z), pieces)
 
 
 def simulate_round_recorded(
@@ -381,13 +380,23 @@ class SampledRound:
 def sample_round(
     circ: SimulatorCircuit, amplified: np.ndarray, rng: np.random.Generator
 ) -> SampledRound:
-    """Measure B, Z, A of an :func:`amplified_state` and run the acceptance check."""
+    """Measure B, Z, A of an :func:`amplified_state` and run the acceptance check.
+
+    Measuring in turn is the chain rule on the Born table ``p(b, z, a)``: b is
+    drawn from its marginal, z given b, then a given both.
+    """
     if circ.inst is None:
         raise ValueError("sample_round needs a protocol circuit")
-    state = StateVector(circ.layout, amplified)
-    b, _, state = measure(state, "B", rng)
-    z, _, state = measure(state, "Z", rng)
-    a, _, _ = measure(state, "A", rng)
+    axes = circ.layout.axes(("B", "Z", "A"))
+    born = np.moveaxis(np.abs(amplified.reshape(circ.layout.dims)) ** 2, axes, (0, 1, 2))
+    table = born.sum(axis=tuple(range(3, born.ndim)))
+
+    def draw(p: np.ndarray) -> int:
+        return int(rng.choice(len(p), p=p / p.sum()))
+
+    b = draw(table.sum(axis=(1, 2)))
+    z = draw(table[b].sum(axis=1))
+    a = draw(table[b, z])
     pi = enumerate_sn(circ.inst.n)[z]
     sent = act(pi, circ.inst.graph_for_challenge(b))
     accepted = a == b and accept(sent, a, pi, circ.inst)

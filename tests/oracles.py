@@ -5,8 +5,9 @@ form and verifier views as record-keyed factors, and never builds an
 operator's dense matrix.  The oracles here are the dense forms the tests
 compare against: an operator applied to the identity (:func:`to_matrix`),
 row-major index arithmetic and the graph-code decoder, kron embeddings of
-operators, density operators with their channels and
-trace distance, checked state operations, the dense Haar draw and the
+operators, density operators with their channels and trace distance,
+checked state operations and the collapsing measurement that
+``simulator.sample_round`` is checked against, the dense Haar draw and the
 Householder T recurrence, the dense verifier view, the sampled
 measure-then-reflect round, and the two-dimensional evolution with the
 phase search that re-evolves every candidate step count from the start.
@@ -265,6 +266,33 @@ def project(proj, state):
     if norm < ATOL_NORM:
         return 0.0, None
     return norm**2, StateVector(state.layout, out / norm)
+
+
+def measurement_probabilities(state, register):
+    """Born probability of each computational outcome of one register."""
+    axis = state.layout.axis(register)
+    dims = state.layout.dims
+    moved = np.moveaxis(state.amps.reshape(dims), axis, 0)
+    return np.sum(np.abs(moved.reshape(dims[axis], -1)) ** 2, axis=1)
+
+
+def measure(state, register, rng):
+    """Sample a computational-basis measurement of one register.
+
+    Returns the outcome, its probability and the collapsed state, the
+    renormalized conditional vector for that outcome.  Deterministic given
+    the generator state; one ``rng.choice`` per call, so three calls in turn
+    are the reference for ``simulator.sample_round``.
+    """
+    probs = measurement_probabilities(state, register)
+    outcome = int(rng.choice(len(probs), p=probs / probs.sum()))
+    mask = np.zeros(len(probs))
+    mask[outcome] = 1.0
+    collapsed = DiagonalOp(state.layout, (register,), mask, kind="projector").apply_to(
+        state.layout, state.amps
+    )
+    collapsed = collapsed / np.linalg.norm(collapsed)
+    return outcome, float(probs[outcome]), StateVector(state.layout, collapsed)
 
 
 def haar_random_unitary(dim, seed):

@@ -4,7 +4,10 @@ import dataclasses
 import importlib.util
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
@@ -402,6 +405,44 @@ def test_five_vertices_fit_the_estimate():
     assert peak <= estimated
     (rec,) = json.loads(out)["records"]
     assert rec["value"] <= 1e-10 and rec["verifier_columns"] == 120
+
+
+FIRST_RUN = """
+import io, json, sys, tracemalloc
+from contextlib import redirect_stdout
+from zkamp import cli
+argv = sys.argv[1:]
+tracemalloc.start()
+with redirect_stdout(io.StringIO()):
+    code = cli.run(argv)
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+cfg = cli.config_from_args(cli.build_parser().parse_args(argv))
+print(json.dumps([code, peak, cli.estimate(cfg, cfg.n)[0]]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zk-check", "--n", "2", "--g0", "01", "--g1", "01", "--dim-w", "1", "--dim-v", "1"],
+        ["blocks", "--n", "2", "--g0", "01", "--g1", "01", "--dim-w", "1", "--dim-v", "1"],
+        ["schedule", "--m", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_first_command_of_a_process_fits_the_estimate(argv):
+    # A process's first command also pays for numpy's lazy imports (random,
+    # and the masked arrays np.unique loads), which a warm process never shows.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", FIRST_RUN, *argv, "--seed", "7"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    code, peak, estimated = json.loads(proc.stdout)
+    assert code == 0
+    assert peak <= estimated
 
 
 def _silent(argv):

@@ -18,8 +18,6 @@ from zkamp.registers import (
     _gaussian_columns,
     _trusted_variant,
     haar_random_op,
-    measure,
-    measurement_probabilities,
     random_state,
 )
 
@@ -33,6 +31,8 @@ from oracles import (
     flatten,
     haar_random_unitary,
     kron_oracle,
+    measure,
+    measurement_probabilities,
     partial_trace,
     project,
     pure_density,

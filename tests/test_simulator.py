@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from zkamp import simulator
+from zkamp import cli, simulator
 from zkamp.protocol import (
     Instance,
     adversarial_verifier,
@@ -38,6 +38,7 @@ from oracles import (
     dense_view,
     fidelity,
     kron_oracle,
+    measure,
     overlap,
     project,
     success_probability,
@@ -474,6 +475,64 @@ class TestSampledRound:
         r1 = sample_round(circ, amplified, np.random.default_rng(5))
         r2 = sample_round(circ, amplified, np.random.default_rng(5))
         assert (r1.guess, r1.permutation) == (r2.guess, r2.permutation)
+
+
+N3 = ["--n", "3", "--g0", "01,12", "--g1", "01,02"]
+N4 = ["--n", "4", "--g0", "01,12,23", "--g1", "03,12,20"]
+
+
+def zk_check_states(argv, amplified=True):
+    """The circuit and the state ``zk-check argv --seed 7`` samples its transcript from.
+
+    With ``amplified=False`` the attempt output instead, whose challenge is
+    not yet tied to the guess.
+    """
+    cfg = cli.config_from_args(cli.build_parser().parse_args(["zk-check", *argv, "--seed", "7"]))
+    inst = cli.build_instance(cfg)
+    (_, (_, aux_seed, _), circ), = cli._trials(cfg, inst, cfg.extras.get("verifier", "adversarial"))
+    aux = random_aux(cfg.dims[0], aux_seed)
+    return circ, (amplified_state if amplified else attempt_output)(circ, aux)
+
+
+SAMPLED_STATES = {
+    "n3": (N3, True),
+    "n3-8x8": ([*N3, "--dim-w", "8", "--dim-v", "8"], True),
+    "n4-keep-z": ([*N4, "--keep-z"], True),
+    "n3-dft": ([*N3, "--completion", "dft"], True),
+    "n3-attempt": (N3, False),
+}
+
+
+class TestSampledFromBornTable:
+    """``sample_round`` draws what measuring B, Z and A in turn would."""
+
+    @pytest.mark.parametrize("name", SAMPLED_STATES)
+    def test_same_draws_as_three_measurements(self, name):
+        circ, state = zk_check_states(*SAMPLED_STATES[name])
+        perms = enumerate_sn(circ.inst.n)
+        for seed in range(200):
+            rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            sampled = sample_round(circ, state, rng)
+            collapsed = StateVector(circ.layout, state)
+            b, _, collapsed = measure(collapsed, "B", oracle_rng)
+            z, _, collapsed = measure(collapsed, "Z", oracle_rng)
+            a, _, _ = measure(collapsed, "A", oracle_rng)
+            assert (sampled.guess, sampled.permutation, sampled.challenge) == (b, perms[z], a)
+            assert rng.random() == oracle_rng.random()
+
+    @pytest.mark.parametrize("amplified", [True, False], ids=["amplified", "attempt"])
+    def test_frequencies_match_the_born_table(self, amplified):
+        circ, state = zk_check_states(N3, amplified)
+        born = np.einsum("wvaybz->bza", np.abs(state.reshape(circ.layout.dims)) ** 2)
+        perms = enumerate_sn(circ.inst.n)
+        draws, rng = 2000, np.random.default_rng(2024)
+        counts = np.zeros_like(born)
+        for _ in range(draws):
+            r = sample_round(circ, state, rng)
+            counts[r.guess, perms.index(r.permutation), r.challenge] += 1
+        sigma = np.sqrt(draws * born * (1 - born))
+        assert np.all(np.abs(counts - draws * born) <= 5 * sigma + 1e-9)
+        assert np.count_nonzero(born > 1e-12) == (12 if amplified else 24)
 
 
 def rng_with_first_draw(predicate):
