@@ -41,7 +41,7 @@ from .simulator import (
 )
 
 
-RESIDUAL_PANEL = 128  # rows of ``rest`` per panel of the third idempotence residual
+RESIDUAL_PANEL = 128  # rows per panel of the third idempotence residual
 
 
 class NotLambdaUniformError(ValueError):
@@ -53,13 +53,13 @@ class BlockDecomposition:
     """Blocks of the conjugated success projector relative to the start slice.
 
     ``success_prob`` scales the identity in the top-left block, ``cross`` is
-    the complement-to-slice block, ``rest`` the complement-to-complement
-    block.
+    the complement-to-slice block, and the complement-to-complement block is
+    ``rest_factor rest_factor^†``, held as its d_c x r factor.
     """
 
     success_prob: float
     cross: np.ndarray
-    rest: np.ndarray
+    rest_factor: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,8 @@ def block_decompose(attempt, success_proj: DiagonalOp, layout: RegisterLayout) -
 
     P is a 0/1 diagonal, so ``attempt^-1 P attempt = K K^†`` for the d x r block
     ``K = attempt^†`` applied to the r basis columns P keeps; each block is one
-    product of K's start-slice or complement rows, never a d x d attempt matrix.
+    product of K's start-slice or complement rows (``rest`` stays as its factor,
+    the complement rows), never a d x d attempt matrix.
     Raises :class:`NotLambdaUniformError` when the top block is not a scalar
     matrix, i.e. when the circuit's success probability varies with the
     auxiliary input and the two-dimensional theory does not apply.
@@ -92,7 +93,6 @@ def block_decompose(attempt, success_proj: DiagonalOp, layout: RegisterLayout) -
     k = attempt.adjoint().apply_to(layout, k)
     on_slice = np.arange(d) % (d // dim_w) == 0
     ks, kc = k[on_slice], k[~on_slice]
-    del k  # so the d x d product below holds only kc beside it
     top = ks @ ks.conj().T
     lam = float(np.trace(top).real) / dim_w
     deviation = float(np.linalg.norm(top - lam * np.eye(dim_w), ord=2))
@@ -101,7 +101,7 @@ def block_decompose(attempt, success_proj: DiagonalOp, layout: RegisterLayout) -
             f"top block deviates from a scalar by {deviation:.3e}; "
             "the success probability depends on the auxiliary input"
         )
-    return BlockDecomposition(success_prob=lam, cross=kc @ ks.conj().T, rest=kc @ kc.conj().T)
+    return BlockDecomposition(success_prob=lam, cross=kc @ ks.conj().T, rest_factor=kc)
 
 
 def verify_block_identities(b: BlockDecomposition) -> tuple[float, float, float]:
@@ -111,16 +111,18 @@ def verify_block_identities(b: BlockDecomposition) -> tuple[float, float, float]
     ``(lam - 1) cross + rest cross = 0`` and ``cross cross^† + rest^2 - rest = 0``.
     A Frobenius norm bounds the spectral norm from above, so each value
     certifies its identity at least as strictly as the operator norm would.
-    The third residual is summed over panels of ``RESIDUAL_PANEL`` rows, never held whole.
+    ``rest = K K^†`` enters through its factor only, ``rest cross = K (K^† cross)``; the third
+    residual is summed over ``RESIDUAL_PANEL``-row panels, each formed as its adjoint (of the
+    same Frobenius norm) ``cross cross_p^† + K Y_p^†`` with ``Y = K (K^† K - I)``.
     """
-    lam = b.success_prob
-    eye_w = np.eye(b.cross.shape[1])
-    r1 = (lam**2 - lam) * eye_w + b.cross.conj().T @ b.cross
-    r2 = (lam - 1) * b.cross + b.rest @ b.cross
+    lam, cross, kc = b.success_prob, b.cross, b.rest_factor
+    r1 = (lam**2 - lam) * np.eye(cross.shape[1]) + cross.conj().T @ cross
+    r2 = (lam - 1) * cross + kc @ (cross.conj().T @ kc).conj().T
+    y = kc @ (kc.conj().T @ kc - np.eye(kc.shape[1]))
     r3_sq = 0.0
-    for start in range(0, len(b.rest), RESIDUAL_PANEL):
-        cross, rest = b.cross[start : start + RESIDUAL_PANEL], b.rest[start : start + RESIDUAL_PANEL]
-        r3 = cross @ b.cross.conj().T + rest @ b.rest - rest
+    for start in range(0, len(kc), RESIDUAL_PANEL):
+        panel = slice(start, start + RESIDUAL_PANEL)
+        r3 = cross @ cross[panel].conj().T + kc @ y[panel].conj().T
         r3_sq += np.vdot(r3, r3).real
     return float(np.linalg.norm(r1)), float(np.linalg.norm(r2)), float(np.sqrt(r3_sq))
 

@@ -39,12 +39,13 @@ BOUNDARY_SLACK = 1e-9
 MAX_SCHEDULE_STEPS = 16
 COMPLETIONS = ("householder", "dft")
 MAX_GUESSES = 8192  # basis states m^2 of the abstract circuit's guess space A,B
-# A command holds at most 16 states per column of W and 4 MiB of interpreter objects (2 MiB on a
-# first command, with numpy's lazy imports); each step count the phase search tries (one plain 2x2
+# A command holds at most 16 states per column of W and 4 MiB of interpreter objects (1.2 MiB on
+# a first command, with numpy's lazy imports); each step count the phase search tries (one plain 2x2
 # step, the closing phases and their certificate) takes as long as 1e5 dense multiply-adds (2e-5 s;
 # 5e9/s on one BLAS thread).  ``blocks`` holds at most 4 d x r blocks of kept attempt rows (the kept
-# basis columns, one factor's input, and two of its moved copy, product and product moved back).  An
-# adversarial verifier holds its d x s reflectors, and its draw two more d x s arrays for a moment.
+# basis columns, one factor's input, and two of its moved copy, product and product moved back) beside
+# its stored factor and Y.  An adversarial verifier holds its d x s reflectors, and its draw two more
+# d x s arrays for a moment.
 STATE_COPIES, BASE_BYTES, STEP_WORK, KEPT_COPIES, DRAW_COPIES = 16, 2**22, 10**5, 4, 3
 
 
@@ -224,9 +225,9 @@ def estimate(cfg: RunConfig, n: int | None) -> tuple[int, int, str]:
     side of d counts at ``DRAW_COPIES`` d x s arrays, with s = dim_w times the
     orbit size of the larger orbit among the pair's n-vertex graphs, its start
     columns; an honest verifier counts the same.  ``blocks`` adds its kept
-    attempt rows, their d x d Gram and three residual panels.  The work is the
-    two d^3 products of ``blocks``, or for ``phases`` one search step per step
-    count up to ``amplify.analytic_k``.
+    attempt rows, the factor and ``Y``, the r x r core and three residual
+    panels.  The work is ``2 d r^2 + d^2 (r + dim_w)`` per trial of ``blocks``,
+    or for ``phases`` one search step per step count up to ``amplify.analytic_k``.
     """
     if cfg.command == "phases":
         lambdas, k_max = cfg.extras["lambdas"], cfg.extras["k_max"]
@@ -249,9 +250,9 @@ def estimate(cfg: RunConfig, n: int | None) -> tuple[int, int, str]:
     peak += BASE_BYTES + 16 * STATE_COPIES * cfg.dims[0] * d
     if cfg.command == "blocks":
         r = d // layout.dim_of("A")
-        peak += 16 * (d * d + KEPT_COPIES * d * r + 3 * amplify.RESIDUAL_PANEL * d)
-        held.append(f"{d}x{r} kept attempt rows with their {d}x{d} Gram")
-        work = 2 * cfg.trials * d**3
+        peak += 16 * ((KEPT_COPIES + 2) * d * r + r * r + 3 * amplify.RESIDUAL_PANEL * d)
+        held.append(f"{d}x{r} kept attempt rows factoring the {d}x{d} conjugated projector")
+        work = cfg.trials * (2 * d * r * r + d * d * (r + cfg.dims[0]))
     return peak, work, f"{', '.join(held)} and {d}-amplitude states"
 
 

@@ -122,7 +122,10 @@ def honest_verifier(dims: tuple[int, int], n: int) -> VerifierModel:
 def start_columns(layout: RegisterLayout, codes) -> np.ndarray:
     """Flat W,V,A,Y indices of the start states ``|w, V=0, A=0, Y=code>``, w-major, codes sorted."""
     dim_w = layout.dim_of("W")
-    codes = np.unique(np.asarray(codes, dtype=np.int64))
+    codes = np.sort(np.asarray(codes, dtype=np.int64), axis=None)  # np.unique imports numpy.ma
+    distinct = np.ones(codes.size, dtype=bool)
+    distinct[1:] = codes[1:] != codes[:-1]
+    codes = codes[distinct]
     if codes.size and not 0 <= codes[0] <= codes[-1] < layout.dim_of("Y"):
         raise ValueError(f"Y codes must be in 0..{layout.dim_of('Y') - 1}, got {codes.tolist()}")
     return (np.arange(dim_w)[:, None] * (layout.total_dim // dim_w) + codes).reshape(-1)

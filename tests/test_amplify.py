@@ -149,7 +149,8 @@ class TestBlocksAgainstDenseOracle:
             b.success_prob * np.eye(dim_w), conj[np.ix_(slice_idx, slice_idx)], rtol=0, atol=1e-13
         )
         np.testing.assert_allclose(b.cross, conj[np.ix_(comp_idx, slice_idx)], rtol=0, atol=1e-13)
-        np.testing.assert_allclose(b.rest, conj[np.ix_(comp_idx, comp_idx)], rtol=0, atol=1e-13)
+        rest = b.rest_factor @ b.rest_factor.conj().T
+        np.testing.assert_allclose(rest, conj[np.ix_(comp_idx, comp_idx)], rtol=0, atol=1e-13)
 
 
 class TestBlockIdentityNorms:
@@ -167,12 +168,20 @@ class TestBlockIdentityNorms:
 
     @staticmethod
     def residuals(b):
-        lam, cross, rest = b.success_prob, b.cross, b.rest
+        """The three residuals assembled whole, with ``rest`` formed densely from its factor."""
+        lam, cross = b.success_prob, b.cross
+        rest = b.rest_factor @ b.rest_factor.conj().T
         return (
             (lam**2 - lam) * np.eye(cross.shape[1]) + cross.conj().T @ cross,
             (lam - 1) * cross + rest @ cross,
             cross @ cross.conj().T + rest @ rest - rest,
         )
+
+    @staticmethod
+    def perturbed(b, index):
+        factor = b.rest_factor.copy()
+        factor[index] += 1e-8
+        return dataclasses.replace(b, rest_factor=factor)
 
     @pytest.mark.parametrize("name", sorted(CIRCUITS))
     def test_bounds_spectral_norm(self, name):
@@ -183,22 +192,36 @@ class TestBlockIdentityNorms:
         for value, r in zip(values, self.residuals(b)):
             assert value >= np.linalg.norm(r, ord=2)
 
+    @pytest.mark.parametrize(
+        "index", [None, (0, 0), (-1, -1), (300, 17)], ids=["clean", "first", "last", "interior"]
+    )
+    def test_factored_residuals_match_the_dense_ones(self, index):
+        # (-1, -1) sits in the last, partial panel of gmw-n3's 766 rows.
+        circ = self.CIRCUITS["gmw-n3"]()
+        b = block_decompose(circ.attempt, circ.success_proj, circ.layout)
+        if index is not None:
+            b = self.perturbed(b, index)
+        dense = [np.linalg.norm(r) for r in self.residuals(b)]
+        np.testing.assert_allclose(verify_block_identities(b), dense, rtol=0, atol=1e-13)
+        if index is not None:
+            assert dense[2] > TOL
+
     @pytest.mark.parametrize("name", ["gmw-n3", "toy-m3"])
     def test_panels_sum_to_the_whole_residual(self, name):
-        # gmw-n3's rest has 766 rows, ending in a partial panel; toy-m3's 34
-        # rows are fewer than one panel.
+        # gmw-n3's factor has 766 rows, ending in a partial panel; toy-m3's 34
+        # rows are fewer than one panel.  The whole is the adjoint of the
+        # third residual, cross cross^† + K Y^†, assembled in one product.
         circ = self.CIRCUITS[name]()
         b = block_decompose(circ.attempt, circ.success_proj, circ.layout)
-        assert b.rest.shape[0] % RESIDUAL_PANEL != 0
-        whole = np.linalg.norm(self.residuals(b)[2])
+        kc = b.rest_factor
+        assert kc.shape[0] % RESIDUAL_PANEL != 0
+        y = kc @ (kc.conj().T @ kc - np.eye(kc.shape[1]))
+        whole = np.linalg.norm(b.cross @ b.cross.conj().T + kc @ y.conj().T)
         assert abs(verify_block_identities(b)[2] - whole) <= 1e-15 * whole
 
     def perturbed_rest_r3(self, index):
         circ = gmw_circuit(7)
-        b = block_decompose(circ.attempt, circ.success_proj, circ.layout)
-        rest = b.rest.copy()
-        rest[index] += 1e-8
-        b = dataclasses.replace(b, rest=rest)
+        b = self.perturbed(block_decompose(circ.attempt, circ.success_proj, circ.layout), index)
         return verify_block_identities(b)[2], np.linalg.norm(self.residuals(b)[2], ord=2)
 
     def test_perturbed_rest_fails_identity_three(self):

@@ -308,11 +308,12 @@ class TestOversizeRefusals:
             (["blocks", "--m", "2", "--dim-w", "64", "--dim-v", "65"], 8320),
             # Sides at most 8192, but above the byte budget: 16 states per
             # column of W on the 393216-amplitude simulator layout at dim_w 16
-            # (dims 8x8, at 0.79 GiB, fit), and attempt matrices of 6144, 8100
-            # and 24576 rows.
+            # (dims 8x8, at 0.79 GiB, fit).  Conjugated projectors of 6144,
+            # 19044 and 24576 rows, above the work budget as kept-rows factors:
+            # m = 69 (1.04e11 multiply-adds) is the first refused at dims 2x2.
             (["zk-check", *N4, "--dim-w", "16", "--dim-v", "4"], 8192),
             (["blocks", *N3, "--dim-w", "4", "--dim-v", "8"], 6144),
-            (["blocks", "--m", "45"], 8100),
+            (["blocks", "--m", "69"], 19044),
             (["blocks", *N4], 24576),
             # No dense side: one search step for each step count up to k = 2483647.
             pytest.param(
@@ -360,7 +361,7 @@ class TestOversizeRefusals:
 
 def test_blocks_never_builds_the_dense_attempt_matrix(capsys):
     # Building the 768x768 attempt matrix peaks at four d^2 complex matrices;
-    # its kept rows, their rest block and the residual panels stay under 2.5.
+    # its kept rows, their factor and the residual panels stay under 2.5.
     d = 768
     tracemalloc.start()
     try:
@@ -371,6 +372,23 @@ def test_blocks_never_builds_the_dense_attempt_matrix(capsys):
     capsys.readouterr()
     assert code == 0
     assert peak <= 2.5 * 16 * d**2
+
+
+def test_blocks_holds_the_rest_block_as_its_factor(capsys):
+    # d = 3600, r = 120: a dense 3600x3600 rest block alone would be 198 MiB;
+    # the factor, Y and the residual panels trace 35.
+    argv = ["blocks", "--m", "30", "--seed", "7"]
+    estimated, _, _ = cli.estimate(cli.config_from_args(build_parser().parse_args(argv)), None)
+    tracemalloc.start()
+    try:
+        code = run(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert peak <= 64 * 2**20
+    assert peak <= estimated
 
 
 def test_wide_zk_check_never_draws_the_full_verifier():
@@ -418,7 +436,7 @@ with redirect_stdout(io.StringIO()):
 peak = tracemalloc.get_traced_memory()[1]
 tracemalloc.stop()
 cfg = cli.config_from_args(cli.build_parser().parse_args(argv))
-print(json.dumps([code, peak, cli.estimate(cfg, cfg.n)[0]]))
+print(json.dumps([code, peak, cli.estimate(cfg, cfg.n)[0], "numpy.ma" in sys.modules]))
 """
 
 
@@ -432,17 +450,19 @@ print(json.dumps([code, peak, cli.estimate(cfg, cfg.n)[0]]))
     ids=lambda argv: argv[0],
 )
 def test_first_command_of_a_process_fits_the_estimate(argv):
-    # A process's first command also pays for numpy's lazy imports (random,
-    # and the masked arrays np.unique loads), which a warm process never shows.
+    # A process's first command also pays for numpy's lazy imports, which a
+    # warm process never shows.  np.unique without return flags would import
+    # numpy.ma (about 13 ms) there; the verifier's start columns avoid it.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
         [sys.executable, "-c", FIRST_RUN, *argv, "--seed", "7"],
         capture_output=True, text=True, env=env, check=True,
     )
-    code, peak, estimated = json.loads(proc.stdout)
+    code, peak, estimated, masked_arrays = json.loads(proc.stdout)
     assert code == 0
     assert peak <= estimated
+    assert not masked_arrays
 
 
 def _silent(argv):
@@ -964,9 +984,9 @@ class TestInjectedFaults:
 
         def perturbed(*args, **kwargs):
             b = original(*args, **kwargs)
-            rest = b.rest.copy()
-            rest[0, 0] += 1e-8
-            return dataclasses.replace(b, rest=rest)
+            factor = b.rest_factor.copy()
+            factor[0, 0] += 1e-8
+            return dataclasses.replace(b, rest_factor=factor)
 
         monkeypatch.setattr(amplify, "block_decompose", perturbed)
         code, out = run_capture(capsys, ["blocks", *N3, "--trials", "1", "--seed", "7"])
