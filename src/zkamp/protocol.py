@@ -4,28 +4,32 @@ One round: the prover relabels its first graph uniformly at random and sends
 the result (register Y), the verifier processes its workspace (W holds an
 arbitrary auxiliary input, V scratch space, A the challenge qubit) with a
 unitary and measures A, and the prover answers with a permutation that the
-verifier checks.  The verifier's end-of-round view is the dephased W,V,A,Y
-state together with the classical record of the sent graph, kept in an extra
-register Zp (and optionally the response permutation, kept in Z).
+verifier checks.  The verifier's end-of-round view is the W,V,Y state
+together with the classical records: the sent graph, kept in an extra
+register Zp (and optionally the response permutation, kept in Z), and the
+measured challenge A.
 
-A view is a :class:`RecordedView` keyed by the classical record values.  The
-record registers are never coherent, so the trace distance between two
-views is the sum of per-record block distances.  Each block is stored as a
-low-rank factor ``X`` with ``block = X X†``: its columns are the challenge
-slices of the branch vectors behind that record value, at most 2 per
-branch.  Two blocks are compared through the QR core of their stacked
-factors, so no block is ever formed densely.
+A view is a :class:`RecordedView` keyed by the classical record values, A
+among them: the verifier measures A, so both views are block diagonal in
+it.  The record registers are never coherent, so the trace distance between
+two views is the sum of per-record block distances.  Each block is stored
+as a low-rank factor ``X`` with ``block = X X†``, one column per branch
+vector behind that record value (its A=a part), and a view holds all its
+factors in one zero-padded stack.  Two views are compared through one
+stacked QR of their paired factors, so no block is ever formed densely.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
 
 from .registers import (
     HADAMARD,
+    ZERO_NORM_SQ,
     LinearOp,
     RegisterLayout,
     StateVector,
@@ -122,13 +126,18 @@ def honest_verifier(dims: tuple[int, int], n: int) -> VerifierModel:
 def start_columns(layout: RegisterLayout, codes) -> np.ndarray:
     """Flat W,V,A,Y indices of the start states ``|w, V=0, A=0, Y=code>``, w-major, codes sorted."""
     dim_w = layout.dim_of("W")
-    codes = np.sort(np.asarray(codes, dtype=np.int64), axis=None)  # np.unique imports numpy.ma
-    distinct = np.ones(codes.size, dtype=bool)
-    distinct[1:] = codes[1:] != codes[:-1]
-    codes = codes[distinct]
+    codes = np.sort(np.asarray(codes, dtype=np.int64), axis=None)
+    codes = codes[_run_starts(codes)]
     if codes.size and not 0 <= codes[0] <= codes[-1] < layout.dim_of("Y"):
         raise ValueError(f"Y codes must be in 0..{layout.dim_of('Y') - 1}, got {codes.tolist()}")
     return (np.arange(dim_w)[:, None] * (layout.total_dim // dim_w) + codes).reshape(-1)
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Mask of the first entry of each run of equal values (``np.unique`` imports numpy.ma)."""
+    starts = np.ones(values.size, dtype=bool)
+    starts[1:] = values[1:] != values[:-1]
+    return starts
 
 
 def adversarial_verifier(dims: tuple[int, int], n: int, seed: int, codes=None) -> VerifierModel:
@@ -179,76 +188,98 @@ def accept(sent: Graph, a: int, response: Permutation, inst: Instance) -> bool:
 class RecordedView:
     """Mixture of coherent blocks keyed by classical record values, in factored form.
 
-    ``blocks[key]`` is a ``(base_layout.total_dim, r)`` factor ``X`` of the
-    unnormalized density block ``X X†`` on ``base_layout`` for record value
-    ``key`` (a tuple, one index per record register).  Each column is one
-    challenge slice of a branch vector, so ``r`` is at most 2 per branch
-    that maps to ``key``.  The full operator is the direct sum of the blocks
-    over the record basis, i.e. ``sum_key X X† (x) |key><key|``.
+    The view is ``sum_key X X† (x) |key><key|``, where ``X`` is a factor of
+    the unnormalized density block on ``base_layout`` for record value
+    ``key`` (a tuple, one index per record register).  ``stack[i, :widths[i]]``
+    holds the columns of ``X``, as rows, for the record value with flat index
+    ``index[i]`` (sorted, distinct); the rest of the stack is zero.
     """
 
     base_layout: RegisterLayout
     record_registers: tuple[tuple[str, int], ...]
-    blocks: Mapping[tuple[int, ...], np.ndarray]
+    index: np.ndarray
+    stack: np.ndarray
+    widths: np.ndarray
 
     @classmethod
-    def from_columns(
+    def from_rows(
         cls,
         base_layout: RegisterLayout,
         record_registers: tuple[tuple[str, int], ...],
-        pieces,
+        rows: np.ndarray,
+        keys: np.ndarray,
     ) -> "RecordedView":
-        """Stack ``(key, columns)`` pieces into one factor per record value."""
-        grouped: dict[tuple[int, ...], list[np.ndarray]] = {}
-        for key, cols in pieces:
-            grouped.setdefault(key, []).append(cols)
-        blocks = {key: np.hstack(parts) for key, parts in grouped.items()}
-        return cls(base_layout, record_registers, blocks)
+        """Group factor columns by record value: row i of ``rows`` is a column of block ``keys[i]``."""
+        flat = np.ravel_multi_index(tuple(keys.T), [dim for _, dim in record_registers])
+        order = np.argsort(flat, kind="stable")
+        first = _run_starts(flat[order])
+        starts, group = np.flatnonzero(first), np.cumsum(first) - 1
+        widths = np.diff(np.append(starts, flat.size))
+        stack = np.zeros((starts.size, widths.max(initial=0), base_layout.total_dim), dtype=complex)
+        stack[group, np.arange(flat.size) - starts[group]] = rows[order]
+        return cls(base_layout, record_registers, flat[order][starts], stack, widths)
+
+    @cached_property
+    def blocks(self) -> Mapping[tuple[int, ...], np.ndarray]:
+        """Each record value's factor ``X``, a ``(base_layout.total_dim, c)`` view of the stack."""
+        dims = [dim for _, dim in self.record_registers]
+        keys = zip(*(axis.tolist() for axis in np.unravel_index(self.index, dims)))
+        return {
+            key: rows[:width].T for key, rows, width in zip(keys, self.stack, self.widths.tolist())
+        }
 
     def trace_distance(self, other: "RecordedView") -> float:
-        """Half trace norm of the difference, block by block.
+        """Half trace norm of the difference, every record value at once.
 
         Exact because both operators are block diagonal over the same
-        classical record basis, where the trace norm is additive.  Within a
-        block, the QR of the stacked factors ``[X Y] = Q R`` gives
+        classical record basis, where the trace norm is additive.  Per record
+        value, the QR of the paired factors ``[X Y] = Q R`` gives
         ``X X† - Y Y† = Q (R J R†) Q†`` with ``J = diag(I_p, -I_q)``, and Q has
         orthonormal columns, so the small core ``R J R†`` carries the whole
-        nonzero spectrum.
+        nonzero spectrum.  The pairs of the union of record values share one
+        zero-padded stack; a zero column of ``[X Y]`` is a zero column of R.
         """
         if (
             self.base_layout.registers != other.base_layout.registers
             or self.record_registers != other.record_registers
         ):
             raise ValueError("recorded views live over different layouts")
-        total = 0.0
-        empty = np.zeros((self.base_layout.total_dim, 0), dtype=complex)
-        for key in sorted(set(self.blocks) | set(other.blocks)):
-            x = self.blocks.get(key, empty)
-            y = other.blocks.get(key, empty)
-            r = np.linalg.qr(np.hstack([x, y]), mode="r")
-            rx, ry = r[:, : x.shape[1]], r[:, x.shape[1] :]
-            total += trace_distance_matrices(rx @ rx.conj().T, ry @ ry.conj().T)
-        return total
+        union = np.sort(np.concatenate([self.index, other.index]))
+        union = union[_run_starts(union)]
+        p, q = self.stack.shape[1], other.stack.shape[1]
+        pairs = np.zeros((union.size, p + q, self.base_layout.total_dim), dtype=complex)
+        pairs[np.searchsorted(union, self.index), :p] = self.stack
+        pairs[np.searchsorted(union, other.index), p:] = other.stack
+        r = np.linalg.qr(pairs.swapaxes(1, 2), mode="r")
+        r_adj = r.conj().swapaxes(1, 2)
+        return trace_distance_matrices(r[..., :p] @ r_adj[:, :p], r[..., p:] @ r_adj[:, p:])
 
 
 def view_records(n: int, keep_z: bool) -> tuple[tuple[str, int], ...]:
-    """Record registers of a view: the sent graph Zp, after the response Z if kept."""
-    sent = ("Zp", num_graph_codes(n))
-    return (("Z", len(enumerate_sn(n))), sent) if keep_z else (sent,)
+    """Record registers of a view: the sent graph Zp, after the response Z if kept, then A."""
+    sent = (("Zp", num_graph_codes(n)), ("A", 2))
+    return (("Z", len(enumerate_sn(n))),) + sent if keep_z else sent
 
 
-def challenge_columns(layout: RegisterLayout, vec: np.ndarray) -> np.ndarray:
-    """The challenge slices of ``vec`` as the columns of a ``(dim, dim_A)`` factor.
+def branch_view(
+    dims: tuple[int, int], n: int, branches: np.ndarray, codes, responses=None
+) -> RecordedView:
+    """The view whose factor columns are the A=a parts of the columns of ``branches``.
 
-    Column ``a`` keeps the A=a amplitudes of ``vec`` and zeroes the rest, so
-    the factor times its adjoint is ``vec vec†`` with register A dephased.
+    Column j of ``branches`` is a W,V,A,Y branch vector that sent Y code
+    ``codes[j]``.  Its A=a part, read off by one transpose, is a column of
+    the factor of record value ``(codes[j], a)``, or of
+    ``(responses[a, j], codes[j], a)`` when responses (broadcast over a and
+    j) are recorded.  A part whose squared norm is below ``ZERO_NORM_SQ``
+    carries no amplitude and is left out.
     """
-    axis = layout.axis("A")
-    dims = layout.dims
-    left = int(np.prod(dims[:axis], dtype=int))
-    t = vec.reshape(left, dims[axis], -1)
-    cols = np.eye(dims[axis])[:, None, :, None] * t[None]
-    return cols.reshape(dims[axis], -1).T
+    slices = branches.reshape(dims[0] * dims[1], 2, -1, branches.shape[1])
+    kept = np.sum(np.abs(slices) ** 2, axis=(0, 2)) >= ZERO_NORM_SQ
+    keys = ([] if responses is None else [responses]) + [codes, np.arange(2)[:, None]]
+    keys = np.stack(np.broadcast_arrays(*keys), axis=-1)[kept]
+    base = view_layout(dims, n).keep(("W", "V", "Y"))
+    rows = slices.transpose(1, 3, 0, 2)[kept].reshape(len(keys), base.total_dim)
+    return RecordedView.from_rows(base, view_records(n, responses is not None), rows, keys)
 
 
 def check_aux(dim_w: int, aux: StateVector) -> None:
@@ -280,25 +311,16 @@ def real_view_recorded(
     """Verifier view of one real round, averaged over the prover's choices.
 
     Per relabeling tau: run the verifier unitary on the initial product
-    state, split the output by challenge value (the dephasing of A), and
-    record the sent graph in Zp.  With ``keep_z`` the prover's step-(c)
-    response is recorded too, so each challenge slice goes to the record
-    value of its own response.  Each start carries its 1/sqrt(n!) weight.
+    state and split the output by the measured challenge a
+    (:func:`branch_view`).  With ``keep_z`` the prover's step-(c) response
+    to a is recorded too.  Each start carries its 1/sqrt(n!) weight.
     """
     n = inst.n
-    layout = view_layout(ver.dims, n)
     perms = enumerate_sn(n)
     codes = orbit_codes(inst.g0)
     outs = verifier_outputs(ver, n, aux, codes, np.sqrt(1.0 / len(perms)))
-
-    pieces = []
-    for i, (tau, code) in enumerate(zip(perms, codes)):
-        cols = challenge_columns(layout, outs[:, i])
-        if keep_z:
-            for a in (0, 1):
-                response = honest_response(inst, tau, a)
-                pieces.append(((perms.index(response), code), cols[:, a : a + 1]))
-        else:
-            pieces.append(((code,), cols))
-    return RecordedView.from_columns(layout, view_records(n, keep_z), pieces)
-
+    responses = None
+    if keep_z:
+        position = {perm: i for i, perm in enumerate(perms)}
+        responses = [[position[honest_response(inst, tau, a)] for tau in perms] for a in (0, 1)]
+    return branch_view(ver.dims, n, outs, codes, responses)

@@ -30,11 +30,10 @@ from .protocol import (
     RecordedView,
     VerifierModel,
     accept,
-    challenge_columns,
+    branch_view,
     check_aux,
     verifier_outputs,
     view_layout,
-    view_records,
 )
 from .registers import (
     ATOL_NORM,
@@ -332,31 +331,21 @@ def amplified_state(circ: SimulatorCircuit, aux: StateVector) -> np.ndarray:
 def recorded_view(
     circ: SimulatorCircuit, amplified: np.ndarray, keep_z: bool = False
 ) -> RecordedView:
-    """Simulated verifier view of an :func:`amplified_state`: split each B,Z branch by challenge.
+    """Simulated verifier view of an :func:`amplified_state`: each B,Z branch split by challenge.
 
     The B,Z measurement is replaced by its exact Born-weighted mixture
     (:func:`sample_round` samples it).  B and Z are the last registers, so
     column ``b n! + z`` of the state is branch (b, z), which sends
-    ``orbit_codes(g_b)[z]``.  Its challenge slices (the dephasing of A) become
-    factor columns of that code's record value in Zp (and of the relabeling z
-    in Z when ``keep_z``).
+    ``orbit_codes(g_b)[z]`` and, when ``keep_z``, records the relabeling z
+    as the response (:func:`branch_view`).
     """
     if circ.inst is None or circ.ver is None:
         raise ValueError("a recorded view needs a protocol circuit")
-    inst, ver = circ.inst, circ.ver
-    base_layout = view_layout(ver.dims, inst.n)
+    inst = circ.inst
     codes = orbit_codes(inst.g0) + orbit_codes(inst.g1)
-    n_fact = len(codes) // 2
-    branches = amplified.reshape(-1, 2 * n_fact)
-
-    pieces = []
-    for j, code in enumerate(codes):
-        branch = branches[:, j]
-        if float(np.vdot(branch, branch).real) < ZERO_NORM_SQ:
-            continue
-        key = (j % n_fact, code) if keep_z else (code,)
-        pieces.append((key, challenge_columns(base_layout, branch)))
-    return RecordedView.from_columns(base_layout, view_records(inst.n, keep_z), pieces)
+    branches = amplified.reshape(-1, len(codes))
+    responses = np.arange(len(codes)) % (len(codes) // 2) if keep_z else None
+    return branch_view(circ.ver.dims, inst.n, branches, codes, responses)
 
 
 def simulate_round_recorded(

@@ -8,7 +8,8 @@ row-major index arithmetic and the graph-code decoder, kron embeddings of
 operators, density operators with their channels and trace distance,
 checked state operations and the collapsing measurement that
 ``simulator.sample_round`` is checked against, the dense Haar draw and the
-Householder T recurrence, the dense verifier view, the sampled
+Householder T recurrence, the dense verifier view with the per-record
+view distance, the sampled
 measure-then-reflect round, and the two-dimensional evolution with the
 phase search that re-evolves every candidate step count from the start.
 """
@@ -357,26 +358,58 @@ def view_trace(view):
     return float(sum(record_weights(view).values()))
 
 
+# The order of a view's registers in the round: the verifier's W, V, A, Y, then the records.
+ROUND_ORDER = ("W", "V", "A", "Y", "Z", "Zp")
+
+
 def full_layout(view):
-    """The layout of a ``RecordedView``'s base registers with its record registers appended."""
-    return view.base_layout.extend(view.record_registers)
+    """A ``RecordedView``'s base and record registers together, in the round's order W,V,A,Y,Z,Zp."""
+    registers = view.base_layout.registers + view.record_registers
+    return RegisterLayout(sorted(registers, key=lambda reg: ROUND_ORDER.index(reg[0])))
 
 
 def dense_view(view):
-    """Dense operator of a ``RecordedView``, the record registers appended to its layout."""
+    """Dense operator of a ``RecordedView`` over its :func:`full_layout`.
+
+    Assembled block by block over the base registers followed by the record
+    registers, then reordered, so the measured challenge A sits between V
+    and Y again.
+    """
     layout = full_layout(view)
     if layout.total_dim > DENSE_VIEW_LIMIT:
         raise MemoryError(
             f"dense view would be {layout.total_dim}x{layout.total_dim}; "
             "compare RecordedView blocks instead"
         )
+    stored = view.base_layout.extend(view.record_registers)
     record_layout = RegisterLayout(view.record_registers)
     rec_dim = record_layout.total_dim
     full = np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
     for key, x in view.blocks.items():
         offset = flatten(record_layout, key)
         full[offset::rec_dim, offset::rec_dim] = x @ x.conj().T
+    order = list(stored.axes(layout.names))
+    axes = order + [len(order) + axis for axis in order]
+    full = full.reshape(stored.dims * 2).transpose(axes).reshape(full.shape)
     return DensityOperator(layout, full)
+
+
+def per_key_trace_distance(v1, v2):
+    """Trace distance of two ``RecordedView``s, one record value at a time.
+
+    The reference for the stacked distance: per key, the QR of the factors
+    side by side, ``[X Y] = Q R``, and the spectrum of the core
+    ``R diag(I, -I) R†``.
+    """
+    total = 0.0
+    empty = np.zeros((v1.base_layout.total_dim, 0), dtype=complex)
+    for key in sorted(set(v1.blocks) | set(v2.blocks)):
+        x = v1.blocks.get(key, empty)
+        y = v2.blocks.get(key, empty)
+        r = np.linalg.qr(np.hstack([x, y]), mode="r")
+        rx, ry = r[:, : x.shape[1]], r[:, x.shape[1] :]
+        total += trace_distance_matrices(rx @ rx.conj().T, ry @ ry.conj().T)
+    return total
 
 
 def success_probability(circ, aux):

@@ -1,11 +1,15 @@
 """Differential tests: factored recorded views against the dense oracle.
 
-Every view block is stored as a factor X with block = X X^dagger, and two
-blocks are compared through the QR core of [X Y].  These tests rebuild the
-dense operators and check the factored trace, record weights and trace
-distance against them, for honest and Haar verifiers, with and without the
-response record, on pairs of views whose distance is zero (same auxiliary
-input) and nonzero (different auxiliary inputs).
+Every view block is stored as a factor X with block = X X^dagger, one
+column per branch at the block's measured challenge A, and two views are
+compared through one stacked QR of their paired factors.  These tests
+rebuild the dense operators and check the factored trace, record weights
+and trace distance against them, for honest and Haar verifiers, with and
+without the response record, on pairs of views whose distance is zero (same
+auxiliary input) and nonzero (different auxiliary inputs).  The stacked
+distance is also checked against the per-record-value QR reference, on
+protocol views and on hand-made ones with disjoint keys, unequal block
+widths and no blocks at all.
 """
 
 import functools
@@ -16,6 +20,7 @@ import pytest
 
 from zkamp.protocol import (
     Instance,
+    RecordedView,
     adversarial_verifier,
     honest_response,
     honest_verifier,
@@ -30,9 +35,10 @@ from zkamp.symm import Graph, act, encode, enumerate_sn
 from oracles import (
     DENSE_VIEW_LIMIT,
     dense_view,
-    dephase_matrix,
     flatten,
     full_layout,
+    partial_trace,
+    per_key_trace_distance,
     record_weights,
     trace_distance,
     unflatten,
@@ -98,27 +104,21 @@ def dense_distance(v1, v2):
 
 
 def dephased_real_blocks(inst, ver, aux, keep_z):
-    """Real view blocks built densely: dephased outer products of branch outputs."""
+    """Real view blocks built densely: the A=a blocks of each branch output's outer product."""
     n = inst.n
     layout = view_layout(ver.dims, n)
     perms = enumerate_sn(n)
-    a_axis = layout.axis("A")
     blocks = {}
     for tau in perms:
         code = encode(act(tau, inst.g0))
         start = np.zeros(layout.total_dim // ver.dim_w, dtype=complex)
         start[flatten(layout.keep(["V", "A", "Y"]), (0, 0, code))] = 1.0
         vec = ver.u_v.apply_to(layout, np.kron(aux.amps, start))
-        if not keep_z:
-            block = dephase_matrix(layout, np.outer(vec, vec.conj()), "A") / len(perms)
-            blocks[(code,)] = blocks.get((code,), 0) + block
-            continue
+        rho = np.outer(vec, vec.conj()).reshape(layout.dims * 2) / len(perms)
         for a in (0, 1):
-            part = np.zeros(layout.dims, dtype=complex)
-            np.moveaxis(part, a_axis, 0)[a] = np.moveaxis(vec.reshape(layout.dims), a_axis, 0)[a]
-            part = part.reshape(-1)
-            key = (perms.index(honest_response(inst, tau, a)), code)
-            blocks[key] = blocks.get(key, 0) + np.outer(part, part.conj()) / len(perms)
+            block = rho[:, :, a, :, :, :, a, :].reshape(layout.total_dim // 2, -1)
+            key = (perms.index(honest_response(inst, tau, a)), code, a) if keep_z else (code, a)
+            blocks[key] = blocks.get(key, 0) + block
     return blocks
 
 
@@ -141,15 +141,17 @@ def test_factored_distance_matches_dense(case):
 def test_factored_trace_and_weights_match_dense(case):
     for view in build(case)[3:]:
         record_layout = RegisterLayout(view.record_registers)
-        rec_dim = record_layout.total_dim
         weights = record_weights(view)
         if fits_dense(view):
-            full = dense(view).matrix
-            assert abs(view_trace(view) - np.trace(full).real) <= AGREE
-            for flat in range(rec_dim):
-                key = unflatten(record_layout, flat)
-                expected = np.trace(full[flat::rec_dim, flat::rec_dim]).real
-                assert abs(weights.get(key, 0.0) - expected) <= AGREE
+            full = dense(view)
+            assert abs(view_trace(view) - np.trace(full.matrix).real) <= AGREE
+            # The record marginal, in the round's order of the record registers.
+            marginal = partial_trace(full, record_layout.names)
+            for flat in range(record_layout.total_dim):
+                key = dict(zip(record_layout.names, unflatten(record_layout, flat)))
+                index = flatten(marginal.layout, [key[name] for name in marginal.layout.names])
+                expected = marginal.matrix[index, index].real
+                assert abs(weights.get(tuple(key.values()), 0.0) - expected) <= AGREE
         else:
             for key, x in view.blocks.items():
                 assert abs(weights[key] - np.trace(x @ x.conj().T).real) <= AGREE
@@ -168,25 +170,105 @@ def test_real_view_factors_match_dephased_outer_products(case):
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_factor_columns_bounded_by_branches(case):
+    # A key holds at most one column per branch: the branch's part at the key's challenge.
     n, _, keep_z, _ = case
     inst, _, _, sim, real, _ = build(case)
     perms = enumerate_sn(n)
     real_branches, sim_branches = {}, {}
     for tau in perms:
         code = encode(act(tau, inst.g0))
-        if keep_z:
-            keys = {(perms.index(honest_response(inst, tau, a)), code) for a in (0, 1)}
-        else:
-            keys = {(code,)}
-        for key in keys:
+        for a in (0, 1):
+            key = (perms.index(honest_response(inst, tau, a)), code, a) if keep_z else (code, a)
             real_branches[key] = real_branches.get(key, 0) + 1
     for b, graph in enumerate((inst.g0, inst.g1)):
         for z, pi in enumerate(perms):
             code = encode(act(pi, graph))
-            key = (z, code) if keep_z else (code,)
-            sim_branches[key] = sim_branches.get(key, 0) + 1
+            for a in (0, 1):
+                key = (z, code, a) if keep_z else (code, a)
+                sim_branches[key] = sim_branches.get(key, 0) + 1
     for view, branches in ((real, real_branches), (sim, sim_branches)):
+        assert view.record_registers[-1] == ("A", 2)
         assert set(view.blocks) <= set(branches)
         for key, x in view.blocks.items():
             assert x.shape[0] == view.base_layout.total_dim
-            assert x.shape[1] <= 2 * branches[key]
+            assert x.shape[1] <= branches[key]
+
+
+# The stacked distance against the per-record-value reference, on protocol
+# views and on hand-made ones.  The empty and the complete graph have a
+# one-code orbit, so every branch lands on one record value: the widest blocks.
+REFERENCE_GRAPHS = {
+    **GRAPHS,
+    4: (Graph(4, [(0, 1), (1, 2), (2, 3)]), Graph(4, [(0, 3), (1, 2), (2, 0)])),
+    "empty": (Graph(3, []), Graph(3, [])),
+    "complete": (Graph(3, [(0, 1), (1, 2), (0, 2)]),) * 2,
+}
+REFERENCE_CASES = [
+    (graphs, keep_z, verifier, "householder")
+    for graphs in REFERENCE_GRAPHS
+    for keep_z in (False, True)
+    for verifier in ("honest", "haar")
+] + [(3, keep_z, "haar", "dft") for keep_z in (False, True)]
+REFERENCE_AGREE = 1e-13
+
+
+def reference_id(case):
+    graphs, keep_z, verifier, completion = case
+    return f"{graphs}-{'keepz' if keep_z else 'zp'}-{verifier}-{completion}"
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES, ids=reference_id)
+def test_stacked_distance_matches_per_key_reference(case):
+    graphs, keep_z, verifier, completion = case
+    inst = Instance.from_graphs(*REFERENCE_GRAPHS[graphs])
+    dims = (2, 2)
+    seed = 2000 + REFERENCE_CASES.index(case)
+    if verifier == "honest":
+        ver = honest_verifier(dims, inst.n)
+    else:
+        ver = adversarial_verifier(dims, inst.n, seed)
+    aux, other_aux = random_aux(dims[0], seed + 1), random_aux(dims[0], seed + 2)
+    sim = simulate_round_recorded(build_circuit(inst, ver, completion), aux, keep_z=keep_z)
+    real = real_view_recorded(inst, ver, aux, keep_z=keep_z)
+    real_other = real_view_recorded(inst, ver, other_aux, keep_z=keep_z)
+    assert sim.trace_distance(real) < 1e-10
+    assert sim.trace_distance(real_other) > 1e-3
+    for v1, v2 in ((sim, real), (sim, real_other), (real_other, sim), (real, real)):
+        assert abs(v1.trace_distance(v2) - per_key_trace_distance(v1, v2)) <= REFERENCE_AGREE
+    for view in (sim, real):
+        assert all(type(value) is int for key in view.blocks for value in key)
+
+
+def hand_view(widths, seed, dim=6):
+    """A view over one 6-dim base register whose block ``key`` has ``widths[key]`` random columns."""
+    rng = np.random.default_rng(seed)
+    keys = [key for key, width in widths.items() for _ in range(width)]
+    rows = rng.standard_normal((len(keys), dim)) + 1j * rng.standard_normal((len(keys), dim))
+    records = (("Zp", 4), ("A", 2))
+    return RecordedView.from_rows(
+        RegisterLayout([("W", dim)]), records, rows, np.array(keys, dtype=np.int64).reshape(-1, 2)
+    )
+
+
+HAND_VIEWS = {
+    "disjoint-keys": ({(0, 0): 1, (1, 1): 2}, {(2, 0): 2, (3, 1): 1}),
+    # Widths up to 4 + 3 > 6, so some pairs have more columns than rows.
+    "unequal-widths": ({(0, 0): 1, (1, 1): 3, (3, 0): 2}, {(0, 0): 4, (1, 1): 1, (3, 0): 3}),
+    "one-empty": ({(0, 1): 2, (2, 0): 1}, {}),
+    "both-empty": ({}, {}),
+}
+
+
+@pytest.mark.parametrize("name", HAND_VIEWS)
+def test_stacked_distance_on_hand_made_views(name):
+    widths1, widths2 = HAND_VIEWS[name]
+    v1, v2 = hand_view(widths1, 1), hand_view(widths2, 2)
+    for view, widths in ((v1, widths1), (v2, widths2)):
+        assert {key: x.shape[1] for key, x in view.blocks.items()} == widths
+    stacked = v1.trace_distance(v2)
+    assert abs(stacked - per_key_trace_distance(v1, v2)) <= REFERENCE_AGREE
+    assert abs(v2.trace_distance(v1) - stacked) <= REFERENCE_AGREE
+    if not set(widths1) & set(widths2):
+        # No record value in common: the halves of the two traces add up.
+        assert abs(stacked - (view_trace(v1) + view_trace(v2)) / 2) <= REFERENCE_AGREE
+    assert v1.trace_distance(v1) <= REFERENCE_AGREE

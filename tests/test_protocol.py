@@ -250,14 +250,17 @@ class TestRecordedView:
         aux = random_aux(2, seed=4)
         view = real_view_recorded(inst, ver, aux)
         dense = dense_view(view)
+        assert view.base_layout.names == ("W", "V", "Y")
+        assert view.record_registers == (("Zp", 2), ("A", 2))
         assert dense.layout.names == ("W", "V", "A", "Y", "Zp")
         assert abs(view_trace(view) - 1) < 1e-12
-        # Rebuild by hand from the block factors.
-        rec_dim = 2
-        manual = np.zeros_like(dense.matrix)
-        for (code,), factor in view.blocks.items():
-            manual[code::rec_dim, code::rec_dim] = factor @ factor.conj().T
-        np.testing.assert_allclose(dense.matrix, manual)
+        # Rebuild by hand from the block factors: block (code, a) sits at A=a, Zp=code.
+        wv, dim_y = DIMS[0] * DIMS[1], 2
+        manual = np.zeros((wv, 2, dim_y, 2) * 2, dtype=complex)
+        for (code, a), factor in view.blocks.items():
+            block = (factor @ factor.conj().T).reshape(wv, dim_y, wv, dim_y)
+            manual[:, a, :, code, :, a, :, code] = block
+        np.testing.assert_allclose(dense.matrix, manual.reshape(dense.matrix.shape))
 
     def test_blocked_distance_matches_dense(self):
         inst = path_instance()
@@ -273,21 +276,26 @@ class TestRecordedView:
         inst = path_instance()
         ver = honest_verifier(DIMS, 3)
         view = real_view_recorded(inst, ver, basis_aux(), keep_z=True)
-        assert view.record_registers == (("Z", 6), ("Zp", 8))
+        assert view.record_registers == (("Z", 6), ("Zp", 8), ("A", 2))
         perms = enumerate_sn(3)
         assert abs(view_trace(view) - 1) < 1e-10
-        for (z, code), _block in view.blocks.items():
-            response = perms[z]
-            sent = decode(code, 3)
-            assert act(response, inst.g0) == sent or act(response, inst.g1) == sent
+        for z, code, a in view.blocks:
+            # The recorded response answers the recorded challenge.
+            assert act(perms[z], inst.graph_for_challenge(a)) == decode(code, 3)
 
     def test_record_weights(self):
         inst = Instance.from_graphs(EDGE2, EDGE2)
         ver = adversarial_verifier(DIMS, 2, seed=6)
-        view = real_view_recorded(inst, ver, basis_aux())
+        aux = basis_aux()
+        view = real_view_recorded(inst, ver, aux)
         weights = record_weights(view)
-        assert set(weights) == {(encode(EDGE2),)}
-        assert weights[(encode(EDGE2),)] == pytest.approx(1.0, abs=1e-12)
+        code = encode(EDGE2)
+        assert set(weights) == {(code, 0), (code, 1)}
+        assert sum(weights.values()) == pytest.approx(1.0, abs=1e-12)
+        # Each weight is the probability that the verifier measures that challenge.
+        out = verifier_outputs(ver, 2, aux, [code])[:, 0].reshape(DIMS[0] * DIMS[1], 2, -1)
+        for a in (0, 1):
+            assert weights[(code, a)] == pytest.approx(np.linalg.norm(out[:, a]) ** 2, abs=1e-12)
 
 
 class TestAccept:

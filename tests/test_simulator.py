@@ -391,7 +391,7 @@ class TestSimulatedView:
         aux = random_aux(2, seed=36)
         sim = simulate_round_recorded(circ, aux, keep_z=True)
         real = real_view_recorded(circ.inst, circ.ver, aux, keep_z=True)
-        assert sim.record_registers == (("Z", 6), ("Zp", 8))
+        assert sim.record_registers == (("Z", 6), ("Zp", 8), ("A", 2))
         assert sim.trace_distance(real) < TOL
 
     def test_amplification_is_load_bearing_for_the_response_record(self):
@@ -401,38 +401,29 @@ class TestSimulatedView:
         # response recorded, half the unamplified weight sits on branches
         # whose guess disagrees with the challenge, and the distance to the
         # real view is exactly 1/2; the amplified round still matches.
-        from zkamp.protocol import RecordedView
-        from zkamp.symm import encode, num_graph_codes
+        from zkamp.protocol import RecordedView, view_records
 
         circ = gmw_circuit(3, verifier_seed=3)
         aux = random_aux(2, seed=45)
         inst, ver = circ.inst, circ.ver
         perms = enumerate_sn(3)
-        base = view_layout(ver.dims, 3)
+        layout = view_layout(ver.dims, 3)
+        base = layout.keep(("W", "V", "Y"))
         tensor = attempt_output(circ, aux).reshape(circ.layout.dims)
-
-        a_axis = base.axis("A")
+        a_axis = layout.axis("A")
 
         def branch_average(keep_z):
-            # Factor columns: each branch split by challenge value, i.e. the
-            # A-dephased branch mixture X X^dagger.
-            factors = {}
+            # Factor columns: each branch split by the measured challenge a,
+            # a column of record value (code, a), or (z, code, a) with Z kept.
+            rows, keys = [], []
             for b, g in enumerate((inst.g0, inst.g1)):
                 for z, pi in enumerate(perms):
-                    v = tensor[..., b, z]
-                    cols = []
-                    for a in range(2):
-                        part = np.zeros_like(v)
-                        np.moveaxis(part, a_axis, 0)[a] = np.moveaxis(v, a_axis, 0)[a]
-                        cols.append(part.reshape(-1))
                     code = encode(act(pi, g))
-                    key = (z, code) if keep_z else (code,)
-                    factors.setdefault(key, []).extend(cols)
-            blocks = {key: np.stack(cols, axis=1) for key, cols in factors.items()}
-            records = (("Z", len(perms)), ("Zp", num_graph_codes(3)))
-            if not keep_z:
-                records = records[1:]
-            return RecordedView(base, records, blocks)
+                    for a in range(2):
+                        rows.append(np.take(tensor[..., b, z], a, axis=a_axis).reshape(-1))
+                        keys.append((z, code, a) if keep_z else (code, a))
+            records = view_records(3, keep_z)
+            return RecordedView.from_rows(base, records, np.array(rows), np.array(keys))
 
         assert branch_average(False).trace_distance(
             real_view_recorded(inst, ver, aux)
