@@ -71,7 +71,6 @@ from .symm import (
     compose,
     encode,
     enumerate_sn,
-    find_isomorphism,
     invert,
     parse_graph_literal,
 )

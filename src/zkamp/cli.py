@@ -283,13 +283,12 @@ def _trials(cfg: RunConfig, inst: Instance, kind: str = "adversarial"):
     The first seed draws an adversarial verifier on the start columns of the
     instance's orbit codes, the only columns its views and identities read.
     """
-    codes = orbit_codes(inst.g0)
     for t in range(cfg.trials):
         seeds = trial_seeds(cfg.seed, t)
         if kind == "honest":
             ver = protocol.honest_verifier(cfg.dims, inst.n)
         else:
-            ver = protocol.adversarial_verifier(cfg.dims, inst.n, seeds[0], codes)
+            ver = protocol.adversarial_verifier(cfg.dims, inst.n, seeds[0], inst.codes[0])
         yield t, seeds, simulator.build_circuit(inst, ver, cfg.completion)
 
 

@@ -21,6 +21,7 @@ stacked QR of their paired factors, so no block is ever formed densely.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
@@ -42,8 +43,8 @@ from .symm import (
     Permutation,
     act,
     compose,
+    encode,
     enumerate_sn,
-    find_isomorphism,
     invert,
     num_graph_codes,
     orbit_codes,
@@ -68,7 +69,12 @@ def aux_layout(dim_w: int) -> RegisterLayout:
 
 @dataclass(frozen=True)
 class Instance:
-    """A yes-instance: two graphs with a stored isomorphism witness."""
+    """A yes-instance: two graphs with a stored isomorphism witness, and its relabeling basis.
+
+    Z index z is the relabeling ``perms[z]``, which sends g_b as the Y code
+    ``codes[b, z]``; every view, circuit and transcript reads these two
+    tables, built once per instance.
+    """
 
     g0: Graph
     g1: Graph
@@ -84,13 +90,27 @@ class Instance:
     def n(self) -> int:
         return self.g0.n
 
+    @cached_property
+    def perms(self) -> tuple[Permutation, ...]:
+        """S_n in :func:`enumerate_sn` order, the Z basis."""
+        return tuple(enumerate_sn(self.n))
+
+    @cached_property
+    def codes(self) -> np.ndarray:
+        """Read-only ``(2, n!)`` table of ``encode(act(perms[z], g_b))``."""
+        codes = np.array([orbit_codes(self.g0), orbit_codes(self.g1)], dtype=np.int64)
+        codes.setflags(write=False)
+        return codes
+
     @classmethod
     def from_graphs(cls, g0: Graph, g1: Graph) -> "Instance":
-        """Build an instance, finding the first witness in enumeration order."""
-        tau = find_isomorphism(g0, g1)
-        if tau is None:
+        """Build an instance whose witness is the first relabeling in S_n order sending g0 to g1."""
+        if g0.n != g1.n:
+            raise ValueError(f"size mismatch: {g0.n} vs {g1.n}")
+        orbit, target = orbit_codes(g0), encode(g1)
+        if target not in orbit:
             raise NotIsomorphicError("graphs are not isomorphic")
-        return cls(g0, g1, tau)
+        return cls(g0, g1, enumerate_sn(g0.n)[orbit.index(target)])
 
     def graph_for_challenge(self, a: int) -> Graph:
         if a not in (0, 1):
@@ -145,11 +165,10 @@ def adversarial_verifier(dims: tuple[int, int], n: int, seed: int, codes=None) -
 
     Every view and identity reads ``U_V`` only on the start states
     ``|w, V=0, A=0, Y=code>`` with ``code`` in ``codes``, by default every Y
-    code of n vertices; a protocol run passes the ``symm.orbit_codes`` of g0,
-    the messages the prover sends.  Only those
-    s = dim_w * |codes| columns are drawn (:func:`haar_random_op` with
-    ``inputs``), so U is a product of s reflectors and fixes a subspace of
-    dimension at least d - 2s.
+    code of n vertices; a protocol run passes ``Instance.codes[0]``, the
+    messages the prover sends.  Only those s = dim_w * |codes| columns are
+    drawn (:func:`haar_random_op` with ``inputs``), so U is a product of s
+    reflectors and fixes a subspace of dimension at least d - 2s.
     """
     layout = view_layout(dims, n)
     if codes is None:
@@ -258,7 +277,7 @@ class RecordedView:
 def view_records(n: int, keep_z: bool) -> tuple[tuple[str, int], ...]:
     """Record registers of a view: the sent graph Zp, after the response Z if kept, then A."""
     sent = (("Zp", num_graph_codes(n)), ("A", 2))
-    return (("Z", len(enumerate_sn(n))),) + sent if keep_z else sent
+    return (("Z", math.factorial(n)),) + sent if keep_z else sent
 
 
 def branch_view(
@@ -315,12 +334,11 @@ def real_view_recorded(
     (:func:`branch_view`).  With ``keep_z`` the prover's step-(c) response
     to a is recorded too.  Each start carries its 1/sqrt(n!) weight.
     """
-    n = inst.n
-    perms = enumerate_sn(n)
-    codes = orbit_codes(inst.g0)
-    outs = verifier_outputs(ver, n, aux, codes, np.sqrt(1.0 / len(perms)))
+    n, codes = inst.n, inst.codes[0]
+    outs = verifier_outputs(ver, n, aux, codes, np.sqrt(1.0 / codes.size))
     responses = None
     if keep_z:
+        perms = inst.perms
         position = {perm: i for i, perm in enumerate(perms)}
         responses = [[position[honest_response(inst, tau, a)] for tau in perms] for a in (0, 1)]
     return branch_view(ver.dims, n, outs, codes, responses)

@@ -47,21 +47,12 @@ from .registers import (
     RegisterLayout,
     StateVector,
 )
-from .symm import (
-    Graph,
-    Permutation,
-    act,
-    compose,
-    encode,
-    enumerate_sn,
-    num_graph_codes,
-    orbit_codes,
-)
+from .symm import Graph, Permutation, act, compose, encode, num_graph_codes
 
 
 def sim_layout(dims: tuple[int, int], n: int) -> RegisterLayout:
     """Simulator registers: the verifier's four plus guess B and relabeling Z."""
-    return view_layout(dims, n).extend([("B", 2), ("Z", len(enumerate_sn(n)))])
+    return view_layout(dims, n).extend([("B", 2), ("Z", math.factorial(n))])
 
 
 def uniform_superposition_unitary(dim: int, completion: str = "householder") -> np.ndarray:
@@ -152,11 +143,10 @@ def build_circuit(
     split_b = LinearOp(layout, ("B",), HADAMARD)
     split_z = LinearOp(layout, ("Z",), uniform_superposition_unitary(n_fact, completion))
 
-    codes = np.array([orbit_codes(inst.g0), orbit_codes(inst.g1)], dtype=np.int64)
     y_idx = np.arange(dim_y)[:, None, None]
     b_idx = np.arange(2)[None, :, None]
     z_idx = np.arange(n_fact)[None, None, :]
-    image = ((y_idx ^ codes[b_idx, z_idx]) * 2 + b_idx) * n_fact + z_idx
+    image = ((y_idx ^ inst.codes[b_idx, z_idx]) * 2 + b_idx) * n_fact + z_idx
     writer = PermutationOp(layout, ("Y", "B", "Z"), image.reshape(-1))
 
     attempt = OpChain((split_b, split_z, writer, ver.u_v))
@@ -286,15 +276,14 @@ def _norm_chain(circ: SimulatorCircuit, aux: StateVector, projected: np.ndarray)
     """
     inst = circ.inst
     n = inst.n
-    perms = enumerate_sn(n)
-    n_fact = len(perms)
+    n_fact = len(inst.perms)
     scale = 1.0 / (2 * n_fact)
     tau_pow = (Permutation.identity(n), inst.tau)
     tables = np.array(
         [
-            [orbit_codes(inst.g0), orbit_codes(inst.g1)],
-            [[encode(act(compose(pi, t), inst.g0)) for pi in perms] for t in tau_pow],
-            [orbit_codes(inst.g0)] * 2,
+            inst.codes,
+            [[encode(act(compose(pi, t), inst.g0)) for pi in inst.perms] for t in tau_pow],
+            inst.codes[[0, 0]],
         ]
     )
     codes, index = np.unique(tables, return_inverse=True)
@@ -336,15 +325,15 @@ def recorded_view(
     The B,Z measurement is replaced by its exact Born-weighted mixture
     (:func:`sample_round` samples it).  B and Z are the last registers, so
     column ``b n! + z`` of the state is branch (b, z), which sends
-    ``orbit_codes(g_b)[z]`` and, when ``keep_z``, records the relabeling z
-    as the response (:func:`branch_view`).
+    ``inst.codes[b, z]`` and, when ``keep_z``, records the relabeling z as
+    the response (:func:`branch_view`).
     """
     if circ.inst is None or circ.ver is None:
         raise ValueError("a recorded view needs a protocol circuit")
     inst = circ.inst
-    codes = orbit_codes(inst.g0) + orbit_codes(inst.g1)
-    branches = amplified.reshape(-1, len(codes))
-    responses = np.arange(len(codes)) % (len(codes) // 2) if keep_z else None
+    codes = inst.codes.reshape(-1)
+    branches = amplified.reshape(-1, codes.size)
+    responses = np.arange(codes.size) % (codes.size // 2) if keep_z else None
     return branch_view(circ.ver.dims, inst.n, branches, codes, responses)
 
 
@@ -386,7 +375,7 @@ def sample_round(
     b = draw(table.sum(axis=(1, 2)))
     z = draw(table[b].sum(axis=1))
     a = draw(table[b, z])
-    pi = enumerate_sn(circ.inst.n)[z]
+    pi = circ.inst.perms[z]
     sent = act(pi, circ.inst.graph_for_challenge(b))
     accepted = a == b and accept(sent, a, pi, circ.inst)
     return SampledRound(b, a, pi, sent, accepted)

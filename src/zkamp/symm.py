@@ -2,15 +2,17 @@
 
 The lexicographic enumeration of S_n fixes the permutation-register basis,
 and the pair-bit code fixes the graph-register basis, so measurement
-outcomes are reproducible across runs.  Everything is brute force on
-purpose; the guard n <= 6 keeps enumeration at 720 elements.
+outcomes are reproducible across runs.  ``protocol.Instance`` holds the
+relabeling basis of its graph pair, built once from :func:`enumerate_sn` and
+:func:`orbit_codes`.  Everything is brute force on purpose; the guard
+n <= 6 keeps enumeration at 720 elements.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 MAX_VERTICES = 6
 
@@ -118,16 +120,6 @@ def orbit_codes(g: Graph) -> list[int]:
         sum(bit[min(p[u], p[v]), max(p[u], p[v])] for u, v in edges)
         for p in itertools.permutations(range(g.n))
     ]
-
-
-def find_isomorphism(g0: Graph, g1: Graph) -> Optional[Permutation]:
-    """First permutation in enumeration order mapping g0 onto g1, if any."""
-    if g0.n != g1.n:
-        raise ValueError(f"size mismatch: {g0.n} vs {g1.n}")
-    for p in enumerate_sn(g0.n):
-        if act(p, g0) == g1:
-            return p
-    return None
 
 
 def parse_graph_literal(text: str) -> Graph:

@@ -4,14 +4,15 @@ The package keeps states as raw amplitude blocks, operators in factored
 form and verifier views as record-keyed factors, and never builds an
 operator's dense matrix.  The oracles here are the dense forms the tests
 compare against: an operator applied to the identity (:func:`to_matrix`),
-row-major index arithmetic and the graph-code decoder, kron embeddings of
-operators, density operators with their channels and trace distance,
-checked state operations and the collapsing measurement that
-``simulator.sample_round`` is checked against, the dense Haar draw and the
-Householder T recurrence, the dense verifier view with the per-record
-view distance, the sampled
-measure-then-reflect round, and the two-dimensional evolution with the
-phase search that re-evolves every candidate step count from the start.
+row-major index arithmetic, the graph-code decoder and the isomorphism
+search by relabeling that ``protocol.Instance.from_graphs`` is checked
+against, kron embeddings of operators, density operators with their
+channels and trace distance, checked state operations and the collapsing
+measurement that ``simulator.sample_round`` is checked against, the dense
+Haar draw and the Householder T recurrence, the dense verifier view with
+the per-record view distance, the sampled measure-then-reflect round, and
+the two-dimensional evolution with the phase search that re-evolves every
+candidate step count from the start.
 """
 
 import math
@@ -38,7 +39,7 @@ from zkamp.registers import (
     trace_distance_matrices,
 )
 from zkamp.simulator import attempt_output, measure_then_reflect
-from zkamp.symm import Graph, num_graph_codes, vertex_pairs
+from zkamp.symm import Graph, act, enumerate_sn, num_graph_codes, vertex_pairs
 
 # Largest full view layout, records included, that dense_view assembles.
 DENSE_VIEW_LIMIT = 4096
@@ -65,6 +66,16 @@ def unflatten(layout, flat):
         out.append(flat % dim)
         flat //= dim
     return tuple(reversed(out))
+
+
+def find_isomorphism(g0, g1):
+    """First permutation in enumeration order mapping g0 onto g1, or None; by relabeling."""
+    if g0.n != g1.n:
+        raise ValueError(f"size mismatch: {g0.n} vs {g1.n}")
+    for p in enumerate_sn(g0.n):
+        if act(p, g0) == g1:
+            return p
+    return None
 
 
 def decode(code, n):

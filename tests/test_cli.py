@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import zkamp
-from zkamp import amplify, cli, protocol, simulator
+from zkamp import amplify, cli, protocol, registers, simulator, symm
 from zkamp.cli import (
     MAX_SCHEDULE_STEPS,
     build_parser,
@@ -282,7 +282,7 @@ class TestOversizeRefusals:
             (protocol, "haar_random_op"),
             (amplify, "haar_random_op"),
             (protocol, "honest_verifier"),
-            (protocol, "find_isomorphism"),
+            (protocol, "orbit_codes"),
             (simulator, "success_projector"),
             (amplify, "success_projector"),
             (amplify, "block_decompose"),
@@ -423,6 +423,33 @@ def test_five_vertices_fit_the_estimate():
     assert peak <= estimated
     (rec,) = json.loads(out)["records"]
     assert rec["value"] <= 1e-10 and rec["verifier_columns"] == 120
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["zk-check", *N4, "--keep-z", "--trials", "1"], ["verify-eq2", *N4, "--trials", "1"]],
+)
+def test_relabeling_tables_built_once(monkeypatch, argv):
+    # cli.estimate sizes the orbits before any Instance exists (2 orbit_codes);
+    # from_graphs finds the witness (1 of each) and the Instance builds its
+    # perms (1 enumerate_sn) and codes (2 orbit_codes).
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("enumerate_sn", "orbit_codes"):
+        original = getattr(symm, name)
+        for module in (zkamp, registers, symm, protocol, simulator, amplify, cli):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted(name, original))
+    code, _, _ = _silent([*argv, "--seed", "7"])
+    assert code == 0
+    assert calls["enumerate_sn"] <= 2 and calls["orbit_codes"] <= 5, calls
 
 
 FIRST_RUN = """

@@ -37,6 +37,7 @@ from oracles import (
     basis_state,
     decode,
     dense_view,
+    find_isomorphism,
     partial_trace,
     record_weights,
     to_matrix,
@@ -72,6 +73,31 @@ class TestInstance:
     def test_non_isomorphic_rejected(self):
         with pytest.raises(NotIsomorphicError):
             Instance.from_graphs(PATH3, Graph(3, [(0, 1)]))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_from_graphs_matches_search_by_relabeling(self, n):
+        graphs = [decode(code, n) for code in range(num_graph_codes(n))]
+        for g0 in graphs:
+            for g1 in graphs:
+                tau = find_isomorphism(g0, g1)
+                if tau is None:
+                    with pytest.raises(NotIsomorphicError):
+                        Instance.from_graphs(g0, g1)
+                else:
+                    assert Instance.from_graphs(g0, g1).tau == tau
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_relabeling_tables(self, n):
+        g0 = Graph(n, [(v, v + 1) for v in range(n - 1)])
+        inst = Instance.from_graphs(g0, act(enumerate_sn(n)[-1], g0))
+        assert inst.perms == tuple(enumerate_sn(n))
+        assert inst.codes.shape == (2, len(inst.perms)) and inst.codes.dtype == np.int64
+        for b, g in enumerate((inst.g0, inst.g1)):
+            for z, perm in enumerate(inst.perms):
+                assert inst.codes[b, z] == encode(act(perm, g))
+        with pytest.raises(ValueError):
+            inst.codes[0, 0] = 0
+        assert inst.codes is inst.codes
 
 
 class TestHonestVerifier:

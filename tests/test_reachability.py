@@ -5,8 +5,11 @@ A function that only the tests call is a test oracle, and lives in
 scripts are read from the syntax tree: a name or an attribute (outside the
 function's own definition, in ``src/zkamp``), and in the benchmark also a
 string constant naming ``module.name``, such as a span name.  A docstring or
-comment mention therefore does not count.  ``pyproject.toml`` names its entry
-point in a string, so it is searched as text.
+comment mention therefore does not count.  ``pyproject.toml`` names its
+entry point in a string, so it is searched as text.
+
+The relabeling basis has one home as well: ``protocol.Instance`` builds S_n
+and its orbit-code table, and the rest of the package reads them from there.
 """
 
 import ast
@@ -80,3 +83,40 @@ def test_reached_outside_tests(module, name):
     assert callers or name in BENCH_REFS or re.search(rf"\b{name}\b", PYPROJECT), (
         f"zkamp.{module}.{name} is reached only from tests; move it to tests/oracles.py"
     )
+
+
+def relabeling_calls():
+    """Calls to ``enumerate_sn`` or ``orbit_codes`` outside ``symm``, and ``len(enumerate_sn(...))``.
+
+    The first is a set of (function, module, top-level definition) triples,
+    the second of (module, top-level definition) pairs.
+    """
+    def callee(call):
+        func = call.func
+        return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+    calls, counted = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "symm":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                if callee(node) in ("enumerate_sn", "orbit_codes"):
+                    calls.add((callee(node), path.stem, owner))
+                if callee(node) == "len" and any(
+                    isinstance(arg, ast.Call) and callee(arg) == "enumerate_sn" for arg in node.args
+                ):
+                    counted.add((path.stem, owner))
+    return calls, counted
+
+
+def test_relabeling_basis_has_one_home():
+    calls, counted = relabeling_calls()
+    enumerating = {(module, owner) for name, module, owner in calls if name == "enumerate_sn"}
+    orbits = {(module, owner) for name, module, owner in calls if name == "orbit_codes"}
+    assert {module for module, _ in enumerating} <= {"protocol"}, enumerating
+    assert {pair for pair in orbits if pair[0] != "protocol"} <= {("cli", "estimate")}, orbits
+    assert not counted, f"n! is math.factorial(n), not len(enumerate_sn(n)): {counted}"

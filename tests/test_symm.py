@@ -11,14 +11,13 @@ from zkamp.symm import (
     compose,
     encode,
     enumerate_sn,
-    find_isomorphism,
     format_graph_literal,
     invert,
     num_graph_codes,
     parse_graph_literal,
 )
 
-from oracles import decode
+from oracles import decode, find_isomorphism
 
 PATH3 = Graph(3, [(0, 1), (1, 2)])
 TRIANGLE = Graph(3, [(0, 1), (0, 2), (1, 2)])
