@@ -14,7 +14,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from . import __version__, amplify, protocol, simulator
 from .amplify import PhasePair
 from .protocol import Instance, NotIsomorphicError
 from .registers import ATOL_NORM, ATOL_OP, BYTE_BUDGET, WORK_BUDGET, dense_bytes
+from .simulator import COMPLETIONS
 from .symm import MAX_VERTICES, format_graph_literal, orbit_codes, parse_graph_literal
 
 ORDER_GAP = 1e-6
@@ -37,8 +38,6 @@ BOUNDARY_SLACK = 1e-9
 # by 1/|1 - 2/m| per step (3x at m = 3).  At m = 3 the 1e-10 agreement with
 # the 2D schedule first breaks at 23 to 25 steps, depending on the dims.
 MAX_SCHEDULE_STEPS = 16
-COMPLETIONS = ("householder", "dft")
-MAX_GUESSES = 8192  # basis states m^2 of the abstract circuit's guess space A,B
 # A command holds at most 16 states per column of W and 4 MiB of interpreter objects (1.2 MiB on
 # a first command, with numpy's lazy imports); each step count the phase search tries (one plain 2x2
 # step, the closing phases and their certificate) takes as long as 1e5 dense multiply-adds (2e-5 s;
@@ -55,7 +54,7 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved options of one run, echoed verbatim into the report."""
+    """Resolved options of one run, echoed verbatim into the report in field order."""
 
     command: str
     n: int | None
@@ -65,8 +64,8 @@ class RunConfig:
     dims: tuple[int, int]
     g0: str | None
     g1: str | None
-    out: str | None
     completion: str
+    out: str | None
     extras: dict
 
     def validate(self) -> None:
@@ -76,9 +75,6 @@ class RunConfig:
             raise ConfigError("schedule needs --m")
         if self.m is not None and self.m < 2:
             raise ConfigError(f"--m must be >= 2, got {self.m}")
-        if self.m is not None and self.m**2 > MAX_GUESSES:
-            guesses = f"the guess space A,B has {self.m**2} basis states"
-            raise ConfigError(f"{guesses}, above the limit of {MAX_GUESSES}")
         if min(self.dims) < 1:
             raise ConfigError(f"dims must be >= 1, got {self.dims}")
         if self.seed < 0:
@@ -87,20 +83,12 @@ class RunConfig:
             _check_writable(self.out)
 
     def as_dict(self) -> dict:
-        out = {
-            "command": self.command,
-            "n": self.n,
-            "m": self.m,
-            "trials": self.trials,
-            "seed": self.seed,
-            "dims": list(self.dims),
-            "g0": self.g0,
-            "g1": self.g1,
-            "completion": self.completion,
-            "out": self.out,
-        }
-        out.update(self.extras)
-        return out
+        """Every field but ``extras``, then the extras."""
+        return {**{name: getattr(self, name) for name in _FIELDS}, **self.extras}
+
+
+# RunConfig's options, in report order.
+_FIELDS = tuple(f.name for f in fields(RunConfig) if f.name != "extras")
 
 
 def _check_writable(path: str) -> None:
@@ -226,8 +214,10 @@ def estimate(cfg: RunConfig, n: int | None) -> tuple[int, int, str]:
     orbit size of the larger orbit among the pair's n-vertex graphs, its start
     columns; an honest verifier counts the same.  ``blocks`` adds its kept
     attempt rows, the factor and ``Y``, the r x r core and three residual
-    panels.  The work is ``2 d r^2 + d^2 (r + dim_w)`` per trial of ``blocks``,
-    or for ``phases`` one search step per step count up to ``amplify.analytic_k``.
+    panels.  The work is ``2 d r^2 + d^2 (r + dim_w)`` per trial of ``blocks``;
+    for ``schedule`` it is ``2 steps + 1`` attempt applications, each one split
+    of B (m d) and the scramble's reflectors (2 side d); and for ``phases`` one
+    search step per step count up to ``amplify.analytic_k``.
     """
     if cfg.command == "phases":
         lambdas, k_max = cfg.extras["lambdas"], cfg.extras["k_max"]
@@ -253,6 +243,8 @@ def estimate(cfg: RunConfig, n: int | None) -> tuple[int, int, str]:
         peak += 16 * ((KEPT_COPIES + 2) * d * r + r * r + 3 * amplify.RESIDUAL_PANEL * d)
         held.append(f"{d}x{r} kept attempt rows factoring the {d}x{d} conjugated projector")
         work = cfg.trials * (2 * d * r * r + d * d * (r + cfg.dims[0]))
+    elif cfg.command == "schedule":
+        work = (2 * cfg.extras["steps"] + 1) * (cfg.m + 2 * side) * d
     return peak, work, f"{', '.join(held)} and {d}-amplitude states"
 
 
@@ -643,8 +635,6 @@ def _dest(flag: str) -> str:
 
 # The value echoed in the report's config for a flag the command does not take.
 _UNSET = {_dest(flag): spec.get("default") for flag, spec in FLAGS.items()}
-# Options that are RunConfig fields; a command's other flags are its extras.
-_FIELDS = {"n", "m", "trials", "seed", "dim_w", "dim_v", "g0", "g1", "out", "completion"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -690,8 +680,14 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(
                 f"blocks --m builds the abstract 1/m circuit, which ignores {', '.join(given)}"
             )
+    opts.update(
+        seed=seed,
+        dims=(opts.pop("dim_w"), opts.pop("dim_v")),
+        completion=opts["completion"] or COMPLETIONS[0],
+    )
     _, flags = COMMANDS[args.command]
-    extras = {_dest(f): opts[_dest(f)] for f in flags if _dest(f) not in _FIELDS}
+    # A command's flags that are neither RunConfig fields nor parts of dims are its extras.
+    extras = {key: opts[key] for key in map(_dest, flags) if key in opts and key not in _FIELDS}
     if "lambdas" in extras:
         extras["lambdas"] = _parse_lambdas(extras["lambdas"])
         if extras["k_max"] < 1:
@@ -706,19 +702,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
                 "1/|1 - 2/m| per step, and at m = 3 it loses its 1e-10 agreement with "
                 "the 2D schedule by 23 to 25 steps"
             )
-    cfg = RunConfig(
-        command=args.command,
-        n=opts["n"],
-        m=opts["m"],
-        trials=opts["trials"],
-        seed=seed,
-        dims=(opts["dim_w"], opts["dim_v"]),
-        g0=opts["g0"],
-        g1=opts["g1"],
-        out=opts["out"],
-        completion=opts["completion"] or COMPLETIONS[0],
-        extras=extras,
-    )
+    cfg = RunConfig(**{name: opts[name] for name in _FIELDS}, extras=extras)
     cfg.validate()
     preflight(cfg)
     return cfg

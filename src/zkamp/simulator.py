@@ -55,7 +55,11 @@ def sim_layout(dims: tuple[int, int], n: int) -> RegisterLayout:
     return view_layout(dims, n).extend([("B", 2), ("Z", math.factorial(n))])
 
 
-def uniform_superposition_unitary(dim: int, completion: str = "householder") -> np.ndarray:
+# The unitary completions of the uniform superposition; the first is the default.
+COMPLETIONS = ("householder", "dft")
+
+
+def uniform_superposition_unitary(dim: int, completion: str = COMPLETIONS[0]) -> np.ndarray:
     """A unitary whose first column is the uniform superposition.
 
     Only the action on the zero basis state matters downstream; the two
@@ -72,7 +76,7 @@ def uniform_superposition_unitary(dim: int, completion: str = "householder") -> 
     if completion == "dft":
         j = np.arange(dim)
         return np.exp(2j * np.pi * np.outer(j, j) / dim) / np.sqrt(dim)
-    raise ValueError(f"unknown completion {completion!r}; use 'householder' or 'dft'")
+    raise ValueError(f"unknown completion {completion!r}; use {' or '.join(map(repr, COMPLETIONS))}")
 
 
 @dataclass(frozen=True)
@@ -126,7 +130,7 @@ def phase_on_success(success_proj: DiagonalOp, varphi: complex) -> DiagonalOp:
 
 
 def build_circuit(
-    inst: Instance, ver: VerifierModel, completion: str = "householder"
+    inst: Instance, ver: VerifierModel, completion: str = COMPLETIONS[0]
 ) -> SimulatorCircuit:
     """Assemble the protocol circuit for a yes-instance.
 

@@ -33,6 +33,7 @@ from zkamp.protocol import (
 )
 from zkamp.registers import OpChain, StateVector
 from zkamp.simulator import (
+    COMPLETIONS,
     amplification_check,
     attempt_output,
     build_circuit,
@@ -52,7 +53,6 @@ ROT_TOL = 1e-12
 PATH_PAIR = (Graph(3, [(0, 1), (1, 2)]), Graph(3, [(0, 1), (0, 2)]))
 TRIANGLE = Graph(3, [(0, 1), (0, 2), (1, 2)])
 TRIANGLE_PAIR = (TRIANGLE, TRIANGLE)
-COMPLETIONS = ("householder", "dft")
 DIMS = (2, 2)
 
 

@@ -212,7 +212,8 @@ class TestFlags:
 
     def test_config_keeps_every_key_for_flags_not_taken(self, capsys):
         _, out = run_capture(capsys, ["phases", "--lambdas", "0.5"])
-        assert json.loads(out)["config"] == {
+        config = json.loads(out)["config"]
+        assert config == {
             "command": "phases",
             "n": None,
             "m": None,
@@ -226,6 +227,10 @@ class TestFlags:
             "lambdas": [0.5],
             "k_max": 64,
         }
+        assert list(config) == [
+            "command", "n", "m", "trials", "seed", "dims", "g0", "g1", "completion", "out",
+            "lambdas", "k_max",
+        ]
         assert '"config": {"command": "phases", "n": null, "m": null, "trials": 1' in out
 
     @pytest.mark.parametrize("seed", ["7", "11", "12345"])
@@ -301,8 +306,13 @@ class TestOversizeRefusals:
             (["verify-eq2", *N3, "--dim-w", "32", "--dim-v", "32"], 16384),
             (["watrous", *N4, "--dim-w", "8", "--dim-v", "16"], 16384),
             (["verify-eq1", "--g0", "n=6;edges=01", "--g1", "n=6;edges=23"], 262144),
-            # Guess space A,B: m^2 basis states; nothing dense is built on it.
-            pytest.param(["schedule", "--m", "91"], "8281 basis states", id="argv6-8281"),
+            # Schedule work: 2 steps + 1 attempt applications of (m + 2 m) m^2 multiply-adds
+            # each at dims 1x1, 1.0e11 at m = 1548.
+            pytest.param(
+                ["schedule", "--m", "1548", "--dim-w", "1", "--dim-v", "1"],
+                "1e+11 multiply-adds for a dense 1548x1548 toy scramble",
+                id="schedule-work-1548",
+            ),
             # Toy scramble on W,V,A: dim_w * dim_v * m.
             (["schedule", "--m", "2", "--dim-w", "64", "--dim-v", "65"], 8320),
             (["blocks", "--m", "2", "--dim-w", "64", "--dim-v", "65"], 8320),
@@ -816,8 +826,17 @@ class TestCommandContents:
         assert second["value"] == pytest.approx(1.0, abs=1e-10)
 
     def test_schedule_largest_accepted_m(self, capsys):
-        # 90^2 = 8100 is the largest guess space under the limit of 8192.
-        code, out = run_capture(capsys, ["schedule", "--m", "90", "--seed", "2"])
+        # The budgets alone bound --m: bytes at dims 2x2, work at 16 steps or dims 1x1.
+        for largest, flags in (
+            (590, []),
+            (438, ["--steps", "16"]),
+            (1547, ["--dim-w", "1", "--dim-v", "1"]),
+        ):
+            argv = ["schedule", *flags, "--m"]
+            assert cli.config_from_args(build_parser().parse_args([*argv, str(largest)])).m == largest
+            with pytest.raises(cli.ConfigError, match="above the budgets"):
+                cli.config_from_args(build_parser().parse_args([*argv, str(largest + 1)]))
+        code, out = run_capture(capsys, ["schedule", "--m", "91", "--seed", "2"])
         assert code == 0
         records = json.loads(out)["records"]
         assert len(records) == 4

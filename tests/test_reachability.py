@@ -10,6 +10,8 @@ entry point in a string, so it is searched as text.
 
 The relabeling basis has one home as well: ``protocol.Instance`` builds S_n
 and its orbit-code table, and the rest of the package reads them from there.
+So does each public name: its module.  The package itself binds only
+``__version__``, so ``zkamp.<name>`` is no second import path.
 """
 
 import ast
@@ -37,8 +39,6 @@ def source_references() -> dict[str, set[tuple[str, str | None]]]:
     """Each referenced name, with the (module, top-level definition) pairs it appears in."""
     refs: dict[str, set[tuple[str, str | None]]] = {}
     for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         for top in ast.parse(path.read_text()).body:
             owner = getattr(top, "name", None)
             for node in ast.walk(top):
@@ -120,3 +120,14 @@ def test_relabeling_basis_has_one_home():
     assert {module for module, _ in enumerating} <= {"protocol"}, enumerating
     assert {pair for pair in orbits if pair[0] != "protocol"} <= {("cli", "estimate")}, orbits
     assert not counted, f"n! is math.factorial(n), not len(enumerate_sn(n)): {counted}"
+
+
+def test_package_binds_only_the_version():
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    assert ast.get_docstring(tree) is not None
+    body = tree.body[1:]
+    assert not any(isinstance(node, (ast.Import, ast.ImportFrom)) for node in ast.walk(tree)), (
+        "import each name from its module, not from the package"
+    )
+    assert len(body) == 1 and isinstance(body[0], ast.Assign), [ast.dump(node) for node in body]
+    assert [ast.unparse(target) for target in body[0].targets] == ["__version__"]
