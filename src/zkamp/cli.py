@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__, amplify, protocol, simulator
 from .amplify import PhasePair
-from .protocol import Instance, NotIsomorphicError
+from .protocol import Instance
 from .registers import ATOL_NORM, ATOL_OP, BYTE_BUDGET, WORK_BUDGET, dense_bytes
 from .simulator import COMPLETIONS
 from .symm import MAX_VERTICES, format_graph_literal, orbit_codes, parse_graph_literal
@@ -41,11 +41,12 @@ MAX_SCHEDULE_STEPS = 16
 # A command holds at most 16 states per column of W and 4 MiB of interpreter objects (1.2 MiB on
 # a first command, with numpy's lazy imports); each step count the phase search tries (one plain 2x2
 # step, the closing phases and their certificate) takes as long as 1e5 dense multiply-adds (2e-5 s;
-# 5e9/s on one BLAS thread).  ``blocks`` holds at most 4 d x r blocks of kept attempt rows (the kept
-# basis columns, one factor's input, and two of its moved copy, product and product moved back) beside
-# its stored factor and Y.  An adversarial verifier holds its d x s reflectors, and its draw two more
-# d x s arrays for a moment.
-STATE_COPIES, BASE_BYTES, STEP_WORK, KEPT_COPIES, DRAW_COPIES = 16, 2**22, 10**5, 4, 3
+# 5e9/s on one BLAS thread).  ``blocks`` holds 3 d x r blocks of kept attempt rows (the kept basis
+# columns, one attempt factor's input and its product; the verifier's factor, whose input is those
+# columns, holds its gathered copy and one panel product) before its stored factor and Y exist; a
+# small block's moved copy and a small scramble's panel products fit in those two.  An adversarial
+# verifier holds its d x s reflectors, and its draw two more d x s arrays for a moment.
+STATE_COPIES, BASE_BYTES, STEP_WORK, KEPT_COPIES, DRAW_COPIES = 16, 2**22, 10**5, 3, 3
 
 
 class ConfigError(Exception):
@@ -198,12 +199,9 @@ def _graph_pair(cfg: RunConfig):
 
 def build_instance(cfg: RunConfig) -> Instance:
     try:
-        inst = Instance.from_graphs(*_graph_pair(cfg))
-    except NotIsomorphicError as exc:
-        raise ConfigError(f"graphs are not isomorphic: {exc}") from exc
+        return Instance.from_graphs(*_graph_pair(cfg))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return inst
 
 
 def estimate(cfg: RunConfig, n: int | None) -> tuple[int, int, str]:
@@ -212,9 +210,9 @@ def estimate(cfg: RunConfig, n: int | None) -> tuple[int, int, str]:
     The toy scramble's dense side counts at ``dense_bytes``.  The verifier on a
     side of d counts at ``DRAW_COPIES`` d x s arrays, with s = dim_w times the
     orbit size of the larger orbit among the pair's n-vertex graphs, its start
-    columns; an honest verifier counts the same.  ``blocks`` adds its kept
-    attempt rows, the factor and ``Y``, the r x r core and three residual
-    panels.  The work is ``2 d r^2 + d^2 (r + dim_w)`` per trial of ``blocks``;
+    columns; an honest verifier counts the same.  ``blocks`` adds
+    ``KEPT_COPIES`` d x r blocks of kept attempt rows, the factor and ``Y``,
+    the r x r core and three residual panels.  The work is ``2 d r^2 + d^2 (r + dim_w)`` per trial of ``blocks``;
     for ``schedule`` it is ``2 steps + 1`` attempt applications, each one split
     of B (m d) and the scramble's reflectors (2 side d); and for ``phases`` one
     search step per step count up to ``amplify.analytic_k``.

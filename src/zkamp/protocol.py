@@ -98,24 +98,36 @@ class Instance:
     @cached_property
     def codes(self) -> np.ndarray:
         """Read-only ``(2, n!)`` table of ``encode(act(perms[z], g_b))``."""
-        codes = np.array([orbit_codes(self.g0), orbit_codes(self.g1)], dtype=np.int64)
-        codes.setflags(write=False)
-        return codes
+        return _code_table(orbit_codes(self.g0), self.g1)
 
     @classmethod
     def from_graphs(cls, g0: Graph, g1: Graph) -> "Instance":
-        """Build an instance whose witness is the first relabeling in S_n order sending g0 to g1."""
+        """Build an instance whose witness is the first relabeling in S_n order sending g0 to g1.
+
+        The S_n and the g0 orbit that the search computes become the
+        instance's ``perms`` and the first row of its ``codes``.
+        """
         if g0.n != g1.n:
             raise ValueError(f"size mismatch: {g0.n} vs {g1.n}")
-        orbit, target = orbit_codes(g0), encode(g1)
+        perms, orbit, target = tuple(enumerate_sn(g0.n)), orbit_codes(g0), encode(g1)
         if target not in orbit:
             raise NotIsomorphicError("graphs are not isomorphic")
-        return cls(g0, g1, enumerate_sn(g0.n)[orbit.index(target)])
+        inst = cls(g0, g1, perms[orbit.index(target)])
+        # Filled as the two cached properties would fill them on first read.
+        vars(inst).update(perms=perms, codes=_code_table(orbit, g1))
+        return inst
 
     def graph_for_challenge(self, a: int) -> Graph:
         if a not in (0, 1):
             raise ValueError(f"challenge must be 0 or 1, got {a}")
         return self.g0 if a == 0 else self.g1
+
+
+def _code_table(g0_orbit: list[int], g1: Graph) -> np.ndarray:
+    """The read-only ``Instance.codes`` table from g0's orbit codes and g1."""
+    codes = np.array([g0_orbit, orbit_codes(g1)], dtype=np.int64)
+    codes.setflags(write=False)
+    return codes
 
 
 @dataclass(frozen=True)

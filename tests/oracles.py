@@ -4,6 +4,7 @@ The package keeps states as raw amplitude blocks, operators in factored
 form and verifier views as record-keyed factors, and never builds an
 operator's dense matrix.  The oracles here are the dense forms the tests
 compare against: an operator applied to the identity (:func:`to_matrix`),
+an operator applied by moving its target axes (:func:`moved_apply`),
 row-major index arithmetic, the graph-code decoder and the isomorphism
 search by relabeling that ``protocol.Instance.from_graphs`` is checked
 against, kron embeddings of operators, density operators with their
@@ -143,6 +144,36 @@ def to_matrix(op, layout):
             "apply the factored form instead"
         )
     return op.apply_to(layout, np.eye(total, dtype=complex))
+
+
+def moved_apply(op, layout, amps):
+    """``op.apply_to(layout, amps)`` by moving the target axes, the reference for the no-move forms.
+
+    The targets are moved to the front in layout order and flattened into the
+    rows of a matrix, the operator's local action (a product, a scaling or a
+    scatter by ``image``) is applied to it, and the result is moved back; a
+    chain applies its factors in turn.
+    """
+    if isinstance(op, OpChain):
+        for factor in op.factors:
+            amps = moved_apply(factor, layout, amps)
+        return amps
+
+    def act(flat):
+        if isinstance(op, LinearOp):
+            return op.matrix @ flat
+        if isinstance(op, DiagonalOp):
+            return op.phases[:, None] * flat
+        if isinstance(op, PermutationOp):
+            out = np.empty_like(flat)
+            out[op.image] = flat
+            return out
+        return op._act(flat)
+
+    axes = layout.axes(op.targets)
+    moved = np.moveaxis(amps.reshape(layout.dims + amps.shape[1:]), axes, range(len(axes)))
+    out = act(moved.reshape(math.prod(moved.shape[: len(axes)]), -1))
+    return np.moveaxis(out.reshape(moved.shape), range(len(axes)), axes).reshape(amps.shape)
 
 
 def kron_oracle(op, layout):

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from zkamp import amplify
+from zkamp import amplify, registers
 from zkamp.amplify import (
     RESIDUAL_PANEL,
     NotLambdaUniformError,
@@ -73,6 +73,24 @@ class TestBlockDecompose:
         circ = gmw_circuit(seed)
         b = block_decompose(circ.attempt, circ.success_proj, circ.layout)
         assert abs(b.success_prob - 0.5) < TOL
+
+    @pytest.mark.parametrize("seed", [None, 7])
+    def test_kept_columns_never_move_axes(self, monkeypatch, seed):
+        # Every attempt factor of the n = 3 circuit has a no-move form on the
+        # 768 x 384 kept columns; a fallback here would copy them twice more.
+        inst = Instance.from_graphs(PATH3, PATH3B)
+        if seed is None:
+            circ = build_circuit(inst, honest_verifier((2, 2), 3))
+        else:
+            circ = build_circuit(inst, adversarial_verifier((2, 2), 3, seed, inst.codes[0]))
+        moved = []
+        fallback = registers._on_moved_targets
+        monkeypatch.setattr(
+            registers, "_on_moved_targets", lambda *args: moved.append(args[0]) or fallback(*args)
+        )
+        b = block_decompose(circ.attempt, circ.success_proj, circ.layout)
+        assert abs(b.success_prob - 0.5) < TOL
+        assert moved == []
 
     def test_toy_gives_one_over_m(self):
         circ = toy_circuit(3, seed=2)

@@ -98,6 +98,10 @@ class TestInstance:
         with pytest.raises(ValueError):
             inst.codes[0, 0] = 0
         assert inst.codes is inst.codes
+        # Built directly, an instance computes the same tables on first read.
+        direct = Instance(inst.g0, inst.g1, inst.tau)
+        assert direct.perms == inst.perms and np.array_equal(direct.codes, inst.codes)
+        assert not direct.codes.flags.writeable
 
 
 class TestHonestVerifier:

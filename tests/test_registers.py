@@ -1,12 +1,15 @@
 """Register algebra: indexing, operators, channels, metrics."""
 
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from zkamp import registers
 from zkamp.registers import (
     ATOL_OP,
+    _BATCHED_MIN,
     DiagonalOp,
     HouseholderOp,
     LayoutMismatchError,
@@ -33,6 +36,7 @@ from oracles import (
     kron_oracle,
     measure,
     measurement_probabilities,
+    moved_apply,
     partial_trace,
     project,
     pure_density,
@@ -858,3 +862,102 @@ class TestToMatrix:
         op = DiagonalOp(layout, ("A",), [1.0, -1.0])
         with pytest.raises(MemoryError, match="8194x8194"):
             to_matrix(op, layout)
+
+
+# Target sets at each position of one layout: its first registers, a middle
+# one, its last ones, and two that are not adjacent.
+POSITION_LAYOUT = RegisterLayout([("P", 2), ("Q", 3), ("R", 2), ("S", 4)])
+POSITIONS = {
+    "leading": ("P", "Q"),
+    "middle": ("Q",),
+    "trailing": ("R", "S"),
+    "non-contiguous": ("P", "R"),
+}
+# A single vector, and blocks whose middle-Q products (3 x 8 x width
+# amplitudes) fall below and above the batched-product threshold.
+WIDTHS = {"vector": None, "narrow": 3, "wide": 32}
+
+
+def _each_kind(layout, targets, seed):
+    """One operator of each kind on ``targets``."""
+    rng = np.random.default_rng(seed)
+    side = math.prod(layout.dim_of(name) for name in targets)
+    unitary = LinearOp(layout, targets, haar_random_unitary(side, seed))
+    diagonal = DiagonalOp(layout, targets, np.exp(1j * rng.uniform(0, 2 * np.pi, side)))
+    permutation = PermutationOp(layout, targets, rng.permutation(side))
+    return {
+        "unitary": unitary,
+        "diagonal": diagonal,
+        "projector": DiagonalOp(layout, targets, rng.integers(0, 2, side), kind="projector"),
+        "permutation": permutation,
+        "householder": haar_random_op(layout, targets, seed),
+        "ordered householder": haar_random_op(layout, targets, seed, rng.permutation(side)[:2]),
+        "chain": OpChain((unitary, diagonal, permutation)),
+    }
+
+
+def _count_moves(monkeypatch) -> Counter:
+    """Count, by operator class, the applications that move target axes."""
+    calls: Counter = Counter()
+    moved = registers._on_moved_targets
+
+    def counted(op, *args):
+        calls[type(op).__name__] += 1
+        return moved(op, *args)
+
+    monkeypatch.setattr(registers, "_on_moved_targets", counted)
+    return calls
+
+
+class TestOnTargets:
+    """Every operator kind at every target position, on vectors and on blocks."""
+
+    def test_widths_straddle_the_batched_threshold(self):
+        layout = POSITION_LAYOUT
+        per_column = layout.dim_of("Q") * layout.dim_of("R") * layout.dim_of("S")
+        assert per_column * WIDTHS["narrow"] < _BATCHED_MIN <= per_column * WIDTHS["wide"]
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    @pytest.mark.parametrize("position", POSITIONS)
+    def test_matches_kron_oracle_and_moving_form(self, position, width):
+        layout = POSITION_LAYOUT
+        rng = np.random.default_rng(11)
+        shape = (layout.total_dim,) + (() if WIDTHS[width] is None else (WIDTHS[width],))
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for kind, op in _each_kind(layout, POSITIONS[position], 5).items():
+            for applied in (op, op.adjoint()):
+                out = applied.apply_to(layout, x)
+                assert out.shape == x.shape
+                np.testing.assert_allclose(
+                    out, kron_oracle(applied, layout) @ x, atol=1e-12, err_msg=kind
+                )
+                np.testing.assert_allclose(
+                    out, moved_apply(applied, layout, x), atol=1e-13, err_msg=kind
+                )
+
+    @pytest.mark.parametrize(
+        "position, width, moving",
+        [
+            ("leading", "vector", set()),
+            ("leading", "wide", set()),
+            ("middle", "vector", {"LinearOp", "HouseholderOp"}),
+            ("middle", "narrow", {"LinearOp", "HouseholderOp"}),
+            ("middle", "wide", {"HouseholderOp"}),
+            ("trailing", "vector", {"HouseholderOp"}),
+            # Batch columns trail the layout, so R,S is a middle axis here;
+            # its 8 x 32 amplitudes per product are under the threshold.
+            ("trailing", "wide", {"LinearOp", "HouseholderOp"}),
+            ("non-contiguous", "vector", {"LinearOp", "PermutationOp", "HouseholderOp"}),
+        ],
+    )
+    def test_moves_axes_only_where_no_other_form_is_faster(
+        self, monkeypatch, position, width, moving
+    ):
+        layout = POSITION_LAYOUT
+        shape = (layout.total_dim,) + (() if WIDTHS[width] is None else (WIDTHS[width],))
+        x = np.ones(shape, dtype=complex)
+        ops = _each_kind(layout, POSITIONS[position], 5)
+        calls = _count_moves(monkeypatch)
+        for kind in ("unitary", "diagonal", "projector", "permutation", "householder"):
+            ops[kind].apply_to(layout, x)
+        assert set(calls) == moving

@@ -39,6 +39,7 @@ from oracles import (
     fidelity,
     kron_oracle,
     measure,
+    moved_apply,
     overlap,
     project,
     success_probability,
@@ -524,6 +525,31 @@ class TestSampledFromBornTable:
         sigma = np.sqrt(draws * born * (1 - born))
         assert np.all(np.abs(counts - draws * born) <= 5 * sigma + 1e-9)
         assert np.count_nonzero(born > 1e-12) == (12 if amplified else 24)
+
+
+@pytest.mark.parametrize("name", ["n3", "n3-8x8", "n4-keep-z"])
+def test_benchmark_operators_match_the_moving_form_bit_for_bit(name):
+    # The zk-check circuits of the benchmark, on their amplified state, on
+    # dim_w columns (the half-success block) and, at n = 3, on the d x d/2
+    # kept columns that blocks factors.
+    circ, state = zk_check_states(*SAMPLED_STATES[name])
+    layout, d = circ.layout, circ.layout.total_dim
+    rng = np.random.default_rng(3)
+    blocks = [state] + [
+        rng.standard_normal((d, w)) + 1j * rng.standard_normal((d, w))
+        for w in ([circ.dim_w, d // 2] if name == "n3" else [circ.dim_w])
+    ]
+    ops = (
+        *circ.attempt.factors,
+        circ.success_proj,
+        phase_on_start(layout, 1j),
+        phase_on_success(circ.success_proj, 1j),
+    )
+    for x in blocks:
+        for op in ops:
+            for applied in (op, op.adjoint()):
+                out = applied.apply_to(layout, x)
+                assert np.array_equal(out, moved_apply(applied, layout, x)), (op.targets, x.shape)
 
 
 def rng_with_first_draw(predicate):
