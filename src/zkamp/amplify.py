@@ -81,16 +81,15 @@ def block_decompose(attempt, success_proj: DiagonalOp, layout: RegisterLayout) -
     P is a 0/1 diagonal, so ``attempt^-1 P attempt = K K^†`` for the d x r block
     ``K = attempt^†`` applied to the r basis columns P keeps; each block is one
     product of K's start-slice or complement rows (``rest`` stays as its factor,
-    the complement rows), never a d x d attempt matrix.
+    the complement rows), never a d x d attempt matrix.  The basis columns go
+    straight into the chain, which frees them once its first factor has acted.
     Raises :class:`NotLambdaUniformError` when the top block is not a scalar
     matrix, i.e. when the circuit's success probability varies with the
     auxiliary input and the two-dimensional theory does not apply.
     """
     d, dim_w = layout.total_dim, layout.dim_of("W")
     kept = np.flatnonzero(success_proj.apply_to(layout, np.ones(d, dtype=complex)).real == 1)
-    k = np.zeros((d, kept.size), dtype=complex)
-    k[kept, np.arange(kept.size)] = 1.0
-    k = attempt.adjoint().apply_to(layout, k)
+    k = attempt.adjoint().apply_to(layout, _basis_columns(d, kept))
     on_slice = np.arange(d) % (d // dim_w) == 0
     ks, kc = k[on_slice], k[~on_slice]
     top = ks @ ks.conj().T
@@ -104,6 +103,25 @@ def block_decompose(attempt, success_proj: DiagonalOp, layout: RegisterLayout) -
     return BlockDecomposition(success_prob=lam, cross=kc @ ks.conj().T, rest_factor=kc)
 
 
+def _basis_columns(d: int, rows: np.ndarray) -> np.ndarray:
+    """The d x len(rows) block of the basis vectors at ``rows``."""
+    columns = np.zeros((d, rows.size), dtype=complex)
+    columns[rows, np.arange(rows.size)] = 1.0
+    return columns
+
+
+def _row_panels(rows: int) -> list[slice]:
+    return [slice(start, start + RESIDUAL_PANEL) for start in range(0, rows, RESIDUAL_PANEL)]
+
+
+def _panel_gram(kc: np.ndarray) -> np.ndarray:
+    """``K^† K - I``, summed over ``RESIDUAL_PANEL``-row panels so that no conjugate of K is held."""
+    gram = -np.eye(kc.shape[1], dtype=complex)
+    for panel in _row_panels(len(kc)):
+        gram += kc[panel].conj().T @ kc[panel]
+    return gram
+
+
 def verify_block_identities(b: BlockDecomposition) -> tuple[float, float, float]:
     """Frobenius norms of the three residuals that idempotence of ``attempt^-1 P attempt`` forces.
 
@@ -113,17 +131,19 @@ def verify_block_identities(b: BlockDecomposition) -> tuple[float, float, float]
     certifies its identity at least as strictly as the operator norm would.
     ``rest = K K^†`` enters through its factor only, ``rest cross = K (K^† cross)``; the third
     residual is summed over ``RESIDUAL_PANEL``-row panels, each formed as its adjoint (of the
-    same Frobenius norm) ``cross cross_p^† + K Y_p^†`` with ``Y = K (K^† K - I)``.
+    same Frobenius norm) ``K Y_p^† + cross cross_p^†`` with ``Y_p = K_p G`` and the
+    :func:`_panel_gram` ``G = K^† K - I``, so neither ``K^†`` nor the d_c x r ``Y`` is ever held.
     """
     lam, cross, kc = b.success_prob, b.cross, b.rest_factor
     r1 = (lam**2 - lam) * np.eye(cross.shape[1]) + cross.conj().T @ cross
     r2 = (lam - 1) * cross + kc @ (cross.conj().T @ kc).conj().T
-    y = kc @ (kc.conj().T @ kc - np.eye(kc.shape[1]))
+    gram = _panel_gram(kc)
     r3_sq = 0.0
-    for start in range(0, len(kc), RESIDUAL_PANEL):
-        panel = slice(start, start + RESIDUAL_PANEL)
-        r3 = cross @ cross[panel].conj().T + kc @ y[panel].conj().T
+    for panel in _row_panels(len(kc)):
+        r3 = kc @ (kc[panel] @ gram).conj().T
+        r3 += cross @ cross[panel].conj().T
         r3_sq += np.vdot(r3, r3).real
+        del r3  # so that two d_c x P panels are never held at once
     return float(np.linalg.norm(r1)), float(np.linalg.norm(r2)), float(np.sqrt(r3_sq))
 
 

@@ -41,12 +41,13 @@ MAX_SCHEDULE_STEPS = 16
 # A command holds at most 16 states per column of W and 4 MiB of interpreter objects (1.2 MiB on
 # a first command, with numpy's lazy imports); each step count the phase search tries (one plain 2x2
 # step, the closing phases and their certificate) takes as long as 1e5 dense multiply-adds (2e-5 s;
-# 5e9/s on one BLAS thread).  ``blocks`` holds 3 d x r blocks of kept attempt rows (the kept basis
-# columns, one attempt factor's input and its product; the verifier's factor, whose input is those
-# columns, holds its gathered copy and one panel product) before its stored factor and Y exist; a
-# small block's moved copy and a small scramble's panel products fit in those two.  An adversarial
-# verifier holds its d x s reflectors, and its draw two more d x s arrays for a moment.
-STATE_COPIES, BASE_BYTES, STEP_WORK, KEPT_COPIES, DRAW_COPIES = 16, 2**22, 10**5, 3, 3
+# 5e9/s on one BLAS thread).  ``blocks`` holds 2 d x r blocks of kept attempt rows while it applies
+# the attempt: one factor's input and its product.  The first factor's input is the kept basis
+# columns, which the chain frees once that factor has acted; a Householder factor updates its
+# product in place by column chunks, whose temporaries stay under an eighth of a block, and a small
+# block's moved copy fits in the stored factor's block, which is not yet allocated then.  An
+# adversarial verifier holds its d x s reflectors, and its draw two more d x s arrays for a moment.
+STATE_COPIES, BASE_BYTES, STEP_WORK, KEPT_COPIES, DRAW_COPIES = 16, 2**22, 10**5, 2, 3
 
 
 class ConfigError(Exception):
@@ -211,11 +212,13 @@ def estimate(cfg: RunConfig, n: int | None) -> tuple[int, int, str]:
     side of d counts at ``DRAW_COPIES`` d x s arrays, with s = dim_w times the
     orbit size of the larger orbit among the pair's n-vertex graphs, its start
     columns; an honest verifier counts the same.  ``blocks`` adds
-    ``KEPT_COPIES`` d x r blocks of kept attempt rows, the factor and ``Y``,
-    the r x r core and three residual panels.  The work is ``2 d r^2 + d^2 (r + dim_w)`` per trial of ``blocks``;
-    for ``schedule`` it is ``2 steps + 1`` attempt applications, each one split
-    of B (m d) and the scramble's reflectors (2 side d); and for ``phases`` one
-    search step per step count up to ``amplify.analytic_k``.
+    ``KEPT_COPIES`` d x r blocks of kept attempt rows, the stored factor, the
+    r x r core and two residual panels of ``P (r + d_c)`` each, with P =
+    ``amplify.RESIDUAL_PANEL`` and d_c = d - dim_w.  The work is
+    ``2 d r^2 + d^2 (r + dim_w)`` per trial of ``blocks``; for ``schedule`` it
+    is ``2 steps + 1`` attempt applications, each one split of B (m d) and the
+    scramble's reflectors (2 side d); and for ``phases`` one search step per
+    step count up to ``amplify.analytic_k``.
     """
     if cfg.command == "phases":
         lambdas, k_max = cfg.extras["lambdas"], cfg.extras["k_max"]
@@ -237,8 +240,8 @@ def estimate(cfg: RunConfig, n: int | None) -> tuple[int, int, str]:
     d, work = layout.total_dim, 0
     peak += BASE_BYTES + 16 * STATE_COPIES * cfg.dims[0] * d
     if cfg.command == "blocks":
-        r = d // layout.dim_of("A")
-        peak += 16 * ((KEPT_COPIES + 2) * d * r + r * r + 3 * amplify.RESIDUAL_PANEL * d)
+        r, d_c = d // layout.dim_of("A"), d - cfg.dims[0]
+        peak += 16 * ((KEPT_COPIES + 1) * d * r + r * r + 2 * amplify.RESIDUAL_PANEL * (r + d_c))
         held.append(f"{d}x{r} kept attempt rows factoring the {d}x{d} conjugated projector")
         work = cfg.trials * (2 * d * r * r + d * d * (r + cfg.dims[0]))
     elif cfg.command == "schedule":

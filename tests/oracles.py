@@ -117,14 +117,16 @@ def local_matrix(op):
         mat[op.image, np.arange(side)] = 1.0
         return mat
     if isinstance(op, HouseholderOp):
-        # Π† Q D Π, with Q a dense product of the panel matrices I - V T V†,
-        # D the k phases padded with ones, and Π the permutation matrix of the order.
-        side, (k, width) = len(op.reflectors), op.tfactors.shape
+        # Π† Q D Π, with Q a dense product of the panel matrices I - V T V†
+        # of the drawn reflectors, D the k phases padded with ones, and Π the
+        # permutation matrix of the order.
+        drawn = drawn_reflectors(op)
+        side, (k, width) = len(drawn), op.tfactors.shape
         q = np.eye(side, dtype=complex)
         for s in range(0, k, max(width, 1)):
             e = min(s + width, k)
             v = np.zeros((side, e - s), dtype=complex)
-            v[s:] = op.reflectors[s:, s:e]
+            v[s:] = drawn[s:, s:e]
             q = q @ (np.eye(side) - v @ op.tfactors[s:e, : e - s] @ v.conj().T)
         mat = q * np.concatenate([op.phases, np.ones(side - k)])
         if op.order is not None:
@@ -133,6 +135,40 @@ def local_matrix(op):
             mat = perm.T @ mat @ perm
         return mat.conj().T if op.inverse else mat
     raise TypeError(f"no local matrix for {type(op).__name__}")
+
+
+def drawn_reflectors(op):
+    """A ``HouseholderOp``'s reflectors as drawn: its stored rows taken back by the order."""
+    return op.reflectors if op.order is None else op.reflectors[op.order]
+
+
+def householder_gather_act(op, flat):
+    """``op._act(flat)`` by gathering the rows, applying the drawn panels and scattering back.
+
+    The reference for the stored form, which applies the placed panels in
+    place: ``Π x`` is ``x[order]``, one gather, each panel acts on the
+    trapezoid rows ``s:`` of the drawn reflectors, and ``Π†`` is a scatter.
+    """
+    drawn, k = drawn_reflectors(op), op.columns
+    out = flat.copy() if op.order is None else flat[op.order]
+    width = max(op.tfactors.shape[1], 1)
+    panels = [
+        (s, drawn[s:, s : s + width], op.tfactors[s : s + width, : min(width, k - s)])
+        for s in range(0, k, width)
+    ]
+    if op.inverse:
+        for s, v, t in panels:
+            out[s:] -= v @ (t.conj().T @ (v.conj().T @ out[s:]))
+        out[:k] *= op.phases.conj()[:, None]
+    else:
+        out[:k] *= op.phases[:, None]
+        for s, v, t in reversed(panels):
+            out[s:] -= v @ (t @ (v.conj().T @ out[s:]))
+    if op.order is None:
+        return out
+    scattered = np.empty_like(out)
+    scattered[op.order] = out
+    return scattered
 
 
 def to_matrix(op, layout):

@@ -1,6 +1,8 @@
 """Block identities, invariant subspace, phase solving, and the schedule."""
 
 import dataclasses
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,6 +115,56 @@ class TestBlockDecompose:
         skewed = DiagonalOp(layout, ("W", "A", "B"), mask, kind="projector")
         with pytest.raises(NotLambdaUniformError):
             block_decompose(circ.attempt, skewed, layout)
+
+
+class TestBlocksMemory:
+    """Traced allocations of the blocks certificate, in d x r blocks of kept attempt rows."""
+
+    @staticmethod
+    def gmw_n3():
+        """The circuit of ``blocks --n 3``: its verifier is drawn on g0's start columns."""
+        inst = Instance.from_graphs(PATH3, PATH3B)
+        return build_circuit(inst, adversarial_verifier((2, 2), 3, 7, inst.codes[0]))
+
+    CIRCUITS = {"gmw-n3": gmw_n3, "toy-m8": lambda: toy_circuit(8, seed=7)}
+
+    @staticmethod
+    def traced_peak(call):
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize(
+        "name, shape", [("gmw-n3", (64, 4608)), ("toy-m8", (32, 256))], ids=["gmw-n3", "toy-m8"]
+    )
+    def test_householder_factor_allocates_one_block_and_its_chunks(self, name, shape, adjoint):
+        # The verifier of blocks --n 3 sees the 768 x 384 kept columns as a
+        # (64, 4608) block and the --m 8 scramble the 256 x 32 ones as (32, 256).
+        # It updates one copy in place, one column chunk at a time.
+        circ = self.CIRCUITS[name]()
+        layout, op = circ.layout, circ.attempt.factors[-1]
+        op = op.adjoint() if adjoint else op
+        kept = np.flatnonzero(circ.success_proj.apply_to(layout, np.ones(layout.total_dim)).real == 1)
+        columns = amplify._basis_columns(layout.total_dim, kept)
+        side = math.prod(layout.dim_of(reg) for reg in op.targets)
+        assert (side, columns.size // side) == shape
+        peak = self.traced_peak(lambda: op.apply_to(layout, columns))
+        assert peak <= 1.15 * columns.nbytes
+
+    def test_identities_hold_no_copy_of_the_factor(self):
+        # With the stored factor, the identities stay within the estimate's
+        # term for them; a d_c x r conjugate of K or Y = K (K^† K - I) would not fit.
+        circ = self.gmw_n3()
+        b = block_decompose(circ.attempt, circ.success_proj, circ.layout)
+        (d_c, r), panel = b.rest_factor.shape, RESIDUAL_PANEL
+        peak = self.traced_peak(lambda: verify_block_identities(b))
+        held = b.rest_factor.nbytes + b.cross.nbytes + peak
+        assert held <= 16 * (d_c * r + r * r + 2 * panel * (r + d_c))
 
 
 class TestBlockIdentities:
@@ -228,13 +280,16 @@ class TestBlockIdentityNorms:
     def test_panels_sum_to_the_whole_residual(self, name):
         # gmw-n3's factor has 766 rows, ending in a partial panel; toy-m3's 34
         # rows are fewer than one panel.  The whole is the adjoint of the
-        # third residual, cross cross^† + K Y^†, assembled in one product.
+        # third residual, cross cross^† + K Y^† with Y = K G, assembled in one
+        # product from the same panel-summed G, which is K^† K - I.
         circ = self.CIRCUITS[name]()
         b = block_decompose(circ.attempt, circ.success_proj, circ.layout)
         kc = b.rest_factor
         assert kc.shape[0] % RESIDUAL_PANEL != 0
-        y = kc @ (kc.conj().T @ kc - np.eye(kc.shape[1]))
-        whole = np.linalg.norm(b.cross @ b.cross.conj().T + kc @ y.conj().T)
+        gram = amplify._panel_gram(kc)
+        one_shot = kc.conj().T @ kc - np.eye(kc.shape[1])
+        np.testing.assert_allclose(gram, one_shot, rtol=0, atol=1e-14)
+        whole = np.linalg.norm(b.cross @ b.cross.conj().T + kc @ (kc @ gram).conj().T)
         assert abs(verify_block_identities(b)[2] - whole) <= 1e-15 * whole
 
     def perturbed_rest_r3(self, index):

@@ -387,20 +387,21 @@ def test_blocks_never_builds_the_dense_attempt_matrix(capsys):
 @pytest.mark.parametrize(
     "argv, spare",
     [
-        (["blocks", *N3], 0.25),
-        (["blocks", "--n", "2", "--g0", "01", "--g1", "01"], 2),
-        (["blocks", "--m", "8"], 2),
-        (["blocks", "--m", "30"], 2),
+        (["blocks", *N3], 0.125),
+        (["blocks", "--n", "2", "--g0", "01", "--g1", "01"], 1.2),
+        (["blocks", "--m", "8"], 1.1),
+        (["blocks", "--m", "30"], 0.125),
     ],
 )
 def test_kept_copies_bound_the_traced_decomposition(argv, spare):
     # cli.KEPT_COPIES counts the d x r blocks of kept attempt rows that
     # block_decompose holds at once where every factor has a no-move form:
-    # the basis columns, and one factor's input and product (the verifier's
-    # factor: its gathered copy and a panel product).  The estimate counts
-    # two more blocks for the factor and Y, which are not yet allocated
-    # then; a small block's moved copy (n = 2) and a toy scramble's panel
-    # products, 64/side of a block each, fit in them.
+    # one factor's input and its product, the verifier's or scramble's
+    # updated in place by column chunks (traced: 2.09 blocks at n = 3 and
+    # 2.07 at m = 30).  The estimate counts one more block for the stored
+    # factor, which is not yet allocated then; a small block's moved copies
+    # fit in it (3.16 blocks at n = 2, and 3.03 at m = 8, where the B split
+    # of 8 x 32 amplitudes per product moves its axes).
     cfg = cli.config_from_args(build_parser().parse_args([*argv, "--seed", "7"]))
     if cfg.m is None:
         (_, _, circ), = cli._trials(cfg, cli.build_instance(cfg))
@@ -419,7 +420,7 @@ def test_kept_copies_bound_the_traced_decomposition(argv, spare):
 
 def test_blocks_holds_the_rest_block_as_its_factor(capsys):
     # d = 3600, r = 120: a dense 3600x3600 rest block alone would be 198 MiB;
-    # the factor, Y and the residual panels trace 35.
+    # the whole command, with the factor and the residual panels, traces 22.
     argv = ["blocks", "--m", "30", "--seed", "7"]
     estimated, _, _ = cli.estimate(cli.config_from_args(build_parser().parse_args(argv)), None)
     tracemalloc.start()

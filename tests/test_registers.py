@@ -30,9 +30,11 @@ from oracles import (
     apply,
     basis_state,
     dephase,
+    drawn_reflectors,
     embed_matrix,
     flatten,
     haar_random_unitary,
+    householder_gather_act,
     kron_oracle,
     measure,
     measurement_probabilities,
@@ -561,8 +563,10 @@ class TestValidateOnce:
 
 
 def _grams(op):
-    """Each panel's ``V† V``."""
-    return [v.conj().T @ v for _, v, _ in op._panels()]
+    """Each panel's ``V† V`` on its drawn rows ``s:``, as ``_validate`` forms it."""
+    drawn, width = drawn_reflectors(op), op.tfactors.shape[1]
+    panels = (drawn[s:, s : s + width] for s in range(0, op.columns, width))
+    return [v.conj().T @ v for v in panels]
 
 
 class TestHouseholderOp:
@@ -645,6 +649,22 @@ class TestHouseholderOp:
             op.tfactors, compact_wy_factors(op.reflectors, op.tau), rtol=0, atol=1e-13
         )
         assert op._deviation_bound(_grams(op)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "side, inputs, post",
+        [(96, None, 1), (96, None, 200), (15, [7, 2, 11], 40), (130, range(129, 59, -1), 300)],
+        ids=["full-vector", "full-chunked", "narrow", "narrow-two-panels"],
+    )
+    def test_in_place_chunks_match_the_gather_scatter_reference(self, side, inputs, post):
+        # 96 and 130 rows hold two panels; 200 and 300 columns run in chunks.
+        layout = RegisterLayout([("A", side)])
+        op = haar_random_op(layout, ("A",), side, None if inputs is None else list(inputs))
+        rng = np.random.default_rng(post)
+        x = rng.standard_normal((side, post)) + 1j * rng.standard_normal((side, post))
+        for variant in (op, op.adjoint()):
+            np.testing.assert_allclose(
+                variant._act(x), householder_gather_act(variant, x), rtol=0, atol=1e-14
+            )
 
     def test_zero_tau_is_an_identity_reflector(self):
         layout = RegisterLayout([("A", 4)])
@@ -753,6 +773,16 @@ class TestNarrowHouseholderOp:
         np.testing.assert_allclose(to_matrix(op.adjoint(), layout), u.conj().T, atol=1e-12)
         np.testing.assert_allclose(u.conj().T @ u, np.eye(15), atol=1e-12)
 
+    @pytest.mark.parametrize("inputs", [[0], [7, 2, 11], list(range(15))[::-1]])
+    def test_holds_one_copy_of_the_drawn_rows_placed_by_the_order(self, inputs):
+        layout = RegisterLayout([("A", 3), ("B", 5)])
+        op = haar_random_op(layout, ("B", "A"), 6, inputs)
+        reflectors, _, _ = _draw_before_inputs(layout, ("B", "A"), 6)
+        np.testing.assert_array_equal(op.reflectors[op.order], reflectors[:, : len(inputs)])
+        assert op.reflectors.flags.c_contiguous and op.reflectors.flags.owndata
+        arrays = {name for name, value in vars(op).items() if isinstance(value, np.ndarray)}
+        assert arrays == {"reflectors", "tau", "phases", "order", "tfactors"}
+
     @pytest.mark.parametrize("k", [1, 3, 40, 70])
     def test_fixes_a_subspace_of_dimension_at_least_d_minus_2k(self, k):
         side = 160
@@ -795,7 +825,7 @@ class TestNarrowHouseholderOp:
         op = haar_random_op(layout, ("A",), 2, [4, 1])
         for order in ([4, 1, 0, 2, 3, 3], [4, 1, 0, 2, 3, 6], [4, 1, 0, 2, -1, 5], [4, 1, 0, 2, 3]):
             with pytest.raises(ValueError, match="row order"):
-                HouseholderOp(layout, ("A",), op.reflectors, op.tau, op.phases, order)
+                HouseholderOp(layout, ("A",), drawn_reflectors(op), op.tau, op.phases, order)
         with pytest.raises(ValueError, match="row order"):
             haar_random_op(layout, ("A",), 2, [4, 4])
 
@@ -809,12 +839,13 @@ class TestNarrowHouseholderOp:
     def test_rejects_mismatched_shapes(self):
         layout = RegisterLayout([("A", 6)])
         op = haar_random_op(layout, ("A",), 2, [4, 1, 0])
+        drawn = drawn_reflectors(op)
         for reflectors, tau, phases in (
-            (op.reflectors, op.tau[:2], op.phases),
-            (op.reflectors, op.tau, op.phases[:2]),
-            (op.reflectors[:, :2], op.tau, op.phases),
-            (op.reflectors[:5], op.tau, op.phases),
-            (op.reflectors, op.tau[:, None], op.phases),
+            (drawn, op.tau[:2], op.phases),
+            (drawn, op.tau, op.phases[:2]),
+            (drawn[:, :2], op.tau, op.phases),
+            (drawn[:5], op.tau, op.phases),
+            (drawn, op.tau[:, None], op.phases),
         ):
             with pytest.raises(ValueError, match="shapes"):
                 HouseholderOp(layout, ("A",), reflectors, tau, phases, op.order)
@@ -822,14 +853,17 @@ class TestNarrowHouseholderOp:
     def test_bound_gates_the_phases_it_applies(self):
         layout = RegisterLayout([("A", 8)])
         op = haar_random_op(layout, ("A",), 3, [5, 2])
+        drawn = drawn_reflectors(op)
+        rebuilt = HouseholderOp(layout, ("A",), drawn, op.tau, op.phases, op.order)
+        np.testing.assert_array_equal(rebuilt.reflectors, op.reflectors)
         phases = op.phases.copy()
         phases[1] *= 1 + 1e-8
         with pytest.raises(ValueError, match="not unitary"):
-            HouseholderOp(layout, ("A",), op.reflectors, op.tau, phases, op.order)
+            HouseholderOp(layout, ("A",), drawn, op.tau, phases, op.order)
         tau = op.tau.copy()
         tau[0] += 1e-8
         with pytest.raises(ValueError, match="not unitary"):
-            HouseholderOp(layout, ("A",), op.reflectors, tau, op.phases, op.order)
+            HouseholderOp(layout, ("A",), drawn, tau, op.phases, op.order)
 
 
 class TestToMatrix:
