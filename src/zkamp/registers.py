@@ -5,16 +5,16 @@ state vectors, unitaries and 0/1 diagonal projectors acting on register
 subsets, and trace distance.  Flattening is row major with the first register
 most significant, and that convention is the single source of truth for every
 index computation in the package: every operator acts through
-``_on_targets``, on one vector or a block of them.  It applies an operator on
-its targets' own axes, choosing the form from the array's shape alone: a
-diagonal broadcasts its phases over the layout's shape; contiguous targets
-are a (pre, side, post) view, where a permutation is one gather, leading
-targets one product, trailing ones a right product and wide middle ones a
-batched product.  The form that moves the target axes to the front and back
-serves only the narrow middle products it is faster for (a single state under
-a 2x2 split) and the target sets no other form covers, which only the tests
-build.  An operator's dense matrix and a collapsing measurement are built
-only by the tests, as their oracles.
+``_on_targets``, on one vector or a block of them.  A diagonal broadcasts its
+phases over the layout's shape, so it alone may act on registers that are
+apart.  Every other operator needs adjacent targets, and applies itself
+(``_act``) to the (pre, side, post) view they make, which copies nothing: a
+permutation is one gather on the middle axis, a Householder operator updates
+one copy in place, and a dense unitary is a right product on trailing
+targets, a product on leading ones and a batched product on wide middle
+ones.  Only a narrow middle dense product (a single state under a 2x2 split)
+moves its axes, where that is faster.  An operator's dense matrix and a
+collapsing measurement are built only by the tests, as their oracles.
 
 A Haar-random unitary is kept as Householder panels by :func:`haar_random_op`
 (:class:`HouseholderOp`).  Its reflectors are drawn directly, each from its
@@ -177,6 +177,53 @@ def _trusted_variant(op, **data):
     return out
 
 
+def _on_targets(op, layout: RegisterLayout, amps: np.ndarray) -> np.ndarray:
+    """``op`` on raw amplitudes, on its targets' own axes: every ``apply_to`` but a chain's.
+
+    ``amps`` is one amplitude vector, or a block of them with the layout index
+    first and any trailing batch axes; ``layout`` must give every target of
+    ``op`` its dimension.  A :class:`DiagonalOp` multiplies by its phases
+    broadcast over the layout's shape, so its targets may be apart, as the
+    (A, B) success projector's are.  Any other operator needs targets that
+    are adjacent in ``layout``, and gets them as the middle axis of a
+    (pre, side, post) view, which copies nothing, from its own ``_act``.
+    """
+    for name in op.targets:
+        try:
+            dim = layout.dim_of(name)
+        except KeyError:
+            raise LayoutMismatchError(
+                f"operator targets {op.targets} but layout has {layout.names}"
+            ) from None
+        if dim != op.layout.dim_of(name):
+            raise LayoutMismatchError(
+                f"register {name!r} has dim {dim} in the state layout "
+                f"but {op.layout.dim_of(name)} in the operator layout"
+            )
+    axes = layout.axes(op.targets)
+    shape = layout.dims + amps.shape[1:]
+    if isinstance(op, DiagonalOp):
+        spread = [dim if axis in axes else 1 for axis, dim in enumerate(shape)]
+        return (amps.reshape(shape) * op.phases.reshape(spread)).reshape(amps.shape)
+    first, last = axes[0], axes[-1] + 1
+    if last - first != len(axes):
+        raise LayoutMismatchError(
+            f"operator targets {op.targets} are not adjacent in layout {layout.names}; "
+            "only a diagonal acts on registers that are apart"
+        )
+    pre, side = math.prod(shape[:first]), math.prod(shape[first:last])
+    return op._act(amps.reshape(pre, side, -1)).reshape(amps.shape)
+
+
+# A LinearOp on middle targets is one batched product over the leading
+# registers when each product covers at least this many amplitudes (its side
+# times the trailing size); below it the per-product call costs more than
+# moving the axes.  On one BLAS thread, (pre, side, post) = (1024, 2, 6) runs
+# 5 to 7 times slower batched and (64, 2, 2304) 4 times faster; on arrays
+# that fit in cache the two forms cross between 256 and 512 amplitudes.
+_BATCHED_MIN = 512
+
+
 @dataclass(frozen=True)
 class LinearOp:
     """Dense unitary on a subset of registers.
@@ -207,11 +254,24 @@ class LinearOp:
     def adjoint(self) -> "LinearOp":
         return _trusted_variant(self, matrix=self.matrix.conj().T)
 
-    def apply_to(self, layout: RegisterLayout, amps: np.ndarray) -> np.ndarray:
-        return _on_targets(self, layout, amps)
+    apply_to = _on_targets
 
-    def _act(self, flat: np.ndarray) -> np.ndarray:
-        return self.matrix @ flat
+    def _act(self, x: np.ndarray) -> np.ndarray:
+        """``M`` on the middle axis of a (pre, side, post) view.
+
+        Leading targets (pre = 1) are one product and trailing ones
+        (post = 1) the right product ``x @ M^T``.  Middle targets are one
+        batched product from ``_BATCHED_MIN`` amplitudes per product, and
+        below it one product on the view with the middle axis moved to the
+        front, the only form that moves axes.
+        """
+        pre, side, post = x.shape
+        if post == 1 and pre > 1:
+            return x[:, :, 0] @ self.matrix.T
+        if pre == 1 or side * post >= _BATCHED_MIN:
+            return np.matmul(self.matrix, x)
+        out = self.matrix @ np.moveaxis(x, 1, 0).reshape(side, -1)
+        return np.moveaxis(out.reshape(side, pre, post), 0, 1)
 
 
 @dataclass(frozen=True)
@@ -245,8 +305,7 @@ class DiagonalOp:
     def adjoint(self) -> "DiagonalOp":
         return _trusted_variant(self, phases=self.phases.conj())
 
-    def apply_to(self, layout: RegisterLayout, amps: np.ndarray) -> np.ndarray:
-        return _on_targets(self, layout, amps)
+    apply_to = _on_targets
 
 
 def _check_permutation(image: np.ndarray, side: int, what: str) -> None:
@@ -288,11 +347,10 @@ class PermutationOp:
     def adjoint(self) -> "PermutationOp":
         return _trusted_variant(self, image=self.inverse, inverse=self.image)
 
-    def apply_to(self, layout: RegisterLayout, amps: np.ndarray) -> np.ndarray:
-        return _on_targets(self, layout, amps)
+    apply_to = _on_targets
 
-    def _act(self, flat: np.ndarray) -> np.ndarray:
-        return flat[self.inverse]
+    def _act(self, x: np.ndarray) -> np.ndarray:
+        return np.take(x, self.inverse, axis=1)
 
 
 # Columns per compact-WY panel of a Householder operator.
@@ -324,9 +382,12 @@ class HouseholderOp:
     and Van Loan) of ``_PANEL_WIDTH`` columns: panel columns ``s:e`` use
     ``V = reflectors[:, s:e]`` (rows ``s:`` only without an order, where the
     rows above are zero) and the upper triangular ``T = tfactors[s:e, :e - s]``.
-    A block is updated in place, one column chunk at a time, by the phases
-    and each panel ``x -= V (T (V† x))``, which costs about ``2 d k``
-    multiply-adds per vector; neither Q nor ``U† U`` is ever formed.
+    ``_act`` copies a (pre, d, post) view once and updates the copy in place,
+    one chunk of post columns at a time, by the phases and each panel
+    ``x -= V (T (V† x))`` on the middle axis, with every product broadcast
+    over pre, so the targets may sit at any adjacent position.  That costs
+    about ``2 d k`` multiply-adds per vector; neither Q nor ``U† U`` is ever
+    formed.
     """
 
     layout: RegisterLayout
@@ -426,12 +487,11 @@ class HouseholderOp:
     def adjoint(self) -> "HouseholderOp":
         return _trusted_variant(self, inverse=not self.inverse)
 
-    def apply_to(self, layout: RegisterLayout, amps: np.ndarray) -> np.ndarray:
-        return _on_targets(self, layout, amps)
+    apply_to = _on_targets
 
-    def _act(self, flat: np.ndarray) -> np.ndarray:
-        out = flat.copy()
-        side, post = out.shape
+    def _act(self, x: np.ndarray) -> np.ndarray:
+        out = x.copy()
+        _, side, post = out.shape
         heads = slice(self.columns) if self.order is None else self.order[: self.columns]
         phases = (self.phases.conj() if self.inverse else self.phases)[:, None]
         panels = list(self._panels())
@@ -439,13 +499,13 @@ class HouseholderOp:
             panels.reverse()
         width = max(-(-post // _CHUNKS), side // 4, 1)
         for start in range(0, post, width):
-            x = out[:, start : start + width]
+            chunk = out[:, :, start : start + width]
             if not self.inverse:
-                x[heads] *= phases
+                chunk[:, heads] *= phases
             for rows, v, t in panels:
-                x[rows] -= v @ _t_times(t, _adjoint_times(v, x[rows]), self.inverse)
+                chunk[:, rows] -= v @ _t_times(t, _adjoint_times(v, chunk[:, rows]), self.inverse)
             if self.inverse:
-                x[heads] *= phases
+                chunk[:, heads] *= phases
         return out
 
 
@@ -459,7 +519,7 @@ def _t_times(t: np.ndarray, w: np.ndarray, adjoint: bool) -> np.ndarray:
 
 def _adjoint_times(v: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``v† x``, conjugating the narrower of the two: ``conj(v^T conj(x))`` is the same sum."""
-    if x.shape[1] < v.shape[1]:
+    if x.shape[-1] < v.shape[1]:
         product = v.T @ x.conj()
         return np.conjugate(product, out=product)
     return v.conj().T @ x
@@ -507,78 +567,6 @@ class OpChain:
         for op in self.factors:
             amps = op.apply_to(layout, amps)
         return amps
-
-
-# A LinearOp on middle targets is one batched product over the leading
-# registers when each product covers at least this many amplitudes (its side
-# times the trailing size); below it the per-product call costs more than
-# moving the axes.  On one BLAS thread, (pre, side, post) = (1024, 2, 6) runs
-# 5 to 7 times slower batched and (64, 2, 2304) 4 times faster; on arrays
-# that fit in cache the two forms cross between 256 and 512 amplitudes.
-_BATCHED_MIN = 512
-
-
-def _on_targets(op, layout: RegisterLayout, amps: np.ndarray) -> np.ndarray:
-    """``op`` applied to raw amplitudes on its targets' own axes, without moving them.
-
-    ``amps`` is one amplitude vector, or a block of them with the layout index
-    first and any trailing batch axes; ``layout`` must give every target of
-    ``op`` its dimension.  A :class:`DiagonalOp` multiplies by its phases
-    broadcast over the layout's shape.  Contiguous targets are read as a
-    (pre, side, post) view, which copies nothing: a :class:`PermutationOp`
-    is one gather on the middle axis, leading targets (pre = 1) are the
-    (side, post) matrix of ``op._act``, and a :class:`LinearOp` is the right
-    product ``x @ M^T`` on trailing targets (post = 1) or, from
-    ``_BATCHED_MIN`` amplitudes per product, one batched product.  Any other
-    shape or target set goes through :func:`_on_moved_targets`.
-    """
-    for name in op.targets:
-        try:
-            dim = layout.dim_of(name)
-        except KeyError:
-            raise LayoutMismatchError(
-                f"operator targets {op.targets} but layout has {layout.names}"
-            ) from None
-        if dim != op.layout.dim_of(name):
-            raise LayoutMismatchError(
-                f"register {name!r} has dim {dim} in the state layout "
-                f"but {op.layout.dim_of(name)} in the operator layout"
-            )
-    axes = layout.axes(op.targets)
-    shape = layout.dims + amps.shape[1:]
-    if isinstance(op, DiagonalOp):
-        spread = [dim if axis in axes else 1 for axis, dim in enumerate(shape)]
-        return (amps.reshape(shape) * op.phases.reshape(spread)).reshape(amps.shape)
-    first, last = axes[0], axes[-1] + 1
-    if last - first == len(axes):
-        pre, side = math.prod(shape[:first]), math.prod(shape[first:last])
-        x = amps.reshape(pre, side, -1)
-        post = x.shape[2]
-        if isinstance(op, PermutationOp):
-            return np.take(x, op.inverse, axis=1).reshape(amps.shape)
-        if pre == 1:
-            return op._act(x[0]).reshape(amps.shape)
-        if isinstance(op, LinearOp) and post == 1:
-            return (x[:, :, 0] @ op.matrix.T).reshape(amps.shape)
-        if isinstance(op, LinearOp) and side * post >= _BATCHED_MIN:
-            return np.matmul(op.matrix, x).reshape(amps.shape)
-        return _on_moved_targets(op, amps, x.shape, (1,))
-    return _on_moved_targets(op, amps, shape, axes)
-
-
-def _on_moved_targets(op, amps: np.ndarray, shape, axes) -> np.ndarray:
-    """``op._act`` on ``amps`` viewed in ``shape``, its target ``axes`` moved to the front.
-
-    The moved axes are flattened into the rows of one matrix, and the result
-    is moved back: two copies of ``amps`` more than the no-move forms.  It
-    serves a small middle :class:`LinearOp`, where it is faster, on the
-    (pre, side, post) view, and the targets no no-move form covers (a
-    :class:`HouseholderOp` off the front, and non-contiguous targets that are
-    not diagonal), which only the tests reach, on the layout's shape.
-    """
-    moved = np.moveaxis(amps.reshape(shape), axes, range(len(axes)))
-    out = op._act(moved.reshape(math.prod(moved.shape[: len(axes)]), -1))
-    return np.moveaxis(out.reshape(moved.shape), range(len(axes)), axes).reshape(amps.shape)
 
 
 def dense_bytes(side: int) -> int:

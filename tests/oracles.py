@@ -186,9 +186,11 @@ def moved_apply(op, layout, amps):
     """``op.apply_to(layout, amps)`` by moving the target axes, the reference for the no-move forms.
 
     The targets are moved to the front in layout order and flattened into the
-    rows of a matrix, the operator's local action (a product, a scaling or a
-    scatter by ``image``) is applied to it, and the result is moved back; a
-    chain applies its factors in turn.
+    rows of a matrix, the operator's local action (a product, a scaling, a
+    scatter by ``image``, or a Householder operator's ``_act`` on the matrix
+    as a view with pre = 1) is applied to it, and the result is moved back;
+    a chain applies its factors in turn.  Unlike ``apply_to``, it takes
+    targets that are apart for every kind.
     """
     if isinstance(op, OpChain):
         for factor in op.factors:
@@ -204,7 +206,7 @@ def moved_apply(op, layout, amps):
             out = np.empty_like(flat)
             out[op.image] = flat
             return out
-        return op._act(flat)
+        return op._act(flat[None])[0]
 
     axes = layout.axes(op.targets)
     moved = np.moveaxis(amps.reshape(layout.dims + amps.shape[1:]), axes, range(len(axes)))

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from zkamp import amplify, registers
+from zkamp import amplify
 from zkamp.amplify import (
     RESIDUAL_PANEL,
     NotLambdaUniformError,
@@ -78,18 +78,17 @@ class TestBlockDecompose:
 
     @pytest.mark.parametrize("seed", [None, 7])
     def test_kept_columns_never_move_axes(self, monkeypatch, seed):
-        # Every attempt factor of the n = 3 circuit has a no-move form on the
-        # 768 x 384 kept columns; a fallback here would copy them twice more.
+        # Every attempt factor of the n = 3 circuit applies to the 768 x 384
+        # kept columns without moving an axis; a moved product would copy them
+        # twice more.
         inst = Instance.from_graphs(PATH3, PATH3B)
         if seed is None:
             circ = build_circuit(inst, honest_verifier((2, 2), 3))
         else:
             circ = build_circuit(inst, adversarial_verifier((2, 2), 3, seed, inst.codes[0]))
         moved = []
-        fallback = registers._on_moved_targets
-        monkeypatch.setattr(
-            registers, "_on_moved_targets", lambda *args: moved.append(args[0]) or fallback(*args)
-        )
+        moveaxis = np.moveaxis
+        monkeypatch.setattr(np, "moveaxis", lambda *args: moved.append(args[1:]) or moveaxis(*args))
         b = block_decompose(circ.attempt, circ.success_proj, circ.layout)
         assert abs(b.success_prob - 0.5) < TOL
         assert moved == []

@@ -6,7 +6,6 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from zkamp import registers
 from zkamp.registers import (
     ATOL_OP,
     _BATCHED_MIN,
@@ -147,7 +146,7 @@ class TestApply:
     def test_unitary_preserves_norm(self):
         layout = RegisterLayout([("A", 2), ("B", 3), ("C", 2)])
         for seed in range(5):
-            op = LinearOp(layout, ("A", "C"), haar_random_unitary(4, seed))
+            op = LinearOp(layout, ("C", "B"), haar_random_unitary(6, seed))
             s = StateVector(layout, random_state(12, seed + 50))
             assert abs(np.linalg.norm(apply(op, s).amps) - 1) < 1e-12
 
@@ -392,13 +391,16 @@ class TestStructuredOps:
         np.testing.assert_allclose(embed_matrix(layout, ("B",), u), expected, atol=1e-14)
 
     def test_embed_matrix_non_adjacent_targets(self):
+        # <a' b' c'| E |a b c> = u[(a', c'), (a, c)] when b' = b, else 0.
         layout = RegisterLayout([("A", 2), ("B", 3), ("C", 2)])
         u = haar_random_unitary(4, 6)
-        op = LinearOp(layout, ("A", "C"), u)
+        expected = np.einsum("ikjl,bd->ibkjdl", u.reshape(2, 2, 2, 2), np.eye(3)).reshape(12, 12)
         dense = embed_matrix(layout, ("A", "C"), u)
-        s = StateVector(layout, random_state(12, 20))
-        np.testing.assert_allclose(dense @ s.amps, apply(op, s).amps, atol=1e-12)
-        np.testing.assert_allclose(to_matrix(op, layout), dense, atol=1e-12)
+        np.testing.assert_allclose(dense, expected, atol=1e-14)
+        op = LinearOp(layout, ("A", "C"), u)
+        np.testing.assert_allclose(kron_oracle(op, layout), expected, atol=1e-14)
+        s = random_state(12, 20)
+        np.testing.assert_allclose(moved_apply(op, layout, s), expected @ s, atol=1e-12)
 
 
 class TestValidation:
@@ -453,21 +455,29 @@ def _count_validations(monkeypatch) -> Counter:
 
 
 def _random_ops(seed):
-    """A random layout with one operator of each kind on random target subsets."""
+    """A random layout with one operator of each kind on random targets, given in random order.
+
+    Diagonals take any subset; every other kind an adjacent run of registers.
+    """
     rng = np.random.default_rng(seed)
     names = ["A", "B", "C", "D"][: rng.integers(2, 5)]
     layout = RegisterLayout([(name, int(rng.integers(1, 5))) for name in names])
 
-    def pick():
-        chosen = rng.choice(names, size=rng.integers(1, len(names) + 1), replace=False)
+    def pick(apart=False):
+        size = int(rng.integers(1, len(names) + 1))
+        if apart:
+            chosen = rng.choice(names, size=size, replace=False)
+        else:
+            start = int(rng.integers(0, len(names) - size + 1))
+            chosen = rng.permutation(names[start : start + size])
         targets = tuple(str(name) for name in chosen)
         return targets, int(np.prod([layout.dim_of(name) for name in targets]))
 
     targets, side = pick()
     unitary = LinearOp(layout, targets, haar_random_unitary(side, seed))
-    targets, side = pick()
+    targets, side = pick(apart=True)
     projector = DiagonalOp(layout, targets, rng.integers(0, 2, side), kind="projector")
-    targets, side = pick()
+    targets, side = pick(apart=True)
     diagonal = DiagonalOp(layout, targets, np.exp(1j * rng.uniform(0, 2 * np.pi, side)))
     targets, side = pick()
     permutation = PermutationOp(layout, targets, rng.permutation(side))
@@ -635,8 +645,8 @@ class TestHouseholderOp:
 
     def test_targets_index_in_layout_order(self):
         layout = RegisterLayout([("A", 3), ("B", 2), ("C", 5)])
-        op = haar_random_op(layout, ("C", "A"), seed=4)
-        dense = LinearOp(layout, ("A", "C"), haar_random_unitary(15, seed=4))
+        op = haar_random_op(layout, ("C", "B"), seed=4)
+        dense = LinearOp(layout, ("B", "C"), haar_random_unitary(10, seed=4))
         np.testing.assert_allclose(to_matrix(op, layout), to_matrix(dense, layout), atol=1e-12)
 
     @pytest.mark.parametrize("side", [1, 4, 63, 64, 65, 96, 1024])
@@ -663,7 +673,7 @@ class TestHouseholderOp:
         x = rng.standard_normal((side, post)) + 1j * rng.standard_normal((side, post))
         for variant in (op, op.adjoint()):
             np.testing.assert_allclose(
-                variant._act(x), householder_gather_act(variant, x), rtol=0, atol=1e-14
+                variant._act(x[None])[0], householder_gather_act(variant, x), rtol=0, atol=1e-14
             )
 
     def test_zero_tau_is_an_identity_reflector(self):
@@ -899,7 +909,7 @@ class TestToMatrix:
 
 
 # Target sets at each position of one layout: its first registers, a middle
-# one, its last ones, and two that are not adjacent.
+# one, its last ones, and two that are apart, which only a diagonal may take.
 POSITION_LAYOUT = RegisterLayout([("P", 2), ("Q", 3), ("R", 2), ("S", 4)])
 POSITIONS = {
     "leading": ("P", "Q"),
@@ -913,13 +923,13 @@ WIDTHS = {"vector": None, "narrow": 3, "wide": 32}
 
 
 def _each_kind(layout, targets, seed):
-    """One operator of each kind on ``targets``."""
+    """One operator of each kind on ``targets``; only the diagonals if the targets are apart."""
     rng = np.random.default_rng(seed)
     side = math.prod(layout.dim_of(name) for name in targets)
     unitary = LinearOp(layout, targets, haar_random_unitary(side, seed))
     diagonal = DiagonalOp(layout, targets, np.exp(1j * rng.uniform(0, 2 * np.pi, side)))
     permutation = PermutationOp(layout, targets, rng.permutation(side))
-    return {
+    ops = {
         "unitary": unitary,
         "diagonal": diagonal,
         "projector": DiagonalOp(layout, targets, rng.integers(0, 2, side), kind="projector"),
@@ -928,19 +938,25 @@ def _each_kind(layout, targets, seed):
         "ordered householder": haar_random_op(layout, targets, seed, rng.permutation(side)[:2]),
         "chain": OpChain((unitary, diagonal, permutation)),
     }
+    axes = layout.axes(unitary.targets)
+    if axes[-1] - axes[0] >= len(axes):
+        return {kind: ops[kind] for kind in ("diagonal", "projector")}
+    return ops
 
 
-def _count_moves(monkeypatch) -> Counter:
-    """Count, by operator class, the applications that move target axes."""
-    calls: Counter = Counter()
-    moved = registers._on_moved_targets
-
-    def counted(op, *args):
-        calls[type(op).__name__] += 1
-        return moved(op, *args)
-
-    monkeypatch.setattr(registers, "_on_moved_targets", counted)
-    return calls
+def _moving_classes(monkeypatch, layout, ops, x) -> set:
+    """Classes of the operators in ``ops`` (and their adjoints) that move an axis of ``x``."""
+    calls = []
+    moveaxis = np.moveaxis
+    monkeypatch.setattr(np, "moveaxis", lambda *a, **k: calls.append(a[1:]) or moveaxis(*a, **k))
+    moving = set()
+    for op in ops:
+        for applied in (op, op.adjoint()):
+            before = len(calls)
+            applied.apply_to(layout, x)
+            if len(calls) > before:
+                moving.add(type(op).__name__)
+    return moving
 
 
 class TestOnTargets:
@@ -974,24 +990,69 @@ class TestOnTargets:
         [
             ("leading", "vector", set()),
             ("leading", "wide", set()),
-            ("middle", "vector", {"LinearOp", "HouseholderOp"}),
-            ("middle", "narrow", {"LinearOp", "HouseholderOp"}),
-            ("middle", "wide", {"HouseholderOp"}),
-            ("trailing", "vector", {"HouseholderOp"}),
+            ("middle", "vector", {"LinearOp"}),
+            ("middle", "narrow", {"LinearOp"}),
+            ("middle", "wide", set()),
+            ("trailing", "vector", set()),
             # Batch columns trail the layout, so R,S is a middle axis here;
-            # its 8 x 32 amplitudes per product are under the threshold.
-            ("trailing", "wide", {"LinearOp", "HouseholderOp"}),
-            ("non-contiguous", "vector", {"LinearOp", "PermutationOp", "HouseholderOp"}),
+            # its 8 x 3 and 8 x 32 amplitudes per product are under the threshold.
+            ("trailing", "narrow", {"LinearOp"}),
+            ("trailing", "wide", {"LinearOp"}),
+            ("non-contiguous", "vector", set()),
+            ("non-contiguous", "wide", set()),
         ],
     )
-    def test_moves_axes_only_where_no_other_form_is_faster(
+    def test_moves_axes_only_for_a_narrow_middle_product(
         self, monkeypatch, position, width, moving
     ):
+        # Counted at np.moveaxis itself: a Householder operator at a middle or
+        # trailing position, on a vector or a 3-column block, moves nothing.
         layout = POSITION_LAYOUT
         shape = (layout.total_dim,) + (() if WIDTHS[width] is None else (WIDTHS[width],))
-        x = np.ones(shape, dtype=complex)
         ops = _each_kind(layout, POSITIONS[position], 5)
-        calls = _count_moves(monkeypatch)
-        for kind in ("unitary", "diagonal", "projector", "permutation", "householder"):
-            ops[kind].apply_to(layout, x)
-        assert set(calls) == moving
+        ops.pop("chain", None)
+        x = np.ones(shape, dtype=complex)
+        assert _moving_classes(monkeypatch, layout, ops.values(), x) == moving
+
+
+class TestApartTargets:
+    """Only a diagonal acts on registers that are apart; every other operator is refused."""
+
+    LAYOUT = RegisterLayout([("A", 2), ("B", 3), ("C", 2)])
+
+    def _inputs(self):
+        rng = np.random.default_rng(9)
+        block = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
+        return [random_state(12, 9), block]
+
+    def test_non_diagonal_operators_are_refused(self):
+        layout, rng = self.LAYOUT, np.random.default_rng(10)
+        unitary = LinearOp(layout, ("A", "C"), haar_random_unitary(4, 10))
+        diagonal = DiagonalOp(layout, ("A", "C"), np.exp(1j * rng.uniform(0, 2 * np.pi, 4)))
+        permutation = PermutationOp(layout, ("C", "A"), rng.permutation(4))
+        ops = {
+            "unitary": unitary,
+            "permutation": permutation,
+            "householder": haar_random_op(layout, ("A", "C"), 10),
+            "narrow householder": haar_random_op(layout, ("A", "C"), 10, [3]),
+            "chain": OpChain((diagonal, permutation)),
+        }
+        refusal = r"\('A', 'C'\) are not adjacent in layout \('A', 'B', 'C'\)"
+        for x in self._inputs():
+            for kind, op in ops.items():
+                for applied in (op, op.adjoint()):
+                    with pytest.raises(LayoutMismatchError, match=refusal):
+                        applied.apply_to(layout, x)
+
+    def test_diagonals_match_kron_oracle(self):
+        layout, rng = self.LAYOUT, np.random.default_rng(11)
+        ops = (
+            DiagonalOp(layout, ("A", "C"), np.exp(1j * rng.uniform(0, 2 * np.pi, 4))),
+            DiagonalOp(layout, ("C", "A"), [1, 0, 0, 1], kind="projector"),
+        )
+        for x in self._inputs():
+            for op in ops:
+                for applied in (op, op.adjoint()):
+                    np.testing.assert_allclose(
+                        applied.apply_to(layout, x), kron_oracle(applied, layout) @ x, atol=1e-12
+                    )
