@@ -363,10 +363,12 @@ def run_zk_check(cfg: RunConfig) -> list[dict]:
     records = []
     for t, (_, aux_seed, sample_seed), circ in _trials(cfg, inst, verifier_kind):
         aux = protocol.random_aux(cfg.dims[0], aux_seed)
+        # The verifier's one application: both views read its start block.
+        block = protocol.start_block(circ.ver, inst.n, inst.codes[0])
         # One amplified state serves both the exact view and the sampled transcript.
-        amplified = simulator.amplified_state(circ, aux)
+        amplified = simulator.amplified_state(circ, aux, block)
         sim_view = simulator.recorded_view(circ, amplified, keep_z=keep_z)
-        real = protocol.real_view_recorded(inst, circ.ver, aux, keep_z=keep_z)
+        real = protocol.real_view_recorded(inst, circ.ver, aux, keep_z=keep_z, block=block)
         distance = sim_view.trace_distance(real)
         sampled = simulator.sample_round(circ, amplified, np.random.default_rng(sample_seed))
         records.append(

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -72,8 +72,9 @@ class Instance:
     """A yes-instance: two graphs with a stored isomorphism witness, and its relabeling basis.
 
     Z index z is the relabeling ``perms[z]``, which sends g_b as the Y code
-    ``codes[b, z]``; every view, circuit and transcript reads these two
-    tables, built once per instance.
+    ``codes[b, z]``, and the prover answers challenge a after sending g0 by
+    it with ``perms[responses[a, z]]``; every view, circuit and transcript
+    reads these tables, built once per instance.
     """
 
     g0: Graph
@@ -99,6 +100,20 @@ class Instance:
     def codes(self) -> np.ndarray:
         """Read-only ``(2, n!)`` table of ``encode(act(perms[z], g_b))``."""
         return _code_table(orbit_codes(self.g0), self.g1)
+
+    @cached_property
+    def responses(self) -> np.ndarray:
+        """Read-only ``(2, n!)`` table of ``honest_response`` indices in ``perms``.
+
+        ``perms[responses[a, z]]`` is ``honest_response(self, perms[z], a)``.
+        """
+        position = {perm: i for i, perm in enumerate(self.perms)}
+        table = np.array(
+            [[position[honest_response(self, tau, a)] for tau in self.perms] for a in (0, 1)],
+            dtype=np.int64,
+        )
+        table.setflags(write=False)
+        return table
 
     @classmethod
     def from_graphs(cls, g0: Graph, g1: Graph) -> "Instance":
@@ -322,35 +337,63 @@ def check_aux(dim_w: int, aux: StateVector) -> None:
         )
 
 
-def verifier_outputs(
-    ver: VerifierModel, n: int, aux: StateVector, codes, scale: float = 1.0
-) -> np.ndarray:
-    """``U_V`` on ``scale |aux, V=0, A=0, Y=code>`` for each Y code, one column per code.
+class StartBlock(NamedTuple):
+    """``U_start``: the verifier's unitary on the start states ``|w, V=0, A=0, Y=code>``.
 
-    The verifier runs once, on the block of all the initial states.
+    ``outputs[:, w, j]`` is ``U_V`` on the start state with W = w and
+    Y = ``codes[j]``, a W,V,A,Y vector; ``codes`` are sorted and distinct.
+    On a protocol run the codes are g0's orbit, and every view ``zk-check``
+    certifies reads ``U_V`` through these s = dim_w * |orbit| columns alone.
+    (A named tuple, not a frozen dataclass, whose definition costs a
+    fresh interpreter about 0.5 ms.)
     """
-    check_aux(ver.dim_w, aux)
+
+    codes: np.ndarray
+    outputs: np.ndarray
+
+    def times(self, x: np.ndarray) -> np.ndarray:
+        """``U_start x`` for a W vector x: ``U_V |x, 0, 0, codes[j]>`` as column j."""
+        return np.tensordot(x, self.outputs, axes=(0, 1))
+
+    def columns(self, codes) -> np.ndarray:
+        """The position in ``self.codes`` of each of ``codes``, which must all be among them."""
+        codes = np.asarray(codes, dtype=np.int64)
+        found = np.searchsorted(self.codes, codes)
+        if not np.array_equal(self.codes[np.minimum(found, self.codes.size - 1)], codes):
+            raise ValueError(f"Y codes {codes.tolist()} are not all among {self.codes.tolist()}")
+        return found
+
+
+def start_block(ver: VerifierModel, n: int, codes) -> StartBlock:
+    """The :class:`StartBlock` of the distinct ``codes``: ``U_V`` applied once, to s columns."""
     layout = view_layout(ver.dims, n)
-    starts = np.zeros((layout.total_dim // ver.dim_w, len(codes)), dtype=complex)
-    starts[codes, np.arange(len(codes))] = scale
-    return ver.u_v.apply_to(layout, np.kron(aux.amps[:, None], starts))
+    inputs = start_columns(layout, codes)
+    starts = np.zeros((layout.total_dim, inputs.size), dtype=complex)
+    starts[inputs, np.arange(inputs.size)] = 1.0
+    outputs = ver.u_v.apply_to(layout, starts).reshape(layout.total_dim, ver.dim_w, -1)
+    # The W = 0 start columns are the sorted distinct codes themselves.
+    return StartBlock(inputs[: outputs.shape[2]], outputs)
 
 
 def real_view_recorded(
-    inst: Instance, ver: VerifierModel, aux: StateVector, keep_z: bool = False
+    inst: Instance,
+    ver: VerifierModel,
+    aux: StateVector,
+    keep_z: bool = False,
+    block: StartBlock | None = None,
 ) -> RecordedView:
     """Verifier view of one real round, averaged over the prover's choices.
 
-    Per relabeling tau: run the verifier unitary on the initial product
-    state and split the output by the measured challenge a
-    (:func:`branch_view`).  With ``keep_z`` the prover's step-(c) response
-    to a is recorded too.  Each start carries its 1/sqrt(n!) weight.
+    Per relabeling tau, the verifier's output on the initial product state
+    is ``U_V |aux, 0, 0, tau(g0)>``: the :class:`StartBlock` contracted with
+    aux, at the column of tau's code, with the 1/sqrt(n!) weight of tau.  It
+    is split by the measured challenge a (:func:`branch_view`), and with
+    ``keep_z`` the prover's step-(c) response to a (``Instance.responses``)
+    is recorded too.  ``block`` is the start block of ``inst.codes[0]``;
+    without one it is formed here, by the same :func:`start_block`.
     """
     n, codes = inst.n, inst.codes[0]
-    outs = verifier_outputs(ver, n, aux, codes, np.sqrt(1.0 / codes.size))
-    responses = None
-    if keep_z:
-        perms = inst.perms
-        position = {perm: i for i, perm in enumerate(perms)}
-        responses = [[position[honest_response(inst, tau, a)] for tau in perms] for a in (0, 1)]
-    return branch_view(ver.dims, n, outs, codes, responses)
+    check_aux(ver.dim_w, aux)
+    block = start_block(ver, n, codes) if block is None else block
+    outs = block.times(aux.amps)[:, block.columns(codes)] * np.sqrt(1.0 / codes.size)
+    return branch_view(ver.dims, n, outs, codes, inst.responses if keep_z else None)

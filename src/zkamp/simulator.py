@@ -10,29 +10,41 @@ attempt output onto the success subspace with certainty.  Measuring B and Z
 afterwards, read off the amplified state's (B, Z) branch columns, and
 recording the implied sent graph reproduces the real verifier view exactly.
 
-Everything the derivation claims is exposed as a numeric check: the
-half-probability block identity, the one-step amplification identity (in
-both operator orders, since only one of them is correct) together with its
-block-form substitution chain and six-step norm computation, and the
-measure-then-reflect variant that trades the phase trick for one extra
-measurement.
+The amplified state is the step in closed form.  The start phase is
+``I + (phi - 1) Pi_0``, with Pi_0 onto the dim_w start states, so
+``attempt S_0(phi) attempt^-1 = I + (phi - 1) cols cols^†`` for the attempt
+images ``cols`` of those states (Brassard, Hoyer, Mosca and Tapp 2002).  The
+splits and the writer put a start state on g0's orbit codes alone, so cols is
+the verifier's :class:`~zkamp.protocol.StartBlock` weighted by the branch
+coefficients (:class:`StartImages`), and the attempt output, the step and the
+real view read the verifier through one application of it, to the
+s = dim_w * |orbit| start columns.
+
+Everything the derivation claims is exposed as a numeric check on the
+operator chain itself: the half-probability block identity, the one-step
+amplification identity that the closed form rests on (in both operator
+orders, since only one of them is correct) together with its block-form
+substitution chain and six-step norm computation, and the measure-then-reflect
+variant that trades the phase trick for one extra measurement.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .protocol import (
     Instance,
     RecordedView,
+    StartBlock,
     VerifierModel,
     accept,
     branch_view,
     check_aux,
-    verifier_outputs,
+    start_block,
     view_layout,
 )
 from .registers import (
@@ -274,9 +286,10 @@ def _norm_chain(circ: SimulatorCircuit, aux: StateVector, projected: np.ndarray)
     branch orthogonality turning the norm of a sum into a sum of norms; the
     witness substitution of ``pi(g_b)`` by ``(pi tau^b)(g0)``; the change of
     variables dropping ``tau^b``; and the completeness sum ``n!/(2 n!)``.  The
-    verifier runs once, on the distinct codes of the three code tables, and
-    each line reads its branches through its own table; only the witness
-    substitution relabels g0 itself, by each ``pi tau^b``.
+    three code tables all lie in g0's orbit, so the verifier runs once, as
+    the :class:`~zkamp.protocol.StartBlock` of that orbit, and each line reads
+    its branches through its own table; only the witness substitution
+    relabels g0 itself, by each ``pi tau^b``.
     """
     inst = circ.inst
     n = inst.n
@@ -290,12 +303,12 @@ def _norm_chain(circ: SimulatorCircuit, aux: StateVector, projected: np.ndarray)
             inst.codes[[0, 0]],
         ]
     )
-    codes, index = np.unique(tables, return_inverse=True)
-    guessed, substituted, plain = index.reshape(tables.shape)
+    block = start_block(circ.ver, n, inst.codes[0])
+    guessed, substituted, plain = block.columns(tables)
 
     view = view_layout(circ.ver.dims, n)
-    outs = verifier_outputs(circ.ver, n, aux, codes).reshape(*view.dims, len(codes))
-    by_challenge = np.moveaxis(outs, view.axis("A"), 0).reshape(2, -1, len(codes))
+    outs = block.times(aux.amps).reshape(*view.dims, block.codes.size)
+    by_challenge = np.moveaxis(outs, view.axis("A"), 0).reshape(2, -1, block.codes.size)
     branches = by_challenge[:, :, guessed]  # (challenge a, rest, guess b, relabeling z)
     collapsed = np.einsum("brbz->brz", branches)
     slice_sq = np.sum(np.abs(by_challenge) ** 2, axis=1)  # (challenge a, code)
@@ -311,14 +324,94 @@ def _norm_chain(circ: SimulatorCircuit, aux: StateVector, projected: np.ndarray)
     )
 
 
-def amplified_state(circ: SimulatorCircuit, aux: StateVector) -> np.ndarray:
-    """Raw unit amplitudes of the attempt output after one phase-i :func:`grover_step`."""
-    s1 = attempt_output(circ, aux)
-    s2 = grover_step(circ, 1j, 1j).apply_to(circ.layout, s1)
+class StartImages(NamedTuple):
+    """The attempt images ``cols[:, w] = attempt |w, 0, ..., 0>`` of the start states, unformed.
+
+    The B split, the Z split and the writer take a start state to
+    ``|w, V=0, A=0> (x) sum_j c_j |Y=code_j, branch j>`` over the (B, Z)
+    branches j, so column j of ``cols[:, w]``, as (W,V,A,Y side, branch)
+    columns, is ``c_j`` times ``block.outputs[:, w]`` at the column of
+    ``code_j``.  ``spread`` holds each ``c_j`` at that column's row, so
+    ``cols x = (U_start x) spread``.  Neither cols, d x dim_w, nor any other
+    column of ``U_V`` is formed.  A named tuple, as :class:`StartBlock` is.
+    """
+
+    block: StartBlock
+    spread: np.ndarray
+
+    def times(self, x: np.ndarray) -> np.ndarray:
+        """``cols x`` for a W vector x, as (side, branch) columns."""
+        return self.block.times(x) @ self.spread
+
+    def adjoint_times(self, y: np.ndarray) -> np.ndarray:
+        """``cols^† y`` for (side, branch) columns y: per code, the weighted sum of its branches."""
+        per_code = y @ self.spread.conj().T
+        return np.einsum("swm,sm->w", self.block.outputs, per_code.conj()).conj()
+
+
+def start_images(circ: SimulatorCircuit, block: StartBlock | None = None) -> StartImages:
+    """The :class:`StartImages` of a protocol circuit, on the start block of ``inst.codes[0]``.
+
+    The coefficients are the circuit's own first three factors (B split, Z
+    split and writer) on the zero state of the (Y, B, Z) sub-layout, so no
+    completion's first column is assumed; their output must be exactly zero
+    off the codes ``inst.codes`` names.  ``block`` is
+    :func:`~zkamp.protocol.start_block` of ``circ.ver`` on ``inst.codes[0]``;
+    without one it is formed here.
+    """
+    if circ.inst is None or circ.ver is None:
+        raise ValueError("the start images need a protocol circuit")
+    inst = circ.inst
+    block = start_block(circ.ver, inst.n, inst.codes[0]) if block is None else block
+    sub = circ.layout.keep(("Y", "B", "Z"))
+    zero = np.zeros(sub.total_dim, dtype=complex)
+    zero[0] = 1.0
+    written = OpChain(circ.attempt.factors[:3]).apply_to(sub, zero).reshape(sub.dims)
+    branch = (inst.codes, *np.indices(inst.codes.shape))
+    off_codes = written.copy()
+    off_codes[branch] = 0.0
+    if np.any(off_codes):
+        raise AssertionError("the writer puts weight off the codes the instance sends")
+    rows, columns = block.columns(inst.codes).reshape(-1), np.arange(inst.codes.size)
+    spread = np.zeros((block.codes.size, columns.size), dtype=complex)
+    spread[rows, columns] = written[branch].reshape(-1)
+    return StartImages(block, spread)
+
+
+def start_block_step(
+    circ: SimulatorCircuit, images: StartImages, amps: np.ndarray, phi: complex, varphi: complex
+) -> np.ndarray:
+    """:func:`grover_step` ``(phi, varphi)`` on (side, branch) columns ``amps``, in closed form.
+
+    The success phase acts by broadcasting over the (A, B) axes, and the rest
+    of the step is ``I + (phi - 1) cols cols^†``: two side x s contractions
+    with the start block, and no application of ``U_V``.
+    """
+    phased = phase_on_success(circ.success_proj, varphi).apply_to(circ.layout, amps.reshape(-1))
+    phased = phased.reshape(amps.shape)
+    phased += images.times((phi - 1) * images.adjoint_times(phased))
+    return phased
+
+
+def amplified_state(
+    circ: SimulatorCircuit, aux: StateVector, block: StartBlock | None = None
+) -> np.ndarray:
+    """Raw unit amplitudes of the attempt output after one phase-i step, from the start block.
+
+    The attempt output is ``cols aux`` and the step :func:`start_block_step`
+    with phases (i, i), so ``U_V`` acts once, when the block is formed:
+    ``block`` as in :func:`start_images`, formed here when None.  The result
+    equals ``grover_step(circ, 1j, 1j)`` on :func:`attempt_output`, the
+    identity ``verify-eq2`` certifies.
+    """
+    check_aux(circ.dim_w, aux)
+    images = start_images(circ, block)
+    s2 = start_block_step(circ, images, images.times(aux.amps), 1j, 1j).reshape(-1)
     norm = float(np.linalg.norm(s2))
     if abs(norm - 1.0) > NORM_SLACK:
         raise AssertionError(f"amplified state has norm {norm}")
-    return s2 / norm
+    s2 /= norm
+    return s2
 
 
 def recorded_view(

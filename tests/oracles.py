@@ -9,8 +9,9 @@ row-major index arithmetic, the graph-code decoder and the isomorphism
 search by relabeling that ``protocol.Instance.from_graphs`` is checked
 against, kron embeddings of operators, density operators with their
 channels and trace distance, checked state operations and the collapsing
-measurement that ``simulator.sample_round`` is checked against, the dense
-Haar draw and the Householder T recurrence, the dense verifier view with
+measurement that ``simulator.sample_round`` is checked against, the
+amplified state run through the step's operator chain, the dense Haar
+draw and the Householder T recurrence, the dense verifier view with
 the per-record view distance, the sampled measure-then-reflect round, and
 the two-dimensional evolution with the phase search that re-evolves every
 candidate step count from the start.
@@ -39,7 +40,7 @@ from zkamp.registers import (
     dense_bytes,
     trace_distance_matrices,
 )
-from zkamp.simulator import attempt_output, measure_then_reflect
+from zkamp.simulator import attempt_output, grover_step, measure_then_reflect
 from zkamp.symm import Graph, act, enumerate_sn, num_graph_codes, vertex_pairs
 
 # Largest full view layout, records included, that dense_view assembles.
@@ -490,6 +491,19 @@ def per_key_trace_distance(v1, v2):
         rx, ry = r[:, : x.shape[1]], r[:, x.shape[1] :]
         total += trace_distance_matrices(rx @ rx.conj().T, ry @ ry.conj().T)
     return total
+
+
+def operator_amplified_state(circ, aux):
+    """The attempt output after one phase-i :func:`grover_step`, run as its operator chain.
+
+    The reference for ``simulator.amplified_state``, which evaluates the same
+    step in closed form from the verifier's start block.
+    """
+    s2 = grover_step(circ, 1j, 1j).apply_to(circ.layout, attempt_output(circ, aux))
+    norm = float(np.linalg.norm(s2))
+    if abs(norm - 1.0) > NORM_SLACK:
+        raise AssertionError(f"amplified state has norm {norm}")
+    return s2 / norm
 
 
 def success_probability(circ, aux):

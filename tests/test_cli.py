@@ -954,12 +954,29 @@ BLOCKS_N3 = ["blocks", *N3, "--trials", "1", "--seed", "7"]
 BLOCKS_M4 = ["blocks", "--m", "4", "--trials", "1", "--seed", "7"]
 SCHEDULE_M8 = ["schedule", "--m", "8", "--seed", "7"]
 
-# One injected defect for each claim that no named fault test covers.
+ZK_N3_KEEPZ = ["zk-check", *N3, "--keep-z", "--trials", "1", "--seed", "7"]
+
+# One injected defect for each claim that no named fault test covers, keyed by
+# that claim; a further defect of the same claim adds "/" and its own name.
 FAULTS = {
     # The simulator skips amplification and shows the verifier one attempt.
     "view-equality": (
-        ["zk-check", *N3, "--keep-z", "--trials", "1", "--seed", "7"],
-        _patch(simulator, "amplified_state", lambda original: simulator.attempt_output),
+        ZK_N3_KEEPZ,
+        _patch(
+            simulator,
+            "amplified_state",
+            lambda original: lambda circ, aux, block=None: simulator.attempt_output(circ, aux),
+        ),
+    ),
+    # The closed-form step's correction takes the start phase -1 in place of i: the
+    # step stays unitary, so the norm check passes, but leaves weight on wrong guesses.
+    "view-equality/start-phase": (
+        ZK_N3_KEEPZ,
+        _patch(
+            simulator,
+            "start_block_step",
+            lambda original: lambda circ, images, x, phi, vp: original(circ, images, x, -1, vp),
+        ),
     ),
     # A step with both phases 1 is the identity, so its two orders coincide.
     "operator-order-disambiguation": (
@@ -1046,12 +1063,14 @@ class TestInjectedFaults:
         return {r["claim"] for r in json.loads(out)["records"] if not r["pass"]}
 
     def test_every_claim_has_a_fault(self):
-        assert not set(FAULTS) & NAMED_FAULT_CLAIMS
-        assert set(FAULTS) | NAMED_FAULT_CLAIMS == _checker_claims()
+        claims = {fault.partition("/")[0] for fault in FAULTS}
+        assert not claims & NAMED_FAULT_CLAIMS
+        assert claims | NAMED_FAULT_CLAIMS == _checker_claims()
 
-    @pytest.mark.parametrize("claim", list(FAULTS))
-    def test_fault_fails_its_claim(self, capsys, monkeypatch, claim):
-        argv, inject = FAULTS[claim]
+    @pytest.mark.parametrize("fault", list(FAULTS))
+    def test_fault_fails_its_claim(self, capsys, monkeypatch, fault):
+        argv, inject = FAULTS[fault]
+        claim = fault.partition("/")[0]
         _, clean = run_capture(capsys, argv)
         assert claim not in self.failed_claims(clean)
         inject(monkeypatch)
@@ -1131,17 +1150,18 @@ class TestInjectedFaults:
         assert "post-step-success-probability" in self.failed_claims(out)
 
     def test_skewed_verifier_column_fails_norm_chain(self, capsys, monkeypatch):
-        # Only the norm chain runs the verifier through verifier_outputs, so the
+        # Only the norm chain reads the verifier's start block, so the
         # identity's residual stays bit-identical and the chain's gap fails it.
         _, clean = run_capture(capsys, self.EQ2)
-        original = simulator.verifier_outputs
+        original = simulator.start_block
 
         def skewed(*args, **kwargs):
-            outs = original(*args, **kwargs)
-            outs[:, 0] *= 1 + 1e-6
-            return outs
+            block = original(*args, **kwargs)
+            outputs = block.outputs.copy()
+            outputs[:, :, 0] *= 1 + 1e-6
+            return block._replace(outputs=outputs)
 
-        monkeypatch.setattr(simulator, "verifier_outputs", skewed)
+        monkeypatch.setattr(simulator, "start_block", skewed)
         code, out = run_capture(capsys, self.EQ2)
         assert code == 1
         assert self.failed_claims(out) == {"one-step-amplification"}
@@ -1150,6 +1170,19 @@ class TestInjectedFaults:
         assert after["derivation"] == before["derivation"]
         chain = after["norm_chain"]
         assert max(abs(a - b) for a, b in zip(chain, chain[1:])) > 1e-10
+
+
+@pytest.mark.parametrize("keep_z", [[], ["--keep-z"]])
+def test_zk_check_applies_the_verifier_once_per_trial(capsys, monkeypatch, keep_z):
+    # The adversarial verifier is the only Householder operator a zk-check builds.
+    applied = []
+    original = registers.HouseholderOp._act
+    monkeypatch.setattr(
+        registers.HouseholderOp, "_act", lambda op, x: applied.append(x.shape) or original(op, x)
+    )
+    code, _ = run_capture(capsys, ["zk-check", *N3, *keep_z, "--trials", "2", "--seed", "7"])
+    assert code == 0
+    assert len(applied) == 2
 
 
 class TestJsonWriter:

@@ -24,8 +24,8 @@ from zkamp.protocol import (
     adversarial_verifier,
     random_aux,
     real_view_recorded,
+    start_block,
     start_columns,
-    verifier_outputs,
     view_layout,
 )
 from zkamp.registers import LinearOp, OpChain
@@ -100,7 +100,9 @@ class TestDenseOracle:
         moved = np.linalg.svd(u - np.eye(side), compute_uv=False)
         assert np.count_nonzero(moved > 1e-10) <= 2 * s
         aux = random_aux(dims[0], seed + 1)
-        outs = verifier_outputs(ver, n, aux, codes)
+        block = start_block(ver, n, codes)
+        np.testing.assert_allclose(block.outputs.reshape(side, s), u[:, inputs], atol=1e-12)
+        outs = block.times(aux.amps)[:, block.columns(codes)]
         for col, code in zip(outs.T, codes):
             start = np.kron(aux.amps, np.eye(side // dims[0])[code])
             np.testing.assert_allclose(col, u @ start, atol=1e-12)

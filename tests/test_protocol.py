@@ -14,7 +14,8 @@ from zkamp.protocol import (
     honest_verifier,
     random_aux,
     real_view_recorded,
-    verifier_outputs,
+    start_block,
+    start_columns,
     view_layout,
 )
 from zkamp.registers import (
@@ -102,6 +103,18 @@ class TestInstance:
         direct = Instance(inst.g0, inst.g1, inst.tau)
         assert direct.perms == inst.perms and np.array_equal(direct.codes, inst.codes)
         assert not direct.codes.flags.writeable
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_response_table(self, n):
+        g0 = Graph(n, [(v, v + 1) for v in range(n - 1)])
+        inst = Instance.from_graphs(g0, act(enumerate_sn(n)[-1], g0))
+        assert inst.responses.shape == (2, len(inst.perms)) and inst.responses.dtype == np.int64
+        for a in (0, 1):
+            for z, tau in enumerate(inst.perms):
+                assert inst.perms[inst.responses[a, z]] == honest_response(inst, tau, a)
+        with pytest.raises(ValueError):
+            inst.responses[0, 0] = 1
+        assert inst.responses is inst.responses
 
 
 class TestHonestVerifier:
@@ -260,17 +273,23 @@ class TestRealView:
             messages.add(str(exc.value))
         assert len(messages) == 1
 
-    def test_verifier_outputs_match_dense_verifier(self):
-        ver = adversarial_verifier(DIMS, 3, seed=5)
-        aux = random_aux(2, seed=6)
+    @pytest.mark.parametrize("kind", ["adversarial", "honest"])
+    def test_start_block_is_the_dense_verifier_on_the_start_columns(self, kind):
+        ver = honest_verifier(DIMS, 3) if kind == "honest" else adversarial_verifier(DIMS, 3, 5)
         layout = view_layout(DIMS, 3)
-        codes = [0, 3, 5, 3]
-        outs = verifier_outputs(ver, 3, aux, codes, scale=0.5)
-        dense = to_matrix(ver.u_v, layout)
+        block = start_block(ver, 3, [5, 0, 3, 5])
+        np.testing.assert_array_equal(block.codes, [0, 3, 5])
+        columns = to_matrix(ver.u_v, layout)[:, start_columns(layout, block.codes)]
+        np.testing.assert_allclose(block.outputs.reshape(columns.shape), columns, atol=1e-12)
         # V and A start at 0, so a start's index below W is its Y code.
-        for col, code in zip(outs.T, codes):
+        aux = random_aux(2, seed=6)
+        outs = block.times(aux.amps)[:, block.columns([3, 0, 3])]
+        dense = to_matrix(ver.u_v, layout)
+        for col, code in zip(outs.T, [3, 0, 3]):
             start = np.kron(aux.amps, np.eye(layout.total_dim // 2)[code])
-            np.testing.assert_allclose(col, 0.5 * dense @ start, atol=1e-12)
+            np.testing.assert_allclose(col, dense @ start, atol=1e-12)
+        with pytest.raises(ValueError, match="not all among"):
+            block.columns([1])
 
 
 class TestRecordedView:
@@ -323,7 +342,7 @@ class TestRecordedView:
         assert set(weights) == {(code, 0), (code, 1)}
         assert sum(weights.values()) == pytest.approx(1.0, abs=1e-12)
         # Each weight is the probability that the verifier measures that challenge.
-        out = verifier_outputs(ver, 2, aux, [code])[:, 0].reshape(DIMS[0] * DIMS[1], 2, -1)
+        out = start_block(ver, 2, [code]).times(aux.amps)[:, 0].reshape(DIMS[0] * DIMS[1], 2, -1)
         for a in (0, 1):
             assert weights[(code, a)] == pytest.approx(np.linalg.norm(out[:, a]) ** 2, abs=1e-12)
 

@@ -13,10 +13,12 @@ from zkamp.protocol import (
     honest_verifier,
     random_aux,
     real_view_recorded,
+    start_block,
     view_layout,
 )
 from zkamp.registers import DiagonalOp, OpChain, StateVector
 from zkamp.simulator import (
+    COMPLETIONS,
     amplification_check,
     amplified_state,
     attempt_output,
@@ -27,11 +29,13 @@ from zkamp.simulator import (
     sample_round,
     sim_layout,
     simulate_round_recorded,
+    start_block_step,
+    start_images,
     success_block_residual,
     success_projector,
     uniform_superposition_unitary,
 )
-from zkamp.symm import Graph, act, encode, enumerate_sn
+from zkamp.symm import Graph, Permutation, act, encode, enumerate_sn
 
 from oracles import (
     basis_state,
@@ -40,6 +44,7 @@ from oracles import (
     kron_oracle,
     measure,
     moved_apply,
+    operator_amplified_state,
     overlap,
     project,
     success_probability,
@@ -289,6 +294,91 @@ class TestAmplificationStep:
         circ = gmw_circuit(3)
         check = amplification_check(circ, random_aux(2, 12))
         assert abs(check.swapped_order_residual - 1.0) < 1e-9
+
+
+PATH4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
+PATH4B = Graph(4, [(0, 3), (1, 2), (2, 0)])
+INSTANCES = {
+    2: Instance.from_graphs(EDGE2, EDGE2),
+    3: Instance.from_graphs(PATH3, PATH3B),
+    4: Instance.from_graphs(PATH4, PATH4B),
+}
+CLOSED_FORM_CASES = [
+    (n, DIMS, kind, completion)
+    for n in INSTANCES
+    for kind in ("honest", "adversarial")
+    for completion in COMPLETIONS
+] + [
+    (3, dims, kind, COMPLETIONS[0])
+    for dims in ((1, 1), (1, 4), (8, 8))
+    for kind in ("honest", "adversarial")
+]
+
+
+class TestClosedFormStep:
+    """The start-block step agrees with the step's operator chain."""
+
+    @staticmethod
+    def circuit(n, dims, kind, completion=COMPLETIONS[0]):
+        inst = INSTANCES[n]
+        if kind == "honest":
+            ver = honest_verifier(dims, n)
+        else:
+            ver = adversarial_verifier(dims, n, 10 * n + dims[1], inst.codes[0])
+        return build_circuit(inst, ver, completion)
+
+    @pytest.mark.parametrize("n, dims, kind, completion", CLOSED_FORM_CASES)
+    def test_amplified_state_matches_the_operator_chain(self, n, dims, kind, completion):
+        circ = self.circuit(n, dims, kind, completion)
+        aux = random_aux(dims[0], n + dims[0])
+        closed = amplified_state(circ, aux)
+        assert np.max(np.abs(closed - operator_amplified_state(circ, aux))) <= 1e-14
+
+    def test_entangled_aux(self):
+        inst = INSTANCES[3]
+        circ = build_circuit(inst, adversarial_verifier((4, 2), 3, seed=3))
+        bell = StateVector(aux_layout(4), np.array([1, 0, 0, 1]) / np.sqrt(2))
+        closed = amplified_state(circ, bell)
+        assert np.max(np.abs(closed - operator_amplified_state(circ, bell))) <= 1e-14
+
+    @pytest.mark.parametrize("phases", [(-1.0, 1.0), (1j, 1j), (np.exp(0.3j), np.exp(1.1j))])
+    def test_step_on_any_vector(self, phases):
+        # I + (phi - 1) cols cols^† is the conjugated start phase on every vector,
+        # not only on the attempt output.
+        circ = self.circuit(3, DIMS, "adversarial")
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((circ.layout.total_dim, 2)) @ np.array([1, 1j])
+        x /= np.linalg.norm(x)
+        branches = x.reshape(-1, circ.inst.codes.size)
+        closed = start_block_step(circ, start_images(circ), branches, *phases).reshape(-1)
+        chain = grover_step(circ, *phases).apply_to(circ.layout, x)
+        assert np.max(np.abs(closed - chain)) <= 1e-14
+
+    def test_images_are_the_attempt_output(self):
+        circ = self.circuit(4, DIMS, "adversarial", "dft")
+        aux = random_aux(2, 5)
+        images = start_images(circ)
+        attempt = images.times(aux.amps).reshape(-1)
+        assert np.max(np.abs(attempt - attempt_output(circ, aux))) <= 1e-14
+
+    def test_block_handed_in_runs_the_same_code(self):
+        circ = self.circuit(3, DIMS, "adversarial")
+        inst, aux = circ.inst, random_aux(2, 6)
+        block = start_block(circ.ver, 3, inst.codes[0])
+        np.testing.assert_array_equal(amplified_state(circ, aux, block), amplified_state(circ, aux))
+        handed = real_view_recorded(inst, circ.ver, aux, True, block)
+        formed = real_view_recorded(inst, circ.ver, aux, True)
+        np.testing.assert_array_equal(handed.stack, formed.stack)
+
+    def test_writer_weight_off_the_orbit_is_refused(self):
+        # The path instance's writer sends path codes; an instance of two empty
+        # graphs sends only code 0, so the coefficients leave its orbit.
+        circ = self.circuit(3, DIMS, "adversarial")
+        empty = Graph(3, [])
+        faulted = dataclasses.replace(circ, inst=Instance(empty, empty, Permutation.identity(3)))
+        start_images(circ)
+        with pytest.raises(AssertionError, match="off the codes"):
+            start_images(faulted)
 
 
 class TestDerivationChains:
