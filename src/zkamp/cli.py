@@ -47,7 +47,10 @@ MAX_SCHEDULE_STEPS = 16
 # product in place by column chunks, whose temporaries stay under an eighth of a block, and a small
 # block's moved copy fits in the stored factor's block, which is not yet allocated then.  An
 # adversarial verifier holds its d x s reflectors, and its draw two more d x s arrays for a moment.
+# ``zk-check`` holds no such state: its start block takes 3 d x s arrays (traced 2.9 beside the
+# reflectors at n = 5), and the writer and its (Y, B, Z) states 5 of that sub-layout (traced 4.5).
 STATE_COPIES, BASE_BYTES, STEP_WORK, KEPT_COPIES, DRAW_COPIES = 16, 2**22, 10**5, 2, 3
+BLOCK_COPIES, WRITER_COPIES = 3, 5
 
 
 class ConfigError(Exception):
@@ -218,7 +221,9 @@ def estimate(cfg: RunConfig, n: int | None) -> tuple[int, int, str]:
     ``2 d r^2 + d^2 (r + dim_w)`` per trial of ``blocks``; for ``schedule`` it
     is ``2 steps + 1`` attempt applications, each one split of B (m d) and the
     scramble's reflectors (2 side d); and for ``phases`` one search step per
-    step count up to ``amplify.analytic_k``.
+    step count up to ``amplify.analytic_k``.  ``zk-check`` holds ``BLOCK_COPIES``
+    d x s arrays and ``WRITER_COPIES`` (Y, B, Z) states in place of states of the
+    simulator's layout, and works ``3 d s^2`` per trial: ``U_V`` and the QR of two halves.
     """
     if cfg.command == "phases":
         lambdas, k_max = cfg.extras["lambdas"], cfg.extras["k_max"]
@@ -238,6 +243,11 @@ def estimate(cfg: RunConfig, n: int | None) -> tuple[int, int, str]:
         held = [f"a {side}x{side} verifier unitary drawn as {side}x{s} reflectors"]
         peak = 16 * DRAW_COPIES * side * s
     d, work = layout.total_dim, 0
+    if cfg.command == "zk-check":
+        sub = layout.keep(("Y", "B", "Z")).total_dim
+        peak += BASE_BYTES + 16 * (BLOCK_COPIES * side * s + WRITER_COPIES * sub)
+        held[0] += f", its {side}x{s} start block"
+        return peak, cfg.trials * 3 * side * s * s, f"{held[0]} and {sub}-amplitude states"
     peak += BASE_BYTES + 16 * STATE_COPIES * cfg.dims[0] * d
     if cfg.command == "blocks":
         r, d_c = d // layout.dim_of("A"), d - cfg.dims[0]
@@ -363,11 +373,11 @@ def run_zk_check(cfg: RunConfig) -> list[dict]:
     records = []
     for t, (_, aux_seed, sample_seed), circ in _trials(cfg, inst, verifier_kind):
         aux = protocol.random_aux(cfg.dims[0], aux_seed)
-        # The verifier's one application: both views read its start block.
+        # The verifier's one application: both views are factored on its start block.
         block = protocol.start_block(circ.ver, inst.n, inst.codes[0])
-        # One amplified state serves both the exact view and the sampled transcript.
-        amplified = simulator.amplified_state(circ, aux, block)
-        sim_view = simulator.recorded_view(circ, amplified, keep_z=keep_z)
+        # One amplified step serves both the exact view and the sampled transcript.
+        amplified = simulator.amplified_columns(circ, aux, block)
+        sim_view = simulator.recorded_view(circ, block, amplified, keep_z=keep_z)
         real = protocol.real_view_recorded(inst, circ.ver, aux, keep_z=keep_z, block=block)
         distance = sim_view.trace_distance(real)
         sampled = simulator.sample_round(circ, amplified, np.random.default_rng(sample_seed))

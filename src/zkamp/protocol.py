@@ -12,11 +12,12 @@ measured challenge A.
 A view is a :class:`RecordedView` keyed by the classical record values, A
 among them: the verifier measures A, so both views are block diagonal in
 it.  The record registers are never coherent, so the trace distance between
-two views is the sum of per-record block distances.  Each block is stored
-as a low-rank factor ``X`` with ``block = X X†``, one column per branch
-vector behind that record value (its A=a part), and a view holds all its
-factors in one zero-padded stack.  Two views are compared through one
-stacked QR of their paired factors, so no block is ever formed densely.
+two views is the sum of per-record block distances.  Each block's factor
+columns are the verifier's :class:`StartBlock` on s = dim_w * |orbit| start
+coefficients beta, at A=a: ``Q_a R_a beta``.  A view keeps the s-row
+columns ``R_a beta`` in one zero-padded stack, and two views on one start
+block are compared through one stacked QR of their paired factors, since
+the trace norm does not see Q_a; no W,V,Y vector or block is ever formed.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .registers import (
+    ATOL_OP,
     HADAMARD,
     ZERO_NORM_SQ,
     LinearOp,
@@ -234,14 +236,14 @@ def accept(sent: Graph, a: int, response: Permutation, inst: Instance) -> bool:
 class RecordedView:
     """Mixture of coherent blocks keyed by classical record values, in factored form.
 
-    The view is ``sum_key X X† (x) |key><key|``, where ``X`` is a factor of
-    the unnormalized density block on ``base_layout`` for record value
-    ``key`` (a tuple, one index per record register).  ``stack[i, :widths[i]]``
-    holds the columns of ``X``, as rows, for the record value with flat index
-    ``index[i]`` (sorted, distinct); the rest of the stack is zero.
+    The view is ``sum_key Q_a F F† Q_a† (x) |key><key|`` over W,V,Y, for
+    record value ``key`` (a tuple, one index per record register, A = a
+    last) on the :class:`StartBlock` ``basis``.  ``stack[i, :widths[i]]``
+    holds the s-row columns of F, as rows, for the record value with flat
+    index ``index[i]`` (sorted, distinct); the rest of the stack is zero.
     """
 
-    base_layout: RegisterLayout
+    basis: StartBlock
     record_registers: tuple[tuple[str, int], ...]
     index: np.ndarray
     stack: np.ndarray
@@ -250,7 +252,7 @@ class RecordedView:
     @classmethod
     def from_rows(
         cls,
-        base_layout: RegisterLayout,
+        basis: StartBlock,
         record_registers: tuple[tuple[str, int], ...],
         rows: np.ndarray,
         keys: np.ndarray,
@@ -261,13 +263,13 @@ class RecordedView:
         first = _run_starts(flat[order])
         starts, group = np.flatnonzero(first), np.cumsum(first) - 1
         widths = np.diff(np.append(starts, flat.size))
-        stack = np.zeros((starts.size, widths.max(initial=0), base_layout.total_dim), dtype=complex)
+        stack = np.zeros((starts.size, widths.max(initial=0), rows.shape[1]), dtype=complex)
         stack[group, np.arange(flat.size) - starts[group]] = rows[order]
-        return cls(base_layout, record_registers, flat[order][starts], stack, widths)
+        return cls(basis, record_registers, flat[order][starts], stack, widths)
 
     @cached_property
     def blocks(self) -> Mapping[tuple[int, ...], np.ndarray]:
-        """Each record value's factor ``X``, a ``(base_layout.total_dim, c)`` view of the stack."""
+        """Each record value's factor ``F``, an ``(s, c)`` view of the stack."""
         dims = [dim for _, dim in self.record_registers]
         keys = zip(*(axis.tolist() for axis in np.unravel_index(self.index, dims)))
         return {
@@ -278,22 +280,21 @@ class RecordedView:
         """Half trace norm of the difference, every record value at once.
 
         Exact because both operators are block diagonal over the same
-        classical record basis, where the trace norm is additive.  Per record
-        value, the QR of the paired factors ``[X Y] = Q R`` gives
-        ``X X† - Y Y† = Q (R J R†) Q†`` with ``J = diag(I_p, -I_q)``, and Q has
+        classical record basis, where the trace norm is additive, and their
+        A=a factors share the isometry Q_a, which the trace norm does not see
+        (views on two start blocks are refused).  Per record value, the QR of
+        the paired factors ``[F G] = Q R`` gives
+        ``F F† - G G† = Q (R J R†) Q†`` with ``J = diag(I_p, -I_q)``, and Q has
         orthonormal columns, so the small core ``R J R†`` carries the whole
         nonzero spectrum.  The pairs of the union of record values share one
-        zero-padded stack; a zero column of ``[X Y]`` is a zero column of R.
+        zero-padded stack; a zero column of ``[F G]`` is a zero column of R.
         """
-        if (
-            self.base_layout.registers != other.base_layout.registers
-            or self.record_registers != other.record_registers
-        ):
-            raise ValueError("recorded views live over different layouts")
+        if self.record_registers != other.record_registers or not self.basis.same_as(other.basis):
+            raise ValueError("recorded views differ in their record registers or start blocks")
         union = np.sort(np.concatenate([self.index, other.index]))
         union = union[_run_starts(union)]
         p, q = self.stack.shape[1], other.stack.shape[1]
-        pairs = np.zeros((union.size, p + q, self.base_layout.total_dim), dtype=complex)
+        pairs = np.zeros((union.size, p + q, self.stack.shape[2]), dtype=complex)
         pairs[np.searchsorted(union, self.index), :p] = self.stack
         pairs[np.searchsorted(union, other.index), p:] = other.stack
         r = np.linalg.qr(pairs.swapaxes(1, 2), mode="r")
@@ -307,25 +308,21 @@ def view_records(n: int, keep_z: bool) -> tuple[tuple[str, int], ...]:
     return (("Z", math.factorial(n)),) + sent if keep_z else sent
 
 
-def branch_view(
-    dims: tuple[int, int], n: int, branches: np.ndarray, codes, responses=None
+def columns_view(
+    basis: StartBlock, n: int, columns: np.ndarray, codes, responses=None
 ) -> RecordedView:
-    """The view whose factor columns are the A=a parts of the columns of ``branches``.
+    """The view whose factor columns are ``columns[a, :, j]``: ``R_a beta`` of branch j.
 
-    Column j of ``branches`` is a W,V,A,Y branch vector that sent Y code
-    ``codes[j]``.  Its A=a part, read off by one transpose, is a column of
-    the factor of record value ``(codes[j], a)``, or of
-    ``(responses[a, j], codes[j], a)`` when responses (broadcast over a and
-    j) are recorded.  A part whose squared norm is below ``ZERO_NORM_SQ``
-    carries no amplitude and is left out.
+    Branch j sent Y code ``codes[j]``: its column is one of record value
+    ``(codes[j], a)``, or ``(responses[a, j], codes[j], a)`` when responses
+    (broadcast over a and j) are recorded.  A column whose squared norm is
+    below ``ZERO_NORM_SQ`` carries no amplitude and is left out.
     """
-    slices = branches.reshape(dims[0] * dims[1], 2, -1, branches.shape[1])
-    kept = np.sum(np.abs(slices) ** 2, axis=(0, 2)) >= ZERO_NORM_SQ
+    kept = np.sum(np.abs(columns) ** 2, axis=1) >= ZERO_NORM_SQ
     keys = ([] if responses is None else [responses]) + [codes, np.arange(2)[:, None]]
     keys = np.stack(np.broadcast_arrays(*keys), axis=-1)[kept]
-    base = view_layout(dims, n).keep(("W", "V", "Y"))
-    rows = slices.transpose(1, 3, 0, 2)[kept].reshape(len(keys), base.total_dim)
-    return RecordedView.from_rows(base, view_records(n, responses is not None), rows, keys)
+    rows = columns.swapaxes(1, 2)[kept]
+    return RecordedView.from_rows(basis, view_records(n, responses is not None), rows, keys)
 
 
 def check_aux(dim_w: int, aux: StateVector) -> None:
@@ -344,16 +341,15 @@ class StartBlock(NamedTuple):
     Y = ``codes[j]``, a W,V,A,Y vector; ``codes`` are sorted and distinct.
     On a protocol run the codes are g0's orbit, and every view ``zk-check``
     certifies reads ``U_V`` through these s = dim_w * |orbit| columns alone.
-    (A named tuple, not a frozen dataclass, whose definition costs a
-    fresh interpreter about 0.5 ms.)
+    The A=a rows ``M_a`` of the (side, s) block have s <= side/2 columns, and
+    ``triangles[a]`` is the s x s ``R_a`` of their thin QR ``Q_a R_a``; Q_a
+    is never formed.  (A named tuple, not a frozen dataclass, whose
+    definition costs a fresh interpreter about 0.5 ms.)
     """
 
     codes: np.ndarray
     outputs: np.ndarray
-
-    def times(self, x: np.ndarray) -> np.ndarray:
-        """``U_start x`` for a W vector x: ``U_V |x, 0, 0, codes[j]>`` as column j."""
-        return np.tensordot(x, self.outputs, axes=(0, 1))
+    triangles: np.ndarray
 
     def columns(self, codes) -> np.ndarray:
         """The position in ``self.codes`` of each of ``codes``, which must all be among them."""
@@ -363,16 +359,28 @@ class StartBlock(NamedTuple):
             raise ValueError(f"Y codes {codes.tolist()} are not all among {self.codes.tolist()}")
         return found
 
+    def same_as(self, other: "StartBlock") -> bool:
+        """Whether the outputs agree within ``ATOL_OP``; equal triangles may hide two Q_a."""
+        return self is other or (
+            self.outputs.shape == other.outputs.shape
+            and np.allclose(self.outputs, other.outputs, rtol=0, atol=ATOL_OP)
+        )
 
-def start_block(ver: VerifierModel, n: int, codes) -> StartBlock:
-    """The :class:`StartBlock` of the distinct ``codes``: ``U_V`` applied once, to s columns."""
+
+def start_block(ver: VerifierModel, n: int, codes, triangles: bool = True) -> StartBlock:
+    """The :class:`StartBlock` of the distinct ``codes``: ``U_V`` applied once, to s columns.
+
+    Without ``triangles`` (the norm chain reads none) its ``triangles`` is None.
+    """
     layout = view_layout(ver.dims, n)
     inputs = start_columns(layout, codes)
     starts = np.zeros((layout.total_dim, inputs.size), dtype=complex)
     starts[inputs, np.arange(inputs.size)] = 1.0
     outputs = ver.u_v.apply_to(layout, starts).reshape(layout.total_dim, ver.dim_w, -1)
+    halves, s = outputs.reshape(ver.dims[0] * ver.dims[1], 2, -1), inputs.size
+    qr = [np.linalg.qr(halves[:, a].reshape(-1, s), mode="r") for a in (0, 1) if triangles]
     # The W = 0 start columns are the sorted distinct codes themselves.
-    return StartBlock(inputs[: outputs.shape[2]], outputs)
+    return StartBlock(inputs[: outputs.shape[2]], outputs, np.stack(qr) if triangles else None)
 
 
 def real_view_recorded(
@@ -385,15 +393,17 @@ def real_view_recorded(
     """Verifier view of one real round, averaged over the prover's choices.
 
     Per relabeling tau, the verifier's output on the initial product state
-    is ``U_V |aux, 0, 0, tau(g0)>``: the :class:`StartBlock` contracted with
-    aux, at the column of tau's code, with the 1/sqrt(n!) weight of tau.  It
-    is split by the measured challenge a (:func:`branch_view`), and with
-    ``keep_z`` the prover's step-(c) response to a (``Instance.responses``)
-    is recorded too.  ``block`` is the start block of ``inst.codes[0]``;
-    without one it is formed here, by the same :func:`start_block`.
+    is ``U_V |aux, 0, 0, tau(g0)>``: the :class:`StartBlock` on ``aux (x)
+    e_m``, m the column of tau's code, weighted 1/sqrt(n!), split by the
+    measured challenge a (:func:`columns_view`); with ``keep_z`` the prover's
+    step-(c) response to a (``Instance.responses``) is recorded too.
+    ``block`` is the start block of ``inst.codes[0]``; without one it is
+    formed here, by the same :func:`start_block`.
     """
     n, codes = inst.n, inst.codes[0]
     check_aux(ver.dim_w, aux)
     block = start_block(ver, n, codes) if block is None else block
-    outs = block.times(aux.amps)[:, block.columns(codes)] * np.sqrt(1.0 / codes.size)
-    return branch_view(ver.dims, n, outs, codes, inst.responses if keep_z else None)
+    triangles = block.triangles.reshape(2, -1, ver.dim_w, block.codes.size)
+    per_code = np.einsum("aswm,w->asm", triangles, aux.amps)
+    columns = per_code[:, :, block.columns(codes)] * np.sqrt(1.0 / codes.size)
+    return columns_view(block, n, columns, codes, inst.responses if keep_z else None)

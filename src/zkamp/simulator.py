@@ -14,11 +14,12 @@ The amplified state is the step in closed form.  The start phase is
 ``I + (phi - 1) Pi_0``, with Pi_0 onto the dim_w start states, so
 ``attempt S_0(phi) attempt^-1 = I + (phi - 1) cols cols^†`` for the attempt
 images ``cols`` of those states (Brassard, Hoyer, Mosca and Tapp 2002).  The
-splits and the writer put a start state on g0's orbit codes alone, so cols is
-the verifier's :class:`~zkamp.protocol.StartBlock` weighted by the branch
-coefficients (:class:`StartImages`), and the attempt output, the step and the
-real view read the verifier through one application of it, to the
-s = dim_w * |orbit| start columns.
+splits and the writer put a start state on g0's orbit codes alone, so each
+branch before and after the step is the verifier's
+:class:`~zkamp.protocol.StartBlock` on s = dim_w * |orbit| coefficients
+beta, with A=a part ``Q_a R_a beta``.  ``zk-check`` keeps the s-row
+columns ``R_a beta`` (:func:`amplified_columns`), and reads the view and the
+transcript's Born table off them: no vector of the simulator's layout.
 
 Everything the derivation claims is exposed as a numeric check on the
 operator chain itself: the half-probability block identity, the one-step
@@ -42,8 +43,8 @@ from .protocol import (
     StartBlock,
     VerifierModel,
     accept,
-    branch_view,
     check_aux,
+    columns_view,
     start_block,
     view_layout,
 )
@@ -303,11 +304,11 @@ def _norm_chain(circ: SimulatorCircuit, aux: StateVector, projected: np.ndarray)
             inst.codes[[0, 0]],
         ]
     )
-    block = start_block(circ.ver, n, inst.codes[0])
+    block = start_block(circ.ver, n, inst.codes[0], triangles=False)
     guessed, substituted, plain = block.columns(tables)
 
     view = view_layout(circ.ver.dims, n)
-    outs = block.times(aux.amps).reshape(*view.dims, block.codes.size)
+    outs = np.tensordot(aux.amps, block.outputs, axes=(0, 1)).reshape(*view.dims, -1)
     by_challenge = np.moveaxis(outs, view.axis("A"), 0).reshape(2, -1, block.codes.size)
     branches = by_challenge[:, :, guessed]  # (challenge a, rest, guess b, relabeling z)
     collapsed = np.einsum("brbz->brz", branches)
@@ -324,45 +325,20 @@ def _norm_chain(circ: SimulatorCircuit, aux: StateVector, projected: np.ndarray)
     )
 
 
-class StartImages(NamedTuple):
-    """The attempt images ``cols[:, w] = attempt |w, 0, ..., 0>`` of the start states, unformed.
+def branch_spread(circ: SimulatorCircuit, block: StartBlock) -> np.ndarray:
+    """Each (B, Z) branch's weights on ``block.codes``: column j is ``sigma_j``.
 
     The B split, the Z split and the writer take a start state to
-    ``|w, V=0, A=0> (x) sum_j c_j |Y=code_j, branch j>`` over the (B, Z)
-    branches j, so column j of ``cols[:, w]``, as (W,V,A,Y side, branch)
-    columns, is ``c_j`` times ``block.outputs[:, w]`` at the column of
-    ``code_j``.  ``spread`` holds each ``c_j`` at that column's row, so
-    ``cols x = (U_start x) spread``.  Neither cols, d x dim_w, nor any other
-    column of ``U_V`` is formed.  A named tuple, as :class:`StartBlock` is.
+    ``|w, V=0, A=0> (x) sum_j c_j |Y=code_j, branch j>`` over the branches
+    j = b n! + z, so the attempt output's branch j is ``U_start`` on
+    ``aux (x) sigma_j``, where ``sigma_j`` is ``c_j`` at the row of
+    ``code_j``.  The c_j are the circuit's own first three factors on the
+    zero state of the (Y, B, Z) sub-layout, so no completion's first column
+    is assumed; their output must be exactly zero off ``inst.codes``.
     """
-
-    block: StartBlock
-    spread: np.ndarray
-
-    def times(self, x: np.ndarray) -> np.ndarray:
-        """``cols x`` for a W vector x, as (side, branch) columns."""
-        return self.block.times(x) @ self.spread
-
-    def adjoint_times(self, y: np.ndarray) -> np.ndarray:
-        """``cols^† y`` for (side, branch) columns y: per code, the weighted sum of its branches."""
-        per_code = y @ self.spread.conj().T
-        return np.einsum("swm,sm->w", self.block.outputs, per_code.conj()).conj()
-
-
-def start_images(circ: SimulatorCircuit, block: StartBlock | None = None) -> StartImages:
-    """The :class:`StartImages` of a protocol circuit, on the start block of ``inst.codes[0]``.
-
-    The coefficients are the circuit's own first three factors (B split, Z
-    split and writer) on the zero state of the (Y, B, Z) sub-layout, so no
-    completion's first column is assumed; their output must be exactly zero
-    off the codes ``inst.codes`` names.  ``block`` is
-    :func:`~zkamp.protocol.start_block` of ``circ.ver`` on ``inst.codes[0]``;
-    without one it is formed here.
-    """
-    if circ.inst is None or circ.ver is None:
-        raise ValueError("the start images need a protocol circuit")
+    if circ.inst is None:
+        raise ValueError("the branch coefficients need a protocol circuit")
     inst = circ.inst
-    block = start_block(circ.ver, inst.n, inst.codes[0]) if block is None else block
     sub = circ.layout.keep(("Y", "B", "Z"))
     zero = np.zeros(sub.total_dim, dtype=complex)
     zero[0] = 1.0
@@ -375,70 +351,72 @@ def start_images(circ: SimulatorCircuit, block: StartBlock | None = None) -> Sta
     rows, columns = block.columns(inst.codes).reshape(-1), np.arange(inst.codes.size)
     spread = np.zeros((block.codes.size, columns.size), dtype=complex)
     spread[rows, columns] = written[branch].reshape(-1)
-    return StartImages(block, spread)
+    return spread
 
 
-def start_block_step(
-    circ: SimulatorCircuit, images: StartImages, amps: np.ndarray, phi: complex, varphi: complex
+def start_basis_step(
+    circ: SimulatorCircuit, block: StartBlock, spread, coeffs, phi: complex, varphi: complex
 ) -> np.ndarray:
-    """:func:`grover_step` ``(phi, varphi)`` on (side, branch) columns ``amps``, in closed form.
+    """:func:`grover_step` ``(phi, varphi)`` on the branches ``U_start coeffs[:, j]``, in columns.
 
-    The success phase acts by broadcasting over the (A, B) axes, and the rest
-    of the step is ``I + (phi - 1) cols cols^†``: two side x s contractions
-    with the start block, and no application of ``U_V``.
+    The success phase scales branch j's A=a part by ``phi_{a, b_j}``, then
+    ``I + (phi - 1) cols cols^†`` acts, with ``cols x = U_start (x (x) sigma_j)``
+    and, as ``M_a^† M_a = R_a^† R_a``, ``cols^†`` of the phased branches
+    ``xi = sum_j (I (x) sigma_j)^† sum_a phi_{a, b_j} R_a^† R_a c_j``.  So
+    branch j's A=a part is ``M_a beta``, ``beta = phi_{a, b_j} c_j +
+    (phi - 1) xi (x) sigma_j``; its ``R_a beta`` is returned at ``[a, :, j]``.
     """
-    phased = phase_on_success(circ.success_proj, varphi).apply_to(circ.layout, amps.reshape(-1))
-    phased = phased.reshape(amps.shape)
-    phased += images.times((phi - 1) * images.adjoint_times(phased))
-    return phased
+    triangles = block.triangles
+    dims = [circ.layout.dim_of(name) for name in circ.success_proj.targets]  # (A, B)
+    table = phase_on_success(circ.success_proj, varphi).phases.reshape(dims)
+    guess = np.arange(coeffs.shape[1]) // (coeffs.shape[1] // dims[1])
+    phased = triangles @ (table[:, guess][:, None, :] * coeffs)
+    weighted = np.sum(triangles.conj().swapaxes(1, 2) @ phased, axis=0)
+    xi = np.einsum("wmj,mj->w", weighted.reshape(-1, *spread.shape), spread.conj())
+    correction = ((phi - 1) * xi)[:, None, None] * spread
+    return phased + triangles @ correction.reshape(coeffs.shape)
 
 
-def amplified_state(
-    circ: SimulatorCircuit, aux: StateVector, block: StartBlock | None = None
-) -> np.ndarray:
-    """Raw unit amplitudes of the attempt output after one phase-i step, from the start block.
+def amplified_columns(circ: SimulatorCircuit, aux: StateVector, block: StartBlock) -> np.ndarray:
+    """Factor columns of the attempt output on ``aux`` after one phase-i :func:`start_basis_step`.
 
-    The attempt output is ``cols aux`` and the step :func:`start_block_step`
-    with phases (i, i), so ``U_V`` acts once, when the block is formed:
-    ``block`` as in :func:`start_images`, formed here when None.  The result
-    equals ``grover_step(circ, 1j, 1j)`` on :func:`attempt_output`, the
-    identity ``verify-eq2`` certifies.
+    ``U_V`` acts once, when ``block``, the start block of ``inst.codes[0]``,
+    is formed.  The state is ``grover_step(circ, 1j, 1j)`` on
+    :func:`attempt_output`, the identity ``verify-eq2`` certifies.
     """
     check_aux(circ.dim_w, aux)
-    images = start_images(circ, block)
-    s2 = start_block_step(circ, images, images.times(aux.amps), 1j, 1j).reshape(-1)
-    norm = float(np.linalg.norm(s2))
+    spread = branch_spread(circ, block)
+    coeffs = (aux.amps[:, None, None] * spread).reshape(-1, spread.shape[1])
+    columns = start_basis_step(circ, block, spread, coeffs, 1j, 1j)
+    norm = float(np.linalg.norm(columns))
     if abs(norm - 1.0) > NORM_SLACK:
         raise AssertionError(f"amplified state has norm {norm}")
-    s2 /= norm
-    return s2
+    return columns / norm
 
 
 def recorded_view(
-    circ: SimulatorCircuit, amplified: np.ndarray, keep_z: bool = False
+    circ: SimulatorCircuit, block: StartBlock, amplified: np.ndarray, keep_z: bool = False
 ) -> RecordedView:
-    """Simulated verifier view of an :func:`amplified_state`: each B,Z branch split by challenge.
+    """Simulated verifier view of :func:`amplified_columns` on ``block``, split by challenge.
 
     The B,Z measurement is replaced by its exact Born-weighted mixture
-    (:func:`sample_round` samples it).  B and Z are the last registers, so
-    column ``b n! + z`` of the state is branch (b, z), which sends
-    ``inst.codes[b, z]`` and, when ``keep_z``, records the relabeling z as
-    the response (:func:`branch_view`).
+    (:func:`sample_round` samples it).  Branch ``b n! + z`` sends
+    ``inst.codes[b, z]`` and, when ``keep_z``, records z as the response.
     """
-    if circ.inst is None or circ.ver is None:
+    if circ.inst is None:
         raise ValueError("a recorded view needs a protocol circuit")
     inst = circ.inst
     codes = inst.codes.reshape(-1)
-    branches = amplified.reshape(-1, codes.size)
     responses = np.arange(codes.size) % (codes.size // 2) if keep_z else None
-    return branch_view(circ.ver.dims, inst.n, branches, codes, responses)
+    return columns_view(block, inst.n, amplified, codes, responses)
 
 
 def simulate_round_recorded(
     circ: SimulatorCircuit, aux: StateVector, keep_z: bool = False
 ) -> RecordedView:
-    """The :func:`recorded_view` of the amplified simulator on ``aux``."""
-    return recorded_view(circ, amplified_state(circ, aux), keep_z)
+    """The :func:`recorded_view` of the amplified simulator on ``aux``, on its own start block."""
+    block = start_block(circ.ver, circ.inst.n, circ.inst.codes[0])
+    return recorded_view(circ, block, amplified_columns(circ, aux, block), keep_z)
 
 
 @dataclass(frozen=True)
@@ -453,25 +431,24 @@ class SampledRound:
 
 
 def sample_round(
-    circ: SimulatorCircuit, amplified: np.ndarray, rng: np.random.Generator
+    circ: SimulatorCircuit, columns: np.ndarray, rng: np.random.Generator
 ) -> SampledRound:
-    """Measure B, Z, A of an :func:`amplified_state` and run the acceptance check.
+    """Measure B, Z, A of :func:`amplified_columns` and run the acceptance check.
 
-    Measuring in turn is the chain rule on the Born table ``p(b, z, a)``: b is
-    drawn from its marginal, z given b, then a given both.
+    The Born table ``p(b, z, a)`` is the squared norm of branch ``b n! + z``'s
+    A=a column.  Measuring in turn is its chain rule: b is drawn from its
+    marginal, z given b, then a given both.
     """
     if circ.inst is None:
         raise ValueError("sample_round needs a protocol circuit")
-    axes = circ.layout.axes(("B", "Z", "A"))
-    born = np.moveaxis(np.abs(amplified.reshape(circ.layout.dims)) ** 2, axes, (0, 1, 2))
-    table = born.sum(axis=tuple(range(3, born.ndim)))
+    born = np.sum(np.abs(columns) ** 2, axis=1).reshape(2, 2, -1).transpose(1, 2, 0)
 
     def draw(p: np.ndarray) -> int:
         return int(rng.choice(len(p), p=p / p.sum()))
 
-    b = draw(table.sum(axis=(1, 2)))
-    z = draw(table[b].sum(axis=1))
-    a = draw(table[b, z])
+    b = draw(born.sum(axis=(1, 2)))
+    z = draw(born[b].sum(axis=1))
+    a = draw(born[b, z])
     pi = circ.inst.perms[z]
     sent = act(pi, circ.inst.graph_for_challenge(b))
     accepted = a == b and accept(sent, a, pi, circ.inst)

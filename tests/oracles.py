@@ -1,19 +1,21 @@
 """Dense oracles for the factored runtime path.
 
 The package keeps states as raw amplitude blocks, operators in factored
-form and verifier views as record-keyed factors, and never builds an
-operator's dense matrix.  The oracles here are the dense forms the tests
-compare against: an operator applied to the identity (:func:`to_matrix`),
-an operator applied by moving its target axes (:func:`moved_apply`),
-row-major index arithmetic, the graph-code decoder and the isomorphism
-search by relabeling that ``protocol.Instance.from_graphs`` is checked
-against, kron embeddings of operators, density operators with their
-channels and trace distance, checked state operations and the collapsing
-measurement that ``simulator.sample_round`` is checked against, the
-amplified state run through the step's operator chain, the dense Haar
-draw and the Householder T recurrence, the dense verifier view with
-the per-record view distance, the sampled measure-then-reflect round, and
-the two-dimensional evolution with the phase search that re-evolves every
+form and verifier views as record-keyed factors on the verifier's start
+basis, and never builds an operator's dense matrix.  The oracles here are
+the dense forms the tests compare against: an operator applied to the
+identity (:func:`to_matrix`), an operator applied by moving its target axes
+(:func:`moved_apply`), row-major index arithmetic, the graph-code decoder
+and the isomorphism search by relabeling that
+``protocol.Instance.from_graphs`` is checked against, kron embeddings of
+operators, density operators with their channels and trace distance,
+checked state operations and the collapsing measurement that
+``simulator.sample_round`` is checked against, the amplified state run
+through the step's operator chain with its Born table, the dense Haar draw
+and the Householder T recurrence, the views read off full-length W,V,A,Y
+vectors (:class:`DenseRecordedView`) with their dense assembly and
+per-record distance, the sampled measure-then-reflect round, and the
+two-dimensional evolution with the phase search that re-evolves every
 candidate step count from the start.
 """
 
@@ -28,6 +30,7 @@ from zkamp.registers import (
     ATOL_OP,
     BYTE_BUDGET,
     NORM_SLACK,
+    ZERO_NORM_SQ,
     DiagonalOp,
     HouseholderOp,
     LayoutMismatchError,
@@ -40,6 +43,7 @@ from zkamp.registers import (
     dense_bytes,
     trace_distance_matrices,
 )
+from zkamp.protocol import check_aux, view_layout, view_records
 from zkamp.simulator import attempt_output, grover_step, measure_then_reflect
 from zkamp.symm import Graph, act, enumerate_sn, num_graph_codes, vertex_pairs
 
@@ -430,8 +434,78 @@ def compact_wy_factors(reflectors, tau):
     return tfactors
 
 
+@dataclass(frozen=True)
+class DenseRecordedView:
+    """A verifier view with full-length factors: ``blocks[key]`` is X, block X X† on ``base_layout``.
+
+    The reference for ``protocol.RecordedView``, whose factors are the same
+    blocks' coordinates on the verifier's start basis.  ``blocks`` maps each
+    record value (a tuple, one index per record register) to its
+    ``(base_layout.total_dim, c)`` factor.
+    """
+
+    base_layout: RegisterLayout
+    record_registers: tuple
+    blocks: dict
+
+
+def branch_view(dims, n, branches, codes, responses=None):
+    """The :class:`DenseRecordedView` whose factor columns are the A=a parts of ``branches``.
+
+    Column j of ``branches`` is a W,V,A,Y branch vector that sent Y code
+    ``codes[j]``.  Its A=a part is a column of the factor of record value
+    ``(codes[j], a)``, or of ``(responses[a, j], codes[j], a)`` when
+    responses (broadcast over a and j) are recorded.  A part whose squared
+    norm is below ``ZERO_NORM_SQ`` is left out.
+    """
+    slices = branches.reshape(dims[0] * dims[1], 2, -1, branches.shape[1])
+    kept = np.sum(np.abs(slices) ** 2, axis=(0, 2)) >= ZERO_NORM_SQ
+    keys = ([] if responses is None else [responses]) + [codes, np.arange(2)[:, None]]
+    keys = np.stack(np.broadcast_arrays(*keys), axis=-1)
+    columns = {}
+    for a, j in zip(*np.nonzero(kept)):
+        key = tuple(int(k) for k in keys[a, j])
+        columns.setdefault(key, []).append(slices[:, a, :, j].reshape(-1))
+    base = view_layout(dims, n).keep(("W", "V", "Y"))
+    blocks = {key: np.stack(cols, axis=1) for key, cols in sorted(columns.items())}
+    return DenseRecordedView(base, view_records(n, responses is not None), blocks)
+
+
+def recorded_view(circ, amplified, keep_z=False):
+    """Simulated view of a full-length amplified state: its (B, Z) branch columns by challenge."""
+    codes = circ.inst.codes.reshape(-1)
+    responses = np.arange(codes.size) % (codes.size // 2) if keep_z else None
+    branches = amplified.reshape(-1, codes.size)
+    return branch_view(circ.ver.dims, circ.inst.n, branches, codes, responses)
+
+
+def simulated_view(circ, aux, keep_z=False):
+    """The :func:`recorded_view` of :func:`operator_amplified_state`."""
+    return recorded_view(circ, operator_amplified_state(circ, aux), keep_z)
+
+
+def real_view(inst, ver, aux, keep_z=False):
+    """Real view read off the verifier applied to each start state ``|aux, 0, 0, tau(g0)>``."""
+    check_aux(ver.dim_w, aux)
+    layout = view_layout(ver.dims, inst.n)
+    codes = inst.codes[0]
+    starts = np.zeros((layout.total_dim // ver.dim_w, codes.size), dtype=complex)
+    starts[codes, np.arange(codes.size)] = 1.0
+    outs = ver.u_v.apply_to(layout, np.kron(aux.amps[:, None], starts)) / np.sqrt(codes.size)
+    return branch_view(ver.dims, inst.n, outs, codes, inst.responses if keep_z else None)
+
+
+def born_table(circ, state):
+    """``p(b, z, a)`` of a full-length simulator state, indexed [b, z, a]."""
+    dims = dict(circ.layout.registers)
+    probs = np.abs(state.reshape(circ.layout.dims)) ** 2
+    return np.moveaxis(probs, circ.layout.axes(("B", "Z", "A")), (0, 1, 2)).reshape(
+        dims["B"], dims["Z"], dims["A"], -1
+    ).sum(axis=3)
+
+
 def record_weights(view):
-    """Trace of each block of a ``RecordedView``: the squared Frobenius norm of its factor."""
+    """Trace of each block of a view: the squared Frobenius norm of its factor."""
     return {key: float(np.vdot(x, x).real) for key, x in view.blocks.items()}
 
 
@@ -444,13 +518,13 @@ ROUND_ORDER = ("W", "V", "A", "Y", "Z", "Zp")
 
 
 def full_layout(view):
-    """A ``RecordedView``'s base and record registers together, in the round's order W,V,A,Y,Z,Zp."""
+    """A :class:`DenseRecordedView`'s base and record registers together, in the round's order."""
     registers = view.base_layout.registers + view.record_registers
     return RegisterLayout(sorted(registers, key=lambda reg: ROUND_ORDER.index(reg[0])))
 
 
 def dense_view(view):
-    """Dense operator of a ``RecordedView`` over its :func:`full_layout`.
+    """Dense operator of a :class:`DenseRecordedView` over its :func:`full_layout`.
 
     Assembled block by block over the base registers followed by the record
     registers, then reordered, so the measured challenge A sits between V
@@ -460,7 +534,7 @@ def dense_view(view):
     if layout.total_dim > DENSE_VIEW_LIMIT:
         raise MemoryError(
             f"dense view would be {layout.total_dim}x{layout.total_dim}; "
-            "compare RecordedView blocks instead"
+            "compare the view blocks instead"
         )
     stored = view.base_layout.extend(view.record_registers)
     record_layout = RegisterLayout(view.record_registers)
@@ -476,17 +550,17 @@ def dense_view(view):
 
 
 def per_key_trace_distance(v1, v2):
-    """Trace distance of two ``RecordedView``s, one record value at a time.
+    """Trace distance of two views, one record value at a time.
 
     The reference for the stacked distance: per key, the QR of the factors
     side by side, ``[X Y] = Q R``, and the spectrum of the core
     ``R diag(I, -I) R†``.
     """
     total = 0.0
-    empty = np.zeros((v1.base_layout.total_dim, 0), dtype=complex)
     for key in sorted(set(v1.blocks) | set(v2.blocks)):
-        x = v1.blocks.get(key, empty)
-        y = v2.blocks.get(key, empty)
+        x, y = v1.blocks.get(key), v2.blocks.get(key)
+        x = np.zeros((y.shape[0], 0), dtype=complex) if x is None else x
+        y = np.zeros((x.shape[0], 0), dtype=complex) if y is None else y
         r = np.linalg.qr(np.hstack([x, y]), mode="r")
         rx, ry = r[:, : x.shape[1]], r[:, x.shape[1] :]
         total += trace_distance_matrices(rx @ rx.conj().T, ry @ ry.conj().T)
@@ -496,8 +570,8 @@ def per_key_trace_distance(v1, v2):
 def operator_amplified_state(circ, aux):
     """The attempt output after one phase-i :func:`grover_step`, run as its operator chain.
 
-    The reference for ``simulator.amplified_state``, which evaluates the same
-    step in closed form from the verifier's start block.
+    The reference for ``simulator.amplified_columns``, which runs the same
+    step in closed form on the verifier's start basis.
     """
     s2 = grover_step(circ, 1j, 1j).apply_to(circ.layout, attempt_output(circ, aux))
     norm = float(np.linalg.norm(s2))

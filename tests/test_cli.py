@@ -105,7 +105,8 @@ class TestExitCodes:
         assert code == 2
 
     def test_n_too_large_is_config_error(self, capsys):
-        # n=5 fits the budgets at dims 2x2; n=6 needs 22.5 GiB even at dims 1x1.
+        # n=5 fits the budgets at dims 2x2; n=6 needs 3.6 GiB even at dims 1x1, for the
+        # writer's states on its 47185920-amplitude (Y, B, Z) sub-layout.
         code = run(["zk-check", "--n", "6", "--g0", "01", "--g1", "01", "--dim-w", "1", "--dim-v", "1"])
         assert code == 2
         assert "above the budgets" in capsys.readouterr().err
@@ -318,11 +319,14 @@ class TestOversizeRefusals:
             (["blocks", "--m", "2", "--dim-w", "64", "--dim-v", "65"], 8320),
             # Sides at most 8192, but above the byte budget: 16 states per
             # column of W on the 393216-amplitude simulator layout at dim_w 16
-            # (dims 8x8, at 0.79 GiB, fit).  Conjugated projectors of 6144,
-            # 19044 and 24576 rows, above the work budget as kept-rows factors:
-            # m = 69 (1.04e11 multiply-adds) is the first refused at dims 2x2.
-            (["zk-check", *N4, "--dim-w", "16", "--dim-v", "4"], 8192),
+            # (dims 8x8, at 0.79 GiB, fit).  zk-check holds none of them, and
+            # fits there.  Conjugated projectors of 6144, 19044 and 24576 rows,
+            # above the work budget as kept-rows factors: m = 69 (1.04e11
+            # multiply-adds) is the first refused at dims 2x2.
+            (["verify-eq2", *N4, "--dim-w", "16", "--dim-v", "4"], 8192),
             (["blocks", *N3, "--dim-w", "4", "--dim-v", "8"], 6144),
+            # zk-check at n = 6: 3.6 GiB of writer states on the (Y, B, Z) sub-layout.
+            (["zk-check", "--g0", "n=6;edges=01", "--g1", "n=6;edges=23"], 262144),
             (["blocks", "--m", "69"], 19044),
             (["blocks", *N4], 24576),
             # No dense side: one search step for each step count up to k = 2483647.
@@ -347,17 +351,14 @@ class TestOversizeRefusals:
             pytest.param(
                 "n=7;edges=01", "n=7;edges=02", [], "n must be in 2..6", id="n=7;edges=01-n=7;edges=02"
             ),
-            pytest.param(
-                "n=5;edges=01", "n=5;edges=02", ["--dim-w", "4"], "16384x16384", id="n=5-dim-w-4"
-            ),
             pytest.param("n=200;edges=01", "n=200;edges=02", [], "n must be in 2..6", id="n=200"),
         ],
     )
     def test_literal_vertex_count_checked(self, capsys, command, g0, g1, extra, refusal):
         # Without --n the vertex count comes from the literals alone.  n=5 fits
-        # both budgets at dims 2x2 (its verifier is drawn on 2 * 10 columns)
-        # and not at dim_w 4; n=1 and n=7 are outside 2..6, past S_n's range
-        # for n=7, and n=200's verifier size has thousands of digits.
+        # both budgets at dims 2x2 (its verifier is drawn on 2 * 10 columns);
+        # n=1 and n=7 are outside 2..6, past S_n's range for n=7, and n=200's
+        # verifier size has thousands of digits.
         argv = [command, "--g0", g0, "--g1", g1, *extra]
         if refusal is None:
             cfg = cli.config_from_args(build_parser().parse_args(argv))
@@ -367,6 +368,17 @@ class TestOversizeRefusals:
             return
         assert run(argv) == 2
         assert refusal in capsys.readouterr().err
+
+    def test_five_vertices_at_dim_w_4(self, capsys):
+        # verify-eq1 holds 16 states of the 3.9e6-amplitude simulator layout per
+        # column of W; zk-check holds only its 16384 x 40 start block beside them.
+        argv = ["--g0", "n=5;edges=01", "--g1", "n=5;edges=02", "--dim-w", "4"]
+        assert run(["verify-eq1", *argv]) == 2
+        assert "16384x16384" in capsys.readouterr().err
+        cfg = cli.config_from_args(build_parser().parse_args(["zk-check", *argv]))
+        peak, work, what = cli.estimate(cfg, 5)
+        assert peak <= BYTE_BUDGET and work <= WORK_BUDGET
+        assert "its 16384x40 start block" in what
 
 
 def test_blocks_never_builds_the_dense_attempt_matrix(capsys):
@@ -467,6 +479,25 @@ def test_five_vertices_fit_the_estimate():
     assert peak <= estimated
     (rec,) = json.loads(out)["records"]
     assert rec["value"] <= 1e-10 and rec["verifier_columns"] == 120
+
+
+def test_five_vertices_run_at_dims_4x1():
+    # 16 states per column of W of the simulator's layout were 1.97 GiB here;
+    # zk-check holds the 8192 x 240 start block and s-row view factors instead.
+    argv = ["zk-check", "--g0", "n=5;edges=01,12,23,34", "--g1", "n=5;edges=02,21,13,34"]
+    argv += ["--dim-w", "4", "--dim-v", "1", "--keep-z", "--seed", "7"]
+    estimated, _, what = cli.estimate(cli.config_from_args(build_parser().parse_args(argv)), 5)
+    assert "its 8192x240 start block" in what
+    tracemalloc.start()
+    try:
+        code, out, _ = _silent(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= estimated
+    (rec,) = json.loads(out)["records"]
+    assert rec["name"] == "view-equality[trial=0]" and rec["pass"] and rec["value"] <= 1e-10
 
 
 @pytest.mark.parametrize(
@@ -959,23 +990,28 @@ ZK_N3_KEEPZ = ["zk-check", *N3, "--keep-z", "--trials", "1", "--seed", "7"]
 # One injected defect for each claim that no named fault test covers, keyed by
 # that claim; a further defect of the same claim adds "/" and its own name.
 FAULTS = {
-    # The simulator skips amplification and shows the verifier one attempt.
+    # The simulator skips amplification and shows the verifier one attempt: the
+    # start-basis step with both phases 1 is the identity.
     "view-equality": (
         ZK_N3_KEEPZ,
         _patch(
             simulator,
-            "amplified_state",
-            lambda original: lambda circ, aux, block=None: simulator.attempt_output(circ, aux),
+            "start_basis_step",
+            lambda original: lambda circ, basis, spread, c, phi, vp: original(
+                circ, basis, spread, c, 1, 1
+            ),
         ),
     ),
-    # The closed-form step's correction takes the start phase -1 in place of i: the
+    # The start-basis step's correction takes the start phase -1 in place of i: the
     # step stays unitary, so the norm check passes, but leaves weight on wrong guesses.
     "view-equality/start-phase": (
         ZK_N3_KEEPZ,
         _patch(
             simulator,
-            "start_block_step",
-            lambda original: lambda circ, images, x, phi, vp: original(circ, images, x, -1, vp),
+            "start_basis_step",
+            lambda original: lambda circ, basis, spread, c, phi, vp: original(
+                circ, basis, spread, c, -1, vp
+            ),
         ),
     ),
     # A step with both phases 1 is the identity, so its two orders coincide.

@@ -1,15 +1,16 @@
 """Differential tests: factored recorded views against the dense oracle.
 
-Every view block is stored as a factor X with block = X X^dagger, one
-column per branch at the block's measured challenge A, and two views are
-compared through one stacked QR of their paired factors.  These tests
-rebuild the dense operators and check the factored trace, record weights
-and trace distance against them, for honest and Haar verifiers, with and
-without the response record, on pairs of views whose distance is zero (same
-auxiliary input) and nonzero (different auxiliary inputs).  The stacked
-distance is also checked against the per-record-value QR reference, on
-protocol views and on hand-made ones with disjoint keys, unequal block
-widths and no blocks at all.
+Every view block is stored as its factor's coordinates F on the verifier's
+start basis, block = Q_a F F^dagger Q_a^dagger, one column per branch at the
+block's measured challenge A, and two views are compared through one stacked
+QR of their paired factors.  These tests rebuild the dense operators from
+the full-length oracle views and check the factored trace, record weights,
+factor Gram matrices and trace distance against them, for honest and Haar
+verifiers, with and without the response record, on pairs of views whose
+distance is zero (same auxiliary input) and nonzero (different auxiliary
+inputs).  The stacked distance is also checked against the per-record-value
+QR reference, on protocol views and on hand-made ones with disjoint keys,
+unequal block widths and no blocks at all.
 """
 
 import functools
@@ -26,6 +27,7 @@ from zkamp.protocol import (
     honest_verifier,
     random_aux,
     real_view_recorded,
+    start_block,
     view_layout,
 )
 from zkamp.registers import RegisterLayout, trace_distance_matrices
@@ -39,7 +41,9 @@ from oracles import (
     full_layout,
     partial_trace,
     per_key_trace_distance,
+    real_view,
     record_weights,
+    simulated_view,
     trace_distance,
     unflatten,
     view_trace,
@@ -70,10 +74,16 @@ def build(case):
     else:
         ver = adversarial_verifier(dims, n, seed)
     aux, other_aux = random_aux(dims[0], seed + 1), random_aux(dims[0], seed + 2)
-    sim = simulate_round_recorded(build_circuit(inst, ver), aux, keep_z=keep_z)
+    circ = build_circuit(inst, ver)
+    sim = simulate_round_recorded(circ, aux, keep_z=keep_z)
     real = real_view_recorded(inst, ver, aux, keep_z=keep_z)
     real_other = real_view_recorded(inst, ver, other_aux, keep_z=keep_z)
-    return inst, ver, aux, sim, real, real_other
+    oracles = (
+        simulated_view(circ, aux, keep_z),
+        real_view(inst, ver, aux, keep_z),
+        real_view(inst, ver, other_aux, keep_z),
+    )
+    return inst, ver, aux, (sim, real, real_other), oracles
 
 
 def fits_dense(view):
@@ -91,7 +101,7 @@ def dense(view):
 
 
 def dense_distance(v1, v2):
-    """The dense oracle: the full operators where they fit, else dense blocks."""
+    """The dense oracle on two full-length views: the full operators where they fit, else blocks."""
     if fits_dense(v1):
         return trace_distance(dense(v1), dense(v2))
     dim = v1.base_layout.total_dim
@@ -125,12 +135,12 @@ def dephased_real_blocks(inst, ver, aux, keep_z):
 @pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_factored_distance_matches_dense(case):
     dim_w = case[1][0]
-    _, _, _, sim, real, real_other = build(case)
+    _, _, _, (sim, real, real_other), (o_sim, o_real, o_real_other) = build(case)
     same = sim.trace_distance(real)
     assert same < 1e-10
-    assert abs(same - dense_distance(sim, real)) <= AGREE
+    assert abs(same - dense_distance(o_sim, o_real)) <= AGREE
     differ = sim.trace_distance(real_other)
-    assert abs(differ - dense_distance(sim, real_other)) <= AGREE
+    assert abs(differ - dense_distance(o_sim, o_real_other)) <= AGREE
     if dim_w > 1:
         # A one-dimensional W admits a single auxiliary state up to phase.
         assert differ > 1e-3
@@ -139,11 +149,12 @@ def test_factored_distance_matches_dense(case):
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_factored_trace_and_weights_match_dense(case):
-    for view in build(case)[3:]:
+    _, _, _, views, oracles = build(case)
+    for view, oracle in zip(views, oracles):
         record_layout = RegisterLayout(view.record_registers)
         weights = record_weights(view)
-        if fits_dense(view):
-            full = dense(view)
+        if fits_dense(oracle):
+            full = dense(oracle)
             assert abs(view_trace(view) - np.trace(full.matrix).real) <= AGREE
             # The record marginal, in the round's order of the record registers.
             marginal = partial_trace(full, record_layout.names)
@@ -153,15 +164,26 @@ def test_factored_trace_and_weights_match_dense(case):
                 expected = marginal.matrix[index, index].real
                 assert abs(weights.get(tuple(key.values()), 0.0) - expected) <= AGREE
         else:
-            for key, x in view.blocks.items():
+            for key, x in oracle.blocks.items():
                 assert abs(weights[key] - np.trace(x @ x.conj().T).real) <= AGREE
         assert abs(view_trace(view) - 1.0) <= AGREE
 
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_factor_grams_match_the_full_length_factors(case):
+    # F = R_a beta and X = M_a beta = Q_a F have one Gram matrix per key.
+    for view, oracle in zip(*build(case)[3:]):
+        assert set(view.blocks) == set(oracle.blocks)
+        for key, f in view.blocks.items():
+            x = oracle.blocks[key]
+            np.testing.assert_allclose(f.conj().T @ f, x.conj().T @ x, rtol=0, atol=AGREE)
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_real_view_factors_match_dephased_outer_products(case):
+    # On the full-length oracle view; the Gram test ties the start-basis factors to it.
     n, dims, keep_z, _ = case
-    inst, ver, aux, _, real, _ = build(case)
+    inst, ver, aux, _, (_, real, _) = build(case)
     oracle = dephased_real_blocks(inst, ver, aux, keep_z)
     assert set(real.blocks) == set(oracle)
     for key, x in real.blocks.items():
@@ -171,8 +193,8 @@ def test_real_view_factors_match_dephased_outer_products(case):
 @pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_factor_columns_bounded_by_branches(case):
     # A key holds at most one column per branch: the branch's part at the key's challenge.
-    n, _, keep_z, _ = case
-    inst, _, _, sim, real, _ = build(case)
+    n, dims, keep_z, _ = case
+    inst, _, _, (sim, real, _), _ = build(case)
     perms = enumerate_sn(n)
     real_branches, sim_branches = {}, {}
     for tau in perms:
@@ -186,11 +208,12 @@ def test_factor_columns_bounded_by_branches(case):
             for a in (0, 1):
                 key = (z, code, a) if keep_z else (code, a)
                 sim_branches[key] = sim_branches.get(key, 0) + 1
+    s = dims[0] * len(set(inst.codes[0].tolist()))
     for view, branches in ((real, real_branches), (sim, sim_branches)):
         assert view.record_registers[-1] == ("A", 2)
         assert set(view.blocks) <= set(branches)
         for key, x in view.blocks.items():
-            assert x.shape[0] == view.base_layout.total_dim
+            assert x.shape[0] == s
             assert x.shape[1] <= branches[key]
 
 
@@ -239,14 +262,19 @@ def test_stacked_distance_matches_per_key_reference(case):
         assert all(type(value) is int for key in view.blocks for value in key)
 
 
-def hand_view(widths, seed, dim=6):
-    """A view over one 6-dim base register whose block ``key`` has ``widths[key]`` random columns."""
+# A start basis with s = 6: dims 2x1 and three Y codes.
+HAND_BASIS = start_block(adversarial_verifier((2, 1), 3, 5), 3, [3, 5, 6])
+
+
+def hand_view(widths, seed):
+    """A view on ``HAND_BASIS`` whose block ``key`` has ``widths[key]`` random columns."""
     rng = np.random.default_rng(seed)
+    dim = HAND_BASIS.triangles.shape[-1]
     keys = [key for key, width in widths.items() for _ in range(width)]
     rows = rng.standard_normal((len(keys), dim)) + 1j * rng.standard_normal((len(keys), dim))
     records = (("Zp", 4), ("A", 2))
     return RecordedView.from_rows(
-        RegisterLayout([("W", dim)]), records, rows, np.array(keys, dtype=np.int64).reshape(-1, 2)
+        HAND_BASIS, records, rows, np.array(keys, dtype=np.int64).reshape(-1, 2)
     )
 
 

@@ -29,7 +29,7 @@ from zkamp.protocol import (
     view_layout,
 )
 from zkamp.registers import LinearOp, OpChain
-from zkamp.simulator import amplified_state, build_circuit, recorded_view
+from zkamp.simulator import build_circuit, simulate_round_recorded
 from zkamp.symm import Graph, num_graph_codes, orbit_codes
 
 from oracles import haar_random_unitary, kron_oracle, to_matrix, unflatten
@@ -102,7 +102,7 @@ class TestDenseOracle:
         aux = random_aux(dims[0], seed + 1)
         block = start_block(ver, n, codes)
         np.testing.assert_allclose(block.outputs.reshape(side, s), u[:, inputs], atol=1e-12)
-        outs = block.times(aux.amps)[:, block.columns(codes)]
+        outs = np.tensordot(aux.amps, block.outputs, axes=(0, 1))[:, block.columns(codes)]
         for col, code in zip(outs.T, codes):
             start = np.kron(aux.amps, np.eye(side // dims[0])[code])
             np.testing.assert_allclose(col, u @ start, atol=1e-12)
@@ -122,10 +122,10 @@ class TestEquivalence:
         assert_same_blocks(
             real_view_recorded(inst, ver, aux, keep_z), real_view_recorded(inst, other, aux, keep_z)
         )
-        views = []
-        for verifier in (ver, other):
-            circ = build_circuit(inst, verifier)
-            views.append(recorded_view(circ, amplified_state(circ, aux), keep_z))
+        views = [
+            simulate_round_recorded(build_circuit(inst, verifier), aux, keep_z)
+            for verifier in (ver, other)
+        ]
         assert_same_blocks(*views)
         assert views[0].trace_distance(real_view_recorded(inst, ver, aux, keep_z)) <= AGREE
 

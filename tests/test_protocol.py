@@ -40,6 +40,8 @@ from oracles import (
     dense_view,
     find_isomorphism,
     partial_trace,
+    per_key_trace_distance,
+    real_view,
     record_weights,
     to_matrix,
     trace_distance,
@@ -139,7 +141,7 @@ class TestHonestVerifier:
         inst = path_instance()
         ver = honest_verifier(DIMS, 3)
         aux = random_aux(2, seed=3)
-        rho = dense_view(real_view_recorded(inst, ver, aux))
+        rho = dense_view(real_view(inst, ver, aux))
         got = partial_trace(rho, ["W", "V", "A", "Y"])
 
         dim_y = num_graph_codes(3)
@@ -200,7 +202,7 @@ class TestRealView:
     def test_rigid_instance_pure_record(self):
         inst = Instance.from_graphs(EDGE2, EDGE2)
         ver = honest_verifier(DIMS, 2)
-        rho = dense_view(real_view_recorded(inst, ver, basis_aux()))
+        rho = dense_view(real_view(inst, ver, basis_aux()))
         y = partial_trace(rho, ["Y"])
         zp = partial_trace(rho, ["Zp"])
         code = encode(EDGE2)
@@ -212,7 +214,7 @@ class TestRealView:
     def test_orbit_uniform_weights(self):
         inst = path_instance()
         ver = honest_verifier(DIMS, 3)
-        rho = dense_view(real_view_recorded(inst, ver, random_aux(2, seed=9)))
+        rho = dense_view(real_view(inst, ver, random_aux(2, seed=9)))
         y = partial_trace(rho, ["Y"]).matrix
         np.testing.assert_allclose(y, np.diag(np.diag(y)), atol=1e-12)
         orbit_codes = {encode(act(tau, inst.g0)) for tau in enumerate_sn(3)}
@@ -224,14 +226,14 @@ class TestRealView:
     def test_challenge_marginal_is_dephased(self):
         inst = path_instance()
         ver = adversarial_verifier(DIMS, 3, seed=5)
-        rho = dense_view(real_view_recorded(inst, ver, random_aux(2, seed=6)))
+        rho = dense_view(real_view(inst, ver, random_aux(2, seed=6)))
         a = partial_trace(rho, ["A"]).matrix
         assert abs(a[0, 1]) < 1e-12 and abs(a[1, 0]) < 1e-12
 
     def test_honest_challenge_marginal_is_uniform(self):
         inst = path_instance()
         ver = honest_verifier(DIMS, 3)
-        rho = dense_view(real_view_recorded(inst, ver, random_aux(2, seed=7)))
+        rho = dense_view(real_view(inst, ver, random_aux(2, seed=7)))
         a = partial_trace(rho, ["A"]).matrix
         np.testing.assert_allclose(a, np.eye(2) / 2, atol=1e-10)
 
@@ -250,7 +252,7 @@ class TestRealView:
         # DensityOperator construction enforces Hermitian, PSD, unit trace.
         inst = path_instance()
         ver = adversarial_verifier(DIMS, 3, seed=13)
-        rho = dense_view(real_view_recorded(inst, ver, random_aux(2, seed=14)))
+        rho = dense_view(real_view(inst, ver, random_aux(2, seed=14)))
         assert abs(np.trace(rho.matrix) - 1) < 1e-10
 
     def test_aux_layout_checked(self):
@@ -283,7 +285,7 @@ class TestRealView:
         np.testing.assert_allclose(block.outputs.reshape(columns.shape), columns, atol=1e-12)
         # V and A start at 0, so a start's index below W is its Y code.
         aux = random_aux(2, seed=6)
-        outs = block.times(aux.amps)[:, block.columns([3, 0, 3])]
+        outs = np.tensordot(aux.amps, block.outputs, axes=(0, 1))[:, block.columns([3, 0, 3])]
         dense = to_matrix(ver.u_v, layout)
         for col, code in zip(outs.T, [3, 0, 3]):
             start = np.kron(aux.amps, np.eye(layout.total_dim // 2)[code])
@@ -297,7 +299,7 @@ class TestRecordedView:
         inst = Instance.from_graphs(EDGE2, EDGE2)
         ver = adversarial_verifier(DIMS, 2, seed=3)
         aux = random_aux(2, seed=4)
-        view = real_view_recorded(inst, ver, aux)
+        view = real_view(inst, ver, aux)
         dense = dense_view(view)
         assert view.base_layout.names == ("W", "V", "Y")
         assert view.record_registers == (("Zp", 2), ("A", 2))
@@ -311,15 +313,49 @@ class TestRecordedView:
             manual[:, a, :, code, :, a, :, code] = block
         np.testing.assert_allclose(dense.matrix, manual.reshape(dense.matrix.shape))
 
-    def test_blocked_distance_matches_dense(self):
+    def test_two_verifiers_distance_matches_dense(self):
+        # Full-length views: the start-basis views of two verifiers live on two bases.
+        inst = path_instance()
+        aux = random_aux(2, seed=8)
+        v1 = real_view(inst, adversarial_verifier(DIMS, 3, seed=1), aux)
+        v2 = real_view(inst, adversarial_verifier(DIMS, 3, seed=2), aux)
+        blocked = per_key_trace_distance(v1, v2)
+        dense = trace_distance(dense_view(v1), dense_view(v2))
+        assert abs(blocked - dense) < 1e-10
+        assert blocked > 1e-3  # different verifiers give different views
+
+    def test_views_of_two_verifiers_are_refused(self):
         inst = path_instance()
         aux = random_aux(2, seed=8)
         v1 = real_view_recorded(inst, adversarial_verifier(DIMS, 3, seed=1), aux)
         v2 = real_view_recorded(inst, adversarial_verifier(DIMS, 3, seed=2), aux)
-        blocked = v1.trace_distance(v2)
-        dense = trace_distance(dense_view(v1), dense_view(v2))
-        assert abs(blocked - dense) < 1e-10
-        assert blocked > 1e-3  # different verifiers give different views
+        with pytest.raises(ValueError, match="or start blocks"):
+            v1.trace_distance(v2)
+
+    def test_views_of_verifiers_with_one_gram_are_refused(self):
+        # A flip of V after the honest verifier keeps every M_a^dagger M_a, so
+        # both bases have the same triangles, but the real views differ.
+        inst = path_instance()
+        honest = honest_verifier(DIMS, 3)
+        flip = LinearOp(view_layout(DIMS, 3), ("V", "A"), np.kron(np.eye(2)[::-1], HADAMARD))
+        flipped = VerifierModel(DIMS, flip)
+        aux = random_aux(2, seed=9)
+        v1, v2 = (real_view_recorded(inst, ver, aux) for ver in (honest, flipped))
+        np.testing.assert_allclose(v1.basis.triangles, v2.basis.triangles, atol=1e-15)
+        with pytest.raises(ValueError, match="or start blocks"):
+            v1.trace_distance(v2)
+        oracles = [real_view(inst, ver, aux) for ver in (honest, flipped)]
+        assert per_key_trace_distance(*oracles) > 0.5
+
+    def test_views_of_one_verifier_share_a_basis(self):
+        # Each call forms its own start basis; both factor one start block.
+        inst = path_instance()
+        ver = adversarial_verifier(DIMS, 3, seed=10)
+        auxes = [random_aux(2, seed) for seed in (11, 12)]
+        v1, v2 = (real_view_recorded(inst, ver, aux) for aux in auxes)
+        assert v1.basis is not v2.basis and v1.basis.same_as(v2.basis)
+        oracle = per_key_trace_distance(*(real_view(inst, ver, aux) for aux in auxes))
+        assert abs(v1.trace_distance(v2) - oracle) < 1e-14
 
     def test_keep_z_records_responses(self):
         inst = path_instance()
@@ -342,9 +378,26 @@ class TestRecordedView:
         assert set(weights) == {(code, 0), (code, 1)}
         assert sum(weights.values()) == pytest.approx(1.0, abs=1e-12)
         # Each weight is the probability that the verifier measures that challenge.
-        out = start_block(ver, 2, [code]).times(aux.amps)[:, 0].reshape(DIMS[0] * DIMS[1], 2, -1)
+        outputs = start_block(ver, 2, [code]).outputs
+        out = np.tensordot(aux.amps, outputs, axes=(0, 1))[:, 0].reshape(DIMS[0] * DIMS[1], 2, -1)
         for a in (0, 1):
             assert weights[(code, a)] == pytest.approx(np.linalg.norm(out[:, a]) ** 2, abs=1e-12)
+
+
+class TestStartTriangles:
+    @pytest.mark.parametrize("kind", ["adversarial", "honest"])
+    @pytest.mark.parametrize("dims", [(1, 1), (2, 2), (1, 4)])
+    def test_triangles_factor_the_challenge_halves(self, kind, dims):
+        ver = honest_verifier(dims, 3) if kind == "honest" else adversarial_verifier(dims, 3, 5)
+        block = start_block(ver, 3, [5, 0, 3])
+        s = dims[0] * 3
+        halves = block.outputs.reshape(dims[0] * dims[1], 2, -1, s).swapaxes(0, 1)
+        assert block.triangles.shape == (2, s, s)
+        for a in (0, 1):
+            m = halves[a].reshape(-1, s)
+            r = block.triangles[a]
+            np.testing.assert_array_equal(r, np.triu(r))
+            np.testing.assert_allclose(r.conj().T @ r, m.conj().T @ m, atol=1e-14)
 
 
 class TestAccept:

@@ -20,8 +20,9 @@ from zkamp.registers import DiagonalOp, OpChain, StateVector
 from zkamp.simulator import (
     COMPLETIONS,
     amplification_check,
-    amplified_state,
+    amplified_columns,
     attempt_output,
+    branch_spread,
     build_circuit,
     grover_step,
     phase_on_start,
@@ -29,8 +30,7 @@ from zkamp.simulator import (
     sample_round,
     sim_layout,
     simulate_round_recorded,
-    start_block_step,
-    start_images,
+    start_basis_step,
     success_block_residual,
     success_projector,
     uniform_superposition_unitary,
@@ -39,6 +39,7 @@ from zkamp.symm import Graph, Permutation, act, encode, enumerate_sn
 
 from oracles import (
     basis_state,
+    branch_view,
     dense_view,
     fidelity,
     kron_oracle,
@@ -46,7 +47,10 @@ from oracles import (
     moved_apply,
     operator_amplified_state,
     overlap,
+    per_key_trace_distance,
     project,
+    real_view,
+    simulated_view,
     success_probability,
     to_matrix,
     trace_distance,
@@ -296,91 +300,6 @@ class TestAmplificationStep:
         assert abs(check.swapped_order_residual - 1.0) < 1e-9
 
 
-PATH4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
-PATH4B = Graph(4, [(0, 3), (1, 2), (2, 0)])
-INSTANCES = {
-    2: Instance.from_graphs(EDGE2, EDGE2),
-    3: Instance.from_graphs(PATH3, PATH3B),
-    4: Instance.from_graphs(PATH4, PATH4B),
-}
-CLOSED_FORM_CASES = [
-    (n, DIMS, kind, completion)
-    for n in INSTANCES
-    for kind in ("honest", "adversarial")
-    for completion in COMPLETIONS
-] + [
-    (3, dims, kind, COMPLETIONS[0])
-    for dims in ((1, 1), (1, 4), (8, 8))
-    for kind in ("honest", "adversarial")
-]
-
-
-class TestClosedFormStep:
-    """The start-block step agrees with the step's operator chain."""
-
-    @staticmethod
-    def circuit(n, dims, kind, completion=COMPLETIONS[0]):
-        inst = INSTANCES[n]
-        if kind == "honest":
-            ver = honest_verifier(dims, n)
-        else:
-            ver = adversarial_verifier(dims, n, 10 * n + dims[1], inst.codes[0])
-        return build_circuit(inst, ver, completion)
-
-    @pytest.mark.parametrize("n, dims, kind, completion", CLOSED_FORM_CASES)
-    def test_amplified_state_matches_the_operator_chain(self, n, dims, kind, completion):
-        circ = self.circuit(n, dims, kind, completion)
-        aux = random_aux(dims[0], n + dims[0])
-        closed = amplified_state(circ, aux)
-        assert np.max(np.abs(closed - operator_amplified_state(circ, aux))) <= 1e-14
-
-    def test_entangled_aux(self):
-        inst = INSTANCES[3]
-        circ = build_circuit(inst, adversarial_verifier((4, 2), 3, seed=3))
-        bell = StateVector(aux_layout(4), np.array([1, 0, 0, 1]) / np.sqrt(2))
-        closed = amplified_state(circ, bell)
-        assert np.max(np.abs(closed - operator_amplified_state(circ, bell))) <= 1e-14
-
-    @pytest.mark.parametrize("phases", [(-1.0, 1.0), (1j, 1j), (np.exp(0.3j), np.exp(1.1j))])
-    def test_step_on_any_vector(self, phases):
-        # I + (phi - 1) cols cols^† is the conjugated start phase on every vector,
-        # not only on the attempt output.
-        circ = self.circuit(3, DIMS, "adversarial")
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal((circ.layout.total_dim, 2)) @ np.array([1, 1j])
-        x /= np.linalg.norm(x)
-        branches = x.reshape(-1, circ.inst.codes.size)
-        closed = start_block_step(circ, start_images(circ), branches, *phases).reshape(-1)
-        chain = grover_step(circ, *phases).apply_to(circ.layout, x)
-        assert np.max(np.abs(closed - chain)) <= 1e-14
-
-    def test_images_are_the_attempt_output(self):
-        circ = self.circuit(4, DIMS, "adversarial", "dft")
-        aux = random_aux(2, 5)
-        images = start_images(circ)
-        attempt = images.times(aux.amps).reshape(-1)
-        assert np.max(np.abs(attempt - attempt_output(circ, aux))) <= 1e-14
-
-    def test_block_handed_in_runs_the_same_code(self):
-        circ = self.circuit(3, DIMS, "adversarial")
-        inst, aux = circ.inst, random_aux(2, 6)
-        block = start_block(circ.ver, 3, inst.codes[0])
-        np.testing.assert_array_equal(amplified_state(circ, aux, block), amplified_state(circ, aux))
-        handed = real_view_recorded(inst, circ.ver, aux, True, block)
-        formed = real_view_recorded(inst, circ.ver, aux, True)
-        np.testing.assert_array_equal(handed.stack, formed.stack)
-
-    def test_writer_weight_off_the_orbit_is_refused(self):
-        # The path instance's writer sends path codes; an instance of two empty
-        # graphs sends only code 0, so the coefficients leave its orbit.
-        circ = self.circuit(3, DIMS, "adversarial")
-        empty = Graph(3, [])
-        faulted = dataclasses.replace(circ, inst=Instance(empty, empty, Permutation.identity(3)))
-        start_images(circ)
-        with pytest.raises(AssertionError, match="off the codes"):
-            start_images(faulted)
-
-
 class TestDerivationChains:
     @pytest.mark.parametrize("seed", [None, 3])
     def test_norm_chain(self, seed):
@@ -452,10 +371,11 @@ class TestSimulatedView:
         assert sim.trace_distance(real) < TOL
 
     def test_matches_real_view_dense(self):
+        # On the full-length oracle views, assembled densely.
         circ = gmw_circuit(3, verifier_seed=2)
         aux = random_aux(2, seed=34)
-        sim = dense_view(simulate_round_recorded(circ, aux))
-        d = trace_distance(sim, dense_view(real_view_recorded(circ.inst, circ.ver, aux)))
+        sim = dense_view(simulated_view(circ, aux))
+        d = trace_distance(sim, dense_view(real_view(circ.inst, circ.ver, aux)))
         assert d < TOL
 
     def test_matches_real_view_n2(self):
@@ -492,36 +412,18 @@ class TestSimulatedView:
         # response recorded, half the unamplified weight sits on branches
         # whose guess disagrees with the challenge, and the distance to the
         # real view is exactly 1/2; the amplified round still matches.
-        from zkamp.protocol import RecordedView, view_records
-
         circ = gmw_circuit(3, verifier_seed=3)
         aux = random_aux(2, seed=45)
         inst, ver = circ.inst, circ.ver
-        perms = enumerate_sn(3)
-        layout = view_layout(ver.dims, 3)
-        base = layout.keep(("W", "V", "Y"))
-        tensor = attempt_output(circ, aux).reshape(circ.layout.dims)
-        a_axis = layout.axis("A")
-
-        def branch_average(keep_z):
-            # Factor columns: each branch split by the measured challenge a,
-            # a column of record value (code, a), or (z, code, a) with Z kept.
-            rows, keys = [], []
-            for b, g in enumerate((inst.g0, inst.g1)):
-                for z, pi in enumerate(perms):
-                    code = encode(act(pi, g))
-                    for a in range(2):
-                        rows.append(np.take(tensor[..., b, z], a, axis=a_axis).reshape(-1))
-                        keys.append((z, code, a) if keep_z else (code, a))
-            records = view_records(3, keep_z)
-            return RecordedView.from_rows(base, records, np.array(rows), np.array(keys))
-
-        assert branch_average(False).trace_distance(
-            real_view_recorded(inst, ver, aux)
-        ) < TOL
-        real_z = real_view_recorded(inst, ver, aux, keep_z=True)
-        unamplified_gap = branch_average(True).trace_distance(real_z)
+        codes = inst.codes.reshape(-1)
+        responses = np.arange(codes.size) % (codes.size // 2)
+        branches = attempt_output(circ, aux).reshape(-1, codes.size)
+        unamplified = branch_view(ver.dims, 3, branches, codes)
+        assert per_key_trace_distance(unamplified, real_view(inst, ver, aux)) < TOL
+        unamplified_z = branch_view(ver.dims, 3, branches, codes, responses)
+        unamplified_gap = per_key_trace_distance(unamplified_z, real_view(inst, ver, aux, True))
         assert abs(unamplified_gap - 0.5) < 1e-9
+        real_z = real_view_recorded(inst, ver, aux, keep_z=True)
         assert simulate_round_recorded(circ, aux, keep_z=True).trace_distance(real_z) < TOL
 
     @pytest.mark.parametrize("completion", ["householder", "dft"])
@@ -542,7 +444,8 @@ class TestSampledRound:
     def test_always_accepts_after_amplification(self):
         circ = gmw_circuit(3, verifier_seed=6)
         rng = np.random.default_rng(99)
-        amplified = amplified_state(circ, random_aux(2, 39))
+        block = start_block(circ.ver, 3, circ.inst.codes[0])
+        amplified = amplified_columns(circ, random_aux(2, 39), block)
         for _ in range(5):
             round_ = sample_round(circ, amplified, rng)
             assert round_.challenge == round_.guess
@@ -553,7 +456,8 @@ class TestSampledRound:
 
     def test_deterministic_per_seed(self):
         circ = gmw_circuit(3, verifier_seed=6)
-        amplified = amplified_state(circ, random_aux(2, 40))
+        block = start_block(circ.ver, 3, circ.inst.codes[0])
+        amplified = amplified_columns(circ, random_aux(2, 40), block)
         r1 = sample_round(circ, amplified, np.random.default_rng(5))
         r2 = sample_round(circ, amplified, np.random.default_rng(5))
         assert (r1.guess, r1.permutation) == (r2.guess, r2.permutation)
@@ -564,16 +468,23 @@ N4 = ["--n", "4", "--g0", "01,12,23", "--g1", "03,12,20"]
 
 
 def zk_check_states(argv, amplified=True):
-    """The circuit and the state ``zk-check argv --seed 7`` samples its transcript from.
+    """The circuit, full-length state and factor columns ``zk-check argv --seed 7`` samples from.
 
-    With ``amplified=False`` the attempt output instead, whose challenge is
-    not yet tied to the guess.
+    The state is the operator chain's amplified state, and the columns the
+    start-block ones that ``zk-check`` draws from.  With ``amplified=False``
+    both are of the attempt output instead (the start-block step with both
+    phases 1), whose challenge is not yet tied to the guess.
     """
     cfg = cli.config_from_args(cli.build_parser().parse_args(["zk-check", *argv, "--seed", "7"]))
     inst = cli.build_instance(cfg)
     (_, (_, aux_seed, _), circ), = cli._trials(cfg, inst, cfg.extras.get("verifier", "adversarial"))
     aux = random_aux(cfg.dims[0], aux_seed)
-    return circ, (amplified_state if amplified else attempt_output)(circ, aux)
+    block = start_block(circ.ver, inst.n, inst.codes[0])
+    if amplified:
+        return circ, operator_amplified_state(circ, aux), amplified_columns(circ, aux, block)
+    spread = branch_spread(circ, block)
+    coeffs = (aux.amps[:, None, None] * spread).reshape(-1, spread.shape[1])
+    return circ, attempt_output(circ, aux), start_basis_step(circ, block, spread, coeffs, 1, 1)
 
 
 SAMPLED_STATES = {
@@ -590,11 +501,11 @@ class TestSampledFromBornTable:
 
     @pytest.mark.parametrize("name", SAMPLED_STATES)
     def test_same_draws_as_three_measurements(self, name):
-        circ, state = zk_check_states(*SAMPLED_STATES[name])
+        circ, state, columns = zk_check_states(*SAMPLED_STATES[name])
         perms = enumerate_sn(circ.inst.n)
         for seed in range(200):
             rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            sampled = sample_round(circ, state, rng)
+            sampled = sample_round(circ, columns, rng)
             collapsed = StateVector(circ.layout, state)
             b, _, collapsed = measure(collapsed, "B", oracle_rng)
             z, _, collapsed = measure(collapsed, "Z", oracle_rng)
@@ -604,13 +515,13 @@ class TestSampledFromBornTable:
 
     @pytest.mark.parametrize("amplified", [True, False], ids=["amplified", "attempt"])
     def test_frequencies_match_the_born_table(self, amplified):
-        circ, state = zk_check_states(N3, amplified)
+        circ, state, columns = zk_check_states(N3, amplified)
         born = np.einsum("wvaybz->bza", np.abs(state.reshape(circ.layout.dims)) ** 2)
         perms = enumerate_sn(circ.inst.n)
         draws, rng = 2000, np.random.default_rng(2024)
         counts = np.zeros_like(born)
         for _ in range(draws):
-            r = sample_round(circ, state, rng)
+            r = sample_round(circ, columns, rng)
             counts[r.guess, perms.index(r.permutation), r.challenge] += 1
         sigma = np.sqrt(draws * born * (1 - born))
         assert np.all(np.abs(counts - draws * born) <= 5 * sigma + 1e-9)
@@ -622,7 +533,7 @@ def test_benchmark_operators_match_the_moving_form_bit_for_bit(name):
     # The zk-check circuits of the benchmark, on their amplified state, on
     # dim_w columns (the half-success block) and, at n = 3, on the d x d/2
     # kept columns that blocks factors.
-    circ, state = zk_check_states(*SAMPLED_STATES[name])
+    circ, state, _ = zk_check_states(*SAMPLED_STATES[name])
     layout, d = circ.layout, circ.layout.total_dim
     rng = np.random.default_rng(3)
     blocks = [state] + [

@@ -1,0 +1,249 @@
+"""``zk-check`` on the verifier's start block against the full-length oracles.
+
+Every branch of the amplified state and of the real outputs is the start
+block ``U_start`` on s start coefficients, so its A=a part is ``M_a beta =
+Q_a R_a beta`` for the thin QR of the block's A=a rows.  The runtime keeps
+``R_a beta`` alone.  These tests rebuild ``Q_a`` and check the step, the
+attempt output, the views' distances and key sets and the Born table
+against the operator chain and the views read off full-length vectors, on a
+grid of instances, dimensions, verifiers, completions and records, and
+check that the views-and-distance stage holds no full-length state.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from zkamp import cli
+from zkamp.protocol import (
+    Instance,
+    adversarial_verifier,
+    aux_layout,
+    honest_verifier,
+    random_aux,
+    real_view_recorded,
+    start_block,
+)
+from zkamp.registers import StateVector
+from zkamp.simulator import (
+    COMPLETIONS,
+    amplified_columns,
+    attempt_output,
+    branch_spread,
+    build_circuit,
+    grover_step,
+    recorded_view,
+    sample_round,
+    simulate_round_recorded,
+    start_basis_step,
+)
+from zkamp.symm import Graph, Permutation
+
+from oracles import (
+    born_table,
+    operator_amplified_state,
+    per_key_trace_distance,
+    real_view,
+    recorded_view as full_recorded_view,
+)
+
+INSTANCES = {
+    2: Instance.from_graphs(Graph(2, [(0, 1)]), Graph(2, [(0, 1)])),
+    3: Instance.from_graphs(Graph(3, [(0, 1), (1, 2)]), Graph(3, [(0, 1), (0, 2)])),
+    4: Instance.from_graphs(
+        Graph(4, [(0, 1), (1, 2), (2, 3)]), Graph(4, [(0, 3), (1, 2), (2, 0)])
+    ),
+}
+KINDS = ("honest", "adversarial")
+AGREE = 1e-14
+N4_KEEPZ = ["zk-check", "--n", "4", "--g0", "01,12,23", "--g1", "03,12,20", "--keep-z"]
+
+
+def circuit(n, dims, kind, completion=COMPLETIONS[0]):
+    inst = INSTANCES[n]
+    if kind == "honest":
+        ver = honest_verifier(dims, n)
+    else:
+        ver = adversarial_verifier(dims, n, 10 * n + dims[1], inst.codes[0])
+    return build_circuit(inst, ver, completion)
+
+
+def isometries(block, dims):
+    """The ``Q_a`` of the thin QRs ``M_a = Q_a R_a`` whose triangles ``block`` keeps."""
+    side, s = block.outputs.shape[0], block.outputs[0].size
+    halves = block.outputs.reshape(dims[0] * dims[1], 2, -1, s).swapaxes(0, 1)
+    q, r = np.linalg.qr(halves.reshape(2, side // 2, s))
+    np.testing.assert_array_equal(r, block.triangles)
+    return q
+
+
+def column_born_table(columns):
+    """``p(b, z, a)`` of factor columns: the squared norm of branch ``b n! + z`` at A=a."""
+    return np.sum(np.abs(columns) ** 2, axis=1).reshape(2, 2, -1).transpose(1, 2, 0)
+
+
+def by_challenge(state, dims, branches):
+    """A full-length simulator state's branch columns split by A: (2, side/2, branches)."""
+    halves = state.reshape(dims[0] * dims[1], 2, -1, branches).swapaxes(0, 1)
+    return halves.reshape(2, -1, branches)
+
+
+class TestStep:
+    """The start-basis step against the step's operator chain."""
+
+    @pytest.mark.parametrize(
+        "n, dims, kind, completion",
+        [(n, (2, 2), kind, c) for n in INSTANCES for kind in KINDS for c in COMPLETIONS]
+        + [(3, dims, kind, COMPLETIONS[0]) for dims in ((1, 1), (1, 4), (8, 8)) for kind in KINDS],
+    )
+    def test_amplified_columns_are_the_operator_chain(self, n, dims, kind, completion):
+        circ = circuit(n, dims, kind, completion)
+        aux = random_aux(dims[0], n + dims[0])
+        block = start_block(circ.ver, n, circ.inst.codes[0])
+        full = isometries(block, dims) @ amplified_columns(circ, aux, block)
+        oracle = by_challenge(operator_amplified_state(circ, aux), dims, circ.inst.codes.size)
+        assert np.max(np.abs(full - oracle)) <= AGREE
+
+    @pytest.mark.parametrize("phases", [(-1.0, 1.0), (1j, 1j), (np.exp(0.3j), np.exp(1.1j))])
+    def test_step_on_any_start_coefficients(self, phases):
+        # I + (phi - 1) cols cols^† after the success phase, on every vector the
+        # start block spans per branch, not only on the attempt output.
+        circ = circuit(3, (2, 2), "adversarial")
+        inst = circ.inst
+        block = start_block(circ.ver, 3, inst.codes[0])
+        rng = np.random.default_rng(3)
+        shape = (block.triangles.shape[-1], inst.codes.size)
+        coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        coeffs /= np.linalg.norm(coeffs)
+        x = block.outputs.reshape(-1, shape[0]) @ coeffs
+        spread = branch_spread(circ, block)
+        closed = start_basis_step(circ, block, spread, coeffs, *phases)
+        closed = isometries(block, (2, 2)) @ closed
+        chain = grover_step(circ, *phases).apply_to(circ.layout, x.reshape(-1))
+        assert np.max(np.abs(closed - by_challenge(chain, (2, 2), shape[1]))) <= AGREE
+
+    def test_spread_gives_the_attempt_output(self):
+        circ = circuit(4, (2, 2), "adversarial", "dft")
+        aux = random_aux(2, 5)
+        block = start_block(circ.ver, 4, circ.inst.codes[0])
+        spread = branch_spread(circ, block)
+        attempt = np.tensordot(aux.amps, block.outputs, axes=(0, 1)) @ spread
+        assert np.max(np.abs(attempt.reshape(-1) - attempt_output(circ, aux))) <= AGREE
+
+    def test_block_handed_in_runs_the_same_code(self):
+        circ = circuit(3, (2, 2), "adversarial")
+        inst, aux = circ.inst, random_aux(2, 6)
+        block = start_block(circ.ver, 3, inst.codes[0])
+        handed = real_view_recorded(inst, circ.ver, aux, True, block)
+        formed = real_view_recorded(inst, circ.ver, aux, True)
+        np.testing.assert_array_equal(handed.stack, formed.stack)
+        sim = recorded_view(circ, block, amplified_columns(circ, aux, block), True)
+        np.testing.assert_array_equal(sim.stack, simulate_round_recorded(circ, aux, True).stack)
+
+    def test_norm_chain_block_takes_no_triangles(self):
+        circ = circuit(3, (2, 2), "adversarial")
+        full, bare = (start_block(circ.ver, 3, circ.inst.codes[0], flag) for flag in (True, False))
+        assert bare.triangles is None
+        np.testing.assert_array_equal(full.outputs, bare.outputs)
+
+    def test_writer_weight_off_the_orbit_is_refused(self):
+        # The path instance's writer sends path codes; an instance of two empty
+        # graphs sends only code 0, so the weights leave its orbit.
+        import dataclasses
+
+        circ = circuit(3, (2, 2), "adversarial")
+        empty = Graph(3, [])
+        faulted = dataclasses.replace(circ, inst=Instance(empty, empty, Permutation.identity(3)))
+        block = start_block(circ.ver, 3, circ.inst.codes[0])
+        branch_spread(circ, block)
+        with pytest.raises(AssertionError, match="off the codes"):
+            branch_spread(faulted, block)
+
+
+GRID = [
+    (n, dims, kind, completion, keep_z)
+    for n in INSTANCES
+    for dims in ((1, 1), (2, 2), (1, 4))
+    for kind in KINDS
+    for completion in COMPLETIONS
+    for keep_z in (False, True)
+] + [
+    (3, (8, 8), kind, completion, keep_z)
+    for kind in KINDS
+    for completion in COMPLETIONS
+    for keep_z in (False, True)
+]
+
+
+def grid_id(case):
+    n, dims, kind, completion, keep_z = case
+    return f"n{n}-{dims[0]}x{dims[1]}-{kind}-{completion}-{'keepz' if keep_z else 'zp'}"
+
+
+def assert_agrees_with_oracle(circ, aux, other_aux, keep_z):
+    inst, ver = circ.inst, circ.ver
+    block = start_block(ver, inst.n, inst.codes[0])
+    amplified = amplified_columns(circ, aux, block)
+    sim = recorded_view(circ, block, amplified, keep_z)
+    real = real_view_recorded(inst, ver, aux, keep_z, block)
+    real_other = real_view_recorded(inst, ver, other_aux, keep_z, block)
+    state = operator_amplified_state(circ, aux)
+    oracles = (
+        full_recorded_view(circ, state, keep_z),
+        real_view(inst, ver, aux, keep_z),
+        real_view(inst, ver, other_aux, keep_z),
+    )
+    for view, oracle in zip((sim, real, real_other), oracles):
+        assert set(view.blocks) == set(oracle.blocks)
+    assert sim.trace_distance(real) <= 1e-10
+    for pair, oracle_pair in (((sim, real), oracles[:2]), ((sim, real_other), oracles[::2])):
+        assert abs(pair[0].trace_distance(pair[1]) - per_key_trace_distance(*oracle_pair)) <= AGREE
+    assert np.max(np.abs(column_born_table(amplified) - born_table(circ, state))) <= AGREE
+
+
+@pytest.mark.parametrize("case", GRID, ids=grid_id)
+def test_views_and_born_table_agree_with_the_full_length_oracle(case):
+    n, dims, kind, completion, keep_z = case
+    circ = circuit(n, dims, kind, completion)
+    aux, other_aux = random_aux(dims[0], 7 * n + dims[1]), random_aux(dims[0], 7 * n + dims[1] + 1)
+    assert_agrees_with_oracle(circ, aux, other_aux, keep_z)
+
+
+@pytest.mark.parametrize("keep_z", [False, True])
+def test_entangled_aux_agrees_with_the_full_length_oracle(keep_z):
+    # W is a 4-dim register holding a state entangled across its 2x2 split.
+    circ = build_circuit(INSTANCES[3], adversarial_verifier((4, 2), 3, seed=3))
+    bell = StateVector(aux_layout(4), np.array([1, 0, 0, 1]) / np.sqrt(2))
+    assert_agrees_with_oracle(circ, bell, random_aux(4, 8), keep_z)
+
+
+def test_views_and_distance_hold_no_full_length_state():
+    # One d-length state of the n = 4 circuit is 16 d = 393 KB; the views, the
+    # Born table and the distance hold s-row factors (s = 24) alone.
+    cfg = cli.config_from_args(cli.build_parser().parse_args([*N4_KEEPZ, "--seed", "7"]))
+    inst = cli.build_instance(cfg)
+    (_, (_, aux_seed, _), circ), = cli._trials(cfg, inst)
+    aux = random_aux(cfg.dims[0], aux_seed)
+    block = start_block(circ.ver, inst.n, inst.codes[0])
+    tracemalloc.start()
+    try:
+        amplified = amplified_columns(circ, aux, block)
+        sim = recorded_view(circ, block, amplified, keep_z=True)
+        real = real_view_recorded(inst, circ.ver, aux, keep_z=True, block=block)
+        distance = sim.trace_distance(real)
+        sample_round(circ, amplified, np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert distance <= 1e-10
+    assert peak < 16 * circ.layout.total_dim
+
+
+def test_negative_control_calls_form_one_basis_each():
+    # Without a block handed in, each view forms its own from the same verifier.
+    circ = circuit(3, (2, 2), "adversarial")
+    aux, other = random_aux(2, 1), random_aux(2, 2)
+    sim = simulate_round_recorded(circ, aux, keep_z=True)
+    assert sim.trace_distance(real_view_recorded(circ.inst, circ.ver, aux, keep_z=True)) <= 1e-10
+    assert sim.trace_distance(real_view_recorded(circ.inst, circ.ver, other, keep_z=True)) > 1e-3
