@@ -29,6 +29,7 @@ from .registers import (
     OpChain,
     RegisterLayout,
     StateVector,
+    basis_columns,
     haar_random_op,
 )
 from .simulator import (
@@ -89,7 +90,7 @@ def block_decompose(attempt, success_proj: DiagonalOp, layout: RegisterLayout) -
     """
     d, dim_w = layout.total_dim, layout.dim_of("W")
     kept = np.flatnonzero(success_proj.apply_to(layout, np.ones(d, dtype=complex)).real == 1)
-    k = attempt.adjoint().apply_to(layout, _basis_columns(d, kept))
+    k = attempt.adjoint().apply_to(layout, basis_columns(d, kept))
     on_slice = np.arange(d) % (d // dim_w) == 0
     ks, kc = k[on_slice], k[~on_slice]
     top = ks @ ks.conj().T
@@ -101,13 +102,6 @@ def block_decompose(attempt, success_proj: DiagonalOp, layout: RegisterLayout) -
             "the success probability depends on the auxiliary input"
         )
     return BlockDecomposition(success_prob=lam, cross=kc @ ks.conj().T, rest_factor=kc)
-
-
-def _basis_columns(d: int, rows: np.ndarray) -> np.ndarray:
-    """The d x len(rows) block of the basis vectors at ``rows``."""
-    columns = np.zeros((d, rows.size), dtype=complex)
-    columns[rows, np.arange(rows.size)] = 1.0
-    return columns
 
 
 def _row_panels(rows: int) -> list[slice]:

@@ -47,8 +47,8 @@ MAX_SCHEDULE_STEPS = 16
 # product in place by column chunks, whose temporaries stay under an eighth of a block, and a small
 # block's moved copy fits in the stored factor's block, which is not yet allocated then.  An
 # adversarial verifier holds its d x s reflectors, and its draw two more d x s arrays for a moment.
-# ``zk-check`` holds no such state: its start block takes 3 d x s arrays (traced 2.9 beside the
-# reflectors at n = 5), and the writer and its (Y, B, Z) states 5 of that sub-layout (traced 4.5).
+# ``zk-check`` holds no such state: its start block takes 3 d x s arrays while formed and then only
+# its s x s triangles (traced 3.0 at n = 5), and the writer and its (Y, B, Z) states 5 (traced 4.5).
 STATE_COPIES, BASE_BYTES, STEP_WORK, KEPT_COPIES, DRAW_COPIES = 16, 2**22, 10**5, 2, 3
 BLOCK_COPIES, WRITER_COPIES = 3, 5
 

@@ -14,10 +14,11 @@ among them: the verifier measures A, so both views are block diagonal in
 it.  The record registers are never coherent, so the trace distance between
 two views is the sum of per-record block distances.  Each block's factor
 columns are the verifier's :class:`StartBlock` on s = dim_w * |orbit| start
-coefficients beta, at A=a: ``Q_a R_a beta``.  A view keeps the s-row
-columns ``R_a beta`` in one zero-padded stack, and two views on one start
-block are compared through one stacked QR of their paired factors, since
-the trace norm does not see Q_a; no W,V,Y vector or block is ever formed.
+coefficients beta, at A=a: ``Q_a R_a beta``, held as its s x s triangles
+``R_a`` alone.  A view keeps the s-row columns ``R_a beta`` in one
+zero-padded stack, and two views on one start block are compared through
+one stacked QR of their paired factors, since the trace norm does not see
+Q_a; no W,V,Y vector or block is kept.
 """
 
 from __future__ import annotations
@@ -30,12 +31,12 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .registers import (
-    ATOL_OP,
     HADAMARD,
     ZERO_NORM_SQ,
     LinearOp,
     RegisterLayout,
     StateVector,
+    basis_columns,
     haar_random_op,
     random_state,
     trace_distance_matrices,
@@ -335,21 +336,22 @@ def check_aux(dim_w: int, aux: StateVector) -> None:
 
 
 class StartBlock(NamedTuple):
-    """``U_start``: the verifier's unitary on the start states ``|w, V=0, A=0, Y=code>``.
+    """``U_start``, the verifier's unitary on the start states ``|w, V=0, A=0, Y=code>``.
 
-    ``outputs[:, w, j]`` is ``U_V`` on the start state with W = w and
-    Y = ``codes[j]``, a W,V,A,Y vector; ``codes`` are sorted and distinct.
-    On a protocol run the codes are g0's orbit, and every view ``zk-check``
-    certifies reads ``U_V`` through these s = dim_w * |orbit| columns alone.
-    The A=a rows ``M_a`` of the (side, s) block have s <= side/2 columns, and
-    ``triangles[a]`` is the s x s ``R_a`` of their thin QR ``Q_a R_a``; Q_a
-    is never formed.  (A named tuple, not a frozen dataclass, whose
+    The start state with W = w and Y = ``codes[m]`` is coefficient
+    ``w * |codes| + m`` of s = dim_w * |codes|; ``codes`` are sorted and
+    distinct.  On a protocol run they are g0's orbit, and every view
+    ``zk-check`` certifies reads ``U_V`` through these s columns alone.  The
+    A=a rows ``M_a`` of ``U_start`` have s <= side/2 columns, and
+    ``triangles[a]`` is the s x s ``R_a`` of their thin QR ``Q_a R_a``: the
+    block is held as the triangles alone, read through ``ver``, the verifier
+    it was formed from.  (A named tuple, not a frozen dataclass, whose
     definition costs a fresh interpreter about 0.5 ms.)
     """
 
     codes: np.ndarray
-    outputs: np.ndarray
     triangles: np.ndarray
+    ver: VerifierModel
 
     def columns(self, codes) -> np.ndarray:
         """The position in ``self.codes`` of each of ``codes``, which must all be among them."""
@@ -359,28 +361,28 @@ class StartBlock(NamedTuple):
             raise ValueError(f"Y codes {codes.tolist()} are not all among {self.codes.tolist()}")
         return found
 
+    def code_columns(self, x: np.ndarray) -> np.ndarray:
+        """``R_a (x (x) e_m)`` for W vector ``x`` and each block code m: shape (2, s, |codes|)."""
+        triangles = self.triangles.reshape(2, -1, self.ver.dim_w, self.codes.size)
+        return np.einsum("aswm,w->asm", triangles, x)
+
     def same_as(self, other: "StartBlock") -> bool:
-        """Whether the outputs agree within ``ATOL_OP``; equal triangles may hide two Q_a."""
-        return self is other or (
-            self.outputs.shape == other.outputs.shape
-            and np.allclose(self.outputs, other.outputs, rtol=0, atol=ATOL_OP)
-        )
+        """Whether both are of one verifier object and codes: equal triangles may hide two Q_a."""
+        return self.ver is other.ver and np.array_equal(self.codes, other.codes)
 
 
-def start_block(ver: VerifierModel, n: int, codes, triangles: bool = True) -> StartBlock:
+def start_block(ver: VerifierModel, n: int, codes) -> StartBlock:
     """The :class:`StartBlock` of the distinct ``codes``: ``U_V`` applied once, to s columns.
 
-    Without ``triangles`` (the norm chain reads none) its ``triangles`` is None.
+    The side x s outputs live only until the QRs of their two challenge halves.
     """
     layout = view_layout(ver.dims, n)
     inputs = start_columns(layout, codes)
-    starts = np.zeros((layout.total_dim, inputs.size), dtype=complex)
-    starts[inputs, np.arange(inputs.size)] = 1.0
-    outputs = ver.u_v.apply_to(layout, starts).reshape(layout.total_dim, ver.dim_w, -1)
-    halves, s = outputs.reshape(ver.dims[0] * ver.dims[1], 2, -1), inputs.size
-    qr = [np.linalg.qr(halves[:, a].reshape(-1, s), mode="r") for a in (0, 1) if triangles]
+    outputs = ver.u_v.apply_to(layout, basis_columns(layout.total_dim, inputs))
+    halves = outputs.reshape(ver.dims[0] * ver.dims[1], 2, -1, inputs.size)
+    qr = [np.linalg.qr(halves[:, a].reshape(-1, inputs.size), mode="r") for a in (0, 1)]
     # The W = 0 start columns are the sorted distinct codes themselves.
-    return StartBlock(inputs[: outputs.shape[2]], outputs, np.stack(qr) if triangles else None)
+    return StartBlock(inputs[: inputs.size // ver.dim_w], np.stack(qr), ver)
 
 
 def real_view_recorded(
@@ -403,7 +405,5 @@ def real_view_recorded(
     n, codes = inst.n, inst.codes[0]
     check_aux(ver.dim_w, aux)
     block = start_block(ver, n, codes) if block is None else block
-    triangles = block.triangles.reshape(2, -1, ver.dim_w, block.codes.size)
-    per_code = np.einsum("aswm,w->asm", triangles, aux.amps)
-    columns = per_code[:, :, block.columns(codes)] * np.sqrt(1.0 / codes.size)
+    columns = block.code_columns(aux.amps)[:, :, block.columns(codes)] * np.sqrt(1.0 / codes.size)
     return columns_view(block, n, columns, codes, inst.responses if keep_z else None)

@@ -574,6 +574,13 @@ def dense_bytes(side: int) -> int:
     return 4 * 16 * side**2
 
 
+def basis_columns(d: int, rows: np.ndarray) -> np.ndarray:
+    """The d x len(rows) block of the basis vectors at ``rows``."""
+    columns = np.zeros((d, rows.size), dtype=complex)
+    columns[rows, np.arange(rows.size)] = 1.0
+    return columns
+
+
 def trace_distance_matrices(m1: np.ndarray, m2: np.ndarray) -> float:
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(m1 - m2))))
 

@@ -17,9 +17,10 @@ images ``cols`` of those states (Brassard, Hoyer, Mosca and Tapp 2002).  The
 splits and the writer put a start state on g0's orbit codes alone, so each
 branch before and after the step is the verifier's
 :class:`~zkamp.protocol.StartBlock` on s = dim_w * |orbit| coefficients
-beta, with A=a part ``Q_a R_a beta``.  ``zk-check`` keeps the s-row
-columns ``R_a beta`` (:func:`amplified_columns`), and reads the view and the
-transcript's Born table off them: no vector of the simulator's layout.
+beta, with A=a part ``Q_a R_a beta``, held as its triangles ``R_a`` alone.
+``zk-check`` keeps the s-row columns ``R_a beta`` (:func:`amplified_columns`),
+and reads the view and the transcript's Born table off them: no vector of
+the simulator's layout.
 
 Everything the derivation claims is exposed as a numeric check on the
 operator chain itself: the half-probability block identity, the one-step
@@ -59,6 +60,7 @@ from .registers import (
     PermutationOp,
     RegisterLayout,
     StateVector,
+    basis_columns,
 )
 from .symm import Graph, Permutation, act, compose, encode, num_graph_codes
 
@@ -202,9 +204,8 @@ def success_block_residual(circ: SimulatorCircuit) -> float:
     """
     layout = circ.layout
     dim_w = circ.dim_w
-    starts = np.zeros((layout.total_dim, dim_w), dtype=complex)
-    starts[np.arange(dim_w) * (layout.total_dim // dim_w), np.arange(dim_w)] = 1.0
-    cols = circ.attempt.apply_to(layout, starts)
+    starts = np.arange(dim_w) * (layout.total_dim // dim_w)
+    cols = circ.attempt.apply_to(layout, basis_columns(layout.total_dim, starts))
     block = cols.conj().T @ circ.success_proj.apply_to(layout, cols)
     return float(np.linalg.norm(block - np.eye(dim_w) / 2, ord=2))
 
@@ -290,13 +291,13 @@ def _norm_chain(circ: SimulatorCircuit, aux: StateVector, projected: np.ndarray)
     three code tables all lie in g0's orbit, so the verifier runs once, as
     the :class:`~zkamp.protocol.StartBlock` of that orbit, and each line reads
     its branches through its own table; only the witness substitution
-    relabels g0 itself, by each ``pi tau^b``.
+    relabels g0 itself, by each ``pi tau^b``.  Q_a is an isometry, so a
+    branch's A=a part ``Q_a R_a (aux (x) e_m)`` is read as its ``R_a`` column.
     """
     inst = circ.inst
-    n = inst.n
     n_fact = len(inst.perms)
     scale = 1.0 / (2 * n_fact)
-    tau_pow = (Permutation.identity(n), inst.tau)
+    tau_pow = (Permutation.identity(inst.n), inst.tau)
     tables = np.array(
         [
             inst.codes,
@@ -304,13 +305,10 @@ def _norm_chain(circ: SimulatorCircuit, aux: StateVector, projected: np.ndarray)
             inst.codes[[0, 0]],
         ]
     )
-    block = start_block(circ.ver, n, inst.codes[0], triangles=False)
+    block = start_block(circ.ver, inst.n, inst.codes[0])
     guessed, substituted, plain = block.columns(tables)
-
-    view = view_layout(circ.ver.dims, n)
-    outs = np.tensordot(aux.amps, block.outputs, axes=(0, 1)).reshape(*view.dims, -1)
-    by_challenge = np.moveaxis(outs, view.axis("A"), 0).reshape(2, -1, block.codes.size)
-    branches = by_challenge[:, :, guessed]  # (challenge a, rest, guess b, relabeling z)
+    by_challenge = block.code_columns(aux.amps)  # (challenge a, s, code)
+    branches = by_challenge[:, :, guessed]  # (challenge a, s, guess b, relabeling z)
     collapsed = np.einsum("brbz->brz", branches)
     slice_sq = np.sum(np.abs(by_challenge) ** 2, axis=1)  # (challenge a, code)
     guess = np.arange(2)[:, None]

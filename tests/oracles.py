@@ -12,9 +12,10 @@ operators, density operators with their channels and trace distance,
 checked state operations and the collapsing measurement that
 ``simulator.sample_round`` is checked against, the amplified state run
 through the step's operator chain with its Born table, the dense Haar draw
-and the Householder T recurrence, the views read off full-length W,V,A,Y
-vectors (:class:`DenseRecordedView`) with their dense assembly and
-per-record distance, the sampled measure-then-reflect round, and the
+and the Householder T recurrence, the verifier's start outputs and the norm
+chain read off them, the views read off full-length W,V,A,Y vectors
+(:class:`DenseRecordedView`) with their dense assembly and per-record
+distance, the sampled measure-then-reflect round, and the
 two-dimensional evolution with the phase search that re-evolves every
 candidate step count from the start.
 """
@@ -40,12 +41,22 @@ from zkamp.registers import (
     RegisterLayout,
     StateVector,
     _gaussian_columns,
+    basis_columns,
     dense_bytes,
     trace_distance_matrices,
 )
-from zkamp.protocol import check_aux, view_layout, view_records
+from zkamp.protocol import check_aux, start_columns, view_layout, view_records
 from zkamp.simulator import attempt_output, grover_step, measure_then_reflect
-from zkamp.symm import Graph, act, enumerate_sn, num_graph_codes, vertex_pairs
+from zkamp.symm import (
+    Graph,
+    Permutation,
+    act,
+    compose,
+    encode,
+    enumerate_sn,
+    num_graph_codes,
+    vertex_pairs,
+)
 
 # Largest full view layout, records included, that dense_view assembles.
 DENSE_VIEW_LIMIT = 4096
@@ -493,6 +504,55 @@ def real_view(inst, ver, aux, keep_z=False):
     starts[codes, np.arange(codes.size)] = 1.0
     outs = ver.u_v.apply_to(layout, np.kron(aux.amps[:, None], starts)) / np.sqrt(codes.size)
     return branch_view(ver.dims, inst.n, outs, codes, inst.responses if keep_z else None)
+
+
+def start_outputs(ver, n, codes):
+    """``U_V`` on the one-hot start columns of ``codes``: the side x s block of ``start_block``.
+
+    Column ``w * |codes| + m`` is ``U_V |w, 0, 0, codes[m]>``, for the
+    sorted distinct codes.
+    """
+    layout = view_layout(ver.dims, n)
+    return ver.u_v.apply_to(layout, basis_columns(layout.total_dim, start_columns(layout, codes)))
+
+
+def norm_chain(circ, aux):
+    """The seven lines of ``amplification_check``'s norm chain, read off W,V,A,Y branch vectors.
+
+    The reference for the runtime chain, which reads each branch's A=a part
+    as its s-row column on the start block's triangles.  Here the branches
+    are :func:`start_outputs` on ``aux (x) e_m``, split by the A axis.
+    """
+    inst, view = circ.inst, view_layout(circ.ver.dims, circ.inst.n)
+    n_fact = len(inst.perms)
+    scale = 1.0 / (2 * n_fact)
+    tau_pow = (Permutation.identity(inst.n), inst.tau)
+    tables = np.array(
+        [
+            inst.codes,
+            [[encode(act(compose(pi, t), inst.g0)) for pi in inst.perms] for t in tau_pow],
+            inst.codes[[0, 0]],
+        ]
+    )
+    codes = np.unique(inst.codes[0])
+    guessed, substituted, plain = np.searchsorted(codes, tables)
+    outputs = start_outputs(circ.ver, inst.n, codes).reshape(view.total_dim, circ.dim_w, -1)
+    outs = np.tensordot(aux.amps, outputs, axes=(0, 1)).reshape(*view.dims, -1)
+    by_challenge = np.moveaxis(outs, view.axis("A"), 0).reshape(2, -1, codes.size)
+    branches = by_challenge[:, :, guessed]  # (challenge a, rest, guess b, relabeling z)
+    collapsed = np.einsum("brbz->brz", branches)
+    slice_sq = np.sum(np.abs(by_challenge) ** 2, axis=1)  # (challenge a, code)
+    guess = np.arange(2)[:, None]
+    projected = circ.success_proj.apply_to(circ.layout, attempt_output(circ, aux))
+    return (
+        float(np.linalg.norm(projected) ** 2),
+        scale * float(np.linalg.norm(branches * np.eye(2)[:, None, :, None]) ** 2),
+        scale * float(np.linalg.norm(collapsed) ** 2),
+        scale * float(np.sum(np.linalg.norm(collapsed, axis=1) ** 2)),
+        scale * float(np.sum(slice_sq[guess, substituted])),
+        scale * float(np.sum(slice_sq[guess, plain])),
+        n_fact / (2 * n_fact),
+    )
 
 
 def born_table(circ, state):

@@ -27,7 +27,7 @@ from zkamp.amplify import (
     verify_subspace_closure,
 )
 from zkamp.protocol import Instance, adversarial_verifier, honest_verifier, random_aux
-from zkamp.registers import DiagonalOp
+from zkamp.registers import DiagonalOp, basis_columns
 from zkamp.simulator import (
     SimulatorCircuit,
     attempt_output,
@@ -149,7 +149,7 @@ class TestBlocksMemory:
         layout, op = circ.layout, circ.attempt.factors[-1]
         op = op.adjoint() if adjoint else op
         kept = np.flatnonzero(circ.success_proj.apply_to(layout, np.ones(layout.total_dim)).real == 1)
-        columns = amplify._basis_columns(layout.total_dim, kept)
+        columns = basis_columns(layout.total_dim, kept)
         side = math.prod(layout.dim_of(reg) for reg in op.targets)
         assert (side, columns.size // side) == shape
         peak = self.traced_peak(lambda: op.apply_to(layout, columns))

@@ -1193,9 +1193,9 @@ class TestInjectedFaults:
 
         def skewed(*args, **kwargs):
             block = original(*args, **kwargs)
-            outputs = block.outputs.copy()
-            outputs[:, :, 0] *= 1 + 1e-6
-            return block._replace(outputs=outputs)
+            triangles = block.triangles.copy()
+            triangles[:, :, 0] *= 1 + 1e-6
+            return block._replace(triangles=triangles)
 
         monkeypatch.setattr(simulator, "start_block", skewed)
         code, out = run_capture(capsys, self.EQ2)

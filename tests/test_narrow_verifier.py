@@ -32,7 +32,7 @@ from zkamp.registers import LinearOp, OpChain
 from zkamp.simulator import build_circuit, simulate_round_recorded
 from zkamp.symm import Graph, num_graph_codes, orbit_codes
 
-from oracles import haar_random_unitary, kron_oracle, to_matrix, unflatten
+from oracles import haar_random_unitary, kron_oracle, start_outputs, to_matrix, unflatten
 
 INSTANCES = {
     2: Instance.from_graphs(Graph(2, [(0, 1)]), Graph(2, [(0, 1)])),
@@ -100,9 +100,10 @@ class TestDenseOracle:
         moved = np.linalg.svd(u - np.eye(side), compute_uv=False)
         assert np.count_nonzero(moved > 1e-10) <= 2 * s
         aux = random_aux(dims[0], seed + 1)
-        block = start_block(ver, n, codes)
-        np.testing.assert_allclose(block.outputs.reshape(side, s), u[:, inputs], atol=1e-12)
-        outs = np.tensordot(aux.amps, block.outputs, axes=(0, 1))[:, block.columns(codes)]
+        outputs = start_outputs(ver, n, codes)
+        np.testing.assert_allclose(outputs, u[:, inputs], atol=1e-12)
+        outs = np.tensordot(aux.amps, outputs.reshape(side, dims[0], -1), axes=(0, 1))
+        outs = outs[:, start_block(ver, n, codes).columns(codes)]
         for col, code in zip(outs.T, codes):
             start = np.kron(aux.amps, np.eye(side // dims[0])[code])
             np.testing.assert_allclose(col, u @ start, atol=1e-12)

@@ -43,6 +43,7 @@ from oracles import (
     per_key_trace_distance,
     real_view,
     record_weights,
+    start_outputs,
     to_matrix,
     trace_distance,
     view_trace,
@@ -281,15 +282,19 @@ class TestRealView:
         layout = view_layout(DIMS, 3)
         block = start_block(ver, 3, [5, 0, 3, 5])
         np.testing.assert_array_equal(block.codes, [0, 3, 5])
-        columns = to_matrix(ver.u_v, layout)[:, start_columns(layout, block.codes)]
-        np.testing.assert_allclose(block.outputs.reshape(columns.shape), columns, atol=1e-12)
-        # V and A start at 0, so a start's index below W is its Y code.
-        aux = random_aux(2, seed=6)
-        outs = np.tensordot(aux.amps, block.outputs, axes=(0, 1))[:, block.columns([3, 0, 3])]
         dense = to_matrix(ver.u_v, layout)
-        for col, code in zip(outs.T, [3, 0, 3]):
-            start = np.kron(aux.amps, np.eye(layout.total_dim // 2)[code])
-            np.testing.assert_allclose(col, dense @ start, atol=1e-12)
+        columns = dense[:, start_columns(layout, block.codes)]
+        np.testing.assert_allclose(start_outputs(ver, 3, block.codes), columns, atol=1e-12)
+        # V and A start at 0, so a start's index below W is its Y code.  Q_a is
+        # an isometry, so the block's code columns have the Gram matrix of the
+        # dense outputs' A=a parts.
+        aux = random_aux(2, seed=6)
+        picked = block.code_columns(aux.amps)[:, :, block.columns([3, 0, 3])]
+        starts = [np.kron(aux.amps, np.eye(layout.total_dim // 2)[code]) for code in [3, 0, 3]]
+        outs = (dense @ np.stack(starts, axis=1)).reshape(DIMS[0] * DIMS[1], 2, -1, 3)
+        for a in (0, 1):
+            m = outs[:, a].reshape(-1, 3)
+            np.testing.assert_allclose(picked[a].conj().T @ picked[a], m.conj().T @ m, atol=1e-12)
         with pytest.raises(ValueError, match="not all among"):
             block.columns([1])
 
@@ -378,7 +383,7 @@ class TestRecordedView:
         assert set(weights) == {(code, 0), (code, 1)}
         assert sum(weights.values()) == pytest.approx(1.0, abs=1e-12)
         # Each weight is the probability that the verifier measures that challenge.
-        outputs = start_block(ver, 2, [code]).outputs
+        outputs = start_outputs(ver, 2, [code]).reshape(-1, DIMS[0], 1)
         out = np.tensordot(aux.amps, outputs, axes=(0, 1))[:, 0].reshape(DIMS[0] * DIMS[1], 2, -1)
         for a in (0, 1):
             assert weights[(code, a)] == pytest.approx(np.linalg.norm(out[:, a]) ** 2, abs=1e-12)
@@ -391,13 +396,38 @@ class TestStartTriangles:
         ver = honest_verifier(dims, 3) if kind == "honest" else adversarial_verifier(dims, 3, 5)
         block = start_block(ver, 3, [5, 0, 3])
         s = dims[0] * 3
-        halves = block.outputs.reshape(dims[0] * dims[1], 2, -1, s).swapaxes(0, 1)
+        halves = start_outputs(ver, 3, block.codes).reshape(dims[0] * dims[1], 2, -1, s)
+        halves = halves.swapaxes(0, 1)
         assert block.triangles.shape == (2, s, s)
         for a in (0, 1):
             m = halves[a].reshape(-1, s)
             r = block.triangles[a]
             np.testing.assert_array_equal(r, np.triu(r))
             np.testing.assert_allclose(r.conj().T @ r, m.conj().T @ m, atol=1e-14)
+
+
+class TestStartBlock:
+    @pytest.mark.parametrize("dims", [(1, 1), (2, 2), (1, 4)])
+    def test_holds_no_array_of_more_than_s_rows(self, dims):
+        # The side x s outputs are freed once their triangles are taken.
+        block = start_block(adversarial_verifier(dims, 3, 5), 3, [5, 0, 3])
+        arrays = [field for field in block if isinstance(field, np.ndarray)]
+        assert arrays and all(max(array.shape) <= dims[0] * 3 for array in arrays)
+
+    def test_same_as_blocks_of_one_verifier_object(self):
+        ver = adversarial_verifier(DIMS, 3, seed=5)
+        first, second = start_block(ver, 3, [0, 3, 5]), start_block(ver, 3, [5, 3, 0])
+        assert first is not second and first.same_as(second)
+
+    def test_not_same_as_blocks_of_two_verifier_objects_of_one_seed(self):
+        # Their triangles are equal, but equal triangles may hide two Q_a.
+        one, two = (start_block(adversarial_verifier(DIMS, 3, seed=5), 3, [0, 3, 5]) for _ in "12")
+        np.testing.assert_array_equal(one.triangles, two.triangles)
+        assert not one.same_as(two)
+
+    def test_not_same_as_blocks_of_other_codes(self):
+        ver = adversarial_verifier(DIMS, 3, seed=5)
+        assert not start_block(ver, 3, [0, 3, 5]).same_as(start_block(ver, 3, [0, 3, 6]))
 
 
 class TestAccept:

@@ -3,11 +3,12 @@
 Every branch of the amplified state and of the real outputs is the start
 block ``U_start`` on s start coefficients, so its A=a part is ``M_a beta =
 Q_a R_a beta`` for the thin QR of the block's A=a rows.  The runtime keeps
-``R_a beta`` alone.  These tests rebuild ``Q_a`` and check the step, the
-attempt output, the views' distances and key sets and the Born table
-against the operator chain and the views read off full-length vectors, on a
-grid of instances, dimensions, verifiers, completions and records, and
-check that the views-and-distance stage holds no full-length state.
+``R_a beta`` alone.  These tests rebuild ``Q_a`` from the oracle's start
+outputs and check the step, the attempt output, the views' distances and
+key sets, the Born table and ``verify-eq2``'s norm chain against the
+operator chain and the readings of full-length vectors, on a grid of
+instances, dimensions, verifiers, completions and records, and check that
+the views-and-distance stage holds no full-length state.
 """
 
 import tracemalloc
@@ -28,6 +29,7 @@ from zkamp.protocol import (
 from zkamp.registers import StateVector
 from zkamp.simulator import (
     COMPLETIONS,
+    amplification_check,
     amplified_columns,
     attempt_output,
     branch_spread,
@@ -42,10 +44,12 @@ from zkamp.symm import Graph, Permutation
 
 from oracles import (
     born_table,
+    norm_chain,
     operator_amplified_state,
     per_key_trace_distance,
     real_view,
     recorded_view as full_recorded_view,
+    start_outputs,
 )
 
 INSTANCES = {
@@ -69,10 +73,11 @@ def circuit(n, dims, kind, completion=COMPLETIONS[0]):
     return build_circuit(inst, ver, completion)
 
 
-def isometries(block, dims):
+def isometries(block, n):
     """The ``Q_a`` of the thin QRs ``M_a = Q_a R_a`` whose triangles ``block`` keeps."""
-    side, s = block.outputs.shape[0], block.outputs[0].size
-    halves = block.outputs.reshape(dims[0] * dims[1], 2, -1, s).swapaxes(0, 1)
+    dims, outputs = block.ver.dims, start_outputs(block.ver, n, block.codes)
+    side, s = outputs.shape
+    halves = outputs.reshape(dims[0] * dims[1], 2, -1, s).swapaxes(0, 1)
     q, r = np.linalg.qr(halves.reshape(2, side // 2, s))
     np.testing.assert_array_equal(r, block.triangles)
     return q
@@ -101,7 +106,7 @@ class TestStep:
         circ = circuit(n, dims, kind, completion)
         aux = random_aux(dims[0], n + dims[0])
         block = start_block(circ.ver, n, circ.inst.codes[0])
-        full = isometries(block, dims) @ amplified_columns(circ, aux, block)
+        full = isometries(block, n) @ amplified_columns(circ, aux, block)
         oracle = by_challenge(operator_amplified_state(circ, aux), dims, circ.inst.codes.size)
         assert np.max(np.abs(full - oracle)) <= AGREE
 
@@ -116,10 +121,10 @@ class TestStep:
         shape = (block.triangles.shape[-1], inst.codes.size)
         coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         coeffs /= np.linalg.norm(coeffs)
-        x = block.outputs.reshape(-1, shape[0]) @ coeffs
+        x = start_outputs(circ.ver, 3, block.codes) @ coeffs
         spread = branch_spread(circ, block)
         closed = start_basis_step(circ, block, spread, coeffs, *phases)
-        closed = isometries(block, (2, 2)) @ closed
+        closed = isometries(block, 3) @ closed
         chain = grover_step(circ, *phases).apply_to(circ.layout, x.reshape(-1))
         assert np.max(np.abs(closed - by_challenge(chain, (2, 2), shape[1]))) <= AGREE
 
@@ -128,7 +133,8 @@ class TestStep:
         aux = random_aux(2, 5)
         block = start_block(circ.ver, 4, circ.inst.codes[0])
         spread = branch_spread(circ, block)
-        attempt = np.tensordot(aux.amps, block.outputs, axes=(0, 1)) @ spread
+        outputs = start_outputs(circ.ver, 4, block.codes).reshape(-1, 2, block.codes.size)
+        attempt = np.tensordot(aux.amps, outputs, axes=(0, 1)) @ spread
         assert np.max(np.abs(attempt.reshape(-1) - attempt_output(circ, aux))) <= AGREE
 
     def test_block_handed_in_runs_the_same_code(self):
@@ -140,12 +146,6 @@ class TestStep:
         np.testing.assert_array_equal(handed.stack, formed.stack)
         sim = recorded_view(circ, block, amplified_columns(circ, aux, block), True)
         np.testing.assert_array_equal(sim.stack, simulate_round_recorded(circ, aux, True).stack)
-
-    def test_norm_chain_block_takes_no_triangles(self):
-        circ = circuit(3, (2, 2), "adversarial")
-        full, bare = (start_block(circ.ver, 3, circ.inst.codes[0], flag) for flag in (True, False))
-        assert bare.triangles is None
-        np.testing.assert_array_equal(full.outputs, bare.outputs)
 
     def test_writer_weight_off_the_orbit_is_refused(self):
         # The path instance's writer sends path codes; an instance of two empty
@@ -159,6 +159,27 @@ class TestStep:
         branch_spread(circ, block)
         with pytest.raises(AssertionError, match="off the codes"):
             branch_spread(faulted, block)
+
+
+CHAIN_GRID = [
+    (n, dims, kind, completion)
+    for n in INSTANCES
+    for dims in ((1, 1), (2, 2), (1, 4))
+    for kind in KINDS
+    for completion in COMPLETIONS
+] + [(3, (8, 8), kind, completion) for kind in KINDS for completion in COMPLETIONS]
+
+
+@pytest.mark.parametrize("n, dims, kind, completion", CHAIN_GRID)
+def test_norm_chain_agrees_with_the_full_length_reading(n, dims, kind, completion):
+    # The chain reads each branch as its R_a column; the reference reads the
+    # W,V,A,Y branch vectors Q_a R_a of the same columns.
+    circ = circuit(n, dims, kind, completion)
+    aux = random_aux(dims[0], 5 * n + dims[1])
+    chain = amplification_check(circ, aux).norm_chain
+    reference = norm_chain(circ, aux)
+    assert len(chain) == len(reference) == 7
+    assert max(abs(x - y) for x, y in zip(chain, reference)) <= AGREE
 
 
 GRID = [
