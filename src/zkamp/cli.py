@@ -48,9 +48,10 @@ MAX_SCHEDULE_STEPS = 16
 # block's moved copy fits in the stored factor's block, which is not yet allocated then.  An
 # adversarial verifier holds its d x s reflectors, and its draw two more d x s arrays for a moment.
 # ``zk-check`` holds no such state: its start block takes 3 d x s arrays while formed and then only
-# its s x s triangles (traced 3.0 at n = 5), and the writer and its (Y, B, Z) states 5 (traced 4.5).
+# its s x s triangles (traced 3.0 at n = 5), and the writer's image and inverse tables 2 states of
+# the (Y, B, Z) sub-layout (traced 1.56 while the circuit is built, then 1.06).
 STATE_COPIES, BASE_BYTES, STEP_WORK, KEPT_COPIES, DRAW_COPIES = 16, 2**22, 10**5, 2, 3
-BLOCK_COPIES, WRITER_COPIES = 3, 5
+BLOCK_COPIES, WRITER_COPIES = 3, 2
 
 
 class ConfigError(Exception):
@@ -222,8 +223,8 @@ def estimate(cfg: RunConfig, n: int | None) -> tuple[int, int, str]:
     is ``2 steps + 1`` attempt applications, each one split of B (m d) and the
     scramble's reflectors (2 side d); and for ``phases`` one search step per
     step count up to ``amplify.analytic_k``.  ``zk-check`` holds ``BLOCK_COPIES``
-    d x s arrays and ``WRITER_COPIES`` (Y, B, Z) states in place of states of the
-    simulator's layout, and works ``3 d s^2`` per trial: ``U_V`` and the QR of two halves.
+    d x s arrays and the writer's tables, ``WRITER_COPIES`` (Y, B, Z) states, in place of
+    states of the simulator's layout, and works ``3 d s^2`` per trial: ``U_V`` and two QRs.
     """
     if cfg.command == "phases":
         lambdas, k_max = cfg.extras["lambdas"], cfg.extras["k_max"]
@@ -247,7 +248,7 @@ def estimate(cfg: RunConfig, n: int | None) -> tuple[int, int, str]:
         sub = layout.keep(("Y", "B", "Z")).total_dim
         peak += BASE_BYTES + 16 * (BLOCK_COPIES * side * s + WRITER_COPIES * sub)
         held[0] += f", its {side}x{s} start block"
-        return peak, cfg.trials * 3 * side * s * s, f"{held[0]} and {sub}-amplitude states"
+        return peak, cfg.trials * 3 * side * s * s, f"{held[0]} and the writer's {sub}-entry tables"
     peak += BASE_BYTES + 16 * STATE_COPIES * cfg.dims[0] * d
     if cfg.command == "blocks":
         r, d_c = d // layout.dim_of("A"), d - cfg.dims[0]

@@ -345,8 +345,9 @@ class StartBlock(NamedTuple):
     A=a rows ``M_a`` of ``U_start`` have s <= side/2 columns, and
     ``triangles[a]`` is the s x s ``R_a`` of their thin QR ``Q_a R_a``: the
     block is held as the triangles alone, read through ``ver``, the verifier
-    it was formed from.  (A named tuple, not a frozen dataclass, whose
-    definition costs a fresh interpreter about 0.5 ms.)
+    it was formed from, and alone splits s into (w, code): :meth:`code_columns`
+    and its adjoint :meth:`code_overlaps` read a W vector at every code.  (A
+    named tuple, not a frozen dataclass, costs a fresh interpreter 0.5 ms less.)
     """
 
     codes: np.ndarray
@@ -365,6 +366,12 @@ class StartBlock(NamedTuple):
         """``R_a (x (x) e_m)`` for W vector ``x`` and each block code m: shape (2, s, |codes|)."""
         triangles = self.triangles.reshape(2, -1, self.ver.dim_w, self.codes.size)
         return np.einsum("aswm,w->asm", triangles, x)
+
+    def code_overlaps(self, x: np.ndarray) -> np.ndarray:
+        """The W part at code m of ``R_a^† R_a (x (x) e_m)``: shape (2, dim_w, |codes|)."""
+        triangles = self.triangles.reshape(2, -1, self.ver.dim_w, self.codes.size)
+        # The adjoint read of code_columns, conjugated around it so no triangle is copied.
+        return np.einsum("aswm,asm->awm", triangles, self.code_columns(x).conj()).conj()
 
     def same_as(self, other: "StartBlock") -> bool:
         """Whether both are of one verifier object and codes: equal triangles may hide two Q_a."""

@@ -14,13 +14,13 @@ The amplified state is the step in closed form.  The start phase is
 ``I + (phi - 1) Pi_0``, with Pi_0 onto the dim_w start states, so
 ``attempt S_0(phi) attempt^-1 = I + (phi - 1) cols cols^†`` for the attempt
 images ``cols`` of those states (Brassard, Hoyer, Mosca and Tapp 2002).  The
-splits and the writer put a start state on g0's orbit codes alone, so each
-branch before and after the step is the verifier's
-:class:`~zkamp.protocol.StartBlock` on s = dim_w * |orbit| coefficients
-beta, with A=a part ``Q_a R_a beta``, held as its triangles ``R_a`` alone.
-``zk-check`` keeps the s-row columns ``R_a beta`` (:func:`amplified_columns`),
-and reads the view and the transcript's Born table off them: no vector of
-the simulator's layout.
+splits and the writer put a start state on g0's orbit codes alone, so a
+(B, Z) branch is its weight and its code: before and after the step, branch
+j is ``c_j`` times the verifier's :class:`~zkamp.protocol.StartBlock`, which
+alone splits its s = dim_w * |orbit| coefficients into (w, code), on a W
+vector at code ``m_j``.  ``zk-check`` keeps each branch's A=a part ``Q_a R_a
+beta`` as its s-row column ``R_a beta`` (:func:`amplified_columns`), and
+reads the view and the transcript's Born table off them.
 
 Everything the derivation claims is exposed as a numeric check on the
 operator chain itself: the half-probability block identity, the one-step
@@ -323,69 +323,60 @@ def _norm_chain(circ: SimulatorCircuit, aux: StateVector, projected: np.ndarray)
     )
 
 
-def branch_spread(circ: SimulatorCircuit, block: StartBlock) -> np.ndarray:
-    """Each (B, Z) branch's weights on ``block.codes``: column j is ``sigma_j``.
+def branch_weights(circ: SimulatorCircuit, block: StartBlock) -> tuple[np.ndarray, np.ndarray]:
+    """Each (B, Z) branch's weight ``c_j`` and the row ``m_j`` of its code in ``block.codes``.
 
-    The B split, the Z split and the writer take a start state to
-    ``|w, V=0, A=0> (x) sum_j c_j |Y=code_j, branch j>`` over the branches
-    j = b n! + z, so the attempt output's branch j is ``U_start`` on
-    ``aux (x) sigma_j``, where ``sigma_j`` is ``c_j`` at the row of
-    ``code_j``.  The c_j are the circuit's own first three factors on the
-    zero state of the (Y, B, Z) sub-layout, so no completion's first column
-    is assumed; their output must be exactly zero off ``inst.codes``.
+    The splits and the writer take a start state to ``|w, 0, 0> (x) sum_j c_j
+    |Y=code_j, branch j>`` over the branches j = b n! + z, so branch j of the
+    attempt output is ``c_j U_start (aux (x) e_{m_j})``.  The c_j are the
+    circuit's own two splits on the zero state of the (B, Z) sub-layout, so
+    no completion's first column is assumed; the writer's Y = 0 rows, which
+    lead its (Y, B, Z) index, must send branch j to ``code_j`` exactly.
     """
     if circ.inst is None:
-        raise ValueError("the branch coefficients need a protocol circuit")
-    inst = circ.inst
-    sub = circ.layout.keep(("Y", "B", "Z"))
-    zero = np.zeros(sub.total_dim, dtype=complex)
-    zero[0] = 1.0
-    written = OpChain(circ.attempt.factors[:3]).apply_to(sub, zero).reshape(sub.dims)
-    branch = (inst.codes, *np.indices(inst.codes.shape))
-    off_codes = written.copy()
-    off_codes[branch] = 0.0
-    if np.any(off_codes):
+        raise ValueError("the branch weights need a protocol circuit")
+    codes, sub = circ.inst.codes.reshape(-1), circ.layout.keep(("B", "Z"))
+    zero = np.eye(1, sub.total_dim, dtype=complex)[0]
+    weights = OpChain(circ.attempt.factors[:2]).apply_to(sub, zero)
+    image = circ.attempt.factors[2].image[: codes.size]
+    if not np.array_equal(image, codes * codes.size + np.arange(codes.size)):
         raise AssertionError("the writer puts weight off the codes the instance sends")
-    rows, columns = block.columns(inst.codes).reshape(-1), np.arange(inst.codes.size)
-    spread = np.zeros((block.codes.size, columns.size), dtype=complex)
-    spread[rows, columns] = written[branch].reshape(-1)
-    return spread
+    return weights, block.columns(codes)
 
 
 def start_basis_step(
-    circ: SimulatorCircuit, block: StartBlock, spread, coeffs, phi: complex, varphi: complex
+    circ: SimulatorCircuit, block: StartBlock, weights, rows, x, phi: complex, varphi: complex
 ) -> np.ndarray:
-    """:func:`grover_step` ``(phi, varphi)`` on the branches ``U_start coeffs[:, j]``, in columns.
+    """:func:`grover_step` ``(phi, varphi)`` on branches ``c_j U_start (x (x) e_{m_j})``, as columns.
 
     The success phase scales branch j's A=a part by ``phi_{a, b_j}``, then
-    ``I + (phi - 1) cols cols^†`` acts, with ``cols x = U_start (x (x) sigma_j)``
-    and, as ``M_a^† M_a = R_a^† R_a``, ``cols^†`` of the phased branches
-    ``xi = sum_j (I (x) sigma_j)^† sum_a phi_{a, b_j} R_a^† R_a c_j``.  So
-    branch j's A=a part is ``M_a beta``, ``beta = phi_{a, b_j} c_j +
-    (phi - 1) xi (x) sigma_j``; its ``R_a beta`` is returned at ``[a, :, j]``.
+    ``I + (phi - 1) cols cols^†`` acts, ``cols y = sum_j c_j U_start (y (x)
+    e_{m_j})``.  As ``M_a^† M_a = R_a^† R_a``, ``cols^†`` of the phased branches
+    is ``xi = sum_j |c_j|^2 sum_a phi_{a, b_j} block.code_overlaps(x)[a, :, m_j]``,
+    and branch j's A=a part ``c_j M_a ((phi_{a, b_j} x + (phi - 1) xi) (x)
+    e_{m_j})``, whose ``R_a`` column is returned at ``[a, :, j]``.
     """
-    triangles = block.triangles
     dims = [circ.layout.dim_of(name) for name in circ.success_proj.targets]  # (A, B)
     table = phase_on_success(circ.success_proj, varphi).phases.reshape(dims)
-    guess = np.arange(coeffs.shape[1]) // (coeffs.shape[1] // dims[1])
-    phased = triangles @ (table[:, guess][:, None, :] * coeffs)
-    weighted = np.sum(triangles.conj().swapaxes(1, 2) @ phased, axis=0)
-    xi = np.einsum("wmj,mj->w", weighted.reshape(-1, *spread.shape), spread.conj())
-    correction = ((phi - 1) * xi)[:, None, None] * spread
-    return phased + triangles @ correction.reshape(coeffs.shape)
+    guess = np.arange(weights.size) // (weights.size // dims[1])
+    overlaps = block.code_overlaps(x)[:, :, rows]
+    xi = np.einsum("awj,aj->w", overlaps, table[:, guess] * np.abs(weights) ** 2)
+    # The bracket's R_a column at every (challenge a, s, guess b, code m).
+    by_code = table[:, None, :, None] * block.code_columns(x)[:, :, None, :]
+    by_code += ((phi - 1) * block.code_columns(xi))[:, :, None, :]
+    return by_code[:, :, guess, rows] * weights
 
 
 def amplified_columns(circ: SimulatorCircuit, aux: StateVector, block: StartBlock) -> np.ndarray:
     """Factor columns of the attempt output on ``aux`` after one phase-i :func:`start_basis_step`.
 
-    ``U_V`` acts once, when ``block``, the start block of ``inst.codes[0]``,
-    is formed.  The state is ``grover_step(circ, 1j, 1j)`` on
-    :func:`attempt_output`, the identity ``verify-eq2`` certifies.
+    ``U_V`` acts once, when ``block``, the start block of ``inst.codes[0]``, is
+    formed, and each branch is its weight and its code (:func:`branch_weights`).
+    The state is ``grover_step(circ, 1j, 1j)`` on :func:`attempt_output`, the
+    identity ``verify-eq2`` certifies.
     """
     check_aux(circ.dim_w, aux)
-    spread = branch_spread(circ, block)
-    coeffs = (aux.amps[:, None, None] * spread).reshape(-1, spread.shape[1])
-    columns = start_basis_step(circ, block, spread, coeffs, 1j, 1j)
+    columns = start_basis_step(circ, block, *branch_weights(circ, block), aux.amps, 1j, 1j)
     norm = float(np.linalg.norm(columns))
     if abs(norm - 1.0) > NORM_SLACK:
         raise AssertionError(f"amplified state has norm {norm}")

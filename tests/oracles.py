@@ -12,8 +12,9 @@ operators, density operators with their channels and trace distance,
 checked state operations and the collapsing measurement that
 ``simulator.sample_round`` is checked against, the amplified state run
 through the step's operator chain with its Born table, the dense Haar draw
-and the Householder T recurrence, the verifier's start outputs and the norm
-chain read off them, the views read off full-length W,V,A,Y vectors
+and the Householder T recurrence, the verifier's start outputs, the
+branches' dense spread on the block's codes and the norm chain read off
+them, the views read off full-length W,V,A,Y vectors
 (:class:`DenseRecordedView`) with their dense assembly and per-record
 distance, the sampled measure-then-reflect round, and the
 two-dimensional evolution with the phase search that re-evolves every
@@ -514,6 +515,30 @@ def start_outputs(ver, n, codes):
     """
     layout = view_layout(ver.dims, n)
     return ver.u_v.apply_to(layout, basis_columns(layout.total_dim, start_columns(layout, codes)))
+
+
+def branch_spread(circ, block):
+    """Each (B, Z) branch's weights on ``block.codes``: column j is ``sigma_j``.
+
+    The reference for ``simulator.branch_weights``: the circuit's B split, Z
+    split and writer run on the zero state of the (Y, B, Z) sub-layout, whose
+    branch j is ``c_j`` at Y = ``code_j``; ``sigma_j`` is ``c_j`` at the row
+    of ``code_j``.  Raises ``AssertionError`` on weight off ``inst.codes``.
+    """
+    inst = circ.inst
+    sub = circ.layout.keep(("Y", "B", "Z"))
+    zero = np.zeros(sub.total_dim, dtype=complex)
+    zero[0] = 1.0
+    written = OpChain(circ.attempt.factors[:3]).apply_to(sub, zero).reshape(sub.dims)
+    branch = (inst.codes, *np.indices(inst.codes.shape))
+    off_codes = written.copy()
+    off_codes[branch] = 0.0
+    if np.any(off_codes):
+        raise AssertionError("the writer puts weight off the codes the instance sends")
+    rows, columns = block.columns(inst.codes).reshape(-1), np.arange(inst.codes.size)
+    spread = np.zeros((block.codes.size, columns.size), dtype=complex)
+    spread[rows, columns] = written[branch].reshape(-1)
+    return spread
 
 
 def norm_chain(circ, aux):

@@ -105,11 +105,12 @@ class TestExitCodes:
         assert code == 2
 
     def test_n_too_large_is_config_error(self, capsys):
-        # n=5 fits the budgets at dims 2x2; n=6 needs 3.6 GiB even at dims 1x1, for the
-        # writer's states on its 47185920-amplitude (Y, B, Z) sub-layout.
+        # n=5 fits the budgets at dims 2x2; n=6 needs 1.5 GiB even at dims 1x1, for the
+        # writer's tables on its 47185920-amplitude (Y, B, Z) sub-layout.
         code = run(["zk-check", "--n", "6", "--g0", "01", "--g1", "01", "--dim-w", "1", "--dim-v", "1"])
         assert code == 2
-        assert "above the budgets" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "needs 1.5 GiB" in err and "above the budgets" in err
 
     def test_trials_must_be_positive(self, capsys):
         code = run(["verify-eq1", "--n", "2", "--g0", "01", "--g1", "01", "--trials", "0"])
@@ -325,7 +326,8 @@ class TestOversizeRefusals:
             # multiply-adds) is the first refused at dims 2x2.
             (["verify-eq2", *N4, "--dim-w", "16", "--dim-v", "4"], 8192),
             (["blocks", *N3, "--dim-w", "4", "--dim-v", "8"], 6144),
-            # zk-check at n = 6: 3.6 GiB of writer states on the (Y, B, Z) sub-layout.
+            # zk-check at n = 6: 2.11 GiB, of which 1.4 GiB are the writer's tables on the
+            # (Y, B, Z) sub-layout.
             (["zk-check", "--g0", "n=6;edges=01", "--g1", "n=6;edges=23"], 262144),
             (["blocks", "--m", "69"], 19044),
             (["blocks", *N4], 24576),
@@ -997,8 +999,8 @@ FAULTS = {
         _patch(
             simulator,
             "start_basis_step",
-            lambda original: lambda circ, basis, spread, c, phi, vp: original(
-                circ, basis, spread, c, 1, 1
+            lambda original: lambda circ, basis, weights, rows, x, phi, vp: original(
+                circ, basis, weights, rows, x, 1, 1
             ),
         ),
     ),
@@ -1009,8 +1011,8 @@ FAULTS = {
         _patch(
             simulator,
             "start_basis_step",
-            lambda original: lambda circ, basis, spread, c, phi, vp: original(
-                circ, basis, spread, c, -1, vp
+            lambda original: lambda circ, basis, weights, rows, x, phi, vp: original(
+                circ, basis, weights, rows, x, -1, vp
             ),
         ),
     ),

@@ -414,6 +414,20 @@ class TestStartBlock:
         arrays = [field for field in block if isinstance(field, np.ndarray)]
         assert arrays and all(max(array.shape) <= dims[0] * 3 for array in arrays)
 
+    @pytest.mark.parametrize("kind", ["adversarial", "honest"])
+    @pytest.mark.parametrize("dims", [(1, 1), (2, 2), (1, 4), (4, 1)])
+    def test_code_overlaps_are_the_gram_of_the_start_outputs(self, dims, kind):
+        # [a, :, m] is R_a† R_a = M_a† M_a on x (x) e_m, read at code m's rows.
+        ver = honest_verifier(dims, 3) if kind == "honest" else adversarial_verifier(dims, 3, 5)
+        block = start_block(ver, 3, [5, 0, 3])
+        x = 1.7 * random_aux(dims[0], seed=4).amps
+        outputs = start_outputs(ver, 3, block.codes)
+        s = outputs.shape[1]
+        halves = outputs.reshape(dims[0] * dims[1], 2, -1, s).swapaxes(0, 1).reshape(2, -1, s)
+        gram = (halves.conj().swapaxes(1, 2) @ halves).reshape(2, dims[0], 3, dims[0], 3)
+        expected = np.einsum("awmvm,v->awm", gram, x)
+        assert np.max(np.abs(block.code_overlaps(x) - expected)) <= 1e-14
+
     def test_same_as_blocks_of_one_verifier_object(self):
         ver = adversarial_verifier(DIMS, 3, seed=5)
         first, second = start_block(ver, 3, [0, 3, 5]), start_block(ver, 3, [5, 3, 0])

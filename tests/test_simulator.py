@@ -22,7 +22,7 @@ from zkamp.simulator import (
     amplification_check,
     amplified_columns,
     attempt_output,
-    branch_spread,
+    branch_weights,
     build_circuit,
     grover_step,
     phase_on_start,
@@ -482,9 +482,9 @@ def zk_check_states(argv, amplified=True):
     block = start_block(circ.ver, inst.n, inst.codes[0])
     if amplified:
         return circ, operator_amplified_state(circ, aux), amplified_columns(circ, aux, block)
-    spread = branch_spread(circ, block)
-    coeffs = (aux.amps[:, None, None] * spread).reshape(-1, spread.shape[1])
-    return circ, attempt_output(circ, aux), start_basis_step(circ, block, spread, coeffs, 1, 1)
+    weights, rows = branch_weights(circ, block)
+    step = start_basis_step(circ, block, weights, rows, aux.amps, 1, 1)
+    return circ, attempt_output(circ, aux), step
 
 
 SAMPLED_STATES = {

@@ -32,7 +32,7 @@ from zkamp.simulator import (
     amplification_check,
     amplified_columns,
     attempt_output,
-    branch_spread,
+    branch_weights,
     build_circuit,
     grover_step,
     recorded_view,
@@ -44,6 +44,7 @@ from zkamp.symm import Graph, Permutation
 
 from oracles import (
     born_table,
+    branch_spread,
     norm_chain,
     operator_amplified_state,
     per_key_trace_distance,
@@ -59,6 +60,10 @@ INSTANCES = {
         Graph(4, [(0, 1), (1, 2), (2, 3)]), Graph(4, [(0, 3), (1, 2), (2, 0)])
     ),
 }
+# The n = 5 path pair that the CLI tests run at dims 2x2 and 4x1.
+N5 = Instance.from_graphs(
+    Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), Graph(5, [(0, 2), (2, 1), (1, 3), (3, 4)])
+)
 KINDS = ("honest", "adversarial")
 AGREE = 1e-14
 N4_KEEPZ = ["zk-check", "--n", "4", "--g0", "01,12,23", "--g1", "03,12,20", "--keep-z"]
@@ -111,31 +116,40 @@ class TestStep:
         assert np.max(np.abs(full - oracle)) <= AGREE
 
     @pytest.mark.parametrize("phases", [(-1.0, 1.0), (1j, 1j), (np.exp(0.3j), np.exp(1.1j))])
-    def test_step_on_any_start_coefficients(self, phases):
-        # I + (phi - 1) cols cols^† after the success phase, on every vector the
-        # start block spans per branch, not only on the attempt output.
+    def test_step_on_any_w_vector(self, phases):
+        # I + (phi - 1) cols cols^† after the success phase, on the branches of
+        # an unnormalised W vector x with the circuit's weights, not only on aux.
         circ = circuit(3, (2, 2), "adversarial")
-        inst = circ.inst
-        block = start_block(circ.ver, 3, inst.codes[0])
+        block = start_block(circ.ver, 3, circ.inst.codes[0])
+        weights, rows = branch_weights(circ, block)
         rng = np.random.default_rng(3)
-        shape = (block.triangles.shape[-1], inst.codes.size)
-        coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        coeffs /= np.linalg.norm(coeffs)
-        x = start_outputs(circ.ver, 3, block.codes) @ coeffs
-        spread = branch_spread(circ, block)
-        closed = start_basis_step(circ, block, spread, coeffs, *phases)
-        closed = isometries(block, 3) @ closed
-        chain = grover_step(circ, *phases).apply_to(circ.layout, x.reshape(-1))
-        assert np.max(np.abs(closed - by_challenge(chain, (2, 2), shape[1]))) <= AGREE
+        x = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        outputs = start_outputs(circ.ver, 3, block.codes).reshape(-1, 2, block.codes.size)
+        state = np.tensordot(outputs, x, axes=(1, 0))[:, rows] * weights
+        closed = isometries(block, 3) @ start_basis_step(circ, block, weights, rows, x, *phases)
+        chain = grover_step(circ, *phases).apply_to(circ.layout, state.reshape(-1))
+        assert np.max(np.abs(closed - by_challenge(chain, (2, 2), weights.size))) <= AGREE
 
-    def test_spread_gives_the_attempt_output(self):
+    def test_weights_give_the_attempt_output(self):
         circ = circuit(4, (2, 2), "adversarial", "dft")
         aux = random_aux(2, 5)
         block = start_block(circ.ver, 4, circ.inst.codes[0])
-        spread = branch_spread(circ, block)
+        weights, rows = branch_weights(circ, block)
         outputs = start_outputs(circ.ver, 4, block.codes).reshape(-1, 2, block.codes.size)
-        attempt = np.tensordot(aux.amps, outputs, axes=(0, 1)) @ spread
+        attempt = np.tensordot(outputs, aux.amps, axes=(1, 0))[:, rows] * weights
         assert np.max(np.abs(attempt.reshape(-1) - attempt_output(circ, aux))) <= AGREE
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("completion", COMPLETIONS)
+    def test_weights_are_the_spread_nonzeros(self, n, completion):
+        inst = INSTANCES[n] if n in INSTANCES else N5
+        circ = build_circuit(inst, honest_verifier((1, 1), n), completion)
+        block = start_block(circ.ver, n, inst.codes[0])
+        weights, rows = branch_weights(circ, block)
+        reference = branch_spread(circ, block)
+        spread = np.zeros_like(reference)
+        spread[rows, np.arange(weights.size)] = weights
+        np.testing.assert_array_equal(spread, reference)
 
     def test_block_handed_in_runs_the_same_code(self):
         circ = circuit(3, (2, 2), "adversarial")
@@ -156,9 +170,9 @@ class TestStep:
         empty = Graph(3, [])
         faulted = dataclasses.replace(circ, inst=Instance(empty, empty, Permutation.identity(3)))
         block = start_block(circ.ver, 3, circ.inst.codes[0])
-        branch_spread(circ, block)
+        branch_weights(circ, block)
         with pytest.raises(AssertionError, match="off the codes"):
-            branch_spread(faulted, block)
+            branch_weights(faulted, block)
 
 
 CHAIN_GRID = [
@@ -259,6 +273,28 @@ def test_views_and_distance_hold_no_full_length_state():
         tracemalloc.stop()
     assert distance <= 1e-10
     assert peak < 16 * circ.layout.total_dim
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (4, 1)])
+def test_amplified_columns_hold_a_few_outputs(dims):
+    # A branch is its weight and its code: the step forms no (Y, B, Z) state
+    # and no s x 2 n! coefficients, so on the n = 5 path pair its traced peak
+    # stays within 5 copies of its (2, s, 2 n!) output.
+    argv = ["zk-check", "--g0", "n=5;edges=01,12,23,34", "--g1", "n=5;edges=02,21,13,34"]
+    argv += ["--dim-w", str(dims[0]), "--dim-v", str(dims[1]), "--seed", "7"]
+    cfg = cli.config_from_args(cli.build_parser().parse_args(argv))
+    inst = cli.build_instance(cfg)
+    (_, (_, aux_seed, _), circ), = cli._trials(cfg, inst)
+    aux = random_aux(cfg.dims[0], aux_seed)
+    block = start_block(circ.ver, inst.n, inst.codes[0])
+    tracemalloc.start()
+    try:
+        amplified = amplified_columns(circ, aux, block)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert amplified.shape == (2, block.triangles.shape[-1], inst.codes.size)
+    assert peak <= 5 * amplified.nbytes
 
 
 def test_negative_control_calls_form_one_basis_each():
