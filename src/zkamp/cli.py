@@ -46,12 +46,12 @@ MAX_SCHEDULE_STEPS = 16
 # columns, which the chain frees once that factor has acted; a Householder factor updates its
 # product in place by column chunks, whose temporaries stay under an eighth of a block, and a small
 # block's moved copy fits in the stored factor's block, which is not yet allocated then.  An
-# adversarial verifier holds its d x s reflectors, and its draw two more d x s arrays for a moment.
-# ``zk-check`` holds no such state: its start block takes 3 d x s arrays while formed and then only
-# its s x s triangles (traced 3.0 at n = 5), and the writer's image and inverse tables 2 states of
-# the (Y, B, Z) sub-layout (traced 1.56 while the circuit is built, then 1.06).
+# adversarial verifier holds its d x s reflectors, its draw about one more for a moment (traced 2.02
+# at n = 5).  ``zk-check`` holds no such state: its start block, formed from the reflectors, takes 2
+# d x s arrays (traced 2.06 at n = 5) and then only its s x s triangles, and the writer's image and
+# inverse tables 2 states of the (Y, B, Z) sub-layout (traced 1.56 while built, then 1.06).
 STATE_COPIES, BASE_BYTES, STEP_WORK, KEPT_COPIES, DRAW_COPIES = 16, 2**22, 10**5, 2, 3
-BLOCK_COPIES, WRITER_COPIES = 3, 2
+BLOCK_COPIES, WRITER_COPIES = 2, 2
 
 
 class ConfigError(Exception):
@@ -239,7 +239,7 @@ def estimate(cfg: RunConfig, n: int | None) -> tuple[int, int, str]:
     else:
         layout = simulator.sim_layout(cfg.dims, n)
         side = protocol.view_layout(cfg.dims, n).total_dim
-        orbit = max(len(set(orbit_codes(g))) for g in _graph_pair(cfg) if g.n == n)
+        orbit = max(len(set(orbit_codes(g).tolist())) for g in _graph_pair(cfg) if g.n == n)
         s = cfg.dims[0] * orbit
         held = [f"a {side}x{side} verifier unitary drawn as {side}x{s} reflectors"]
         peak = 16 * DRAW_COPIES * side * s

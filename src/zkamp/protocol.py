@@ -33,6 +33,7 @@ import numpy as np
 from .registers import (
     HADAMARD,
     ZERO_NORM_SQ,
+    HouseholderOp,
     LinearOp,
     RegisterLayout,
     StateVector,
@@ -45,10 +46,9 @@ from .symm import (
     Graph,
     Permutation,
     act,
-    compose,
     encode,
     enumerate_sn,
-    invert,
+    lehmer_rank,
     num_graph_codes,
     orbit_codes,
 )
@@ -95,26 +95,20 @@ class Instance:
         return self.g0.n
 
     @cached_property
-    def perms(self) -> tuple[Permutation, ...]:
-        """S_n in :func:`enumerate_sn` order, the Z basis."""
-        return tuple(enumerate_sn(self.n))
+    def perms(self) -> np.ndarray:
+        """S_n, the Z basis: the read-only ``(n!, n)`` table of :func:`enumerate_sn`."""
+        return enumerate_sn(self.n)
 
     @cached_property
     def codes(self) -> np.ndarray:
         """Read-only ``(2, n!)`` table of ``encode(act(perms[z], g_b))``."""
-        return _code_table(orbit_codes(self.g0), self.g1)
+        return _code_table(self.perms, self.g0, self.g1)
 
     @cached_property
     def responses(self) -> np.ndarray:
-        """Read-only ``(2, n!)`` table of ``honest_response`` indices in ``perms``.
-
-        ``perms[responses[a, z]]`` is ``honest_response(self, perms[z], a)``.
-        """
-        position = {perm: i for i, perm in enumerate(self.perms)}
-        table = np.array(
-            [[position[honest_response(self, tau, a)] for tau in self.perms] for a in (0, 1)],
-            dtype=np.int64,
-        )
+        """Read-only ``(2, n!)``: ``perms[responses[a, z]]`` answers a after ``perms[z]`` sent g0."""
+        after_inverse = self.perms[:, np.argsort(self.tau.mapping, kind="stable")]
+        table = np.stack([np.arange(len(self.perms)), lehmer_rank(after_inverse)])
         table.setflags(write=False)
         return table
 
@@ -122,17 +116,18 @@ class Instance:
     def from_graphs(cls, g0: Graph, g1: Graph) -> "Instance":
         """Build an instance whose witness is the first relabeling in S_n order sending g0 to g1.
 
-        The S_n and the g0 orbit that the search computes become the
-        instance's ``perms`` and the first row of its ``codes``.
+        The S_n and the code table that the search reads become the instance's.
         """
         if g0.n != g1.n:
             raise ValueError(f"size mismatch: {g0.n} vs {g1.n}")
-        perms, orbit, target = tuple(enumerate_sn(g0.n)), orbit_codes(g0), encode(g1)
-        if target not in orbit:
+        perms = enumerate_sn(g0.n)
+        codes = _code_table(perms, g0, g1)
+        hits = np.flatnonzero(codes[0] == encode(g1))
+        if not hits.size:
             raise NotIsomorphicError("graphs are not isomorphic")
-        inst = cls(g0, g1, perms[orbit.index(target)])
+        inst = cls(g0, g1, Permutation(g0.n, tuple(perms[hits[0]].tolist())))
         # Filled as the two cached properties would fill them on first read.
-        vars(inst).update(perms=perms, codes=_code_table(orbit, g1))
+        vars(inst).update(perms=perms, codes=codes)
         return inst
 
     def graph_for_challenge(self, a: int) -> Graph:
@@ -141,9 +136,9 @@ class Instance:
         return self.g0 if a == 0 else self.g1
 
 
-def _code_table(g0_orbit: list[int], g1: Graph) -> np.ndarray:
-    """The read-only ``Instance.codes`` table from g0's orbit codes and g1."""
-    codes = np.array([g0_orbit, orbit_codes(g1)], dtype=np.int64)
+def _code_table(perms: np.ndarray, *graphs: Graph) -> np.ndarray:
+    """The read-only ``Instance.codes`` table: each graph's orbit codes over the S_n table."""
+    codes = np.stack([orbit_codes(g, perms) for g in graphs])
     codes.setflags(write=False)
     return codes
 
@@ -210,19 +205,6 @@ def adversarial_verifier(dims: tuple[int, int], n: int, seed: int, codes=None) -
 def random_aux(dim_w: int, seed: int) -> StateVector:
     """Haar-random auxiliary input on W."""
     return StateVector(aux_layout(dim_w), random_state(dim_w, seed))
-
-
-def honest_response(inst: Instance, tau: Permutation, a: int) -> Permutation:
-    """The prover's answer to challenge ``a`` after having sent ``act(tau, g0)``.
-
-    For a = 1 the answer routes through the witness, so that relabeling g1
-    with it reproduces the sent graph.
-    """
-    if a == 0:
-        return tau
-    if a == 1:
-        return compose(tau, invert(inst.tau))
-    raise ValueError(f"challenge must be 0 or 1, got {a}")
 
 
 def accept(sent: Graph, a: int, response: Permutation, inst: Instance) -> bool:
@@ -381,11 +363,15 @@ class StartBlock(NamedTuple):
 def start_block(ver: VerifierModel, n: int, codes) -> StartBlock:
     """The :class:`StartBlock` of the distinct ``codes``: ``U_V`` applied once, to s columns.
 
-    The side x s outputs live only until the QRs of their two challenge halves.
+    A verifier drawn on exactly these columns forms them from its reflectors, any other
+    acts on the basis columns; the side x s outputs live until their two halves' QRs.
     """
-    layout = view_layout(ver.dims, n)
+    layout, u = view_layout(ver.dims, n), ver.u_v
     inputs = start_columns(layout, codes)
-    outputs = ver.u_v.apply_to(layout, basis_columns(layout.total_dim, inputs))
+    if isinstance(u, HouseholderOp) and u.targets == layout.names and np.array_equal(u.inputs, inputs):
+        outputs = u.input_columns()
+    else:
+        outputs = u.apply_to(layout, basis_columns(layout.total_dim, inputs))
     halves = outputs.reshape(ver.dims[0] * ver.dims[1], 2, -1, inputs.size)
     qr = [np.linalg.qr(halves[:, a].reshape(-1, inputs.size), mode="r") for a in (0, 1)]
     # The W = 0 start columns are the sorted distinct codes themselves.

@@ -387,7 +387,10 @@ class HouseholderOp:
     ``x -= V (T (V† x))`` on the middle axis, with every product broadcast
     over pre, so the targets may sit at any adjacent position.  That costs
     about ``2 d k`` multiply-adds per vector; neither Q nor ``U† U`` is ever
-    formed.
+    formed.  :meth:`input_columns` forms U on its k input columns the same
+    way, as LAPACK's ``zungqr`` forms Q's leading columns: D on the head rows
+    ``order[:k]`` of a zero block, then each panel, last first, the first one
+    reading ``V†`` on those k rows alone.
     """
 
     layout: RegisterLayout
@@ -418,7 +421,7 @@ class HouseholderOp:
 
     @property
     def columns(self) -> int:
-        """k, the number of reflectors; columns ``order[:k]`` are the Haar ones of a draw."""
+        """k, the number of reflectors; columns ``inputs``, ``order[:k]``, are the Haar ones of a draw."""
         return len(self.tau)
 
     def _panels(self):
@@ -489,8 +492,21 @@ class HouseholderOp:
 
     apply_to = _on_targets
 
+    @property
+    def inputs(self) -> np.ndarray:
+        return np.arange(self.columns) if self.order is None else self.order[: self.columns]
+
+    def input_columns(self) -> np.ndarray:
+        """The operator on the basis vectors at :attr:`inputs`, formed from the reflectors."""
+        out = np.zeros((1, len(self.reflectors), self.columns), dtype=complex)
+        out[0, self.inputs, np.arange(self.columns)] = 1.0
+        return self._update(out, from_heads=self.order is not None)[0]
+
     def _act(self, x: np.ndarray) -> np.ndarray:
-        out = x.copy()
+        return self._update(x.copy())
+
+    def _update(self, out: np.ndarray, from_heads: bool = False) -> np.ndarray:
+        """The operator on a (pre, side, post) block in place; ``from_heads``: zero off ``order[:k]``."""
         _, side, post = out.shape
         heads = slice(self.columns) if self.order is None else self.order[: self.columns]
         phases = (self.phases.conj() if self.inverse else self.phases)[:, None]
@@ -502,8 +518,9 @@ class HouseholderOp:
             chunk = out[:, :, start : start + width]
             if not self.inverse:
                 chunk[:, heads] *= phases
-            for rows, v, t in panels:
-                chunk[:, rows] -= v @ _t_times(t, _adjoint_times(v, chunk[:, rows]), self.inverse)
+            for i, (rows, v, t) in enumerate(panels):
+                read, v_read = (heads, v[heads]) if from_heads and i == 0 else (rows, v)
+                chunk[:, rows] -= v @ _t_times(t, _adjoint_times(v_read, chunk[:, read]), self.inverse)
             if self.inverse:
                 chunk[:, heads] *= phases
         return out
@@ -598,12 +615,13 @@ def _gaussian_columns(dim: int, seed: int, k: int | None = None) -> np.ndarray:
         raise ValueError(f"dimension must be >= 1, got {dim}")
     if not 0 <= k <= dim:
         raise ValueError(f"column count must be in 0..{dim}, got {k}")
-    rng = np.random.default_rng(seed)
-    values = rng.standard_normal(k * (2 * dim - k + 1)).view(complex) / np.sqrt(2)
+    values = np.random.default_rng(seed).standard_normal(k * (2 * dim - k + 1)).view(complex)
+    values /= np.sqrt(2)
     # The upper trapezoid of the transpose, filled row by row, is the lower
     # one filled column by column.
     lower_t = np.zeros((k, dim), dtype=complex)
-    lower_t[np.arange(dim) >= np.arange(k)[:, None]] = values
+    for j in range(k):
+        lower_t[j, j:] = values[j * (2 * dim - j + 1) // 2 : (j + 1) * (2 * dim - j) // 2]
     return lower_t.T
 
 

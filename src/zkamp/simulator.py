@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -62,7 +61,7 @@ from .registers import (
     StateVector,
     basis_columns,
 )
-from .symm import Graph, Permutation, act, compose, encode, num_graph_codes
+from .symm import Graph, Permutation, act, lehmer_rank, num_graph_codes
 
 
 def sim_layout(dims: tuple[int, int], n: int) -> RegisterLayout:
@@ -290,21 +289,14 @@ def _norm_chain(circ: SimulatorCircuit, aux: StateVector, projected: np.ndarray)
     variables dropping ``tau^b``; and the completeness sum ``n!/(2 n!)``.  The
     three code tables all lie in g0's orbit, so the verifier runs once, as
     the :class:`~zkamp.protocol.StartBlock` of that orbit, and each line reads
-    its branches through its own table; only the witness substitution
-    relabels g0 itself, by each ``pi tau^b``.  Q_a is an isometry, so a
-    branch's A=a part ``Q_a R_a (aux (x) e_m)`` is read as its ``R_a`` column.
+    its branches through its own table; only the witness substitution reads
+    g0's codes at other rows (:func:`_witness_codes`).  Q_a is an isometry, so
+    a branch's A=a part ``Q_a R_a (aux (x) e_m)`` is read as its ``R_a`` column.
     """
     inst = circ.inst
     n_fact = len(inst.perms)
     scale = 1.0 / (2 * n_fact)
-    tau_pow = (Permutation.identity(inst.n), inst.tau)
-    tables = np.array(
-        [
-            inst.codes,
-            [[encode(act(compose(pi, t), inst.g0)) for pi in inst.perms] for t in tau_pow],
-            inst.codes[[0, 0]],
-        ]
-    )
+    tables = np.array([inst.codes, _witness_codes(inst), inst.codes[[0, 0]]])
     block = start_block(circ.ver, inst.n, inst.codes[0])
     guessed, substituted, plain = block.columns(tables)
     by_challenge = block.code_columns(aux.amps)  # (challenge a, s, code)
@@ -321,6 +313,12 @@ def _norm_chain(circ: SimulatorCircuit, aux: StateVector, projected: np.ndarray)
         scale * float(np.sum(slice_sq[guess, plain])),
         n_fact / (2 * n_fact),
     )
+
+
+def _witness_codes(inst: Instance) -> np.ndarray:
+    """``[b, z]`` is ``encode(act(pi tau^b, g0))`` for pi = ``perms[z]``: g0's code at row ``pi tau^b``."""
+    relabelings = np.stack([inst.perms, inst.perms[:, list(inst.tau.mapping)]])
+    return inst.codes[0][lehmer_rank(relabelings)]
 
 
 def branch_weights(circ: SimulatorCircuit, block: StartBlock) -> tuple[np.ndarray, np.ndarray]:
@@ -438,7 +436,7 @@ def sample_round(
     b = draw(born.sum(axis=(1, 2)))
     z = draw(born[b].sum(axis=1))
     a = draw(born[b, z])
-    pi = circ.inst.perms[z]
+    pi = Permutation(circ.inst.n, tuple(circ.inst.perms[z].tolist()))
     sent = act(pi, circ.inst.graph_for_challenge(b))
     accepted = a == b and accept(sent, a, pi, circ.inst)
     return SampledRound(b, a, pi, sent, accepted)

@@ -2,17 +2,20 @@
 
 The lexicographic enumeration of S_n fixes the permutation-register basis,
 and the pair-bit code fixes the graph-register basis, so measurement
-outcomes are reproducible across runs.  ``protocol.Instance`` holds the
-relabeling basis of its graph pair, built once from :func:`enumerate_sn` and
-:func:`orbit_codes`.  Everything is brute force on purpose; the guard
-n <= 6 keeps enumeration at 720 elements.
+outcomes are reproducible across runs.  S_n is one read-only (n!, n) integer
+table, from which ``protocol.Instance`` builds the relabeling basis of its
+graph pair once.  Everything is still brute force on purpose, now over that
+one table; the guard n <= 6 keeps it at 720 rows.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable
+
+import numpy as np
 
 MAX_VERTICES = 6
 
@@ -28,37 +31,31 @@ class Permutation:
         if len(self.mapping) != self.n or sorted(self.mapping) != list(range(self.n)):
             raise ValueError(f"{self.mapping} is not a permutation of 0..{self.n - 1}")
 
-    def __call__(self, vertex: int) -> int:
-        return self.mapping[vertex]
-
-    @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(n, tuple(range(n)))
 
 
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """Permutation acting as p after q."""
-    if p.n != q.n:
-        raise ValueError(f"size mismatch: {p.n} vs {q.n}")
-    return Permutation(p.n, tuple(p.mapping[q.mapping[i]] for i in range(p.n)))
+def enumerate_sn(n: int) -> np.ndarray:
+    """All of S_n as a read-only ``(n!, n)`` table in lexicographic row order.
 
-
-def invert(p: Permutation) -> Permutation:
-    inverse = [0] * p.n
-    for i, j in enumerate(p.mapping):
-        inverse[j] = i
-    return Permutation(p.n, tuple(inverse))
-
-
-def enumerate_sn(n: int) -> list[Permutation]:
-    """All of S_n in lexicographic order of the mapping tuples.
-
-    The position in this list is the authoritative basis index of the
-    permutation register.
+    Row i, which maps vertex v to ``[i, v]``, is basis index i of the permutation register.
     """
     if not 1 <= n <= MAX_VERTICES:
         raise ValueError(f"n must be in 1..{MAX_VERTICES}, got {n}")
-    return [Permutation(n, mapping) for mapping in itertools.permutations(range(n))]
+    return _sn_table(n)
+
+
+def _sn_table(n: int) -> np.ndarray:
+    flat = itertools.chain.from_iterable(itertools.permutations(range(n)))
+    table = np.fromiter(flat, dtype=np.int64, count=math.factorial(n) * n).reshape(-1, n)
+    table.setflags(write=False)
+    return table
+
+
+def lehmer_rank(perms: np.ndarray) -> np.ndarray:
+    """Each last-axis permutation's :func:`enumerate_sn` row: its Lehmer code's ``sum_i L_i (n-1-i)!``."""
+    n = perms.shape[-1]
+    later = np.arange(n)[:, None] < np.arange(n)
+    later_smaller = ((perms[..., :, None] > perms[..., None, :]) & later).sum(axis=-1)
+    return np.sum(later_smaller * [math.factorial(n - 1 - i) for i in range(n)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -85,7 +82,7 @@ def act(p: Permutation, g: Graph) -> Graph:
     """Relabel every edge endpoint through the permutation."""
     if p.n != g.n:
         raise ValueError(f"size mismatch: permutation on {p.n}, graph on {g.n}")
-    return Graph(g.n, ((p(u), p(v)) for u, v in g.edges))
+    return Graph(g.n, ((p.mapping[u], p.mapping[v]) for u, v in g.edges))
 
 
 def vertex_pairs(n: int) -> list[tuple[int, int]]:
@@ -106,20 +103,21 @@ def encode(g: Graph) -> int:
     return code
 
 
-def orbit_codes(g: Graph) -> list[int]:
-    """``encode(act(p, g))`` for each p in :func:`enumerate_sn` order, by bit positions alone.
+def orbit_codes(g: Graph, perms: np.ndarray | None = None) -> np.ndarray:
+    """``encode(act(p, g))`` for each row p of the S_n table ``perms``.
 
-    Each edge ``(u, v)`` of g sets the code bit of the pair ``(p(u), p(v))``,
-    so no relabeled graph is built.
+    Each edge ``(u, v)`` of g sets the code bit of the pair ``(p(u), p(v))``: one
+    gather-and-sum of the pair-bit matrix over the table, without a relabeled
+    graph.  Without ``perms`` (an orbit sized before any instance) it builds the table.
     """
     if not 1 <= g.n <= MAX_VERTICES:
         raise ValueError(f"n must be in 1..{MAX_VERTICES}, got {g.n}")
-    bit = {pair: 1 << k for k, pair in enumerate(vertex_pairs(g.n))}
-    edges = tuple(g.edges)
-    return [
-        sum(bit[min(p[u], p[v]), max(p[u], p[v])] for u, v in edges)
-        for p in itertools.permutations(range(g.n))
-    ]
+    perms = _sn_table(g.n) if perms is None else perms
+    bits = np.zeros((g.n, g.n), dtype=np.int64)
+    for k, (first, second) in enumerate(vertex_pairs(g.n)):
+        bits[first, second] = bits[second, first] = 1 << k
+    u, v = np.array(list(g.edges), dtype=np.int64).reshape(-1, 2).T
+    return bits[perms[:, u], perms[:, v]].sum(axis=1)
 
 
 def parse_graph_literal(text: str) -> Graph:

@@ -5,14 +5,17 @@ form and verifier views as record-keyed factors on the verifier's start
 basis, and never builds an operator's dense matrix.  The oracles here are
 the dense forms the tests compare against: an operator applied to the
 identity (:func:`to_matrix`), an operator applied by moving its target axes
-(:func:`moved_apply`), row-major index arithmetic, the graph-code decoder
-and the isomorphism search by relabeling that
-``protocol.Instance.from_graphs`` is checked against, kron embeddings of
+(:func:`moved_apply`), row-major index arithmetic, the graph-code decoder,
+S_n as :class:`~zkamp.symm.Permutation` objects with ``compose``,
+``invert``, the orbit comprehension and the honest response that the
+integer S_n tables are checked against, and the isomorphism search by
+relabeling that ``protocol.Instance.from_graphs`` is checked against, kron embeddings of
 operators, density operators with their channels and trace distance,
 checked state operations and the collapsing measurement that
 ``simulator.sample_round`` is checked against, the amplified state run
-through the step's operator chain with its Born table, the dense Haar draw
-and the Householder T recurrence, the verifier's start outputs, the
+through the step's operator chain with its Born table, the dense Haar draw,
+the draw's masked fill from a scaled copy that pins the seed -> verifier
+map, and the Householder T recurrence, the verifier's start outputs, the
 branches' dense spread on the block's codes and the norm chain read off
 them, the views read off full-length W,V,A,Y vectors
 (:class:`DenseRecordedView`) with their dense assembly and per-record
@@ -21,6 +24,7 @@ two-dimensional evolution with the phase search that re-evolves every
 candidate step count from the start.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -48,16 +52,7 @@ from zkamp.registers import (
 )
 from zkamp.protocol import check_aux, start_columns, view_layout, view_records
 from zkamp.simulator import attempt_output, grover_step, measure_then_reflect
-from zkamp.symm import (
-    Graph,
-    Permutation,
-    act,
-    compose,
-    encode,
-    enumerate_sn,
-    num_graph_codes,
-    vertex_pairs,
-)
+from zkamp.symm import Graph, Permutation, act, encode, num_graph_codes, vertex_pairs
 
 # Largest full view layout, records included, that dense_view assembles.
 DENSE_VIEW_LIMIT = 4096
@@ -86,11 +81,57 @@ def unflatten(layout, flat):
     return tuple(reversed(out))
 
 
+def permutations(n):
+    """S_n as :class:`Permutation` objects in lexicographic order: the rows of ``symm.enumerate_sn``."""
+    return [Permutation(n, mapping) for mapping in itertools.permutations(range(n))]
+
+
+def identity(n):
+    return Permutation(n, tuple(range(n)))
+
+
+def compose(p, q):
+    """Permutation acting as p after q."""
+    if p.n != q.n:
+        raise ValueError(f"size mismatch: {p.n} vs {q.n}")
+    return Permutation(p.n, tuple(p.mapping[q.mapping[i]] for i in range(p.n)))
+
+
+def invert(p):
+    inverse = [0] * p.n
+    for i, j in enumerate(p.mapping):
+        inverse[j] = i
+    return Permutation(p.n, tuple(inverse))
+
+
+def orbit_code_list(g):
+    """``encode(act(p, g))`` for each p of :func:`permutations`, by bit positions alone, as a list."""
+    bit = {pair: 1 << k for k, pair in enumerate(vertex_pairs(g.n))}
+    edges = tuple(g.edges)
+    return [
+        sum(bit[min(p[u], p[v]), max(p[u], p[v])] for u, v in edges)
+        for p in itertools.permutations(range(g.n))
+    ]
+
+
+def honest_response(inst, tau, a):
+    """The prover's answer to challenge ``a`` after having sent ``act(tau, g0)``.
+
+    For a = 1 the answer routes through the witness, so that relabeling g1
+    with it reproduces the sent graph.
+    """
+    if a == 0:
+        return tau
+    if a == 1:
+        return compose(tau, invert(inst.tau))
+    raise ValueError(f"challenge must be 0 or 1, got {a}")
+
+
 def find_isomorphism(g0, g1):
     """First permutation in enumeration order mapping g0 onto g1, or None; by relabeling."""
     if g0.n != g1.n:
         raise ValueError(f"size mismatch: {g0.n} vs {g1.n}")
-    for p in enumerate_sn(g0.n):
+    for p in permutations(g0.n):
         if act(p, g0) == g1:
             return p
     return None
@@ -427,6 +468,28 @@ def haar_random_unitary(dim, seed):
     return q * (d / np.abs(d))
 
 
+def reference_draw(side, seed, k=None):
+    """``haar_random_op``'s reflectors, tau and D as first drawn, before its in-place fill.
+
+    The Gaussian trapezoid is filled through a boolean mask from a scaled
+    copy of the values, and normalised by LAPACK's ``zlarfg`` on the
+    column-major view: the seed -> verifier map the runtime must keep bit for
+    bit.
+    """
+    k = side if k is None else k
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(k * (2 * side - k + 1)).view(complex) / np.sqrt(2)
+    lower_t = np.zeros((k, side), dtype=complex)
+    lower_t[np.arange(side) >= np.arange(k)[:, None]] = values
+    reflectors = lower_t.T
+    alpha = reflectors.diagonal().copy()
+    beta = np.where(alpha.real >= 0, -1.0, 1.0) * np.linalg.norm(reflectors, axis=0)
+    tau = (beta - alpha) / beta
+    reflectors /= alpha - beta
+    np.fill_diagonal(reflectors, 1.0)
+    return reflectors, tau, np.sign(beta)
+
+
 def compact_wy_factors(reflectors, tau):
     """Oracle for ``HouseholderOp.tfactors``: LAPACK's ``zlarft`` recurrence per 64-column panel.
 
@@ -541,6 +604,13 @@ def branch_spread(circ, block):
     return spread
 
 
+def witness_codes(inst):
+    """``encode(act(pi tau^b, g0))`` at ``[b, z]``, pi the z-th of :func:`permutations`, by relabeling g0."""
+    tau_pow = (identity(inst.n), inst.tau)
+    perms = permutations(inst.n)
+    return np.array([[encode(act(compose(pi, t), inst.g0)) for pi in perms] for t in tau_pow])
+
+
 def norm_chain(circ, aux):
     """The seven lines of ``amplification_check``'s norm chain, read off W,V,A,Y branch vectors.
 
@@ -551,14 +621,7 @@ def norm_chain(circ, aux):
     inst, view = circ.inst, view_layout(circ.ver.dims, circ.inst.n)
     n_fact = len(inst.perms)
     scale = 1.0 / (2 * n_fact)
-    tau_pow = (Permutation.identity(inst.n), inst.tau)
-    tables = np.array(
-        [
-            inst.codes,
-            [[encode(act(compose(pi, t), inst.g0)) for pi in inst.perms] for t in tau_pow],
-            inst.codes[[0, 0]],
-        ]
-    )
+    tables = np.array([inst.codes, witness_codes(inst), inst.codes[[0, 0]]])
     codes = np.unique(inst.codes[0])
     guessed, substituted, plain = np.searchsorted(codes, tables)
     outputs = start_outputs(circ.ver, inst.n, codes).reshape(view.total_dim, circ.dim_w, -1)

@@ -105,12 +105,13 @@ class TestExitCodes:
         assert code == 2
 
     def test_n_too_large_is_config_error(self, capsys):
-        # n=5 fits the budgets at dims 2x2; n=6 needs 1.5 GiB even at dims 1x1, for the
-        # writer's tables on its 47185920-amplitude (Y, B, Z) sub-layout.
+        # n=5 fits the budgets at dims 2x2; n=6 needs 1.48 GiB even at dims 1x1, 1.4 GiB of it
+        # for the writer's tables on its 47185920-amplitude (Y, B, Z) sub-layout.
         code = run(["zk-check", "--n", "6", "--g0", "01", "--g1", "01", "--dim-w", "1", "--dim-v", "1"])
         assert code == 2
         err = capsys.readouterr().err
-        assert "needs 1.5 GiB" in err and "above the budgets" in err
+        assert "needs 1.48 GiB" in err and "above the budgets" in err
+        assert "the writer's 47185920-entry tables" in err
 
     def test_trials_must_be_positive(self, capsys):
         code = run(["verify-eq1", "--n", "2", "--g0", "01", "--g1", "01", "--trials", "0"])
@@ -326,7 +327,7 @@ class TestOversizeRefusals:
             # multiply-adds) is the first refused at dims 2x2.
             (["verify-eq2", *N4, "--dim-w", "16", "--dim-v", "4"], 8192),
             (["blocks", *N3, "--dim-w", "4", "--dim-v", "8"], 6144),
-            # zk-check at n = 6: 2.11 GiB, of which 1.4 GiB are the writer's tables on the
+            # zk-check at n = 6: 2 GiB, of which 1.4 GiB are the writer's tables on the
             # (Y, B, Z) sub-layout.
             (["zk-check", "--g0", "n=6;edges=01", "--g1", "n=6;edges=23"], 262144),
             (["blocks", "--m", "69"], 19044),
@@ -500,6 +501,27 @@ def test_five_vertices_run_at_dims_4x1():
     assert peak <= estimated
     (rec,) = json.loads(out)["records"]
     assert rec["name"] == "view-equality[trial=0]" and rec["pass"] and rec["value"] <= 1e-10
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (4, 1)], ids=["2x2", "4x1"])
+def test_five_vertex_draw_and_start_block_fit_their_copies(dims):
+    # The start block is formed from the reflectors: its columns, then their two QR halves,
+    # BLOCK_COPIES side x s arrays beside the held reflectors, where applying the verifier to a
+    # block of basis columns took 3.  The draw holds the reflectors in DRAW_COPIES arrays.
+    g0, g1 = parse_graph_literal("n=5;edges=01,12,23,34"), parse_graph_literal("n=5;edges=02,21,13,34")
+    codes = protocol.Instance.from_graphs(g0, g1).codes[0]
+    array = 16 * protocol.view_layout(dims, 5).total_dim * dims[0] * len(set(codes.tolist()))
+    tracemalloc.start()
+    try:
+        ver = protocol.adversarial_verifier(dims, 5, 7, codes)
+        held, draw_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        protocol.start_block(ver, 5, codes)
+        _, block_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert draw_peak <= cli.DRAW_COPIES * array + cli.BASE_BYTES
+    assert block_peak - held <= cli.BLOCK_COPIES * array + cli.BASE_BYTES
 
 
 @pytest.mark.parametrize(
@@ -1212,15 +1234,19 @@ class TestInjectedFaults:
 
 @pytest.mark.parametrize("keep_z", [[], ["--keep-z"]])
 def test_zk_check_applies_the_verifier_once_per_trial(capsys, monkeypatch, keep_z):
-    # The adversarial verifier is the only Householder operator a zk-check builds.
-    applied = []
-    original = registers.HouseholderOp._act
+    # The adversarial verifier is the only Householder operator a zk-check builds, and each
+    # trial forms its start columns once from the reflectors, without applying it to a block.
+    applied, formed = [], []
+    act, form = registers.HouseholderOp._act, registers.HouseholderOp.input_columns
     monkeypatch.setattr(
-        registers.HouseholderOp, "_act", lambda op, x: applied.append(x.shape) or original(op, x)
+        registers.HouseholderOp, "_act", lambda op, x: applied.append(x.shape) or act(op, x)
+    )
+    monkeypatch.setattr(
+        registers.HouseholderOp, "input_columns", lambda op: formed.append(op.columns) or form(op)
     )
     code, _ = run_capture(capsys, ["zk-check", *N3, *keep_z, "--trials", "2", "--seed", "7"])
     assert code == 0
-    assert len(applied) == 2
+    assert len(formed) == 2 and not applied
 
 
 class TestJsonWriter:

@@ -23,7 +23,6 @@ from zkamp.protocol import (
     Instance,
     RecordedView,
     adversarial_verifier,
-    honest_response,
     honest_verifier,
     random_aux,
     real_view_recorded,
@@ -32,15 +31,17 @@ from zkamp.protocol import (
 )
 from zkamp.registers import RegisterLayout, trace_distance_matrices
 from zkamp.simulator import build_circuit, simulate_round_recorded
-from zkamp.symm import Graph, act, encode, enumerate_sn
+from zkamp.symm import Graph, act, encode
 
 from oracles import (
     DENSE_VIEW_LIMIT,
     dense_view,
     flatten,
     full_layout,
+    honest_response,
     partial_trace,
     per_key_trace_distance,
+    permutations,
     real_view,
     record_weights,
     simulated_view,
@@ -117,7 +118,7 @@ def dephased_real_blocks(inst, ver, aux, keep_z):
     """Real view blocks built densely: the A=a blocks of each branch output's outer product."""
     n = inst.n
     layout = view_layout(ver.dims, n)
-    perms = enumerate_sn(n)
+    perms = permutations(n)
     blocks = {}
     for tau in perms:
         code = encode(act(tau, inst.g0))
@@ -195,7 +196,7 @@ def test_factor_columns_bounded_by_branches(case):
     # A key holds at most one column per branch: the branch's part at the key's challenge.
     n, dims, keep_z, _ = case
     inst, _, _, (sim, real, _), _ = build(case)
-    perms = enumerate_sn(n)
+    perms = permutations(n)
     real_branches, sim_branches = {}, {}
     for tau in perms:
         code = encode(act(tau, inst.g0))

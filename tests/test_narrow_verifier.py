@@ -28,7 +28,7 @@ from zkamp.protocol import (
     start_columns,
     view_layout,
 )
-from zkamp.registers import LinearOp, OpChain
+from zkamp.registers import LinearOp, OpChain, basis_columns, haar_random_op
 from zkamp.simulator import build_circuit, simulate_round_recorded
 from zkamp.symm import Graph, num_graph_codes, orbit_codes
 
@@ -77,6 +77,34 @@ class TestStartColumns:
     def test_refuses_codes_outside_the_graph_register(self):
         with pytest.raises(ValueError, match="Y codes must be in 0..7"):
             adversarial_verifier((2, 2), 3, seed=1, codes=[3, 8])
+
+    @pytest.mark.parametrize(
+        "n, dims, panels",
+        [(2, (2, 2), 1), (3, (2, 2), 1), (4, (2, 2), 1), (5, (4, 1), 4)],
+        ids=["n2", "n3", "n4", "n5-4x1"],
+    )
+    def test_formed_from_the_reflectors_bit_for_bit(self, n, dims, panels):
+        # input_columns forms U on its drawn columns from the reflectors, the first panel
+        # reading the k head rows alone; applying U to the basis columns gives the same bits.
+        path = Graph(n, [(v, v + 1) for v in range(n - 1)])
+        codes = Instance.from_graphs(path, path).codes[0]
+        on_orbit = adversarial_verifier(dims, n, 7, codes)
+        assert -(-on_orbit.u_v.columns // 64) == panels
+        # The verifier on every Y code is the one the benchmark's negative control draws.
+        every = [] if n == 5 else [(adversarial_verifier(dims, n, 7), range(num_graph_codes(n)))]
+        for ver, drawn in [(on_orbit, codes)] + every:
+            assert np.array_equal(ver.u_v.inputs, start_columns(view_layout(dims, n), drawn))
+            assert np.array_equal(ver.u_v.input_columns(), start_outputs(ver, n, drawn))
+            adjoint = VerifierModel(dims, ver.u_v.adjoint())
+            assert np.array_equal(adjoint.u_v.input_columns(), start_outputs(adjoint, n, drawn))
+
+    def test_unordered_full_draw_forms_every_column(self):
+        layout = view_layout((2, 2), 2)
+        u = haar_random_op(layout, ("W", "V", "A", "Y"), 5)
+        assert u.order is None and np.array_equal(u.inputs, np.arange(layout.total_dim))
+        for op in (u, u.adjoint()):
+            identity = basis_columns(layout.total_dim, op.inputs)
+            assert np.array_equal(op.input_columns(), op.apply_to(layout, identity))
 
 
 class TestDenseOracle:

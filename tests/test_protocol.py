@@ -10,7 +10,6 @@ from zkamp.protocol import (
     accept,
     adversarial_verifier,
     aux_layout,
-    honest_response,
     honest_verifier,
     random_aux,
     real_view_recorded,
@@ -24,7 +23,7 @@ from zkamp.registers import (
     HouseholderOp,
     LinearOp,
 )
-from zkamp.simulator import build_circuit
+from zkamp.simulator import _witness_codes, build_circuit
 from zkamp.symm import (
     Graph,
     Permutation,
@@ -32,6 +31,7 @@ from zkamp.symm import (
     encode,
     enumerate_sn,
     num_graph_codes,
+    orbit_codes,
 )
 
 from oracles import (
@@ -39,14 +39,19 @@ from oracles import (
     decode,
     dense_view,
     find_isomorphism,
+    honest_response,
+    identity,
+    orbit_code_list,
     partial_trace,
     per_key_trace_distance,
+    permutations,
     real_view,
     record_weights,
     start_outputs,
     to_matrix,
     trace_distance,
     view_trace,
+    witness_codes,
 )
 
 PATH3 = Graph(3, [(0, 1), (1, 2)])
@@ -68,7 +73,7 @@ class TestInstance:
         tau = Permutation(3, (1, 0, 2))
         Instance(PATH3, PATH3B, tau)
         with pytest.raises(ValueError):
-            Instance(PATH3, PATH3B, Permutation.identity(3))
+            Instance(PATH3, PATH3B, identity(3))
 
     def test_from_graphs_picks_first_witness(self):
         inst = path_instance()
@@ -93,31 +98,62 @@ class TestInstance:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_relabeling_tables(self, n):
         g0 = Graph(n, [(v, v + 1) for v in range(n - 1)])
-        inst = Instance.from_graphs(g0, act(enumerate_sn(n)[-1], g0))
-        assert inst.perms == tuple(enumerate_sn(n))
+        inst = Instance.from_graphs(g0, act(permutations(n)[-1], g0))
+        assert np.array_equal(inst.perms, enumerate_sn(n)) and not inst.perms.flags.writeable
         assert inst.codes.shape == (2, len(inst.perms)) and inst.codes.dtype == np.int64
         for b, g in enumerate((inst.g0, inst.g1)):
-            for z, perm in enumerate(inst.perms):
+            for z, perm in enumerate(permutations(n)):
                 assert inst.codes[b, z] == encode(act(perm, g))
         with pytest.raises(ValueError):
             inst.codes[0, 0] = 0
         assert inst.codes is inst.codes
         # Built directly, an instance computes the same tables on first read.
         direct = Instance(inst.g0, inst.g1, inst.tau)
-        assert direct.perms == inst.perms and np.array_equal(direct.codes, inst.codes)
+        assert np.array_equal(direct.perms, inst.perms) and np.array_equal(direct.codes, inst.codes)
         assert not direct.codes.flags.writeable
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_response_table(self, n):
         g0 = Graph(n, [(v, v + 1) for v in range(n - 1)])
-        inst = Instance.from_graphs(g0, act(enumerate_sn(n)[-1], g0))
+        perms = permutations(n)
+        inst = Instance.from_graphs(g0, act(perms[-1], g0))
         assert inst.responses.shape == (2, len(inst.perms)) and inst.responses.dtype == np.int64
         for a in (0, 1):
-            for z, tau in enumerate(inst.perms):
-                assert inst.perms[inst.responses[a, z]] == honest_response(inst, tau, a)
+            for z, tau in enumerate(perms):
+                assert perms[inst.responses[a, z]] == honest_response(inst, tau, a)
         with pytest.raises(ValueError):
             inst.responses[0, 0] = 1
         assert inst.responses is inst.responses
+
+
+def table_graphs(n):
+    """Empty, complete, path and star graphs on n vertices."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    path = [(v, v + 1) for v in range(n - 1)]
+    star = [(0, v) for v in range(1, n)]
+    return {"empty": Graph(n, []), "complete": Graph(n, pairs), "path": Graph(n, path), "star": Graph(n, star)}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("kind", ["empty", "complete", "path", "star"])
+def test_relabeling_tables_equal_the_pure_python_oracles(n, kind):
+    # S_n as one integer table: every table read off it equals the pure-Python
+    # relabeling of Permutation objects, exactly.
+    perms = permutations(n)
+    assert np.array_equal(enumerate_sn(n), [p.mapping for p in perms])
+    g0 = table_graphs(n)[kind]
+    g1 = act(perms[len(perms) // 2], g0)
+    assert orbit_codes(g0).tolist() == orbit_code_list(g0)
+    inst = Instance.from_graphs(g0, g1)
+    assert inst.tau == find_isomorphism(g0, g1)
+    assert np.array_equal(inst.codes, [orbit_code_list(g0), orbit_code_list(g1)])
+    position = {p: z for z, p in enumerate(perms)}
+    responses = [[position[honest_response(inst, p, a)] for p in perms] for a in (0, 1)]
+    assert np.array_equal(inst.responses, responses)
+    assert np.array_equal(_witness_codes(inst), witness_codes(inst))
+    if n > 1 and kind != "empty":
+        with pytest.raises(NotIsomorphicError):
+            Instance.from_graphs(g0, table_graphs(n)["empty"])
 
 
 class TestHonestVerifier:
@@ -147,7 +183,7 @@ class TestHonestVerifier:
 
         dim_y = num_graph_codes(3)
         orbit = np.zeros((dim_y, dim_y), dtype=complex)
-        for tau in enumerate_sn(3):
+        for tau in permutations(3):
             c = encode(act(tau, inst.g0))
             orbit[c, c] += 1 / 6
         psi = np.outer(aux.amps, aux.amps.conj())
@@ -218,7 +254,7 @@ class TestRealView:
         rho = dense_view(real_view(inst, ver, random_aux(2, seed=9)))
         y = partial_trace(rho, ["Y"]).matrix
         np.testing.assert_allclose(y, np.diag(np.diag(y)), atol=1e-12)
-        orbit_codes = {encode(act(tau, inst.g0)) for tau in enumerate_sn(3)}
+        orbit_codes = {encode(act(tau, inst.g0)) for tau in permutations(3)}
         assert len(orbit_codes) == 3
         for code in range(num_graph_codes(3)):
             expected = 1 / 3 if code in orbit_codes else 0.0
@@ -367,7 +403,7 @@ class TestRecordedView:
         ver = honest_verifier(DIMS, 3)
         view = real_view_recorded(inst, ver, basis_aux(), keep_z=True)
         assert view.record_registers == (("Z", 6), ("Zp", 8), ("A", 2))
-        perms = enumerate_sn(3)
+        perms = permutations(3)
         assert abs(view_trace(view) - 1) < 1e-10
         for z, code, a in view.blocks:
             # The recorded response answers the recorded challenge.
@@ -447,7 +483,7 @@ class TestStartBlock:
 class TestAccept:
     def test_challenge_zero(self):
         inst = path_instance()
-        for tau in enumerate_sn(3):
+        for tau in permutations(3):
             sent = act(tau, inst.g0)
             assert accept(sent, 0, tau, inst)
 
@@ -455,7 +491,7 @@ class TestAccept:
         inst = path_instance()
         tau = Permutation(3, (2, 1, 0))
         sent = act(tau, inst.g0)
-        valid = [p for p in enumerate_sn(3) if act(p, inst.g1) == sent]
+        valid = [p for p in permutations(3) if act(p, inst.g1) == sent]
         assert valid, "brute force must find a valid response"
         for p in valid:
             assert accept(sent, 1, p, inst)
@@ -464,11 +500,11 @@ class TestAccept:
         inst = path_instance()
         sent = act(Permutation(3, (1, 2, 0)), inst.g0)
         if sent != inst.g0:
-            assert not accept(sent, 0, Permutation.identity(3), inst)
+            assert not accept(sent, 0, identity(3), inst)
 
     def test_honest_response_always_accepted(self):
         inst = path_instance()
-        for tau in enumerate_sn(3):
+        for tau in permutations(3):
             sent = act(tau, inst.g0)
             for a in (0, 1):
                 assert accept(sent, a, honest_response(inst, tau, a), inst)

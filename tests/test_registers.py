@@ -41,6 +41,7 @@ from oracles import (
     partial_trace,
     project,
     pure_density,
+    reference_draw,
     to_matrix,
     trace_distance,
     unflatten,
@@ -733,22 +734,6 @@ class TestHouseholderOp:
             HouseholderOp(layout, ("A",), op.reflectors, op.tau[:-1], op.phases)
 
 
-def _draw_before_inputs(layout, targets, seed):
-    """The full draw as ``haar_random_op`` made it before it took ``inputs``, bit for bit."""
-    side = int(np.prod([layout.dim_of(name) for name in targets]))
-    rng = np.random.default_rng(seed)
-    values = rng.standard_normal(side * (side + 1)).view(complex) / np.sqrt(2)
-    lower_t = np.zeros((side, side), dtype=complex)
-    lower_t[np.tri(side, dtype=bool).T] = values
-    reflectors = lower_t.T
-    alpha = reflectors.diagonal().copy()
-    beta = np.where(alpha.real >= 0, -1.0, 1.0) * np.linalg.norm(reflectors, axis=0)
-    tau = (beta - alpha) / beta
-    reflectors /= alpha - beta
-    np.fill_diagonal(reflectors, 1.0)
-    return reflectors, tau, np.sign(beta)
-
-
 class TestNarrowHouseholderOp:
     """k < d reflectors behind a row order: Haar input columns, the identity elsewhere."""
 
@@ -756,13 +741,36 @@ class TestNarrowHouseholderOp:
     def test_full_draw_is_unchanged_bit_for_bit(self, side, seed):
         layout = RegisterLayout([("A", side)])
         op = haar_random_op(layout, ("A",), seed)
-        reflectors, tau, phases = _draw_before_inputs(layout, ("A",), seed)
+        reflectors, tau, phases = reference_draw(side, seed)
         assert op.order is None and op.columns == side
         np.testing.assert_array_equal(op.reflectors, reflectors)
         np.testing.assert_array_equal(op.tau, tau)
         np.testing.assert_array_equal(op.phases, phases)
         rebuilt = HouseholderOp(layout, ("A",), reflectors, tau, phases)
         np.testing.assert_array_equal(op.tfactors, rebuilt.tfactors)
+
+    @pytest.mark.parametrize(
+        "side, inputs",
+        [
+            # The 24 start columns of the n = 4 benchmark pair at dims 2x2.
+            (512, [13, 14, 19, 22, 26, 28, 35, 37, 41, 44, 49, 50]
+             + [269, 270, 275, 278, 282, 284, 291, 293, 297, 300, 305, 306]),
+            (1024, range(1000, 976, -1)),
+            (130, range(129, 59, -1)),
+            (96, None),
+        ],
+        ids=["512x24", "1024x24", "130x70", "full-96"],
+    )
+    def test_seed_to_verifier_map_is_pinned(self, side, inputs):
+        # The draw fills and normalises its reflectors in place; the values, and so every
+        # report, are those of the masked fill from a scaled copy, bit for bit.
+        layout = RegisterLayout([("A", side)])
+        op = haar_random_op(layout, ("A",), 7, None if inputs is None else list(inputs))
+        reflectors, tau, phases = reference_draw(side, 7, op.columns)
+        reference = HouseholderOp(layout, ("A",), reflectors, tau, phases, op.order)
+        assert np.array_equal(drawn_reflectors(op), reflectors)
+        for name in ("reflectors", "tau", "phases", "tfactors"):
+            assert np.array_equal(getattr(op, name), getattr(reference, name)), name
 
     @pytest.mark.parametrize("k", [0, 1, 7, 64, 65, 130])
     def test_gaussian_columns_are_a_prefix_of_the_full_draw(self, k):
@@ -787,7 +795,7 @@ class TestNarrowHouseholderOp:
     def test_holds_one_copy_of_the_drawn_rows_placed_by_the_order(self, inputs):
         layout = RegisterLayout([("A", 3), ("B", 5)])
         op = haar_random_op(layout, ("B", "A"), 6, inputs)
-        reflectors, _, _ = _draw_before_inputs(layout, ("B", "A"), 6)
+        reflectors, _, _ = reference_draw(15, 6)
         np.testing.assert_array_equal(op.reflectors[op.order], reflectors[:, : len(inputs)])
         assert op.reflectors.flags.c_contiguous and op.reflectors.flags.owndata
         arrays = {name for name, value in vars(op).items() if isinstance(value, np.ndarray)}

@@ -35,7 +35,7 @@ from zkamp.simulator import (
     success_projector,
     uniform_superposition_unitary,
 )
-from zkamp.symm import Graph, Permutation, act, encode, enumerate_sn
+from zkamp.symm import Graph, Permutation, act, encode
 
 from oracles import (
     basis_state,
@@ -48,6 +48,7 @@ from oracles import (
     operator_amplified_state,
     overlap,
     per_key_trace_distance,
+    permutations,
     project,
     real_view,
     simulated_view,
@@ -86,7 +87,7 @@ def defining_formula_output(circ, aux):
     """
     inst, ver = circ.inst, circ.ver
     n = inst.n
-    perms = enumerate_sn(n)
+    perms = permutations(n)
     view = view_layout(ver.dims, n)
     dim_vay = view.total_dim // ver.dim_w
     full = np.zeros((view.total_dim, 2, len(perms)), dtype=complex)
@@ -502,7 +503,7 @@ class TestSampledFromBornTable:
     @pytest.mark.parametrize("name", SAMPLED_STATES)
     def test_same_draws_as_three_measurements(self, name):
         circ, state, columns = zk_check_states(*SAMPLED_STATES[name])
-        perms = enumerate_sn(circ.inst.n)
+        perms = permutations(circ.inst.n)
         for seed in range(200):
             rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             sampled = sample_round(circ, columns, rng)
@@ -517,7 +518,7 @@ class TestSampledFromBornTable:
     def test_frequencies_match_the_born_table(self, amplified):
         circ, state, columns = zk_check_states(N3, amplified)
         born = np.einsum("wvaybz->bza", np.abs(state.reshape(circ.layout.dims)) ** 2)
-        perms = enumerate_sn(circ.inst.n)
+        perms = permutations(circ.inst.n)
         draws, rng = 2000, np.random.default_rng(2024)
         counts = np.zeros_like(born)
         for _ in range(draws):

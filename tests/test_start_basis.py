@@ -40,11 +40,12 @@ from zkamp.simulator import (
     simulate_round_recorded,
     start_basis_step,
 )
-from zkamp.symm import Graph, Permutation
+from zkamp.symm import Graph
 
 from oracles import (
     born_table,
     branch_spread,
+    identity,
     norm_chain,
     operator_amplified_state,
     per_key_trace_distance,
@@ -168,7 +169,7 @@ class TestStep:
 
         circ = circuit(3, (2, 2), "adversarial")
         empty = Graph(3, [])
-        faulted = dataclasses.replace(circ, inst=Instance(empty, empty, Permutation.identity(3)))
+        faulted = dataclasses.replace(circ, inst=Instance(empty, empty, identity(3)))
         block = start_block(circ.ver, 3, circ.inst.codes[0])
         branch_weights(circ, block)
         with pytest.raises(AssertionError, match="off the codes"):
