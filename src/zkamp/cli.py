@@ -48,10 +48,10 @@ MAX_SCHEDULE_STEPS = 16
 # block's moved copy fits in the stored factor's block, which is not yet allocated then.  An
 # adversarial verifier holds its d x s reflectors, its draw about one more for a moment (traced 2.02
 # at n = 5).  ``zk-check`` holds no such state: its start block, formed from the reflectors, takes 2
-# d x s arrays (traced 2.06 at n = 5) and then only its s x s triangles, and the writer's image and
-# inverse tables 2 states of the (Y, B, Z) sub-layout (traced 1.56 while built, then 1.06).
+# d x s arrays (traced 2.06 at n = 5) and then only its s x s triangles.  The writer holds its 2 n!
+# codes alone, and forms its gather index only while it acts, which ``zk-check`` never makes it do.
 STATE_COPIES, BASE_BYTES, STEP_WORK, KEPT_COPIES, DRAW_COPIES = 16, 2**22, 10**5, 2, 3
-BLOCK_COPIES, WRITER_COPIES = 2, 2
+BLOCK_COPIES = 2
 
 
 class ConfigError(Exception):
@@ -223,8 +223,8 @@ def estimate(cfg: RunConfig, n: int | None) -> tuple[int, int, str]:
     is ``2 steps + 1`` attempt applications, each one split of B (m d) and the
     scramble's reflectors (2 side d); and for ``phases`` one search step per
     step count up to ``amplify.analytic_k``.  ``zk-check`` holds ``BLOCK_COPIES``
-    d x s arrays and the writer's tables, ``WRITER_COPIES`` (Y, B, Z) states, in place of
-    states of the simulator's layout, and works ``3 d s^2`` per trial: ``U_V`` and two QRs.
+    d x s arrays in place of states of the simulator's layout, and works ``3 d s^2`` per
+    trial: ``U_V`` and two QRs.
     """
     if cfg.command == "phases":
         lambdas, k_max = cfg.extras["lambdas"], cfg.extras["k_max"]
@@ -245,10 +245,8 @@ def estimate(cfg: RunConfig, n: int | None) -> tuple[int, int, str]:
         peak = 16 * DRAW_COPIES * side * s
     d, work = layout.total_dim, 0
     if cfg.command == "zk-check":
-        sub = layout.keep(("Y", "B", "Z")).total_dim
-        peak += BASE_BYTES + 16 * (BLOCK_COPIES * side * s + WRITER_COPIES * sub)
-        held[0] += f", its {side}x{s} start block"
-        return peak, cfg.trials * 3 * side * s * s, f"{held[0]} and the writer's {sub}-entry tables"
+        peak += BASE_BYTES + 16 * BLOCK_COPIES * side * s
+        return peak, cfg.trials * 3 * side * s * s, f"{held[0]} and its {side}x{s} start block"
     peak += BASE_BYTES + 16 * STATE_COPIES * cfg.dims[0] * d
     if cfg.command == "blocks":
         r, d_c = d // layout.dim_of("A"), d - cfg.dims[0]

@@ -8,8 +8,8 @@ index computation in the package: every operator acts through
 ``_on_targets``, on one vector or a block of them.  A diagonal broadcasts its
 phases over the layout's shape, so it alone may act on registers that are
 apart.  Every other operator needs adjacent targets, and applies itself
-(``_act``) to the (pre, side, post) view they make, which copies nothing: a
-permutation is one gather on the middle axis, a Householder operator updates
+(``_act``) to the (pre, side, post) view they make, which copies nothing: an
+XOR writer is one gather on the middle axis, a Householder operator updates
 one copy in place, and a dense unitary is a right product on trailing
 targets, a product on leading ones and a batched product on wide middle
 ones.  Only a narrow middle dense product (a single state under a 2x2 split)
@@ -308,49 +308,53 @@ class DiagonalOp:
     apply_to = _on_targets
 
 
-def _check_permutation(image: np.ndarray, side: int, what: str) -> None:
-    """Refuse, in O(side), an ``image`` that is not a permutation of ``range(side)``."""
-    if image.shape != (side,):
-        raise ValueError(f"{what} has shape {image.shape}, expected ({side},)")
-    in_range = bool(np.all((image >= 0) & (image < side)))
-    if not in_range or np.any(np.bincount(image, minlength=side) != 1):
-        raise ValueError(f"{what} is not a permutation of the target basis")
-
-
 @dataclass(frozen=True)
-class PermutationOp:
-    """Unitary relabeling of the computational basis of its targets.
+class XorOp:
+    """``|y, c> -> |y XOR codes[c], c>``: a code per control value written into y by bitwise XOR.
 
-    ``image[j]`` is the flat target index that basis state ``j`` maps to, so
-    the dense matrix has a single 1 per column at row ``image[j]``.  It is
-    applied as a gather through the ``inverse`` image, which the adjoint
-    swaps with ``image``.
+    The first target, in layout order, is the data register y, whose dimension
+    is a power of two, and the rest are the control c, with one code per
+    control value.  XOR is an involution, so the operator is its own adjoint
+    and keeps no image table: ``_act`` forms its gather index only while it acts.
     """
 
     layout: RegisterLayout
     targets: tuple[str, ...]
-    image: np.ndarray
+    codes: np.ndarray
 
-    def __init__(self, layout: RegisterLayout, targets: Sequence[str], image):
-        _init_validated(self, layout, targets, image=np.asarray(image, dtype=np.int64))
+    def __init__(self, layout: RegisterLayout, targets: Sequence[str], codes):
+        _init_validated(self, layout, targets, codes=np.asarray(codes, dtype=np.int64))
 
     kind: str = field(default="unitary", init=False)
-    # Built by ``_validate``: ``inverse[image[j]] = j``.
-    inverse: np.ndarray = field(init=False)
 
     def _validate(self, side: int) -> None:
-        _check_permutation(self.image, side, "image")
-        inverse = np.empty_like(self.image)
-        inverse[self.image] = np.arange(side)
-        object.__setattr__(self, "inverse", inverse)
+        data = self.targets[0]
+        dim_y = self.layout.dim_of(data)
+        if dim_y & (dim_y - 1):
+            raise ValueError(f"data register {data!r} has dimension {dim_y}, not a power of two")
+        if self.codes.shape != (side // dim_y,):
+            raise ValueError(f"codes have shape {self.codes.shape}, expected ({side // dim_y},)")
+        if not np.all((self.codes >= 0) & (self.codes < dim_y)):
+            raise ValueError(f"a code is outside 0..{dim_y - 1}")
 
-    def adjoint(self) -> "PermutationOp":
-        return _trusted_variant(self, image=self.inverse, inverse=self.image)
+    def adjoint(self) -> "XorOp":
+        return self
 
     apply_to = _on_targets
 
     def _act(self, x: np.ndarray) -> np.ndarray:
-        return np.take(x, self.inverse, axis=1)
+        width = self.codes.size
+        y = np.arange(x.shape[1] // width)[:, None]
+        return np.take(x, ((y ^ self.codes) * width + np.arange(width)).reshape(-1), axis=1)
+
+
+def _check_order(order: np.ndarray, side: int) -> None:
+    """Refuse, in O(side), a row ``order`` that is not a permutation of ``range(side)``."""
+    if order.shape != (side,):
+        raise ValueError(f"row order has shape {order.shape}, expected ({side},)")
+    in_range = bool(np.all((order >= 0) & (order < side)))
+    if not in_range or np.any(np.bincount(order, minlength=side) != 1):
+        raise ValueError("row order is not a permutation of the target basis")
 
 
 # Columns per compact-WY panel of a Householder operator.
@@ -451,7 +455,7 @@ class HouseholderOp:
         if k > side:
             raise ValueError(f"{k} reflectors on {side} rows: k must be at most {side}")
         if self.order is not None:
-            _check_permutation(self.order, side, "row order")
+            _check_order(self.order, side)
         tfactors = np.zeros((k, min(_PANEL_WIDTH, k)), dtype=complex)
         grams = []
         for s in range(0, k, _PANEL_WIDTH):

@@ -14,13 +14,14 @@ The amplified state is the step in closed form.  The start phase is
 ``I + (phi - 1) Pi_0``, with Pi_0 onto the dim_w start states, so
 ``attempt S_0(phi) attempt^-1 = I + (phi - 1) cols cols^†`` for the attempt
 images ``cols`` of those states (Brassard, Hoyer, Mosca and Tapp 2002).  The
-splits and the writer put a start state on g0's orbit codes alone, so a
-(B, Z) branch is its weight and its code: before and after the step, branch
-j is ``c_j`` times the verifier's :class:`~zkamp.protocol.StartBlock`, which
-alone splits its s = dim_w * |orbit| coefficients into (w, code), on a W
-vector at code ``m_j``.  ``zk-check`` keeps each branch's A=a part ``Q_a R_a
-beta`` as its s-row column ``R_a beta`` (:func:`amplified_columns`), and
-reads the view and the transcript's Born table off them.
+splits, and the writer XORing branch j's code into the zero Y, put a start
+state on g0's orbit codes alone, so a (B, Z) branch is its weight and its
+code: before and after the step, branch j is ``c_j`` times the verifier's
+:class:`~zkamp.protocol.StartBlock`, which alone splits its s = dim_w *
+|orbit| coefficients into (w, code), on a W vector at code ``m_j``.
+``zk-check`` keeps each branch's A=a part ``Q_a R_a beta`` as its s-row
+column ``R_a beta`` (:func:`amplified_columns`), and reads the view and the
+transcript's Born table off them; it never applies the writer.
 
 Everything the derivation claims is exposed as a numeric check on the
 operator chain itself: the half-probability block identity, the one-step
@@ -56,12 +57,12 @@ from .registers import (
     DiagonalOp,
     LinearOp,
     OpChain,
-    PermutationOp,
     RegisterLayout,
     StateVector,
+    XorOp,
     basis_columns,
 )
-from .symm import Graph, Permutation, act, lehmer_rank, num_graph_codes
+from .symm import Graph, Permutation, act, lehmer_rank
 
 
 def sim_layout(dims: tuple[int, int], n: int) -> RegisterLayout:
@@ -150,23 +151,16 @@ def build_circuit(
 
     The attempt factors as: split B and Z into uniform superpositions, write
     the relabeled guessed graph into Y by bitwise XOR on its code, then run
-    the verifier unitary.  Y starts at the empty-graph code, so on the
-    all-zero input the write is plain assignment.
+    the verifier unitary.  The writer is that rule, an :class:`XorOp` that
+    holds the 2 n! codes ``inst.codes[b, z]`` and no index table.  Y starts
+    at the empty-graph code, so on the all-zero input the write is plain
+    assignment.
     """
     n = inst.n
     layout = sim_layout(ver.dims, n)
-    n_fact = layout.dim_of("Z")
-    dim_y = num_graph_codes(n)
-
     split_b = LinearOp(layout, ("B",), HADAMARD)
-    split_z = LinearOp(layout, ("Z",), uniform_superposition_unitary(n_fact, completion))
-
-    y_idx = np.arange(dim_y)[:, None, None]
-    b_idx = np.arange(2)[None, :, None]
-    z_idx = np.arange(n_fact)[None, None, :]
-    image = ((y_idx ^ inst.codes[b_idx, z_idx]) * 2 + b_idx) * n_fact + z_idx
-    writer = PermutationOp(layout, ("Y", "B", "Z"), image.reshape(-1))
-
+    split_z = LinearOp(layout, ("Z",), uniform_superposition_unitary(math.factorial(n), completion))
+    writer = XorOp(layout, ("Y", "B", "Z"), inst.codes.reshape(-1))
     attempt = OpChain((split_b, split_z, writer, ver.u_v))
     return SimulatorCircuit(
         layout=layout,
@@ -328,16 +322,15 @@ def branch_weights(circ: SimulatorCircuit, block: StartBlock) -> tuple[np.ndarra
     |Y=code_j, branch j>`` over the branches j = b n! + z, so branch j of the
     attempt output is ``c_j U_start (aux (x) e_{m_j})``.  The c_j are the
     circuit's own two splits on the zero state of the (B, Z) sub-layout, so
-    no completion's first column is assumed; the writer's Y = 0 rows, which
-    lead its (Y, B, Z) index, must send branch j to ``code_j`` exactly.
+    no completion's first column is assumed; the writer, which XORs its code
+    for branch j into Y, must hold the instance's ``code_j`` exactly.
     """
     if circ.inst is None:
         raise ValueError("the branch weights need a protocol circuit")
     codes, sub = circ.inst.codes.reshape(-1), circ.layout.keep(("B", "Z"))
     zero = np.eye(1, sub.total_dim, dtype=complex)[0]
     weights = OpChain(circ.attempt.factors[:2]).apply_to(sub, zero)
-    image = circ.attempt.factors[2].image[: codes.size]
-    if not np.array_equal(image, codes * codes.size + np.arange(codes.size)):
+    if not np.array_equal(circ.attempt.factors[2].codes, codes):
         raise AssertionError("the writer puts weight off the codes the instance sends")
     return weights, block.columns(codes)
 

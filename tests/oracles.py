@@ -42,9 +42,9 @@ from zkamp.registers import (
     LayoutMismatchError,
     LinearOp,
     OpChain,
-    PermutationOp,
     RegisterLayout,
     StateVector,
+    XorOp,
     _gaussian_columns,
     basis_columns,
     dense_bytes,
@@ -169,10 +169,10 @@ def local_matrix(op):
         return op.matrix
     if isinstance(op, DiagonalOp):
         return np.diag(op.phases)
-    if isinstance(op, PermutationOp):
-        side = len(op.image)
-        mat = np.zeros((side, side), dtype=complex)
-        mat[op.image, np.arange(side)] = 1.0
+    if isinstance(op, XorOp):
+        image = xor_image(op)
+        mat = np.zeros((image.size, image.size), dtype=complex)
+        mat[image, np.arange(image.size)] = 1.0
         return mat
     if isinstance(op, HouseholderOp):
         # Π† Q D Π, with Q a dense product of the panel matrices I - V T V†
@@ -193,6 +193,13 @@ def local_matrix(op):
             mat = perm.T @ mat @ perm
         return mat.conj().T if op.inverse else mat
     raise TypeError(f"no local matrix for {type(op).__name__}")
+
+
+def xor_image(op):
+    """An ``XorOp``'s flat image: ``y * width + c`` maps to ``(y ^ codes[c]) * width + c``."""
+    width = op.codes.size
+    y, c = np.divmod(np.arange(op.layout.dim_of(op.targets[0]) * width), width)
+    return (y ^ op.codes[c]) * width + c
 
 
 def drawn_reflectors(op):
@@ -245,7 +252,7 @@ def moved_apply(op, layout, amps):
 
     The targets are moved to the front in layout order and flattened into the
     rows of a matrix, the operator's local action (a product, a scaling, a
-    scatter by ``image``, or a Householder operator's ``_act`` on the matrix
+    scatter by :func:`xor_image`, or a Householder operator's ``_act`` on the matrix
     as a view with pre = 1) is applied to it, and the result is moved back;
     a chain applies its factors in turn.  Unlike ``apply_to``, it takes
     targets that are apart for every kind.
@@ -260,9 +267,9 @@ def moved_apply(op, layout, amps):
             return op.matrix @ flat
         if isinstance(op, DiagonalOp):
             return op.phases[:, None] * flat
-        if isinstance(op, PermutationOp):
+        if isinstance(op, XorOp):
             out = np.empty_like(flat)
-            out[op.image] = flat
+            out[xor_image(op)] = flat
             return out
         return op._act(flat[None])[0]
 

@@ -34,6 +34,8 @@ from oracles import watrous_round
 
 N3 = ["--n", "3", "--g0", "01,12", "--g1", "01,02"]
 N4 = ["--n", "4", "--g0", "01,12,23", "--g1", "03,12,20"]
+# The n = 6 path pair, whose orbit has 360 codes.
+N6_PATH = ("n=6;edges=01,12,23,34,45", "n=6;edges=02,21,13,34,45")
 ZK_ARGS = ["zk-check", "--n", "3", "--g0", "01,12", "--g1", "01,02", "--trials", "5", "--seed", "7"]
 
 # The flags each command's handler reads; every command also takes --seed and --out.
@@ -105,13 +107,14 @@ class TestExitCodes:
         assert code == 2
 
     def test_n_too_large_is_config_error(self, capsys):
-        # n=5 fits the budgets at dims 2x2; n=6 needs 1.48 GiB even at dims 1x1, 1.4 GiB of it
-        # for the writer's tables on its 47185920-amplitude (Y, B, Z) sub-layout.
-        code = run(["zk-check", "--n", "6", "--g0", "01", "--g1", "01", "--dim-w", "1", "--dim-v", "1"])
+        # n=5 fits the budgets at dims 2x2.  The n=6 path pair needs 1.76 GiB even at dims 1x1,
+        # for the draw and the start block on the 360 columns of its orbit.
+        argv = ["zk-check", "--g0", N6_PATH[0], "--g1", N6_PATH[1], "--dim-w", "1", "--dim-v", "1"]
+        code = run(argv)
         assert code == 2
         err = capsys.readouterr().err
-        assert "needs 1.48 GiB" in err and "above the budgets" in err
-        assert "the writer's 47185920-entry tables" in err
+        assert "needs 1.76 GiB" in err and "above the budgets" in err
+        assert "its 65536x360 start block" in err
 
     def test_trials_must_be_positive(self, capsys):
         code = run(["verify-eq1", "--n", "2", "--g0", "01", "--g1", "01", "--trials", "0"])
@@ -327,9 +330,9 @@ class TestOversizeRefusals:
             # multiply-adds) is the first refused at dims 2x2.
             (["verify-eq2", *N4, "--dim-w", "16", "--dim-v", "4"], 8192),
             (["blocks", *N3, "--dim-w", "4", "--dim-v", "8"], 6144),
-            # zk-check at n = 6: 2 GiB, of which 1.4 GiB are the writer's tables on the
-            # (Y, B, Z) sub-layout.
-            (["zk-check", "--g0", "n=6;edges=01", "--g1", "n=6;edges=23"], 262144),
+            # zk-check on the n = 6 path pair: 14 GiB for the draw and the start block on
+            # 2 * 360 columns.
+            (["zk-check", "--g0", N6_PATH[0], "--g1", N6_PATH[1]], 262144),
             (["blocks", "--m", "69"], 19044),
             (["blocks", *N4], 24576),
             # No dense side: one search step for each step count up to k = 2483647.
@@ -447,6 +450,25 @@ def test_blocks_holds_the_rest_block_as_its_factor(capsys):
     capsys.readouterr()
     assert code == 0
     assert peak <= 64 * 2**20
+    assert peak <= estimated
+
+
+def test_zk_check_at_six_vertices_stays_under_its_estimate(capsys):
+    # The writer holds its 2 n! codes, so the single-edge n = 6 pair runs at dims 1x1: its
+    # draw and 65536 x 15 start block trace 54 MiB, under the 79 MiB estimate.
+    argv = ["zk-check", "--g0", "n=6;edges=01", "--g1", "n=6;edges=23", "--dim-w", "1"]
+    argv += ["--dim-v", "1", "--keep-z", "--seed", "7"]
+    estimated, _, _ = cli.estimate(cli.config_from_args(build_parser().parse_args(argv)), 6)
+    tracemalloc.start()
+    try:
+        code = run(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert [r["claim"] for r in report["records"]] == ["view-equality"]
+    assert report["records"][0]["value"] <= registers.ATOL_OP
     assert peak <= estimated
 
 

@@ -14,9 +14,9 @@ from zkamp.registers import (
     LayoutMismatchError,
     LinearOp,
     OpChain,
-    PermutationOp,
     RegisterLayout,
     StateVector,
+    XorOp,
     _gaussian_columns,
     _trusted_variant,
     haar_random_op,
@@ -361,17 +361,25 @@ class TestStructuredOps:
         np.testing.assert_allclose(apply(op, s).amps, apply(dense, s).amps, atol=1e-14)
         np.testing.assert_allclose(to_matrix(op, layout), to_matrix(dense, layout), atol=1e-14)
 
-    def test_permutation_matches_dense(self):
-        layout = RegisterLayout([("A", 2), ("B", 3)])
-        image = np.array([2, 0, 1])
-        op = PermutationOp(layout, ("B",), image)
-        dense_mat = np.zeros((3, 3))
-        dense_mat[image, np.arange(3)] = 1
-        dense = LinearOp(layout, ("B",), dense_mat)
-        s = StateVector(layout, random_state(6, 18))
+    def test_xor_matches_dense(self):
+        # Y (4 states) takes codes[c] by XOR for each value c of the control (B, C).
+        layout = RegisterLayout([("A", 2), ("Y", 4), ("B", 3), ("C", 2)])
+        codes = np.array([0, 3, 1, 2, 3, 1])
+        op = XorOp(layout, ("Y", "B", "C"), codes)
+        dense_mat = np.zeros((24, 24))
+        for y in range(4):
+            for c in range(6):
+                dense_mat[(y ^ codes[c]) * 6 + c, y * 6 + c] = 1
+        dense = LinearOp(layout, ("Y", "B", "C"), dense_mat)
+        s = StateVector(layout, random_state(48, 18))
         np.testing.assert_allclose(apply(op, s).amps, apply(dense, s).amps, atol=1e-14)
-        roundtrip = apply(op.adjoint(), apply(op, s))
-        np.testing.assert_allclose(roundtrip.amps, s.amps, atol=1e-14)
+
+    def test_xor_is_its_own_adjoint(self):
+        layout = RegisterLayout([("Y", 8), ("C", 3)])
+        op = XorOp(layout, ("C", "Y"), [5, 0, 7])
+        assert op.adjoint() is op
+        block = np.random.default_rng(18).standard_normal((24, 3)) + 0j
+        np.testing.assert_array_equal(op.apply_to(layout, op.apply_to(layout, block)), block)
 
     def test_chain_matches_matrix_product(self):
         layout = RegisterLayout([("A", 2), ("B", 2)])
@@ -428,12 +436,19 @@ class TestValidation:
             DiagonalOp(layout, ("A",), [1.0, 0.0], kind="hermitian")
 
     @pytest.mark.parametrize(
-        "image", [[0, 1, 1], [0, 1, 3], [0, -1, 2]], ids=["duplicate", "out-of-range", "negative"]
+        "dims, codes, message",
+        [
+            ((4, 3), [0, 1, 4], r"a code is outside 0\.\.3"),
+            ((4, 3), [0, -1, 2], r"a code is outside 0\.\.3"),
+            ((4, 3), [0, 1], r"codes have shape \(2,\), expected \(3,\)"),
+            ((3, 2), [0, 1], "data register 'Y' has dimension 3, not a power of two"),
+        ],
+        ids=["out-of-range", "negative", "wrong-count", "three-state-data"],
     )
-    def test_permutation_image_checks(self, image):
-        layout = RegisterLayout([("A", 2), ("B", 3)])
-        with pytest.raises(ValueError, match="image is not a permutation of the target basis"):
-            PermutationOp(layout, ("B",), image)
+    def test_xor_code_checks(self, dims, codes, message):
+        layout = RegisterLayout([("Y", dims[0]), ("C", dims[1])])
+        with pytest.raises(ValueError, match=message):
+            XorOp(layout, ("Y", "C"), codes)
 
     def test_immutability(self):
         layout = RegisterLayout([("A", 2)])
@@ -445,7 +460,7 @@ class TestValidation:
 def _count_validations(monkeypatch) -> Counter:
     """Count calls of each operator class's construction-time ``_validate``."""
     calls: Counter = Counter()
-    for cls in (LinearOp, DiagonalOp, PermutationOp, HouseholderOp, OpChain):
+    for cls in (LinearOp, DiagonalOp, XorOp, HouseholderOp, OpChain):
 
         def counted(self, *args, _check=cls._validate, _name=cls.__name__):
             calls[_name] += 1
@@ -455,19 +470,30 @@ def _count_validations(monkeypatch) -> Counter:
     return calls
 
 
+def _random_xor(layout, targets, rng):
+    """An ``XorOp`` on ``targets`` with random codes: the first in layout order is its data."""
+    dim_y = layout.dim_of(min(targets, key=layout.axis))
+    side = math.prod(layout.dim_of(name) for name in targets)
+    return XorOp(layout, targets, rng.integers(0, dim_y, side // dim_y))
+
+
 def _random_ops(seed):
     """A random layout with one operator of each kind on random targets, given in random order.
 
-    Diagonals take any subset; every other kind an adjacent run of registers.
+    Diagonals take any subset; every other kind an adjacent run of registers,
+    which for the XOR starts at its data register, of a power-of-two dimension.
     """
     rng = np.random.default_rng(seed)
     names = ["A", "B", "C", "D"][: rng.integers(2, 5)]
     layout = RegisterLayout([(name, int(rng.integers(1, 5))) for name in names])
 
-    def pick(apart=False):
+    def pick(apart=False, xor=False):
         size = int(rng.integers(1, len(names) + 1))
         if apart:
             chosen = rng.choice(names, size=size, replace=False)
+        elif xor:
+            start = int(rng.choice([i for i, dim in enumerate(layout.dims) if dim & (dim - 1) == 0]))
+            chosen = rng.permutation(names[start : start + size])
         else:
             start = int(rng.integers(0, len(names) - size + 1))
             chosen = rng.permutation(names[start : start + size])
@@ -480,9 +506,8 @@ def _random_ops(seed):
     projector = DiagonalOp(layout, targets, rng.integers(0, 2, side), kind="projector")
     targets, side = pick(apart=True)
     diagonal = DiagonalOp(layout, targets, np.exp(1j * rng.uniform(0, 2 * np.pi, side)))
-    targets, side = pick()
-    permutation = PermutationOp(layout, targets, rng.permutation(side))
-    chain = OpChain((unitary, diagonal, permutation))
+    xor = _random_xor(layout, pick(xor=True)[0], rng)
+    chain = OpChain((unitary, diagonal, xor))
     targets, _ = pick()
     householder = haar_random_op(layout, targets, seed)
     targets, side = pick()
@@ -492,7 +517,7 @@ def _random_ops(seed):
         "unitary": unitary,
         "projector": projector,
         "diagonal": diagonal,
-        "permutation": permutation,
+        "xor": xor,
         "chain": chain,
         "householder": householder,
         "narrow householder": narrow,
@@ -511,8 +536,8 @@ class TestValidateOnce:
         d = DiagonalOp(layout, ("B",), np.exp(1j * np.arange(3)))
         assert calls == {"DiagonalOp": 1}
         calls.clear()
-        p = PermutationOp(layout, ("B", "A"), np.arange(6)[::-1])
-        assert calls == {"PermutationOp": 1}
+        p = XorOp(layout, ("B", "A"), [1, 0, 1])
+        assert calls == {"XorOp": 1}
         calls.clear()
         OpChain((u, d, p))
         assert calls == {"OpChain": 1}
@@ -558,15 +583,15 @@ class TestValidateOnce:
             ops["unitary"].adjoint().matrix,
             ops["projector"].adjoint().phases,
             ops["diagonal"].adjoint().phases,
-            ops["permutation"].adjoint().image,
+            ops["xor"].adjoint().codes,
             ops["householder"].adjoint().reflectors,
             ops["householder"].adjoint().tau,
             ops["householder"].adjoint().tfactors,
             ops["householder"].adjoint().phases,
             ops["narrow householder"].adjoint().order,
         ]
-        unitary, diagonal, permutation = reversed(ops["chain"].adjoint().factors)
-        arrays += [unitary.matrix, diagonal.phases, permutation.image]
+        unitary, diagonal, xor = reversed(ops["chain"].adjoint().factors)
+        arrays += [unitary.matrix, diagonal.phases, xor.codes]
         for arr in arrays:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
@@ -918,14 +943,15 @@ class TestToMatrix:
 
 # Target sets at each position of one layout: its first registers, a middle
 # one, its last ones, and two that are apart, which only a diagonal may take.
-POSITION_LAYOUT = RegisterLayout([("P", 2), ("Q", 3), ("R", 2), ("S", 4)])
+# Each set's first register has a power-of-two dimension, so an XOR may take it.
+POSITION_LAYOUT = RegisterLayout([("P", 2), ("Q", 4), ("R", 2), ("S", 3)])
 POSITIONS = {
     "leading": ("P", "Q"),
     "middle": ("Q",),
     "trailing": ("R", "S"),
     "non-contiguous": ("P", "R"),
 }
-# A single vector, and blocks whose middle-Q products (3 x 8 x width
+# A single vector, and blocks whose middle-Q products (4 x 6 x width
 # amplitudes) fall below and above the batched-product threshold.
 WIDTHS = {"vector": None, "narrow": 3, "wide": 32}
 
@@ -936,15 +962,15 @@ def _each_kind(layout, targets, seed):
     side = math.prod(layout.dim_of(name) for name in targets)
     unitary = LinearOp(layout, targets, haar_random_unitary(side, seed))
     diagonal = DiagonalOp(layout, targets, np.exp(1j * rng.uniform(0, 2 * np.pi, side)))
-    permutation = PermutationOp(layout, targets, rng.permutation(side))
+    xor = _random_xor(layout, targets, rng)
     ops = {
         "unitary": unitary,
         "diagonal": diagonal,
         "projector": DiagonalOp(layout, targets, rng.integers(0, 2, side), kind="projector"),
-        "permutation": permutation,
+        "xor": xor,
         "householder": haar_random_op(layout, targets, seed),
         "ordered householder": haar_random_op(layout, targets, seed, rng.permutation(side)[:2]),
-        "chain": OpChain((unitary, diagonal, permutation)),
+        "chain": OpChain((unitary, diagonal, xor)),
     }
     axes = layout.axes(unitary.targets)
     if axes[-1] - axes[0] >= len(axes):
@@ -1003,7 +1029,7 @@ class TestOnTargets:
             ("middle", "wide", set()),
             ("trailing", "vector", set()),
             # Batch columns trail the layout, so R,S is a middle axis here;
-            # its 8 x 3 and 8 x 32 amplitudes per product are under the threshold.
+            # its 6 x 3 and 6 x 32 amplitudes per product are under the threshold.
             ("trailing", "narrow", {"LinearOp"}),
             ("trailing", "wide", {"LinearOp"}),
             ("non-contiguous", "vector", set()),
@@ -1037,13 +1063,13 @@ class TestApartTargets:
         layout, rng = self.LAYOUT, np.random.default_rng(10)
         unitary = LinearOp(layout, ("A", "C"), haar_random_unitary(4, 10))
         diagonal = DiagonalOp(layout, ("A", "C"), np.exp(1j * rng.uniform(0, 2 * np.pi, 4)))
-        permutation = PermutationOp(layout, ("C", "A"), rng.permutation(4))
+        xor = XorOp(layout, ("C", "A"), [1, 0])
         ops = {
             "unitary": unitary,
-            "permutation": permutation,
+            "xor": xor,
             "householder": haar_random_op(layout, ("A", "C"), 10),
             "narrow householder": haar_random_op(layout, ("A", "C"), 10, [3]),
-            "chain": OpChain((diagonal, permutation)),
+            "chain": OpChain((diagonal, xor)),
         }
         refusal = r"\('A', 'C'\) are not adjacent in layout \('A', 'B', 'C'\)"
         for x in self._inputs():

@@ -11,6 +11,7 @@ instances, dimensions, verifiers, completions and records, and check that
 the views-and-distance stage holds no full-length state.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -26,7 +27,7 @@ from zkamp.protocol import (
     real_view_recorded,
     start_block,
 )
-from zkamp.registers import StateVector
+from zkamp.registers import OpChain, StateVector, XorOp
 from zkamp.simulator import (
     COMPLETIONS,
     amplification_check,
@@ -175,6 +176,19 @@ class TestStep:
         with pytest.raises(AssertionError, match="off the codes"):
             branch_weights(faulted, block)
 
+    def test_writer_with_a_changed_code_is_refused(self):
+        # The converse: the instance is intact, and the circuit's writer XORs
+        # one code that is not the instance's into Y.
+        circ = circuit(3, (2, 2), "adversarial")
+        split_b, split_z, writer, u_v = circ.attempt.factors
+        codes = writer.codes.copy()
+        codes[5] ^= 1
+        changed = XorOp(circ.layout, writer.targets, codes)
+        faulted = dataclasses.replace(circ, attempt=OpChain((split_b, split_z, changed, u_v)))
+        block = start_block(circ.ver, 3, circ.inst.codes[0])
+        with pytest.raises(AssertionError, match="off the codes"):
+            branch_weights(faulted, block)
+
 
 CHAIN_GRID = [
     (n, dims, kind, completion)
@@ -274,6 +288,20 @@ def test_views_and_distance_hold_no_full_length_state():
         tracemalloc.stop()
     assert distance <= 1e-10
     assert peak < 16 * circ.layout.total_dim
+
+
+def test_circuit_holds_no_writer_table():
+    # The writer holds its 2 n! codes: on the n = 5 path pair, building the
+    # circuit traces less than one int64 table over the 245760-entry (Y, B, Z)
+    # sub-layout, 1.97 MB.
+    ver = adversarial_verifier((1, 1), 5, 7, N5.codes[0])
+    tracemalloc.start()
+    try:
+        circ = build_circuit(N5, ver)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * circ.layout.keep(("Y", "B", "Z")).total_dim
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (4, 1)])
