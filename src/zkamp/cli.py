@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -197,9 +198,20 @@ def _parse_graph(text: str, n: int | None):
 
 
 def _graph_pair(cfg: RunConfig):
+    """The parsed pair, refused unless both graphs have one vertex count in 2..MAX_VERTICES.
+
+    Past S_n's range nothing is sized, as the graph register alone has
+    2^(n(n-1)/2) states.
+    """
     if cfg.g0 is None or cfg.g1 is None:
         raise ConfigError("this command needs --g0 and --g1")
-    return _parse_graph(cfg.g0, cfg.n), _parse_graph(cfg.g1, cfg.n)
+    g0, g1 = _parse_graph(cfg.g0, cfg.n), _parse_graph(cfg.g1, cfg.n)
+    for n in sorted({g0.n, g1.n}):
+        if not 2 <= n <= MAX_VERTICES:
+            raise ConfigError(f"n must be in 2..{MAX_VERTICES} for full verification runs, got {n}")
+    if g0.n != g1.n:
+        raise ConfigError(f"size mismatch: {g0.n} vs {g1.n}")
+    return g0, g1
 
 
 def build_instance(cfg: RunConfig) -> Instance:
@@ -214,17 +226,22 @@ def estimate(cfg: RunConfig, n: int | None) -> tuple[int, int, str]:
 
     The toy scramble's dense side counts at ``dense_bytes``.  The verifier on a
     side of d counts at ``DRAW_COPIES`` d x s arrays, with s = dim_w times the
-    orbit size of the larger orbit among the pair's n-vertex graphs, its start
-    columns; an honest verifier counts the same.  ``blocks`` adds
-    ``KEPT_COPIES`` d x r blocks of kept attempt rows, the stored factor, the
-    r x r core and two residual panels of ``P (r + d_c)`` each, with P =
-    ``amplify.RESIDUAL_PANEL`` and d_c = d - dim_w.  The work is
+    size of g0's orbit, its start columns; an honest verifier counts the same.
+    ``blocks`` adds ``KEPT_COPIES`` d x r blocks of kept attempt rows, the
+    stored factor, the r x r core and two residual panels of ``P (r + d_c)``
+    each, with P = ``amplify.RESIDUAL_PANEL`` and d_c = d - dim_w.  The work is
     ``2 d r^2 + d^2 (r + dim_w)`` per trial of ``blocks``; for ``schedule`` it
     is ``2 steps + 1`` attempt applications, each one split of B (m d) and the
-    scramble's reflectors (2 side d); and for ``phases`` one search step per
-    step count up to ``amplify.analytic_k``.  ``zk-check`` holds ``BLOCK_COPIES``
-    d x s arrays in place of states of the simulator's layout, and works ``3 d s^2`` per
-    trial: ``U_V`` and two QRs.
+    scramble's reflectors (2 side d); for ``phases`` one search step per
+    step count up to ``amplify.analytic_k``; and for ``verify-eq1``,
+    ``verify-eq2`` and ``watrous`` dim_w, 6 and 3 attempt applications per
+    trial (``verify-eq1``'s block of start columns; ``verify-eq2``'s attempt
+    output, its step's two halves, the derivation's undone projection and the
+    swapped order's two halves; ``watrous``'s attempt output and its
+    reflection's two halves), each the B split (2 d), the Z split (n! d), the
+    writer (d) and the verifier's s reflectors (2 s d).  ``zk-check`` holds
+    ``BLOCK_COPIES`` d x s arrays in place of states of the simulator's
+    layout, and works ``3 d s^2`` per trial: ``U_V`` and two QRs.
     """
     if cfg.command == "phases":
         lambdas, k_max = cfg.extras["lambdas"], cfg.extras["k_max"]
@@ -239,8 +256,7 @@ def estimate(cfg: RunConfig, n: int | None) -> tuple[int, int, str]:
     else:
         layout = simulator.sim_layout(cfg.dims, n)
         side = protocol.view_layout(cfg.dims, n).total_dim
-        orbit = max(len(set(orbit_codes(g).tolist())) for g in _graph_pair(cfg) if g.n == n)
-        s = cfg.dims[0] * orbit
+        s = cfg.dims[0] * len(set(orbit_codes(_graph_pair(cfg)[0]).tolist()))
         held = [f"a {side}x{side} verifier unitary drawn as {side}x{s} reflectors"]
         peak = 16 * DRAW_COPIES * side * s
     d, work = layout.total_dim, 0
@@ -255,28 +271,21 @@ def estimate(cfg: RunConfig, n: int | None) -> tuple[int, int, str]:
         work = cfg.trials * (2 * d * r * r + d * d * (r + cfg.dims[0]))
     elif cfg.command == "schedule":
         work = (2 * cfg.extras["steps"] + 1) * (cfg.m + 2 * side) * d
+    else:
+        applications = {"verify-eq1": cfg.dims[0], "verify-eq2": 6, "watrous": 3}[cfg.command]
+        work = cfg.trials * applications * (math.factorial(n) + 3 + 2 * s) * d
     return peak, work, f"{', '.join(held)} and {d}-amplitude states"
 
 
 def preflight(cfg: RunConfig) -> None:
-    """Refuse, from the layouts alone and before anything is built, a command above a budget.
-
-    A vertex count outside 2..MAX_VERTICES is refused too; past S_n's range no
-    estimate is made, as the graph register alone has 2^(n(n-1)/2) states.
-    """
-    graphs = cfg.command != "phases" and cfg.m is None
-    for n in sorted({g.n for g in _graph_pair(cfg)}) if graphs else [None]:
-        reasons = []
-        if n is not None and not 2 <= n <= MAX_VERTICES:
-            reasons.append(f"n must be in 2..{MAX_VERTICES} for full verification runs, got {n}")
-        peak, work, what = estimate(cfg, n) if n is None or 1 <= n <= MAX_VERTICES else (0, 0, "")
-        if peak > BYTE_BUDGET or work > WORK_BUDGET:
-            reasons.append(
-                f"{cfg.command} needs {peak / 2**30:.3g} GiB and {work:.2g} multiply-adds for "
-                f"{what}, above the budgets of {BYTE_BUDGET / 2**30:g} GiB and {WORK_BUDGET:.0e}"
-            )
-        if reasons:
-            raise ConfigError("; ".join(reasons))
+    """Refuse, from the layouts alone and before anything is built, a command above a budget."""
+    n = _graph_pair(cfg)[0].n if cfg.command != "phases" and cfg.m is None else None
+    peak, work, what = estimate(cfg, n)
+    if peak > BYTE_BUDGET or work > WORK_BUDGET:
+        raise ConfigError(
+            f"{cfg.command} needs {peak / 2**30:.3g} GiB and {work:.2g} multiply-adds for "
+            f"{what}, above the budgets of {BYTE_BUDGET / 2**30:g} GiB and {WORK_BUDGET:.0e}"
+        )
 
 
 def _trials(cfg: RunConfig, inst: Instance, kind: str = "adversarial"):

@@ -40,10 +40,6 @@ def enumerate_sn(n: int) -> np.ndarray:
     """
     if not 1 <= n <= MAX_VERTICES:
         raise ValueError(f"n must be in 1..{MAX_VERTICES}, got {n}")
-    return _sn_table(n)
-
-
-def _sn_table(n: int) -> np.ndarray:
     flat = itertools.chain.from_iterable(itertools.permutations(range(n)))
     table = np.fromiter(flat, dtype=np.int64, count=math.factorial(n) * n).reshape(-1, n)
     table.setflags(write=False)
@@ -110,9 +106,7 @@ def orbit_codes(g: Graph, perms: np.ndarray | None = None) -> np.ndarray:
     gather-and-sum of the pair-bit matrix over the table, without a relabeled
     graph.  Without ``perms`` (an orbit sized before any instance) it builds the table.
     """
-    if not 1 <= g.n <= MAX_VERTICES:
-        raise ValueError(f"n must be in 1..{MAX_VERTICES}, got {g.n}")
-    perms = _sn_table(g.n) if perms is None else perms
+    perms = enumerate_sn(g.n) if perms is None else perms
     bits = np.zeros((g.n, g.n), dtype=np.int64)
     for k, (first, second) in enumerate(vertex_pairs(g.n)):
         bits[first, second] = bits[second, first] = 1 << k
