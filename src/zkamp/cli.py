@@ -49,8 +49,10 @@ MAX_SCHEDULE_STEPS = 16
 # block's moved copy fits in the stored factor's block, which is not yet allocated then.  An
 # adversarial verifier holds its d x s reflectors, its draw about one more for a moment (traced 2.02
 # at n = 5).  ``zk-check`` holds no such state: its start block, formed from the reflectors, takes 2
-# d x s arrays (traced 2.06 at n = 5) and then only its s x s triangles.  The writer holds its 2 n!
-# codes alone, and forms its gather index only while it acts, which ``zk-check`` never makes it do.
+# d x s arrays and then only its s x s triangles (traced 2.03 at dims 2x2 and 2.06 at 4x1 on n = 5,
+# 2.00 at n = 6: the columns, beside either their panel product while they are formed or a half's
+# copy and its conjugate while its Gram is taken).  The writer holds its 2 n! codes alone, and
+# forms its gather index only while it acts, which ``zk-check`` never makes it do.
 STATE_COPIES, BASE_BYTES, STEP_WORK, KEPT_COPIES, DRAW_COPIES = 16, 2**22, 10**5, 2, 3
 BLOCK_COPIES = 2
 
@@ -241,7 +243,7 @@ def estimate(cfg: RunConfig, n: int | None) -> tuple[int, int, str]:
     reflection's two halves), each the B split (2 d), the Z split (n! d), the
     writer (d) and the verifier's s reflectors (2 s d).  ``zk-check`` holds
     ``BLOCK_COPIES`` d x s arrays in place of states of the simulator's
-    layout, and works ``3 d s^2`` per trial: ``U_V`` and two QRs.
+    layout, and works ``3 d s^2`` per trial: ``U_V`` and its two halves' Grams.
     """
     if cfg.command == "phases":
         lambdas, k_max = cfg.extras["lambdas"], cfg.extras["k_max"]

@@ -15,10 +15,11 @@ it.  The record registers are never coherent, so the trace distance between
 two views is the sum of per-record block distances.  Each block's factor
 columns are the verifier's :class:`StartBlock` on s = dim_w * |orbit| start
 coefficients beta, at A=a: ``Q_a R_a beta``, held as its s x s triangles
-``R_a`` alone.  A view keeps the s-row columns ``R_a beta`` in one
-zero-padded stack, and two views on one start block are compared through
-one stacked QR of their paired factors, since the trace norm does not see
-Q_a; no W,V,Y vector or block is kept.
+``R_a`` alone, each taken from the Gram of the block's A=a rows ``M_a``.  A
+view keeps the s-row columns ``R_a beta`` in one zero-padded stack, and two
+views on one start block are compared through one stacked QR of their
+paired factors, since the trace norm does not see Q_a; no W,V,Y vector or
+block is kept.
 """
 
 from __future__ import annotations
@@ -325,11 +326,14 @@ class StartBlock(NamedTuple):
     distinct.  On a protocol run they are g0's orbit, and every view
     ``zk-check`` certifies reads ``U_V`` through these s columns alone.  The
     A=a rows ``M_a`` of ``U_start`` have s <= side/2 columns, and
-    ``triangles[a]`` is the s x s ``R_a`` of their thin QR ``Q_a R_a``: the
-    block is held as the triangles alone, read through ``ver``, the verifier
-    it was formed from, and alone splits s into (w, code): :meth:`code_columns`
-    and its adjoint :meth:`code_overlaps` read a W vector at every code.  (A
-    named tuple, not a frozen dataclass, costs a fresh interpreter 0.5 ms less.)
+    ``triangles[a]`` is an s x s upper triangular ``R_a`` with ``M_a = Q_a R_a``
+    for an isometry ``Q_a``: the R of their thin QR, with a positive diagonal
+    where ``M_a`` has full rank.  Every view reads ``R_a`` only through
+    ``R_a^† R_a = M_a^† M_a``.  The block is held as the triangles alone, read
+    through ``ver``, the verifier it was formed from, and alone splits s into
+    (w, code): :meth:`code_columns` and its adjoint :meth:`code_overlaps` read
+    a W vector at every code.  (A named tuple, not a frozen dataclass, costs a
+    fresh interpreter 0.5 ms less.)
     """
 
     codes: np.ndarray
@@ -364,7 +368,7 @@ def start_block(ver: VerifierModel, n: int, codes) -> StartBlock:
     """The :class:`StartBlock` of the distinct ``codes``: ``U_V`` applied once, to s columns.
 
     A verifier drawn on exactly these columns forms them from its reflectors, any other
-    acts on the basis columns; the side x s outputs live until their two halves' QRs.
+    acts on the basis columns; the side x s outputs live until their two halves' Grams.
     """
     layout, u = view_layout(ver.dims, n), ver.u_v
     inputs = start_columns(layout, codes)
@@ -373,9 +377,23 @@ def start_block(ver: VerifierModel, n: int, codes) -> StartBlock:
     else:
         outputs = u.apply_to(layout, basis_columns(layout.total_dim, inputs))
     halves = outputs.reshape(ver.dims[0] * ver.dims[1], 2, -1, inputs.size)
-    qr = [np.linalg.qr(halves[:, a].reshape(-1, inputs.size), mode="r") for a in (0, 1)]
+    triangles = [_triangle(halves[:, a].reshape(-1, inputs.size)) for a in (0, 1)]
     # The W = 0 start columns are the sorted distinct codes themselves.
-    return StartBlock(inputs[: inputs.size // ver.dim_w], np.stack(qr), ver)
+    return StartBlock(inputs[: inputs.size // ver.dim_w], np.stack(triangles), ver)
+
+
+def _triangle(half: np.ndarray) -> np.ndarray:
+    """An upper triangular ``R`` with ``R^† R = M^† M`` for the rows M of one challenge half.
+
+    It is the conjugate transpose of the Cholesky factor of the Gram ``M^† M``,
+    which is the R of M's thin QR with a positive diagonal (Golub and Van
+    Loan); a rank-deficient M, whose Gram the Cholesky refuses, takes its
+    Householder R instead.
+    """
+    try:
+        return np.linalg.cholesky(half.conj().T @ half).conj().T
+    except np.linalg.LinAlgError:
+        return np.linalg.qr(half, mode="r")
 
 
 def real_view_recorded(

@@ -609,24 +609,23 @@ def trace_distance_matrices(m1: np.ndarray, m2: np.ndarray) -> float:
 def _gaussian_columns(dim: int, seed: int, k: int | None = None) -> np.ndarray:
     """The first k columns (all ``dim`` by default) of a lower triangle of complex Gaussians.
 
-    The values have unit variance and are deterministic per seed.  One draw
-    fills the columns in order: column j holds ``dim - j`` of them, from row j
-    down.  The generator's stream does not depend on its length, so k columns
-    are the first k of the full triangle, bit for bit.
+    The values have unit variance and are deterministic per seed.  The
+    generator fills the columns in order, in place: column j holds ``dim - j``
+    of them, from row j down.  Its stream does not depend on how it is split
+    into calls, so k columns are the first k of the full triangle, bit for bit.
     """
     k = dim if k is None else k
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
     if not 0 <= k <= dim:
         raise ValueError(f"column count must be in 0..{dim}, got {k}")
-    values = np.random.default_rng(seed).standard_normal(k * (2 * dim - k + 1)).view(complex)
-    values /= np.sqrt(2)
-    # The upper trapezoid of the transpose, filled row by row, is the lower
-    # one filled column by column.
-    lower_t = np.zeros((k, dim), dtype=complex)
+    rng = np.random.default_rng(seed)
+    lower = np.zeros((dim, k), dtype=complex, order="F")
     for j in range(k):
-        lower_t[j, j:] = values[j * (2 * dim - j + 1) // 2 : (j + 1) * (2 * dim - j) // 2]
-    return lower_t.T
+        rng.standard_normal(out=lower[j:, j].view(np.float64))
+    # The reciprocal, which the pinned seed -> verifier map was scaled by, bit for bit.
+    lower *= 1.0 / np.sqrt(2)
+    return lower
 
 
 def haar_random_op(

@@ -587,6 +587,23 @@ def start_outputs(ver, n, codes):
     return ver.u_v.apply_to(layout, basis_columns(layout.total_dim, start_columns(layout, codes)))
 
 
+def challenge_halves(ver, n, codes):
+    """The A=a rows ``M_a`` of :func:`start_outputs`, in W,V,Y order: shape (2, side/2, s)."""
+    outputs = start_outputs(ver, n, codes)
+    side, s = outputs.shape
+    halves = outputs.reshape(ver.dims[0] * ver.dims[1], 2, -1, s).swapaxes(0, 1)
+    return halves.reshape(2, side // 2, s)
+
+
+def householder_triangles(ver, n, codes):
+    """The R of LAPACK's Householder QR of each :func:`challenge_halves`: shape (2, s, s).
+
+    The reference for ``protocol.start_block``'s triangles, which are the R
+    of the same thin QRs with a positive diagonal.
+    """
+    return np.linalg.qr(challenge_halves(ver, n, codes), mode="r")
+
+
 def branch_spread(circ, block):
     """Each (B, Z) branch's weights on ``block.codes``: column j is ``sigma_j``.
 

@@ -548,7 +548,7 @@ def test_five_vertices_run_at_dims_4x1():
 
 @pytest.mark.parametrize("dims", [(2, 2), (4, 1)], ids=["2x2", "4x1"])
 def test_five_vertex_draw_and_start_block_fit_their_copies(dims):
-    # The start block is formed from the reflectors: its columns, then their two QR halves,
+    # The start block is formed from the reflectors: its columns, then their two halves' Grams,
     # BLOCK_COPIES side x s arrays beside the held reflectors, where applying the verifier to a
     # block of basis columns took 3.  The draw holds the reflectors in DRAW_COPIES arrays.
     g0, g1 = parse_graph_literal("n=5;edges=01,12,23,34"), parse_graph_literal("n=5;edges=02,21,13,34")

@@ -20,14 +20,16 @@ import pytest
 from zkamp import cli
 from zkamp.protocol import (
     Instance,
+    VerifierModel,
     adversarial_verifier,
     aux_layout,
     honest_verifier,
     random_aux,
     real_view_recorded,
     start_block,
+    view_layout,
 )
-from zkamp.registers import OpChain, StateVector, XorOp
+from zkamp.registers import DiagonalOp, LinearOp, OpChain, StateVector, XorOp
 from zkamp.simulator import (
     COMPLETIONS,
     amplification_check,
@@ -46,6 +48,8 @@ from zkamp.symm import Graph
 from oracles import (
     born_table,
     branch_spread,
+    challenge_halves,
+    householder_triangles,
     identity,
     norm_chain,
     operator_amplified_state,
@@ -81,12 +85,11 @@ def circuit(n, dims, kind, completion=COMPLETIONS[0]):
 
 
 def isometries(block, n):
-    """The ``Q_a`` of the thin QRs ``M_a = Q_a R_a`` whose triangles ``block`` keeps."""
-    dims, outputs = block.ver.dims, start_outputs(block.ver, n, block.codes)
-    side, s = outputs.shape
-    halves = outputs.reshape(dims[0] * dims[1], 2, -1, s).swapaxes(0, 1)
-    q, r = np.linalg.qr(halves.reshape(2, side // 2, s))
-    np.testing.assert_array_equal(r, block.triangles)
+    """``Q_a = M_a R_a^-1`` for the triangles ``block`` keeps: an isometry with ``M_a = Q_a R_a``."""
+    halves, triangles = challenge_halves(block.ver, n, block.codes), block.triangles
+    q = np.linalg.solve(triangles.swapaxes(1, 2), halves.swapaxes(1, 2)).swapaxes(1, 2)
+    assert np.max(np.abs(q @ triangles - halves)) <= AGREE
+    assert np.max(np.abs(q.conj().swapaxes(1, 2) @ q - np.eye(triangles.shape[-1]))) <= AGREE
     return q
 
 
@@ -99,6 +102,47 @@ def by_challenge(state, dims, branches):
     """A full-length simulator state's branch columns split by A: (2, side/2, branches)."""
     halves = state.reshape(dims[0] * dims[1], 2, -1, branches).swapaxes(0, 1)
     return halves.reshape(2, -1, branches)
+
+
+class TestTriangles:
+    """The block's triangles against the Householder R of its two challenge halves."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("dims", [(1, 1), (2, 2), (4, 1), (8, 8)])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_triangles_are_the_householder_r_up_to_phases(self, n, dims, kind):
+        ver = circuit(n, dims, kind).ver
+        block = start_block(ver, n, INSTANCES[n].codes[0])
+        reference = householder_triangles(ver, n, block.codes)
+        diagonals = [np.diagonal(r, axis1=1, axis2=2) for r in (block.triangles, reference)]
+        phases = diagonals[0] / diagonals[1]
+        assert np.max(np.abs(np.abs(phases) - 1)) <= AGREE
+        assert np.max(np.abs(block.triangles - phases[..., None] * reference)) <= AGREE
+
+    @pytest.mark.parametrize("kind", ["flip-a-on-w1", "diagonal-on-w-y"])
+    def test_rank_deficient_half_takes_the_householder_r(self, kind):
+        # Flipping A only at W = 1 leaves each half the columns of one W value;
+        # a diagonal on W,Y leaves the A=1 half zero.  Either Gram is singular,
+        # so its Cholesky refuses it.
+        inst, dims = INSTANCES[3], (2, 2)
+        layout = view_layout(dims, 3)
+        if kind == "flip-a-on-w1":
+            flat = np.arange(8)
+            u = LinearOp(layout, ("W", "V", "A"), np.eye(8)[flat ^ (flat >= 4)])
+        else:
+            u = DiagonalOp(layout, ("W", "Y"), np.exp(1j * np.arange(16)))
+        ver = VerifierModel(dims, u)
+        block = start_block(ver, 3, inst.codes[0])
+        halves = challenge_halves(ver, 3, block.codes)
+        triangles = block.triangles
+        np.testing.assert_array_equal(triangles, np.triu(triangles))
+        grams = triangles.conj().swapaxes(1, 2) @ triangles
+        assert np.max(np.abs(grams - halves.conj().swapaxes(1, 2) @ halves)) <= AGREE
+        aux, other = random_aux(2, 1), random_aux(2, 2)
+        real, real_other = real_view_recorded(inst, ver, aux), real_view_recorded(inst, ver, other)
+        distance = real.trace_distance(real_other)
+        reference = per_key_trace_distance(real_view(inst, ver, aux), real_view(inst, ver, other))
+        assert abs(distance - reference) <= AGREE
 
 
 class TestStep:
