@@ -42,7 +42,7 @@ from .simulator import (
 )
 
 
-RESIDUAL_PANEL = 128  # rows per panel of the third idempotence residual
+RESIDUAL_PANEL = 128  # rows or columns per panel of the idempotence Gram and third residual
 
 
 class NotLambdaUniformError(ValueError):
@@ -104,15 +104,24 @@ def block_decompose(attempt, success_proj: DiagonalOp, layout: RegisterLayout) -
     return BlockDecomposition(success_prob=lam, cross=kc @ ks.conj().T, rest_factor=kc)
 
 
-def _row_panels(rows: int) -> list[slice]:
-    return [slice(start, start + RESIDUAL_PANEL) for start in range(0, rows, RESIDUAL_PANEL)]
+def _panels(size: int) -> list[slice]:
+    return [slice(start, start + RESIDUAL_PANEL) for start in range(0, size, RESIDUAL_PANEL)]
 
 
 def _panel_gram(kc: np.ndarray) -> np.ndarray:
-    """``K^† K - I``, summed over ``RESIDUAL_PANEL``-row panels so that no conjugate of K is held."""
-    gram = -np.eye(kc.shape[1], dtype=complex)
-    for panel in _row_panels(len(kc)):
-        gram += kc[panel].conj().T @ kc[panel]
+    """``K^† K - I``, formed on and right of the diagonal by ``RESIDUAL_PANEL``-column panels.
+
+    Panel ``cols`` forms ``K[:, cols]^† K[:, cols.start:]``, averages its diagonal block with
+    that block's adjoint and mirrors the part right of it below it, so the result is exactly
+    Hermitian; only the conjugate of one d_c x P column panel is held, never one of K.
+    """
+    gram = np.empty((kc.shape[1], kc.shape[1]), dtype=complex)
+    for cols in _panels(kc.shape[1]):
+        gram[cols, cols.start :] = kc[:, cols].conj().T @ kc[:, cols.start :]
+        block = gram[cols, cols]
+        block[...] = (block + block.conj().T) / 2  # a product need not come out exactly Hermitian
+        gram[cols.stop :, cols] = gram[cols, cols.stop :].conj().T
+    gram[np.diag_indices_from(gram)] -= 1
     return gram
 
 
@@ -123,21 +132,25 @@ def verify_block_identities(b: BlockDecomposition) -> tuple[float, float, float]
     ``(lam - 1) cross + rest cross = 0`` and ``cross cross^† + rest^2 - rest = 0``.
     A Frobenius norm bounds the spectral norm from above, so each value
     certifies its identity at least as strictly as the operator norm would.
-    ``rest = K K^†`` enters through its factor only, ``rest cross = K (K^† cross)``; the third
-    residual is summed over ``RESIDUAL_PANEL``-row panels, each formed as its adjoint (of the
-    same Frobenius norm) ``K Y_p^† + cross cross_p^†`` with ``Y_p = K_p G`` and the
-    :func:`_panel_gram` ``G = K^† K - I``, so neither ``K^†`` nor the d_c x r ``Y`` is ever held.
+    ``rest = K K^†`` enters through its factor only, ``rest cross = K (K^† cross)``.  The third
+    residual is ``cross cross^† + K G K^†`` with the exactly Hermitian :func:`_panel_gram`
+    ``G = K^† K - I``, so it is Hermitian whatever the stored blocks hold.  It is summed over
+    ``RESIDUAL_PANEL``-column panels, each formed only from its diagonal block down, as
+    ``K[p.start:] Y_p^† + cross[p.start:] cross_p^†`` with ``Y_p = K_p G``: the diagonal block
+    counts once and the rows below it twice, for their mirror above the diagonal.  Neither
+    ``K^†`` nor the d_c x r ``Y`` is ever held.
     """
     lam, cross, kc = b.success_prob, b.cross, b.rest_factor
     r1 = (lam**2 - lam) * np.eye(cross.shape[1]) + cross.conj().T @ cross
     r2 = (lam - 1) * cross + kc @ (cross.conj().T @ kc).conj().T
     gram = _panel_gram(kc)
     r3_sq = 0.0
-    for panel in _row_panels(len(kc)):
-        r3 = kc @ (kc[panel] @ gram).conj().T
-        r3 += cross @ cross[panel].conj().T
-        r3_sq += np.vdot(r3, r3).real
-        del r3  # so that two d_c x P panels are never held at once
+    for p in _panels(len(kc)):
+        r3 = kc[p.start :] @ (kc[p] @ gram).conj().T
+        r3 += cross[p.start :] @ cross[p].conj().T
+        diagonal, below = r3[:RESIDUAL_PANEL], r3[RESIDUAL_PANEL:]
+        r3_sq += np.vdot(diagonal, diagonal).real + 2 * np.vdot(below, below).real
+        del r3, diagonal, below  # so that two d_c x P panels are never held at once
     return float(np.linalg.norm(r1)), float(np.linalg.norm(r2)), float(np.sqrt(r3_sq))
 
 

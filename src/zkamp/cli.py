@@ -232,7 +232,9 @@ def estimate(cfg: RunConfig, n: int | None) -> tuple[int, int, str]:
     ``blocks`` adds ``KEPT_COPIES`` d x r blocks of kept attempt rows, the
     stored factor, the r x r core and two residual panels of ``P (r + d_c)``
     each, with P = ``amplify.RESIDUAL_PANEL`` and d_c = d - dim_w.  The work is
-    ``2 d r^2 + d^2 (r + dim_w)`` per trial of ``blocks``; for ``schedule`` it
+    ``2 d r^2 + d^2 (r + dim_w)`` per trial of ``blocks``, the count of whole products; as
+    the Hermitian Gram and third residual are formed on one side of their diagonal only, it
+    is an upper bound of about twice the work done (1.4 times at n = 3); for ``schedule`` it
     is ``2 steps + 1`` attempt applications, each one split of B (m d) and the
     scramble's reflectors (2 side d); for ``phases`` one search step per
     step count up to ``amplify.analytic_k``; and for ``verify-eq1``,

@@ -247,10 +247,10 @@ class TestBlockIdentityNorms:
         )
 
     @staticmethod
-    def perturbed(b, index):
-        factor = b.rest_factor.copy()
-        factor[index] += 1e-8
-        return dataclasses.replace(b, rest_factor=factor)
+    def perturbed(b, index, block="rest_factor"):
+        stored = getattr(b, block).copy()
+        stored[index] += 1e-8
+        return dataclasses.replace(b, **{block: stored})
 
     @pytest.mark.parametrize("name", sorted(CIRCUITS))
     def test_bounds_spectral_norm(self, name):
@@ -262,14 +262,36 @@ class TestBlockIdentityNorms:
             assert value >= np.linalg.norm(r, ord=2)
 
     @pytest.mark.parametrize(
-        "index", [None, (0, 0), (-1, -1), (300, 17)], ids=["clean", "first", "last", "interior"]
+        "block, index",
+        [
+            (None, None),
+            ("rest_factor", (0, 0)),
+            ("rest_factor", (-1, -1)),
+            ("rest_factor", (300, 17)),
+            ("rest_factor", (0, -1)),
+            ("cross", (5, 0)),
+            ("cross", (300, 1)),
+            ("cross", (-1, 1)),
+        ],
+        ids=[
+            "clean",
+            "first",
+            "last",
+            "interior",
+            "mirrored",
+            "cross-first",
+            "cross-interior",
+            "cross-last",
+        ],
     )
-    def test_factored_residuals_match_the_dense_ones(self, index):
-        # (-1, -1) sits in the last, partial panel of gmw-n3's 766 rows.
+    def test_factored_residuals_match_the_dense_ones(self, block, index):
+        # Row -1 sits in the last, partial panel of gmw-n3's 766 rows.  Column
+        # -1 of the factor lies in G's last column panel, so its row of G
+        # comes only from the mirror of the panels above it.
         circ = self.CIRCUITS["gmw-n3"]()
         b = block_decompose(circ.attempt, circ.success_proj, circ.layout)
         if index is not None:
-            b = self.perturbed(b, index)
+            b = self.perturbed(b, index, block)
         dense = [np.linalg.norm(r) for r in self.residuals(b)]
         np.testing.assert_allclose(verify_block_identities(b), dense, rtol=0, atol=1e-13)
         if index is not None:
@@ -279,17 +301,35 @@ class TestBlockIdentityNorms:
     def test_panels_sum_to_the_whole_residual(self, name):
         # gmw-n3's factor has 766 rows, ending in a partial panel; toy-m3's 34
         # rows are fewer than one panel.  The whole is the adjoint of the
-        # third residual, cross cross^† + K Y^† with Y = K G, assembled in one
-        # product from the same panel-summed G, which is K^† K - I.
+        # third residual, cross cross^† + K Y^† with Y = K G, formed in one
+        # product from the same panel-summed G, which is K^† K - I.  The panel
+        # loop reads only its panels from each diagonal block down, so the
+        # reference is the Hermitian matrix those panels assemble.
         circ = self.CIRCUITS[name]()
         b = block_decompose(circ.attempt, circ.success_proj, circ.layout)
         kc = b.rest_factor
         assert kc.shape[0] % RESIDUAL_PANEL != 0
         gram = amplify._panel_gram(kc)
+        assert np.array_equal(gram, gram.conj().T)
         one_shot = kc.conj().T @ kc - np.eye(kc.shape[1])
         np.testing.assert_allclose(gram, one_shot, rtol=0, atol=1e-14)
-        whole = np.linalg.norm(b.cross @ b.cross.conj().T + kc @ (kc @ gram).conj().T)
+        assembled = b.cross @ b.cross.conj().T + kc @ (kc @ gram).conj().T
+        for p in amplify._panels(len(kc)):
+            assembled[p, p.stop :] = assembled[p.stop :, p].conj().T
+        whole = np.linalg.norm(assembled)
         assert abs(verify_block_identities(b)[2] - whole) <= 1e-15 * whole
+
+    @pytest.mark.parametrize("shape", [(50, 7), (200, 129), (300, 300)])
+    def test_gram_is_exactly_hermitian(self, shape):
+        # A complex product K_p^† K_p need not come out exactly Hermitian
+        # (OpenBLAS's does not at 50 x 7), and 129 or 300 columns end in a
+        # partial column panel.
+        rng = np.random.default_rng(shape[1])
+        kc = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        gram = amplify._panel_gram(kc)
+        assert np.array_equal(gram, gram.conj().T)
+        one_shot = kc.conj().T @ kc - np.eye(shape[1])
+        np.testing.assert_allclose(gram, one_shot, rtol=0, atol=1e-12 * shape[0])
 
     def perturbed_rest_r3(self, index):
         circ = gmw_circuit(7)
