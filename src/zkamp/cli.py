@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__, amplify, protocol, simulator
 from .amplify import PhasePair
 from .protocol import Instance
-from .registers import ATOL_NORM, ATOL_OP, BYTE_BUDGET, WORK_BUDGET, dense_bytes
+from .registers import ATOL_NORM, ATOL_OP, BYTE_BUDGET, GRAM_ROWS, WORK_BUDGET, dense_bytes
 from .simulator import COMPLETIONS
 from .symm import MAX_VERTICES, format_graph_literal, orbit_codes, parse_graph_literal
 
@@ -48,13 +48,11 @@ MAX_SCHEDULE_STEPS = 16
 # product in place by column chunks, whose temporaries stay under an eighth of a block, and a small
 # block's moved copy fits in the stored factor's block, which is not yet allocated then.  An
 # adversarial verifier holds its d x s reflectors, its draw about one more for a moment (traced 2.02
-# at n = 5).  ``zk-check`` holds no such state: its start block, formed from the reflectors, takes 2
-# d x s arrays and then only its s x s triangles (traced 2.03 at dims 2x2 and 2.06 at 4x1 on n = 5,
-# 2.00 at n = 6: the columns, beside either their panel product while they are formed or a half's
-# copy and its conjugate while its Gram is taken).  The writer holds its 2 n! codes alone, and
-# forms its gather index only while it acts, which ``zk-check`` never makes it do.
+# at n = 5).  ``zk-check`` holds no such state: its start block's Gram step holds a chunk of
+# ``GRAM_ROWS`` reflector rows and its masked conjugate, a d-long mask and at most 8 s x s arrays
+# (traced 0.18 and 0.29 d x s arrays at dims 2x2 and 4x1 on n = 5).  The writer holds its 2 n!
+# codes alone, and forms its gather index only while it acts, which ``zk-check`` never makes it do.
 STATE_COPIES, BASE_BYTES, STEP_WORK, KEPT_COPIES, DRAW_COPIES = 16, 2**22, 10**5, 2, 3
-BLOCK_COPIES = 2
 
 
 class ConfigError(Exception):
@@ -243,9 +241,9 @@ def estimate(cfg: RunConfig, n: int | None) -> tuple[int, int, str]:
     output, its step's two halves, the derivation's undone projection and the
     swapped order's two halves; ``watrous``'s attempt output and its
     reflection's two halves), each the B split (2 d), the Z split (n! d), the
-    writer (d) and the verifier's s reflectors (2 s d).  ``zk-check`` holds
-    ``BLOCK_COPIES`` d x s arrays in place of states of the simulator's
-    layout, and works ``3 d s^2`` per trial: ``U_V`` and its two halves' Grams.
+    writer (d) and the verifier's s reflectors (2 s d).  ``zk-check`` holds its
+    start block's Gram step in place of states of the simulator's layout, and
+    works ``d s^2 + s^3`` per trial: the reflectors' half Grams, then s x s products.
     """
     if cfg.command == "phases":
         lambdas, k_max = cfg.extras["lambdas"], cfg.extras["k_max"]
@@ -265,8 +263,8 @@ def estimate(cfg: RunConfig, n: int | None) -> tuple[int, int, str]:
         peak = 16 * DRAW_COPIES * side * s
     d, work = layout.total_dim, 0
     if cfg.command == "zk-check":
-        peak += BASE_BYTES + 16 * BLOCK_COPIES * side * s
-        return peak, cfg.trials * 3 * side * s * s, f"{held[0]} and its {side}x{s} start block"
+        peak += BASE_BYTES + 16 * (2 * GRAM_ROWS + 8 * s) * s + side
+        return peak, cfg.trials * (side + s) * s * s, f"{held[0]} and its {side}x{s} start block"
     peak += BASE_BYTES + 16 * STATE_COPIES * cfg.dims[0] * d
     if cfg.command == "blocks":
         r, d_c = d // layout.dim_of("A"), d - cfg.dims[0]

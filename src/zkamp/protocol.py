@@ -15,7 +15,8 @@ it.  The record registers are never coherent, so the trace distance between
 two views is the sum of per-record block distances.  Each block's factor
 columns are the verifier's :class:`StartBlock` on s = dim_w * |orbit| start
 coefficients beta, at A=a: ``Q_a R_a beta``, held as its s x s triangles
-``R_a`` alone, each taken from the Gram of the block's A=a rows ``M_a``.  A
+``R_a`` alone, taken from the Grams ``M_a^† M_a`` of the block's A=a rows,
+which a drawn verifier gives from its reflectors without forming ``M_a``.  A
 view keeps the s-row columns ``R_a beta`` in one zero-padded stack, and two
 views on one start block are compared through one stacked QR of their
 paired factors, since the trace norm does not see Q_a; no W,V,Y vector or
@@ -329,11 +330,12 @@ class StartBlock(NamedTuple):
     ``triangles[a]`` is an s x s upper triangular ``R_a`` with ``M_a = Q_a R_a``
     for an isometry ``Q_a``: the R of their thin QR, with a positive diagonal
     where ``M_a`` has full rank.  Every view reads ``R_a`` only through
-    ``R_a^† R_a = M_a^† M_a``.  The block is held as the triangles alone, read
-    through ``ver``, the verifier it was formed from, and alone splits s into
-    (w, code): :meth:`code_columns` and its adjoint :meth:`code_overlaps` read
-    a W vector at every code.  (A named tuple, not a frozen dataclass, costs a
-    fresh interpreter 0.5 ms less.)
+    ``R_a^† R_a = M_a^† M_a``, the Gram it is taken from; ``Q_a`` is never
+    formed.  The block is held as the triangles alone, read through ``ver``,
+    the verifier it was formed from, and alone splits s into (w, code):
+    :meth:`code_columns` and its adjoint :meth:`code_overlaps` read a W vector
+    at every code.  (A named tuple, not a frozen dataclass, costs a fresh
+    interpreter 0.5 ms less.)
     """
 
     codes: np.ndarray
@@ -365,35 +367,39 @@ class StartBlock(NamedTuple):
 
 
 def start_block(ver: VerifierModel, n: int, codes) -> StartBlock:
-    """The :class:`StartBlock` of the distinct ``codes``: ``U_V`` applied once, to s columns.
+    """The :class:`StartBlock` of the distinct ``codes``, from its two challenge halves' Grams.
 
-    A verifier drawn on exactly these columns forms them from its reflectors, any other
-    acts on the basis columns; the side x s outputs live until their two halves' Grams.
+    A verifier drawn on exactly these columns gives them from its reflectors; any other, a draw's
+    adjoint too, is applied to the basis columns, whose outputs live until their halves' Grams.
     """
     layout, u = view_layout(ver.dims, n), ver.u_v
-    inputs = start_columns(layout, codes)
-    if isinstance(u, HouseholderOp) and u.targets == layout.names and np.array_equal(u.inputs, inputs):
-        outputs = u.input_columns()
+    inputs, parts = start_columns(layout, codes), ver.dims[0] * ver.dims[1]
+    drawn = isinstance(u, HouseholderOp) and not u.inverse and u.targets == layout.names
+    if drawn and np.array_equal(u.inputs, inputs):
+        grams = u.input_grams(parts, 2)
     else:
         outputs = u.apply_to(layout, basis_columns(layout.total_dim, inputs))
-    halves = outputs.reshape(ver.dims[0] * ver.dims[1], 2, -1, inputs.size)
-    triangles = [_triangle(halves[:, a].reshape(-1, inputs.size)) for a in (0, 1)]
+        halves = outputs.reshape(parts, 2, -1, inputs.size)
+        halves = [halves[:, a].reshape(-1, inputs.size) for a in (0, 1)]
+        grams = [half.conj().T @ half for half in halves]
+    triangles = np.stack([_triangle(gram) for gram in grams])
     # The W = 0 start columns are the sorted distinct codes themselves.
-    return StartBlock(inputs[: inputs.size // ver.dim_w], np.stack(triangles), ver)
+    return StartBlock(inputs[: inputs.size // ver.dim_w], triangles, ver)
 
 
-def _triangle(half: np.ndarray) -> np.ndarray:
-    """An upper triangular ``R`` with ``R^† R = M^† M`` for the rows M of one challenge half.
+def _triangle(gram: np.ndarray) -> np.ndarray:
+    """An upper triangular ``R`` with ``R^† R = G``, the Gram ``M^† M`` of one challenge half.
 
-    It is the conjugate transpose of the Cholesky factor of the Gram ``M^† M``,
-    which is the R of M's thin QR with a positive diagonal (Golub and Van
-    Loan); a rank-deficient M, whose Gram the Cholesky refuses, takes its
-    Householder R instead.
+    It is the conjugate transpose of G's Cholesky factor, which is the R of
+    M's thin QR with a positive diagonal (Golub and Van Loan).  A singular G,
+    which the Cholesky refuses, takes the R of ``sqrt(Λ) W^†`` from its
+    spectrum ``G = W Λ W^†`` instead, its rounding negatives read as 0.
     """
     try:
-        return np.linalg.cholesky(half.conj().T @ half).conj().T
+        return np.linalg.cholesky(gram).conj().T
     except np.linalg.LinAlgError:
-        return np.linalg.qr(half, mode="r")
+        spectrum, vectors = np.linalg.eigh(gram)
+        return np.linalg.qr(np.sqrt(np.maximum(spectrum, 0))[:, None] * vectors.conj().T, mode="r")
 
 
 def real_view_recorded(

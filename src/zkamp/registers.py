@@ -367,6 +367,8 @@ _PANEL_WIDTH = 64
 # ``blocks --n 3`` takes 3.4 ms in 32 chunks, 2.4 ms in one (whose products are a second block)
 # and 6.5 ms gathered and scattered.
 _CHUNKS = 32
+# :meth:`HouseholderOp.input_grams` reads the reflectors in chunks of at most this many rows.
+GRAM_ROWS = 2**10
 
 
 @dataclass(frozen=True)
@@ -390,11 +392,8 @@ class HouseholderOp:
     one chunk of post columns at a time, by the phases and each panel
     ``x -= V (T (V† x))`` on the middle axis, with every product broadcast
     over pre, so the targets may sit at any adjacent position.  That costs
-    about ``2 d k`` multiply-adds per vector; neither Q nor ``U† U`` is ever
-    formed.  :meth:`input_columns` forms U on its k input columns the same
-    way, as LAPACK's ``zungqr`` forms Q's leading columns: D on the head rows
-    ``order[:k]`` of a zero block, then each panel, last first, the first one
-    reading ``V†`` on those k rows alone.
+    about ``2 d k`` multiply-adds per vector; neither Q, ``U† U`` nor, in
+    :meth:`input_grams`, U's input columns are ever formed.
     """
 
     layout: RegisterLayout
@@ -500,17 +499,49 @@ class HouseholderOp:
     def inputs(self) -> np.ndarray:
         return np.arange(self.columns) if self.order is None else self.order[: self.columns]
 
-    def input_columns(self) -> np.ndarray:
-        """The operator on the basis vectors at :attr:`inputs`, formed from the reflectors."""
-        out = np.zeros((1, len(self.reflectors), self.columns), dtype=complex)
-        out[0, self.inputs, np.arange(self.columns)] = 1.0
-        return self._update(out, from_heads=self.order is not None)[0]
+    def input_grams(self, parts: int, split: int) -> np.ndarray:
+        """``U_S† P_i U_S`` for the input columns S and each row part i: shape (split, k, k).
+
+        P_i keeps index i of the middle axis of the rows read as (parts, split, rest).  With
+        ``Z = T V[S]†``, for Q's whole T and the head rows V[S], ``U_S = (E_S - V Z) D``: its
+        head rows are ``Y = D - V[S] Z D`` and its other rows ``-V Z D``.  So the Gram is
+        ``Y_i† Y_i + D̄ Z† H_i Z D``, for the head rows Y_i in part i and the Gram H_i of part
+        i's other rows of V: two Grams, so nothing cancels.  The H_i take ``d k^2`` multiply-adds,
+        ``GRAM_ROWS`` rows at a time.  Z is solved panel by panel, last first, from the stored
+        T factors and the whole ``V† V``: ``O(k^3)``, with no division by tau.
+        """
+        if self.inverse:
+            raise ValueError("input Grams are of the operator, not of its adjoint")
+        k, heads = self.columns, self.inputs
+        v = self.reflectors.reshape(parts, split, -1, k)
+        rest = v.shape[2]
+        others = np.ones((parts, split, rest, 1), dtype=bool)
+        others.reshape(-1)[heads] = False
+        step, cut = max(GRAM_ROWS // (split * rest), 1), min(GRAM_ROWS // split, rest)
+        grams = np.zeros((split, k, k), dtype=complex)
+        for p in range(0, parts, step):
+            for r in range(0, rest, cut):
+                rows = np.s_[p : p + step, :, r : r + cut]
+                chunk = v[rows].swapaxes(0, 1).reshape(split, -1, k)
+                kept = others[rows].swapaxes(0, 1).reshape(split, -1, 1)
+                kept = np.conjugate(chunk, out=np.zeros_like(chunk), where=kept)
+                grams += kept.swapaxes(1, 2) @ chunk
+                del chunk, kept  # so that no two chunks' copies are held at once
+        head_rows, z = self.reflectors[heads], np.zeros((k, k), dtype=complex)
+        whole = grams.sum(axis=0) + head_rows.conj().T @ head_rows
+        for s in reversed(range(0, k, _PANEL_WIDTH)):
+            e = min(s + _PANEL_WIDTH, k)
+            z[s:e] = self.tfactors[s:e, : e - s] @ (head_rows[:, s:e].conj().T - whole[s:e] @ z)
+        z *= self.phases
+        y = np.diag(self.phases) - head_rows @ z
+        in_part = ((heads // rest) % split == np.arange(split)[:, None])[:, :, None]
+        grams = z.conj().T @ grams @ z
+        grams += (in_part * y.conj()).swapaxes(1, 2) @ y
+        return grams
 
     def _act(self, x: np.ndarray) -> np.ndarray:
-        return self._update(x.copy())
-
-    def _update(self, out: np.ndarray, from_heads: bool = False) -> np.ndarray:
-        """The operator on a (pre, side, post) block in place; ``from_heads``: zero off ``order[:k]``."""
+        """The operator on a copy of a (pre, side, post) block, updated in place chunk by chunk."""
+        out = x.copy()
         _, side, post = out.shape
         heads = slice(self.columns) if self.order is None else self.order[: self.columns]
         phases = (self.phases.conj() if self.inverse else self.phases)[:, None]
@@ -522,9 +553,8 @@ class HouseholderOp:
             chunk = out[:, :, start : start + width]
             if not self.inverse:
                 chunk[:, heads] *= phases
-            for i, (rows, v, t) in enumerate(panels):
-                read, v_read = (heads, v[heads]) if from_heads and i == 0 else (rows, v)
-                chunk[:, rows] -= v @ _t_times(t, _adjoint_times(v_read, chunk[:, read]), self.inverse)
+            for rows, v, t in panels:
+                chunk[:, rows] -= v @ _t_times(t, _adjoint_times(v, chunk[:, rows]), self.inverse)
             if self.inverse:
                 chunk[:, heads] *= phases
         return out

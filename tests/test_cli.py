@@ -107,13 +107,13 @@ class TestExitCodes:
         assert code == 2
 
     def test_n_too_large_is_config_error(self, capsys):
-        # n=5 fits the budgets at dims 2x2.  The n=6 path pair needs 1.76 GiB even at dims 1x1,
-        # for the draw and the start block on the 360 columns of its orbit.
+        # n=5 fits the budgets at dims 2x2.  The n=6 path pair needs 1.09 GiB even at dims 1x1:
+        # its draw alone counts 3 arrays of 360 MiB, on the 360 columns of its orbit.
         argv = ["zk-check", "--g0", N6_PATH[0], "--g1", N6_PATH[1], "--dim-w", "1", "--dim-v", "1"]
         code = run(argv)
         assert code == 2
         err = capsys.readouterr().err
-        assert "needs 1.76 GiB" in err and "above the budgets" in err
+        assert "needs 1.09 GiB" in err and "above the budgets" in err
         assert "its 65536x360 start block" in err
 
     def test_trials_must_be_positive(self, capsys):
@@ -546,25 +546,36 @@ def test_five_vertices_run_at_dims_4x1():
     assert rec["name"] == "view-equality[trial=0]" and rec["pass"] and rec["value"] <= 1e-10
 
 
-@pytest.mark.parametrize("dims", [(2, 2), (4, 1)], ids=["2x2", "4x1"])
-def test_five_vertex_draw_and_start_block_fit_their_copies(dims):
-    # The start block is formed from the reflectors: its columns, then their two halves' Grams,
-    # BLOCK_COPIES side x s arrays beside the held reflectors, where applying the verifier to a
-    # block of basis columns took 3.  The draw holds the reflectors in DRAW_COPIES arrays.
-    g0, g1 = parse_graph_literal("n=5;edges=01,12,23,34"), parse_graph_literal("n=5;edges=02,21,13,34")
+@pytest.mark.parametrize(
+    "g0, g1, dims",
+    [
+        ("n=5;edges=01,12,23,34", "n=5;edges=02,21,13,34", (2, 2)),
+        ("n=5;edges=01,12,23,34", "n=5;edges=02,21,13,34", (4, 1)),
+        ("n=6;edges=01", "n=6;edges=23", (2, 2)),
+    ],
+    ids=["n5-2x2", "n5-4x1", "n6-2x2"],
+)
+def test_draw_and_start_block_fit_their_copies(g0, g1, dims):
+    # The start block takes its two halves' Grams from the reflectors: beside the held
+    # reflectors it holds a chunk of GRAM_ROWS of their rows, its masked conjugate, a side-long
+    # mask and 8 s x s arrays, under half a side x s array, where forming its columns took 2.
+    # The draw holds the reflectors in DRAW_COPIES arrays.
+    g0, g1 = parse_graph_literal(g0), parse_graph_literal(g1)
     codes = protocol.Instance.from_graphs(g0, g1).codes[0]
-    array = 16 * protocol.view_layout(dims, 5).total_dim * dims[0] * len(set(codes.tolist()))
+    s, side = dims[0] * len(set(codes.tolist())), protocol.view_layout(dims, g0.n).total_dim
+    array = 16 * side * s
     tracemalloc.start()
     try:
-        ver = protocol.adversarial_verifier(dims, 5, 7, codes)
+        ver = protocol.adversarial_verifier(dims, g0.n, 7, codes)
         held, draw_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        protocol.start_block(ver, 5, codes)
+        protocol.start_block(ver, g0.n, codes)
         _, block_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert draw_peak <= cli.DRAW_COPIES * array + cli.BASE_BYTES
-    assert block_peak - held <= cli.BLOCK_COPIES * array + cli.BASE_BYTES
+    assert block_peak - held <= 16 * (2 * registers.GRAM_ROWS + 8 * s) * s + side + cli.BASE_BYTES
+    assert block_peak - held <= 0.5 * array
 
 
 @pytest.mark.parametrize(
@@ -1280,18 +1291,20 @@ class TestInjectedFaults:
 @pytest.mark.parametrize("keep_z", [[], ["--keep-z"]])
 def test_zk_check_applies_the_verifier_once_per_trial(capsys, monkeypatch, keep_z):
     # The adversarial verifier is the only Householder operator a zk-check builds, and each
-    # trial forms its start columns once from the reflectors, without applying it to a block.
-    applied, formed = [], []
-    act, form = registers.HouseholderOp._act, registers.HouseholderOp.input_columns
+    # trial reads its start block's Grams once from the reflectors, without applying it.
+    applied, read = [], []
+    act, grams = registers.HouseholderOp._act, registers.HouseholderOp.input_grams
     monkeypatch.setattr(
         registers.HouseholderOp, "_act", lambda op, x: applied.append(x.shape) or act(op, x)
     )
     monkeypatch.setattr(
-        registers.HouseholderOp, "input_columns", lambda op: formed.append(op.columns) or form(op)
+        registers.HouseholderOp,
+        "input_grams",
+        lambda op, *a: read.append(op.columns) or grams(op, *a),
     )
     code, _ = run_capture(capsys, ["zk-check", *N3, *keep_z, "--trials", "2", "--seed", "7"])
     assert code == 0
-    assert len(formed) == 2 and not applied
+    assert len(read) == 2 and not applied
 
 
 class TestJsonWriter:

@@ -6,8 +6,10 @@ Every view and identity reads ``U_V`` through its start columns
 is Haar on those s columns and the identity on most of the rest must give
 the same views and the same pass flags as any unitary that agrees with it
 there.  These tests compose the drawn verifier with a Haar unitary on the
-complement of its start columns and compare, and check the drawn operator
-against the dense Haar draw at n <= 3.
+complement of its start columns and compare, check the drawn operator
+against the dense Haar draw at n <= 3, and check the start block's Grams,
+read from the reflectors or from the applied verifier, against those of the
+formed start columns.
 """
 
 import io
@@ -22,17 +24,25 @@ from zkamp.protocol import (
     Instance,
     VerifierModel,
     adversarial_verifier,
+    honest_verifier,
     random_aux,
     real_view_recorded,
     start_block,
     start_columns,
     view_layout,
 )
-from zkamp.registers import LinearOp, OpChain, basis_columns, haar_random_op
+from zkamp.registers import HouseholderOp, LinearOp, OpChain, haar_random_op
 from zkamp.simulator import build_circuit, simulate_round_recorded
 from zkamp.symm import Graph, num_graph_codes, orbit_codes
 
-from oracles import haar_random_unitary, kron_oracle, start_outputs, to_matrix, unflatten
+from oracles import (
+    challenge_halves,
+    haar_random_unitary,
+    kron_oracle,
+    start_outputs,
+    to_matrix,
+    unflatten,
+)
 
 INSTANCES = {
     2: Instance.from_graphs(Graph(2, [(0, 1)]), Graph(2, [(0, 1)])),
@@ -51,6 +61,10 @@ def completed(ver: VerifierModel, seed: int) -> VerifierModel:
     block[inputs, inputs] = 1.0
     block[np.ix_(rest, rest)] = haar_random_unitary(len(rest), seed)
     return VerifierModel(ver.dims, OpChain((LinearOp(u.layout, u.targets, block), u)))
+
+
+def adjoint(ver: VerifierModel) -> VerifierModel:
+    return VerifierModel(ver.dims, ver.u_v.adjoint())
 
 
 def assert_same_blocks(view, other):
@@ -83,28 +97,40 @@ class TestStartColumns:
         [(2, (2, 2), 1), (3, (2, 2), 1), (4, (2, 2), 1), (5, (4, 1), 4)],
         ids=["n2", "n3", "n4", "n5-4x1"],
     )
-    def test_formed_from_the_reflectors_bit_for_bit(self, n, dims, panels):
-        # input_columns forms U on its drawn columns from the reflectors, the first panel
-        # reading the k head rows alone; applying U to the basis columns gives the same bits.
+    def test_grams_are_those_of_the_challenge_halves(self, monkeypatch, n, dims, panels):
+        # A draw on exactly the start columns gives both halves' Grams from its reflectors
+        # (input_grams); any other verifier is applied to the basis columns.  Either way the
+        # triangles' Grams are those of the halves the oracle forms, and they sum to I.
         path = Graph(n, [(v, v + 1) for v in range(n - 1)])
         codes = Instance.from_graphs(path, path).codes[0]
+        layout = view_layout(dims, n)
         on_orbit = adversarial_verifier(dims, n, 7, codes)
         assert -(-on_orbit.u_v.columns // 64) == panels
-        # The verifier on every Y code is the one the benchmark's negative control draws.
-        every = [] if n == 5 else [(adversarial_verifier(dims, n, 7), range(num_graph_codes(n)))]
-        for ver, drawn in [(on_orbit, codes)] + every:
-            assert np.array_equal(ver.u_v.inputs, start_columns(view_layout(dims, n), drawn))
-            assert np.array_equal(ver.u_v.input_columns(), start_outputs(ver, n, drawn))
-            adjoint = VerifierModel(dims, ver.u_v.adjoint())
-            assert np.array_equal(adjoint.u_v.input_columns(), start_outputs(adjoint, n, drawn))
-
-    def test_unordered_full_draw_forms_every_column(self):
-        layout = view_layout((2, 2), 2)
-        u = haar_random_op(layout, ("W", "V", "A", "Y"), 5)
-        assert u.order is None and np.array_equal(u.inputs, np.arange(layout.total_dim))
-        for op in (u, u.adjoint()):
-            identity = basis_columns(layout.total_dim, op.inputs)
-            assert np.array_equal(op.input_columns(), op.apply_to(layout, identity))
+        cases = [(on_orbit, codes, True), (adjoint(on_orbit), codes, False)]
+        cases.append((honest_verifier(dims, n), codes, False))
+        if n < 5:
+            # The verifier on every Y code is the one the benchmark's negative control draws,
+            # and reads on the orbit's start block.
+            every, all_codes = adversarial_verifier(dims, n, 7), range(num_graph_codes(n))
+            full = VerifierModel(dims, haar_random_op(layout, layout.names, 5))
+            assert full.u_v.order is None
+            cases += [(every, all_codes, True), (adjoint(every), all_codes, False)]
+            cases += [(every, codes, False), (full, codes, False), (adjoint(full), codes, False)]
+        read, grams = [], HouseholderOp.input_grams
+        monkeypatch.setattr(
+            HouseholderOp, "input_grams", lambda op, *a: read.append(op) or grams(op, *a)
+        )
+        for ver, drawn, from_reflectors in cases:
+            read.clear()
+            triangles = start_block(ver, n, drawn).triangles
+            assert read == ([ver.u_v] if from_reflectors else [])
+            halves = challenge_halves(ver, n, drawn)
+            reference = halves.conj().swapaxes(1, 2) @ halves
+            formed = triangles.conj().swapaxes(1, 2) @ triangles
+            assert np.max(np.abs(formed - reference)) <= 1e-14
+            assert np.max(np.abs(formed.sum(axis=0) - np.eye(triangles.shape[-1]))) <= 1e-14
+        with pytest.raises(ValueError, match="not of its adjoint"):
+            adjoint(on_orbit).u_v.input_grams(dims[0] * dims[1], 2)
 
 
 class TestDenseOracle:

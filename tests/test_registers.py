@@ -816,6 +816,17 @@ class TestNarrowHouseholderOp:
         np.testing.assert_allclose(to_matrix(op.adjoint(), layout), u.conj().T, atol=1e-12)
         np.testing.assert_allclose(u.conj().T @ u, np.eye(15), atol=1e-12)
 
+    @pytest.mark.parametrize("inputs", [[0], [9, 4, 21], [23, 6, 0, 13, 18, 1], None])
+    def test_input_grams_are_those_of_the_input_columns(self, inputs):
+        # The rows read as (parts, split, rest) = (3, 2, 4); the inputs fall in both parts of
+        # the split, and without inputs every column is one and the rows have no order.
+        layout = RegisterLayout([("A", 3), ("B", 2), ("C", 4)])
+        op = haar_random_op(layout, ("A", "B", "C"), 8, inputs)
+        columns = to_matrix(op, layout)[:, op.inputs].reshape(3, 2, 4, -1).swapaxes(0, 1)
+        columns = columns.reshape(2, 12, -1)
+        reference = columns.conj().swapaxes(1, 2) @ columns
+        assert np.max(np.abs(op.input_grams(3, 2) - reference)) <= 1e-14
+
     @pytest.mark.parametrize("inputs", [[0], [7, 2, 11], list(range(15))[::-1]])
     def test_holds_one_copy_of_the_drawn_rows_placed_by_the_order(self, inputs):
         layout = RegisterLayout([("A", 3), ("B", 5)])

@@ -26,6 +26,7 @@ from zkamp.protocol import (
     honest_verifier,
     random_aux,
     real_view_recorded,
+    _triangle,
     start_block,
     view_layout,
 )
@@ -143,6 +144,21 @@ class TestTriangles:
         distance = real.trace_distance(real_other)
         reference = per_key_trace_distance(real_view(inst, ver, aux), real_view(inst, ver, other))
         assert abs(distance - reference) <= AGREE
+
+
+    def test_triangle_of_a_singular_gram_alone(self):
+        # The Gram of unit columns (x, 0, y, (x + y) / 2) has rank 2 and an exact zero pivot, so
+        # the Cholesky refuses it; the triangle then comes from its spectrum, with no half to read.
+        rng = np.random.default_rng(3)
+        x, y = rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6))
+        x, y = x / np.linalg.norm(x), y / np.linalg.norm(y)
+        m = np.stack([x, np.zeros(6), y, (x + y) / 2], axis=1)
+        gram = m.conj().T @ m
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(gram)
+        r = _triangle(gram)
+        np.testing.assert_array_equal(r, np.triu(r))
+        assert np.max(np.abs(r.conj().T @ r - gram)) <= AGREE
 
 
 class TestStep:
