@@ -42,7 +42,7 @@ from .simulator import (
 )
 
 
-RESIDUAL_PANEL = 128  # rows or columns per panel of the idempotence Gram and third residual
+RESIDUAL_PANEL = 128  # columns per panel of the idempotence Gram, rows per panel of its r x r core
 
 
 class NotLambdaUniformError(ValueError):
@@ -125,6 +125,29 @@ def _panel_gram(kc: np.ndarray) -> np.ndarray:
     return gram
 
 
+def _conjugate_gradients(c: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
+    """Conjugate gradients on ``c a = b``, c Hermitian: ``a`` and the most steps a column took.
+
+    Hestenes and Stiefel (1952), by columns of b.  A column stops at relative residual 1e-15,
+    after r steps or where ``p^† c p <= 0``, so a singular or indefinite c may leave no solution.
+    """
+    a, most = np.zeros_like(b), 0
+    for x, res in zip(a.T, b.T.copy()):
+        p, rho, steps = res.copy(), np.vdot(res, res).real, 0
+        floor = 1e-30 * rho
+        while steps < len(c) and rho > floor:
+            q = c @ p
+            curvature = np.vdot(p, q).real
+            if curvature <= 0:
+                break
+            x += rho / curvature * p
+            res -= rho / curvature * q
+            rho, previous, steps = np.vdot(res, res).real, rho, steps + 1
+            p = res + rho / previous * p
+        most = max(most, steps)
+    return a, most
+
+
 def verify_block_identities(b: BlockDecomposition) -> tuple[float, float, float]:
     """Frobenius norms of the three residuals that idempotence of ``attempt^-1 P attempt`` forces.
 
@@ -133,24 +156,35 @@ def verify_block_identities(b: BlockDecomposition) -> tuple[float, float, float]
     A Frobenius norm bounds the spectral norm from above, so each value
     certifies its identity at least as strictly as the operator norm would.
     ``rest = K K^†`` enters through its factor only, ``rest cross = K (K^† cross)``.  The third
-    residual is ``cross cross^† + K G K^†`` with the exactly Hermitian :func:`_panel_gram`
-    ``G = K^† K - I``, so it is Hermitian whatever the stored blocks hold.  It is summed over
-    ``RESIDUAL_PANEL``-column panels, each formed only from its diagonal block down, as
-    ``K[p.start:] Y_p^† + cross[p.start:] cross_p^†`` with ``Y_p = K_p G``: the diagonal block
-    counts once and the rows below it twice, for their mirror above the diagonal.  Neither
-    ``K^†`` nor the d_c x r ``Y`` is ever held.
+    residual ``cross cross^† + K (C - I) K^†``, with ``C = K^† K`` the exactly Hermitian
+    :func:`_panel_gram` plus I, is certified on an r x r core.  Split ``cross = K a + e``, with
+    ``a`` from :func:`_conjugate_gradients` on ``C a = K^† cross``, ``f = K^† e`` and
+    ``E = e^† e``.  For any ``a`` the residual is ``[K e] M [K e]^†`` with
+    ``M = [[N, a], [a^†, I]]`` and ``N = C - I + a a^†``, so its squared norm is ``tr(X^2)`` for
+    ``X = M [K e]^† [K e]``: ``X11 = N C + a f^†``, ``X12 = N f + a E``,
+    ``X21 = a^† C + f^†`` and ``X22 = a^† f + E``.  ``X11`` is formed in ``RESIDUAL_PANEL``-row
+    panels as ``C_p C - C_p`` plus rank-dim_w terms, whose O(1) parts cancel entry by entry;
+    only ``X21`` is O(1), and it multiplies only the residual-sized ``X12``.  No d_c x d_c
+    panel, d_c x r product or conjugate of K is held, and nothing is factorized.
     """
     lam, cross, kc = b.success_prob, b.cross, b.rest_factor
     r1 = (lam**2 - lam) * np.eye(cross.shape[1]) + cross.conj().T @ cross
-    r2 = (lam - 1) * cross + kc @ (cross.conj().T @ kc).conj().T
-    gram = _panel_gram(kc)
-    r3_sq = 0.0
-    for p in _panels(len(kc)):
-        r3 = kc[p.start :] @ (kc[p] @ gram).conj().T
-        r3 += cross[p.start :] @ cross[p].conj().T
-        diagonal, below = r3[:RESIDUAL_PANEL], r3[RESIDUAL_PANEL:]
-        r3_sq += np.vdot(diagonal, diagonal).real + 2 * np.vdot(below, below).real
-        del r3, diagonal, below  # so that two d_c x P panels are never held at once
+    kc_cross = (cross.conj().T @ kc).conj().T
+    r2 = (lam - 1) * cross + kc @ kc_cross
+    c = _panel_gram(kc)
+    c[np.diag_indices_from(c)] += 1
+    a = _conjugate_gradients(c, kc_cross)[0]
+    e = cross - kc @ a
+    f = (e.conj().T @ kc).conj().T
+    x22 = a.conj().T @ f + e.conj().T @ e
+    x21 = (c @ a + f).conj().T
+    x12 = c @ f - f + a @ x22
+    r3_sq = 2 * np.trace(x21 @ x12).real + np.trace(x22 @ x22).real
+    for p in _panels(len(c)):
+        rows = c[p] @ c - c[p]  # rows p of C C - C, the O(1) part of X11 and of X11^†
+        cols = rows + x21[:, p].conj().T @ a.conj().T  # rows p of X11^†
+        rows += a[p] @ x21
+        r3_sq += np.vdot(cols, rows).real  # their part of tr(X11^2)
     return float(np.linalg.norm(r1)), float(np.linalg.norm(r2)), float(np.sqrt(r3_sq))
 
 

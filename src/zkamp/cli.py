@@ -228,11 +228,11 @@ def estimate(cfg: RunConfig, n: int | None) -> tuple[int, int, str]:
     side of d counts at ``DRAW_COPIES`` d x s arrays, with s = dim_w times the
     size of g0's orbit, its start columns; an honest verifier counts the same.
     ``blocks`` adds ``KEPT_COPIES`` d x r blocks of kept attempt rows, the
-    stored factor, the r x r core and two residual panels of ``P (r + d_c)``
-    each, with P = ``amplify.RESIDUAL_PANEL`` and d_c = d - dim_w.  The work is
-    ``2 d r^2 + d^2 (r + dim_w)`` per trial of ``blocks``, the count of whole products; as
-    the Hermitian Gram and third residual are formed on one side of their diagonal only, it
-    is an upper bound of about twice the work done (1.4 times at n = 3); for ``schedule`` it
+    stored factor, the r x r core C and ``2 P (r + d_c)`` for a Gram column panel and its
+    conjugate or three core row panels, P = ``amplify.RESIDUAL_PANEL``, d_c = d - dim_w.  The
+    work is ``2 d r^2 + d^2 (r + dim_w)`` per trial of ``blocks``, the whole products of an
+    explicit d x d third residual; the core does about ``d_c r^2 / 2 + r^3``, so the count is
+    an upper bound of about 4 times the work done at n = 3; for ``schedule`` it
     is ``2 steps + 1`` attempt applications, each one split of B (m d) and the
     scramble's reflectors (2 side d); for ``phases`` one search step per
     step count up to ``amplify.analytic_k``; and for ``verify-eq1``,
@@ -270,6 +270,7 @@ def estimate(cfg: RunConfig, n: int | None) -> tuple[int, int, str]:
         r, d_c = d // layout.dim_of("A"), d - cfg.dims[0]
         peak += 16 * ((KEPT_COPIES + 1) * d * r + r * r + 2 * amplify.RESIDUAL_PANEL * (r + d_c))
         held.append(f"{d}x{r} kept attempt rows factoring the {d}x{d} conjugated projector")
+        # About 4 times the core's work at n = 3; kept so that the budget refuses --m 70 as before.
         work = cfg.trials * (2 * d * r * r + d * d * (r + cfg.dims[0]))
     elif cfg.command == "schedule":
         work = (2 * cfg.extras["steps"] + 1) * (cfg.m + 2 * side) * d

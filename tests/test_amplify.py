@@ -10,6 +10,7 @@ import pytest
 from zkamp import amplify
 from zkamp.amplify import (
     RESIDUAL_PANEL,
+    BlockDecomposition,
     NotLambdaUniformError,
     PhasePair,
     analytic_k,
@@ -165,6 +166,15 @@ class TestBlocksMemory:
         held = b.rest_factor.nbytes + b.cross.nbytes + peak
         assert held <= 16 * (d_c * r + r * r + 2 * panel * (r + d_c))
 
+    def test_identities_run_no_factorization(self, monkeypatch):
+        # numpy.linalg's factorizations copy their input where tracemalloc
+        # cannot see it, so the traced peak above would miss an r x r copy.
+        circ = self.gmw_n3()
+        b = block_decompose(circ.attempt, circ.success_proj, circ.layout)
+        for name in ("solve", "inv", "cholesky", "qr", "eigh"):
+            monkeypatch.setattr(np.linalg, name, lambda *args, name=name, **kwargs: pytest.fail(name))
+        assert max(verify_block_identities(b)) < TOL
+
 
 class TestBlockIdentities:
     def test_gmw_honest(self):
@@ -297,27 +307,113 @@ class TestBlockIdentityNorms:
         if index is not None:
             assert dense[2] > TOL
 
-    @pytest.mark.parametrize("name", ["gmw-n3", "toy-m3"])
-    def test_panels_sum_to_the_whole_residual(self, name):
-        # gmw-n3's factor has 766 rows, ending in a partial panel; toy-m3's 34
-        # rows are fewer than one panel.  The whole is the adjoint of the
-        # third residual, cross cross^† + K Y^† with Y = K G, formed in one
-        # product from the same panel-summed G, which is K^† K - I.  The panel
-        # loop reads only its panels from each diagonal block down, so the
-        # reference is the Hermitian matrix those panels assemble.
+    @staticmethod
+    def stored(name):
+        """Stored blocks that no honest circuit gives, and P = I; the certificate measures them too."""
+        rng = np.random.default_rng(37)
+
+        def gaussian(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        if name == "random":
+            return BlockDecomposition(0.4, gaussian(300, 3), gaussian(300, 150) / 20)
+        if name == "wide":  # r > d_c, so C = K^† K is singular
+            return BlockDecomposition(0.3, gaussian(40, 2), gaussian(40, 60) / 8)
+        if name == "full-projector":  # P = I: lam = 1 and a vanishing cross block
+            circ = toy_circuit(2, seed=1)
+            full = DiagonalOp(circ.layout, ("A", "B"), np.ones(4), kind="projector")
+            return block_decompose(circ.attempt, full, circ.layout)
+        circ = TestBlockIdentityNorms.CIRCUITS["gmw-n3"]()
+        b = block_decompose(circ.attempt, circ.success_proj, circ.layout)
+        kc, cross = b.rest_factor.copy(), b.cross
+        if name == "zeroed-column":
+            kc[:, 5] = 0
+        elif name == "duplicated-column":  # a singular C
+            kc[:, 7] = kc[:, 3]
+        elif name == "zero-cross":
+            cross = np.zeros_like(cross)
+        elif name == "rotated-cross":  # cross U leaves cross cross^† and the identity as they were
+            cross = cross @ np.linalg.qr(gaussian(2, 2))[0]
+        return dataclasses.replace(b, cross=cross, rest_factor=kc)
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "zeroed-column",
+            "duplicated-column",
+            "wide",
+            "zero-cross",
+            "rotated-cross",
+            "random",
+            "full-projector",
+        ],
+    )
+    def test_core_measures_any_stored_blocks_as_the_dense_residual(self, name):
+        # The split of cross over K holds for any a, so the core's value is the
+        # dense residual's norm wherever conjugate gradients stop.
+        b = self.stored(name)
+        dense = np.linalg.norm(self.residuals(b)[2])
+        r3 = verify_block_identities(b)[2]
+        assert r3 >= 0  # a negative squared trace would read NaN
+        assert abs(r3 - dense) <= 1e-14 * max(dense, 1.0)
+        if name in ("rotated-cross", "full-projector"):
+            assert r3 <= 1e-13
+
+    @pytest.mark.parametrize("name", ["gmw-n2", "gmw-n3", "toy-m3", "toy-m8"])
+    def test_conjugate_gradients_end_within_dim_w_plus_one_steps(self, monkeypatch, name):
+        # On honest blocks C = I - K_s^† K_s has at most dim_w + 1 distinct
+        # eigenvalues, so conjugate gradients end within as many steps.  (Its
+        # right side (1 - lam) K_s^† even lies in one eigenspace: one step
+        # solves it and a second at most clears the rounding.)
         circ = self.CIRCUITS[name]()
         b = block_decompose(circ.attempt, circ.success_proj, circ.layout)
-        kc = b.rest_factor
-        assert kc.shape[0] % RESIDUAL_PANEL != 0
-        gram = amplify._panel_gram(kc)
-        assert np.array_equal(gram, gram.conj().T)
-        one_shot = kc.conj().T @ kc - np.eye(kc.shape[1])
-        np.testing.assert_allclose(gram, one_shot, rtol=0, atol=1e-14)
-        assembled = b.cross @ b.cross.conj().T + kc @ (kc @ gram).conj().T
-        for p in amplify._panels(len(kc)):
-            assembled[p, p.stop :] = assembled[p.stop :, p].conj().T
-        whole = np.linalg.norm(assembled)
-        assert abs(verify_block_identities(b)[2] - whole) <= 1e-15 * whole
+        solve, calls = amplify._conjugate_gradients, []
+
+        def recorded(c, rhs):
+            calls.append((c, rhs, *solve(c, rhs)))
+            return calls[-1][2:]
+
+        monkeypatch.setattr(amplify, "_conjugate_gradients", recorded)
+        assert verify_block_identities(b)[2] < TOL
+        ((c, rhs, a, steps),) = calls
+        assert 1 <= steps <= circ.layout.dim_of("W") + 1
+        np.testing.assert_allclose(a, np.linalg.solve(c, rhs), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("c", [np.zeros((3, 3)), -np.eye(3)], ids=["zero", "negative"])
+    def test_conjugate_gradients_stop_without_curvature(self, c):
+        # p^† C p <= 0 ends a column before its step divides by that curvature.
+        a, steps = amplify._conjugate_gradients(c.astype(complex), np.ones((3, 2), dtype=complex))
+        assert steps == 0 and not a.any()
+
+    def test_clean_squares_are_never_negative(self):
+        # A negative squared trace would read NaN, which fails a clean record.
+        circuits = [toy_circuit(m, seed=seed) for m in range(2, 9) for seed in range(3)]
+        circuits += [
+            build_circuit(Instance.from_graphs(EDGE2, EDGE2), adversarial_verifier(dims, 2, seed))
+            for dims in [(1, 1), (2, 1), (2, 2), (4, 4)]
+            for seed in range(3)
+        ]
+        for circ in circuits:
+            b = block_decompose(circ.attempt, circ.success_proj, circ.layout)
+            assert 0 <= verify_block_identities(b)[2] < TOL
+
+    @staticmethod
+    def unsplit_trace_r3(b):
+        """``sqrt|tr(X^2)|`` for ``X = M Z^† Z``, ``Z = [K cross]``, ``M = diag(K^† K - I, I)``."""
+        z = np.hstack([b.rest_factor, b.cross])
+        m = np.eye(z.shape[1], dtype=complex)
+        r = b.rest_factor.shape[1]
+        m[:r, :r] = amplify._panel_gram(b.rest_factor)
+        x = m @ (z.conj().T @ z)
+        return np.sqrt(abs(np.trace(x @ x).real))
+
+    def test_unsplit_trace_leaves_what_the_core_cancels(self):
+        # Negative control: without the split of cross over K, the squared
+        # trace sums O(1) blocks that cancel only to rounding of their size.
+        circ = self.CIRCUITS["gmw-n3"]()
+        b = block_decompose(circ.attempt, circ.success_proj, circ.layout)
+        assert self.unsplit_trace_r3(b) >= 1e-9
+        assert verify_block_identities(b)[2] <= 1e-13
 
     @pytest.mark.parametrize("shape", [(50, 7), (200, 129), (300, 300)])
     def test_gram_is_exactly_hermitian(self, shape):
