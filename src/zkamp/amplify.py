@@ -29,7 +29,6 @@ from .registers import (
     OpChain,
     RegisterLayout,
     StateVector,
-    basis_columns,
     haar_random_op,
 )
 from .simulator import (
@@ -82,15 +81,16 @@ def block_decompose(attempt, success_proj: DiagonalOp, layout: RegisterLayout) -
     P is a 0/1 diagonal, so ``attempt^-1 P attempt = K K^†`` for the d x r block
     ``K = attempt^†`` applied to the r basis columns P keeps; each block is one
     product of K's start-slice or complement rows (``rest`` stays as its factor,
-    the complement rows), never a d x d attempt matrix.  The basis columns go
-    straight into the chain, which frees them once its first factor has acted.
+    the complement rows), never a d x d attempt matrix.  K is
+    :meth:`OpChain.on_basis`, so no factor is handed the kept basis columns:
+    the first acts on its distinct target-side basis vectors only.
     Raises :class:`NotLambdaUniformError` when the top block is not a scalar
     matrix, i.e. when the circuit's success probability varies with the
     auxiliary input and the two-dimensional theory does not apply.
     """
     d, dim_w = layout.total_dim, layout.dim_of("W")
     kept = np.flatnonzero(success_proj.apply_to(layout, np.ones(d, dtype=complex)).real == 1)
-    k = attempt.adjoint().apply_to(layout, basis_columns(d, kept))
+    k = attempt.adjoint().on_basis(layout, kept)
     on_slice = np.arange(d) % (d // dim_w) == 0
     ks, kc = k[on_slice], k[~on_slice]
     top = ks @ ks.conj().T
@@ -162,10 +162,13 @@ def verify_block_identities(b: BlockDecomposition) -> tuple[float, float, float]
     ``E = e^† e``.  For any ``a`` the residual is ``[K e] M [K e]^†`` with
     ``M = [[N, a], [a^†, I]]`` and ``N = C - I + a a^†``, so its squared norm is ``tr(X^2)`` for
     ``X = M [K e]^† [K e]``: ``X11 = N C + a f^†``, ``X12 = N f + a E``,
-    ``X21 = a^† C + f^†`` and ``X22 = a^† f + E``.  ``X11`` is formed in ``RESIDUAL_PANEL``-row
-    panels as ``C_p C - C_p`` plus rank-dim_w terms, whose O(1) parts cancel entry by entry;
-    only ``X21`` is O(1), and it multiplies only the residual-sized ``X12``.  No d_c x d_c
-    panel, d_c x r product or conjugate of K is held, and nothing is factorized.
+    ``X21 = a^† C + f^†`` and ``X22 = a^† f + E``.  ``X11 = (C C - C) + a X21`` is formed in
+    ``RESIDUAL_PANEL``-row panels on and right of its diagonal only: ``C C - C`` is Hermitian, so
+    ``X11[q, p] = (C C - C)[p, q]^† + a[q] X21[:, p]``, and ``tr(X11^2)`` takes each diagonal
+    block once and each block right of it twice.  Each term is a ``vdot`` of entries whose O(1)
+    parts cancel entry by entry; only ``X21`` is O(1), and it multiplies only the
+    residual-sized ``X12``.  No d_c x d_c panel, d_c x r product or conjugate of K is held, and
+    nothing is factorized.
     """
     lam, cross, kc = b.success_prob, b.cross, b.rest_factor
     r1 = (lam**2 - lam) * np.eye(cross.shape[1]) + cross.conj().T @ cross
@@ -181,10 +184,12 @@ def verify_block_identities(b: BlockDecomposition) -> tuple[float, float, float]
     x12 = c @ f - f + a @ x22
     r3_sq = 2 * np.trace(x21 @ x12).real + np.trace(x22 @ x22).real
     for p in _panels(len(c)):
-        rows = c[p] @ c - c[p]  # rows p of C C - C, the O(1) part of X11 and of X11^†
-        cols = rows + x21[:, p].conj().T @ a.conj().T  # rows p of X11^†
-        rows += a[p] @ x21
-        r3_sq += np.vdot(cols, rows).real  # their part of tr(X11^2)
+        right = slice(p.start, None)
+        rows = c[p] @ c[:, right] - c[p, right]  # C C - C on and right of its diagonal, rows p
+        cols = rows + x21[:, p].conj().T @ a[right].conj().T  # X11^† there: C C - C is Hermitian
+        rows += a[p] @ x21[:, right]
+        h = len(rows)  # tr(X11^2) takes the diagonal block once and the blocks right of it twice
+        r3_sq += np.vdot(cols[:, :h], rows[:, :h]).real + 2 * np.vdot(cols[:, h:], rows[:, h:]).real
     return float(np.linalg.norm(r1)), float(np.linalg.norm(r2)), float(np.sqrt(r3_sq))
 
 

@@ -43,12 +43,11 @@ MAX_SCHEDULE_STEPS = 16
 # a first command, with numpy's lazy imports); each step count the phase search tries (one plain 2x2
 # step, the closing phases and their certificate) takes as long as 1e5 dense multiply-adds (2e-5 s;
 # 5e9/s on one BLAS thread).  ``blocks`` holds 2 d x r blocks of kept attempt rows while it applies
-# the attempt: one factor's input and its product.  The first factor's input is the kept basis
-# columns, which the chain frees once that factor has acted; a Householder factor updates its
-# product in place by column chunks, whose temporaries stay under an eighth of a block, and a small
-# block's moved copy fits in the stored factor's block, which is not yet allocated then.  An
-# adversarial verifier holds its d x s reflectors, its draw about one more for a moment (traced 2.02
-# at n = 5).  ``zk-check`` holds no such state: its start block's Gram step holds a chunk of
+# the attempt: one factor's input and its product.  The first factor acts on its side's distinct
+# basis vectors only, and its images are placed in the first block (traced 2.01 blocks at n = 3
+# and 2.02 at m = 30); a small block's moved copy fits in the stored factor's block, which is not
+# yet allocated then.  An adversarial verifier holds its d x s reflectors, its draw about one more
+# for a moment (traced 2.02 at n = 5).  ``zk-check`` holds no such state: its start block's Gram step holds a chunk of
 # ``GRAM_ROWS`` reflector rows and its masked conjugate, a d-long mask and at most 8 s x s arrays
 # (traced 0.18 and 0.29 d x s arrays at dims 2x2 and 4x1 on n = 5).  The writer holds its 2 n!
 # codes alone, and forms its gather index only while it acts, which ``zk-check`` never makes it do.
@@ -231,8 +230,9 @@ def estimate(cfg: RunConfig, n: int | None) -> tuple[int, int, str]:
     stored factor, the r x r core C and ``2 P (r + d_c)`` for a Gram column panel and its
     conjugate or three core row panels, P = ``amplify.RESIDUAL_PANEL``, d_c = d - dim_w.  The
     work is ``2 d r^2 + d^2 (r + dim_w)`` per trial of ``blocks``, the whole products of an
-    explicit d x d third residual; the core does about ``d_c r^2 / 2 + r^3``, so the count is
-    an upper bound of about 4 times the work done at n = 3; for ``schedule`` it
+    explicit d x d third residual; the core does about ``d_c r^2 / 2 + r^3 / 2`` (the Gram and
+    ``C C`` each from one side of its diagonal), so the count is an upper bound of about 5 times
+    the work done at n = 3; for ``schedule`` it
     is ``2 steps + 1`` attempt applications, each one split of B (m d) and the
     scramble's reflectors (2 side d); for ``phases`` one search step per
     step count up to ``amplify.analytic_k``; and for ``verify-eq1``,
@@ -270,7 +270,7 @@ def estimate(cfg: RunConfig, n: int | None) -> tuple[int, int, str]:
         r, d_c = d // layout.dim_of("A"), d - cfg.dims[0]
         peak += 16 * ((KEPT_COPIES + 1) * d * r + r * r + 2 * amplify.RESIDUAL_PANEL * (r + d_c))
         held.append(f"{d}x{r} kept attempt rows factoring the {d}x{d} conjugated projector")
-        # About 4 times the core's work at n = 3; kept so that the budget refuses --m 70 as before.
+        # About 5 times the core's work at n = 3; kept so that the budget refuses --m 70 as before.
         work = cfg.trials * (2 * d * r * r + d * d * (r + cfg.dims[0]))
     elif cfg.command == "schedule":
         work = (2 * cfg.extras["steps"] + 1) * (cfg.m + 2 * side) * d

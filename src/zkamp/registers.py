@@ -361,11 +361,9 @@ def _check_order(order: np.ndarray, side: int) -> None:
 _PANEL_WIDTH = 64
 # A (side, post) block is applied in column chunks of ``max(ceil(post / _CHUNKS), side // 4)``
 # columns.  A chunk's products, with the buffer numpy takes to update a strided chunk in place,
-# stay under about an eighth of a block at least 8 times as wide as tall (the (32, 256) scramble
-# block of ``blocks --m 8`` runs as 32 chunks of 8 columns), and a narrower block, such as a
-# (512, 48) batch of states, is one chunk.  On one BLAS thread the (64, 4608) verifier block of
-# ``blocks --n 3`` takes 3.4 ms in 32 chunks, 2.4 ms in one (whose products are a second block)
-# and 6.5 ms gathered and scattered.
+# stay under about an eighth of a block at least 8 times as wide as tall, at the cost of one
+# round of numpy calls per chunk; a block at most a quarter as wide as tall, such as a (512, 48)
+# batch of states, is one chunk.
 _CHUNKS = 32
 # :meth:`HouseholderOp.input_grams` reads the reflectors in chunks of at most this many rows.
 GRAM_ROWS = 2**10
@@ -618,6 +616,34 @@ class OpChain:
         for op in self.factors:
             amps = op.apply_to(layout, amps)
         return amps
+
+    def on_basis(self, layout: RegisterLayout, rows: np.ndarray) -> np.ndarray:
+        """``apply_to(layout, basis_columns(d, rows))``, the first factor acting on its side only.
+
+        Basis vector ``(pre, t, post)``, t its index over the first factor's targets, goes to
+        ``op e_t`` placed at ``(pre, :, post)`` (for targets that are apart, at every target
+        index with the other digits kept).  So the first factor acts once, through its own
+        ``apply_to``, on the distinct t, on the layout with every other register at dimension 1
+        (which refuses what the whole layout refuses), and one indexed assignment places its
+        images in a d x len(rows) block, on which the rest of the chain acts.
+        """
+        amps = _basis_images(self.factors[0], layout, np.asarray(rows, dtype=np.int64))
+        for op in self.factors[1:]:
+            amps = op.apply_to(layout, amps)
+        return amps
+
+
+def _basis_images(op, layout: RegisterLayout, rows: np.ndarray) -> np.ndarray:
+    """The first factor's part of :meth:`OpChain.on_basis`, whose index arrays die with it."""
+    sub = RegisterLayout((name, dim if name in op.targets else 1) for name, dim in layout.registers)
+    strides = np.array([math.prod(layout.dims[axis + 1 :]) for axis in range(len(layout.dims))])
+    spots = np.stack(np.unravel_index(np.arange(sub.total_dim), sub.dims), axis=1) @ strides
+    part = rows[:, None] // strides % sub.dims @ strides  # each row's target digits, in place
+    parts, which = np.unique(part, return_inverse=True)
+    images = op.apply_to(sub, basis_columns(sub.total_dim, np.searchsorted(spots, parts)))
+    amps = np.zeros((layout.total_dim, rows.size), dtype=complex)
+    amps[spots[:, None] + (rows - part), np.arange(rows.size)] = images[:, which]
+    return amps
 
 
 def dense_bytes(side: int) -> int:

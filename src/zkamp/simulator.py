@@ -60,7 +60,6 @@ from .registers import (
     RegisterLayout,
     StateVector,
     XorOp,
-    basis_columns,
 )
 from .symm import Graph, Permutation, act, lehmer_rank
 
@@ -198,7 +197,7 @@ def success_block_residual(circ: SimulatorCircuit) -> float:
     layout = circ.layout
     dim_w = circ.dim_w
     starts = np.arange(dim_w) * (layout.total_dim // dim_w)
-    cols = circ.attempt.apply_to(layout, basis_columns(layout.total_dim, starts))
+    cols = circ.attempt.on_basis(layout, starts)
     block = cols.conj().T @ circ.success_proj.apply_to(layout, cols)
     return float(np.linalg.norm(block - np.eye(dim_w) / 2, ord=2))
 

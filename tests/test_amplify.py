@@ -143,9 +143,11 @@ class TestBlocksMemory:
         "name, shape", [("gmw-n3", (64, 4608)), ("toy-m8", (32, 256))], ids=["gmw-n3", "toy-m8"]
     )
     def test_householder_factor_allocates_one_block_and_its_chunks(self, name, shape, adjoint):
-        # The verifier of blocks --n 3 sees the 768 x 384 kept columns as a
-        # (64, 4608) block and the --m 8 scramble the 256 x 32 ones as (32, 256).
-        # It updates one copy in place, one column chunk at a time.
+        # Handed whole, the 768 x 384 kept columns of blocks --n 3 would be a
+        # (64, 4608) block for its verifier and the 256 x 32 ones of --m 8 a
+        # (32, 256) block for its scramble (OpChain.on_basis hands each only
+        # its side's basis vectors).  A wide block is updated in one copy, in
+        # place, one column chunk at a time.
         circ = self.CIRCUITS[name]()
         layout, op = circ.layout, circ.attempt.factors[-1]
         op = op.adjoint() if adjoint else op
@@ -358,6 +360,39 @@ class TestBlockIdentityNorms:
         assert abs(r3 - dense) <= 1e-14 * max(dense, 1.0)
         if name in ("rotated-cross", "full-projector"):
             assert r3 <= 1e-13
+
+    @staticmethod
+    def projector_blocks(r, dim_w=2, extra=40):
+        """Blocks of ``K K^†`` for a d x r K with orthonormal columns, d = dim_w + r + extra.
+
+        ``K K^†`` is a projector, so identity 3 holds whatever its top block is.
+        """
+        rng = np.random.default_rng(r)
+        shape = (dim_w + r + extra, r)
+        k = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))[0]
+        ks, kc = k[:dim_w], k[dim_w:]
+        return BlockDecomposition(0.5, kc @ ks.conj().T, kc)
+
+    @pytest.mark.parametrize(
+        "block, index",
+        [(None, None), ("rest_factor", (0, 0)), ("rest_factor", (-1, -1)), ("cross", (-1, 0))],
+        ids=["clean", "first", "last", "cross-last"],
+    )
+    @pytest.mark.parametrize("r", [1, 127, 128, 129, 257])
+    def test_one_sided_core_matches_the_dense_residual(self, r, block, index):
+        # 127 and 128 rows make one panel, partial or whole; 129 and 257 end
+        # in a panel of one row, whose blocks right of the diagonal are empty,
+        # and r = 1 has nothing right of its one diagonal entry.
+        b = self.projector_blocks(r)
+        if index is not None:
+            b = self.perturbed(b, index, block)
+        dense = np.linalg.norm(self.residuals(b)[2])
+        r3 = verify_block_identities(b)[2]
+        assert abs(r3 - dense) <= 1e-13
+        if index is None:
+            assert r3 <= 1e-13
+        else:
+            assert dense > TOL
 
     @pytest.mark.parametrize("name", ["gmw-n2", "gmw-n3", "toy-m3", "toy-m8"])
     def test_conjugate_gradients_end_within_dim_w_plus_one_steps(self, monkeypatch, name):

@@ -18,6 +18,7 @@ from zkamp.registers import (
     StateVector,
     XorOp,
     _gaussian_columns,
+    basis_columns,
     _trusted_variant,
     haar_random_op,
     random_state,
@@ -1101,3 +1102,60 @@ class TestApartTargets:
                     np.testing.assert_allclose(
                         applied.apply_to(layout, x), kron_oracle(applied, layout) @ x, atol=1e-12
                     )
+
+
+# Row sets of POSITION_LAYOUT's 48 basis vectors: unsorted with a repeat, every
+# row in reverse, one row, and none.
+BASIS_ROWS = {
+    "unsorted": [17, 3, 40, 3, 29, 0, 47],
+    "every": list(range(47, -1, -1)),
+    "single": [22],
+    "empty": [],
+}
+
+
+class TestOnBasis:
+    """A chain on basis columns equals its ``apply_to`` on ``basis_columns``."""
+
+    @pytest.mark.parametrize("rows", BASIS_ROWS)
+    @pytest.mark.parametrize("position", POSITIONS)
+    def test_matches_apply_to_on_basis_columns(self, position, rows):
+        layout, rows = POSITION_LAYOUT, np.array(BASIS_ROWS[rows], dtype=np.int64)
+        columns = basis_columns(layout.total_dim, rows)
+        then = LinearOp(layout, ("S",), haar_random_unitary(3, 6))
+        ops = _each_kind(layout, POSITIONS[position], 5)
+        ops.pop("projector")
+        for kind, op in ops.items():
+            for applied in (op, op.adjoint()):
+                for chain in (OpChain((applied,)), OpChain((applied, then))):
+                    out = chain.on_basis(layout, rows)
+                    assert out.shape == columns.shape
+                    np.testing.assert_allclose(
+                        out, chain.apply_to(layout, columns), rtol=0, atol=1e-15, err_msg=kind
+                    )
+
+    def test_refuses_what_apply_to_refuses(self):
+        layout = TestApartTargets.LAYOUT
+        apart = OpChain((LinearOp(layout, ("A", "C"), haar_random_unitary(4, 10)),))
+        with pytest.raises(LayoutMismatchError, match="are not adjacent"):
+            apart.on_basis(layout, np.arange(3))
+        elsewhere = RegisterLayout([("A", 2), ("B", 3)])
+        with pytest.raises(LayoutMismatchError, match="operator targets"):
+            apart.on_basis(elsewhere, np.arange(3))
+
+    def test_no_householder_factor_gets_more_columns_than_its_side(self, monkeypatch):
+        # blocks --n 3 keeps 384 of 768 basis columns, a (64, 4608) block for
+        # its verifier if handed whole; on_basis hands it its 64 side basis
+        # vectors alone, and the identities still hold.
+        from zkamp.amplify import block_decompose, verify_block_identities
+        from zkamp.protocol import Instance, adversarial_verifier
+        from zkamp.simulator import build_circuit
+        from zkamp.symm import Graph
+
+        inst = Instance.from_graphs(Graph(3, [(0, 1), (1, 2)]), Graph(3, [(0, 1), (0, 2)]))
+        circ = build_circuit(inst, adversarial_verifier((2, 2), 3, 7, inst.codes[0]))
+        shapes, act = [], HouseholderOp._act
+        monkeypatch.setattr(HouseholderOp, "_act", lambda op, x: shapes.append(x.shape) or act(op, x))
+        b = block_decompose(circ.attempt, circ.success_proj, circ.layout)
+        assert max(verify_block_identities(b)) < 1e-10
+        assert shapes == [(1, 64, 64)]
