@@ -84,7 +84,7 @@ class RunConfig:
         if min(self.dims) < 1:
             raise ConfigError(f"dims must be >= 1, got {self.dims}")
         if self.seed < 0:
-            raise ConfigError(f"the seed (--seed or ZKAMP_SEED) must be >= 0, got {self.seed}")
+            raise ConfigError(f"--seed must be >= 0, got {self.seed}")
         if self.out is not None:
             _check_writable(self.out)
 
@@ -619,7 +619,7 @@ FLAGS = {
     "--g1": dict(help="second graph, e.g. 01,02"),
     "--m": dict(type=int, help="guess-space dimension of the abstract circuit"),
     "--trials": dict(type=int, default=1),
-    "--seed": dict(type=int, default=0, help="base seed (env ZKAMP_SEED overrides)"),
+    "--seed": dict(type=int, default=0, help="base seed"),
     "--dim-w": dict(type=int, default=2),
     "--dim-v": dict(type=int, default=2),
     # Defaulted in config_from_args, so that blocks --m can refuse an explicit value.
@@ -691,13 +691,6 @@ def _parse_lambdas(text: str) -> list[float]:
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     opts = {**_UNSET, **vars(args)}
-    seed = opts["seed"]
-    env_seed = os.environ.get("ZKAMP_SEED")
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            raise ConfigError(f"ZKAMP_SEED must be an integer, got {env_seed!r}") from None
     if args.command == "blocks" and opts["m"] is not None:
         given = [f"--{key}" for key in ("n", "g0", "g1", "completion") if opts[key] is not None]
         if given:
@@ -705,7 +698,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
                 f"blocks --m builds the abstract 1/m circuit, which ignores {', '.join(given)}"
             )
     opts.update(
-        seed=seed,
         dims=(opts.pop("dim_w"), opts.pop("dim_v")),
         completion=opts["completion"] or COMPLETIONS[0],
     )

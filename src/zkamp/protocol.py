@@ -16,7 +16,8 @@ two views is the sum of per-record block distances.  Each block's factor
 columns are the verifier's :class:`StartBlock` on s = dim_w * |orbit| start
 coefficients beta, at A=a: ``Q_a R_a beta``, held as its s x s triangles
 ``R_a`` alone, taken from the Grams ``M_a^† M_a`` of the block's A=a rows,
-which a drawn verifier gives from its reflectors without forming ``M_a``.  A
+which a drawn verifier gives from its reflectors without forming ``M_a``,
+and any other verifier from its outputs, a chunk of rows at a time.  A
 view keeps the s-row columns ``R_a beta`` in one zero-padded stack, and two
 views on one start block are compared through one stacked QR of their
 paired factors, since the trace norm does not see Q_a; no W,V,Y vector or
@@ -41,6 +42,7 @@ from .registers import (
     StateVector,
     basis_columns,
     haar_random_op,
+    part_grams,
     random_state,
     trace_distance_matrices,
 )
@@ -333,9 +335,9 @@ class StartBlock(NamedTuple):
     ``R_a^† R_a = M_a^† M_a``, the Gram it is taken from; ``Q_a`` is never
     formed.  The block is held as the triangles alone, read through ``ver``,
     the verifier it was formed from, and alone splits s into (w, code):
-    :meth:`code_columns` and its adjoint :meth:`code_overlaps` read a W vector
-    at every code.  (A named tuple, not a frozen dataclass, costs a fresh
-    interpreter 0.5 ms less.)
+    :meth:`code_columns` reads W coefficients at given codes, and
+    :meth:`code_grams` is the Gram's dim_w x dim_w block at each code.  (A
+    named tuple, not a frozen dataclass, costs a fresh interpreter 0.5 ms less.)
     """
 
     codes: np.ndarray
@@ -350,16 +352,15 @@ class StartBlock(NamedTuple):
             raise ValueError(f"Y codes {codes.tolist()} are not all among {self.codes.tolist()}")
         return found
 
-    def code_columns(self, x: np.ndarray) -> np.ndarray:
-        """``R_a (x (x) e_m)`` for W vector ``x`` and each block code m: shape (2, s, |codes|)."""
+    def code_columns(self, u: np.ndarray, rows) -> np.ndarray:
+        """``R_a (u[a, :, j] (x) e_{rows[j]})`` for u broadcast to (2, dim_w, J): shape (2, s, J)."""
         triangles = self.triangles.reshape(2, -1, self.ver.dim_w, self.codes.size)
-        return np.einsum("aswm,w->asm", triangles, x)
+        return sum(triangles[:, :, w, rows] * u[..., w, None, :] for w in range(self.ver.dim_w))
 
-    def code_overlaps(self, x: np.ndarray) -> np.ndarray:
-        """The W part at code m of ``R_a^† R_a (x (x) e_m)``: shape (2, dim_w, |codes|)."""
-        triangles = self.triangles.reshape(2, -1, self.ver.dim_w, self.codes.size)
-        # The adjoint read of code_columns, conjugated around it so no triangle is copied.
-        return np.einsum("aswm,asm->awm", triangles, self.code_columns(x).conj()).conj()
+    def code_grams(self) -> np.ndarray:
+        """K: ``K[a, m]`` is the dim_w x dim_w block of ``R_a^† R_a`` at code m, one per code."""
+        r = self.triangles.reshape(2, -1, self.ver.dim_w, self.codes.size).transpose(0, 3, 2, 1)
+        return r.conj() @ r.swapaxes(2, 3)
 
     def same_as(self, other: "StartBlock") -> bool:
         """Whether both are of one verifier object and codes: equal triangles may hide two Q_a."""
@@ -370,7 +371,7 @@ def start_block(ver: VerifierModel, n: int, codes) -> StartBlock:
     """The :class:`StartBlock` of the distinct ``codes``, from its two challenge halves' Grams.
 
     A verifier drawn on exactly these columns gives them from its reflectors; any other, a draw's
-    adjoint too, is applied to the basis columns, whose outputs live until their halves' Grams.
+    adjoint too, is applied to the basis columns, and its outputs are read by :func:`part_grams`.
     """
     layout, u = view_layout(ver.dims, n), ver.u_v
     inputs, parts = start_columns(layout, codes), ver.dims[0] * ver.dims[1]
@@ -378,10 +379,7 @@ def start_block(ver: VerifierModel, n: int, codes) -> StartBlock:
     if drawn and np.array_equal(u.inputs, inputs):
         grams = u.input_grams(parts, 2)
     else:
-        outputs = u.apply_to(layout, basis_columns(layout.total_dim, inputs))
-        halves = outputs.reshape(parts, 2, -1, inputs.size)
-        halves = [halves[:, a].reshape(-1, inputs.size) for a in (0, 1)]
-        grams = [half.conj().T @ half for half in halves]
+        grams = part_grams(u.apply_to(layout, basis_columns(layout.total_dim, inputs)), parts, 2)
     triangles = np.stack([_triangle(gram) for gram in grams])
     # The W = 0 start columns are the sorted distinct codes themselves.
     return StartBlock(inputs[: inputs.size // ver.dim_w], triangles, ver)
@@ -422,5 +420,5 @@ def real_view_recorded(
     n, codes = inst.n, inst.codes[0]
     check_aux(ver.dim_w, aux)
     block = start_block(ver, n, codes) if block is None else block
-    columns = block.code_columns(aux.amps)[:, :, block.columns(codes)] * np.sqrt(1.0 / codes.size)
+    columns = block.code_columns(aux.amps[:, None], block.columns(codes)) / np.sqrt(codes.size)
     return columns_view(block, n, columns, codes, inst.responses if keep_z else None)

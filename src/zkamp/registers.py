@@ -365,8 +365,27 @@ _PANEL_WIDTH = 64
 # round of numpy calls per chunk; a block at most a quarter as wide as tall, such as a (512, 48)
 # batch of states, is one chunk.
 _CHUNKS = 32
-# :meth:`HouseholderOp.input_grams` reads the reflectors in chunks of at most this many rows.
+# :func:`part_grams` reads its rows, a start block's outputs or reflectors, in chunks of at most
+# this many, so that beside them it holds one chunk and its conjugate.
 GRAM_ROWS = 2**10
+
+
+def part_grams(rows: np.ndarray, parts: int, split: int, keep=True) -> np.ndarray:
+    """``X_i† X_i`` for X_i the kept rows at middle index i of (parts, split, rest)."""
+    v = rows.reshape(parts, split, -1, rows.shape[1])
+    rest, k = v.shape[2:]
+    keep = np.broadcast_to(keep, len(rows)).reshape(parts, split, rest, 1)
+    step, cut = max(GRAM_ROWS // (split * rest), 1), min(GRAM_ROWS // split, rest)
+    grams = np.zeros((split, k, k), dtype=complex)
+    for p in range(0, parts, step):
+        for r in range(0, rest, cut):
+            at = np.s_[p : p + step, :, r : r + cut]
+            chunk = v[at].swapaxes(0, 1).reshape(split, -1, k)
+            kept = keep[at].swapaxes(0, 1).reshape(split, -1, 1)
+            kept = np.conjugate(chunk, out=np.zeros_like(chunk), where=kept)
+            grams += kept.swapaxes(1, 2) @ chunk
+            del chunk, kept  # so that no two chunks' copies are held at once
+    return grams
 
 
 @dataclass(frozen=True)
@@ -511,20 +530,10 @@ class HouseholderOp:
         if self.inverse:
             raise ValueError("input Grams are of the operator, not of its adjoint")
         k, heads = self.columns, self.inputs
-        v = self.reflectors.reshape(parts, split, -1, k)
-        rest = v.shape[2]
-        others = np.ones((parts, split, rest, 1), dtype=bool)
-        others.reshape(-1)[heads] = False
-        step, cut = max(GRAM_ROWS // (split * rest), 1), min(GRAM_ROWS // split, rest)
-        grams = np.zeros((split, k, k), dtype=complex)
-        for p in range(0, parts, step):
-            for r in range(0, rest, cut):
-                rows = np.s_[p : p + step, :, r : r + cut]
-                chunk = v[rows].swapaxes(0, 1).reshape(split, -1, k)
-                kept = others[rows].swapaxes(0, 1).reshape(split, -1, 1)
-                kept = np.conjugate(chunk, out=np.zeros_like(chunk), where=kept)
-                grams += kept.swapaxes(1, 2) @ chunk
-                del chunk, kept  # so that no two chunks' copies are held at once
+        others = np.ones(len(self.reflectors), dtype=bool)
+        others[heads] = False
+        grams = part_grams(self.reflectors, parts, split, others)
+        rest = len(self.reflectors) // (parts * split)
         head_rows, z = self.reflectors[heads], np.zeros((k, k), dtype=complex)
         whole = grams.sum(axis=0) + head_rows.conj().T @ head_rows
         for s in reversed(range(0, k, _PANEL_WIDTH)):

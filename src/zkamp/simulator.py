@@ -16,12 +16,13 @@ The amplified state is the step in closed form.  The start phase is
 images ``cols`` of those states (Brassard, Hoyer, Mosca and Tapp 2002).  The
 splits, and the writer XORing branch j's code into the zero Y, put a start
 state on g0's orbit codes alone, so a (B, Z) branch is its weight and its
-code: before and after the step, branch j is ``c_j`` times the verifier's
-:class:`~zkamp.protocol.StartBlock`, which alone splits its s = dim_w *
-|orbit| coefficients into (w, code), on a W vector at code ``m_j``.
-``zk-check`` keeps each branch's A=a part ``Q_a R_a beta`` as its s-row
-column ``R_a beta`` (:func:`amplified_columns`), and reads the view and the
-transcript's Born table off them; it never applies the writer.
+code: after any number of steps (:func:`coefficient_step`), branch j's A=a
+part is ``M_a (u (x) e_{m_j})``, ``u = c_j aux`` before the first, for the
+verifier's :class:`~zkamp.protocol.StartBlock`, which alone splits its s =
+dim_w * |orbit| coefficients into (w, code).  ``zk-check`` keeps each A=a
+part ``Q_a R_a beta`` as its s-row column ``R_a beta``, formed once after
+the step (:func:`amplified_columns`), reads the view and the transcript's
+Born table off them, and never applies the writer.
 
 Everything the derivation claims is exposed as a numeric check on the
 operator chain itself: the half-probability block identity, the one-step
@@ -292,7 +293,7 @@ def _norm_chain(circ: SimulatorCircuit, aux: StateVector, projected: np.ndarray)
     tables = np.array([inst.codes, _witness_codes(inst), inst.codes[[0, 0]]])
     block = start_block(circ.ver, inst.n, inst.codes[0])
     guessed, substituted, plain = block.columns(tables)
-    by_challenge = block.code_columns(aux.amps)  # (challenge a, s, code)
+    by_challenge = block.code_columns(aux.amps[:, None], range(block.codes.size))  # (a, s, code)
     branches = by_challenge[:, :, guessed]  # (challenge a, s, guess b, relabeling z)
     collapsed = np.einsum("brbz->brz", branches)
     slice_sq = np.sum(np.abs(by_challenge) ** 2, axis=1)  # (challenge a, code)
@@ -334,39 +335,37 @@ def branch_weights(circ: SimulatorCircuit, block: StartBlock) -> tuple[np.ndarra
     return weights, block.columns(codes)
 
 
-def start_basis_step(
-    circ: SimulatorCircuit, block: StartBlock, weights, rows, x, phi: complex, varphi: complex
+def coefficient_step(
+    circ: SimulatorCircuit, block: StartBlock, weights, rows, u, phi: complex, varphi: complex
 ) -> np.ndarray:
-    """:func:`grover_step` ``(phi, varphi)`` on branches ``c_j U_start (x (x) e_{m_j})``, as columns.
+    """:func:`grover_step` ``(phi, varphi)`` on W coefficients ``u``, shape (2, dim_w, 2 n!).
 
-    The success phase scales branch j's A=a part by ``phi_{a, b_j}``, then
-    ``I + (phi - 1) cols cols^†`` acts, ``cols y = sum_j c_j U_start (y (x)
-    e_{m_j})``.  As ``M_a^† M_a = R_a^† R_a``, ``cols^†`` of the phased branches
-    is ``xi = sum_j |c_j|^2 sum_a phi_{a, b_j} block.code_overlaps(x)[a, :, m_j]``,
-    and branch j's A=a part ``c_j M_a ((phi_{a, b_j} x + (phi - 1) xi) (x)
-    e_{m_j})``, whose ``R_a`` column is returned at ``[a, :, j]``.
+    Branch j's A=a part is ``M_a (u[a, :, j] (x) e_{m_j})``.  The success phase scales it by
+    ``phi_{a, b_j}``, then ``I + (phi - 1) cols cols^†`` acts, ``cols y = sum_j c_j U_start (y
+    (x) e_{m_j})``.  As ``M_a^† M_a = R_a^† R_a``, ``cols^†`` of the phased branches is ``xi =
+    sum_j conj(c_j) sum_a K[a, m_j] u[a, :, j]``, for the block's ``code_grams`` K, and branch j
+    gains ``(phi - 1) c_j xi``.  Any ``u`` that broadcasts to that shape is taken.
     """
     dims = [circ.layout.dim_of(name) for name in circ.success_proj.targets]  # (A, B)
     table = phase_on_success(circ.success_proj, varphi).phases.reshape(dims)
     guess = np.arange(weights.size) // (weights.size // dims[1])
-    overlaps = block.code_overlaps(x)[:, :, rows]
-    xi = np.einsum("awj,aj->w", overlaps, table[:, guess] * np.abs(weights) ** 2)
-    # The bracket's R_a column at every (challenge a, s, guess b, code m).
-    by_code = table[:, None, :, None] * block.code_columns(x)[:, :, None, :]
-    by_code += ((phi - 1) * block.code_columns(xi))[:, :, None, :]
-    return by_code[:, :, guess, rows] * weights
+    u = table[:, None, guess] * u
+    xi = np.einsum("ajwv,avj->w", block.code_grams()[:, rows], u * weights.conj())
+    return u + (phi - 1) * np.multiply.outer(xi, weights)
 
 
 def amplified_columns(circ: SimulatorCircuit, aux: StateVector, block: StartBlock) -> np.ndarray:
-    """Factor columns of the attempt output on ``aux`` after one phase-i :func:`start_basis_step`.
+    """Factor columns of the attempt output on ``aux`` after one phase-i :func:`coefficient_step`.
 
     ``U_V`` acts once, when ``block``, the start block of ``inst.codes[0]``, is
-    formed, and each branch is its weight and its code (:func:`branch_weights`).
-    The state is ``grover_step(circ, 1j, 1j)`` on :func:`attempt_output`, the
-    identity ``verify-eq2`` certifies.
+    formed, and each branch is its weight and its code (:func:`branch_weights`), so
+    the attempt output is ``aux (x) c``.  The state is ``grover_step(circ, 1j, 1j)``
+    on :func:`attempt_output`, the identity ``verify-eq2`` certifies.
     """
     check_aux(circ.dim_w, aux)
-    columns = start_basis_step(circ, block, *branch_weights(circ, block), aux.amps, 1j, 1j)
+    weights, rows = branch_weights(circ, block)
+    u = coefficient_step(circ, block, weights, rows, np.outer(aux.amps, weights), 1j, 1j)
+    columns = block.code_columns(u, rows)
     norm = float(np.linalg.norm(columns))
     if abs(norm - 1.0) > NORM_SLACK:
         raise AssertionError(f"amplified state has norm {norm}")

@@ -66,9 +66,8 @@ def _case_id(case) -> str:
 @pytest.mark.parametrize(
     "case", [(op, seed) for op in OPERATIONS for seed in SEEDS], ids=_case_id
 )
-def test_operation_passes_the_checker(case, monkeypatch):
+def test_operation_passes_the_checker(case):
     op, seed = case
-    monkeypatch.delenv("ZKAMP_SEED", raising=False)  # as the benchmark does
     argv = list(op.argv) + ["--seed", str(seed)]
     code, out, err = _run(argv)
     if op.oversize:

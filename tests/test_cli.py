@@ -578,6 +578,26 @@ def test_draw_and_start_block_fit_their_copies(g0, g1, dims):
     assert block_peak - held <= 0.5 * array
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (4, 1)], ids=["n5-2x2", "n5-4x1"])
+def test_applied_start_block_holds_its_outputs_and_one_more_array(dims):
+    # A verifier not drawn on exactly the start columns is applied to them.  Beside its side x s
+    # outputs the start block holds their input columns while it acts, and then a chunk of
+    # GRAM_ROWS output rows and its conjugate while the two halves' Grams are read; copying
+    # each half and its conjugate held 1.5 arrays more.
+    g0 = parse_graph_literal("n=5;edges=01,12,23,34")
+    codes = protocol.Instance.from_graphs(g0, g0).codes[0]
+    s, side = dims[0] * len(set(codes.tolist())), protocol.view_layout(dims, 5).total_dim
+    array = 16 * side * s
+    ver = protocol.honest_verifier(dims, 5)
+    tracemalloc.start()
+    try:
+        protocol.start_block(ver, 5, codes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - array <= array + 16 * (2 * registers.GRAM_ROWS + 8 * s) * s + side
+
+
 @pytest.mark.parametrize(
     "argv",
     [["zk-check", *N4, "--keep-z", "--trials", "1"], ["verify-eq2", *N4, "--trials", "1"]],
@@ -761,13 +781,12 @@ class TestDeterminism:
         _, second = run_capture(capsys, ZK_ARGS[:-1] + ["8"])
         assert strip_timings(first) != strip_timings(second)
 
-    def test_env_seed_overrides_flag(self, capsys, monkeypatch):
-        monkeypatch.setenv("ZKAMP_SEED", "7")
-        _, env_based = run_capture(capsys, ZK_ARGS[:-1] + ["999"])
-        monkeypatch.delenv("ZKAMP_SEED")
+    def test_seed_comes_from_the_flag_alone(self, capsys, monkeypatch):
+        # The environment variable that once overrode --seed is read no more.
         _, flag_based = run_capture(capsys, ZK_ARGS)
-        assert json.loads(env_based)["config"]["seed"] == 7
-        assert strip_timings(env_based) == strip_timings(flag_based)
+        monkeypatch.setenv("ZKAMP_SEED", "999")
+        _, with_env = run_capture(capsys, ZK_ARGS)
+        assert strip_timings(with_env) == strip_timings(flag_based)
 
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         path = tmp_path / "report.json"
@@ -789,10 +808,38 @@ class TestDeterminism:
         assert run(argv) == 2
         assert "must be >= 0, got -1" in capsys.readouterr().err
 
-    def test_negative_env_seed_refused(self, capsys, monkeypatch):
-        monkeypatch.setenv("ZKAMP_SEED", "-3")
-        assert run(ZK_ARGS) == 2
-        assert "must be >= 0, got -3" in capsys.readouterr().err
+
+# zk-check's benchmark lines, each with the graph it sends, and at three seeds the guess,
+# challenge and relabeling of each line's transcript, as the step on one W vector drew them.
+ZK_LINES = {
+    "zk-n4-keepz": (["zk-check", *N4, "--keep-z"], "n=4;edges=01,12,23"),
+    "zk-n3-wide": (["zk-check", *N3, "--dim-w", "8", "--dim-v", "8"], "n=3;edges=01,12"),
+}
+PINNED_TRANSCRIPTS = {
+    ("zk-n4-keepz", 7): (1, 1, [1, 3, 2, 0]),
+    ("zk-n4-keepz", 11): (1, 1, [2, 0, 1, 3]),
+    ("zk-n4-keepz", 12345): (0, 0, [3, 2, 1, 0]),
+    ("zk-n3-wide", 7): (1, 1, [1, 0, 2]),
+    ("zk-n3-wide", 11): (1, 1, [1, 2, 0]),
+    ("zk-n3-wide", 12345): (0, 0, [2, 1, 0]),
+}
+
+
+@pytest.mark.parametrize("line, seed", list(PINNED_TRANSCRIPTS))
+def test_zk_check_benchmark_lines_keep_their_transcripts(capsys, line, seed):
+    argv, sent = ZK_LINES[line]
+    code, out = run_capture(capsys, [*argv, "--trials", "1", "--seed", str(seed)])
+    guess, challenge, relabeling = PINNED_TRANSCRIPTS[line, seed]
+    (record,) = json.loads(out)["records"]
+    assert code == 0 and record["pass"] is True and record["verifier_columns"] == 24
+    assert record["transcript"] == {
+        "guess": guess,
+        "challenge": challenge,
+        "relabeling": relabeling,
+        "sent": sent,
+        "accepted": True,
+    }
+    assert record["value"] <= registers.ATOL_OP
 
 
 class TestCommandContents:
@@ -1071,26 +1118,26 @@ ZK_N3_KEEPZ = ["zk-check", *N3, "--keep-z", "--trials", "1", "--seed", "7"]
 # that claim; a further defect of the same claim adds "/" and its own name.
 FAULTS = {
     # The simulator skips amplification and shows the verifier one attempt: the
-    # start-basis step with both phases 1 is the identity.
+    # coefficient step with both phases 1 is the identity.
     "view-equality": (
         ZK_N3_KEEPZ,
         _patch(
             simulator,
-            "start_basis_step",
-            lambda original: lambda circ, basis, weights, rows, x, phi, vp: original(
-                circ, basis, weights, rows, x, 1, 1
+            "coefficient_step",
+            lambda original: lambda circ, basis, weights, rows, u, phi, vp: original(
+                circ, basis, weights, rows, u, 1, 1
             ),
         ),
     ),
-    # The start-basis step's correction takes the start phase -1 in place of i: the
+    # The coefficient step's correction takes the start phase -1 in place of i: the
     # step stays unitary, so the norm check passes, but leaves weight on wrong guesses.
     "view-equality/start-phase": (
         ZK_N3_KEEPZ,
         _patch(
             simulator,
-            "start_basis_step",
-            lambda original: lambda circ, basis, weights, rows, x, phi, vp: original(
-                circ, basis, weights, rows, x, -1, vp
+            "coefficient_step",
+            lambda original: lambda circ, basis, weights, rows, u, phi, vp: original(
+                circ, basis, weights, rows, u, -1, vp
             ),
         ),
     ),

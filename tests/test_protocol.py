@@ -325,7 +325,7 @@ class TestRealView:
         # an isometry, so the block's code columns have the Gram matrix of the
         # dense outputs' A=a parts.
         aux = random_aux(2, seed=6)
-        picked = block.code_columns(aux.amps)[:, :, block.columns([3, 0, 3])]
+        picked = block.code_columns(aux.amps[:, None], block.columns([3, 0, 3]))
         starts = [np.kron(aux.amps, np.eye(layout.total_dim // 2)[code]) for code in [3, 0, 3]]
         outs = (dense @ np.stack(starts, axis=1)).reshape(DIMS[0] * DIMS[1], 2, -1, 3)
         for a in (0, 1):
@@ -452,17 +452,17 @@ class TestStartBlock:
 
     @pytest.mark.parametrize("kind", ["adversarial", "honest"])
     @pytest.mark.parametrize("dims", [(1, 1), (2, 2), (1, 4), (4, 1)])
-    def test_code_overlaps_are_the_gram_of_the_start_outputs(self, dims, kind):
-        # [a, :, m] is R_a† R_a = M_a† M_a on x (x) e_m, read at code m's rows.
+    def test_code_grams_are_the_grams_of_the_challenge_halves(self, dims, kind):
+        # [a, m] is the W block at code m of R_a† R_a = M_a† M_a, the dense A=a half's Gram.
         ver = honest_verifier(dims, 3) if kind == "honest" else adversarial_verifier(dims, 3, 5)
         block = start_block(ver, 3, [5, 0, 3])
-        x = 1.7 * random_aux(dims[0], seed=4).amps
         outputs = start_outputs(ver, 3, block.codes)
         s = outputs.shape[1]
         halves = outputs.reshape(dims[0] * dims[1], 2, -1, s).swapaxes(0, 1).reshape(2, -1, s)
         gram = (halves.conj().swapaxes(1, 2) @ halves).reshape(2, dims[0], 3, dims[0], 3)
-        expected = np.einsum("awmvm,v->awm", gram, x)
-        assert np.max(np.abs(block.code_overlaps(x) - expected)) <= 1e-14
+        expected = np.einsum("awmvm->amwv", gram)
+        assert block.code_grams().shape == (2, 3, dims[0], dims[0])
+        assert np.max(np.abs(block.code_grams() - expected)) <= 1e-14
 
     def test_same_as_blocks_of_one_verifier_object(self):
         ver = adversarial_verifier(DIMS, 3, seed=5)

@@ -24,13 +24,13 @@ from zkamp.simulator import (
     attempt_output,
     branch_weights,
     build_circuit,
+    coefficient_step,
     grover_step,
     phase_on_start,
     phase_on_success,
     sample_round,
     sim_layout,
     simulate_round_recorded,
-    start_basis_step,
     success_block_residual,
     success_projector,
     uniform_superposition_unitary,
@@ -484,8 +484,8 @@ def zk_check_states(argv, amplified=True):
     if amplified:
         return circ, operator_amplified_state(circ, aux), amplified_columns(circ, aux, block)
     weights, rows = branch_weights(circ, block)
-    step = start_basis_step(circ, block, weights, rows, aux.amps, 1, 1)
-    return circ, attempt_output(circ, aux), step
+    u = coefficient_step(circ, block, weights, rows, np.outer(aux.amps, weights), 1, 1)
+    return circ, attempt_output(circ, aux), block.code_columns(u, rows)
 
 
 SAMPLED_STATES = {

@@ -30,7 +30,7 @@ from zkamp.protocol import (
     start_block,
     view_layout,
 )
-from zkamp.registers import DiagonalOp, LinearOp, OpChain, StateVector, XorOp
+from zkamp.registers import HADAMARD, DiagonalOp, LinearOp, OpChain, StateVector, XorOp
 from zkamp.simulator import (
     COMPLETIONS,
     amplification_check,
@@ -41,8 +41,8 @@ from zkamp.simulator import (
     grover_step,
     recorded_view,
     sample_round,
+    coefficient_step,
     simulate_round_recorded,
-    start_basis_step,
 )
 from zkamp.symm import Graph
 
@@ -188,9 +188,37 @@ class TestStep:
         x = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         outputs = start_outputs(circ.ver, 3, block.codes).reshape(-1, 2, block.codes.size)
         state = np.tensordot(outputs, x, axes=(1, 0))[:, rows] * weights
-        closed = isometries(block, 3) @ start_basis_step(circ, block, weights, rows, x, *phases)
+        u = coefficient_step(circ, block, weights, rows, np.outer(x, weights), *phases)
+        closed = isometries(block, 3) @ block.code_columns(u, rows)
         chain = grover_step(circ, *phases).apply_to(circ.layout, state.reshape(-1))
         assert np.max(np.abs(closed - by_challenge(chain, (2, 2), weights.size))) <= AGREE
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "n, dims, completion, split_phase",
+        [(3, (2, 2), COMPLETIONS[0], 0), (3, (4, 1), COMPLETIONS[0], 0), (4, (2, 2), "dft", 0)]
+        + [(3, (2, 2), COMPLETIONS[0], 0.7)],
+    )
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_k_steps_are_the_operator_chain(self, k, n, dims, completion, split_phase, kind):
+        # Composition is k calls: the coefficients after k mixed phase pairs
+        # against grover_step applied k times to the attempt output.
+        circ = circuit(n, dims, kind, completion)
+        if split_phase:
+            # A B split whose first column carries a phase makes the weights c_j complex.
+            _, *rest = circ.attempt.factors
+            phased = np.diag([1, np.exp(1j * split_phase)]) @ HADAMARD
+            split_b = LinearOp(circ.layout, ("B",), phased)
+            circ = dataclasses.replace(circ, attempt=OpChain((split_b, *rest)))
+        aux = random_aux(dims[0], 3 * n + dims[0])
+        block = start_block(circ.ver, n, circ.inst.codes[0])
+        weights, rows = branch_weights(circ, block)
+        u, state = np.outer(aux.amps, weights), attempt_output(circ, aux)
+        for phases in [(1j, 1j), (-1, -1), (np.exp(0.3j), np.exp(1.1j))][:k]:
+            u = coefficient_step(circ, block, weights, rows, u, *phases)
+            state = grover_step(circ, *phases).apply_to(circ.layout, state)
+        closed = isometries(block, n) @ block.code_columns(u, rows)
+        assert np.max(np.abs(closed - by_challenge(state, dims, weights.size))) <= AGREE
 
     def test_weights_give_the_attempt_output(self):
         circ = circuit(4, (2, 2), "adversarial", "dft")
