@@ -23,7 +23,7 @@ them, so neither that matrix, its QR, Q nor ``U† U`` is ever formed.  When
 only some columns of the unitary are ever read, only that many reflectors
 are drawn, and a row order says which columns they are; the operator keeps
 one copy of the reflectors with their rows already in layout order, so it
-updates a block in place, a column chunk at a time, and never gathers or
+updates a copy of a block in place, in one pass, and never gathers or
 scatters its rows.  Each panel's Gram matrix gives both its T factor, in
 closed form, and its part of a spectral-norm bound that validates the
 operator.
@@ -359,14 +359,8 @@ def _check_order(order: np.ndarray, side: int) -> None:
 
 # Columns per compact-WY panel of a Householder operator.
 _PANEL_WIDTH = 64
-# A (side, post) block is applied in column chunks of ``max(ceil(post / _CHUNKS), side // 4)``
-# columns.  A chunk's products, with the buffer numpy takes to update a strided chunk in place,
-# stay under about an eighth of a block at least 8 times as wide as tall, at the cost of one
-# round of numpy calls per chunk; a block at most a quarter as wide as tall, such as a (512, 48)
-# batch of states, is one chunk.
-_CHUNKS = 32
 # :func:`part_grams` reads its rows, a start block's outputs or reflectors, in chunks of at most
-# this many, so that beside them it holds one chunk and its conjugate.
+# this many, so that beside them it holds a chunk's rows at one middle index and their conjugate.
 GRAM_ROWS = 2**10
 
 
@@ -374,17 +368,18 @@ def part_grams(rows: np.ndarray, parts: int, split: int, keep=True) -> np.ndarra
     """``X_i† X_i`` for X_i the kept rows at middle index i of (parts, split, rest)."""
     v = rows.reshape(parts, split, -1, rows.shape[1])
     rest, k = v.shape[2:]
-    keep = np.broadcast_to(keep, len(rows)).reshape(parts, split, rest, 1)
+    keep = np.broadcast_to(keep, len(rows)).reshape(parts, split, rest)
     step, cut = max(GRAM_ROWS // (split * rest), 1), min(GRAM_ROWS // split, rest)
     grams = np.zeros((split, k, k), dtype=complex)
     for p in range(0, parts, step):
         for r in range(0, rest, cut):
-            at = np.s_[p : p + step, :, r : r + cut]
-            chunk = v[at].swapaxes(0, 1).reshape(split, -1, k)
-            kept = keep[at].swapaxes(0, 1).reshape(split, -1, 1)
-            kept = np.conjugate(chunk, out=np.zeros_like(chunk), where=kept)
-            grams += kept.swapaxes(1, 2) @ chunk
-            del chunk, kept  # so that no two chunks' copies are held at once
+            for i in range(split):
+                at = np.s_[p : p + step, i, r : r + cut]
+                chunk = v[at].reshape(-1, k)
+                kept = chunk.conj()
+                kept[~keep[at].reshape(-1)] = 0
+                grams[i] += kept.T @ chunk
+                del chunk, kept  # so that no two copies are held at once
     return grams
 
 
@@ -406,11 +401,11 @@ class HouseholderOp:
     ``V = reflectors[:, s:e]`` (rows ``s:`` only without an order, where the
     rows above are zero) and the upper triangular ``T = tfactors[s:e, :e - s]``.
     ``_act`` copies a (pre, d, post) view once and updates the copy in place,
-    one chunk of post columns at a time, by the phases and each panel
-    ``x -= V (T (V† x))`` on the middle axis, with every product broadcast
-    over pre, so the targets may sit at any adjacent position.  That costs
-    about ``2 d k`` multiply-adds per vector; neither Q, ``U† U`` nor, in
-    :meth:`input_grams`, U's input columns are ever formed.
+    in one pass, by the phases and each panel ``x -= V (T (V† x))`` on the
+    middle axis, with every product broadcast over pre, so the targets may
+    sit at any adjacent position.  That costs about ``2 d k`` multiply-adds
+    per vector; neither Q, ``U† U`` nor, in :meth:`input_grams`, U's input
+    columns are ever formed.
     """
 
     layout: RegisterLayout
@@ -547,40 +542,20 @@ class HouseholderOp:
         return grams
 
     def _act(self, x: np.ndarray) -> np.ndarray:
-        """The operator on a copy of a (pre, side, post) block, updated in place chunk by chunk."""
+        """The operator on a copy of a (pre, side, post) block, updated in place in one pass."""
         out = x.copy()
-        _, side, post = out.shape
         heads = slice(self.columns) if self.order is None else self.order[: self.columns]
         phases = (self.phases.conj() if self.inverse else self.phases)[:, None]
         panels = list(self._panels())
         if not self.inverse:
             panels.reverse()
-        width = max(-(-post // _CHUNKS), side // 4, 1)
-        for start in range(0, post, width):
-            chunk = out[:, :, start : start + width]
-            if not self.inverse:
-                chunk[:, heads] *= phases
-            for rows, v, t in panels:
-                chunk[:, rows] -= v @ _t_times(t, _adjoint_times(v, chunk[:, rows]), self.inverse)
-            if self.inverse:
-                chunk[:, heads] *= phases
+            out[:, heads] *= phases
+        for rows, v, t in panels:
+            w = v.conj().T @ out[:, rows]
+            out[:, rows] -= v @ ((t.conj().T if self.inverse else t) @ w)
+        if self.inverse:
+            out[:, heads] *= phases
         return out
-
-
-def _t_times(t: np.ndarray, w: np.ndarray, adjoint: bool) -> np.ndarray:
-    """``T w``, or ``T† w = conj(T^T conj(w))`` with both conjugations in place."""
-    if not adjoint:
-        return t @ w
-    w = t.T @ np.conjugate(w, out=w)
-    return np.conjugate(w, out=w)
-
-
-def _adjoint_times(v: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``v† x``, conjugating the narrower of the two: ``conj(v^T conj(x))`` is the same sum."""
-    if x.shape[-1] < v.shape[1]:
-        product = v.T @ x.conj()
-        return np.conjugate(product, out=product)
-    return v.conj().T @ x
 
 
 def _hermitian_norm(h: np.ndarray) -> float:

@@ -344,10 +344,13 @@ def coefficient_step(
     ``phi_{a, b_j}``, then ``I + (phi - 1) cols cols^†`` acts, ``cols y = sum_j c_j U_start (y
     (x) e_{m_j})``.  As ``M_a^† M_a = R_a^† R_a``, ``cols^†`` of the phased branches is ``xi =
     sum_j conj(c_j) sum_a K[a, m_j] u[a, :, j]``, for the block's ``code_grams`` K, and branch j
-    gains ``(phi - 1) c_j xi``.  Any ``u`` that broadcasts to that shape is taken.
+    gains ``(phi - 1) c_j xi``.  Any ``u`` that broadcasts to that shape is taken; a success phase
+    ``varphi`` off the unit circle is refused.
     """
+    if abs(abs(varphi) - 1.0) > ATOL_NORM:
+        raise ValueError(f"success phase {varphi} is not unit modulus")
     dims = [circ.layout.dim_of(name) for name in circ.success_proj.targets]  # (A, B)
-    table = phase_on_success(circ.success_proj, varphi).phases.reshape(dims)
+    table = ((varphi - 1) * circ.success_proj.phases + 1).reshape(dims)
     guess = np.arange(weights.size) // (weights.size // dims[1])
     u = table[:, None, guess] * u
     xi = np.einsum("ajwv,avj->w", block.code_grams()[:, rows], u * weights.conj())

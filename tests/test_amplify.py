@@ -1,7 +1,6 @@
 """Block identities, invariant subspace, phase solving, and the schedule."""
 
 import dataclasses
-import math
 import tracemalloc
 
 import numpy as np
@@ -28,7 +27,7 @@ from zkamp.amplify import (
     verify_subspace_closure,
 )
 from zkamp.protocol import Instance, adversarial_verifier, honest_verifier, random_aux
-from zkamp.registers import DiagonalOp, basis_columns
+from zkamp.registers import _PANEL_WIDTH, DiagonalOp, RegisterLayout, basis_columns
 from zkamp.simulator import (
     SimulatorCircuit,
     attempt_output,
@@ -126,7 +125,7 @@ class TestBlocksMemory:
         inst = Instance.from_graphs(PATH3, PATH3B)
         return build_circuit(inst, adversarial_verifier((2, 2), 3, 7, inst.codes[0]))
 
-    CIRCUITS = {"gmw-n3": gmw_n3, "toy-m8": lambda: toy_circuit(8, seed=7)}
+    CIRCUITS = {"gmw-n3": gmw_n3, "toy-m30": lambda: toy_circuit(30, seed=7)}
 
     @staticmethod
     def traced_peak(call):
@@ -139,24 +138,25 @@ class TestBlocksMemory:
             tracemalloc.stop()
 
     @pytest.mark.parametrize("adjoint", [False, True])
-    @pytest.mark.parametrize(
-        "name, shape", [("gmw-n3", (64, 4608)), ("toy-m8", (32, 256))], ids=["gmw-n3", "toy-m8"]
-    )
-    def test_householder_factor_allocates_one_block_and_its_chunks(self, name, shape, adjoint):
-        # Handed whole, the 768 x 384 kept columns of blocks --n 3 would be a
-        # (64, 4608) block for its verifier and the 256 x 32 ones of --m 8 a
-        # (32, 256) block for its scramble (OpChain.on_basis hands each only
-        # its side's basis vectors).  A wide block is updated in one copy, in
-        # place, one column chunk at a time.
+    @pytest.mark.parametrize("name", ["gmw-n3", "toy-m30"])
+    def test_householder_factor_on_its_basis_holds_its_copy_and_one_product(self, name, adjoint):
+        # OpChain.on_basis hands the first attempt factor, the verifier of blocks --n 3
+        # (side 64, 6 reflectors) or the scramble of blocks --m 30 (side 120, two panels),
+        # its side's basis vectors: a square block.  Beside that input the operator holds
+        # its copy, one product of the block's size, a panel's V^† x and T V^† x, T's
+        # conjugate and a few KiB of interpreter objects; a second product would not fit.
         circ = self.CIRCUITS[name]()
-        layout, op = circ.layout, circ.attempt.factors[-1]
+        op = circ.attempt.factors[-1]
         op = op.adjoint() if adjoint else op
-        kept = np.flatnonzero(circ.success_proj.apply_to(layout, np.ones(layout.total_dim)).real == 1)
-        columns = basis_columns(layout.total_dim, kept)
-        side = math.prod(layout.dim_of(reg) for reg in op.targets)
-        assert (side, columns.size // side) == shape
-        peak = self.traced_peak(lambda: op.apply_to(layout, columns))
-        assert peak <= 1.15 * columns.nbytes
+        layout = RegisterLayout(
+            (reg, dim if reg in op.targets else 1) for reg, dim in circ.layout.registers
+        )
+        side = layout.total_dim
+        block = basis_columns(side, np.arange(side))
+        width = min(op.columns, _PANEL_WIDTH)
+        panel = 16 * width * (2 * side + width)
+        peak = self.traced_peak(lambda: op.apply_to(layout, block))
+        assert peak <= 2 * block.nbytes + panel + 2**12
 
     def test_identities_hold_no_copy_of_the_factor(self):
         # With the stored factor, the identities stay within the estimate's

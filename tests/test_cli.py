@@ -435,11 +435,11 @@ def test_blocks_never_builds_the_dense_attempt_matrix(capsys):
 def test_kept_copies_bound_the_traced_decomposition(argv, spare):
     # cli.KEPT_COPIES counts the d x r blocks of kept attempt rows that
     # block_decompose holds at once where every factor has a no-move form:
-    # one factor's input and its product, the verifier's or scramble's
-    # updated in place by column chunks (traced: 2.09 blocks at n = 3 and
-    # 2.07 at m = 30).  The estimate counts one more block for the stored
+    # one factor's input and its product, the verifier or scramble acting on
+    # its own side's basis vectors only (traced: 2.01 blocks at n = 3 and
+    # 2.02 at m = 30).  The estimate counts one more block for the stored
     # factor, which is not yet allocated then; a small block's moved copies
-    # fit in it (3.16 blocks at n = 2, and 3.03 at m = 8, where the B split
+    # fit in it (3.18 blocks at n = 2, and 3.04 at m = 8, where the B split
     # of 8 x 32 amplitudes per product moves its axes).
     cfg = cli.config_from_args(build_parser().parse_args([*argv, "--seed", "7"]))
     if cfg.m is None:
@@ -557,8 +557,9 @@ def test_five_vertices_run_at_dims_4x1():
 )
 def test_draw_and_start_block_fit_their_copies(g0, g1, dims):
     # The start block takes its two halves' Grams from the reflectors: beside the held
-    # reflectors it holds a chunk of GRAM_ROWS of their rows, its masked conjugate, a side-long
-    # mask and 8 s x s arrays, under half a side x s array, where forming its columns took 2.
+    # reflectors it holds one half of a chunk of GRAM_ROWS of their rows, that half's
+    # conjugate, a side-long mask and 8 s x s arrays, under half a side x s array, where
+    # forming its columns took 2.
     # The draw holds the reflectors in DRAW_COPIES arrays.
     g0, g1 = parse_graph_literal(g0), parse_graph_literal(g1)
     codes = protocol.Instance.from_graphs(g0, g1).codes[0]
@@ -578,12 +579,31 @@ def test_draw_and_start_block_fit_their_copies(g0, g1, dims):
     assert block_peak - held <= 0.5 * array
 
 
+def test_start_block_reads_one_half_of_a_chunk_at_a_time():
+    # At n = 3, dims 8x8 (zk-n3-wide) the 1024 reflector rows are one chunk of GRAM_ROWS.
+    # Beside the held reflectors the start block holds one challenge half of it and that
+    # half's conjugate (traced 1.08 d x s arrays), where the chunk and its masked
+    # conjugate took 2.10.
+    g0, g1 = parse_graph_literal("n=3;edges=01,12"), parse_graph_literal("n=3;edges=01,02")
+    codes = protocol.Instance.from_graphs(g0, g1).codes[0]
+    ver = protocol.adversarial_verifier((8, 8), 3, 7, codes)
+    side, s = ver.u_v.reflectors.shape
+    assert side <= registers.GRAM_ROWS
+    tracemalloc.start()
+    try:
+        protocol.start_block(ver, 3, codes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * 16 * side * s
+
+
 @pytest.mark.parametrize("dims", [(2, 2), (4, 1)], ids=["n5-2x2", "n5-4x1"])
 def test_applied_start_block_holds_its_outputs_and_one_more_array(dims):
     # A verifier not drawn on exactly the start columns is applied to them.  Beside its side x s
-    # outputs the start block holds their input columns while it acts, and then a chunk of
-    # GRAM_ROWS output rows and its conjugate while the two halves' Grams are read; copying
-    # each half and its conjugate held 1.5 arrays more.
+    # outputs the start block holds their input columns while it acts, and then one half of a
+    # chunk of GRAM_ROWS output rows and that half's conjugate while the two halves' Grams are
+    # read; copying each half and its conjugate held 1.5 arrays more.
     g0 = parse_graph_literal("n=5;edges=01,12,23,34")
     codes = protocol.Instance.from_graphs(g0, g0).codes[0]
     s, side = dims[0] * len(set(codes.tolist())), protocol.view_layout(dims, 5).total_dim

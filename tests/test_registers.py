@@ -690,10 +690,10 @@ class TestHouseholderOp:
     @pytest.mark.parametrize(
         "side, inputs, post",
         [(96, None, 1), (96, None, 200), (15, [7, 2, 11], 40), (130, range(129, 59, -1), 300)],
-        ids=["full-vector", "full-chunked", "narrow", "narrow-two-panels"],
+        ids=["full-vector", "full-wide", "narrow", "narrow-two-panels"],
     )
-    def test_in_place_chunks_match_the_gather_scatter_reference(self, side, inputs, post):
-        # 96 and 130 rows hold two panels; 200 and 300 columns run in chunks.
+    def test_in_place_update_matches_the_gather_scatter_reference(self, side, inputs, post):
+        # 96 and 130 rows hold two panels; 200 and 300 columns are more than the side.
         layout = RegisterLayout([("A", side)])
         op = haar_random_op(layout, ("A",), side, None if inputs is None else list(inputs))
         rng = np.random.default_rng(post)
@@ -1114,6 +1114,25 @@ BASIS_ROWS = {
 }
 
 
+# The benchmark's operation lines (perfbench/run.py) that exit 0, and two larger
+# abstract layouts, whose Householder factors must each get at most side columns.
+_N3 = ["--n", "3", "--g0", "01,12", "--g1", "01,02"]
+_N4 = ["--n", "4", "--g0", "01,12,23", "--g1", "03,12,20"]
+HOUSEHOLDER_LINES = [
+    ["verify-eq1", *_N4, "--trials", "1"],
+    ["verify-eq2", *_N4, "--trials", "1"],
+    ["watrous", *_N4, "--trials", "1"],
+    ["blocks", *_N3, "--trials", "1"],
+    ["blocks", "--m", "8", "--trials", "1"],
+    ["phases", "--lambdas", "0.001,0.01,0.03,0.1,0.2,0.25,0.5,0.9", "--k-max", "64"],
+    ["schedule", "--m", "8"],
+    ["zk-check", *_N4, "--keep-z", "--trials", "1"],
+    ["zk-check", *_N3, "--dim-w", "8", "--dim-v", "8", "--trials", "1"],
+    ["blocks", "--m", "20"],
+    ["schedule", "--m", "100", "--steps", "2"],
+]
+
+
 class TestOnBasis:
     """A chain on basis columns equals its ``apply_to`` on ``basis_columns``."""
 
@@ -1143,19 +1162,34 @@ class TestOnBasis:
         with pytest.raises(LayoutMismatchError, match="operator targets"):
             apart.on_basis(elsewhere, np.arange(3))
 
-    def test_no_householder_factor_gets_more_columns_than_its_side(self, monkeypatch):
-        # blocks --n 3 keeps 384 of 768 basis columns, a (64, 4608) block for
-        # its verifier if handed whole; on_basis hands it its 64 side basis
-        # vectors alone, and the identities still hold.
-        from zkamp.amplify import block_decompose, verify_block_identities
-        from zkamp.protocol import Instance, adversarial_verifier
-        from zkamp.simulator import build_circuit
+    @pytest.mark.parametrize("argv", HOUSEHOLDER_LINES, ids=" ".join)
+    def test_no_householder_factor_gets_more_columns_than_its_side(self, monkeypatch, argv):
+        # HouseholderOp._act updates its whole copy in one pass, so a block wider
+        # than tall would hold a product wider than the operator.  blocks --n 3
+        # keeps 384 of 768 basis columns, a (64, 4608) block for its verifier if
+        # handed whole; on_basis hands it its 64 side basis vectors alone.
+        # zk-check reads its drawn verifier's reflectors, and phases builds no
+        # operator, so neither applies one.
+        import io
+        from contextlib import redirect_stderr, redirect_stdout
+
+        from zkamp import cli
+
+        shapes, act = [], HouseholderOp._act
+        monkeypatch.setattr(HouseholderOp, "_act", lambda op, x: shapes.append(x.shape) or act(op, x))
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert cli.run([*argv, "--seed", "7"]) == 0
+        assert bool(shapes) == (argv[0] not in ("zk-check", "phases"))
+        assert all(post <= side for _, side, post in shapes), shapes
+
+    def test_an_adjoint_draw_gets_no_more_columns_than_its_side(self, monkeypatch):
+        # A draw's adjoint is applied to the s start columns of the start block.
+        from zkamp.protocol import Instance, VerifierModel, adversarial_verifier, start_block
         from zkamp.symm import Graph
 
         inst = Instance.from_graphs(Graph(3, [(0, 1), (1, 2)]), Graph(3, [(0, 1), (0, 2)]))
-        circ = build_circuit(inst, adversarial_verifier((2, 2), 3, 7, inst.codes[0]))
+        ver = adversarial_verifier((8, 8), 3, 7, inst.codes[0])
         shapes, act = [], HouseholderOp._act
         monkeypatch.setattr(HouseholderOp, "_act", lambda op, x: shapes.append(x.shape) or act(op, x))
-        b = block_decompose(circ.attempt, circ.success_proj, circ.layout)
-        assert max(verify_block_identities(b)) < 1e-10
-        assert shapes == [(1, 64, 64)]
+        start_block(VerifierModel(ver.dims, ver.u_v.adjoint()), 3, inst.codes[0])
+        assert shapes == [(1, 1024, 24)]

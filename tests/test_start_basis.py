@@ -193,6 +193,19 @@ class TestStep:
         chain = grover_step(circ, *phases).apply_to(circ.layout, state.reshape(-1))
         assert np.max(np.abs(closed - by_challenge(chain, (2, 2), weights.size))) <= AGREE
 
+    @pytest.mark.parametrize("varphi", [1 + 1e-9, 0.5j, 0])
+    def test_success_phase_off_the_unit_circle_is_refused(self, varphi):
+        # The step reads (varphi - 1) P + 1 off the projector's phases, so it
+        # refuses the success phases that grover_step's diagonal refuses.
+        circ = circuit(3, (2, 2), "adversarial")
+        block = start_block(circ.ver, 3, circ.inst.codes[0])
+        weights, rows = branch_weights(circ, block)
+        u = np.outer(np.ones(2), weights)
+        with pytest.raises(ValueError, match="unit modulus"):
+            grover_step(circ, 1j, varphi)
+        with pytest.raises(ValueError, match="unit modulus"):
+            coefficient_step(circ, block, weights, rows, u, 1j, varphi)
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize(
         "n, dims, completion, split_phase",
