@@ -48,10 +48,10 @@ MAX_SCHEDULE_STEPS = 16
 # and 2.02 at m = 30); a small block's moved copy fits in the stored factor's block, which is not
 # yet allocated then.  An adversarial verifier holds its d x s reflectors, its draw about one more
 # for a moment (traced 2.02 at n = 5).  ``zk-check`` holds no such state: its start block's Gram
-# step holds one challenge half of a chunk of ``GRAM_ROWS`` reflector rows and its conjugate, a
-# d-long mask and at most 8 s x s arrays (traced 0.15, 0.29 and 1.08 d x s arrays at n = 5, dims
-# 2x2 and 4x1, and n = 3, 8x8).  The writer holds its 2 n! codes alone, and forms its gather index
-# only while it acts, which ``zk-check`` never makes it do.
+# step holds one challenge half of a chunk of ``GRAM_ROWS`` reflector rows, its conjugate and at
+# most 8 s x s arrays (traced 0.15, 0.29 and 1.08 d x s arrays at n = 5, dims 2x2 and 4x1, and
+# n = 3, 8x8).  The writer holds its 2 n! codes alone, and forms its gather index only while it
+# acts, which ``zk-check`` never makes it do.
 STATE_COPIES, BASE_BYTES, STEP_WORK, KEPT_COPIES, DRAW_COPIES = 16, 2**22, 10**5, 2, 3
 
 
@@ -264,7 +264,7 @@ def estimate(cfg: RunConfig, n: int | None) -> tuple[int, int, str]:
         peak = 16 * DRAW_COPIES * side * s
     d, work = layout.total_dim, 0
     if cfg.command == "zk-check":
-        peak += BASE_BYTES + 16 * (2 * GRAM_ROWS + 8 * s) * s + side
+        peak += BASE_BYTES + 16 * (2 * GRAM_ROWS + 8 * s) * s
         return peak, cfg.trials * (side + s) * s * s, f"{held[0]} and its {side}x{s} start block"
     peak += BASE_BYTES + 16 * STATE_COPIES * cfg.dims[0] * d
     if cfg.command == "blocks":

@@ -359,27 +359,23 @@ def _check_order(order: np.ndarray, side: int) -> None:
 
 # Columns per compact-WY panel of a Householder operator.
 _PANEL_WIDTH = 64
-# :func:`part_grams` reads its rows, a start block's outputs or reflectors, in chunks of at most
-# this many, so that beside them it holds a chunk's rows at one middle index and their conjugate.
+# :func:`part_grams` reads all its rows, outputs or reflectors, in chunks of at most this many, so
+# that beside them it holds a chunk's rows at one middle index and their conjugate.
 GRAM_ROWS = 2**10
 
 
-def part_grams(rows: np.ndarray, parts: int, split: int, keep=True) -> np.ndarray:
-    """``X_i† X_i`` for X_i the kept rows at middle index i of (parts, split, rest)."""
+def part_grams(rows: np.ndarray, parts: int, split: int) -> np.ndarray:
+    """``X_i† X_i`` for X_i the rows at middle index i of (parts, split, rest)."""
     v = rows.reshape(parts, split, -1, rows.shape[1])
     rest, k = v.shape[2:]
-    keep = np.broadcast_to(keep, len(rows)).reshape(parts, split, rest)
     step, cut = max(GRAM_ROWS // (split * rest), 1), min(GRAM_ROWS // split, rest)
     grams = np.zeros((split, k, k), dtype=complex)
     for p in range(0, parts, step):
         for r in range(0, rest, cut):
             for i in range(split):
-                at = np.s_[p : p + step, i, r : r + cut]
-                chunk = v[at].reshape(-1, k)
-                kept = chunk.conj()
-                kept[~keep[at].reshape(-1)] = 0
-                grams[i] += kept.T @ chunk
-                del chunk, kept  # so that no two copies are held at once
+                chunk = v[p : p + step, i, r : r + cut].reshape(-1, k)
+                grams[i] += chunk.conj().T @ chunk
+                del chunk  # so that no two copies are held at once
     return grams
 
 
@@ -518,25 +514,25 @@ class HouseholderOp:
         ``Z = T V[S]†``, for Q's whole T and the head rows V[S], ``U_S = (E_S - V Z) D``: its
         head rows are ``Y = D - V[S] Z D`` and its other rows ``-V Z D``.  So the Gram is
         ``Y_i† Y_i + D̄ Z† H_i Z D``, for the head rows Y_i in part i and the Gram H_i of part
-        i's other rows of V: two Grams, so nothing cancels.  The H_i take ``d k^2`` multiply-adds,
-        ``GRAM_ROWS`` rows at a time.  Z is solved panel by panel, last first, from the stored
-        T factors and the whole ``V† V``: ``O(k^3)``, with no division by tau.
+        i's other rows of V: two Grams, so Y's O(1) terms cancel against nothing.  H_i is part
+        i's Gram from :func:`part_grams` (``d k^2`` multiply-adds) less its head rows' Gram,
+        taken out once.  Z is solved panel by panel, last first, from the stored T factors and
+        the whole ``V† V``, the parts' Grams summed: ``O(k^3)``, with no division by tau.
         """
         if self.inverse:
             raise ValueError("input Grams are of the operator, not of its adjoint")
         k, heads = self.columns, self.inputs
-        others = np.ones(len(self.reflectors), dtype=bool)
-        others[heads] = False
-        grams = part_grams(self.reflectors, parts, split, others)
+        grams = part_grams(self.reflectors, parts, split)
         rest = len(self.reflectors) // (parts * split)
         head_rows, z = self.reflectors[heads], np.zeros((k, k), dtype=complex)
-        whole = grams.sum(axis=0) + head_rows.conj().T @ head_rows
+        whole = grams.sum(axis=0)
+        in_part = ((heads // rest) % split == np.arange(split)[:, None])[:, :, None]
+        grams -= (in_part * head_rows.conj()).swapaxes(1, 2) @ head_rows
         for s in reversed(range(0, k, _PANEL_WIDTH)):
             e = min(s + _PANEL_WIDTH, k)
             z[s:e] = self.tfactors[s:e, : e - s] @ (head_rows[:, s:e].conj().T - whole[s:e] @ z)
         z *= self.phases
         y = np.diag(self.phases) - head_rows @ z
-        in_part = ((heads // rest) % split == np.arange(split)[:, None])[:, :, None]
         grams = z.conj().T @ grams @ z
         grams += (in_part * y.conj()).swapaxes(1, 2) @ y
         return grams

@@ -8,6 +8,7 @@ import pytest
 
 from zkamp.registers import (
     ATOL_OP,
+    GRAM_ROWS,
     _BATCHED_MIN,
     DiagonalOp,
     HouseholderOp,
@@ -21,6 +22,7 @@ from zkamp.registers import (
     basis_columns,
     _trusted_variant,
     haar_random_op,
+    part_grams,
     random_state,
 )
 
@@ -606,6 +608,30 @@ def _grams(op):
     return [v.conj().T @ v for v in panels]
 
 
+@pytest.mark.parametrize(
+    "parts, split, rest, k",
+    [
+        (600, 2, 1, 1),
+        (300, 1, 1, 70),
+        (7, 2, 100, 70),
+        (2, 2, 700, 70),
+        (3, 1, 1500, 1),
+        (5, 2, 300, 1),
+    ],
+    ids=["rest1-many-parts", "rest1-one-chunk", "parts-cut", "rest-cut", "rest-cut-split1", "one-part"],
+)
+def test_part_grams_are_those_of_the_dense_parts(parts, split, rest, k):
+    # GRAM_ROWS rows at a time: a chunk holds many parts when rest is small, cuts rest when it
+    # is above GRAM_ROWS / split, and no row count here is a multiple of GRAM_ROWS.
+    assert (parts * split * rest) % GRAM_ROWS
+    rng = np.random.default_rng(parts * rest + k)
+    size = (parts * split * rest, k)
+    rows = (rng.normal(size=size) + 1j * rng.normal(size=size)) / math.sqrt(2 * size[0])
+    x = rows.reshape(parts, split, rest, k).swapaxes(0, 1).reshape(split, -1, k)
+    reference = x.conj().swapaxes(1, 2) @ x
+    assert np.max(np.abs(part_grams(rows, parts, split) - reference)) <= 1e-13
+
+
 class TestHouseholderOp:
     """The Haar draw kept as compact-WY panels, checked against the dense draw."""
 
@@ -817,14 +843,28 @@ class TestNarrowHouseholderOp:
         np.testing.assert_allclose(to_matrix(op.adjoint(), layout), u.conj().T, atol=1e-12)
         np.testing.assert_allclose(u.conj().T @ u, np.eye(15), atol=1e-12)
 
-    @pytest.mark.parametrize("inputs", [[0], [9, 4, 21], [23, 6, 0, 13, 18, 1], None])
-    def test_input_grams_are_those_of_the_input_columns(self, inputs):
-        # The rows read as (parts, split, rest) = (3, 2, 4); the inputs fall in both parts of
-        # the split, and without inputs every column is one and the rows have no order.
-        layout = RegisterLayout([("A", 3), ("B", 2), ("C", 4)])
+    @pytest.mark.parametrize(
+        "rest, inputs",
+        [
+            (4, [0]),
+            (4, [9, 4, 21]),
+            (4, [23, 6, 0, 13, 18, 1]),
+            (4, None),
+            (24, list(range(143, 3, -2))),
+            (24, np.random.default_rng(5).permutation(144)[:100].tolist()),
+            (24, None),
+        ],
+        ids=["inputs0", "inputs1", "inputs2", "None", "two-panel-70", "two-panel-100", "full-144"],
+    )
+    def test_input_grams_are_those_of_the_input_columns(self, rest, inputs):
+        # The rows read as (parts, split, rest) = (3, 2, rest); the inputs fall in both parts of
+        # the split, and without inputs every column is one and the rows have no order.  At
+        # rest = 24 the k > 64 reflectors make two or three panels, and the heads fall in every
+        # part and in both halves.
+        layout = RegisterLayout([("A", 3), ("B", 2), ("C", rest)])
         op = haar_random_op(layout, ("A", "B", "C"), 8, inputs)
-        columns = to_matrix(op, layout)[:, op.inputs].reshape(3, 2, 4, -1).swapaxes(0, 1)
-        columns = columns.reshape(2, 12, -1)
+        columns = to_matrix(op, layout)[:, op.inputs].reshape(3, 2, rest, -1).swapaxes(0, 1)
+        columns = columns.reshape(2, 3 * rest, -1)
         reference = columns.conj().swapaxes(1, 2) @ columns
         assert np.max(np.abs(op.input_grams(3, 2) - reference)) <= 1e-14
 
